@@ -13,8 +13,8 @@
 #
 #     CI_ONLY=build,worker-matrix ./ci.sh
 #
-# Stage names: policy, fmt, clippy, build, test, worker-matrix,
-# paper-scale, bench.
+# Stage names: policy, fmt, clippy, build, test, benchmark-smoke,
+# worker-matrix, paper-scale, bench.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -87,6 +87,20 @@ stage_test() {
     cargo test -q --offline --workspace
     echo "-- doc tests"
     cargo test -q --offline --workspace --doc
+}
+
+stage_benchmark_smoke() {
+    # benchmark/ is a package of its own (own [workspace], path deps on
+    # ../crates/*), so the stages above never compile it. Its tests build the
+    # benchmark binaries and run the `--quick` set through the oracle, which
+    # makes a crate change that breaks what the benchmark imports
+    # (`coarsen::coarsen_ws`, `initial::initial_bisection`,
+    # `refine::{rebalance_ws, fm_refine_ws, project}`,
+    # `bisect::multilevel_bisection`, `repartition_ws`, ...) red here rather
+    # than in the benchmark driver. Shares the root target directory, as
+    # benchmark/run.sh does.
+    (cd benchmark &&
+        CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/../target}" cargo test --release --offline)
 }
 
 stage_worker_matrix() {
@@ -196,6 +210,7 @@ run_stage fmt stage_fmt
 run_stage clippy stage_clippy
 run_stage build stage_build
 run_stage test stage_test
+run_stage benchmark-smoke stage_benchmark_smoke
 run_stage worker-matrix stage_worker_matrix
 run_stage paper-scale stage_paper_scale
 run_stage bench stage_bench

@@ -121,7 +121,6 @@ pub fn decompose_traced(
 ) -> Vec<PartId> {
     assert!(n_domains >= 1, "need at least one domain");
     let _span = rec.span("core.decompose", 0, n_domains as u64);
-    let graph = mesh.to_graph();
     match strategy {
         PartitionStrategy::DualPhase {
             domains_per_process,
@@ -133,7 +132,14 @@ pub fn decompose_traced(
                 "n_domains must be a multiple of domains_per_process"
             );
             let n_outer = n_domains / domains_per_process;
-            dual_phase(mesh, &graph, n_outer, domains_per_process, seed, rec)
+            dual_phase(
+                mesh,
+                &mesh.to_graph(),
+                n_outer,
+                domains_per_process,
+                seed,
+                rec,
+            )
         }
         PartitionStrategy::SfcOc { curve } => {
             let centroids: Vec<[f64; 3]> = mesh.cells().iter().map(|c| c.centroid).collect();
@@ -145,7 +151,7 @@ pub fn decompose_traced(
         }
         _ => {
             let (w, ncon) = strategy_weights(mesh, strategy);
-            let g = graph.with_vertex_weights(w, ncon);
+            let g = mesh.to_graph().with_vertex_weights(w, ncon);
             let mut ws = traced_workspace(rec);
             partition_graph_with(&g, &partition_config(n_domains, ncon, seed), &mut ws)
         }
@@ -202,7 +208,6 @@ pub fn decompose_par_traced(
 ) -> Vec<PartId> {
     assert!(n_domains >= 1, "need at least one domain");
     let _span = rec.span("core.decompose", 0, n_domains as u64);
-    let graph = mesh.to_graph();
     match strategy {
         PartitionStrategy::DualPhase {
             domains_per_process,
@@ -216,7 +221,7 @@ pub fn decompose_par_traced(
             let n_outer = n_domains / domains_per_process;
             dual_phase_par(
                 mesh,
-                &graph,
+                &mesh.to_graph(),
                 n_outer,
                 domains_per_process,
                 seed,
@@ -235,7 +240,7 @@ pub fn decompose_par_traced(
         }
         _ => {
             let (w, ncon) = strategy_weights(mesh, strategy);
-            let g = graph.with_vertex_weights(w, ncon);
+            let g = mesh.to_graph().with_vertex_weights(w, ncon);
             partition_graph_par_traced(
                 &g,
                 &partition_config(n_domains, ncon, seed),

@@ -1,8 +1,9 @@
 //! Coarsening: heavy-edge matching and graph contraction.
 //!
-//! All stages are workspace-backed: matching scratch, member lists,
-//! stamp/slot accumulators and the coarse CSR arrays themselves come from
-//! the [`PartitionWorkspace`](crate::PartitionWorkspace) arenas/pools, so a
+//! All stages are workspace-backed: matching scratch (incl. the per-level
+//! weight-class table), stamp/slot accumulators and the coarse CSR arrays
+//! themselves come from the
+//! [`PartitionWorkspace`](crate::PartitionWorkspace) arenas/pools, so a
 //! warm workspace coarsens without touching the allocator. Each level's
 //! graph is built exactly once and **moved** into the hierarchy — the old
 //! per-level `CsrGraph` clone is gone.
@@ -40,17 +41,22 @@ pub(crate) fn heavy_edge_matching_ws(graph: &CsrGraph, rng: &mut Rng, ws: &mut P
     // Dominant weight class per vertex; multi-constraint matching prefers
     // same-class pairs so coarse vertices keep (nearly) one-hot weight
     // vectors — mixed coarse vertices make per-class balancing impossible at
-    // coarse levels.
-    let class_of = |v: u32| -> usize {
-        let w = graph.vertex_weights(v);
-        let mut best = 0usize;
-        for c in 1..ncon {
-            if w[c] > w[best] {
-                best = c;
+    // coarse levels. Computed once per level; single-constraint graphs have
+    // one class and skip it.
+    let class_of = &mut ws.class_of;
+    class_of.clear();
+    if ncon > 1 {
+        class_of.extend((0..n as u32).map(|v| {
+            let w = graph.vertex_weights(v);
+            let mut best = 0usize;
+            for c in 1..ncon {
+                if w[c] > w[best] {
+                    best = c;
+                }
             }
-        }
-        best
-    };
+            best as u32
+        }));
+    }
     let match_of = &mut ws.match_of;
     match_of.clear();
     match_of.extend(0..n as u32);
@@ -65,13 +71,13 @@ pub(crate) fn heavy_edge_matching_ws(graph: &CsrGraph, rng: &mut Rng, ws: &mut P
         if matched[v as usize] {
             continue;
         }
-        let vclass = class_of(v);
+        let vclass = if ncon > 1 { class_of[v as usize] } else { 0 };
         let mut best: Option<(bool, u32, u32)> = None; // (same class, weight, neighbor)
         for (u, w) in graph.neighbors(v).zip(graph.edge_weights(v)) {
             if matched[u as usize] {
                 continue;
             }
-            let same = ncon == 1 || class_of(u) == vclass;
+            let same = ncon == 1 || class_of[u as usize] == vclass;
             let cand = (same, w, u);
             let better = match best {
                 None => true,
@@ -125,47 +131,16 @@ pub(crate) fn contract_ws(
     }
     let nc = next as usize;
 
-    // Coarse vertex weights.
     let mut vwgt = ws.take_u32();
-    vwgt.resize(nc * ncon, 0);
-    for (v, &cv) in fine_to_coarse.iter().enumerate() {
-        let cv = cv as usize;
-        let fw = graph.vertex_weights(v as u32);
-        for c in 0..ncon {
-            vwgt[cv * ncon + c] += fw[c];
-        }
-    }
-
-    // Coarse adjacency: accumulate per coarse vertex with a dense scratch map
-    // (coarse-neighbour -> weight), reset between vertices via a stamp array.
+    vwgt.reserve(nc * ncon);
     let mut xadj = ws.take_u32();
     xadj.reserve(nc + 1);
     let mut adjncy = ws.take_u32();
     let mut adjwgt = ws.take_u32();
     xadj.push(0u32);
 
-    // For each coarse vertex, the list of fine vertices mapping to it.
-    let members_off = &mut ws.members_off;
-    members_off.clear();
-    members_off.resize(nc + 1, 0);
-    for v in 0..n {
-        members_off[fine_to_coarse[v] as usize + 1] += 1;
-    }
-    for i in 0..nc {
-        members_off[i + 1] += members_off[i];
-    }
-    let members = &mut ws.members;
-    members.clear();
-    members.resize(n, 0);
-    let cursor = &mut ws.cursor;
-    cursor.clear();
-    cursor.extend_from_slice(members_off);
-    for v in 0..n as u32 {
-        let cv = fine_to_coarse[v as usize] as usize;
-        members[cursor[cv]] = v;
-        cursor[cv] += 1;
-    }
-
+    // Coarse adjacency: accumulate per coarse vertex with a dense scratch map
+    // (coarse-neighbour -> slot), reset between vertices via a stamp array.
     let stamp = &mut ws.stamp;
     stamp.clear();
     stamp.resize(nc, u32::MAX);
@@ -173,43 +148,81 @@ pub(crate) fn contract_ws(
     slot.clear();
     slot.resize(nc, 0);
     let pairs = &mut ws.pairs;
-    for cv in 0..nc {
+    // Coarse ids were handed out in ascending order of each pair's lower
+    // fine vertex, so visiting those in order builds the CSR rows in order;
+    // a coarse vertex's members are `v` and (if matched) `match_of[v]`.
+    for v in 0..n as u32 {
+        let m = match_of[v as usize];
+        if m < v {
+            continue; // row already built from the lower partner
+        }
+        let cv = fine_to_coarse[v as usize];
+        let members = [v, m];
+        let members = &members[..1 + usize::from(m != v)];
+
+        let vw = graph.vertex_weights(v);
+        if m == v {
+            vwgt.extend_from_slice(vw);
+        } else {
+            vwgt.extend(vw.iter().zip(graph.vertex_weights(m)).map(|(a, b)| a + b));
+        }
+
         let start = adjncy.len();
-        for &v in &members[members_off[cv]..members_off[cv + 1]] {
-            for (u, w) in graph.neighbors(v).zip(graph.edge_weights(v)) {
-                let cu = fine_to_coarse[u as usize] as usize;
+        for &f in members {
+            for (u, w) in graph.neighbors(f).zip(graph.edge_weights(f)) {
+                let cu = fine_to_coarse[u as usize];
                 if cu == cv {
                     continue; // internal edge disappears
                 }
-                if stamp[cu] == cv as u32 {
+                let cu = cu as usize;
+                if stamp[cu] == cv {
                     adjwgt[slot[cu]] += w;
                 } else {
-                    stamp[cu] = cv as u32;
+                    stamp[cu] = cv;
                     slot[cu] = adjncy.len();
                     adjncy.push(cu as u32);
                     adjwgt.push(w);
                 }
             }
         }
-        // Deterministic ordering of the coarse adjacency list.
-        pairs.clear();
-        pairs.extend(
-            adjncy[start..]
-                .iter()
-                .copied()
-                .zip(adjwgt[start..].iter().copied()),
-        );
-        pairs.sort_unstable_by_key(|&(u, _)| u);
-        for (i, &(u, w)) in pairs.iter().enumerate() {
-            adjncy[start + i] = u;
-            adjwgt[start + i] = w;
-        }
+        sort_adjacency(&mut adjncy[start..], &mut adjwgt[start..], pairs);
         xadj.push(adjncy.len() as u32);
     }
 
     CoarseLevel {
         graph: CsrGraph::from_parts_unchecked(xadj, adjncy, adjwgt, vwgt, ncon),
         fine_to_coarse,
+    }
+}
+
+/// Lists up to this long are insertion-sorted in place.
+const INSERTION_SORT_MAX: usize = 24;
+
+/// Sorts one coarse adjacency list (parallel `adj` / `wgt` slices) by
+/// neighbour id. Ids within a list are unique, so every sort yields the same
+/// list; short lists — nearly all of them on mesh graphs — are insertion-
+/// sorted in place, longer ones go through the `pairs` scratch.
+fn sort_adjacency(adj: &mut [u32], wgt: &mut [u32], pairs: &mut Vec<(u32, u32)>) {
+    if adj.len() <= INSERTION_SORT_MAX {
+        for i in 1..adj.len() {
+            let (u, w) = (adj[i], wgt[i]);
+            let mut j = i;
+            while j > 0 && adj[j - 1] > u {
+                adj[j] = adj[j - 1];
+                wgt[j] = wgt[j - 1];
+                j -= 1;
+            }
+            adj[j] = u;
+            wgt[j] = w;
+        }
+        return;
+    }
+    pairs.clear();
+    pairs.extend(adj.iter().copied().zip(wgt.iter().copied()));
+    pairs.sort_unstable_by_key(|&(u, _)| u);
+    for (i, &(u, w)) in pairs.iter().enumerate() {
+        adj[i] = u;
+        wgt[i] = w;
     }
 }
 
@@ -343,6 +356,120 @@ mod tests {
         let lvl = contract(&g2, &m);
         assert_eq!(lvl.graph.total_weights(), g2.total_weights());
         assert_eq!(lvl.graph.ncon(), 2);
+    }
+
+    /// Contraction oracle: the pre-rewrite structure (explicit member CSR,
+    /// separate vertex-weight pass) with an ordered map per coarse row in
+    /// place of the stamp/slot accumulator and the sort.
+    fn contract_reference(graph: &CsrGraph, match_of: &[u32]) -> CoarseLevel {
+        let n = graph.nvtx();
+        let ncon = graph.ncon();
+        let mut fine_to_coarse = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for v in 0..n as u32 {
+            if fine_to_coarse[v as usize] != u32::MAX {
+                continue;
+            }
+            let m = match_of[v as usize];
+            fine_to_coarse[v as usize] = next;
+            if m != v {
+                fine_to_coarse[m as usize] = next;
+            }
+            next += 1;
+        }
+        let nc = next as usize;
+        let mut vwgt = vec![0u32; nc * ncon];
+        for (v, &cv) in fine_to_coarse.iter().enumerate() {
+            let fw = graph.vertex_weights(v as u32);
+            for c in 0..ncon {
+                vwgt[cv as usize * ncon + c] += fw[c];
+            }
+        }
+        let mut members_off = vec![0usize; nc + 1];
+        for v in 0..n {
+            members_off[fine_to_coarse[v] as usize + 1] += 1;
+        }
+        for i in 0..nc {
+            members_off[i + 1] += members_off[i];
+        }
+        let mut members = vec![0u32; n];
+        let mut cursor = members_off.clone();
+        for v in 0..n as u32 {
+            let cv = fine_to_coarse[v as usize] as usize;
+            members[cursor[cv]] = v;
+            cursor[cv] += 1;
+        }
+        let (mut xadj, mut adjncy, mut adjwgt) = (vec![0u32], Vec::new(), Vec::new());
+        for cv in 0..nc {
+            let mut acc = std::collections::BTreeMap::<u32, u32>::new();
+            for &v in &members[members_off[cv]..members_off[cv + 1]] {
+                for (u, w) in graph.neighbors(v).zip(graph.edge_weights(v)) {
+                    let cu = fine_to_coarse[u as usize];
+                    if cu as usize != cv {
+                        *acc.entry(cu).or_insert(0) += w;
+                    }
+                }
+            }
+            adjncy.extend(acc.keys().copied());
+            adjwgt.extend(acc.values().copied());
+            xadj.push(adjncy.len() as u32);
+        }
+        CoarseLevel {
+            graph: CsrGraph::from_parts_unchecked(xadj, adjncy, adjwgt, vwgt, ncon),
+            fine_to_coarse,
+        }
+    }
+
+    #[test]
+    fn contraction_matches_reference_on_random_matchings() {
+        let mut rng = Rng::seed_from_u64(0x00C0_A25E);
+        let mut ws = PartitionWorkspace::new();
+        let mut longest = 0usize;
+        for round in 0..120 {
+            let ncon = 1 + round % 3;
+            let n = rng.gen_range(2..220usize);
+            let mut b = tempart_graph::GraphBuilder::new(n, ncon);
+            for v in 0..n as u32 {
+                let w: Vec<u32> = (0..ncon).map(|_| rng.gen_range(0..5u32)).collect();
+                b.set_vertex_weights(v, &w);
+            }
+            for v in 1..n as u32 {
+                b.add_edge(v - 1, v, rng.gen_range(0..4u32));
+                let u = rng.gen_range(0..n) as u32;
+                if u != v && u + 1 != v {
+                    b.add_edge(u, v, rng.gen_range(1..4u32));
+                }
+                // Hubs 0 and 1 see half the graph each, so their merged
+                // coarse lists outgrow the insertion-sort threshold.
+                if v > 2 && round % 2 == 0 {
+                    b.add_edge(v % 2, v, 1);
+                }
+            }
+            let g = b.build();
+            // A random valid matching with unmatched vertices: heavy-edge
+            // pairs, a random third of them dissolved again.
+            let mut m = heavy_edge_matching(&g, &mut rng);
+            for v in 0..n as u32 {
+                let u = m[v as usize];
+                if u > v && rng.gen_range(0..3usize) == 0 {
+                    m[v as usize] = v;
+                    m[u as usize] = u;
+                }
+            }
+            let got = contract_ws(&g, &m, &mut ws);
+            let want = contract_reference(&g, &m);
+            assert_eq!(got.fine_to_coarse, want.fine_to_coarse, "round {round}");
+            assert_eq!(got.graph, want.graph, "round {round}: n {n}");
+            assert!(got.graph.validate().is_ok());
+            longest = longest.max(
+                (0..got.graph.nvtx() as u32)
+                    .map(|v| got.graph.degree(v))
+                    .max()
+                    .unwrap_or(0),
+            );
+            ws.give_level(got);
+        }
+        assert!(longest > INSERTION_SORT_MAX, "longest list {longest}");
     }
 
     #[test]

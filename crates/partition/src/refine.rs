@@ -11,7 +11,6 @@
 //! allocations** — enforced by a debug-assert on the testkit counting
 //! allocator around the move loops.
 
-use crate::initial::bisection_cut;
 use crate::PartitionWorkspace;
 use tempart_graph::CsrGraph;
 
@@ -22,6 +21,26 @@ fn max_abs_gain(graph: &CsrGraph) -> i64 {
         m = m.max(graph.edge_weights(v).map(i64::from).sum());
     }
     m
+}
+
+/// [`bisection_cut`](crate::initial::bisection_cut) and [`max_abs_gain`] in
+/// one sweep over the adjacency.
+fn cut_and_max_abs_gain(graph: &CsrGraph, side: &[u8]) -> (i64, i64) {
+    let mut cut2 = 0i64;
+    let mut m = 1i64;
+    for v in 0..graph.nvtx() as u32 {
+        let sv = side[v as usize];
+        let mut sum = 0i64;
+        for (u, w) in graph.neighbors(v).zip(graph.edge_weights(v)) {
+            let w = i64::from(w);
+            sum += w;
+            if side[u as usize] != sv {
+                cut2 += w;
+            }
+        }
+        m = m.max(sum);
+    }
+    (cut2 / 2, m)
 }
 
 /// One FM refinement driver for a 0/1 bisection (allocating wrapper around
@@ -58,7 +77,7 @@ pub fn fm_refine_ws(
     ws: &mut PartitionWorkspace,
 ) -> i64 {
     let n = graph.nvtx();
-    let mut cut = bisection_cut(graph, side);
+    let (mut cut, max_gain) = cut_and_max_abs_gain(graph, side);
     if n == 0 {
         return cut;
     }
@@ -70,7 +89,7 @@ pub fn fm_refine_ws(
     let level = ws.obs_level;
     let _span = rec.span("part.fm", level, cut.max(0) as u64);
     ws.side_weights.remeasure(graph, side, frac0);
-    ws.buckets.ensure(n, max_abs_gain(graph));
+    ws.buckets.ensure(n, max_gain);
     ws.gain.clear();
     ws.gain.resize(n, 0);
     ws.locked.clear();
@@ -126,7 +145,8 @@ pub fn fm_refine_ws(
         // Applied moves this pass, with running cut for the rollback.
         let mut running = cut;
         let mut best_cut = cut;
-        let mut best_norm = weights.max_norm();
+        let mut cur_norm = weights.max_norm();
+        let mut best_norm = cur_norm;
         let mut best_len = 0usize;
         // Hill-climbing fuel: stop the pass after this many consecutive
         // non-improving moves (bounds the tail without hurting quality).
@@ -138,11 +158,9 @@ pub fn fm_refine_ws(
             // keeping) candidates that would break the balance — they are
             // retried after the next applied move shifts the weights. The
             // scan bound mirrors the old implementation's stash limit.
+            let limit = ub.max(cur_norm) + 1e-12;
             let chosen = buckets.pop_best(256, |v, _g| {
-                let cur_norm = weights.max_norm();
-                let after =
-                    weights.max_norm_after(graph.vertex_weights(v), side[v as usize] as usize);
-                after <= ub.max(cur_norm) + 1e-12
+                weights.max_norm_after(graph.vertex_weights(v), side[v as usize] as usize) <= limit
             });
             let Some(v) = chosen else {
                 // Nothing feasible right now; candidates only become
@@ -173,13 +191,13 @@ pub fn fm_refine_ws(
             }
             gain[v as usize] = -gain[v as usize];
 
-            let norm = weights.max_norm();
+            cur_norm = weights.max_norm();
             let improves = running < best_cut
-                || (running == best_cut && norm < best_norm - 1e-12)
-                || (best_norm > ub && norm < best_norm - 1e-12);
+                || (running == best_cut && cur_norm < best_norm - 1e-12)
+                || (best_norm > ub && cur_norm < best_norm - 1e-12);
             if improves {
                 best_cut = running;
-                best_norm = norm;
+                best_norm = cur_norm;
                 best_len = history.len();
                 fuel = fuel_limit;
             } else {
@@ -258,8 +276,30 @@ pub fn rebalance_ws(
     let rec = ws.obs.clone();
     let level = ws.obs_level;
     let _span = rec.span("part.rebalance", level, 0);
-    let ncon = graph.ncon();
     ws.side_weights.remeasure(graph, side, frac0);
+    // Already balanced (the common case after projection): nothing below
+    // would move a vertex, so skip building the candidate machinery.
+    let moves = if ws.side_weights.max_norm() <= ub + 1e-12 {
+        0
+    } else {
+        rebalance_moves(graph, side, ub, ws)
+    };
+    if rec.enabled() {
+        rec.counter("part.rebalance.moves", level, moves as u64);
+    }
+    moves
+}
+
+/// The move loop of [`rebalance_ws`]; `ws.side_weights` already measures
+/// `side`.
+fn rebalance_moves(
+    graph: &CsrGraph,
+    side: &mut [u8],
+    ub: f64,
+    ws: &mut PartitionWorkspace,
+) -> usize {
+    let n = graph.nvtx();
+    let ncon = graph.ncon();
     ws.rb_buckets.ensure(n, max_abs_gain(graph));
     ws.gain.clear();
     ws.gain.resize(n, 0);
@@ -322,8 +362,7 @@ pub fn rebalance_ws(
         // violation). Infeasible candidates stay indexed — they may become
         // feasible as `wn` drops.
         let chosen = buckets.pop_best(n, |v, _g| {
-            let after = weights.max_norm_after(graph.vertex_weights(v), wsd);
-            after < wn - 1e-12
+            weights.max_norm_after(graph.vertex_weights(v), wsd) < wn - 1e-12
         });
         let Some(v) = chosen else { break };
         weights.apply(graph.vertex_weights(v), wsd);
@@ -345,9 +384,6 @@ pub fn rebalance_ws(
         allocs_at_loop_entry,
         "rebalance move loop allocated on the heap"
     );
-    if rec.enabled() {
-        rec.counter("part.rebalance.moves", level, moves as u64);
-    }
     moves
 }
 
@@ -369,7 +405,7 @@ pub(crate) fn project_into(fine_to_coarse: &[u32], coarse_side: &[u8], out: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::initial::SideWeights;
+    use crate::initial::{bisection_cut, SideWeights};
     use tempart_graph::builder::grid_graph;
     use tempart_graph::GraphBuilder;
 

@@ -62,6 +62,10 @@ pub struct GainBuckets {
     cur_max: usize,
     /// Number of vertices currently stored.
     len: usize,
+    /// Vertex count of the current instance (`gidx[..n]` is the active range).
+    n: usize,
+    /// Bucket count of the current instance (`heads[..nbuckets]` is active).
+    nbuckets: usize,
 }
 
 impl GainBuckets {
@@ -69,6 +73,8 @@ impl GainBuckets {
     /// `[-max_gain, max_gain]`, then clears it. May allocate; call once per
     /// refinement instance (the warm-up), then use [`Self::clear`] per pass.
     pub fn ensure(&mut self, n: usize, max_gain: i64) {
+        // Wipe what the previous instance left before its range is forgotten.
+        self.clear();
         let nbuckets = (2 * max_gain + 1).max(1) as usize;
         if self.heads.len() < nbuckets {
             self.heads.resize(nbuckets, NONE);
@@ -79,15 +85,24 @@ impl GainBuckets {
             self.gidx.resize(n, NONE);
         }
         self.offset = max_gain;
-        self.clear();
+        self.n = n;
+        self.nbuckets = nbuckets;
     }
 
     /// Empties the structure without releasing memory (no allocation).
+    ///
+    /// Invariant: `heads` and `gidx` are all-`NONE` outside the stored
+    /// vertices' entries — [`Self::remove`] unlinks fully and nothing writes
+    /// beyond the active range — so an empty structure is already clean, and
+    /// a non-empty one only needs the current instance's range wiped, not
+    /// the high-water capacity.
     pub fn clear(&mut self) {
-        self.heads.fill(NONE);
-        self.gidx.fill(NONE);
+        if self.len > 0 {
+            self.heads[..self.nbuckets].fill(NONE);
+            self.gidx[..self.n].fill(NONE);
+            self.len = 0;
+        }
         self.cur_max = 0;
-        self.len = 0;
     }
 
     /// Number of stored vertices.
@@ -112,7 +127,7 @@ impl GainBuckets {
     fn index_of(&self, gain: i64) -> usize {
         let idx = gain + self.offset;
         debug_assert!(
-            idx >= 0 && (idx as usize) < self.heads.len(),
+            idx >= 0 && (idx as usize) < self.nbuckets,
             "gain {gain} out of bucket range ±{}",
             self.offset
         );
@@ -121,6 +136,7 @@ impl GainBuckets {
 
     /// Inserts `v` with `gain`. `v` must not already be present.
     pub fn insert(&mut self, v: u32, gain: i64) {
+        debug_assert!((v as usize) < self.n, "vertex {v} outside the instance");
         debug_assert!(!self.contains(v), "vertex {v} already bucketed");
         let idx = self.index_of(gain);
         let head = self.heads[idx];
@@ -265,12 +281,8 @@ pub struct PartitionWorkspace {
     pub(crate) order: Vec<u32>,
     /// Matched flags.
     pub(crate) matched: Vec<bool>,
-    /// Coarse-vertex member list offsets (CSR over coarse vertices).
-    pub(crate) members_off: Vec<usize>,
-    /// Fine vertices grouped by coarse vertex.
-    pub(crate) members: Vec<u32>,
-    /// Scatter cursor per coarse vertex.
-    pub(crate) cursor: Vec<usize>,
+    /// Dominant weight class per vertex (multi-constraint matching only).
+    pub(crate) class_of: Vec<u32>,
     /// Stamp array for coarse-adjacency accumulation.
     pub(crate) stamp: Vec<u32>,
     /// Slot of each stamped coarse neighbour in the adjacency being built.
@@ -280,9 +292,7 @@ pub struct PartitionWorkspace {
 
     // --- initial bisection (coarsest graph only) ---
     /// Frontier max-heap for greedy graph growing.
-    pub(crate) grow_heap: std::collections::BinaryHeap<(i64, u32)>,
-    /// "In side 0" flags.
-    pub(crate) grow_in0: Vec<bool>,
+    pub(crate) grow_heap: crate::initial::GrowHeap,
     /// Current growth attempt (swapped with the best-so-far buffer).
     pub(crate) grow_side: Vec<u8>,
 
@@ -495,6 +505,57 @@ mod tests {
         assert!(!b.contains(3));
         b.insert(3, 4);
         assert_eq!(b.pop_best(64, |_, _| true), Some(3));
+    }
+
+    #[test]
+    fn buckets_small_instance_after_large_nonempty_one_sees_no_stale_entry() {
+        // A large instance abandoned non-empty (FM stops a pass with
+        // candidates still queued), then a small one in the same structure:
+        // the bounded clear must have wiped the large instance's range.
+        let mut b = GainBuckets::default();
+        b.ensure(4096, 500);
+        for v in 0..4096u32 {
+            b.insert(v, i64::from(v % 1001) - 500);
+        }
+        assert_eq!(b.len(), 4096);
+        b.ensure(16, 3);
+        assert!(b.is_empty());
+        assert!((0..16).all(|v| !b.contains(v)));
+        assert_eq!(b.pop_best(64, |_, _| true), None);
+        // Pop order as documented: best gain first, LIFO within a bucket.
+        b.insert(5, 3);
+        b.insert(9, -3);
+        b.insert(2, 3);
+        b.insert(7, 0);
+        for want in [2, 5, 7, 9] {
+            assert_eq!(b.pop_best(64, |_, _| true), Some(want));
+        }
+        assert!(b.is_empty());
+        // Back to a large instance (drained, so `clear` took the empty fast
+        // path): nothing of either earlier instance is visible.
+        b.ensure(4096, 500);
+        assert!((0..4096).all(|v| !b.contains(v)));
+        assert_eq!(b.pop_best(usize::MAX, |_, _| true), None);
+        b.insert(4000, -500);
+        b.insert(17, 500);
+        assert_eq!(b.pop_best(64, |_, _| true), Some(17));
+        assert_eq!(b.pop_best(64, |_, _| true), Some(4000));
+    }
+
+    #[test]
+    fn buckets_clear_mid_pass_wipes_the_active_range() {
+        let mut b = GainBuckets::default();
+        b.ensure(64, 8);
+        for v in 0..64u32 {
+            b.insert(v, i64::from(v % 17) - 8);
+        }
+        let _ = b.pop_best(64, |_, _| true);
+        b.clear();
+        assert!(b.is_empty());
+        assert!((0..64).all(|v| !b.contains(v)));
+        assert_eq!(b.pop_best(64, |_, _| true), None);
+        b.insert(63, -8);
+        assert_eq!(b.pop_best(64, |_, _| true), Some(63));
     }
 
     #[test]

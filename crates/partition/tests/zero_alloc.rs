@@ -5,6 +5,8 @@
 //! 1. **Explicit**: a warm `fm_refine_ws` / `rebalance_ws` call performs
 //!    *zero* heap allocations end to end (all scratch lives in the
 //!    workspace arenas, already sized by the warm-up call).
+//!    The greedy-growing initial bisection is crate-private and is covered
+//!    through the public driver on a graph too small to coarsen.
 //! 2. **Implicit**: running the full partitioner here arms the
 //!    `debug_assert`s inside the FM pass loop, the rebalance move loop and
 //!    the k-way sweep — any allocation inside those regions aborts the
@@ -46,6 +48,40 @@ fn warm_rebalance_does_not_allocate() {
     let (moves, allocs) = count_allocations(|| rebalance_ws(&g, &mut side, 0.5, 1.1, &mut ws));
     assert!(moves > 0, "imbalanced stripe must trigger moves");
     assert_eq!(allocs, 0, "warm rebalance_ws allocated {allocs} times");
+}
+
+#[test]
+fn warm_initial_bisection_tries_do_not_allocate() {
+    // GGGP (`initial_bisection_into`) is crate-private; reach it through the
+    // public driver with a graph below the coarsening target, so the one
+    // bisection is growth + rebalance + FM with no hierarchy. One-hot
+    // 3-constraint weights make the frontier heap drop inadmissible vertices
+    // and re-seed. Its heap arrays live in the workspace, so a warm call's
+    // allocation count is the driver's fixed handful — whatever the number
+    // of growth attempts.
+    let ncon = 3;
+    let base = grid_graph(16, 16);
+    let mut vwgt = vec![0u32; base.nvtx() * ncon];
+    for v in 0..base.nvtx() {
+        vwgt[v * ncon + (v / 7) % ncon] = 1;
+    }
+    let g = base.with_vertex_weights(vwgt, ncon);
+    assert!(g.nvtx() <= PartitionConfig::new(2).coarsen_to * ncon);
+    let mut ws = PartitionWorkspace::new();
+    let mut warm_allocs = |tries: usize| -> u64 {
+        let mut cfg = PartitionConfig::new(2).with_seed(5).with_ub(1.10);
+        cfg.initial_tries = tries;
+        let _ = partition_graph_with(&g, &cfg, &mut ws);
+        count_allocations(|| partition_graph_with(&g, &cfg, &mut ws)).1
+    };
+    let many = warm_allocs(32);
+    let one = warm_allocs(1);
+    assert_eq!(
+        many, one,
+        "growth attempts allocate: 32 tries {many} vs 1 try {one}"
+    );
+    // The result vector and the uniform target fractions.
+    assert!(many <= 2, "warm 2-way partition allocated {many} times");
 }
 
 #[test]

@@ -181,6 +181,16 @@ fn parse_case(s: &str) -> Result<MeshCase, String> {
     }
 }
 
+/// Parses a count option that must be at least 1 (the layers below assert
+/// on zero, which would surface as a panic instead of a usage error).
+fn parse_positive(value: &str, flag: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
     let mut i = 0;
@@ -203,20 +213,12 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--strategy" => o.strategy = parse_strategy(&take(args, &mut i, "--strategy")?)?,
             "--domains" => {
-                o.domains = take(args, &mut i, "--domains")?
-                    .parse()
-                    .map_err(|e| format!("--domains: {e}"))?
+                o.domains = parse_positive(&take(args, &mut i, "--domains")?, "--domains")?
             }
             "--processes" => {
-                o.processes = take(args, &mut i, "--processes")?
-                    .parse()
-                    .map_err(|e| format!("--processes: {e}"))?
+                o.processes = parse_positive(&take(args, &mut i, "--processes")?, "--processes")?
             }
-            "--cores" => {
-                o.cores = take(args, &mut i, "--cores")?
-                    .parse()
-                    .map_err(|e| format!("--cores: {e}"))?
-            }
+            "--cores" => o.cores = parse_positive(&take(args, &mut i, "--cores")?, "--cores")?,
             "--seed" => {
                 o.seed = take(args, &mut i, "--seed")?
                     .parse()
@@ -239,13 +241,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|e| format!("--groups: {e}"))?
             }
             "--workers" => {
-                let w: usize = take(args, &mut i, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                o.workers = Some(w);
+                o.workers = Some(parse_positive(
+                    &take(args, &mut i, "--workers")?,
+                    "--workers",
+                )?)
             }
             "--heun" => o.heun = true,
             "--mu" => {

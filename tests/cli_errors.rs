@@ -1,0 +1,63 @@
+//! CLI robustness: option values the layers below would assert on must be
+//! rejected in option handling with a clean `error:` line and exit code 1 —
+//! never a panic (exit 101).
+
+use std::process::Command;
+
+#[test]
+fn zero_counts_are_usage_errors_not_panics() {
+    let cases: &[(&str, &str)] = &[
+        ("simulate", "--processes"),
+        ("simulate", "--cores"),
+        ("simulate", "--domains"),
+        ("partition", "--domains"),
+        ("trace", "--processes"),
+        ("compare", "--cores"),
+        ("portfolio", "--processes"),
+        ("repart", "--domains"),
+        ("simulate", "--workers"),
+    ];
+    for &(cmd, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .args([cmd, "--depth", "2", flag, "0"])
+            .output()
+            .expect("spawn tempart");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{cmd} {flag} 0: exit {:?}, stderr: {stderr}",
+            out.status.code()
+        );
+        let first = stderr.lines().next().unwrap_or("");
+        assert_eq!(
+            first,
+            format!("error: {flag} must be at least 1"),
+            "{cmd} {flag} 0"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd} {flag} 0: {stderr}");
+    }
+}
+
+#[test]
+fn positive_counts_still_run() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+        .args([
+            "simulate",
+            "--depth",
+            "2",
+            "--domains",
+            "4",
+            "--processes",
+            "2",
+            "--cores",
+            "1",
+        ])
+        .output()
+        .expect("spawn tempart");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
