@@ -190,7 +190,9 @@ stage_bench() {
     # the global-ready-heap path and the racing fan-out — and the network
     # model (`flusim/comm/{uniform,two-level,race}`): the priced event
     # loop's NIC-channel bookkeeping and transfer ledger on both topology
-    # presets, plus the comm-bound 24-combo race.
+    # presets — each run pricing its own edge table up front and deriving
+    # `NetStats` in one streaming pass after the loop — plus the comm-bound
+    # 24-combo race, which prices the edges once for all combos.
     if [[ "${CI_SKIP_BENCH:-0}" == "1" ]]; then
         echo "skipped (CI_SKIP_BENCH=1)"
         return 0

@@ -114,7 +114,7 @@ pub fn run_flusim(mesh: &Mesh, config: &PipelineConfig) -> FlusimOutcome {
 pub fn run_flusim_traced(mesh: &Mesh, config: &PipelineConfig, rec: &Recorder) -> FlusimOutcome {
     let _span = rec.span("core.pipeline", 0, config.n_domains as u64);
     let part = decompose_traced(mesh, config.strategy, config.n_domains, config.seed, rec);
-    finish_flusim(mesh, part, config, None, 1, rec)
+    finish_flusim(mesh, part, config, None, 1, rec).expect(FREE_COMM_IS_VALID)
 }
 
 /// [`run_flusim`] under an explicit [`NetworkModel`]: cross-process halo
@@ -124,11 +124,17 @@ pub fn run_flusim_traced(mesh: &Mesh, config: &PipelineConfig, rec: &Recorder) -
 /// from [`TaskGraphConfig::face_payload_bytes`]) — callers pick a topology
 /// preset; the pipeline derives what each pair of domains actually
 /// exchanges.
+///
+/// # Errors
+///
+/// Returns the [`NetworkModel::validate`] message when the model cannot
+/// price this run's task graph (zero channels, a matrix of the wrong order,
+/// link costs that would overflow the simulated clock).
 pub fn run_flusim_network(
     mesh: &Mesh,
     config: &PipelineConfig,
     net: &NetworkModel,
-) -> FlusimOutcome {
+) -> Result<FlusimOutcome, String> {
     run_flusim_network_traced(
         mesh,
         config,
@@ -150,7 +156,7 @@ pub fn run_flusim_network_traced(
     workers: usize,
     pool: &WorkspacePool,
     rec: &Recorder,
-) -> FlusimOutcome {
+) -> Result<FlusimOutcome, String> {
     let _span = rec.span("core.pipeline", 0, config.n_domains as u64);
     let part = decompose_par_traced(
         mesh,
@@ -201,8 +207,11 @@ pub fn run_flusim_workers_traced(
         pool,
         rec,
     );
-    finish_flusim(mesh, part, config, None, workers, rec)
+    finish_flusim(mesh, part, config, None, workers, rec).expect(FREE_COMM_IS_VALID)
 }
+
+/// Why the free-communication entry points unwrap [`finish_flusim`].
+const FREE_COMM_IS_VALID: &str = "only a network model can fail validation";
 
 /// The pipeline stages downstream of the partition: quality measurement,
 /// task-graph generation, FLUSIM simulation and the inter-process cut
@@ -211,7 +220,8 @@ pub fn run_flusim_workers_traced(
 /// (bit-identical at every width — see
 /// [`DomainDecomposition::new_sharded`]). With `net` set, the simulation
 /// runs under the network model with halo-derived message sizes attached
-/// from this decomposition.
+/// from this decomposition — and may be rejected by
+/// [`NetworkModel::validate`], the only error this stage returns.
 fn finish_flusim(
     mesh: &Mesh,
     part: Vec<PartId>,
@@ -219,7 +229,7 @@ fn finish_flusim(
     net: Option<&NetworkModel>,
     workers: usize,
     rec: &Recorder,
-) -> FlusimOutcome {
+) -> Result<FlusimOutcome, String> {
     let cell_graph = mesh.to_graph();
     let quality = PartitionQuality::measure(&cell_graph, &part, config.n_domains);
     let dd = DomainDecomposition::new_sharded(mesh, &part, config.n_domains, workers);
@@ -229,6 +239,7 @@ fn finish_flusim(
     let sim = match net {
         Some(model) => {
             let model = model.clone().with_halo(&dd, tg_config.face_payload_bytes);
+            model.validate(&graph, config.cluster.n_processes)?;
             simulate_lattice_with_network_traced(
                 &graph,
                 &config.cluster,
@@ -257,14 +268,14 @@ fn finish_flusim(
         rec.counter("core.interprocess_cut", 0, interprocess_cut as u64);
     }
 
-    FlusimOutcome {
+    Ok(FlusimOutcome {
         part,
         quality,
         graph,
         process_of,
         sim,
         interprocess_cut,
-    }
+    })
 }
 
 /// Result bundle of a portfolio race: one partition, one task graph, the
@@ -820,7 +831,7 @@ mod tests {
             seed: 7,
         };
         let free = run_flusim(&m, &cfg);
-        let zero = run_flusim_network(&m, &cfg, &NetworkModel::zero_cost());
+        let zero = run_flusim_network(&m, &cfg, &NetworkModel::zero_cost()).unwrap();
         assert_eq!(zero.sim.makespan, free.sim.makespan);
         assert_eq!(zero.sim.segments, free.sim.segments);
         // Zero-byte links deliver instantly, so no transfer ever gates a
@@ -847,14 +858,15 @@ mod tests {
             2,
         );
         let free = run_flusim(&m, &cfg);
-        let paid = run_flusim_network(&m, &cfg, &net);
+        let paid = run_flusim_network(&m, &cfg, &net).unwrap();
         assert!(paid.sim.makespan > free.sim.makespan);
         let stats = paid.sim.net.as_ref().expect("network stats");
         assert!(stats.total_messages() > 0);
         assert!(stats.total_bytes() > 0);
         let pool = WorkspacePool::new(4);
         for workers in [2usize, 4] {
-            let par = run_flusim_network_traced(&m, &cfg, &net, workers, &pool, Recorder::off());
+            let par =
+                run_flusim_network_traced(&m, &cfg, &net, workers, &pool, Recorder::off()).unwrap();
             assert_eq!(par.sim.segments, paid.sim.segments, "workers={workers}");
             assert_eq!(par.sim.transfers, paid.sim.transfers, "workers={workers}");
             assert_eq!(par.sim.net, paid.sim.net, "workers={workers}");

@@ -40,7 +40,10 @@ impl Link {
         cost_per_byte: 0,
     };
 
-    /// Store-and-forward duration of one `bytes`-sized message.
+    /// Store-and-forward duration of one `bytes`-sized message. Plain `u64`
+    /// arithmetic: [`NetworkModel::validate`] bounds every duration of a
+    /// simulation up front, so the event loop pays no checked operation
+    /// per transfer.
     pub fn duration(&self, bytes: u64) -> u64 {
         self.latency + bytes * self.cost_per_byte
     }
@@ -90,6 +93,20 @@ impl Topology {
             }
             Topology::Matrix { n, links } => links[src * n + dst],
         }
+    }
+
+    /// Component-wise maximum over every link of the topology — an upper
+    /// bound on the duration any pair can charge for a message.
+    fn worst_link(&self) -> Link {
+        let links: &[Link] = match self {
+            Topology::Uniform(l) => std::slice::from_ref(l),
+            Topology::TwoLevel { intra, inter, .. } => &[*intra, *inter],
+            Topology::Matrix { links, .. } => links,
+        };
+        links.iter().fold(Link::FREE, |w, l| Link {
+            latency: w.latency.max(l.latency),
+            cost_per_byte: w.cost_per_byte.max(l.cost_per_byte),
+        })
     }
 }
 
@@ -278,23 +295,66 @@ impl NetworkModel {
         }
     }
 
-    /// Checks the model is consistent with an `np`-process cluster.
+    /// Checks the model can price `graph` on an `np`-process cluster:
+    /// at least one channel, a non-empty node, a matrix of order `np` — and
+    /// no simulated instant or [`NetStats`](tempart_obs::replay::NetStats)
+    /// sum can overflow `u64`.
     ///
-    /// # Panics
-    ///
-    /// Panics on zero channels, a zero-size node, or a matrix whose order
-    /// differs from `np`.
-    pub fn validate(&self, np: usize) {
-        assert!(self.channels >= 1, "a process needs at least one channel");
+    /// The overflow bound is one `u128` product per simulation, not a
+    /// checked operation per transfer. Every instant of a schedule is
+    /// reached by a chain of task costs and transfer durations that uses
+    /// each task and each edge at most once, so
+    /// `total cost + edges × (worst latency + worst message × worst
+    /// cost_per_byte)` bounds them all (and every per-process sum of
+    /// durations); `edges × worst message` bounds the byte counters.
+    pub fn validate(&self, graph: &TaskGraph, np: usize) -> Result<(), String> {
+        if self.channels == 0 {
+            return Err("a process needs at least one NIC channel".into());
+        }
         match &self.topology {
             Topology::Uniform(_) => {}
             Topology::TwoLevel { procs_per_node, .. } => {
-                assert!(*procs_per_node >= 1, "a node holds at least one process");
+                if *procs_per_node == 0 {
+                    return Err("a node holds at least one process".into());
+                }
             }
             Topology::Matrix { n, .. } => {
-                assert_eq!(*n, np, "matrix topology order must match the cluster");
+                if *n != np {
+                    return Err(format!(
+                        "matrix topology order {n} must match the cluster's {np} processes"
+                    ));
+                }
             }
         }
+        let worst_message = u128::from(match &self.sizes {
+            MessageSizes::PerObject => graph
+                .tasks()
+                .iter()
+                .map(|t| u64::from(t.n_objects))
+                .max()
+                .unwrap_or(0),
+            MessageSizes::Halo(h) => h.bytes.iter().copied().max().unwrap_or(0),
+        });
+        let link = self.topology.worst_link();
+        let edges = graph.n_edges() as u128;
+        // `worst_message × cost_per_byte + latency` fits u128 (two u64
+        // factors); only the per-edge multiplication can saturate.
+        let worst_duration =
+            worst_message * u128::from(link.cost_per_byte) + u128::from(link.latency);
+        let total_cost: u128 = graph.tasks().iter().map(|t| u128::from(t.cost)).sum();
+        let horizon = edges
+            .saturating_mul(worst_duration)
+            .saturating_add(total_cost);
+        let limit = u128::from(u64::MAX);
+        if horizon > limit || edges * worst_message > limit {
+            return Err(format!(
+                "network model overflows the simulated clock: {edges} edges of up to \
+                 {worst_message} bytes at latency {} and {} per byte on top of {total_cost} \
+                 cost units of compute exceed u64",
+                link.latency, link.cost_per_byte
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -331,7 +391,8 @@ pub struct TransferSegment {
 ///   *inter-node* link, the intra-node link is 10× lower latency and half
 ///   the per-byte cost; default `400:2:4:2` (4 processes per node).
 ///
-/// `CH` may be `unbounded` for [`UNBOUNDED_CHANNELS`].
+/// `CH` must be at least 1; `18446744073709551615` (`u64::MAX`) selects
+/// [`UNBOUNDED_CHANNELS`]. `PPN` must be at least 1.
 pub fn parse_preset(s: &str) -> Result<NetworkModel, String> {
     let mut fields = s.split(':');
     let kind = fields.next().unwrap_or("");
@@ -341,11 +402,11 @@ pub fn parse_preset(s: &str) -> Result<NetworkModel, String> {
             Some(f) => f.parse().map_err(|_| format!("bad --net field {f:?}")),
         }
     };
-    let channels = |c: u64| -> usize {
-        if c == u64::MAX {
-            UNBOUNDED_CHANNELS
-        } else {
-            c as usize
+    let channels = |c: u64| -> Result<usize, String> {
+        match c {
+            0 => Err("--net needs at least one channel (CH >= 1)".into()),
+            u64::MAX => Ok(UNBOUNDED_CHANNELS),
+            c => Ok(c as usize),
         }
     };
     let model = match kind {
@@ -359,7 +420,7 @@ pub fn parse_preset(s: &str) -> Result<NetworkModel, String> {
                     latency: lat,
                     cost_per_byte: cpb,
                 },
-                channels(ch),
+                channels(ch)?,
             )
         }
         "two-level" => {
@@ -367,6 +428,11 @@ pub fn parse_preset(s: &str) -> Result<NetworkModel, String> {
             let cpb = num(2)?;
             let ppn = num(4)?;
             let ch = num(2)?;
+            if ppn == 0 {
+                return Err(
+                    "--net two-level needs at least one process per node (PPN >= 1)".into(),
+                );
+            }
             NetworkModel::two_level(
                 ppn as usize,
                 Link {
@@ -377,7 +443,7 @@ pub fn parse_preset(s: &str) -> Result<NetworkModel, String> {
                     latency: lat,
                     cost_per_byte: cpb,
                 },
-                channels(ch),
+                channels(ch)?,
             )
         }
         other => return Err(format!("unknown --net preset {other:?}")),
@@ -501,11 +567,75 @@ mod tests {
         assert!(parse_preset("mesh").is_err());
         assert!(parse_preset("uniform:a").is_err());
         assert!(parse_preset("zero:1").is_err());
+        // Values the simulator would otherwise assert on are usage errors.
+        assert!(parse_preset("uniform:1:1:0").is_err(), "zero channels");
+        assert!(parse_preset("two-level:400:2:0:2").is_err(), "zero PPN");
+        assert!(
+            parse_preset("two-level:400:2:4:0").is_err(),
+            "zero channels"
+        );
+    }
+
+    /// A two-task chain across two domains: one edge, 5 objects, cost 5 + 3.
+    fn chain() -> TaskGraph {
+        use tempart_taskgraph::{Task, TaskKind};
+        let mk = |domain, cost: u64| Task {
+            subiter: 0,
+            tau: 0,
+            stage: 0,
+            domain,
+            kind: TaskKind::CellInternal,
+            n_objects: cost as u32,
+            cost,
+        };
+        TaskGraph::assemble(vec![mk(0, 5), mk(1, 3)], vec![vec![], vec![0]], 2, 1)
     }
 
     #[test]
-    #[should_panic(expected = "matrix topology order")]
-    fn matrix_order_must_match_cluster() {
-        NetworkModel::matrix(2, vec![Link::FREE; 4], 1).validate(3);
+    fn validate_rejects_inconsistent_models() {
+        let g = chain();
+        let matrix = NetworkModel::matrix(2, vec![Link::FREE; 4], 1);
+        assert!(matrix.validate(&g, 2).is_ok());
+        let err = matrix.validate(&g, 3).unwrap_err();
+        assert!(err.contains("matrix topology order"), "{err}");
+        assert!(NetworkModel::uniform(Link::FREE, 0)
+            .validate(&g, 2)
+            .is_err());
+        assert!(NetworkModel::two_level(0, Link::FREE, Link::FREE, 1)
+            .validate(&g, 2)
+            .is_err());
+    }
+
+    #[test]
+    fn validate_bounds_the_simulated_clock() {
+        let g = chain();
+        let link = |latency, cost_per_byte| Link {
+            latency,
+            cost_per_byte,
+        };
+        // One edge of 5 bytes on top of 8 cost units: the horizon is
+        // 8 + latency + 5 × cost_per_byte, and must fit u64 exactly.
+        let fits = NetworkModel::uniform(link(u64::MAX - 8 - 5, 1), 1);
+        assert!(fits.validate(&g, 2).is_ok());
+        let over = NetworkModel::uniform(link(u64::MAX - 8 - 4, 1), 1);
+        let err = over.validate(&g, 2).unwrap_err();
+        assert!(err.contains("overflows the simulated clock"), "{err}");
+        assert!(NetworkModel::uniform(link(1, u64::MAX / 2), 1)
+            .validate(&g, 2)
+            .is_err());
+        // The worst link of a two-level or matrix topology is what counts.
+        assert!(NetworkModel::two_level(1, Link::FREE, link(u64::MAX, 0), 1)
+            .validate(&g, 2)
+            .is_err());
+        let mut links = vec![Link::FREE; 4];
+        links[2] = link(0, u64::MAX);
+        assert!(NetworkModel::matrix(2, links, 1).validate(&g, 2).is_err());
+        // Halo sizes are bounded by the table, not by the tasks' objects.
+        let mut halo = NetworkModel::uniform(link(0, 2), 1);
+        let most = (u64::MAX - 8) / 2;
+        halo.sizes = MessageSizes::Halo(HaloBytes::from_pairs(2, &[(0, 1, most)]));
+        assert!(halo.validate(&g, 2).is_ok());
+        halo.sizes = MessageSizes::Halo(HaloBytes::from_pairs(2, &[(0, 1, most + 1)]));
+        assert!(halo.validate(&g, 2).is_err());
     }
 }

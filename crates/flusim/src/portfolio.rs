@@ -18,7 +18,7 @@
 use crate::cluster::ClusterConfig;
 use crate::lattice::DynamicListStrategy;
 use crate::network::NetworkModel;
-use crate::sim::{simulate_lattice_traced, simulate_lattice_with_network_traced};
+use crate::sim::{sim_core, PricedNetwork};
 use std::sync::Mutex;
 use tempart_obs::{Clock, Recorder, Trace};
 use tempart_runtime::fork_join;
@@ -174,9 +174,15 @@ fn race_inner(
     let tracing = rec.enabled();
     let slots: Vec<Mutex<Option<(ComboOutcome, Trace)>>> =
         combos.iter().map(|_| Mutex::new(None)).collect();
+    let cores = vec![cluster.cores_per_process; cluster.n_processes];
+    // Edge prices do not depend on the scheduling strategy: price the graph
+    // once and lend the table to every combo, at every worker width.
+    let priced = net.map(|model| PricedNetwork::new(graph, cores.len(), process_of, model));
     {
         let slots = &slots;
         let combos = &combos;
+        let cores = &cores;
+        let priced = priced.as_ref();
         fork_join(workers, move |ctx| {
             for (i, strategy) in combos.iter().enumerate() {
                 ctx.spawn(move |_| {
@@ -185,14 +191,7 @@ fn race_inner(
                     } else {
                         Recorder::off().clone()
                     };
-                    let sim = match net {
-                        Some(model) => simulate_lattice_with_network_traced(
-                            graph, cluster, process_of, strategy, model, &combo_rec,
-                        ),
-                        None => simulate_lattice_traced(
-                            graph, cluster, process_of, strategy, &combo_rec,
-                        ),
-                    };
+                    let sim = sim_core(graph, cores, process_of, strategy, priced, &combo_rec);
                     let outcome = ComboOutcome {
                         strategy: *strategy,
                         combo: i as u32,

@@ -12,7 +12,7 @@ use crate::network::{NetworkModel, TransferSegment, UNBOUNDED_CHANNELS};
 use crate::trace::Segment;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tempart_obs::replay::NetStats;
+use tempart_obs::replay::{intersection_len, NetStats};
 use tempart_obs::{Clock, Recorder};
 use tempart_taskgraph::{TaskGraph, TaskId};
 
@@ -270,7 +270,7 @@ pub fn simulate_lattice_with_network_traced(
     rec: &Recorder,
 ) -> SimResult {
     let cores = vec![cluster.cores_per_process; cluster.n_processes];
-    sim_core(graph, &cores, process_of, strat, Some(net), rec)
+    simulate_network_heterogeneous_traced(graph, &cores, process_of, strat, net, rec)
 }
 
 /// [`simulate_lattice_with_network_traced`] on a heterogeneous cluster
@@ -283,7 +283,8 @@ pub fn simulate_network_heterogeneous_traced(
     net: &NetworkModel,
     rec: &Recorder,
 ) -> SimResult {
-    sim_core(graph, cores, process_of, strat, Some(net), rec)
+    let priced = PricedNetwork::new(graph, cores.len(), process_of, net);
+    sim_core(graph, cores, process_of, strat, Some(&priced), rec)
 }
 
 /// The generalized heterogeneous lattice entry with the *legacy*
@@ -305,7 +306,101 @@ pub fn simulate_lattice_heterogeneous_traced(
         sim_core(graph, cores, process_of, strat, None, rec)
     } else {
         let net = NetworkModel::from_comm(comm);
-        sim_core(graph, cores, process_of, strat, Some(&net), rec)
+        simulate_network_heterogeneous_traced(graph, cores, process_of, strat, &net, rec)
+    }
+}
+
+/// Panics unless `process_of` maps every domain of `graph` onto one of `np`
+/// processes.
+fn assert_mapping(graph: &TaskGraph, np: usize, process_of: &[usize]) {
+    assert_eq!(process_of.len(), graph.n_domains, "one process per domain");
+    assert!(
+        process_of.iter().all(|&p| p < np),
+        "process id out of range"
+    );
+}
+
+/// A [`NetworkModel`] with every dependency edge of one task graph priced
+/// up front.
+///
+/// Who a message is for and how many bytes it carries are a pure function
+/// of `(graph, process_of, model.sizes)` — no scheduling decision enters —
+/// so the event loop reads both from this table instead of re-deriving them
+/// per completed task, and a portfolio race builds the table once for all
+/// of its combos. Which *link* the message travels over depends on where
+/// the predecessor executed, so durations stay in the loop.
+pub(crate) struct PricedNetwork<'a> {
+    model: &'a NetworkModel,
+    /// Home process of each task: its domain's owner under `process_of`.
+    home: Vec<u32>,
+    /// Index in `bytes` of each task's first successor edge.
+    first_edge: Vec<usize>,
+    /// Message bytes per successor edge, aligned with [`TaskGraph::succs`]
+    /// (0 = no message).
+    bytes: Vec<u64>,
+}
+
+impl<'a> PricedNetwork<'a> {
+    /// Prices `graph` under `model` for an `np`-process cluster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `process_of` is inconsistent with the graph or cluster, or
+    /// if `model` fails [`NetworkModel::validate`].
+    pub(crate) fn new(
+        graph: &TaskGraph,
+        np: usize,
+        process_of: &[usize],
+        model: &'a NetworkModel,
+    ) -> Self {
+        assert_mapping(graph, np, process_of);
+        if let Err(e) = model.validate(graph, np) {
+            panic!("invalid network model: {e}");
+        }
+        let home = graph
+            .tasks()
+            .iter()
+            .map(|t| process_of[t.domain as usize] as u32)
+            .collect();
+        let mut first_edge = Vec::with_capacity(graph.len());
+        let mut bytes = Vec::with_capacity(graph.n_edges());
+        for t in 0..graph.len() as TaskId {
+            first_edge.push(bytes.len());
+            bytes.extend(
+                graph
+                    .succs(t)
+                    .iter()
+                    .map(|&s| model.message_bytes(graph, t, s)),
+            );
+        }
+        Self {
+            model,
+            home,
+            first_edge,
+            bytes,
+        }
+    }
+}
+
+/// Appends `[start, end)` to a sorted list of disjoint, non-touching
+/// intervals, merging it into the last one when they overlap or touch;
+/// empty intervals are skipped. Requires `start` to be no earlier than the
+/// last interval's start — then the list stays exactly what
+/// `obs::replay::merge_intervals` would build from the same intervals.
+fn push_merged(merged: &mut Vec<(u64, u64)>, start: u64, end: u64) {
+    if end <= start {
+        return;
+    }
+    match merged.last_mut() {
+        Some((last_start, last_end)) => {
+            debug_assert!(*last_start <= start, "interval starts went backwards");
+            if start <= *last_end {
+                *last_end = (*last_end).max(end);
+            } else {
+                merged.push((start, end));
+            }
+        }
+        None => merged.push((start, end)),
     }
 }
 
@@ -338,42 +433,52 @@ pub fn simulate_lattice_heterogeneous_traced(
 ///   on. Transfers never pre-empt or share bandwidth retroactively:
 ///   channel occupancy is decided once, in completion order, keeping the
 ///   loop allocation-free and the schedule a pure function of its inputs.
+///   Destinations and sizes come from the [`PricedNetwork`] table (always,
+///   when a network is present); only the link duration is computed here.
+/// * **Accounting.** `busy`, `active` and `subiter_work` accumulate inside
+///   the loop. [`NetStats`] is derived *after* it, in one pass over the
+///   transfer log and one over the segments — integer sums plus a
+///   push-or-extend-last interval merge. That merge needs no sort because
+///   the loop emits both logs in start order per process: a transfer starts
+///   at `max(now, earliest-free channel)` and `now` and every channel's
+///   free time only grow, so per destination transfer starts are
+///   non-decreasing; a segment starts at its launch instant `now`, so per
+///   process segment starts are too. `NetStats::from_intervals` rebuilt
+///   from [`SimResult::transfers`] / [`SimResult::segments`] is the oracle
+///   (`tests/property_comm.rs`).
 ///
 /// # Panics
 ///
 /// Panics if `process_of` is inconsistent with the graph or cluster, or if
 /// the DAG deadlocks (cycle — cannot happen for [`TaskGraph`]s built by
 /// this workspace).
-fn sim_core(
+pub(crate) fn sim_core(
     graph: &TaskGraph,
     cores: &[usize],
     process_of: &[usize],
     strat: &DynamicListStrategy,
-    net: Option<&NetworkModel>,
+    net: Option<&PricedNetwork>,
     rec: &Recorder,
 ) -> SimResult {
-    assert_eq!(process_of.len(), graph.n_domains, "one process per domain");
     assert!(!cores.is_empty(), "need at least one process");
     assert!(cores.iter().all(|&c| c >= 1), "every process needs a core");
-    assert!(
-        process_of.iter().all(|&p| p < cores.len()),
-        "process id out of range"
-    );
+    assert_mapping(graph, cores.len(), process_of);
     let n = graph.len();
     let np = cores.len();
-    if let Some(model) = net {
-        model.validate(np);
-    }
+    debug_assert!(
+        net.is_none_or(|p| p.home.len() == n && p.bytes.len() == graph.n_edges()),
+        "edge prices belong to another task graph"
+    );
 
     // NIC bookkeeping, at full capacity before the steady state starts:
     // per-(process, channel) earliest-free times (empty when channels are
     // unbounded — transfers then always start immediately on channel 0)
     // and the transfer log, bounded by one message per dependency edge.
-    let bounded_channels = net.map_or(0, |m| {
-        if m.channels == UNBOUNDED_CHANNELS {
+    let bounded_channels = net.map_or(0, |p| {
+        if p.model.channels == UNBOUNDED_CHANNELS {
             0
         } else {
-            m.channels
+            p.model.channels
         }
     });
     let mut nic_free: Vec<u64> = vec![0; np * bounded_channels];
@@ -576,13 +681,13 @@ fn sim_core(
     for (p, &c) in cores.iter().enumerate() {
         rec.counter_at(Clock::Virtual, "flusim.cores", p as u32, 0, c as u64);
     }
-    if let Some(model) = net {
+    if let Some(priced) = net {
         // Publish the channel budget so replay can bound `net.xfer`
         // overlap per process (`u64::MAX` = unbounded).
-        let ch = if model.channels == UNBOUNDED_CHANNELS {
+        let ch = if priced.model.channels == UNBOUNDED_CHANNELS {
             u64::MAX
         } else {
-            model.channels as u64
+            priced.model.channels as u64
         };
         for p in 0..np {
             rec.counter_at(Clock::Virtual, "net.channels", p as u32, 0, ch);
@@ -700,61 +805,62 @@ fn sim_core(
             }
             active_objects[p] -= u64::from(graph.task(t).n_objects);
             let tp = p;
-            for &s in graph.succs(t) {
-                // The message travels from the predecessor's executing
-                // process to the successor's *home* process (where its
-                // domain's data lives) — identical to the legacy
-                // cross-process rule whenever placement is pinned.
-                let sp = process_of[graph.task(s).domain as usize];
-                if sp != tp {
-                    if let Some(model) = net {
-                        let bytes = model.message_bytes(graph, t, s);
-                        // Zero-byte messages are never sent: nothing to
-                        // wait for, no channel occupied.
-                        if bytes > 0 {
-                            let dur = model.topology.link(tp, sp).duration(bytes);
-                            let (channel, start) = if bounded_channels == 0 {
-                                (0usize, now)
-                            } else {
-                                // Earliest-free inbound channel of the
-                                // destination; strict improvement on the
-                                // ascending scan ⇒ lowest id wins ties.
-                                let base = sp * bounded_channels;
-                                let mut best = 0usize;
-                                for c in 1..bounded_channels {
-                                    if nic_free[base + c] < nic_free[base + best] {
-                                        best = c;
-                                    }
+            let succs = graph.succs(t);
+            let priced_edges =
+                net.map(|p| (p, &p.bytes[p.first_edge[t as usize]..][..succs.len()]));
+            for (k, &s) in succs.iter().enumerate() {
+                if let Some((priced, edge_bytes)) = priced_edges {
+                    // The message travels from the predecessor's executing
+                    // process to the successor's *home* process (where its
+                    // domain's data lives) — identical to the legacy
+                    // cross-process rule whenever placement is pinned.
+                    // Zero-byte messages are never sent: nothing to wait
+                    // for, no channel occupied.
+                    let sp = priced.home[s as usize] as usize;
+                    let bytes = edge_bytes[k];
+                    if sp != tp && bytes > 0 {
+                        let dur = priced.model.topology.link(tp, sp).duration(bytes);
+                        let (channel, start) = if bounded_channels == 0 {
+                            (0usize, now)
+                        } else {
+                            // Earliest-free inbound channel of the
+                            // destination; strict improvement on the
+                            // ascending scan ⇒ lowest id wins ties.
+                            let base = sp * bounded_channels;
+                            let mut best = 0usize;
+                            for c in 1..bounded_channels {
+                                if nic_free[base + c] < nic_free[base + best] {
+                                    best = c;
                                 }
-                                (best, now.max(nic_free[base + best]))
-                            };
-                            let end = start + dur;
-                            if bounded_channels != 0 {
-                                nic_free[sp * bounded_channels + channel] = end;
                             }
-                            transfers.push(TransferSegment {
-                                task: s,
-                                src: tp as u32,
-                                dst: sp as u32,
-                                channel: channel as u32,
+                            (best, now.max(nic_free[base + best]))
+                        };
+                        let end = start + dur;
+                        if bounded_channels != 0 {
+                            nic_free[sp * bounded_channels + channel] = end;
+                        }
+                        transfers.push(TransferSegment {
+                            task: s,
+                            src: tp as u32,
+                            dst: sp as u32,
+                            channel: channel as u32,
+                            start,
+                            end,
+                            bytes,
+                        });
+                        if traced {
+                            rec.complete_at(
+                                Clock::Virtual,
+                                "net.xfer",
+                                sp as u32,
                                 start,
-                                end,
+                                dur,
+                                (tp as u64) << 32 | channel as u64,
                                 bytes,
-                            });
-                            if traced {
-                                rec.complete_at(
-                                    Clock::Virtual,
-                                    "net.xfer",
-                                    sp as u32,
-                                    start,
-                                    dur,
-                                    (tp as u64) << 32 | channel as u64,
-                                    bytes,
-                                );
-                            }
-                            if end > ready_at[s as usize] {
-                                ready_at[s as usize] = end;
-                            }
+                            );
+                        }
+                        if end > ready_at[s as usize] {
+                            ready_at[s as usize] = end;
                         }
                     }
                 }
@@ -834,20 +940,34 @@ fn sim_core(
     );
 
     // Communication accounting — deliberately *after* the zero-allocation
-    // steady state (interval unions allocate). The shared
-    // `NetStats::from_intervals` constructor is the same code path
-    // `obs::replay::replay_network` runs over the `net.*` events, so the
-    // replayed statistics are bit-equal by construction.
+    // steady state (the merged interval lists allocate). Both logs are in
+    // start order per process (see "Accounting" above), so one pass each
+    // builds the interval unions `NetStats::from_intervals` would sort for.
     let net_stats = net.map(|_| {
-        let mut xfer: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); np];
+        let mut stats = NetStats {
+            comm_busy: vec![0; np],
+            comm_active: vec![0; np],
+            hidden: vec![0; np],
+            bytes_in: vec![0; np],
+            messages: vec![0; np],
+        };
+        let mut comm: Vec<Vec<(u64, u64)>> = vec![Vec::new(); np];
         for tr in &transfers {
-            xfer[tr.dst as usize].push((tr.start, tr.end, tr.bytes));
+            let p = tr.dst as usize;
+            stats.comm_busy[p] += tr.end - tr.start;
+            stats.bytes_in[p] += tr.bytes;
+            stats.messages[p] += 1;
+            push_merged(&mut comm[p], tr.start, tr.end);
         }
         let mut compute: Vec<Vec<(u64, u64)>> = vec![Vec::new(); np];
         for s in &segments {
-            compute[s.process as usize].push((s.start, s.end));
+            push_merged(&mut compute[s.process as usize], s.start, s.end);
         }
-        NetStats::from_intervals(&xfer, &compute)
+        for p in 0..np {
+            stats.comm_active[p] = comm[p].iter().map(|(s, e)| e - s).sum();
+            stats.hidden[p] = intersection_len(&comm[p], &compute[p]);
+        }
+        stats
     });
 
     // Closing accounting counters (per process, and per process ×
@@ -1376,6 +1496,29 @@ mod tests {
         );
         assert_eq!(charged.transfers.len(), 1);
         assert_eq!(charged.makespan, 5 + 105 + 3);
+    }
+
+    #[test]
+    fn push_merged_builds_what_merge_intervals_builds() {
+        use tempart_obs::replay::merge_intervals;
+        use tempart_testkit::Rng;
+        let mut rng = Rng::seed_from_u64(0x5EED_1A7E);
+        for _ in 0..200 {
+            // Start-ordered intervals with ties, touching neighbours, gaps
+            // and empty intervals (zero-cost links and tasks).
+            let mut start = 0u64;
+            let intervals: Vec<(u64, u64)> = (0..rng.gen_range(0usize..40))
+                .map(|_| {
+                    start += rng.gen_range(0u64..4);
+                    (start, start + rng.gen_range(0u64..6))
+                })
+                .collect();
+            let mut merged = Vec::new();
+            for &(s, e) in &intervals {
+                push_merged(&mut merged, s, e);
+            }
+            assert_eq!(merged, merge_intervals(intervals.clone()), "{intervals:?}");
+        }
     }
 
     #[test]

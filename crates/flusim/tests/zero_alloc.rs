@@ -16,7 +16,7 @@ use tempart_flusim::{
 };
 use tempart_obs::Recorder;
 use tempart_taskgraph::{Task, TaskGraph, TaskId, TaskKind};
-use tempart_testkit::alloc::CountingAllocator;
+use tempart_testkit::alloc::{count_allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -233,6 +233,56 @@ fn network_portfolio_race_event_loops_are_allocation_free() {
             assert_eq!(e.total_busy, g.total_cost());
         }
     }
+}
+
+#[test]
+fn network_accounting_allocations_do_not_grow_with_the_transfer_count() {
+    // The steady-state guard covers the event loop only; this one covers
+    // the whole call — edge pricing before the loop and the `NetStats`
+    // accounting after it. Same tasks, same cluster, every dependency edge
+    // present once vs four times (parallel edges): equal-cost ranks on
+    // ample cores and unbounded channels make each rank's transfers
+    // coincide, so the schedule and the merged interval lists are the same
+    // and only the transfer count differs. Per-transfer copies, or
+    // per-process lists that grow with the log, would show up as extra
+    // allocations on the 4× graph.
+    let ranks = |copies: usize| {
+        let (layers, width, nd) = (12usize, 16usize, 4u32);
+        let mut tasks = Vec::new();
+        let mut preds: Vec<Vec<TaskId>> = Vec::new();
+        for l in 0..layers {
+            for w in 0..width {
+                tasks.push(mk_task((w as u32) % nd, 5, 0));
+                // The neighbour's slot one rank up lives on the next domain.
+                let up = ((l.max(1) - 1) * width + (w + 1) % width) as TaskId;
+                preds.push(if l == 0 { vec![] } else { vec![up; copies] });
+            }
+        }
+        TaskGraph::assemble(tasks, preds, nd as usize, 1)
+    };
+    let process_of: Vec<usize> = (0..4).collect();
+    let cluster = ClusterConfig::new(4, 16);
+    let net = NetworkModel::uniform(
+        Link {
+            latency: 3,
+            cost_per_byte: 1,
+        },
+        tempart_flusim::UNBOUNDED_CHANNELS,
+    );
+    let strat = DynamicListStrategy::from(Strategy::EagerFifo);
+    let run = |g: &TaskGraph| {
+        count_allocations(|| simulate_lattice_with_network(g, &cluster, &process_of, &strat, &net))
+    };
+    let (once, fourfold) = (ranks(1), ranks(4));
+    let (r1, allocs_1x) = run(&once);
+    let (r4, allocs_4x) = run(&fourfold);
+    assert!(!r1.transfers.is_empty());
+    assert_eq!(r4.transfers.len(), 4 * r1.transfers.len());
+    assert_eq!(r4.segments, r1.segments, "same schedule");
+    assert_eq!(
+        allocs_4x, allocs_1x,
+        "whole-call allocations grew with the transfer count"
+    );
 }
 
 #[test]

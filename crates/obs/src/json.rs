@@ -129,21 +129,20 @@ fn write_num(n: f64, out: &mut String) {
 /// Parses a complete JSON document. Errors carry a byte offset and a short
 /// description.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.input.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(v)
 }
 
+/// `pos` is a byte offset into `input` and always sits on a char boundary:
+/// it only ever advances past whole ASCII bytes or whole scalars.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
@@ -153,7 +152,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -172,7 +171,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.input[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -266,11 +265,12 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // `get` also rejects four bytes that end inside
+                            // a multi-byte scalar.
+                            let hex = self
+                                .input
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not produced by our
@@ -283,13 +283,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape in
+                    // one go. Both delimiters are ASCII, so they never
+                    // match inside a multi-byte scalar and the run ends on
+                    // a char boundary.
+                    let rest = &self.input[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -318,8 +319,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.input[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("bad number"))
     }
@@ -355,6 +356,45 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Re-validating the rest of the input per character made this
+        // quadratic: 4 MB of string payload took hours. Linear is
+        // milliseconds, so the test finishing at all is the assertion.
+        let chunk = "naïve ∂ρ/∂t = −∇·(ρu) 🚀 ".repeat(4096);
+        let doc = format!(
+            "[{}]",
+            (0..32)
+                .map(|i| format!("{{\"k{i}\":\"{chunk}\\n{i}\"}}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        assert!(doc.len() >= 4 << 20, "document is {} bytes", doc.len());
+        let v = parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items.len(), 32);
+        for (i, item) in items.iter().enumerate() {
+            let got = item.get(&format!("k{i}")).unwrap().as_str().unwrap();
+            assert_eq!(got, format!("{chunk}\n{i}"));
+        }
+    }
+
+    #[test]
+    fn multi_byte_scalars_roundtrip() {
+        // 1-, 2-, 3- and 4-byte scalars, next to escapes and delimiters.
+        let text = "a é ∇ 🚀\"\\\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}";
+        let v = Value::Str(text.to_string());
+        let json = write(&v);
+        assert_eq!(parse(&json).unwrap(), v);
+        assert_eq!(parse("\"é\\u00e9\"").unwrap(), Value::Str("éé".into()));
+        // A `\u` escape whose four "digits" end inside a scalar is an
+        // error, not a slicing panic.
+        assert!(parse("\"\\u000é\"").is_err());
+        assert!(parse("\"\\u00é\"").is_err());
+        assert!(parse("\"\\u00").is_err());
+        assert!(parse("\"é").is_err(), "unterminated after a scalar");
     }
 
     #[test]

@@ -76,11 +76,12 @@ pub fn replay_tasks(
     }
 }
 
-/// Communication statistics per destination process, reconstructed either by
-/// the simulator from its own transfer log or by [`replay_network`] from
-/// `net.*` events. Both sides funnel through [`NetStats::from_intervals`],
-/// so the two reconstructions are bit-equal by construction — integer sums
-/// plus interval unions/intersections over the very same `u64` endpoints.
+/// Communication statistics per destination process: computed by the
+/// simulator in one pass over its start-ordered logs, and reconstructed by
+/// [`replay_network`] from `net.*` events through
+/// [`NetStats::from_intervals`], which sorts. Two code paths over the very
+/// same `u64` endpoints — the tests hold them bit-equal, with
+/// `from_intervals` as the oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetStats {
     /// Σ transfer duration per destination process (channel-time spent

@@ -434,7 +434,7 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
             workers,
             &WorkspacePool::new(workers),
             tempart::obs::Recorder::off(),
-        ),
+        )?,
         None => run_flusim_workers(&mesh, &config, workers),
     };
     println!(

@@ -40,6 +40,60 @@ fn zero_counts_are_usage_errors_not_panics() {
 }
 
 #[test]
+fn bad_net_values_are_usage_errors_not_panics_or_wrapped_makespans() {
+    // Zero channels / zero processes per node used to reach asserts in the
+    // simulator (exit 101); a per-byte cost near u64::MAX used to wrap the
+    // simulated clock in release builds and exit 0 with a garbage makespan.
+    let cases: &[(&[&str], &str)] = &[
+        (&["--net", "uniform:1:1:0"], "at least one channel"),
+        (
+            &["--net", "two-level:400:2:0:2"],
+            "at least one process per node",
+        ),
+        (
+            &["--net", "uniform:1:9223372036854775807:2"],
+            "overflows the simulated clock",
+        ),
+        (
+            &["--latency", "18446744073709551615"],
+            "overflows the simulated clock",
+        ),
+    ];
+    for &(net, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .args([
+                "simulate",
+                "--depth",
+                "3",
+                "--domains",
+                "8",
+                "--processes",
+                "2",
+                "--cores",
+                "2",
+            ])
+            .args(net)
+            .output()
+            .expect("spawn tempart");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{net:?}: exit {:?}, stderr: {stderr}",
+            out.status.code()
+        );
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(
+            first.starts_with("error: ") && first.contains(want),
+            "{net:?}: first stderr line {first:?}"
+        );
+        assert!(!stderr.contains("panicked"), "{net:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("makespan"), "{net:?}: printed {stdout}");
+    }
+}
+
+#[test]
 fn positive_counts_still_run() {
     let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
         .args([

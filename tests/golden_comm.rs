@@ -119,7 +119,8 @@ fn crossover() -> tempart::core_api::CommCrossover {
 fn derive_constants() {
     let mesh = cylinder();
     for (name, model) in presets() {
-        let out = run_flusim_network(&mesh, &config(PartitionStrategy::McTl), &model);
+        let out = run_flusim_network(&mesh, &config(PartitionStrategy::McTl), &model)
+            .expect("valid preset");
         println!(
             "{name}: fingerprint 0x{:016X} makespan {} transfers {}",
             schedule_fingerprint(&out),
@@ -151,7 +152,8 @@ fn network_schedules_match_pinned_fingerprints() {
     let mesh = cylinder();
     let golden = [GOLDEN_UNIFORM, GOLDEN_TWO_LEVEL];
     for ((name, model), want) in presets().into_iter().zip(golden) {
-        let out = run_flusim_network(&mesh, &config(PartitionStrategy::McTl), &model);
+        let out = run_flusim_network(&mesh, &config(PartitionStrategy::McTl), &model)
+            .expect("valid preset");
         let fp = schedule_fingerprint(&out);
         assert_eq!(
             fp, want,

@@ -3,7 +3,11 @@
 //! a *valid* schedule under a bounded two-level network, the makespan must
 //! be monotone in link latency and per-byte cost on the unbounded regime,
 //! zero-size messages must be free, and the zero-cost network model must be
-//! bit-identical to the no-comm simulator.
+//! bit-identical to the no-comm simulator. On random synthetic DAGs, the
+//! simulator's one-pass [`NetStats`] must equal the sorting oracle
+//! ([`NetStats::from_intervals`]) rebuilt from its own logs, and a race that
+//! shares one edge-price table must equal 24 simulations that each price
+//! their own.
 //!
 //! Schedule validity extends the free-comm list-scheduling contract with
 //! the transfer ledger ([`SimResult::transfers`]):
@@ -22,16 +26,19 @@
 
 use tempart::core_api::{decompose, PartitionStrategy};
 use tempart::flusim::{
-    simulate_lattice, simulate_lattice_with_network, simulate_network_heterogeneous_traced,
-    ClusterConfig, DynamicListStrategy, HaloBytes, Link, MessageSizes, NetworkModel, Strategy,
-    UNBOUNDED_CHANNELS, UNBOUNDED_CORES,
+    race_network, simulate_lattice, simulate_lattice_with_network,
+    simulate_network_heterogeneous_traced, ClusterConfig, ComboOutcome, DynamicListStrategy,
+    HaloBytes, Link, MessageSizes, NetStats, NetworkModel, SimResult, Strategy, UNBOUNDED_CHANNELS,
+    UNBOUNDED_CORES,
 };
 use tempart::mesh::{Mesh, Octree, OctreeConfig, TemporalScheme};
 use tempart::obs::Recorder;
 use tempart::taskgraph::{
-    generate_taskgraph, stats::block_process_map, DomainDecomposition, TaskGraph, TaskGraphConfig,
+    generate_taskgraph, stats::block_process_map, DomainDecomposition, Task, TaskGraph,
+    TaskGraphConfig, TaskKind,
 };
 use tempart_testkit::prop::bools;
+use tempart_testkit::rng::Rng;
 use tempart_testkit::{prop_assert, prop_assert_eq, proptest};
 
 /// Builds a random graded mesh from octant refinement choices (same
@@ -345,6 +352,188 @@ proptest! {
             let empty_sim =
                 simulate_lattice_with_network(&g, &cluster, &process_of, &strat, &empty);
             prop_assert!(empty_sim.transfers.is_empty(), "{}", strat.label());
+        }
+    }
+}
+
+/// A random DAG with no mesh behind it: every task depends on up to three
+/// earlier tasks (repeats allowed — parallel edges are legal). Zero-cost
+/// tasks leave empty compute intervals and zero-object tasks send nothing
+/// under [`MessageSizes::PerObject`] — the corners a mesh-generated graph
+/// never has.
+fn random_dag(rng: &mut Rng, n: usize, domains: usize) -> TaskGraph {
+    let tasks = (0..n)
+        .map(|_| Task {
+            subiter: 0,
+            tau: 0,
+            stage: 0,
+            domain: rng.gen_range(0..domains as u32),
+            kind: TaskKind::CellInternal,
+            n_objects: rng.gen_range(0u32..5),
+            cost: rng.gen_range(0u64..10),
+        })
+        .collect();
+    let preds = (0..n)
+        .map(|t| {
+            let fan = if t == 0 { 0 } else { rng.gen_range(0usize..4) };
+            (0..fan).map(|_| rng.gen_range(0..t as u32)).collect()
+        })
+        .collect();
+    TaskGraph::assemble(tasks, preds, domains, 1)
+}
+
+/// A random link; one in three is [`Link::FREE`], whose transfers have
+/// zero duration and must drop out of every interval union.
+fn random_link(rng: &mut Rng) -> Link {
+    if rng.gen_range(0u32..3) == 0 {
+        Link::FREE
+    } else {
+        Link {
+            latency: rng.gen_range(0u64..20),
+            cost_per_byte: rng.gen_range(0u64..3),
+        }
+    }
+}
+
+/// A random network over `procs` processes: `topology` picks uniform /
+/// two-level / matrix, `channels` picks 1 / 2 / unbounded, `halo` swaps the
+/// per-object sizes for a random sparse halo table over `domains` domains.
+fn random_network(
+    rng: &mut Rng,
+    topology: u8,
+    channels: u8,
+    halo: bool,
+    procs: usize,
+    domains: usize,
+) -> NetworkModel {
+    let channels = [1, 2, UNBOUNDED_CHANNELS][channels as usize];
+    let mut model = match topology {
+        0 => NetworkModel::uniform(random_link(rng), channels),
+        1 => NetworkModel::two_level(2, random_link(rng), random_link(rng), channels),
+        _ => NetworkModel::matrix(
+            procs,
+            (0..procs * procs).map(|_| random_link(rng)).collect(),
+            channels,
+        ),
+    };
+    if halo {
+        let mut pairs = Vec::new();
+        for a in 0..domains as u32 {
+            for b in a + 1..domains as u32 {
+                if rng.gen_bool() {
+                    pairs.push((a, b, rng.gen_range(0u64..64)));
+                }
+            }
+        }
+        model.sizes = MessageSizes::Halo(HaloBytes::from_pairs(domains, &pairs));
+    }
+    model
+}
+
+/// [`SimResult::net`] rebuilt the slow way: copy every transfer and segment
+/// into per-process lists and let [`NetStats::from_intervals`] sort them.
+fn net_stats_oracle(sim: &SimResult, procs: usize) -> NetStats {
+    let mut xfers = vec![Vec::new(); procs];
+    for x in &sim.transfers {
+        xfers[x.dst as usize].push((x.start, x.end, x.bytes));
+    }
+    let mut compute = vec![Vec::new(); procs];
+    for s in &sim.segments {
+        compute[s.process as usize].push((s.start, s.end));
+    }
+    NetStats::from_intervals(&xfers, &compute)
+}
+
+proptest! {
+    #![config(cases = 48, seed = 0xC033_57A7)]
+
+    fn streaming_net_stats_equal_the_sorting_oracle_on_every_combo(
+        dag_seed in 0u64..1_000_000,
+        n in 1usize..60,
+        domains in 1usize..6,
+        procs in 1usize..5,
+        topology in 0u8..3,
+        channels in 0u8..3,
+        halo in bools(),
+    ) {
+        let mut rng = Rng::seed_from_u64(dag_seed);
+        let g = random_dag(&mut rng, n, domains);
+        let model = random_network(&mut rng, topology, channels, halo, procs, domains);
+        let process_of = block_process_map(domains, procs);
+        // Heterogeneous cores, one process in four unbounded.
+        let cores: Vec<usize> = (0..procs)
+            .map(|_| match rng.gen_range(0usize..4) {
+                0 => UNBOUNDED_CORES,
+                c => c,
+            })
+            .collect();
+        for strat in DynamicListStrategy::lattice() {
+            let sim = simulate_network_heterogeneous_traced(
+                &g, &cores, &process_of, &strat, &model, Recorder::off());
+            let label = strat.label();
+            prop_assert_eq!(
+                sim.net.as_ref(), Some(&net_stats_oracle(&sim, procs)),
+                "{}: one-pass NetStats diverged from from_intervals", label);
+            // The invariant the one-pass merge leans on: both logs are in
+            // start order per process.
+            let mut last = vec![0u64; procs];
+            for x in &sim.transfers {
+                let p = x.dst as usize;
+                prop_assert!(
+                    last[p] <= x.start,
+                    "{}: transfer to {} starts at {} after one at {}", label, p, x.start, last[p]);
+                last[p] = x.start;
+            }
+            let mut last = vec![0u64; procs];
+            for s in &sim.segments {
+                let p = s.process as usize;
+                prop_assert!(
+                    last[p] <= s.start,
+                    "{}: segment on {} starts at {} after one at {}", label, p, s.start, last[p]);
+                last[p] = s.start;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![config(cases = 16, seed = 0xC033_7AB1)]
+
+    fn race_sharing_one_price_table_equals_independent_simulations(
+        dag_seed in 0u64..1_000_000,
+        n in 1usize..60,
+        domains in 1usize..6,
+        procs in 1usize..5,
+        cores in 1usize..4,
+        topology in 0u8..3,
+        channels in 0u8..3,
+        halo in bools(),
+    ) {
+        let mut rng = Rng::seed_from_u64(dag_seed);
+        let g = random_dag(&mut rng, n, domains);
+        let model = random_network(&mut rng, topology, channels, halo, procs, domains);
+        let process_of = block_process_map(domains, procs);
+        let cluster = ClusterConfig::new(procs, cores);
+        // The leaderboard as 24 self-contained simulations would fill it.
+        let mut expected: Vec<ComboOutcome> = DynamicListStrategy::lattice()
+            .iter()
+            .enumerate()
+            .map(|(i, strat)| {
+                let sim = simulate_lattice_with_network(&g, &cluster, &process_of, strat, &model);
+                ComboOutcome {
+                    strategy: *strat,
+                    combo: i as u32,
+                    makespan: sim.makespan,
+                    idle_fraction: Some(sim.idle_fraction(&cluster)),
+                    inactivity: sim.process_inactivity(),
+                    total_busy: sim.total_executed(),
+                }
+            })
+            .collect();
+        expected.sort_by_key(|e| (e.makespan, e.combo));
+        for workers in [1usize, 2, 4] {
+            let board = race_network(&g, &cluster, &process_of, &model, workers);
+            prop_assert_eq!(&board.entries, &expected, "workers={}", workers);
         }
     }
 }

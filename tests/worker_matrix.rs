@@ -196,7 +196,8 @@ fn emit_fingerprints_for_worker_matrix() {
                 workers,
                 &pool,
                 Recorder::off(),
-            );
+            )
+            .expect("preset prices the graph");
             writeln!(
                 out,
                 "{name}/{preset_name} gantt={:016x} xfers={:016x} makespan={}",
