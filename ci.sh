@@ -57,7 +57,21 @@ stage_policy() {
         echo "ERROR: non-path dependency source (git/registry) found (see matches above)" >&2
         exit 1
     fi
-    echo "ok (${#MANIFESTS[@]} manifests scanned)"
+    # One function per operation in the execution-side crates: options
+    # (tracing, width, network, per-process cores) are arguments of the
+    # general entry point. The only suffixed names allowed are the ones the
+    # frozen benchmark/ package imports.
+    local suffixed
+    suffixed=$(grep -rnE 'pub fn [a-z0-9_]*(_traced|_workers|_with_comm|_network|_heterogeneous[a-z0-9_]*)[(<]' \
+        crates/flusim/src crates/core/src |
+        grep -vE 'pub fn (simulate_traced|simulate_lattice_with_network|simulate_lattice_with_network_traced|race_network)[(<]' ||
+        true)
+    if [[ -n "$suffixed" ]]; then
+        echo "$suffixed"
+        echo "ERROR: add an argument to the general entry point, not a suffix" >&2
+        exit 1
+    fi
+    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points)"
 }
 
 stage_fmt() {

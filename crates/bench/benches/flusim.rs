@@ -6,10 +6,11 @@
 use std::hint::black_box;
 use tempart_core::{decompose, PartitionStrategy};
 use tempart_flusim::{
-    race, race_network, simulate, simulate_lattice, simulate_lattice_with_network, ClusterConfig,
+    race, race_network, simulate, simulate_lattice_with_network, simulate_with, ClusterConfig,
     DynamicListStrategy, Link, NetworkModel, ProcessCriterion, Strategy, TaskCriterion, TieBreak,
 };
 use tempart_mesh::{cylinder_like, GeneratorConfig};
+use tempart_obs::Recorder;
 use tempart_taskgraph::{
     generate_taskgraph, stats::block_process_map, DomainDecomposition, TaskGraphConfig,
 };
@@ -49,18 +50,27 @@ fn bench_portfolio(b: &mut Bencher) {
         tie: TieBreak::InsertionOrder,
     };
     b.bench("flusim/portfolio/single-dynamic-combo", || {
-        black_box(simulate_lattice(
+        black_box(simulate_with(
             black_box(&graph),
-            &cluster,
+            &cluster.cores(),
             &process_of,
             &dynamic,
+            None,
+            Recorder::off(),
         ))
     });
     // The full 24-combo race, serial and fanned over the fork-join pool.
     b.set_samples(10);
     for workers in [1usize, 4] {
         b.bench(&format!("flusim/portfolio/race-24combo-w{workers}"), || {
-            black_box(race(black_box(&graph), &cluster, &process_of, workers))
+            black_box(race(
+                black_box(&graph),
+                &cluster,
+                &process_of,
+                None,
+                workers,
+                Recorder::off(),
+            ))
         });
     }
 }

@@ -5,7 +5,7 @@
 
 use std::hint::black_box;
 use tempart_core::{
-    repartition_sequence_traced, strategy_weights, PartitionStrategy, RepartMode,
+    repartition_sequence, strategy_weights, Exec, PartitionStrategy, RepartMode,
     RepartSequenceConfig,
 };
 use tempart_mesh::{
@@ -176,15 +176,10 @@ fn bench_repart(b: &mut Bencher) {
         RepartMode::Diffusion { budget: None },
     );
     let pool = WorkspacePool::new(4);
-    let _ = repartition_sequence_traced(&mesh, &seq_cfg, 4, &pool, Recorder::off());
+    let exec = Exec::new(4, &pool, Recorder::off());
+    let _ = repartition_sequence(&mesh, &seq_cfg, &exec);
     b.bench("partition/repart/sequence-w4", || {
-        black_box(repartition_sequence_traced(
-            black_box(&mesh),
-            &seq_cfg,
-            4,
-            &pool,
-            Recorder::off(),
-        ))
+        black_box(repartition_sequence(black_box(&mesh), &seq_cfg, &exec))
     });
 }
 

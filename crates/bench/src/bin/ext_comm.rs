@@ -16,15 +16,20 @@
 
 use tempart_bench::{rule, ExpOptions};
 use tempart_core::report::table;
-use tempart_core::{comm_crossover, PartitionStrategy};
-use tempart_flusim::ClusterConfig;
+use tempart_core::{comm_crossover, Exec, PartitionStrategy, PipelineConfig, WorkspacePool};
+use tempart_flusim::UNBOUNDED_CHANNELS;
 use tempart_mesh::MeshCase;
+use tempart_obs::Recorder;
 
 fn main() {
     let opts = ExpOptions::from_args();
     let mesh = opts.mesh(MeshCase::Cylinder);
-    let n_domains = 128;
-    let cluster = ClusterConfig::new(16, 32);
+    // 128 domains on the paper's 16 × 32 cluster; the swept strategies
+    // replace the config's own.
+    let config = PipelineConfig {
+        seed: opts.seed,
+        ..PipelineConfig::paper_default(PartitionStrategy::McTl, 128)
+    };
     let strategies = [
         PartitionStrategy::ScOc,
         PartitionStrategy::McTl,
@@ -40,12 +45,12 @@ fn main() {
     let latencies = [0u64, 50, 200, 500, 2000];
     let sweep = comm_crossover(
         &mesh,
-        n_domains,
-        &cluster,
+        &config,
         &strategies,
         &latencies,
-        opts.seed,
-        1,
+        0,
+        UNBOUNDED_CHANNELS,
+        &Exec::new(1, &WorkspacePool::new(1), Recorder::off()),
     );
 
     let rows: Vec<Vec<String>> = sweep

@@ -21,8 +21,9 @@
 use tempart_bench::{rule, ExpOptions};
 use tempart_core::report::table;
 use tempart_core::{strategy_weights, PartitionStrategy};
-use tempart_flusim::{simulate_heterogeneous, CommModel, Strategy};
+use tempart_flusim::{simulate_with, Strategy};
 use tempart_mesh::MeshCase;
+use tempart_obs::Recorder;
 use tempart_partition::{partition_graph, PartitionConfig};
 use tempart_taskgraph::{generate_taskgraph, DomainDecomposition, TaskGraphConfig};
 
@@ -54,12 +55,13 @@ fn main() {
     let run = |part: &[u32], n_domains: usize, process_of: &[usize]| {
         let dd = DomainDecomposition::new(&mesh, part, n_domains);
         let graph = generate_taskgraph(&mesh, &dd, &TaskGraphConfig::default());
-        simulate_heterogeneous(
+        simulate_with(
             &graph,
             &cores,
             process_of,
-            Strategy::EagerFifo,
-            &CommModel::FREE,
+            &Strategy::EagerFifo.into(),
+            None,
+            Recorder::off(),
         )
     };
 

@@ -14,6 +14,7 @@ use tempart_core::{decompose, decompose_with_repair, simulate_decomposition, Par
 use tempart_flusim::{ClusterConfig, Strategy};
 use tempart_graph::PartitionQuality;
 use tempart_mesh::MeshCase;
+use tempart_obs::Recorder;
 
 fn main() {
     let opts = ExpOptions::from_args();
@@ -31,14 +32,21 @@ fn main() {
 
         let raw = decompose(&mesh, PartitionStrategy::McTl, n_domains, opts.seed);
         let q_raw = PartitionQuality::measure(&g, &raw, n_domains);
-        let (_, _, sim_raw) =
-            simulate_decomposition(&mesh, &raw, n_domains, &cluster, Strategy::EagerFifo);
+        let simulate = |part: &[u32]| {
+            let fifo = Strategy::EagerFifo;
+            simulate_decomposition(&mesh, part, n_domains, &cluster, fifo, Recorder::off()).2
+        };
+        let sim_raw = simulate(&raw);
 
-        let (fixed, report) =
-            decompose_with_repair(&mesh, PartitionStrategy::McTl, n_domains, opts.seed);
+        let (fixed, report) = decompose_with_repair(
+            &mesh,
+            PartitionStrategy::McTl,
+            n_domains,
+            opts.seed,
+            Recorder::off(),
+        );
         let q_fixed = PartitionQuality::measure(&g, &fixed, n_domains);
-        let (_, _, sim_fixed) =
-            simulate_decomposition(&mesh, &fixed, n_domains, &cluster, Strategy::EagerFifo);
+        let sim_fixed = simulate(&fixed);
 
         rows.push(vec![
             case.name().to_string(),

@@ -16,25 +16,23 @@
 //!   across processes, then SC_OC within each process's subdomain to recover
 //!   granularity with less communication.
 
+pub mod exec;
 pub mod pipeline;
 pub mod repart;
 pub mod report;
 pub mod strategy;
 
+pub use exec::Exec;
 pub use pipeline::{
-    comm_crossover, comm_crossover_with, run_flusim, run_flusim_network, run_flusim_network_traced,
-    run_flusim_traced, run_flusim_workers, run_flusim_workers_traced, run_portfolio,
-    run_portfolio_network, run_portfolio_network_traced, run_portfolio_traced, run_sweep,
-    run_sweep_traced, simulate_decomposition, simulate_decomposition_traced, CommCrossover,
-    CommCrossoverRow, FlusimOutcome, PipelineConfig, PortfolioOutcome,
+    comm_crossover, run_flusim, run_flusim_with, run_portfolio, run_sweep, simulate_decomposition,
+    CommCrossover, CommCrossoverRow, FlusimOutcome, PipelineConfig, PortfolioOutcome,
 };
 pub use repart::{
-    default_repart_config, repartition_sequence, repartition_sequence_traced, RepartMode,
-    RepartSequenceConfig, RepartSequenceOutcome, RepartStep,
+    default_repart_config, repartition_sequence, RepartMode, RepartSequenceConfig,
+    RepartSequenceOutcome, RepartStep,
 };
 pub use strategy::{
-    decompose, decompose_par, decompose_par_traced, decompose_traced, decompose_with_repair,
-    decompose_with_repair_traced, strategy_weights, PartitionStrategy,
+    decompose, decompose_with, decompose_with_repair, strategy_weights, PartitionStrategy,
 };
 pub use tempart_partition::{Curve, WorkspacePool};
 pub use tempart_runtime::env_workers;

@@ -1,17 +1,16 @@
 //! The end-to-end experiment pipeline:
 //! mesh → strategy → domains → task graph → FLUSIM simulation.
 
-use crate::strategy::{decompose_par_traced, decompose_traced, PartitionStrategy};
+use crate::exec::Exec;
+use crate::strategy::{decompose, decompose_with, PartitionStrategy};
 use std::sync::Mutex;
-use tempart_flusim::portfolio::{race_network_traced, race_traced, Leaderboard};
+use tempart_flusim::portfolio::{race, Leaderboard};
 use tempart_flusim::{
-    simulate_lattice_with_network_traced, simulate_traced, ClusterConfig, Link, NetworkModel,
-    SimResult, Strategy, UNBOUNDED_CHANNELS,
+    simulate_traced, simulate_with, ClusterConfig, Link, NetworkModel, SimResult, Strategy,
 };
-use tempart_graph::{PartId, PartitionQuality};
+use tempart_graph::{CsrGraph, PartId, PartitionQuality};
 use tempart_mesh::Mesh;
 use tempart_obs::Recorder;
-use tempart_partition::WorkspacePool;
 use tempart_runtime::fork_join;
 use tempart_taskgraph::{
     generate_taskgraph_traced, stats::block_process_map, DomainDecomposition, TaskGraph,
@@ -73,156 +72,136 @@ impl FlusimOutcome {
     }
 }
 
+/// What every pipeline entry needs downstream of a partition: the classified
+/// domains, the task DAG, the block domain→process map and — when a network
+/// was asked for — the model with this decomposition's halo sizes attached,
+/// already validated against the DAG.
+struct Lowered {
+    dd: DomainDecomposition,
+    graph: TaskGraph,
+    process_of: Vec<usize>,
+    net: Option<NetworkModel>,
+}
+
+/// The shared stage behind every entry point: domain classification sharded
+/// over `workers` (bit-identical at every width — see
+/// [`DomainDecomposition::new_sharded`]), task-graph generation (`tg.*`
+/// events into `rec`), contiguous-block process map. A `net`'s message
+/// sizes are *replaced* by the halo byte table of this decomposition
+/// ([`NetworkModel::with_halo`], per-face payload from
+/// [`TaskGraphConfig::face_payload_bytes`]) — callers pick a topology
+/// preset; the pipeline derives what each pair of domains actually
+/// exchanges — and the result must pass [`NetworkModel::validate`], the
+/// only error this stage returns.
+fn lower(
+    mesh: &Mesh,
+    part: &[PartId],
+    n_domains: usize,
+    cluster: &ClusterConfig,
+    net: Option<&NetworkModel>,
+    workers: usize,
+    rec: &Recorder,
+) -> Result<Lowered, String> {
+    let dd = DomainDecomposition::new_sharded(mesh, part, n_domains, workers);
+    let tg_config = TaskGraphConfig::default();
+    let graph = generate_taskgraph_traced(mesh, &dd, &tg_config, rec);
+    let process_of = block_process_map(n_domains, cluster.n_processes);
+    let net = net.map(|model| model.clone().with_halo(&dd, tg_config.face_payload_bytes));
+    if let Some(model) = &net {
+        model.validate(&graph, cluster.n_processes)?;
+    }
+    Ok(Lowered {
+        dd,
+        graph,
+        process_of,
+        net,
+    })
+}
+
+/// Quality → [`lower`] for a finished partition: the prefix the single run
+/// and the portfolio race share. The cell graph rides along for the
+/// inter-process cut estimate.
+fn prepare(
+    mesh: &Mesh,
+    part: &[PartId],
+    config: &PipelineConfig,
+    net: Option<&NetworkModel>,
+    workers: usize,
+    rec: &Recorder,
+) -> Result<(CsrGraph, PartitionQuality, Lowered), String> {
+    let cell_graph = mesh.to_graph();
+    let quality = PartitionQuality::measure(&cell_graph, part, config.n_domains);
+    let (k, cluster) = (config.n_domains, &config.cluster);
+    let lowered = lower(mesh, part, k, cluster, net, workers, rec)?;
+    Ok((cell_graph, quality, lowered))
+}
+
 /// Generates the task graph and simulates a given decomposition on a
-/// cluster. Domains map onto processes in contiguous blocks.
+/// cluster (free communication). Domains map onto processes in contiguous
+/// blocks; `rec` receives the task-graph generator's `tg.*` events and the
+/// simulator's `flusim.*` events.
 pub fn simulate_decomposition(
     mesh: &Mesh,
     part: &[PartId],
     n_domains: usize,
     cluster: &ClusterConfig,
     scheduling: Strategy,
-) -> (TaskGraph, Vec<usize>, SimResult) {
-    simulate_decomposition_traced(mesh, part, n_domains, cluster, scheduling, Recorder::off())
-}
-
-/// Like [`simulate_decomposition`], recording the task-graph generator's
-/// `tg.*` events and the simulator's `flusim.*` events into `rec`.
-pub fn simulate_decomposition_traced(
-    mesh: &Mesh,
-    part: &[PartId],
-    n_domains: usize,
-    cluster: &ClusterConfig,
-    scheduling: Strategy,
     rec: &Recorder,
 ) -> (TaskGraph, Vec<usize>, SimResult) {
-    let dd = DomainDecomposition::new(mesh, part, n_domains);
-    let graph = generate_taskgraph_traced(mesh, &dd, &TaskGraphConfig::default(), rec);
-    let process_of = block_process_map(n_domains, cluster.n_processes);
+    let Lowered {
+        graph, process_of, ..
+    } = lower(mesh, part, n_domains, cluster, None, 1, rec).expect(FREE_COMM_IS_VALID);
     let sim = simulate_traced(&graph, cluster, &process_of, scheduling, rec);
     (graph, process_of, sim)
 }
 
-/// Runs the full pipeline: partition, generate, simulate, measure.
+/// Why the free-communication entry points unwrap the shared stage.
+const FREE_COMM_IS_VALID: &str = "only a network model can fail validation";
+
+/// Runs the full pipeline — partition, generate, simulate, measure — on one
+/// worker, free communication, untraced: [`run_flusim_with`] with the
+/// partitioner's scratch memory released before the task graph is built.
 pub fn run_flusim(mesh: &Mesh, config: &PipelineConfig) -> FlusimOutcome {
-    run_flusim_traced(mesh, config, Recorder::off())
+    let part = decompose(mesh, config.strategy, config.n_domains, config.seed);
+    simulate_partition(mesh, part, config, None, 1, Recorder::off()).expect(FREE_COMM_IS_VALID)
 }
 
-/// Like [`run_flusim`], recording structured events from every stage into
-/// `rec`: a `"core.pipeline"` wall span, the partitioner's `part.*` events,
-/// the generator's `tg.*` events, the simulator's `flusim.*` events, and a
-/// final `"core.interprocess_cut"` counter.
-pub fn run_flusim_traced(mesh: &Mesh, config: &PipelineConfig, rec: &Recorder) -> FlusimOutcome {
-    let _span = rec.span("core.pipeline", 0, config.n_domains as u64);
-    let part = decompose_traced(mesh, config.strategy, config.n_domains, config.seed, rec);
-    finish_flusim(mesh, part, config, None, 1, rec).expect(FREE_COMM_IS_VALID)
-}
-
-/// [`run_flusim`] under an explicit [`NetworkModel`]: cross-process halo
-/// exchanges become first-class NIC transfers priced by the model. The
-/// model's message sizes are *replaced* by the halo byte table of this
-/// run's own decomposition ([`NetworkModel::with_halo`], per-face payload
-/// from [`TaskGraphConfig::face_payload_bytes`]) — callers pick a topology
-/// preset; the pipeline derives what each pair of domains actually
-/// exchanges.
+/// Runs the full pipeline: partition, generate, simulate, measure — the
+/// general entry.
+///
+/// The partitioner and the domain classification fan out over
+/// `exec.workers` (the task-graph generator and the FLUSIM event loop stay
+/// sequential); the outcome is bit-identical at every width. With `net`
+/// set, cross-process halo exchanges become first-class NIC transfers
+/// priced by the model, with message sizes derived from this run's own
+/// decomposition (see [`NetworkModel::with_halo`]); `None` is the paper's
+/// free communication.
+///
+/// `exec.rec` receives a `"core.pipeline"` wall span, the partitioner's
+/// `part.*` events, the generator's `tg.*` events, the simulator's
+/// `flusim.*` (and `net.*`) events, and a final `"core.interprocess_cut"`
+/// counter.
 ///
 /// # Errors
 ///
 /// Returns the [`NetworkModel::validate`] message when the model cannot
-/// price this run's task graph (zero channels, a matrix of the wrong order,
-/// link costs that would overflow the simulated clock).
-pub fn run_flusim_network(
+/// price this run's task graph (zero channels, zero processes per node, a
+/// matrix of the wrong order, link costs that would overflow the simulated
+/// clock). Free communication never fails.
+pub fn run_flusim_with(
     mesh: &Mesh,
     config: &PipelineConfig,
-    net: &NetworkModel,
+    net: Option<&NetworkModel>,
+    exec: &Exec,
 ) -> Result<FlusimOutcome, String> {
-    run_flusim_network_traced(
-        mesh,
-        config,
-        net,
-        1,
-        &WorkspacePool::new(1),
-        Recorder::off(),
-    )
+    let _span = exec.rec.span("core.pipeline", 0, config.n_domains as u64);
+    let part = decompose_with(mesh, config.strategy, config.n_domains, config.seed, exec);
+    simulate_partition(mesh, part, config, net, exec.workers, exec.rec)
 }
 
-/// Traced [`run_flusim_network`] with the partitioning and
-/// domain-classification stages fanned out over `workers` (bit-identical
-/// at every width). Adds the simulator's `net.*` events to the usual
-/// pipeline vocabulary.
-pub fn run_flusim_network_traced(
-    mesh: &Mesh,
-    config: &PipelineConfig,
-    net: &NetworkModel,
-    workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
-) -> Result<FlusimOutcome, String> {
-    let _span = rec.span("core.pipeline", 0, config.n_domains as u64);
-    let part = decompose_par_traced(
-        mesh,
-        config.strategy,
-        config.n_domains,
-        config.seed,
-        workers,
-        pool,
-        rec,
-    );
-    finish_flusim(mesh, part, config, Some(net), workers, rec)
-}
-
-/// [`run_flusim`] with the partitioning stage fanned out over `workers`
-/// fork-join workers (fresh workspace pool). The outcome is bit-identical
-/// to [`run_flusim`] at every worker count — only partition wall-clock
-/// changes.
-pub fn run_flusim_workers(mesh: &Mesh, config: &PipelineConfig, workers: usize) -> FlusimOutcome {
-    run_flusim_workers_traced(
-        mesh,
-        config,
-        workers,
-        &WorkspacePool::new(workers),
-        Recorder::off(),
-    )
-}
-
-/// Traced [`run_flusim_workers`]: the partitioner runs through
-/// [`decompose_par_traced`] with per-branch workspaces from `pool` (reuse
-/// one pool across calls to keep repeated runs allocation-warm), and the
-/// domain-classification stage feeding the task-graph generator is sharded
-/// over the same width ([`DomainDecomposition::new_sharded`]); the
-/// task-graph generator itself and the FLUSIM event loop stay sequential.
-pub fn run_flusim_workers_traced(
-    mesh: &Mesh,
-    config: &PipelineConfig,
-    workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
-) -> FlusimOutcome {
-    let _span = rec.span("core.pipeline", 0, config.n_domains as u64);
-    let part = decompose_par_traced(
-        mesh,
-        config.strategy,
-        config.n_domains,
-        config.seed,
-        workers,
-        pool,
-        rec,
-    );
-    finish_flusim(mesh, part, config, None, workers, rec).expect(FREE_COMM_IS_VALID)
-}
-
-/// Why the free-communication entry points unwrap [`finish_flusim`].
-const FREE_COMM_IS_VALID: &str = "only a network model can fail validation";
-
-/// The pipeline stages downstream of the partition: quality measurement,
-/// task-graph generation, FLUSIM simulation and the inter-process cut
-/// estimate. Shared by the sequential and parallel-partitioner entry
-/// points; `workers` shards the domain-classification stage
-/// (bit-identical at every width — see
-/// [`DomainDecomposition::new_sharded`]). With `net` set, the simulation
-/// runs under the network model with halo-derived message sizes attached
-/// from this decomposition — and may be rejected by
-/// [`NetworkModel::validate`], the only error this stage returns.
-fn finish_flusim(
+/// The pipeline downstream of the partition: [`prepare`], the FLUSIM
+/// simulation of `config.scheduling` and the inter-process cut estimate.
+fn simulate_partition(
     mesh: &Mesh,
     part: Vec<PartId>,
     config: &PipelineConfig,
@@ -230,27 +209,21 @@ fn finish_flusim(
     workers: usize,
     rec: &Recorder,
 ) -> Result<FlusimOutcome, String> {
-    let cell_graph = mesh.to_graph();
-    let quality = PartitionQuality::measure(&cell_graph, &part, config.n_domains);
-    let dd = DomainDecomposition::new_sharded(mesh, &part, config.n_domains, workers);
-    let tg_config = TaskGraphConfig::default();
-    let graph = generate_taskgraph_traced(mesh, &dd, &tg_config, rec);
-    let process_of = block_process_map(config.n_domains, config.cluster.n_processes);
-    let sim = match net {
-        Some(model) => {
-            let model = model.clone().with_halo(&dd, tg_config.face_payload_bytes);
-            model.validate(&graph, config.cluster.n_processes)?;
-            simulate_lattice_with_network_traced(
-                &graph,
-                &config.cluster,
-                &process_of,
-                &config.scheduling.into(),
-                &model,
-                rec,
-            )
-        }
-        None => simulate_traced(&graph, &config.cluster, &process_of, config.scheduling, rec),
-    };
+    let (cell_graph, quality, lowered) = prepare(mesh, &part, config, net, workers, rec)?;
+    let Lowered {
+        graph,
+        process_of,
+        net,
+        ..
+    } = &lowered;
+    let sim = simulate_with(
+        graph,
+        &config.cluster.cores(),
+        process_of,
+        &config.scheduling.into(),
+        net.as_ref(),
+        rec,
+    );
 
     // Inter-process communication estimate: edges between cells whose
     // domains sit on different processes.
@@ -271,8 +244,8 @@ fn finish_flusim(
     Ok(FlusimOutcome {
         part,
         quality,
-        graph,
-        process_of,
+        graph: lowered.graph,
+        process_of: lowered.process_of,
         sim,
         interprocess_cut,
     })
@@ -296,114 +269,47 @@ pub struct PortfolioOutcome {
 
 /// Partitions `mesh` once, generates the task graph once, then races the
 /// full scheduler strategy lattice (24 combos — see
-/// [`tempart_flusim::DynamicListStrategy::lattice`]) on `workers` fork-join
-/// workers. `config.scheduling` is ignored: the race covers every lattice
-/// point, including all four legacy strategies.
-pub fn run_portfolio(mesh: &Mesh, config: &PipelineConfig, workers: usize) -> PortfolioOutcome {
-    run_portfolio_traced(
-        mesh,
-        config,
-        workers,
-        &WorkspacePool::new(workers),
-        Recorder::off(),
-    )
-}
-
-/// Traced [`run_portfolio`]: a `"core.portfolio"` wall span around the
-/// parallel partitioner (`part.*` events, per-branch workspaces from
-/// `pool`), the task-graph generator (`tg.*`) and the portfolio racer
-/// (`portfolio.*` plus every combo's absorbed `flusim.*` stream, merged in
-/// combo order). The leaderboard — down to the f64 bits of every ratio —
-/// is bit-identical at every worker count.
-pub fn run_portfolio_traced(
+/// [`tempart_flusim::DynamicListStrategy::lattice`]) on `exec.workers`
+/// fork-join workers. `config.scheduling` is ignored: the race covers every
+/// lattice point, including all four fixed strategies. With `net` set every
+/// combo pays for its halo exchanges (message sizes attached from this
+/// run's own decomposition, like [`run_flusim_with`]) — comm-bound
+/// leaderboards reward combos that keep successors near their predecessors.
+///
+/// `exec.rec` receives a `"core.portfolio"` wall span around the
+/// partitioner (`part.*`), the task-graph generator (`tg.*`) and the racer
+/// (`portfolio.*` plus every combo's absorbed `flusim.*` / `net.*` stream,
+/// merged in combo order). The leaderboard — down to the f64 bits of every
+/// ratio — is bit-identical at every worker count.
+///
+/// # Errors
+///
+/// Like [`run_flusim_with`]: the [`NetworkModel::validate`] message of a
+/// model that cannot price this run's task graph.
+pub fn run_portfolio(
     mesh: &Mesh,
     config: &PipelineConfig,
-    workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
-) -> PortfolioOutcome {
-    let _span = rec.span("core.portfolio", 0, config.n_domains as u64);
-    let part = decompose_par_traced(
-        mesh,
-        config.strategy,
-        config.n_domains,
-        config.seed,
-        workers,
-        pool,
-        rec,
+    net: Option<&NetworkModel>,
+    exec: &Exec,
+) -> Result<PortfolioOutcome, String> {
+    let _span = exec.rec.span("core.portfolio", 0, config.n_domains as u64);
+    let part = decompose_with(mesh, config.strategy, config.n_domains, config.seed, exec);
+    let (_, quality, lowered) = prepare(mesh, &part, config, net, exec.workers, exec.rec)?;
+    let leaderboard = race(
+        &lowered.graph,
+        &config.cluster,
+        &lowered.process_of,
+        lowered.net.as_ref(),
+        exec.workers,
+        exec.rec,
     );
-    let cell_graph = mesh.to_graph();
-    let quality = PartitionQuality::measure(&cell_graph, &part, config.n_domains);
-    let dd = DomainDecomposition::new_sharded(mesh, &part, config.n_domains, workers);
-    let graph = generate_taskgraph_traced(mesh, &dd, &TaskGraphConfig::default(), rec);
-    let process_of = block_process_map(config.n_domains, config.cluster.n_processes);
-    let leaderboard = race_traced(&graph, &config.cluster, &process_of, workers, rec);
-    PortfolioOutcome {
+    Ok(PortfolioOutcome {
         part,
         quality,
-        graph,
-        process_of,
+        graph: lowered.graph,
+        process_of: lowered.process_of,
         leaderboard,
-    }
-}
-
-/// [`run_portfolio`] under a [`NetworkModel`]: every lattice combo pays
-/// for its halo exchanges (message sizes attached from this run's own
-/// decomposition, like [`run_flusim_network`]). Comm-bound leaderboards
-/// reward combos that keep successors near their predecessors.
-pub fn run_portfolio_network(
-    mesh: &Mesh,
-    config: &PipelineConfig,
-    net: &NetworkModel,
-    workers: usize,
-) -> PortfolioOutcome {
-    run_portfolio_network_traced(
-        mesh,
-        config,
-        net,
-        workers,
-        &WorkspacePool::new(workers),
-        Recorder::off(),
-    )
-}
-
-/// Traced [`run_portfolio_network`] — the event vocabulary of
-/// [`run_portfolio_traced`] plus every combo's `net.*` stream. The
-/// leaderboard stays bit-identical at every worker count.
-pub fn run_portfolio_network_traced(
-    mesh: &Mesh,
-    config: &PipelineConfig,
-    net: &NetworkModel,
-    workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
-) -> PortfolioOutcome {
-    let _span = rec.span("core.portfolio", 0, config.n_domains as u64);
-    let part = decompose_par_traced(
-        mesh,
-        config.strategy,
-        config.n_domains,
-        config.seed,
-        workers,
-        pool,
-        rec,
-    );
-    let cell_graph = mesh.to_graph();
-    let quality = PartitionQuality::measure(&cell_graph, &part, config.n_domains);
-    let dd = DomainDecomposition::new_sharded(mesh, &part, config.n_domains, workers);
-    let tg_config = TaskGraphConfig::default();
-    let graph = generate_taskgraph_traced(mesh, &dd, &tg_config, rec);
-    let process_of = block_process_map(config.n_domains, config.cluster.n_processes);
-    let model = net.clone().with_halo(&dd, tg_config.face_payload_bytes);
-    let leaderboard =
-        race_network_traced(&graph, &config.cluster, &process_of, &model, workers, rec);
-    PortfolioOutcome {
-        part,
-        quality,
-        graph,
-        process_of,
-        leaderboard,
-    }
+    })
 }
 
 /// One swept latency point of a [`comm_crossover`] experiment.
@@ -439,69 +345,52 @@ impl CommCrossover {
     }
 }
 
-/// Sweeps a uniform-latency network model over `latencies` for each
-/// partitioning strategy: partition once per strategy, generate its task
-/// graph once, then simulate under
-/// `NetworkModel::uniform({latency, cost_per_byte: 0}, unbounded)` with
-/// halo-derived message sizes. Every cross-process halo exchange then
-/// costs exactly `latency` — the sweep the `ext_comm` experiment reports,
-/// now first-class. Results are a pure function of the inputs,
-/// bit-identical at every `workers` width.
+/// Sweeps a uniform network model over `latencies` for each partitioning
+/// strategy: partition once per strategy (`config.strategy` is ignored —
+/// `strategies` names the columns), generate its task graph once, then
+/// simulate `config.scheduling` under
+/// `NetworkModel::uniform({latency, cost_per_byte}, channels)` with
+/// halo-derived message sizes. At `cost_per_byte == 0` on
+/// [`tempart_flusim::UNBOUNDED_CHANNELS`] every cross-process halo exchange
+/// costs exactly `latency` — the sweep the `ext_comm` experiment reports. A
+/// non-zero per-byte cost makes a strategy's *cut size* matter (bigger
+/// halos pay more), and bounded channels make its total inbound volume
+/// serialize — the regime where MC_TL's larger cut genuinely erodes its
+/// balance advantage. Results are a pure function of the inputs,
+/// bit-identical at every `exec.workers` width.
+///
+/// # Panics
+///
+/// Panics if a swept model fails [`NetworkModel::validate`].
 pub fn comm_crossover(
     mesh: &Mesh,
-    n_domains: usize,
-    cluster: &ClusterConfig,
-    strategies: &[PartitionStrategy],
-    latencies: &[u64],
-    seed: u64,
-    workers: usize,
-) -> CommCrossover {
-    comm_crossover_with(
-        mesh,
-        n_domains,
-        cluster,
-        strategies,
-        latencies,
-        0,
-        UNBOUNDED_CHANNELS,
-        seed,
-        workers,
-    )
-}
-
-/// [`comm_crossover`] with the remaining network knobs exposed: every
-/// swept point uses `Link { latency, cost_per_byte }` links and `channels`
-/// NIC channels per process. A non-zero per-byte cost makes a strategy's
-/// *cut size* matter (bigger halos pay more), and bounded channels make
-/// its total inbound volume serialize — the regime where MC_TL's larger
-/// cut genuinely erodes its balance advantage.
-#[allow(clippy::too_many_arguments)]
-pub fn comm_crossover_with(
-    mesh: &Mesh,
-    n_domains: usize,
-    cluster: &ClusterConfig,
+    config: &PipelineConfig,
     strategies: &[PartitionStrategy],
     latencies: &[u64],
     cost_per_byte: u64,
     channels: usize,
-    seed: u64,
-    workers: usize,
+    exec: &Exec,
 ) -> CommCrossover {
-    let pool = WorkspacePool::new(workers.max(1));
-    let process_of = block_process_map(n_domains, cluster.n_processes);
-    let tg_config = TaskGraphConfig::default();
+    let (cluster, cores) = (&config.cluster, config.cluster.cores());
     // Partition once per strategy; keep each decomposition for its halo
     // byte table.
-    let prepared: Vec<_> = strategies
+    let prepared: Vec<Lowered> = strategies
         .iter()
         .map(|&s| {
-            let part =
-                decompose_par_traced(mesh, s, n_domains, seed, workers, &pool, Recorder::off());
-            let dd = DomainDecomposition::new_sharded(mesh, &part, n_domains, workers);
-            let graph = generate_taskgraph_traced(mesh, &dd, &tg_config, Recorder::off());
-            (dd, graph)
+            let part = decompose_with(mesh, s, config.n_domains, config.seed, exec);
+            lower(
+                mesh,
+                &part,
+                config.n_domains,
+                cluster,
+                None,
+                exec.workers,
+                exec.rec,
+            )
+            .expect(FREE_COMM_IS_VALID)
         })
         .collect();
+    let face_payload = TaskGraphConfig::default().face_payload_bytes;
     let rows = latencies
         .iter()
         .map(|&latency| {
@@ -511,16 +400,16 @@ pub fn comm_crossover_with(
             };
             let makespans = prepared
                 .iter()
-                .map(|(dd, graph)| {
-                    let net = NetworkModel::uniform(link, channels)
-                        .with_halo(dd, tg_config.face_payload_bytes);
-                    simulate_lattice_with_network_traced(
-                        graph,
-                        cluster,
-                        &process_of,
-                        &Strategy::EagerFifo.into(),
-                        &net,
-                        Recorder::off(),
+                .map(|low| {
+                    let net =
+                        NetworkModel::uniform(link, channels).with_halo(&low.dd, face_payload);
+                    simulate_with(
+                        &low.graph,
+                        &cores,
+                        &low.process_of,
+                        &config.scheduling.into(),
+                        Some(&net),
+                        exec.rec,
                     )
                     .makespan
                 })
@@ -540,22 +429,18 @@ pub fn comm_crossover_with(
 const SWEEP_JOB_CAPACITY: usize = 1 << 16;
 
 /// Runs a batch of independent experiments (`(mesh, config)` pairs — e.g. a
-/// per-strategy × per-mesh sweep) as parallel fork-join jobs. Convenience
-/// wrapper over [`run_sweep_traced`] without tracing.
-pub fn run_sweep(jobs: &[(&Mesh, PipelineConfig)], workers: usize) -> Vec<FlusimOutcome> {
-    run_sweep_traced(jobs, workers, Recorder::off())
-}
-
-/// Traced parallel sweep with **stable sequence re-keying**.
+/// per-strategy × per-mesh sweep) as parallel fork-join jobs on
+/// `exec.workers` workers, with **stable sequence re-keying** of the trace.
 ///
-/// Each job runs the full pipeline ([`run_flusim_workers_traced`], with
-/// whatever fork-join width is left over after the job list has claimed its
-/// share — see `sweep_inner_workers`) against its *own* isolated
-/// [`Recorder`], so concurrent jobs never interleave their event streams;
-/// outcomes land in disjoint per-job slots.
+/// Each job runs the full pipeline ([`run_flusim_with`], free
+/// communication, with whatever fork-join width is left over after the job
+/// list has claimed its share — see `sweep_inner_workers` — and workspaces
+/// from the shared `exec.pool`) against its *own* isolated [`Recorder`], so
+/// concurrent jobs never interleave their event streams; outcomes land in
+/// disjoint per-job slots.
 /// After the fork-join scope drains, the driver absorbs each job's drained
-/// trace into `rec` **in job order** ([`Recorder::absorb`] assigns fresh,
-/// monotone sequence numbers) — the merged stream and the returned
+/// trace into `exec.rec` **in job order** ([`Recorder::absorb`] assigns
+/// fresh, monotone sequence numbers) — the merged stream and the returned
 /// `Vec<FlusimOutcome>` (indexed like `jobs`) are pure functions of the job
 /// list, independent of worker count and steal order. The `ci.sh` worker
 /// matrix pins this end to end.
@@ -567,20 +452,15 @@ pub fn run_sweep(jobs: &[(&Mesh, PipelineConfig)], workers: usize) -> Vec<Flusim
 /// every completed job's trace is still absorbed in fixed job order, and
 /// then the first panic — by job index, not by completion time — is
 /// re-raised on the calling thread.
-pub fn run_sweep_traced(
-    jobs: &[(&Mesh, PipelineConfig)],
-    workers: usize,
-    rec: &Recorder,
-) -> Vec<FlusimOutcome> {
+pub fn run_sweep(jobs: &[(&Mesh, PipelineConfig)], exec: &Exec) -> Vec<FlusimOutcome> {
     type JobSlot = Result<(FlusimOutcome, tempart_obs::Trace), Box<dyn std::any::Any + Send>>;
+    let Exec { workers, pool, rec } = *exec;
     let _span = rec.span("core.sweep", 0, jobs.len() as u64);
     let tracing = rec.enabled();
     let slots: Vec<Mutex<Option<JobSlot>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let inner_workers = sweep_inner_workers(workers, jobs.len());
-    let pool = WorkspacePool::new(workers.max(1));
     {
         let slots = &slots;
-        let pool = &pool;
         fork_join(workers, move |ctx| {
             for (i, (mesh, config)) in jobs.iter().enumerate() {
                 ctx.spawn(move |_| {
@@ -589,8 +469,9 @@ pub fn run_sweep_traced(
                     } else {
                         Recorder::off().clone()
                     };
+                    let job_exec = Exec::new(inner_workers, pool, &job_rec);
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_flusim_workers_traced(mesh, config, inner_workers, pool, &job_rec)
+                        run_flusim_with(mesh, config, None, &job_exec).expect(FREE_COMM_IS_VALID)
                     }));
                     let trace = job_rec.take();
                     *slots[i].lock().expect("sweep slot poisoned") =
@@ -635,21 +516,57 @@ fn sweep_inner_workers(workers: usize, n_jobs: usize) -> usize {
 mod tests {
     use super::*;
     use tempart_mesh::{cube_like, GeneratorConfig};
+    use tempart_partition::WorkspacePool;
 
     fn small_mesh() -> Mesh {
         cube_like(&GeneratorConfig { base_depth: 4 })
     }
 
-    #[test]
-    fn pipeline_produces_consistent_bundle() {
-        let m = small_mesh();
-        let cfg = PipelineConfig {
-            strategy: PartitionStrategy::ScOc,
+    fn untraced(workers: usize, pool: &WorkspacePool) -> Exec<'_> {
+        Exec::new(workers, pool, Recorder::off())
+    }
+
+    /// 8 domains on a 4 × 2 cluster, eager FIFO.
+    fn config(strategy: PartitionStrategy, seed: u64) -> PipelineConfig {
+        PipelineConfig {
+            strategy,
             n_domains: 8,
             cluster: ClusterConfig::new(4, 2),
             scheduling: Strategy::EagerFifo,
-            seed: 7,
+            seed,
+        }
+    }
+
+    /// Field-for-field equality of two outcomes, floats by bit pattern.
+    fn assert_same_outcome(
+        a: &FlusimOutcome,
+        b: &FlusimOutcome,
+        cluster: &ClusterConfig,
+        at: &str,
+    ) {
+        assert_eq!(a.part, b.part, "{at}");
+        assert_eq!(a.quality, b.quality, "{at}");
+        assert_eq!(a.process_of, b.process_of, "{at}");
+        assert_eq!(a.interprocess_cut, b.interprocess_cut, "{at}");
+        assert_eq!(a.graph.len(), b.graph.len(), "{at}");
+        assert_eq!(a.graph.n_edges(), b.graph.n_edges(), "{at}");
+        let (x, y) = (&a.sim, &b.sim);
+        assert_eq!(x, y, "{at}");
+        assert_eq!(
+            x.idle_fraction(cluster).to_bits(),
+            y.idle_fraction(cluster).to_bits(),
+            "{at}"
+        );
+        let bits = |s: &SimResult| -> Vec<u64> {
+            s.process_inactivity().iter().map(|f| f.to_bits()).collect()
         };
+        assert_eq!(bits(x), bits(y), "{at}");
+    }
+
+    #[test]
+    fn pipeline_produces_consistent_bundle() {
+        let m = small_mesh();
+        let cfg = config(PartitionStrategy::ScOc, 7);
         let out = run_flusim(&m, &cfg);
         assert_eq!(out.part.len(), m.n_cells());
         assert_eq!(out.process_of.len(), 8);
@@ -689,32 +606,101 @@ mod tests {
 
     #[test]
     fn workers_variant_is_bit_identical_to_sequential() {
+        // The seam: `run_flusim` / `decompose` are the general forms at one
+        // worker, fresh scratch, free communication, recorder off — and the
+        // general forms are invariant under width, pool warmth and tracing.
         let m = small_mesh();
+        let net = NetworkModel::uniform(
+            Link {
+                latency: 100,
+                cost_per_byte: 1,
+            },
+            2,
+        );
+        // Runs the priced pipeline traced; returns it with its sorted event names.
+        let priced_traced = |cfg: &PipelineConfig, workers: usize, pool: &WorkspacePool| {
+            let rec = Recorder::new(1 << 18);
+            let out = run_flusim_with(&m, cfg, Some(&net), &Exec::new(workers, pool, &rec));
+            let trace = rec.take();
+            assert_eq!(trace.dropped, 0);
+            let mut names: Vec<_> = trace.events.iter().map(|e| e.name).collect();
+            names.sort_unstable();
+            (out.unwrap(), names)
+        };
         for strategy in [
             PartitionStrategy::ScOc,
             PartitionStrategy::McTl,
             PartitionStrategy::DualPhase {
                 domains_per_process: 4,
             },
+            PartitionStrategy::SfcOc {
+                curve: tempart_partition::Curve::Hilbert,
+            },
         ] {
-            let cfg = PipelineConfig {
-                strategy,
-                n_domains: 8,
-                cluster: ClusterConfig::new(4, 2),
-                scheduling: Strategy::EagerFifo,
-                seed: 11,
-            };
+            let cfg = config(strategy, 11);
             let seq = run_flusim(&m, &cfg);
+            assert_eq!(seq.part, decompose(&m, strategy, 8, 11), "{strategy:?}");
+            let fresh = WorkspacePool::new(1);
+            let priced = run_flusim_with(&m, &cfg, Some(&net), &untraced(1, &fresh)).unwrap();
+            assert!(priced.sim.makespan > seq.sim.makespan, "{strategy:?}");
+            let stats = priced.sim.net.as_ref().expect("network stats");
+            assert!(stats.total_messages() > 0 && stats.total_bytes() > 0);
+            let (_, fresh_names) = priced_traced(&cfg, 1, &WorkspacePool::new(1));
+            for expected in ["core.pipeline", "core.decompose", "flusim.run", "net.xfer"] {
+                assert!(fresh_names.contains(&expected), "{strategy:?}: {expected}");
+            }
             let pool = WorkspacePool::new(4);
             for workers in [1usize, 2, 4] {
-                let par = run_flusim_workers_traced(&m, &cfg, workers, &pool, Recorder::off());
-                assert_eq!(par.part, seq.part, "{strategy:?} workers={workers}");
-                assert_eq!(par.quality, seq.quality, "{strategy:?} workers={workers}");
-                assert_eq!(
-                    par.sim.segments, seq.sim.segments,
-                    "{strategy:?} workers={workers}"
-                );
-                assert_eq!(par.interprocess_cut, seq.interprocess_cut);
+                let at = format!("{strategy:?} workers={workers}");
+                let exec = untraced(workers, &pool);
+                assert_eq!(decompose_with(&m, strategy, 8, 11, &exec), seq.part, "{at}");
+                let free = run_flusim_with(&m, &cfg, None, &exec).unwrap();
+                assert_same_outcome(&free, &seq, &cfg.cluster, &at);
+                let (paid, names) = priced_traced(&cfg, workers, &pool);
+                assert_same_outcome(&paid, &priced, &cfg.cluster, &at);
+                // At one worker the stream is the sequential span tree; a
+                // warm pool must not change which events it holds.
+                if workers == 1 {
+                    assert_eq!(names, fresh_names, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_network_is_an_error_from_single_run_and_portfolio_alike() {
+        let m = small_mesh();
+        let cfg = config(PartitionStrategy::ScOc, 7);
+        let link = Link {
+            latency: 10,
+            cost_per_byte: 1,
+        };
+        let huge = Link {
+            latency: u64::MAX / 2,
+            cost_per_byte: u64::MAX / 2,
+        };
+        let pool = WorkspacePool::new(1);
+        let exec = untraced(1, &pool);
+        for (net, needle) in [
+            (NetworkModel::uniform(link, 0), "at least one NIC channel"),
+            (
+                NetworkModel::two_level(0, link, link, 2),
+                "at least one process",
+            ),
+            (
+                NetworkModel::matrix(3, vec![link; 9], 2),
+                "matrix topology order",
+            ),
+            (
+                NetworkModel::uniform(huge, 2),
+                "overflows the simulated clock",
+            ),
+        ] {
+            let single = run_flusim_with(&m, &cfg, Some(&net), &exec).map(|_| ());
+            let raced = run_portfolio(&m, &cfg, Some(&net), &exec).map(|_| ());
+            for (entry, result) in [("single run", single), ("portfolio", raced)] {
+                let err = result.expect_err(entry);
+                assert!(err.contains(needle), "{entry}: {err}");
             }
         }
     }
@@ -722,24 +708,18 @@ mod tests {
     #[test]
     fn sweep_results_and_trace_are_schedule_independent() {
         let m = small_mesh();
-        let mk = |strategy, seed| PipelineConfig {
-            strategy,
-            n_domains: 8,
-            cluster: ClusterConfig::new(4, 2),
-            scheduling: Strategy::EagerFifo,
-            seed,
-        };
         let jobs: Vec<(&Mesh, PipelineConfig)> = vec![
-            (&m, mk(PartitionStrategy::ScOc, 1)),
-            (&m, mk(PartitionStrategy::McTl, 1)),
-            (&m, mk(PartitionStrategy::Uniform, 2)),
-            (&m, mk(PartitionStrategy::ScOc, 3)),
+            (&m, config(PartitionStrategy::ScOc, 1)),
+            (&m, config(PartitionStrategy::McTl, 1)),
+            (&m, config(PartitionStrategy::Uniform, 2)),
+            (&m, config(PartitionStrategy::ScOc, 3)),
         ];
         // Reference: each job run alone, sequentially.
         let solo: Vec<FlusimOutcome> = jobs.iter().map(|(m, c)| run_flusim(m, c)).collect();
         for workers in [1usize, 2, 4] {
             let rec = Recorder::new(1 << 18);
-            let got = run_sweep_traced(&jobs, workers, &rec);
+            let pool = WorkspacePool::new(workers);
+            let got = run_sweep(&jobs, &Exec::new(workers, &pool, &rec));
             assert_eq!(got.len(), jobs.len());
             for (i, (g, s)) in got.iter().zip(&solo).enumerate() {
                 assert_eq!(g.part, s.part, "job {i} workers={workers}");
@@ -761,7 +741,7 @@ mod tests {
             assert!(!virt.is_empty());
             // Compare against the single-worker merge.
             let rec1 = Recorder::new(1 << 18);
-            let _ = run_sweep_traced(&jobs, 1, &rec1);
+            let _ = run_sweep(&jobs, &Exec::new(1, &pool, &rec1));
             let virt1: Vec<_> = rec1
                 .take()
                 .events
@@ -793,9 +773,10 @@ mod tests {
         ];
         for workers in [1usize, 2, 4] {
             let rec = Recorder::new(1 << 18);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_sweep_traced(&jobs, workers, &rec)
-            }));
+            let pool = WorkspacePool::new(workers);
+            let exec = Exec::new(workers, &pool, &rec);
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_sweep(&jobs, &exec)));
             let err = result.expect_err("sweep must re-raise the job panic");
             let msg = err
                 .downcast_ref::<String>()
@@ -823,15 +804,16 @@ mod tests {
     #[test]
     fn zero_cost_network_pipeline_matches_the_free_pipeline() {
         let m = small_mesh();
-        let cfg = PipelineConfig {
-            strategy: PartitionStrategy::McTl,
-            n_domains: 8,
-            cluster: ClusterConfig::new(4, 2),
-            scheduling: Strategy::EagerFifo,
-            seed: 7,
-        };
+        let cfg = config(PartitionStrategy::McTl, 7);
         let free = run_flusim(&m, &cfg);
-        let zero = run_flusim_network(&m, &cfg, &NetworkModel::zero_cost()).unwrap();
+        let pool = WorkspacePool::new(1);
+        let zero = run_flusim_with(
+            &m,
+            &cfg,
+            Some(&NetworkModel::zero_cost()),
+            &untraced(1, &pool),
+        )
+        .unwrap();
         assert_eq!(zero.sim.makespan, free.sim.makespan);
         assert_eq!(zero.sim.segments, free.sim.segments);
         // Zero-byte links deliver instantly, so no transfer ever gates a
@@ -841,75 +823,53 @@ mod tests {
     }
 
     #[test]
-    fn priced_network_pipeline_slows_and_stays_worker_invariant() {
+    fn comm_crossover_matches_the_legacy_latency_sweep() {
+        // The first-class sweep prices halo exchanges; the old ad-hoc
+        // ext_comm loop priced per object at zero per-object cost. Both
+        // charge every cross-process edge exactly the latency — under
+        // pinned placement every adjacent-domain pair shares at least one
+        // face, and every task carries at least one object — so the two
+        // size rules must give the same makespans.
+        use tempart_flusim::simulate_lattice_with_network;
         let m = small_mesh();
         let cfg = PipelineConfig {
-            strategy: PartitionStrategy::McTl,
-            n_domains: 8,
-            cluster: ClusterConfig::new(4, 2),
-            scheduling: Strategy::EagerFifo,
-            seed: 7,
+            cluster: ClusterConfig::new(4, 4),
+            seed: 3,
+            ..PipelineConfig::paper_default(PartitionStrategy::McTl, 8)
         };
-        let net = NetworkModel::uniform(
-            Link {
-                latency: 100,
-                cost_per_byte: 1,
-            },
-            2,
-        );
-        let free = run_flusim(&m, &cfg);
-        let paid = run_flusim_network(&m, &cfg, &net).unwrap();
-        assert!(paid.sim.makespan > free.sim.makespan);
-        let stats = paid.sim.net.as_ref().expect("network stats");
-        assert!(stats.total_messages() > 0);
-        assert!(stats.total_bytes() > 0);
-        let pool = WorkspacePool::new(4);
-        for workers in [2usize, 4] {
-            let par =
-                run_flusim_network_traced(&m, &cfg, &net, workers, &pool, Recorder::off()).unwrap();
-            assert_eq!(par.sim.segments, paid.sim.segments, "workers={workers}");
-            assert_eq!(par.sim.transfers, paid.sim.transfers, "workers={workers}");
-            assert_eq!(par.sim.net, paid.sim.net, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn comm_crossover_matches_the_legacy_latency_sweep() {
-        // The first-class sweep must reproduce the numbers the old ad-hoc
-        // ext_comm loop produced with `CommModel { latency, 0 }`: under
-        // pinned placement every cross-process halo exchange costs exactly
-        // the latency, because every adjacent-domain pair shares at least
-        // one face.
-        use tempart_flusim::{simulate_with_comm, CommModel};
-        let m = small_mesh();
-        let cluster = ClusterConfig::new(4, 4);
         let strategies = [PartitionStrategy::ScOc, PartitionStrategy::McTl];
         let latencies = [0u64, 50, 500];
-        let sweep = comm_crossover(&m, 8, &cluster, &strategies, &latencies, 3, 2);
+        let pool = WorkspacePool::new(2);
+        let sweep = comm_crossover(
+            &m,
+            &cfg,
+            &strategies,
+            &latencies,
+            0,
+            tempart_flusim::UNBOUNDED_CHANNELS,
+            &untraced(2, &pool),
+        );
         assert_eq!(sweep.rows.len(), latencies.len());
-        let process_of = block_process_map(8, 4);
         for (row, &lat) in sweep.rows.iter().zip(&latencies) {
             assert_eq!(row.latency, lat);
             for (i, &s) in strategies.iter().enumerate() {
-                let part = crate::strategy::decompose(&m, s, 8, 3);
-                let dd = DomainDecomposition::new(&m, &part, 8);
-                let graph = generate_taskgraph_traced(
+                let part = decompose(&m, s, 8, 3);
+                let (graph, process_of, _) = simulate_decomposition(
                     &m,
-                    &dd,
-                    &TaskGraphConfig::default(),
+                    &part,
+                    8,
+                    &cfg.cluster,
+                    Strategy::EagerFifo,
                     Recorder::off(),
                 );
-                let legacy = simulate_with_comm(
+                let per_object = simulate_lattice_with_network(
                     &graph,
-                    &cluster,
+                    &cfg.cluster,
                     &process_of,
-                    Strategy::EagerFifo,
-                    &CommModel {
-                        latency: lat,
-                        cost_per_object: 0,
-                    },
+                    &Strategy::EagerFifo.into(),
+                    &NetworkModel::per_object(lat, 0),
                 );
-                assert_eq!(row.makespans[i], legacy.makespan, "{s:?} latency={lat}");
+                assert_eq!(row.makespans[i], per_object.makespan, "{s:?} latency={lat}");
             }
         }
         // Monotone in latency for each strategy (unbounded channels).

@@ -17,12 +17,12 @@
 //! capacity, never state, so the sequence is bit-identical to running each
 //! step with fresh scratch, at a fraction of the allocation traffic.
 
-use crate::strategy::{decompose_par_traced, strategy_weights, PartitionStrategy};
+use crate::exec::Exec;
+use crate::strategy::{decompose_with, strategy_weights, PartitionStrategy};
 use tempart_graph::{MigrationStats, PartId, PartitionQuality};
 use tempart_mesh::{DriftConfig, Mesh};
-use tempart_obs::Recorder;
 use tempart_partition::{
-    repartition_par, sfc_partition_with, RepartConfig, RepartStats, SfcWorkspace, WorkspacePool,
+    repartition_par, sfc_partition_with, RepartConfig, RepartStats, SfcWorkspace,
 };
 
 /// How each drift step restores balance.
@@ -147,22 +147,6 @@ pub fn default_repart_config(n_domains: usize, ncon: usize, budget: Option<u64>)
     cfg
 }
 
-/// Runs a drift → repartition sequence on `workers` fork-join workers with
-/// a fresh pool. Convenience wrapper over [`repartition_sequence_traced`].
-pub fn repartition_sequence(
-    mesh: &Mesh,
-    cfg: &RepartSequenceConfig,
-    workers: usize,
-) -> RepartSequenceOutcome {
-    repartition_sequence_traced(
-        mesh,
-        cfg,
-        workers,
-        &WorkspacePool::new(workers),
-        Recorder::off(),
-    )
-}
-
 /// Runs a drift → repartition sequence: applies `cfg.drift` at step 0,
 /// partitions from scratch with `cfg.strategy`, then for each step
 /// `1..=cfg.steps` drifts the temporal levels and rebalances per
@@ -174,32 +158,24 @@ pub fn repartition_sequence(
 ///
 /// Deterministic and worker-count invariant: every stage is either
 /// driver-side or one of the bit-identical parallel paths
-/// ([`decompose_par_traced`], [`repartition_par`]).
+/// ([`decompose_with`], [`repartition_par`]) on `exec.workers` workers;
+/// `exec.pool` serves every step.
 ///
 /// # Panics
 ///
-/// Panics if `workers == 0` or `cfg.n_domains == 0`.
-pub fn repartition_sequence_traced(
+/// Panics if `exec.workers == 0` or `cfg.n_domains == 0`.
+pub fn repartition_sequence(
     mesh: &Mesh,
     cfg: &RepartSequenceConfig,
-    workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
+    exec: &Exec,
 ) -> RepartSequenceOutcome {
+    let Exec { workers, pool, rec } = *exec;
     assert!(workers >= 1, "need at least one worker");
     assert!(cfg.n_domains >= 1, "need at least one domain");
     let _span = rec.span("core.repart.seq", 0, u64::from(cfg.steps));
     let mut mesh = mesh.clone();
     cfg.drift.apply(&mut mesh, 0);
-    let mut part = decompose_par_traced(
-        &mesh,
-        cfg.strategy,
-        cfg.n_domains,
-        cfg.seed,
-        workers,
-        pool,
-        rec,
-    );
+    let mut part = decompose_with(&mesh, cfg.strategy, cfg.n_domains, cfg.seed, exec);
     // Drift moves weights, never topology: build the cell graph once.
     let graph = mesh.to_graph();
     let (w0, ncon) = strategy_weights(&mesh, cfg.strategy);
@@ -246,15 +222,7 @@ pub fn repartition_sequence_traced(
                             sfc_ws,
                         )
                     }
-                    _ => decompose_par_traced(
-                        &mesh,
-                        cfg.strategy,
-                        cfg.n_domains,
-                        cfg.seed,
-                        workers,
-                        pool,
-                        rec,
-                    ),
+                    _ => decompose_with(&mesh, cfg.strategy, cfg.n_domains, cfg.seed, exec),
                 };
                 RepartStats::default()
             }
@@ -283,6 +251,14 @@ pub fn repartition_sequence_traced(
 mod tests {
     use super::*;
     use tempart_mesh::{cylinder_like, GeneratorConfig};
+    use tempart_obs::Recorder;
+    use tempart_partition::WorkspacePool;
+
+    /// The sequence on `workers` workers with a fresh pool, untraced.
+    fn run(mesh: &Mesh, cfg: &RepartSequenceConfig, workers: usize) -> RepartSequenceOutcome {
+        let pool = WorkspacePool::new(workers);
+        repartition_sequence(mesh, cfg, &Exec::new(workers, &pool, Recorder::off()))
+    }
 
     fn small_cfg(mode: RepartMode) -> RepartSequenceConfig {
         RepartSequenceConfig::graded_cylinder(8, 0xC0FFEE, 4, mode)
@@ -291,9 +267,8 @@ mod tests {
     #[test]
     fn diffusion_moves_less_than_scratch() {
         let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
-        let diff =
-            repartition_sequence(&mesh, &small_cfg(RepartMode::Diffusion { budget: None }), 1);
-        let scratch = repartition_sequence(&mesh, &small_cfg(RepartMode::Scratch), 1);
+        let diff = run(&mesh, &small_cfg(RepartMode::Diffusion { budget: None }), 1);
+        let scratch = run(&mesh, &small_cfg(RepartMode::Scratch), 1);
         assert!(
             diff.total_migration_volume() < scratch.total_migration_volume(),
             "diffusion {} !< scratch {}",
@@ -311,9 +286,9 @@ mod tests {
     fn sequence_is_worker_count_invariant() {
         let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
         let cfg = small_cfg(RepartMode::Diffusion { budget: Some(500) });
-        let base = repartition_sequence(&mesh, &cfg, 1);
+        let base = run(&mesh, &cfg, 1);
         for workers in [2usize, 4] {
-            let par = repartition_sequence(&mesh, &cfg, workers);
+            let par = run(&mesh, &cfg, workers);
             assert_eq!(base.part, par.part, "workers={workers}");
             assert_eq!(
                 base.total_migration_volume(),
@@ -329,7 +304,8 @@ mod tests {
         let rec = Recorder::new(1 << 14);
         let pool = WorkspacePool::new(1);
         let cfg = small_cfg(RepartMode::Diffusion { budget: None });
-        let out = repartition_sequence_traced(&mesh, &cfg, 1, &pool, &rec);
+        let exec = Exec::new(1, &pool, &rec);
+        let out = repartition_sequence(&mesh, &cfg, &exec);
         let trace = rec.take();
         assert_eq!(trace.dropped, 0);
         // Begin + end event per span.

@@ -1,12 +1,12 @@
 //! Partitioning strategies: SC_OC, MC_TL and the dual-phase variant.
 
-use tempart_graph::{CsrGraph, PartId, Weight};
+use crate::exec::Exec;
+use tempart_graph::{PartId, Weight};
 use tempart_mesh::{operating_cost, Mesh};
 use tempart_obs::Recorder;
 use tempart_partition::{
-    bisect::extract_subgraph, partition_graph_par_traced, partition_graph_with,
-    repair_contiguity_traced, sfc_partition_with, Curve, PartitionConfig, PartitionWorkspace,
-    RepairReport, SfcWorkspace, WorkspacePool,
+    bisect::extract_subgraph, partition_graph_par_traced, repair_contiguity_traced,
+    sfc_partition_with, Curve, PartitionConfig, RepairReport, SfcWorkspace, WorkspacePool,
 };
 
 /// How to weight and partition the cell graph.
@@ -92,34 +92,37 @@ fn partition_config(nparts: usize, ncon: usize, seed: u64) -> PartitionConfig {
     PartitionConfig::new(nparts).with_ub(ub).with_seed(seed)
 }
 
-/// Partitions `mesh` into `n_domains` domains with the given strategy.
+/// Partitions `mesh` into `n_domains` domains with the given strategy and
+/// returns the per-cell domain assignment — the general entry.
 ///
-/// Returns the per-cell domain assignment.
+/// The graph-partitioner strategies run through the deterministic parallel
+/// driver ([`tempart_partition::partition_graph_par_traced`]) on
+/// `exec.workers` fork-join workers with per-branch workspaces from
+/// `exec.pool`; at one worker that driver *is* the sequential partitioner on
+/// a pooled workspace. The result is **bit-identical** for every strategy at
+/// every worker count: the multilevel strategies inherit the parallel
+/// driver's fixed tree-order merge, the dual-phase inner splits use one seed
+/// per process slot, and the SFC strategies run the radix pipeline whose
+/// stable fixed-order merge is worker-count-invariant
+/// (`tempart_partition::geometric`).
+///
+/// `exec.rec` receives a `"core.decompose"` wall span around the whole
+/// strategy (`a` = domain count) plus the partitioner's own `part.*` spans
+/// and counters.
 ///
 /// # Panics
 ///
-/// Panics if `n_domains` is zero, or (dual-phase) not divisible by
-/// `domains_per_process`.
-pub fn decompose(
+/// Panics if `n_domains` or `exec.workers` is zero, or (dual-phase) if
+/// `n_domains` is not divisible by `domains_per_process`.
+pub fn decompose_with(
     mesh: &Mesh,
     strategy: PartitionStrategy,
     n_domains: usize,
     seed: u64,
-) -> Vec<PartId> {
-    decompose_traced(mesh, strategy, n_domains, seed, Recorder::off())
-}
-
-/// Like [`decompose`], recording structured events into `rec`: a
-/// `"core.decompose"` wall span around the whole strategy (`a` = domain
-/// count) plus the partitioner's own `part.*` spans and counters.
-pub fn decompose_traced(
-    mesh: &Mesh,
-    strategy: PartitionStrategy,
-    n_domains: usize,
-    seed: u64,
-    rec: &Recorder,
+    exec: &Exec,
 ) -> Vec<PartId> {
     assert!(n_domains >= 1, "need at least one domain");
+    let Exec { workers, pool, rec } = *exec;
     let _span = rec.span("core.decompose", 0, n_domains as u64);
     match strategy {
         PartitionStrategy::DualPhase {
@@ -132,103 +135,7 @@ pub fn decompose_traced(
                 "n_domains must be a multiple of domains_per_process"
             );
             let n_outer = n_domains / domains_per_process;
-            dual_phase(
-                mesh,
-                &mesh.to_graph(),
-                n_outer,
-                domains_per_process,
-                seed,
-                rec,
-            )
-        }
-        PartitionStrategy::SfcOc { curve } => {
-            let centroids: Vec<[f64; 3]> = mesh.cells().iter().map(|c| c.centroid).collect();
-            let (w, _) = strategy_weights(mesh, strategy);
-            let weights: Vec<u64> = w.into_iter().map(u64::from).collect();
-            let mut sfc_ws = SfcWorkspace::new();
-            sfc_ws.obs = rec.clone();
-            sfc_partition_with(&centroids, &weights, n_domains, curve, 1, &mut sfc_ws)
-        }
-        _ => {
-            let (w, ncon) = strategy_weights(mesh, strategy);
-            let g = mesh.to_graph().with_vertex_weights(w, ncon);
-            let mut ws = traced_workspace(rec);
-            partition_graph_with(&g, &partition_config(n_domains, ncon, seed), &mut ws)
-        }
-    }
-}
-
-/// A partitioner workspace whose emissions land in `rec`.
-fn traced_workspace(rec: &Recorder) -> PartitionWorkspace {
-    let mut ws = PartitionWorkspace::new();
-    ws.obs = rec.clone();
-    ws
-}
-
-/// Parallel [`decompose`]: same per-cell assignment, computed on `workers`
-/// fork-join workers with workspaces drawn from a fresh pool. Convenience
-/// wrapper over [`decompose_par_traced`].
-pub fn decompose_par(
-    mesh: &Mesh,
-    strategy: PartitionStrategy,
-    n_domains: usize,
-    seed: u64,
-    workers: usize,
-) -> Vec<PartId> {
-    decompose_par_traced(
-        mesh,
-        strategy,
-        n_domains,
-        seed,
-        workers,
-        &WorkspacePool::new(workers),
-        Recorder::off(),
-    )
-}
-
-/// Like [`decompose_traced`], but the graph-partitioner strategies run
-/// through the deterministic parallel driver
-/// ([`tempart_partition::partition_graph_par_traced`]) on `workers`
-/// fork-join workers with per-branch workspaces from `pool`.
-///
-/// The result is **bit-identical** to [`decompose`] for every strategy at
-/// every worker count: the multilevel strategies inherit the parallel
-/// driver's fixed tree-order merge, the dual-phase inner splits reuse the
-/// same seeds per process slot, and the SFC strategies run the parallel
-/// radix pipeline whose stable fixed-order merge is worker-count-invariant
-/// (`tempart_partition::geometric`).
-pub fn decompose_par_traced(
-    mesh: &Mesh,
-    strategy: PartitionStrategy,
-    n_domains: usize,
-    seed: u64,
-    workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
-) -> Vec<PartId> {
-    assert!(n_domains >= 1, "need at least one domain");
-    let _span = rec.span("core.decompose", 0, n_domains as u64);
-    match strategy {
-        PartitionStrategy::DualPhase {
-            domains_per_process,
-        } => {
-            assert!(domains_per_process >= 1, "domains_per_process must be >= 1");
-            assert_eq!(
-                n_domains % domains_per_process,
-                0,
-                "n_domains must be a multiple of domains_per_process"
-            );
-            let n_outer = n_domains / domains_per_process;
-            dual_phase_par(
-                mesh,
-                &mesh.to_graph(),
-                n_outer,
-                domains_per_process,
-                seed,
-                workers,
-                pool,
-                rec,
-            )
+            dual_phase(mesh, n_outer, domains_per_process, seed, exec)
         }
         PartitionStrategy::SfcOc { curve } => {
             let centroids: Vec<[f64; 3]> = mesh.cells().iter().map(|c| c.centroid).collect();
@@ -241,48 +148,38 @@ pub fn decompose_par_traced(
         _ => {
             let (w, ncon) = strategy_weights(mesh, strategy);
             let g = mesh.to_graph().with_vertex_weights(w, ncon);
-            partition_graph_par_traced(
-                &g,
-                &partition_config(n_domains, ncon, seed),
-                workers,
-                pool,
-                rec,
-            )
+            let config = partition_config(n_domains, ncon, seed);
+            partition_graph_par_traced(&g, &config, workers, pool, rec)
         }
     }
 }
 
-/// Parallel [`dual_phase`]: the outer MC_TL split and every inner SC_OC
-/// split run through the parallel driver with identical configs and seeds,
-/// so the composite result matches the sequential two-phase partition bit
-/// for bit.
-#[allow(clippy::too_many_arguments)]
-fn dual_phase_par(
+/// [`decompose_with`] on one worker with fresh scratch memory, untraced.
+pub fn decompose(
     mesh: &Mesh,
-    graph: &CsrGraph,
-    n_outer: usize,
-    inner: usize,
+    strategy: PartitionStrategy,
+    n_domains: usize,
     seed: u64,
-    workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
 ) -> Vec<PartId> {
+    let pool = WorkspacePool::new(1);
+    let exec = Exec::new(1, &pool, Recorder::off());
+    decompose_with(mesh, strategy, n_domains, seed, &exec)
+}
+
+/// MC_TL across `n_outer` process slots, then SC_OC inside each slot.
+fn dual_phase(mesh: &Mesh, n_outer: usize, inner: usize, seed: u64, exec: &Exec) -> Vec<PartId> {
+    let Exec { workers, pool, rec } = *exec;
+    let graph = mesh.to_graph();
     // Phase 1: MC_TL at process granularity.
     let (w_mc, ncon) = strategy_weights(mesh, PartitionStrategy::McTl);
     let g_mc = graph.with_vertex_weights(w_mc, ncon);
-    let outer = partition_graph_par_traced(
-        &g_mc,
-        &partition_config(n_outer, ncon, seed),
-        workers,
-        pool,
-        rec,
-    );
+    let outer_config = partition_config(n_outer, ncon, seed);
+    let outer = partition_graph_par_traced(&g_mc, &outer_config, workers, pool, rec);
 
     if inner == 1 {
         return outer;
     }
-    // Phase 2: SC_OC inside each outer part (same per-slot seed derivation
-    // as the sequential path).
+    // Phase 2: SC_OC inside each outer part, one derived seed per slot.
     let (w_sc, _) = strategy_weights(mesh, PartitionStrategy::ScOc);
     let g_sc = graph.with_vertex_weights(w_sc, 1);
     let mut part = vec![0 as PartId; mesh.n_cells()];
@@ -292,13 +189,9 @@ fn dual_phase_par(
         let sub_part = if sub.nvtx() == 0 {
             Vec::new()
         } else {
-            partition_graph_par_traced(
-                &sub,
-                &partition_config(inner, 1, seed ^ (p as u64).wrapping_mul(0x9E37)),
-                workers,
-                pool,
-                rec,
-            )
+            let slot_seed = seed ^ (p as u64).wrapping_mul(0x9E37);
+            let inner_config = partition_config(inner, 1, slot_seed);
+            partition_graph_par_traced(&sub, &inner_config, workers, pool, rec)
         };
         for (sv, &ov) in map.iter().enumerate() {
             part[ov as usize] = (p * inner) as PartId + sub_part[sv];
@@ -310,27 +203,19 @@ fn dual_phase_par(
 /// Partitions like [`decompose`], then runs the contiguity-repair
 /// post-processing pass (the paper's future-work item on partitioner
 /// artifacts): stray fragments of disconnected domains migrate to their
-/// best-connected neighbour domain when balance allows.
+/// best-connected neighbour domain when balance allows. `rec` receives the
+/// partition events of [`decompose_with`] plus the repair pass's
+/// `part.repair` span and counters.
 pub fn decompose_with_repair(
-    mesh: &Mesh,
-    strategy: PartitionStrategy,
-    n_domains: usize,
-    seed: u64,
-) -> (Vec<PartId>, RepairReport) {
-    decompose_with_repair_traced(mesh, strategy, n_domains, seed, Recorder::off())
-}
-
-/// Like [`decompose_with_repair`], recording into `rec` (the partition
-/// events of [`decompose_traced`] plus the repair pass's `part.repair`
-/// span and counters).
-pub fn decompose_with_repair_traced(
     mesh: &Mesh,
     strategy: PartitionStrategy,
     n_domains: usize,
     seed: u64,
     rec: &Recorder,
 ) -> (Vec<PartId>, RepairReport) {
-    let mut part = decompose_traced(mesh, strategy, n_domains, seed, rec);
+    let pool = WorkspacePool::new(1);
+    let exec = Exec::new(1, &pool, rec);
+    let mut part = decompose_with(mesh, strategy, n_domains, seed, &exec);
     let (w, ncon) = strategy_weights(mesh, strategy);
     let g = mesh.to_graph().with_vertex_weights(w, ncon);
     // Repair uses a looser allowance than the partitioner so that
@@ -344,47 +229,6 @@ pub fn decompose_with_repair_traced(
     };
     let report = repair_contiguity_traced(&g, &mut part, &cfg, rec);
     (part, report)
-}
-
-/// MC_TL across `n_outer` process slots, then SC_OC inside each slot.
-fn dual_phase(
-    mesh: &Mesh,
-    graph: &CsrGraph,
-    n_outer: usize,
-    inner: usize,
-    seed: u64,
-    rec: &Recorder,
-) -> Vec<PartId> {
-    let mut ws = traced_workspace(rec);
-    // Phase 1: MC_TL at process granularity.
-    let (w_mc, ncon) = strategy_weights(mesh, PartitionStrategy::McTl);
-    let g_mc = graph.with_vertex_weights(w_mc, ncon);
-    let outer = partition_graph_with(&g_mc, &partition_config(n_outer, ncon, seed), &mut ws);
-
-    if inner == 1 {
-        return outer;
-    }
-    // Phase 2: SC_OC inside each outer part.
-    let (w_sc, _) = strategy_weights(mesh, PartitionStrategy::ScOc);
-    let g_sc = graph.with_vertex_weights(w_sc, 1);
-    let mut part = vec![0 as PartId; mesh.n_cells()];
-    for p in 0..n_outer {
-        let side: Vec<u8> = outer.iter().map(|&o| u8::from(o as usize == p)).collect();
-        let (sub, map) = extract_subgraph(&g_sc, &side, 1);
-        let sub_part = if sub.nvtx() == 0 {
-            Vec::new()
-        } else {
-            partition_graph_with(
-                &sub,
-                &partition_config(inner, 1, seed ^ (p as u64).wrapping_mul(0x9E37)),
-                &mut ws,
-            )
-        };
-        for (sv, &ov) in map.iter().enumerate() {
-            part[ov as usize] = (p * inner) as PartId + sub_part[sv];
-        }
-    }
-    part
 }
 
 #[cfg(test)]
@@ -558,7 +402,8 @@ mod tests {
         let g = m.to_graph();
         let raw = decompose(&m, PartitionStrategy::McTl, 8, 1);
         let q_raw = PartitionQuality::measure(&g, &raw, 8);
-        let (fixed, report) = decompose_with_repair(&m, PartitionStrategy::McTl, 8, 1);
+        let (fixed, report) =
+            decompose_with_repair(&m, PartitionStrategy::McTl, 8, 1, Recorder::off());
         let q_fixed = PartitionQuality::measure(&g, &fixed, 8);
         assert!(
             q_fixed.part_components <= q_raw.part_components,

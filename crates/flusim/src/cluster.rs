@@ -46,6 +46,12 @@ impl ClusterConfig {
             Some(self.n_processes * self.cores_per_process)
         }
     }
+
+    /// Per-process core counts, the shape `simulate_with` takes: every
+    /// process gets `cores_per_process`.
+    pub fn cores(&self) -> Vec<usize> {
+        vec![self.cores_per_process; self.n_processes]
+    }
 }
 
 #[cfg(test)]

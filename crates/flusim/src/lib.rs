@@ -26,15 +26,10 @@ pub use network::{
     parse_preset, HaloBytes, Link, MessageSizes, NetworkModel, Topology, TransferSegment,
     UNBOUNDED_CHANNELS,
 };
-pub use portfolio::{
-    race, race_network, race_network_traced, race_traced, ComboOutcome, Leaderboard,
-};
+pub use portfolio::{race, race_network, ComboOutcome, Leaderboard};
 pub use sim::{
-    simulate, simulate_heterogeneous, simulate_heterogeneous_traced, simulate_lattice,
-    simulate_lattice_heterogeneous_traced, simulate_lattice_traced, simulate_lattice_with_comm,
-    simulate_lattice_with_network, simulate_lattice_with_network_traced,
-    simulate_network_heterogeneous_traced, simulate_traced, simulate_with_comm, CommModel,
-    SimResult, Strategy,
+    simulate, simulate_lattice_with_network, simulate_lattice_with_network_traced, simulate_traced,
+    simulate_with, SimResult, Strategy,
 };
 pub use svg::{gantt_svg, write_gantt_svg, SvgOptions};
 pub use tempart_obs::replay::NetStats;

@@ -7,15 +7,14 @@
 //! process: it occupies one NIC channel for
 //! `latency + bytes × cost_per_byte` cost units (store-and-forward, not
 //! pipelined), overlaps freely with unrelated compute on the same process,
-//! and gates only the waiting task's readiness. The legacy
-//! [`CommModel`] is a pinned special case ([`NetworkModel::from_comm`]):
-//! a uniform topology, per-object sizes and unbounded channels reproduce
-//! the old `latency + n_objects × cost_per_object` delays bit for bit.
+//! and gates only the waiting task's readiness. The pre-network delay rule
+//! `latency + n_objects × cost_per_object` is the special case
+//! [`NetworkModel::per_object`]: a uniform topology, per-object sizes and
+//! unbounded channels.
 //!
 //! Everything is a pure function of its inputs — no clocks, no randomness —
 //! so network-mode simulations stay bit-identical at every worker count.
 
-use crate::sim::CommModel;
 use tempart_taskgraph::{DomainDecomposition, TaskGraph, TaskId};
 
 /// `channels` value meaning a process can receive any number of transfers
@@ -114,9 +113,8 @@ impl Topology {
 /// messages are never sent: they cost nothing and occupy no channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MessageSizes {
-    /// One byte per transferred object of the predecessor task — the size
-    /// rule of the legacy [`CommModel`], kept so that model stays a pinned
-    /// special case.
+    /// One byte per transferred object of the predecessor task (the size
+    /// rule of [`NetworkModel::per_object`]).
     PerObject,
     /// Halo-exchange sizes: the bytes between two *domains* are their
     /// shared interface faces times a per-face payload. Cross-process edges
@@ -264,17 +262,17 @@ impl NetworkModel {
         Self::uniform(Link::FREE, UNBOUNDED_CHANNELS)
     }
 
-    /// The legacy [`CommModel`] as a network model: uniform
+    /// The contention-free per-object delay model: every cross-process
+    /// dependency edge delays its successor by
+    /// `latency + n_objects(pred) × cost_per_object` — uniform
     /// `{latency, cost_per_byte = cost_per_object}` links, per-object
-    /// sizes, unbounded channels. For any task graph whose tasks all carry
-    /// at least one object (every generated graph — the generator skips
-    /// empty object sets) the resulting schedule is bit-identical to the
-    /// old `simulate_with_comm` arithmetic.
-    pub fn from_comm(comm: &CommModel) -> Self {
+    /// sizes, unbounded channels. (A predecessor carrying no object sends
+    /// no message; the task-graph generator never emits one.)
+    pub fn per_object(latency: u64, cost_per_object: u64) -> Self {
         Self::uniform(
             Link {
-                latency: comm.latency,
-                cost_per_byte: comm.cost_per_object,
+                latency,
+                cost_per_byte: cost_per_object,
             },
             UNBOUNDED_CHANNELS,
         )
@@ -514,16 +512,13 @@ mod tests {
     }
 
     #[test]
-    fn from_comm_reproduces_the_legacy_delay_arithmetic() {
-        let comm = CommModel {
-            latency: 7,
-            cost_per_object: 2,
-        };
-        let net = NetworkModel::from_comm(&comm);
+    fn per_object_model_charges_latency_plus_objects_times_cost() {
+        let net = NetworkModel::per_object(7, 2);
         assert_eq!(net.channels, UNBOUNDED_CHANNELS);
+        assert_eq!(net.sizes, MessageSizes::PerObject);
         let link = net.topology.link(0, 1);
-        for n_objects in [1u32, 3, 100] {
-            assert_eq!(link.duration(u64::from(n_objects)), comm.delay(n_objects));
+        for n_objects in [1u64, 3, 100] {
+            assert_eq!(link.duration(n_objects), 7 + n_objects * 2);
         }
     }
 

@@ -38,7 +38,7 @@ fn combo_capacity(graph: &TaskGraph) -> usize {
 ///
 /// Gantt segments are deliberately *not* retained (24 combos × n tasks
 /// would dwarf the statistics); re-simulate the combo with
-/// [`crate::simulate_lattice`] to inspect its schedule — the simulator is
+/// [`crate::simulate_with`] to inspect its schedule — the simulator is
 /// deterministic, so the replayed schedule is the raced one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComboOutcome {
@@ -107,18 +107,11 @@ impl Leaderboard {
 }
 
 /// Races the full canonical lattice on `workers` fork-join workers and
-/// returns the ranked leaderboard. Convenience wrapper over
-/// [`race_traced`] without tracing.
-pub fn race(
-    graph: &TaskGraph,
-    cluster: &ClusterConfig,
-    process_of: &[usize],
-    workers: usize,
-) -> Leaderboard {
-    race_traced(graph, cluster, process_of, workers, Recorder::off())
-}
-
-/// Traced portfolio race with stable sequence re-keying.
+/// returns the ranked leaderboard — the general entry.
+///
+/// With `net` set every combo is simulated with communication priced (one
+/// shared edge-price table), so the leaderboard ranks the lattice in a
+/// comm-bound regime; `None` is the paper's free communication.
 ///
 /// Each combo simulates against an isolated recorder; after the fork-join
 /// scope drains, the driver absorbs every combo's trace into `rec` in
@@ -126,42 +119,12 @@ pub fn race(
 /// Outcomes land in disjoint per-combo slots, so the leaderboard — down to
 /// the f64 bits of every ratio — is independent of worker count and steal
 /// order.
-pub fn race_traced(
-    graph: &TaskGraph,
-    cluster: &ClusterConfig,
-    process_of: &[usize],
-    workers: usize,
-    rec: &Recorder,
-) -> Leaderboard {
-    race_inner(graph, cluster, process_of, None, workers, rec)
-}
-
-/// [`race`] under a [`NetworkModel`]: every combo is simulated with
-/// communication priced, so the leaderboard ranks the lattice in a
-/// comm-bound regime. Same determinism contract as [`race`].
-pub fn race_network(
-    graph: &TaskGraph,
-    cluster: &ClusterConfig,
-    process_of: &[usize],
-    net: &NetworkModel,
-    workers: usize,
-) -> Leaderboard {
-    race_network_traced(graph, cluster, process_of, net, workers, Recorder::off())
-}
-
-/// Traced [`race_network`] (see [`race_traced`] for the absorb contract).
-pub fn race_network_traced(
-    graph: &TaskGraph,
-    cluster: &ClusterConfig,
-    process_of: &[usize],
-    net: &NetworkModel,
-    workers: usize,
-    rec: &Recorder,
-) -> Leaderboard {
-    race_inner(graph, cluster, process_of, Some(net), workers, rec)
-}
-
-fn race_inner(
+///
+/// # Panics
+///
+/// Panics like [`crate::simulate_with`] on an inconsistent `process_of` or
+/// a `net` that fails [`NetworkModel::validate`].
+pub fn race(
     graph: &TaskGraph,
     cluster: &ClusterConfig,
     process_of: &[usize],
@@ -174,7 +137,7 @@ fn race_inner(
     let tracing = rec.enabled();
     let slots: Vec<Mutex<Option<(ComboOutcome, Trace)>>> =
         combos.iter().map(|_| Mutex::new(None)).collect();
-    let cores = vec![cluster.cores_per_process; cluster.n_processes];
+    let cores = cluster.cores();
     // Edge prices do not depend on the scheduling strategy: price the graph
     // once and lend the table to every combo, at every worker width.
     let priced = net.map(|model| PricedNetwork::new(graph, cores.len(), process_of, model));
@@ -235,11 +198,39 @@ fn race_inner(
     board
 }
 
+/// [`race`] under `net`, untraced.
+pub fn race_network(
+    graph: &TaskGraph,
+    cluster: &ClusterConfig,
+    process_of: &[usize],
+    net: &NetworkModel,
+    workers: usize,
+) -> Leaderboard {
+    race(
+        graph,
+        cluster,
+        process_of,
+        Some(net),
+        workers,
+        Recorder::off(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::Strategy;
     use tempart_taskgraph::{Task, TaskId, TaskKind};
+
+    /// Free-communication, untraced race.
+    fn race_free(
+        g: &TaskGraph,
+        cluster: &ClusterConfig,
+        process_of: &[usize],
+        workers: usize,
+    ) -> Leaderboard {
+        race(g, cluster, process_of, None, workers, Recorder::off())
+    }
 
     fn mk_task(domain: u32, cost: u64) -> Task {
         Task {
@@ -264,7 +255,7 @@ mod tests {
     fn race_covers_the_lattice_and_ranks_by_makespan() {
         let g = diamond();
         let cluster = ClusterConfig::new(2, 1);
-        let board = race(&g, &cluster, &[0, 1], 1);
+        let board = race_free(&g, &cluster, &[0, 1], 1);
         assert_eq!(board.entries.len(), 24);
         for pair in board.entries.windows(2) {
             assert!(
@@ -295,9 +286,9 @@ mod tests {
     fn leaderboard_is_worker_count_invariant() {
         let g = diamond();
         let cluster = ClusterConfig::new(2, 2);
-        let reference = race(&g, &cluster, &[0, 1], 1);
+        let reference = race_free(&g, &cluster, &[0, 1], 1);
         for workers in [2usize, 4] {
-            let board = race(&g, &cluster, &[0, 1], workers);
+            let board = race_free(&g, &cluster, &[0, 1], workers);
             assert_eq!(board, reference, "workers={workers}");
             assert_eq!(board.fingerprint(), reference.fingerprint());
         }
@@ -315,7 +306,7 @@ mod tests {
             },
             1,
         );
-        let free = race(&g, &cluster, &[0, 1], 1);
+        let free = race_free(&g, &cluster, &[0, 1], 1);
         let priced = race_network(&g, &cluster, &[0, 1], &net, 1);
         assert_eq!(priced.entries.len(), 24);
         assert!(
@@ -332,7 +323,7 @@ mod tests {
     #[test]
     fn empty_task_graph_races_to_an_all_zero_leaderboard() {
         let g = TaskGraph::assemble(vec![], vec![], 1, 1);
-        let board = race(&g, &ClusterConfig::new(2, 1), &[0], 1);
+        let board = race_free(&g, &ClusterConfig::new(2, 1), &[0], 1);
         assert_eq!(board.entries.len(), 24);
         for (rank, e) in board.entries.iter().enumerate() {
             assert_eq!(e.makespan, 0);
@@ -350,7 +341,7 @@ mod tests {
         let g = diamond();
         let cluster = ClusterConfig::new(2, 1);
         let rec = Recorder::new(1 << 14);
-        let board = race_traced(&g, &cluster, &[0, 1], 1, &rec);
+        let board = race(&g, &cluster, &[0, 1], None, 1, &rec);
         let trace = rec.take();
         assert_eq!(trace.dropped, 0);
         assert_eq!(trace.named("portfolio.combo").count(), 24);
@@ -361,7 +352,7 @@ mod tests {
         assert_eq!(winner[0].track, board.winner().combo);
         assert_eq!(winner[0].val, board.winner().makespan);
         // Untraced race must agree exactly.
-        let plain = race(&g, &cluster, &[0, 1], 1);
+        let plain = race_free(&g, &cluster, &[0, 1], 1);
         assert_eq!(plain, board, "tracing changed the leaderboard");
     }
 }

@@ -16,41 +16,6 @@ use tempart_obs::replay::{intersection_len, NetStats};
 use tempart_obs::{Clock, Recorder};
 use tempart_taskgraph::{TaskGraph, TaskId};
 
-/// Inter-process communication model.
-///
-/// The paper's FLUSIM deliberately ignores communication ("No communication
-/// or runtime overheads are considered"); this optional model extends it so
-/// the §VII trade-off (MC_TL's larger cut vs its better balance) can be
-/// quantified. A dependency edge whose endpoint tasks live on different
-/// processes delays the successor's readiness by
-/// `latency + n_objects(pred) × cost_per_object`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CommModel {
-    /// Fixed per-message delay, in cost units.
-    pub latency: u64,
-    /// Per-transferred-object delay (∝ message size), in cost units.
-    pub cost_per_object: u64,
-}
-
-impl CommModel {
-    /// The idealized model: communication is free (the paper's FLUSIM).
-    pub const FREE: CommModel = CommModel {
-        latency: 0,
-        cost_per_object: 0,
-    };
-
-    /// Delay contributed by one cross-process edge from a task with
-    /// `n_objects` transferred objects.
-    pub fn delay(&self, n_objects: u32) -> u64 {
-        self.latency + u64::from(n_objects) * self.cost_per_object
-    }
-
-    /// True when the model adds no delay.
-    pub fn is_free(&self) -> bool {
-        self.latency == 0 && self.cost_per_object == 0
-    }
-}
-
 /// Ready-queue policy per process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -66,7 +31,7 @@ pub enum Strategy {
 }
 
 /// Outcome of a simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimResult {
     /// Completion time of the last task, in cost units.
     pub makespan: u64,
@@ -85,7 +50,7 @@ pub struct SimResult {
     /// emission order. Empty under free communication.
     pub transfers: Vec<TransferSegment>,
     /// Communication statistics — `Some` whenever a network model was
-    /// simulated (including the legacy [`CommModel`] special case).
+    /// simulated.
     pub net: Option<NetStats>,
 }
 
@@ -124,29 +89,60 @@ impl SimResult {
     }
 }
 
-/// Simulates `graph` on `cluster`, with domains mapped to processes through
-/// `process_of` (`process_of[d]` = process of domain `d`).
+/// Simulates `graph` under an arbitrary lattice point — the general entry
+/// every other `simulate*` form is a partial application of.
+///
+/// `cores[p]` is the core count of process `p` (use
+/// [`crate::cluster::UNBOUNDED_CORES`] for an unlimited process) and
+/// `process_of[d]` the home process of domain `d`. Pinned lattice points
+/// reproduce the four fixed [`Strategy`] policies; dynamic process criteria
+/// relax the domain→process pinning (see [`ProcessCriterion`]).
+///
+/// With `net` set, cross-process dependency edges become inbound transfers
+/// scheduled on the destination's NIC channels (communication semantics at
+/// [`sim_core`]) and [`SimResult::net`] is `Some`; `None` is the paper's
+/// free communication and skips the network bookkeeping entirely.
+///
+/// `rec` receives ([`Clock::Virtual`] domain) a `"flusim.run"` span, one
+/// `"flusim.task"` complete event per executed task (track = process, `a` =
+/// task id, `b` = subiteration) and closing `"flusim.cores"` /
+/// `"flusim.busy"` / `"flusim.active"` / `"flusim.subiter_work"` counters —
+/// plus, under a network, one `"net.xfer"` complete event per transfer
+/// (track = destination process, `t` = start, `val` = duration, `a` =
+/// `src << 32 | channel`, `b` = bytes), a `"net.channels"` counter per
+/// process at the start, and closing `"net.bytes"` / `"net.msgs"` counters,
+/// from which `obs::replay::replay_network` reconstructs [`SimResult::net`]
+/// bit for bit. With [`Recorder::off`] every emission is a single branch.
 ///
 /// # Panics
 ///
-/// Panics if `process_of` is inconsistent with the graph or cluster, or if
-/// the DAG deadlocks (cycle — cannot happen for [`TaskGraph`]s built by this
-/// workspace).
+/// Panics if `process_of` is inconsistent with the graph or cluster, if
+/// `net` fails [`NetworkModel::validate`], or if the DAG deadlocks (cycle —
+/// cannot happen for [`TaskGraph`]s built by this workspace).
+pub fn simulate_with(
+    graph: &TaskGraph,
+    cores: &[usize],
+    process_of: &[usize],
+    strat: &DynamicListStrategy,
+    net: Option<&NetworkModel>,
+    rec: &Recorder,
+) -> SimResult {
+    let priced = net.map(|model| PricedNetwork::new(graph, cores.len(), process_of, model));
+    sim_core(graph, cores, process_of, strat, priced.as_ref(), rec)
+}
+
+/// [`simulate_with`] on a uniform `cluster` under a fixed [`Strategy`],
+/// free communication, untraced.
 pub fn simulate(
     graph: &TaskGraph,
     cluster: &ClusterConfig,
     process_of: &[usize],
     strategy: Strategy,
 ) -> SimResult {
-    simulate_with_comm(graph, cluster, process_of, strategy, &CommModel::FREE)
+    simulate_traced(graph, cluster, process_of, strategy, Recorder::off())
 }
 
-/// Like [`simulate`], recording structured events into `rec` ([`Clock::Virtual`]
-/// domain): a `"flusim.run"` span, one `"flusim.task"` complete event per
-/// executed task (track = process, `a` = task id, `b` = subiteration) and
-/// closing `"flusim.cores"` / `"flusim.busy"` / `"flusim.active"` /
-/// `"flusim.subiter_work"` counters. With a disabled recorder this is
-/// exactly [`simulate`] — every emission is a single branch.
+/// [`simulate`], recording into `rec`.
 pub fn simulate_traced(
     graph: &TaskGraph,
     cluster: &ClusterConfig,
@@ -154,96 +150,17 @@ pub fn simulate_traced(
     strategy: Strategy,
     rec: &Recorder,
 ) -> SimResult {
-    let cores = vec![cluster.cores_per_process; cluster.n_processes];
-    simulate_heterogeneous_traced(graph, &cores, process_of, strategy, &CommModel::FREE, rec)
+    simulate_with(
+        graph,
+        &cluster.cores(),
+        process_of,
+        &strategy.into(),
+        None,
+        rec,
+    )
 }
 
-/// Like [`simulate`], with an explicit [`CommModel`]: successors of a task on
-/// another process become ready only after the communication delay.
-pub fn simulate_with_comm(
-    graph: &TaskGraph,
-    cluster: &ClusterConfig,
-    process_of: &[usize],
-    strategy: Strategy,
-    comm: &CommModel,
-) -> SimResult {
-    let cores = vec![cluster.cores_per_process; cluster.n_processes];
-    simulate_heterogeneous(graph, &cores, process_of, strategy, comm)
-}
-
-/// Like [`simulate_with_comm`], on a *heterogeneous* cluster: `cores[p]`
-/// cores for process `p` (use [`crate::cluster::UNBOUNDED_CORES`] for an
-/// unlimited process).
-pub fn simulate_heterogeneous(
-    graph: &TaskGraph,
-    cores: &[usize],
-    process_of: &[usize],
-    strategy: Strategy,
-    comm: &CommModel,
-) -> SimResult {
-    simulate_heterogeneous_traced(graph, cores, process_of, strategy, comm, Recorder::off())
-}
-
-/// Like [`simulate_heterogeneous`], recording structured events into `rec`
-/// (see [`simulate_traced`] for the event vocabulary).
-pub fn simulate_heterogeneous_traced(
-    graph: &TaskGraph,
-    cores: &[usize],
-    process_of: &[usize],
-    strategy: Strategy,
-    comm: &CommModel,
-    rec: &Recorder,
-) -> SimResult {
-    simulate_lattice_heterogeneous_traced(graph, cores, process_of, &strategy.into(), comm, rec)
-}
-
-/// Simulates `graph` on `cluster` under an arbitrary lattice point
-/// ([`DynamicListStrategy`]): the general entry the portfolio racer
-/// enumerates. Pinned points behave exactly like [`simulate`]; dynamic
-/// process criteria relax the domain→process pinning (see
-/// [`crate::lattice::ProcessCriterion`]).
-pub fn simulate_lattice(
-    graph: &TaskGraph,
-    cluster: &ClusterConfig,
-    process_of: &[usize],
-    strat: &DynamicListStrategy,
-) -> SimResult {
-    simulate_lattice_with_comm(graph, cluster, process_of, strat, &CommModel::FREE)
-}
-
-/// Like [`simulate_lattice`], with an explicit [`CommModel`]. A message is
-/// charged whenever a dependency crosses from the predecessor's *executing*
-/// process to a successor whose *home* process (its domain's owner under
-/// `process_of`) differs — under [`ProcessCriterion::Pinned`] this is
-/// exactly the legacy cross-process rule.
-pub fn simulate_lattice_with_comm(
-    graph: &TaskGraph,
-    cluster: &ClusterConfig,
-    process_of: &[usize],
-    strat: &DynamicListStrategy,
-    comm: &CommModel,
-) -> SimResult {
-    let cores = vec![cluster.cores_per_process; cluster.n_processes];
-    simulate_lattice_heterogeneous_traced(graph, &cores, process_of, strat, comm, Recorder::off())
-}
-
-/// Like [`simulate_lattice`], recording structured events into `rec` (see
-/// [`simulate_traced`] for the event vocabulary).
-pub fn simulate_lattice_traced(
-    graph: &TaskGraph,
-    cluster: &ClusterConfig,
-    process_of: &[usize],
-    strat: &DynamicListStrategy,
-    rec: &Recorder,
-) -> SimResult {
-    let cores = vec![cluster.cores_per_process; cluster.n_processes];
-    simulate_lattice_heterogeneous_traced(graph, &cores, process_of, strat, &CommModel::FREE, rec)
-}
-
-/// Like [`simulate_lattice_heterogeneous_traced`], with a free [`CommModel`]
-/// replaced by an explicit [`NetworkModel`]: cross-process dependency edges
-/// become inbound transfers scheduled on the destination's NIC channels.
-/// See [`sim_core`]'s communication semantics below.
+/// [`simulate_with`] on a uniform `cluster` under `net`, untraced.
 pub fn simulate_lattice_with_network(
     graph: &TaskGraph,
     cluster: &ClusterConfig,
@@ -254,13 +171,7 @@ pub fn simulate_lattice_with_network(
     simulate_lattice_with_network_traced(graph, cluster, process_of, strat, net, Recorder::off())
 }
 
-/// Like [`simulate_lattice_with_network`], recording structured events into
-/// `rec`: the vocabulary of [`simulate_traced`] plus one `"net.xfer"`
-/// complete event per transfer (track = destination process, `t` = start,
-/// `val` = duration, `a` = `src << 32 | channel`, `b` = bytes), a
-/// `"net.channels"` counter per process at the start, and closing
-/// `"net.bytes"` / `"net.msgs"` counters. `obs::replay::replay_network`
-/// reconstructs [`SimResult::net`] from these events bit for bit.
+/// [`simulate_lattice_with_network`], recording into `rec`.
 pub fn simulate_lattice_with_network_traced(
     graph: &TaskGraph,
     cluster: &ClusterConfig,
@@ -269,45 +180,7 @@ pub fn simulate_lattice_with_network_traced(
     net: &NetworkModel,
     rec: &Recorder,
 ) -> SimResult {
-    let cores = vec![cluster.cores_per_process; cluster.n_processes];
-    simulate_network_heterogeneous_traced(graph, &cores, process_of, strat, net, rec)
-}
-
-/// [`simulate_lattice_with_network_traced`] on a heterogeneous cluster
-/// (`cores[p]` cores for process `p`).
-pub fn simulate_network_heterogeneous_traced(
-    graph: &TaskGraph,
-    cores: &[usize],
-    process_of: &[usize],
-    strat: &DynamicListStrategy,
-    net: &NetworkModel,
-    rec: &Recorder,
-) -> SimResult {
-    let priced = PricedNetwork::new(graph, cores.len(), process_of, net);
-    sim_core(graph, cores, process_of, strat, Some(&priced), rec)
-}
-
-/// The generalized heterogeneous lattice entry with the *legacy*
-/// [`CommModel`]. A free model skips network bookkeeping entirely; a
-/// non-free one is simulated as its pinned network special case
-/// ([`NetworkModel::from_comm`]) — same delays, same schedules, bit for
-/// bit, for every task graph whose tasks carry at least one object (all
-/// generated graphs; an empty message under the old rule paid latency,
-/// under the network model it is simply never sent).
-pub fn simulate_lattice_heterogeneous_traced(
-    graph: &TaskGraph,
-    cores: &[usize],
-    process_of: &[usize],
-    strat: &DynamicListStrategy,
-    comm: &CommModel,
-    rec: &Recorder,
-) -> SimResult {
-    if comm.is_free() {
-        sim_core(graph, cores, process_of, strat, None, rec)
-    } else {
-        let net = NetworkModel::from_comm(comm);
-        simulate_network_heterogeneous_traced(graph, cores, process_of, strat, &net, rec)
-    }
+    simulate_with(graph, &cluster.cores(), process_of, strat, Some(net), rec)
 }
 
 /// Panics unless `process_of` maps every domain of `graph` onto one of `np`
@@ -1019,7 +892,26 @@ pub(crate) fn sim_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{HaloBytes, Link, MessageSizes};
     use tempart_taskgraph::{Task, TaskKind};
+
+    /// Free-communication, untraced run of one lattice point on a uniform
+    /// cluster.
+    fn lattice_run(
+        g: &TaskGraph,
+        cluster: &ClusterConfig,
+        process_of: &[usize],
+        strat: &DynamicListStrategy,
+    ) -> SimResult {
+        simulate_with(
+            g,
+            &cluster.cores(),
+            process_of,
+            strat,
+            None,
+            Recorder::off(),
+        )
+    }
 
     fn mk_task(domain: u32, cost: u64, subiter: u32) -> Task {
         Task {
@@ -1119,7 +1011,7 @@ mod tests {
     }
 
     #[test]
-    fn comm_model_delays_cross_process_edges() {
+    fn per_object_latency_delays_cross_process_edges() {
         // Chain across two processes: 0 (P0) -> 1 (P1). With latency L, task
         // 1 starts L after task 0 finishes.
         let tasks = vec![mk_task(0, 5, 0), mk_task(1, 3, 0)];
@@ -1128,29 +1020,29 @@ mod tests {
         let cluster = ClusterConfig::new(2, 1);
         let free = simulate(&g, &cluster, &[0, 1], Strategy::EagerFifo);
         assert_eq!(free.makespan, 8);
-        let comm = CommModel {
-            latency: 10,
-            cost_per_object: 0,
-        };
-        let delayed = simulate_with_comm(&g, &cluster, &[0, 1], Strategy::EagerFifo, &comm);
+        let fifo = Strategy::EagerFifo.into();
+        let net = NetworkModel::per_object(10, 0);
+        let delayed = simulate_lattice_with_network(&g, &cluster, &[0, 1], &fifo, &net);
         assert_eq!(delayed.makespan, 5 + 10 + 3);
         // Same-process chain is unaffected.
-        let local = simulate_with_comm(&g, &cluster, &[0, 0], Strategy::EagerFifo, &comm);
+        let local = simulate_lattice_with_network(&g, &cluster, &[0, 0], &fifo, &net);
         assert_eq!(local.makespan, 8);
     }
 
     #[test]
-    fn comm_model_scales_with_message_size() {
+    fn per_object_cost_scales_with_message_size() {
         let tasks = vec![mk_task(0, 5, 0), mk_task(1, 3, 0)];
         let preds = vec![vec![], vec![0]];
         let g = TaskGraph::assemble(tasks, preds, 2, 1);
         let cluster = ClusterConfig::new(2, 1);
-        let comm = CommModel {
-            latency: 1,
-            cost_per_object: 2,
-        };
         // Pred has n_objects = cost = 5 → delay 1 + 5*2 = 11.
-        let r = simulate_with_comm(&g, &cluster, &[0, 1], Strategy::EagerFifo, &comm);
+        let r = simulate_lattice_with_network(
+            &g,
+            &cluster,
+            &[0, 1],
+            &Strategy::EagerFifo.into(),
+            &NetworkModel::per_object(1, 2),
+        );
         assert_eq!(r.makespan, 5 + 11 + 3);
         assert_eq!(r.total_executed(), g.total_cost());
     }
@@ -1168,7 +1060,14 @@ mod tests {
             }
         }
         let g = TaskGraph::assemble(tasks, preds, 2, 1);
-        let r = simulate_heterogeneous(&g, &[4, 1], &[0, 1], Strategy::EagerFifo, &CommModel::FREE);
+        let r = simulate_with(
+            &g,
+            &[4, 1],
+            &[0, 1],
+            &Strategy::EagerFifo.into(),
+            None,
+            Recorder::off(),
+        );
         // Process 0 finishes at 3; process 1 serialises to 12.
         assert_eq!(r.makespan, 12);
         assert_eq!(r.busy, vec![12, 12]);
@@ -1199,7 +1098,7 @@ mod tests {
         let g = TaskGraph::assemble(tasks, preds, 2, 1);
         let cluster = ClusterConfig::new(2, 1);
         for strat in DynamicListStrategy::lattice() {
-            let r = simulate_lattice(&g, &cluster, &[0, 1], &strat);
+            let r = lattice_run(&g, &cluster, &[0, 1], &strat);
             assert_eq!(
                 r.total_executed(),
                 g.total_cost(),
@@ -1224,7 +1123,7 @@ mod tests {
         let g = two_chains();
         let cluster = ClusterConfig::new(1, 2);
         for task in TaskCriterion::ALL {
-            let pinned = simulate_lattice(
+            let pinned = lattice_run(
                 &g,
                 &cluster,
                 &[0, 0],
@@ -1235,7 +1134,7 @@ mod tests {
                 ProcessCriterion::LeastLoaded,
                 ProcessCriterion::FewestActiveObjects,
             ] {
-                let dynamic = simulate_lattice(
+                let dynamic = lattice_run(
                     &g,
                     &cluster,
                     &[0, 0],
@@ -1250,29 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn comm_model_boundary_semantics() {
-        // `is_free` is about *both* knobs: per-object cost alone still
-        // charges messages, and a zero-object message still pays latency.
-        assert!(CommModel::FREE.is_free());
-        assert!(!CommModel {
-            latency: 0,
-            cost_per_object: 1
-        }
-        .is_free());
-        assert!(!CommModel {
-            latency: 1,
-            cost_per_object: 0
-        }
-        .is_free());
-        let comm = CommModel {
-            latency: 7,
-            cost_per_object: 2,
-        };
-        assert_eq!(comm.delay(0), 7, "zero objects still pay latency");
-        assert_eq!(comm.delay(3), 13);
-    }
-
-    #[test]
     fn dynamic_placement_charges_comm_against_the_successors_home() {
         // Chain 0 → 1 with homes P0 and P1 under FirstFree: task 0 runs on
         // P0 (lowest free id), the message to task 1's *home* (P1) delays
@@ -1282,20 +1158,17 @@ mod tests {
         let preds = vec![vec![], vec![0]];
         let g = TaskGraph::assemble(tasks, preds, 2, 1);
         let cluster = ClusterConfig::new(2, 1);
-        let comm = CommModel {
-            latency: 10,
-            cost_per_object: 0,
-        };
+        let net = NetworkModel::per_object(10, 0);
         let strat =
             DynamicListStrategy::canonical(TaskCriterion::Fifo, ProcessCriterion::FirstFree);
-        let r = simulate_lattice_with_comm(&g, &cluster, &[0, 1], &strat, &comm);
+        let r = simulate_lattice_with_network(&g, &cluster, &[0, 1], &strat, &net);
         assert_eq!(r.makespan, 5 + 10 + 3, "cross-home edge pays the delay");
         assert!(
             r.segments.iter().all(|s| s.process == 0),
             "first-free placement keeps both tasks on process 0"
         );
         // Same-home chain pays nothing, wherever it executes.
-        let local = simulate_lattice_with_comm(&g, &cluster, &[0, 0], &strat, &comm);
+        let local = simulate_lattice_with_network(&g, &cluster, &[0, 0], &strat, &net);
         assert_eq!(local.makespan, 8);
     }
 
@@ -1309,14 +1182,14 @@ mod tests {
         let preds = vec![vec![]; 4];
         let g = TaskGraph::assemble(tasks, preds, 1, 1);
         let cluster = ClusterConfig::new(2, 1);
-        let pinned = simulate_lattice(
+        let pinned = lattice_run(
             &g,
             &cluster,
             &[0],
             &DynamicListStrategy::canonical(TaskCriterion::Fifo, ProcessCriterion::Pinned),
         );
         assert_eq!(pinned.makespan, 12);
-        let spread = simulate_lattice(
+        let spread = lattice_run(
             &g,
             &cluster,
             &[0],
@@ -1328,7 +1201,6 @@ mod tests {
 
     #[test]
     fn bounded_channels_serialise_concurrent_transfers() {
-        use crate::network::{Link, NetworkModel};
         // Two equal-cost roots on P0/P1 both feed task 2 homed on P2. Both
         // messages arrive at P2's NIC at t=5 with duration 10: one channel
         // serialises them ([5,15) then [15,25)); two channels overlap them.
@@ -1374,35 +1246,7 @@ mod tests {
     }
 
     #[test]
-    fn network_from_comm_is_bit_identical_to_legacy_comm() {
-        use crate::network::NetworkModel;
-        let tasks = vec![mk_task(0, 5, 0), mk_task(1, 3, 0), mk_task(1, 4, 0)];
-        let preds = vec![vec![], vec![0], vec![1]];
-        let g = TaskGraph::assemble(tasks, preds, 2, 1);
-        let cluster = ClusterConfig::new(2, 1);
-        let comm = CommModel {
-            latency: 4,
-            cost_per_object: 3,
-        };
-        for strat in DynamicListStrategy::lattice() {
-            let legacy = simulate_lattice_with_comm(&g, &cluster, &[0, 1], &strat, &comm);
-            let net = simulate_lattice_with_network(
-                &g,
-                &cluster,
-                &[0, 1],
-                &strat,
-                &NetworkModel::from_comm(&comm),
-            );
-            assert_eq!(legacy.makespan, net.makespan, "{}", strat.label());
-            assert_eq!(legacy.segments, net.segments, "{}", strat.label());
-            assert_eq!(legacy.transfers, net.transfers, "{}", strat.label());
-            assert_eq!(legacy.net, net.net, "{}", strat.label());
-        }
-    }
-
-    #[test]
     fn overlap_statistics_count_hidden_transfer_time() {
-        use crate::network::{Link, NetworkModel};
         // P0 runs A (cost 10) whose output feeds C homed on P1; P1 runs an
         // independent B (cost 20) meanwhile. The transfer [10,18) to P1 is
         // entirely hidden under B's compute, so overlap efficiency is 1.
@@ -1432,11 +1276,10 @@ mod tests {
 
     #[test]
     fn zero_cost_network_matches_free_simulation_bit_for_bit() {
-        use crate::network::NetworkModel;
         let g = two_chains();
         let cluster = ClusterConfig::new(2, 1);
         for strat in DynamicListStrategy::lattice() {
-            let free = simulate_lattice(&g, &cluster, &[0, 1], &strat);
+            let free = lattice_run(&g, &cluster, &[0, 1], &strat);
             let zero = simulate_lattice_with_network(
                 &g,
                 &cluster,
@@ -1453,7 +1296,6 @@ mod tests {
 
     #[test]
     fn halo_sizes_charge_adjacent_domains_and_free_same_domain_edges() {
-        use crate::network::{HaloBytes, Link, MessageSizes, NetworkModel};
         let link = Link {
             latency: 100,
             cost_per_byte: 1,
@@ -1525,7 +1367,7 @@ mod tests {
     fn empty_task_graph_simulates_to_zero() {
         let g = TaskGraph::assemble(vec![], vec![], 1, 1);
         for strat in DynamicListStrategy::lattice() {
-            let r = simulate_lattice(&g, &ClusterConfig::new(2, 2), &[0], &strat);
+            let r = lattice_run(&g, &ClusterConfig::new(2, 2), &[0], &strat);
             assert_eq!(r.makespan, 0, "{}", strat.label());
             assert_eq!(r.busy, vec![0, 0]);
             assert_eq!(r.total_executed(), 0);

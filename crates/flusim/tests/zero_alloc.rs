@@ -1,6 +1,6 @@
 //! Zero-allocation contract for the simulator's event loop, measured with
 //! the testkit counting allocator installed as this binary's global
-//! allocator. `simulate_heterogeneous` snapshots the thread's allocation
+//! allocator. The event loop behind `simulate_with` snapshots the thread's allocation
 //! count once steady state begins (after setup and the initial launches)
 //! and `debug_assert`s it unchanged when the last event drains — running
 //! any simulation in this binary therefore *is* the verification. The
@@ -10,9 +10,8 @@
 //! heterogeneous core counts.
 
 use tempart_flusim::{
-    race, race_network, simulate_lattice_with_comm, simulate_lattice_with_network,
-    simulate_lattice_with_network_traced, simulate_traced, simulate_with_comm, ClusterConfig,
-    CommModel, DynamicListStrategy, Link, NetworkModel, Strategy,
+    race, simulate_with, ClusterConfig, DynamicListStrategy, Link, NetworkModel, SimResult,
+    Strategy,
 };
 use tempart_obs::Recorder;
 use tempart_taskgraph::{Task, TaskGraph, TaskId, TaskKind};
@@ -61,6 +60,17 @@ fn layered(layers: usize, width: usize, nd: u32) -> TaskGraph {
     TaskGraph::assemble(tasks, preds, nd as usize, 3)
 }
 
+/// The general entry on the 4 × 2 cluster most tests here use.
+fn run_4x2(
+    g: &TaskGraph,
+    process_of: &[usize],
+    strat: &DynamicListStrategy,
+    net: Option<&NetworkModel>,
+    rec: &Recorder,
+) -> SimResult {
+    simulate_with(g, &[2; 4], process_of, strat, net, rec)
+}
+
 #[test]
 fn event_loop_is_allocation_free_on_layered_dag() {
     let g = layered(24, 32, 12);
@@ -71,13 +81,7 @@ fn event_loop_is_allocation_free_on_layered_dag() {
         Strategy::CriticalPathFirst,
         Strategy::SmallestFirst,
     ] {
-        let r = simulate_with_comm(
-            &g,
-            &ClusterConfig::new(4, 2),
-            &process_of,
-            strat,
-            &CommModel::FREE,
-        );
+        let r = run_4x2(&g, &process_of, &strat.into(), None, Recorder::off());
         assert_eq!(r.total_executed(), g.total_cost());
     }
 }
@@ -88,16 +92,12 @@ fn event_loop_is_allocation_free_with_comm_delays() {
     // re-push must also stay within the pre-sized heaps.
     let g = layered(16, 24, 8);
     let process_of: Vec<usize> = (0..8).map(|d| d % 4).collect();
-    let comm = CommModel {
-        latency: 3,
-        cost_per_object: 1,
-    };
-    let r = simulate_with_comm(
+    let r = run_4x2(
         &g,
-        &ClusterConfig::new(4, 2),
         &process_of,
-        Strategy::EagerFifo,
-        &comm,
+        &Strategy::EagerFifo.into(),
+        Some(&NetworkModel::per_object(3, 1)),
+        Recorder::off(),
     );
     assert_eq!(r.total_executed(), g.total_cost());
 }
@@ -113,13 +113,7 @@ fn traced_event_loop_is_allocation_free_with_enabled_recorder() {
     let g = layered(16, 24, 8);
     let process_of: Vec<usize> = (0..8).map(|d| d % 4).collect();
     let rec = Recorder::new(8 * g.len() + 64);
-    let r = simulate_traced(
-        &g,
-        &ClusterConfig::new(4, 2),
-        &process_of,
-        Strategy::EagerFifo,
-        &rec,
-    );
+    let r = run_4x2(&g, &process_of, &Strategy::EagerFifo.into(), None, &rec);
     assert_eq!(r.total_executed(), g.total_cost());
     let trace = rec.take();
     assert_eq!(trace.dropped, 0);
@@ -133,13 +127,11 @@ fn event_loop_is_allocation_free_on_every_lattice_combo() {
     // must keep the steady-state loop allocation-free for all 24 combos.
     let g = layered(16, 24, 8);
     let process_of: Vec<usize> = (0..8).map(|d| d % 4).collect();
-    let comm = CommModel {
-        latency: 2,
-        cost_per_object: 1,
-    };
+    let net = NetworkModel::per_object(2, 1);
     for strat in DynamicListStrategy::lattice() {
-        let r =
-            simulate_lattice_with_comm(&g, &ClusterConfig::new(4, 2), &process_of, &strat, &comm);
+        let free = run_4x2(&g, &process_of, &strat, None, Recorder::off());
+        assert_eq!(free.total_executed(), g.total_cost(), "{}", strat.label());
+        let r = run_4x2(&g, &process_of, &strat, Some(&net), Recorder::off());
         assert_eq!(r.total_executed(), g.total_cost(), "{}", strat.label());
     }
 }
@@ -152,7 +144,14 @@ fn portfolio_race_event_loops_are_allocation_free() {
     let g = layered(12, 16, 6);
     let process_of: Vec<usize> = (0..6).map(|d| d % 3).collect();
     for workers in [1usize, 4] {
-        let board = race(&g, &ClusterConfig::new(3, 2), &process_of, workers);
+        let board = race(
+            &g,
+            &ClusterConfig::new(3, 2),
+            &process_of,
+            None,
+            workers,
+            Recorder::off(),
+        );
         assert_eq!(board.entries.len(), 24);
         for e in &board.entries {
             assert_eq!(e.total_busy, g.total_cost());
@@ -187,8 +186,7 @@ fn network_event_loop_is_allocation_free_on_every_lattice_combo() {
     let process_of: Vec<usize> = (0..8).map(|d| d % 4).collect();
     let net = bounded_net();
     for strat in DynamicListStrategy::lattice() {
-        let r =
-            simulate_lattice_with_network(&g, &ClusterConfig::new(4, 2), &process_of, &strat, &net);
+        let r = run_4x2(&g, &process_of, &strat, Some(&net), Recorder::off());
         assert_eq!(r.total_executed(), g.total_cost(), "{}", strat.label());
         assert!(!r.transfers.is_empty(), "{}", strat.label());
     }
@@ -203,12 +201,11 @@ fn traced_network_event_loop_is_allocation_free_with_enabled_recorder() {
     let process_of: Vec<usize> = (0..8).map(|d| d % 4).collect();
     let net = bounded_net();
     let rec = Recorder::new(8 * g.len() + 2 * g.n_edges() + 64);
-    let r = simulate_lattice_with_network_traced(
+    let r = run_4x2(
         &g,
-        &ClusterConfig::new(4, 2),
         &process_of,
-        &DynamicListStrategy::from(Strategy::EagerFifo),
-        &net,
+        &Strategy::EagerFifo.into(),
+        Some(&net),
         &rec,
     );
     assert_eq!(r.total_executed(), g.total_cost());
@@ -227,7 +224,14 @@ fn network_portfolio_race_event_loops_are_allocation_free() {
     let process_of: Vec<usize> = (0..6).map(|d| d % 3).collect();
     let net = bounded_net();
     for workers in [1usize, 4] {
-        let board = race_network(&g, &ClusterConfig::new(3, 2), &process_of, &net, workers);
+        let board = race(
+            &g,
+            &ClusterConfig::new(3, 2),
+            &process_of,
+            Some(&net),
+            workers,
+            Recorder::off(),
+        );
         assert_eq!(board.entries.len(), 24);
         for e in &board.entries {
             assert_eq!(e.total_busy, g.total_cost());
@@ -270,12 +274,15 @@ fn network_accounting_allocations_do_not_grow_with_the_transfer_count() {
         tempart_flusim::UNBOUNDED_CHANNELS,
     );
     let strat = DynamicListStrategy::from(Strategy::EagerFifo);
-    let run = |g: &TaskGraph| {
-        count_allocations(|| simulate_lattice_with_network(g, &cluster, &process_of, &strat, &net))
+    let cores = cluster.cores();
+    let counted = |g: &TaskGraph| {
+        count_allocations(|| {
+            simulate_with(g, &cores, &process_of, &strat, Some(&net), Recorder::off())
+        })
     };
     let (once, fourfold) = (ranks(1), ranks(4));
-    let (r1, allocs_1x) = run(&once);
-    let (r4, allocs_4x) = run(&fourfold);
+    let (r1, allocs_1x) = counted(&once);
+    let (r4, allocs_4x) = counted(&fourfold);
     assert!(!r1.transfers.is_empty());
     assert_eq!(r4.transfers.len(), 4 * r1.transfers.len());
     assert_eq!(r4.segments, r1.segments, "same schedule");
@@ -289,12 +296,13 @@ fn network_accounting_allocations_do_not_grow_with_the_transfer_count() {
 fn event_loop_is_allocation_free_on_heterogeneous_cores() {
     let g = layered(12, 16, 6);
     let process_of: Vec<usize> = (0..6).map(|d| d % 3).collect();
-    let r = tempart_flusim::simulate_heterogeneous(
+    let r = simulate_with(
         &g,
         &[1, 4, 2],
         &process_of,
-        Strategy::CriticalPathFirst,
-        &CommModel::FREE,
+        &Strategy::CriticalPathFirst.into(),
+        None,
+        Recorder::off(),
     );
     assert_eq!(r.total_executed(), g.total_cost());
     assert!(r.makespan >= g.critical_path());

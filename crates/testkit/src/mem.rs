@@ -50,7 +50,11 @@ mod tests {
     fn live_probe_is_sane_on_linux() {
         // On Linux both probes must return something positive and peak must
         // dominate current; elsewhere both are None and that is fine too.
-        match (peak_rss_bytes(), current_rss_bytes()) {
+        // Current first, peak second: sibling tests allocate concurrently,
+        // and the high-water mark can only have grown in between.
+        let cur = current_rss_bytes();
+        let peak = peak_rss_bytes();
+        match (peak, cur) {
             (Some(peak), Some(cur)) => {
                 assert!(peak > 0 && cur > 0);
                 assert!(peak >= cur.saturating_sub(4096));

@@ -13,16 +13,16 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tempart::core_api::{
-    decompose_par, decompose_with_repair, env_workers, repartition_sequence,
-    run_flusim_network_traced, run_flusim_workers, run_portfolio, run_sweep, Curve,
-    PartitionStrategy, PipelineConfig, RepartMode, RepartSequenceConfig, WorkspacePool,
+    decompose_with, decompose_with_repair, env_workers, repartition_sequence, run_flusim_with,
+    run_portfolio, run_sweep, Curve, Exec, PartitionStrategy, PipelineConfig, RepartMode,
+    RepartSequenceConfig, WorkspacePool,
 };
 use tempart::flusim::{
-    ascii_gantt, parse_preset, ClusterConfig, DynamicListStrategy, Link, NetworkModel, Strategy,
-    UNBOUNDED_CHANNELS,
+    ascii_gantt, parse_preset, ClusterConfig, DynamicListStrategy, NetworkModel, Strategy,
 };
 use tempart::graph::PartitionQuality;
 use tempart::mesh::{level_histogram, GeneratorConfig, Mesh, MeshCase};
+use tempart::obs::Recorder;
 use tempart::runtime::RuntimeConfig;
 use tempart::solver::{blast_initial, Solver, SolverConfig, TimeIntegration, Viscosity};
 use tempart::taskgraph::stats::block_process_map;
@@ -302,6 +302,12 @@ fn fj_workers(o: &Options) -> usize {
     o.workers.unwrap_or_else(env_workers)
 }
 
+/// The untraced execution context of a subcommand: `workers` wide over
+/// `pool`.
+fn untraced(workers: usize, pool: &WorkspacePool) -> Exec<'_> {
+    Exec::new(workers, pool, Recorder::off())
+}
+
 fn cmd_gen(o: &Options) -> Result<(), String> {
     let mesh = build_mesh(o);
     println!(
@@ -358,11 +364,14 @@ fn cmd_partition(o: &Options) -> Result<(), String> {
     }
     let mesh = build_mesh(o);
     let workers = fj_workers(o);
+    let pool = WorkspacePool::new(workers);
+    let exec = untraced(workers, &pool);
     let (part, repair_note) = if o.repair {
         // Repair is a sequential global pass; the decomposition under it is
         // identical to the parallel one, so nothing is lost running the
         // combined entry point here.
-        let (part, report) = decompose_with_repair(&mesh, o.strategy, o.domains, o.seed);
+        let (part, report) =
+            decompose_with_repair(&mesh, o.strategy, o.domains, o.seed, Recorder::off());
         (
             part,
             format!(
@@ -372,7 +381,7 @@ fn cmd_partition(o: &Options) -> Result<(), String> {
         )
     } else {
         (
-            decompose_par(&mesh, o.strategy, o.domains, o.seed, workers),
+            decompose_with(&mesh, o.strategy, o.domains, o.seed, &exec),
             String::new(),
         )
     };
@@ -412,31 +421,15 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         seed: o.seed,
     };
     // `--net` takes a topology preset; `--latency L` is shorthand for the
-    // legacy per-message model (uniform latency-only links, unbounded
-    // channels). Both route through the first-class network pipeline.
+    // per-message model (uniform latency-only links, unbounded channels).
     let net: Option<NetworkModel> = match (&o.net, o.latency) {
         (Some(preset), _) => Some(parse_preset(preset)?),
         (None, 0) => None,
-        (None, lat) => Some(NetworkModel::uniform(
-            Link {
-                latency: lat,
-                cost_per_byte: 0,
-            },
-            UNBOUNDED_CHANNELS,
-        )),
+        (None, lat) => Some(NetworkModel::per_object(lat, 0)),
     };
     let workers = fj_workers(o);
-    let out = match &net {
-        Some(model) => run_flusim_network_traced(
-            &mesh,
-            &config,
-            model,
-            workers,
-            &WorkspacePool::new(workers),
-            tempart::obs::Recorder::off(),
-        )?,
-        None => run_flusim_workers(&mesh, &config, workers),
-    };
+    let pool = WorkspacePool::new(workers);
+    let out = run_flusim_with(&mesh, &config, net.as_ref(), &untraced(workers, &pool))?;
     println!(
         "{} × {} domains via {} on {}p×{}c",
         o.case.name(),
@@ -480,8 +473,7 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_trace(o: &Options) -> Result<(), String> {
-    use tempart::core_api::{run_flusim_workers_traced, WorkspacePool};
-    use tempart::obs::{export, replay, schema, Recorder};
+    use tempart::obs::{export, replay, schema};
     let mesh = build_mesh(o);
     let cluster = ClusterConfig::new(o.processes, o.cores);
     let config = PipelineConfig {
@@ -494,7 +486,8 @@ fn cmd_trace(o: &Options) -> Result<(), String> {
     let workers = fj_workers(o);
     let rec = Recorder::new(1 << 18);
     let pool = WorkspacePool::new(workers);
-    let out = run_flusim_workers_traced(&mesh, &config, workers, &pool, &rec);
+    let exec = Exec::new(workers, &pool, &rec);
+    let out = run_flusim_with(&mesh, &config, None, &exec)?;
     let trace = rec.take();
     if trace.dropped > 0 {
         return Err(format!(
@@ -563,7 +556,10 @@ fn cmd_trace(o: &Options) -> Result<(), String> {
 
 fn cmd_solve(o: &Options) -> Result<(), String> {
     let mesh = build_mesh(o);
-    let part = decompose_par(&mesh, o.strategy, o.domains, o.seed, env_workers());
+    let workers = env_workers();
+    let pool = WorkspacePool::new(workers);
+    let exec = untraced(workers, &pool);
+    let part = decompose_with(&mesh, o.strategy, o.domains, o.seed, &exec);
     let config = SolverConfig {
         cfl: 0.4,
         integration: if o.heun {
@@ -615,12 +611,13 @@ fn cmd_portfolio(o: &Options) -> Result<(), String> {
         n_domains: o.domains,
         cluster,
         // Ignored by the race — every lattice point runs, including the
-        // four legacy strategies.
+        // four fixed strategies.
         scheduling: Strategy::EagerFifo,
         seed: o.seed,
     };
     let workers = fj_workers(o);
-    let out = run_portfolio(&mesh, &config, workers);
+    let pool = WorkspacePool::new(workers);
+    let out = run_portfolio(&mesh, &config, None, &untraced(workers, &pool))?;
     println!(
         "{} × {} domains via {} on {}p×{}c — racing {} scheduler combos ({} worker{})",
         o.case.name(),
@@ -700,8 +697,9 @@ fn cmd_repart(o: &Options) -> Result<(), String> {
         "mode", "moved", "volume", "MiB", "imb-ceil", "edge-cut"
     );
     let mut rows = Vec::new();
+    let pool = WorkspacePool::new(workers);
     let mut run = |label: String, mode: RepartMode| {
-        let out = repartition_sequence(&mesh, &seq_cfg(mode), workers);
+        let out = repartition_sequence(&mesh, &seq_cfg(mode), &untraced(workers, &pool));
         println!(
             "{label:<22} {:>10} {:>12} {:>10.2} {:>9.3} {:>9}",
             out.total_cells_moved(),
@@ -779,7 +777,9 @@ fn cmd_compare(o: &Options) -> Result<(), String> {
             )
         })
         .collect();
-    let outcomes = run_sweep(&jobs, fj_workers(o));
+    let workers = fj_workers(o);
+    let pool = WorkspacePool::new(workers);
+    let outcomes = run_sweep(&jobs, &untraced(workers, &pool));
     let mut spans = Vec::new();
     for (strategy, out) in strategies.iter().copied().zip(outcomes) {
         println!(

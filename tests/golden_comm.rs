@@ -13,11 +13,38 @@
 //! justify the re-pin in the commit.
 
 use tempart::core_api::{
-    comm_crossover_with, run_flusim_network, run_portfolio_network, FlusimOutcome,
-    PartitionStrategy, PipelineConfig,
+    comm_crossover, run_flusim_with, run_portfolio, Exec, FlusimOutcome, PartitionStrategy,
+    PipelineConfig, WorkspacePool,
 };
-use tempart::flusim::{parse_preset, ClusterConfig, NetworkModel, Strategy};
+use tempart::flusim::{parse_preset, ClusterConfig, Leaderboard, NetworkModel, Strategy};
 use tempart::mesh::{cylinder_like, GeneratorConfig, Mesh};
+use tempart::obs::Recorder;
+
+/// Runs `f` under an untraced `workers`-wide execution context with fresh
+/// scratch memory.
+fn on<T>(workers: usize, f: impl FnOnce(&Exec) -> T) -> T {
+    f(&Exec::new(
+        workers,
+        &WorkspacePool::new(workers),
+        Recorder::off(),
+    ))
+}
+
+/// The priced MC_TL pipeline under `model`.
+fn priced_run(mesh: &Mesh, model: &NetworkModel) -> FlusimOutcome {
+    let cfg = config(PartitionStrategy::McTl);
+    on(1, |exec| run_flusim_with(mesh, &cfg, Some(model), exec)).expect("valid preset")
+}
+
+/// The comm-bound MC_TL race under the first preset.
+fn priced_board(mesh: &Mesh, workers: usize) -> Leaderboard {
+    let cfg = config(PartitionStrategy::McTl);
+    on(workers, |exec| {
+        run_portfolio(mesh, &cfg, Some(&presets()[0].1), exec)
+    })
+    .expect("valid preset")
+    .leaderboard
+}
 
 fn fnv1a(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
@@ -95,23 +122,26 @@ const CROSSOVER_LATENCIES: [u64; 8] = [0, 2, 5, 10, 25, 50, 200, 2000];
 const GOLDEN_MCTL_CROSSOVER: u64 = 10;
 
 fn crossover() -> tempart::core_api::CommCrossover {
-    comm_crossover_with(
-        &cylinder(),
-        16,
-        &ClusterConfig::new(4, 2),
-        &[
-            PartitionStrategy::ScOc,
-            PartitionStrategy::McTl,
-            PartitionStrategy::DualPhase {
-                domains_per_process: 4,
-            },
-        ],
-        &CROSSOVER_LATENCIES,
-        0,
-        1,
-        42,
-        2,
-    )
+    let strategies = [
+        PartitionStrategy::ScOc,
+        PartitionStrategy::McTl,
+        PartitionStrategy::DualPhase {
+            domains_per_process: 4,
+        },
+    ];
+    // The strategies above replace the config's own.
+    let cfg = config(PartitionStrategy::McTl);
+    on(2, |exec| {
+        comm_crossover(
+            &cylinder(),
+            &cfg,
+            &strategies,
+            &CROSSOVER_LATENCIES,
+            0,
+            1,
+            exec,
+        )
+    })
 }
 
 #[test]
@@ -119,8 +149,7 @@ fn crossover() -> tempart::core_api::CommCrossover {
 fn derive_constants() {
     let mesh = cylinder();
     for (name, model) in presets() {
-        let out = run_flusim_network(&mesh, &config(PartitionStrategy::McTl), &model)
-            .expect("valid preset");
+        let out = priced_run(&mesh, &model);
         println!(
             "{name}: fingerprint 0x{:016X} makespan {} transfers {}",
             schedule_fingerprint(&out),
@@ -128,8 +157,7 @@ fn derive_constants() {
             out.sim.transfers.len()
         );
     }
-    let board = run_portfolio_network(&mesh, &config(PartitionStrategy::McTl), &presets()[0].1, 2)
-        .leaderboard;
+    let board = priced_board(&mesh, 2);
     println!(
         "net board: fingerprint 0x{:016X} winner {} makespan {}",
         board.fingerprint(),
@@ -152,8 +180,7 @@ fn network_schedules_match_pinned_fingerprints() {
     let mesh = cylinder();
     let golden = [GOLDEN_UNIFORM, GOLDEN_TWO_LEVEL];
     for ((name, model), want) in presets().into_iter().zip(golden) {
-        let out = run_flusim_network(&mesh, &config(PartitionStrategy::McTl), &model)
-            .expect("valid preset");
+        let out = priced_run(&mesh, &model);
         let fp = schedule_fingerprint(&out);
         assert_eq!(
             fp, want,
@@ -173,8 +200,7 @@ fn network_schedules_match_pinned_fingerprints() {
 #[test]
 fn comm_bound_leaderboard_matches_pinned_fingerprint() {
     let mesh = cylinder();
-    let board = run_portfolio_network(&mesh, &config(PartitionStrategy::McTl), &presets()[0].1, 2)
-        .leaderboard;
+    let board = priced_board(&mesh, 2);
     assert_eq!(board.entries.len(), 24);
     let fp = board.fingerprint();
     assert_eq!(
@@ -184,14 +210,7 @@ fn comm_bound_leaderboard_matches_pinned_fingerprint() {
     );
     // Worker-count invariance of the priced race.
     for workers in [1usize, 4] {
-        let again = run_portfolio_network(
-            &mesh,
-            &config(PartitionStrategy::McTl),
-            &presets()[0].1,
-            workers,
-        )
-        .leaderboard;
-        assert_eq!(again, board, "workers={workers}");
+        assert_eq!(priced_board(&mesh, workers), board, "workers={workers}");
     }
 }
 

@@ -12,9 +12,19 @@
 //! printed value and justify the change in the commit if a legitimate
 //! semantics change ever breaks it.
 
-use tempart::core_api::{run_portfolio, PartitionStrategy, PipelineConfig, PortfolioOutcome};
+use tempart::core_api::{
+    run_portfolio, Exec, PartitionStrategy, PipelineConfig, PortfolioOutcome, WorkspacePool,
+};
 use tempart::flusim::{simulate, ClusterConfig, DynamicListStrategy, Strategy};
-use tempart::mesh::{cylinder_like, GeneratorConfig};
+use tempart::mesh::{cylinder_like, GeneratorConfig, Mesh};
+use tempart::obs::Recorder;
+
+/// The free-communication race on `workers` workers, fresh scratch memory.
+fn race_on(mesh: &Mesh, cfg: &PipelineConfig, workers: usize) -> PortfolioOutcome {
+    let pool = WorkspacePool::new(workers);
+    run_portfolio(mesh, cfg, None, &Exec::new(workers, &pool, Recorder::off()))
+        .expect("free communication is always valid")
+}
 
 fn cylinder_portfolio(strategy: PartitionStrategy) -> (PortfolioOutcome, PipelineConfig) {
     let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
@@ -25,7 +35,7 @@ fn cylinder_portfolio(strategy: PartitionStrategy) -> (PortfolioOutcome, Pipelin
         scheduling: Strategy::EagerFifo, // ignored: the race covers the lattice
         seed: 42,
     };
-    (run_portfolio(&mesh, &cfg, 2), cfg)
+    (race_on(&mesh, &cfg, 2), cfg)
 }
 
 /// FNV-1a of the ranked leaderboard for the graded CYLINDER (base depth 3),
@@ -93,7 +103,7 @@ fn leaderboard_fingerprint_is_stable_across_worker_counts() {
         seed: 42,
     };
     for workers in [1usize, 4] {
-        let out = run_portfolio(&mesh, &cfg, workers);
+        let out = race_on(&mesh, &cfg, workers);
         assert_eq!(out.leaderboard, w2.leaderboard, "workers={workers}");
     }
 }

@@ -13,7 +13,7 @@
 //! value and justify the change in the commit if a legitimate format or
 //! semantics change ever breaks it.
 
-use tempart::core_api::{run_flusim_traced, PartitionStrategy, PipelineConfig};
+use tempart::core_api::{run_flusim_with, Exec, PartitionStrategy, PipelineConfig, WorkspacePool};
 use tempart::flusim::{ClusterConfig, Strategy};
 use tempart::mesh::{cylinder_like, GeneratorConfig};
 use tempart::obs::{export, fnv1a, schema, Clock, Recorder};
@@ -28,7 +28,9 @@ fn traced_cylinder_run() -> (tempart::obs::Trace, tempart::core_api::FlusimOutco
         seed: 42,
     };
     let rec = Recorder::new(1 << 16);
-    let out = run_flusim_traced(&mesh, &cfg, &rec);
+    let pool = WorkspacePool::new(1);
+    let out = run_flusim_with(&mesh, &cfg, None, &Exec::new(1, &pool, &rec))
+        .expect("free communication is valid");
     let trace = rec.take();
     assert_eq!(trace.dropped, 0, "trace must be loss-free to be golden");
     (trace, out)

@@ -137,6 +137,7 @@ fn scheduling_strategies_cannot_beat_critical_path() {
             8,
             &ClusterConfig::new(4, 4),
             strat,
+            tempart::obs::Recorder::off(),
         );
         assert!(sim.makespan >= graph.critical_path());
     }

@@ -26,10 +26,10 @@
 
 use tempart::core_api::{decompose, PartitionStrategy};
 use tempart::flusim::{
-    race_network, simulate_lattice, simulate_lattice_with_network,
-    simulate_network_heterogeneous_traced, ClusterConfig, ComboOutcome, DynamicListStrategy,
-    HaloBytes, Link, MessageSizes, NetStats, NetworkModel, SimResult, Strategy, UNBOUNDED_CHANNELS,
-    UNBOUNDED_CORES,
+    race, race_network, simulate, simulate_lattice_with_network,
+    simulate_lattice_with_network_traced, simulate_traced, simulate_with, ClusterConfig,
+    ComboOutcome, DynamicListStrategy, HaloBytes, Link, MessageSizes, NetStats, NetworkModel,
+    ProcessCriterion, SimResult, Strategy, TaskCriterion, UNBOUNDED_CHANNELS, UNBOUNDED_CORES,
 };
 use tempart::mesh::{Mesh, Octree, OctreeConfig, TemporalScheme};
 use tempart::obs::Recorder;
@@ -282,12 +282,12 @@ proptest! {
         for legacy in [Strategy::EagerFifo, Strategy::CriticalPathFirst] {
             let strat = DynamicListStrategy::from(legacy);
             let mk = |latency: u64, cost_per_byte: u64| {
-                simulate_network_heterogeneous_traced(
+                simulate_with(
                     &g,
                     &cores,
                     &process_of,
                     &strat,
-                    &NetworkModel::uniform(Link { latency, cost_per_byte }, UNBOUNDED_CHANNELS),
+                    Some(&NetworkModel::uniform(Link { latency, cost_per_byte }, UNBOUNDED_CHANNELS)),
                     Recorder::off(),
                 )
                 .makespan
@@ -334,7 +334,8 @@ proptest! {
         // for real message sizes.
         let zero = NetworkModel::zero_cost();
         for strat in DynamicListStrategy::lattice() {
-            let free = simulate_lattice(&g, &cluster, &process_of, &strat);
+            let free =
+                simulate_with(&g, &cluster.cores(), &process_of, &strat, None, Recorder::off());
             for (name, model) in [("empty-halo", &empty), ("zero-cost", &zero)] {
                 let net = simulate_lattice_with_network(&g, &cluster, &process_of, &strat, model);
                 let label = format!("{} {}", strat.label(), name);
@@ -468,8 +469,8 @@ proptest! {
             })
             .collect();
         for strat in DynamicListStrategy::lattice() {
-            let sim = simulate_network_heterogeneous_traced(
-                &g, &cores, &process_of, &strat, &model, Recorder::off());
+            let sim = simulate_with(
+                &g, &cores, &process_of, &strat, Some(&model), Recorder::off());
             let label = strat.label();
             prop_assert_eq!(
                 sim.net.as_ref(), Some(&net_stats_oracle(&sim, procs)),
@@ -535,5 +536,138 @@ proptest! {
             let board = race_network(&g, &cluster, &process_of, &model, workers);
             prop_assert_eq!(&board.entries, &expected, "workers={}", workers);
         }
+    }
+}
+
+/// Equality of two simulations: every field, and the derived floats by bit
+/// pattern (`idle_fraction` only where a bounded uniform cluster defines
+/// it).
+fn assert_same_sim(a: &SimResult, b: &SimResult, cluster: Option<&ClusterConfig>, at: &str) {
+    assert_eq!(a, b, "{at}");
+    let bits = |s: &SimResult| -> Vec<u64> {
+        s.process_inactivity().iter().map(|f| f.to_bits()).collect()
+    };
+    assert_eq!(bits(a), bits(b), "{at}");
+    if let Some(c) = cluster {
+        assert_eq!(
+            a.idle_fraction(c).to_bits(),
+            b.idle_fraction(c).to_bits(),
+            "{at}"
+        );
+    }
+}
+
+/// Runs `f` against a fresh recorder; returns its result and the sorted
+/// names of the events it emitted.
+fn traced<T>(g: &TaskGraph, f: impl FnOnce(&Recorder) -> T) -> (T, Vec<&'static str>) {
+    let rec = Recorder::new(8 * g.len() + 2 * g.n_edges() + 64);
+    let out = f(&rec);
+    let trace = rec.take();
+    assert_eq!(trace.dropped, 0);
+    let mut names: Vec<_> = trace.events.iter().map(|e| e.name).collect();
+    names.sort_unstable();
+    (out, names)
+}
+
+/// The seam the benchmark-pinned names sit on: every convenience form is
+/// the general `simulate_with` / `race` with some arguments fixed — same
+/// result down to the f64 bits, same events under a live recorder.
+#[test]
+fn convenience_forms_equal_the_general_form_bit_for_bit() {
+    let (k, procs) = (5usize, 3usize);
+    let (dd, g) = random_instance(true, true, 3, k, 17);
+    let (g, process_of) = (&g, &block_process_map(k, procs));
+    let cluster = &ClusterConfig::new(procs, 2);
+    let uniform = &cluster.cores();
+    let hetero = &[1usize, 3, UNBOUNDED_CORES];
+    let net = &NetworkModel::two_level(
+        2,
+        Link {
+            latency: 4,
+            cost_per_byte: 1,
+        },
+        Link {
+            latency: 40,
+            cost_per_byte: 2,
+        },
+        2,
+    )
+    .with_halo(&dd, TaskGraphConfig::default().face_payload_bytes);
+    let off = Recorder::off();
+
+    // One row per seam: (label, cluster for idle_fraction, an event the
+    // stream must hold, general form, short form). The short form is the
+    // `_traced` name under a live recorder and the plain name otherwise.
+    type Form<'a> = Box<dyn Fn(&Recorder) -> SimResult + 'a>;
+    let mut rows: Vec<(String, Option<&ClusterConfig>, &str, Form, Form)> = Vec::new();
+    for fixed in [Strategy::EagerFifo, Strategy::CriticalPathFirst] {
+        rows.push((
+            format!("{fixed:?} free"),
+            Some(cluster),
+            "flusim.task",
+            Box::new(move |rec| simulate_with(g, uniform, process_of, &fixed.into(), None, rec)),
+            Box::new(move |rec| match rec.enabled() {
+                true => simulate_traced(g, cluster, process_of, fixed, rec),
+                false => simulate(g, cluster, process_of, fixed),
+            }),
+        ));
+    }
+    let pinned = DynamicListStrategy::from(Strategy::EagerFifo);
+    let dynamic =
+        DynamicListStrategy::canonical(TaskCriterion::CriticalPath, ProcessCriterion::LeastLoaded);
+    for strat in [pinned, dynamic] {
+        rows.push((
+            format!("{} priced", strat.label()),
+            Some(cluster),
+            "net.xfer",
+            Box::new(move |rec| simulate_with(g, uniform, process_of, &strat, Some(net), rec)),
+            Box::new(move |rec| match rec.enabled() {
+                true => {
+                    simulate_lattice_with_network_traced(g, cluster, process_of, &strat, net, rec)
+                }
+                false => simulate_lattice_with_network(g, cluster, process_of, &strat, net),
+            }),
+        ));
+        // Heterogeneous cores have no short form: tracing and the network
+        // are arguments there too, and neither may move the schedule.
+        for model in [None, Some(net)] {
+            let general =
+                move |rec: &Recorder| simulate_with(g, hetero, process_of, &strat, model, rec);
+            rows.push((
+                format!("{} hetero priced={}", strat.label(), model.is_some()),
+                None,
+                if model.is_some() {
+                    "net.xfer"
+                } else {
+                    "flusim.task"
+                },
+                Box::new(general),
+                Box::new(general),
+            ));
+        }
+    }
+    for (at, bounded, event, general, short) in &rows {
+        let plain = general(off);
+        assert_same_sim(&short(off), &plain, *bounded, at);
+        let (general_traced, general_names) = traced(g, general);
+        let (short_traced, short_names) = traced(g, short);
+        assert_same_sim(&general_traced, &plain, *bounded, at);
+        assert_same_sim(&short_traced, &plain, *bounded, at);
+        assert_eq!(short_names, general_names, "{at}");
+        assert!(general_names.contains(event), "{at}");
+    }
+
+    // `race_network` is `race` with the network given and tracing off.
+    for workers in [1usize, 2] {
+        let general = race(g, cluster, process_of, Some(net), workers, off);
+        let short = race_network(g, cluster, process_of, net, workers);
+        assert_eq!(short, general, "workers={workers}");
+        assert_eq!(short.fingerprint(), general.fingerprint());
+        let rec = Recorder::new(1 << 20);
+        let seen = race(g, cluster, process_of, Some(net), workers, &rec);
+        let trace = rec.take();
+        assert_eq!(trace.dropped, 0);
+        assert_eq!(trace.named("portfolio.combo").count(), 24);
+        assert_eq!(seen, general, "traced race, workers={workers}");
     }
 }

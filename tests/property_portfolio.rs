@@ -15,14 +15,32 @@
 
 use tempart::core_api::{decompose, PartitionStrategy};
 use tempart::flusim::{
-    race, simulate, simulate_lattice, ClusterConfig, DynamicListStrategy, Strategy,
+    race, simulate, simulate_with, ClusterConfig, DynamicListStrategy, SimResult, Strategy,
 };
 use tempart::mesh::{Mesh, Octree, OctreeConfig, TemporalScheme};
+use tempart::obs::Recorder;
 use tempart::taskgraph::{
-    generate_taskgraph, stats::block_process_map, DomainDecomposition, TaskGraphConfig,
+    generate_taskgraph, stats::block_process_map, DomainDecomposition, TaskGraph, TaskGraphConfig,
 };
 use tempart_testkit::prop::bools;
 use tempart_testkit::{prop_assert, prop_assert_eq, proptest};
+
+/// One lattice point on a uniform cluster, free communication, untraced.
+fn simulate_lattice(
+    g: &TaskGraph,
+    cluster: &ClusterConfig,
+    process_of: &[usize],
+    strat: &DynamicListStrategy,
+) -> SimResult {
+    simulate_with(
+        g,
+        &cluster.cores(),
+        process_of,
+        strat,
+        None,
+        Recorder::off(),
+    )
+}
 
 /// Builds a random graded mesh from octant refinement choices (same
 /// construction as `property_tests.rs`).
@@ -168,10 +186,10 @@ proptest! {
         let g = random_taskgraph(r1, r2, levels, k, seed);
         let process_of = block_process_map(k, procs);
         let cluster = ClusterConfig::new(procs, cores);
-        let reference = race(&g, &cluster, &process_of, 1);
+        let reference = race(&g, &cluster, &process_of, None, 1, Recorder::off());
         prop_assert_eq!(reference.entries.len(), 24);
         for workers in [2usize, 4] {
-            let board = race(&g, &cluster, &process_of, workers);
+            let board = race(&g, &cluster, &process_of, None, workers, Recorder::off());
             // Winner and the complete ranking — makespans, ratios down to
             // the exact f64 bits, and the FNV digest — match the one-worker
             // run.

@@ -17,9 +17,10 @@
 //!   widths 1 through 4.
 
 use tempart::core_api::{
-    repartition_sequence, strategy_weights, RepartMode, RepartSequenceConfig, WorkspacePool,
+    repartition_sequence, strategy_weights, Exec, RepartMode, RepartSequenceConfig,
+    RepartSequenceOutcome, WorkspacePool,
 };
-use tempart::mesh::{cylinder_like, DriftConfig, GeneratorConfig};
+use tempart::mesh::{cylinder_like, DriftConfig, GeneratorConfig, Mesh};
 use tempart::obs::Recorder;
 use tempart_testkit::{prop_assert, prop_assert_eq, proptest};
 
@@ -27,6 +28,22 @@ const N_DOMAINS: usize = 16;
 
 fn seq_config(seed: u64, steps: u32, mode: RepartMode) -> RepartSequenceConfig {
     RepartSequenceConfig::graded_cylinder(N_DOMAINS, seed, steps, mode)
+}
+
+/// The sequence on `workers` workers over `pool`, untraced.
+fn sequence_on(
+    mesh: &Mesh,
+    cfg: &RepartSequenceConfig,
+    workers: usize,
+    pool: &WorkspacePool,
+) -> RepartSequenceOutcome {
+    let exec = Exec::new(workers, pool, Recorder::off());
+    repartition_sequence(mesh, cfg, &exec)
+}
+
+/// [`sequence_on`] a fresh pool.
+fn sequence(mesh: &Mesh, cfg: &RepartSequenceConfig, workers: usize) -> RepartSequenceOutcome {
+    sequence_on(mesh, cfg, workers, &WorkspacePool::new(workers))
 }
 
 proptest! {
@@ -39,7 +56,7 @@ proptest! {
     fn repart_respects_balance_ceiling(seed in 0u64..1 << 48, steps in 1u32..4) {
         let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
         let cfg = seq_config(seed, steps, RepartMode::Diffusion { budget: None });
-        let out = repartition_sequence(&mesh, &cfg, 2);
+        let out = sequence(&mesh, &cfg, 2);
         // Re-derive the per-step constraint totals, mirroring the
         // sequence's own drift application.
         let mut m = mesh.clone();
@@ -72,12 +89,12 @@ proptest! {
     /// re-partitioning relabels over the same drift sequence.
     fn diffusion_migration_below_scratch_relabel_bound(seed in 0u64..1 << 48, steps in 1u32..4) {
         let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
-        let diff = repartition_sequence(
+        let diff = sequence(
             &mesh,
             &seq_config(seed, steps, RepartMode::Diffusion { budget: None }),
             2,
         );
-        let scratch = repartition_sequence(
+        let scratch = sequence(
             &mesh,
             &seq_config(seed, steps, RepartMode::Scratch),
             2,
@@ -95,9 +112,9 @@ proptest! {
     fn sequence_is_width_and_warmth_invariant(seed in 0u64..1 << 48) {
         let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
         let cfg = seq_config(seed, 2, RepartMode::Diffusion { budget: None });
-        let reference = repartition_sequence(&mesh, &cfg, 1);
+        let reference = sequence(&mesh, &cfg, 1);
         for workers in 2..=4usize {
-            let par = repartition_sequence(&mesh, &cfg, workers);
+            let par = sequence(&mesh, &cfg, workers);
             prop_assert_eq!(&reference.part, &par.part, "w{} diverged", workers);
             prop_assert_eq!(
                 reference.total_migration_volume(),
@@ -105,12 +122,8 @@ proptest! {
             );
         }
         let pool = WorkspacePool::new(4);
-        let fresh = tempart::core_api::repartition_sequence_traced(
-            &mesh, &cfg, 4, &pool, Recorder::off(),
-        );
-        let warm = tempart::core_api::repartition_sequence_traced(
-            &mesh, &cfg, 4, &pool, Recorder::off(),
-        );
+        let fresh = sequence_on(&mesh, &cfg, 4, &pool);
+        let warm = sequence_on(&mesh, &cfg, 4, &pool);
         prop_assert_eq!(&fresh.part, &warm.part, "warm pool diverged from fresh");
         prop_assert_eq!(fresh.total_cells_moved(), warm.total_cells_moved());
     }
@@ -124,7 +137,7 @@ fn zero_drift_means_zero_moves() {
         velocity: [0.0; 3],
         ..cfg.drift
     };
-    let out = repartition_sequence(&mesh, &cfg, 2);
+    let out = sequence(&mesh, &cfg, 2);
     // Step 1 may settle residual imbalance (the initial MC_TL split
     // targets a looser ub than the diffusion allowance); with frozen
     // weights every later step must move nothing — a plan may survive for
@@ -149,7 +162,7 @@ fn zero_drift_means_zero_moves() {
 #[test]
 fn golden_frontier_graded_cylinder() {
     let mesh = cylinder_like(&GeneratorConfig { base_depth: 4 });
-    let diff = repartition_sequence(
+    let diff = sequence(
         &mesh,
         &RepartSequenceConfig::graded_cylinder(
             16,
@@ -159,7 +172,7 @@ fn golden_frontier_graded_cylinder() {
         ),
         4,
     );
-    let scratch = repartition_sequence(
+    let scratch = sequence(
         &mesh,
         &RepartSequenceConfig::graded_cylinder(16, 0x5F4D, 8, RepartMode::Scratch),
         4,

@@ -5,7 +5,7 @@
 //! Two layers of defence:
 //!
 //! * [`parallel_pipeline_is_bit_identical_across_widths`] cross-checks
-//!   `decompose_par` / `run_flusim_workers` against the sequential entry
+//!   `decompose_with` / `run_flusim_with` against the sequential entry
 //!   points at widths 1, 2 and 4 **inside one process** — every strategy ×
 //!   mesh combination, part vectors and Gantt segments compared bit for bit;
 //! * [`emit_fingerprints_for_worker_matrix`] distils each combination into
@@ -19,10 +19,9 @@
 
 use std::fmt::Write as _;
 use tempart::core_api::{
-    decompose, decompose_par, default_repart_config, env_workers, repartition_sequence, run_flusim,
-    run_flusim_network_traced, run_flusim_workers, run_portfolio, run_portfolio_network,
-    strategy_weights, PartitionStrategy, PipelineConfig, RepartMode, RepartSequenceConfig,
-    WorkspacePool,
+    decompose, decompose_with, default_repart_config, env_workers, repartition_sequence,
+    run_flusim, run_flusim_with, run_portfolio, strategy_weights, Exec, PartitionStrategy,
+    PipelineConfig, RepartMode, RepartSequenceConfig, WorkspacePool,
 };
 use tempart::flusim::{parse_preset, ClusterConfig, Segment, Strategy, TransferSegment};
 use tempart::mesh::{cube_like, cylinder_like, GeneratorConfig, Mesh};
@@ -122,12 +121,14 @@ fn parallel_pipeline_is_bit_identical_across_widths() {
             let seq = run_flusim(mesh, &cfg);
             assert_eq!(seq.part, seq_part, "{name}/{strategy:?}: pipeline part");
             for workers in [1usize, 2, 4] {
-                let par_part = decompose_par(mesh, strategy, N_DOMAINS, SEED, workers);
+                let pool = WorkspacePool::new(workers);
+                let exec = Exec::new(workers, &pool, Recorder::off());
+                let par_part = decompose_with(mesh, strategy, N_DOMAINS, SEED, &exec);
                 assert_eq!(
                     seq_part, par_part,
                     "{name}/{strategy:?} w{workers}: part vector diverged"
                 );
-                let par = run_flusim_workers(mesh, &cfg, workers);
+                let par = run_flusim_with(mesh, &cfg, None, &exec).unwrap();
                 assert_eq!(seq.part, par.part, "{name}/{strategy:?} w{workers}: part");
                 assert_eq!(
                     seq.quality, par.quality,
@@ -154,11 +155,13 @@ fn parallel_pipeline_is_bit_identical_across_widths() {
 #[test]
 fn emit_fingerprints_for_worker_matrix() {
     let workers = env_workers();
+    let pool = WorkspacePool::new(workers);
+    let exec = Exec::new(workers, &pool, Recorder::off());
     let mut out =
         String::from("# tempart worker-matrix fingerprints: identical for every TEMPART_WORKERS\n");
     for (name, mesh) in &meshes() {
         for strategy in strategies() {
-            let outcome = run_flusim_workers(mesh, &config(strategy), workers);
+            let outcome = run_flusim_with(mesh, &config(strategy), None, &exec).unwrap();
             writeln!(
                 out,
                 "{name}/{} part={:016x} gantt={:016x} makespan={}",
@@ -171,7 +174,7 @@ fn emit_fingerprints_for_worker_matrix() {
         }
         // The portfolio race fans the lattice over the same fork-join pool;
         // its ranked leaderboard digest must be invariant too.
-        let portfolio = run_portfolio(mesh, &config(PartitionStrategy::McTl), workers);
+        let portfolio = run_portfolio(mesh, &config(PartitionStrategy::McTl), None, &exec).unwrap();
         writeln!(
             out,
             "{name}/portfolio board={:016x} winner={} makespan={}",
@@ -183,21 +186,14 @@ fn emit_fingerprints_for_worker_matrix() {
         // Network-mode rows: the priced simulation (Gantt + transfer
         // ledger) and the comm-bound race must be just as worker-count
         // invariant as the free ones.
-        let pool = WorkspacePool::new(workers);
         for (preset_name, preset) in [
             ("net-uniform", "uniform:200:2:2"),
             ("net-twolevel", "two-level"),
         ] {
             let model = parse_preset(preset).expect("valid preset");
-            let outcome = run_flusim_network_traced(
-                mesh,
-                &config(PartitionStrategy::McTl),
-                &model,
-                workers,
-                &pool,
-                Recorder::off(),
-            )
-            .expect("preset prices the graph");
+            let outcome =
+                run_flusim_with(mesh, &config(PartitionStrategy::McTl), Some(&model), &exec)
+                    .expect("preset prices the graph");
             writeln!(
                 out,
                 "{name}/{preset_name} gantt={:016x} xfers={:016x} makespan={}",
@@ -207,12 +203,13 @@ fn emit_fingerprints_for_worker_matrix() {
             )
             .unwrap();
         }
-        let net_portfolio = run_portfolio_network(
+        let net_portfolio = run_portfolio(
             mesh,
             &config(PartitionStrategy::McTl),
-            &parse_preset("uniform:200:2:2").expect("valid preset"),
-            workers,
-        );
+            Some(&parse_preset("uniform:200:2:2").expect("valid preset")),
+            &exec,
+        )
+        .expect("preset prices the graph");
         writeln!(
             out,
             "{name}/net-portfolio board={:016x} winner={} makespan={}",
@@ -259,7 +256,7 @@ fn emit_fingerprints_for_worker_matrix() {
     );
     let mut drifted = sfc_mesh.clone();
     seq_cfg.drift.apply(&mut drifted, 0);
-    let part0 = decompose_par(&drifted, seq_cfg.strategy, N_DOMAINS, SEED, workers);
+    let part0 = decompose_with(&drifted, seq_cfg.strategy, N_DOMAINS, SEED, &exec);
     seq_cfg.drift.apply(&mut drifted, 1);
     let (w, ncon) = strategy_weights(&drifted, seq_cfg.strategy);
     let g = drifted.to_graph().with_vertex_weights(w, ncon);
@@ -279,7 +276,7 @@ fn emit_fingerprints_for_worker_matrix() {
         plan_pairs.len(),
     )
     .unwrap();
-    let seq = repartition_sequence(&sfc_mesh, &seq_cfg, workers);
+    let seq = repartition_sequence(&sfc_mesh, &seq_cfg, &exec);
     writeln!(
         out,
         "cylinder4/repart-seq part={:016x} moved={} volume={}",
