@@ -71,6 +71,22 @@ stage_policy() {
         echo "ERROR: add an argument to the general entry point, not a suffix" >&2
         exit 1
     fi
+    # The partition crate keeps one workspace-taking function per kernel
+    # (the plain allocating twins are gone) plus the two parallel entry
+    # points; a new `_par` / `_ws` / `_traced` name means a second way to
+    # run something that already runs.
+    local allowed='coarsen_ws|extract_subgraph_ws|fm_refine_ws|kway_rebalance_ws'
+    allowed+='|multilevel_bisection_ws|multilevel_kway_ws|pairwise_kway_refine_ws'
+    allowed+='|partition_graph_par|partition_graph_par_traced|rebalance_ws'
+    allowed+='|recursive_bisection_ws|repair_contiguity_traced|repartition_ws'
+    suffixed=$(grep -rnE 'pub fn [a-z0-9_]*(_par|_ws|_traced)[(<]' crates/partition/src |
+        grep -vE "pub fn (${allowed})[(<]" ||
+        true)
+    if [[ -n "$suffixed" ]]; then
+        echo "$suffixed"
+        echo "ERROR: new suffixed twin in crates/partition/src (allow-list in ci.sh)" >&2
+        exit 1
+    fi
     echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points)"
 }
 
@@ -187,13 +203,14 @@ stage_bench() {
     # baselines (at the pre-instrumentation tolerance, deliberately NOT
     # loosened) price the one-relaxed-atomic-branch disabled path into
     # every hot loop they time. The partitioner suite also gates the
-    # fork-join rows (`partition/parallel/MC_TL-w{1,2,4}` and the pairwise
-    # k-way fan-out `partition/parallel/kway-w{1,2,4}`) — on a single-core
-    # runner they bound the fork-join overhead against the sequential
-    # baseline — plus the geometric `partition/sfc/{morton,hilbert}` cost
-    # floor and the incremental repartitioner rows
-    # (`partition/repart/{diffuse,scratch,sequence-w4}`: one diffusion
-    # refresh must undercut the from-scratch MC_TL rebuild it replaces).
+    # fork-join rows (`partition/parallel/MC_TL-w{1,2,4}`) — on a
+    # single-core runner they bound the fork-join overhead against the
+    # sequential baseline — the pairwise k-way refinement
+    # (`partition/parallel/kway-w1`), the geometric
+    # `partition/sfc/{morton,hilbert}` cost floor and the incremental
+    # repartitioner rows (`partition/repart/{diffuse,scratch}`: one
+    # diffusion refresh must undercut the from-scratch MC_TL rebuild it
+    # replaces).
     # With TEMPART_PAPER_SCALE=1 the partitioner suite additionally emits
     # the `partition/paper/*` rows (12.6M-cell SFC runs + the
     # SFC-vs-multilevel race) and checks them against the committed

@@ -4,14 +4,10 @@
 //! (warmup + samples, median/MAD, JSON under `results/`).
 
 use std::hint::black_box;
-use tempart_core::{
-    repartition_sequence, strategy_weights, Exec, PartitionStrategy, RepartMode,
-    RepartSequenceConfig,
-};
+use tempart_core::{strategy_weights, PartitionStrategy};
 use tempart_mesh::{
     cloud_cell_count, cylinder_like, paper_scale_nside, sfc_cloud, GeneratorConfig, MeshCase,
 };
-use tempart_obs::Recorder;
 use tempart_partition::{
     coarsen::coarsen, partition_graph, partition_graph_par, partition_graph_with, repartition_ws,
     sfc_partition, sfc_partition_with, Curve, PartitionConfig, PartitionWorkspace, RepartConfig,
@@ -113,12 +109,12 @@ fn bench_sfc(b: &mut Bencher) {
     }
 }
 
-/// Parallel pairwise k-way refinement on the graded cylinder at k = 16:
-/// the colour-class fan-out measured end to end through
-/// [`partition_graph_par`] with a warm pool. Bit-identical to `w1` at
-/// every width; on single-core runners `w2`/`w4` bound the fork-join and
-/// atomic-slot overhead rather than showing speedup.
-fn bench_parallel_kway(b: &mut Bencher) {
+/// Recursive bisection plus pairwise k-way refinement
+/// (`Scheme::KWayRefined`) on the graded cylinder at k = 16, through
+/// [`partition_graph_par`] with a warm pool. One worker: the refinement
+/// runs one pinned schedule at every width, and the bisection fan-out is
+/// `partition/parallel/MC_TL-w{1,2,4}`.
+fn bench_kway_refined(b: &mut Bencher) {
     let mesh = cylinder_like(&GeneratorConfig { base_depth: 4 });
     let graph = mesh.to_graph();
     let (w, ncon) = strategy_weights(&mesh, PartitionStrategy::McTl);
@@ -127,23 +123,20 @@ fn bench_parallel_kway(b: &mut Bencher) {
         .with_ub(1.10)
         .with_scheme(Scheme::KWayRefined);
     b.set_samples(10);
-    for workers in [1usize, 2, 4] {
-        let pool = WorkspacePool::new(workers);
-        // Warm the pool's arenas once outside the measured region.
-        let _ = partition_graph_par(&g, &cfg, workers, &pool);
-        b.bench(&format!("partition/parallel/kway-w{workers}"), || {
-            black_box(partition_graph_par(black_box(&g), &cfg, workers, &pool))
-        });
-    }
+    let pool = WorkspacePool::new(1);
+    // Warm the pool's arenas once outside the measured region.
+    let _ = partition_graph_par(&g, &cfg, 1, &pool);
+    b.bench("partition/parallel/kway-w1", || {
+        black_box(partition_graph_par(black_box(&g), &cfg, 1, &pool))
+    });
 }
 
 /// The incremental repartitioner against the rebuild it replaces: one
 /// diffusion refresh of a drifted graded-cylinder MC_TL instance
 /// (`repart/diffuse`, warm workspace) versus one from-scratch multilevel
-/// MC_TL partition of the same drifted graph (`repart/scratch`), plus the
-/// end-to-end 4-step drift sequence through the fork-join driver at 4
-/// workers (`repart/sequence-w4`, warm pool). `main` asserts the refresh
-/// undercuts the rebuild — the whole point of repartitioning incrementally.
+/// MC_TL partition of the same drifted graph (`repart/scratch`). `main`
+/// asserts the refresh undercuts the rebuild — the whole point of
+/// repartitioning incrementally.
 fn bench_repart(b: &mut Bencher) {
     let mesh = cylinder_like(&GeneratorConfig { base_depth: 4 });
     let drift = tempart_mesh::DriftConfig::graded_cylinder();
@@ -168,18 +161,6 @@ fn bench_repart(b: &mut Bencher) {
     });
     b.bench("partition/repart/scratch", || {
         black_box(partition_graph_with(black_box(&g1), &mcfg, &mut ws))
-    });
-    let seq_cfg = RepartSequenceConfig::graded_cylinder(
-        16,
-        0x5F4D,
-        4,
-        RepartMode::Diffusion { budget: None },
-    );
-    let pool = WorkspacePool::new(4);
-    let exec = Exec::new(4, &pool, Recorder::off());
-    let _ = repartition_sequence(&mesh, &seq_cfg, &exec);
-    b.bench("partition/repart/sequence-w4", || {
-        black_box(repartition_sequence(black_box(&mesh), &seq_cfg, &exec))
     });
 }
 
@@ -308,7 +289,7 @@ fn main() {
     bench_workspace_reuse(&mut b);
     bench_parallel(&mut b);
     bench_sfc(&mut b);
-    bench_parallel_kway(&mut b);
+    bench_kway_refined(&mut b);
     bench_repart(&mut b);
     bench_coarsening(&mut b);
     bench_paper(&mut b);

@@ -23,17 +23,13 @@
 //!
 //! # Methodology notes
 //!
-//! The `partition/parallel/*` rows (`MC_TL-w{1,2,4}` and the pairwise
-//! k-way fan-out `kway-w{1,2,4}`) measure the *schedule* of a
-//! bit-identical answer, so their meaning depends on the host. On a
-//! single-core CI runner — where the committed baselines are written — the
-//! `w2`/`w4` medians bound fork-join plus atomic-slot overhead and are
-//! expected to sit within the bench-gate tolerance of `w1`, not below it.
-//! The parallel-speedup claim for the k-way rows (colour classes of
-//! independent part pairs refined concurrently, graded cylinder at
-//! k = 16, ≥ 1.3× at `w4`) is a multicore-host claim: rerun the same rows
-//! on a machine with ≥ 4 cores to observe it; the history lines record
-//! which regime a given record came from only through its magnitudes.
+//! The `partition/parallel/MC_TL-w{1,2,4}` rows measure the *schedule* of
+//! a bit-identical answer (the recursive-bisection fan-out), so their
+//! meaning depends on the host. On a single-core CI runner — where the
+//! committed baselines are written — the `w2`/`w4` medians bound fork-join
+//! overhead and are expected to sit within the bench-gate tolerance of
+//! `w1`, not below it; the history lines record which regime a given
+//! record came from only through its magnitudes.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

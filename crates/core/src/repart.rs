@@ -22,14 +22,14 @@ use crate::strategy::{decompose_with, strategy_weights, PartitionStrategy};
 use tempart_graph::{MigrationStats, PartId, PartitionQuality};
 use tempart_mesh::{DriftConfig, Mesh};
 use tempart_partition::{
-    repartition_par, sfc_partition_with, RepartConfig, RepartStats, SfcWorkspace,
+    repartition_ws, sfc_partition_with, RepartConfig, RepartStats, SfcWorkspace,
 };
 
 /// How each drift step restores balance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepartMode {
     /// Incremental diffusion repartitioning
-    /// ([`tempart_partition::repartition_par`]) with an optional migration
+    /// ([`tempart_partition::repartition_ws`]) with an optional migration
     /// budget in migration-volume units.
     Diffusion {
         /// Migration budget per step (`None` = unbounded).
@@ -156,10 +156,11 @@ pub fn default_repart_config(n_domains: usize, ncon: usize, budget: Option<u64>)
 /// `core.repart.{moved,volume}` counters (plus the partitioner's own
 /// `part.repart.*` events in diffusion mode).
 ///
-/// Deterministic and worker-count invariant: every stage is either
-/// driver-side or one of the bit-identical parallel paths
-/// ([`decompose_with`], [`repartition_par`]) on `exec.workers` workers;
-/// `exec.pool` serves every step.
+/// Deterministic and worker-count invariant: the from-scratch partitions
+/// run the bit-identical parallel path ([`decompose_with`]) on
+/// `exec.workers` workers, the diffusion steps run [`repartition_ws`] (one
+/// pinned schedule at every width) on a workspace from `exec.pool`, which
+/// serves every step.
 ///
 /// # Panics
 ///
@@ -201,7 +202,11 @@ pub fn repartition_sequence(
         let stats = match cfg.mode {
             RepartMode::Diffusion { budget } => {
                 let rcfg = default_repart_config(cfg.n_domains, ncon, budget);
-                repartition_par(&g, &mut part, &rcfg, workers, pool, rec)
+                let mut ws = pool.checkout(0);
+                ws.obs = rec.clone();
+                let stats = repartition_ws(&g, &mut part, &rcfg, &mut ws);
+                pool.give_back(0, ws);
+                stats
             }
             RepartMode::Scratch => {
                 part = match (&mut sfc, cfg.strategy) {
@@ -319,5 +324,32 @@ mod tests {
             trace.counter_total("core.repart.moved"),
             out.total_cells_moved() as u64
         );
+    }
+
+    #[test]
+    fn traced_sequence_records_the_same_repart_events_at_every_width() {
+        let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
+        let cfg = small_cfg(RepartMode::Diffusion { budget: None });
+        let repart_events = |workers: usize| {
+            let rec = Recorder::new(1 << 14);
+            let pool = WorkspacePool::new(workers);
+            repartition_sequence(&mesh, &cfg, &Exec::new(workers, &pool, &rec));
+            let trace = rec.take();
+            assert_eq!(trace.dropped, 0);
+            let mut counts = std::collections::BTreeMap::new();
+            for e in trace
+                .events
+                .iter()
+                .filter(|e| e.name.starts_with("part.repart"))
+            {
+                *counts.entry(e.name).or_insert(0u32) += 1;
+            }
+            counts
+        };
+        let base = repart_events(1);
+        // Begin + end of one `part.repart` span per step.
+        assert_eq!(base.get("part.repart"), Some(&(2 * 4)));
+        assert_eq!(base.get("part.repart.moves"), Some(&4));
+        assert_eq!(repart_events(2), base);
     }
 }

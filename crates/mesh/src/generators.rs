@@ -83,11 +83,6 @@ impl MeshCase {
         }
     }
 
-    /// Generates the mesh at its default scale.
-    pub fn generate_default(self) -> Mesh {
-        self.generate(&GeneratorConfig::for_case(self))
-    }
-
     /// Number of refinement stages above the base grid (`max_depth -
     /// base_depth` of the octree build).
     pub fn extra_depth(self) -> u8 {
@@ -150,15 +145,6 @@ pub struct GeneratorConfig {
     /// Uniform octree depth the build starts from; total cell count scales by
     /// roughly `8^base_depth`.
     pub base_depth: u8,
-}
-
-impl GeneratorConfig {
-    /// The default laptop-scale configuration for `case`.
-    pub fn for_case(case: MeshCase) -> Self {
-        Self {
-            base_depth: case.default_base_depth(),
-        }
-    }
 }
 
 fn finish(tree: &Octree, n_levels: u8) -> Mesh {

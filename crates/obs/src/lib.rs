@@ -276,11 +276,6 @@ impl Recorder {
         self.shared.enabled.load(Ordering::Relaxed)
     }
 
-    /// Pauses / resumes recording. Buffered events are kept.
-    pub fn set_enabled(&self, on: bool) {
-        self.shared.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Nanoseconds since this recorder was created (its wall-clock origin).
     pub fn now_ns(&self) -> u64 {
         self.shared.t0.elapsed().as_nanos() as u64

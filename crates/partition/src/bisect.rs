@@ -167,13 +167,7 @@ pub fn extract_subgraph_ws(
     )
 }
 
-/// Recursive bisection into `config.nparts` parts (allocating wrapper
-/// around [`recursive_bisection_ws`]).
-pub fn recursive_bisection(graph: &CsrGraph, config: &PartitionConfig) -> Vec<PartId> {
-    recursive_bisection_ws(graph, config, &mut PartitionWorkspace::new())
-}
-
-/// Workspace-backed [`recursive_bisection`].
+/// Recursive bisection into `config.nparts` parts.
 pub fn recursive_bisection_ws(
     graph: &CsrGraph,
     config: &PartitionConfig,
@@ -345,7 +339,7 @@ mod tests {
     fn recursive_bisection_nonpow2() {
         let g = grid_graph(15, 15);
         let cfg = PartitionConfig::new(5);
-        let part = recursive_bisection(&g, &cfg);
+        let part = recursive_bisection_ws(&g, &cfg, &mut PartitionWorkspace::new());
         let mut counts = vec![0usize; 5];
         for &p in &part {
             counts[p as usize] += 1;
@@ -359,7 +353,7 @@ mod tests {
     fn degenerate_more_parts_than_vertices() {
         let g = grid_graph(2, 2);
         let cfg = PartitionConfig::new(4);
-        let part = recursive_bisection(&g, &cfg);
+        let part = recursive_bisection_ws(&g, &cfg, &mut PartitionWorkspace::new());
         let mut seen: Vec<_> = part.clone();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);

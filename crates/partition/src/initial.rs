@@ -167,24 +167,6 @@ pub fn bisection_cut(graph: &CsrGraph, side: &[u8]) -> i64 {
     cut / 2
 }
 
-/// Grows side 0 greedily from a random seed until every constraint reaches
-/// its target, then returns the attempt.
-///
-/// When the frontier contains no *admissible* vertex (every candidate would
-/// overshoot a constraint target), growth restarts from a fresh admissible
-/// seed — this is what makes multi-constraint one-hot instances solvable and
-/// is also why MC_TL domains may come out disconnected, as the paper notes.
-pub fn grow_bisection(graph: &CsrGraph, frac0: f64, rng: &mut Rng) -> Bisection {
-    let mut ws = crate::PartitionWorkspace::new();
-    let mut side = Vec::new();
-    let (cut, max_norm) = grow_bisection_ws(graph, frac0, rng, &mut ws, &mut side);
-    Bisection {
-        side,
-        cut,
-        max_norm,
-    }
-}
-
 /// Sentinel for "not in the frontier heap".
 const ABSENT: u32 = u32::MAX;
 
@@ -276,9 +258,20 @@ impl GrowHeap {
     }
 }
 
-/// Workspace-backed [`grow_bisection`]: writes the attempt into `side`
-/// (resized to `nvtx`) and returns `(cut, max_norm)`. Allocation-free once
-/// the workspace and `side` have warm capacity.
+/// Grows side 0 greedily from a random seed until every constraint reaches
+/// its target: writes the attempt into `side` (resized to `nvtx`) and returns
+/// `(cut, max_norm)`. Allocation-free once the workspace and `side` have warm
+/// capacity.
+///
+/// When the frontier contains no *admissible* vertex (every candidate would
+/// overshoot a constraint target), growth restarts from a fresh admissible
+/// seed — this is what makes multi-constraint one-hot instances solvable and
+/// is also why MC_TL domains may come out disconnected, as the paper notes.
+///
+/// Kept out of line: it has one non-test caller, and whether the compiler
+/// folds it into `initial_bisection_into` should not decide the machine code
+/// of the initial-partition phase (or hide growth from a profile).
+#[inline(never)]
 pub(crate) fn grow_bisection_ws(
     graph: &CsrGraph,
     frac0: f64,

@@ -1,16 +1,15 @@
-//! Direct k-way partitioning: greedy k-way refinement, and the full
+//! Direct k-way partitioning: k-way balance restoration and the full
 //! multilevel k-way scheme (the `METIS_PartGraphKway` analogue: coarsen the
-//! whole graph once, split the coarsest graph, refine during uncoarsening).
+//! whole graph once, split the coarsest graph, refine pairwise
+//! ([`crate::par_kway`]) during uncoarsening).
 //!
-//! All entry points have `_ws` variants drawing part-weight tables, visit
-//! orders, connection scratch and projection buffers from the
-//! [`PartitionWorkspace`](crate::PartitionWorkspace); the plain functions are
-//! allocating wrappers kept for API stability.
+//! Part-weight tables, connection scratch and projection buffers come from
+//! the caller's [`PartitionWorkspace`].
 
 use crate::coarsen::coarsen_ws;
+use crate::par_kway::pairwise_kway_refine_ws;
 use crate::{PartitionConfig, PartitionWorkspace};
 use tempart_graph::{CsrGraph, PartId};
-use tempart_testkit::rng::Rng;
 
 /// Fills `tot` with the per-constraint weight totals of `graph` (the
 /// allocation-free sibling of [`CsrGraph::total_weights`]).
@@ -24,160 +23,6 @@ pub(crate) fn total_weights_into(graph: &CsrGraph, tot: &mut Vec<i64>) {
             *t += i64::from(vwgt[v * ncon + c]);
         }
     }
-}
-
-/// Greedy k-way boundary refinement (allocating wrapper around
-/// [`kway_refine_ws`]).
-pub fn kway_refine(graph: &CsrGraph, part: &mut [PartId], config: &PartitionConfig) -> usize {
-    kway_refine_ws(graph, part, config, &mut PartitionWorkspace::new())
-}
-
-/// Greedy k-way boundary refinement.
-///
-/// Repeatedly sweeps boundary vertices in random order; each vertex may move
-/// to the neighbouring part with the best positive cut gain, provided the
-/// move does not push any constraint of the target part above its allowance
-/// (average × `ub`) and does not empty the source part.
-///
-/// Returns the number of moves applied.
-pub fn kway_refine_ws(
-    graph: &CsrGraph,
-    part: &mut [PartId],
-    config: &PartitionConfig,
-    ws: &mut PartitionWorkspace,
-) -> usize {
-    let n = graph.nvtx();
-    let k = config.nparts;
-    let ncon = graph.ncon();
-    if n == 0 || k <= 1 {
-        return 0;
-    }
-    // Span opened before the allocation snapshot: forces sink creation so
-    // in-loop emissions (none today, counters below) stay allocation-free.
-    let rec = ws.obs.clone();
-    let _span = rec.span("part.kway", 0, k as u64);
-    let mut rng = Rng::seed_from_u64(config.seed ^ 0x4B57_4159);
-    total_weights_into(graph, &mut ws.kw_tot);
-    // allowance[c]; pw[p*ncon + c].
-    let totals = &mut ws.kw_tot;
-    let pw = &mut ws.kw_pw;
-    pw.clear();
-    pw.resize(k * ncon, 0);
-    let psize = &mut ws.kw_psize;
-    psize.clear();
-    psize.resize(k, 0);
-    for (v, &p) in part.iter().enumerate() {
-        let p = p as usize;
-        psize[p] += 1;
-        let vw = graph.vertex_weights(v as u32);
-        for c in 0..ncon {
-            pw[p * ncon + c] += i64::from(vw[c]);
-        }
-    }
-    let allowance = &mut ws.kw_allow;
-    allowance.clear();
-    allowance.extend((0..ncon).map(|c| totals[c] as f64 / k as f64 * config.ub(c)));
-
-    let order = &mut ws.order;
-    order.clear();
-    order.extend(0..n as u32);
-    let mut moves = 0usize;
-    // Scratch: per-part connection weight for the current vertex.
-    let conn = &mut ws.kw_conn;
-    conn.clear();
-    conn.resize(k, 0);
-    // `touched` can hold at most one entry per part.
-    let touched = &mut ws.kw_touched;
-    touched.clear();
-    touched.reserve(k);
-
-    #[cfg(debug_assertions)]
-    let allocs_at_loop_entry = tempart_testkit::alloc::allocation_count();
-
-    for _pass in 0..config.refine_passes.max(1) {
-        rng.shuffle(order);
-        let mut pass_moves = 0usize;
-        for &v in order.iter() {
-            let pv = part[v as usize] as usize;
-            if psize[pv] <= 1 {
-                continue;
-            }
-            touched.clear();
-            let mut is_boundary = false;
-            for (u, w) in graph.neighbors(v).zip(graph.edge_weights(v)) {
-                let pu = part[u as usize] as usize;
-                if conn[pu] == 0 {
-                    touched.push(pu);
-                }
-                conn[pu] += i64::from(w);
-                if pu != pv {
-                    is_boundary = true;
-                }
-            }
-            if is_boundary {
-                let internal = conn[pv];
-                let vw = graph.vertex_weights(v);
-                let mut best: Option<(i64, usize)> = None;
-                for &p in touched.iter() {
-                    if p == pv {
-                        continue;
-                    }
-                    let gain = conn[p] - internal;
-                    if gain <= 0 {
-                        continue;
-                    }
-                    // Feasibility: target part stays within allowance.
-                    let fits = (0..ncon).all(|c| {
-                        vw[c] == 0
-                            || (pw[p * ncon + c] + i64::from(vw[c])) as f64 <= allowance[c].max(1.0)
-                    });
-                    if fits {
-                        let better = match best {
-                            None => true,
-                            Some((bg, bp)) => gain > bg || (gain == bg && p < bp),
-                        };
-                        if better {
-                            best = Some((gain, p));
-                        }
-                    }
-                }
-                if let Some((_, p)) = best {
-                    for c in 0..ncon {
-                        pw[pv * ncon + c] -= i64::from(vw[c]);
-                        pw[p * ncon + c] += i64::from(vw[c]);
-                    }
-                    psize[pv] -= 1;
-                    psize[p] += 1;
-                    part[v as usize] = p as PartId;
-                    pass_moves += 1;
-                }
-            }
-            for &p in touched.iter() {
-                conn[p] = 0;
-            }
-        }
-        moves += pass_moves;
-        if pass_moves == 0 {
-            break;
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    debug_assert_eq!(
-        tempart_testkit::alloc::allocation_count(),
-        allocs_at_loop_entry,
-        "k-way refinement sweep allocated on the heap"
-    );
-    if rec.enabled() {
-        rec.counter("part.kway.moves", 0, moves as u64);
-    }
-    moves
-}
-
-/// K-way balance restoration (allocating wrapper around
-/// [`kway_rebalance_ws`]).
-pub fn kway_rebalance(graph: &CsrGraph, part: &mut [PartId], config: &PartitionConfig) -> usize {
-    kway_rebalance_ws(graph, part, config, &mut PartitionWorkspace::new())
 }
 
 /// K-way balance restoration: while some `(part, constraint)` load exceeds
@@ -296,12 +141,6 @@ pub fn kway_rebalance_ws(
     moves
 }
 
-/// Full multilevel k-way partitioning (allocating wrapper around
-/// [`multilevel_kway_ws`]).
-pub fn multilevel_kway(graph: &CsrGraph, config: &PartitionConfig) -> Vec<PartId> {
-    multilevel_kway_ws(graph, config, &mut PartitionWorkspace::new())
-}
-
 /// Full multilevel k-way partitioning: one global coarsening pass, an
 /// initial k-way split of the coarsest graph by recursive bisection, then
 /// pairwise k-way refinement ([`crate::par_kway`]) at every uncoarsening
@@ -316,24 +155,6 @@ pub fn multilevel_kway_ws(
     config: &PartitionConfig,
     ws: &mut PartitionWorkspace,
 ) -> Vec<PartId> {
-    multilevel_kway_core(graph, config, ws, &mut |g, part, ws| {
-        crate::par_kway::pairwise_kway_refine_ws(g, part, config, ws);
-    })
-}
-
-/// The multilevel k-way driver with a pluggable per-level refinement pass:
-/// [`multilevel_kway_ws`] refines with the pinned sequential pairwise
-/// schedule, the parallel entry point
-/// ([`crate::partition_graph_par_traced`]) plugs in the fork-join pairwise
-/// driver — everything else (coarsening, initial split, rebalance,
-/// projection) is shared code, so the two are bit-identical whenever the
-/// two refinement passes are.
-pub(crate) fn multilevel_kway_core(
-    graph: &CsrGraph,
-    config: &PartitionConfig,
-    ws: &mut PartitionWorkspace,
-    refine: &mut dyn FnMut(&CsrGraph, &mut [PartId], &mut PartitionWorkspace),
-) -> Vec<PartId> {
     let k = config.nparts;
     if k <= 1 || graph.nvtx() <= 1 {
         return vec![0; graph.nvtx()];
@@ -345,7 +166,7 @@ pub(crate) fn multilevel_kway_core(
 
     let mut part = crate::bisect::recursive_bisection_ws(coarsest, config, ws);
     kway_rebalance_ws(coarsest, &mut part, config, ws);
-    refine(coarsest, &mut part, ws);
+    pairwise_kway_refine_ws(coarsest, &mut part, config, ws);
 
     let mut fine: Vec<PartId> = ws.take_u32();
     for i in (0..hierarchy.levels.len()).rev() {
@@ -360,7 +181,7 @@ pub(crate) fn multilevel_kway_core(
         fine.extend(map.iter().map(|&cv| part[cv as usize]));
         std::mem::swap(&mut part, &mut fine);
         kway_rebalance_ws(fine_graph, &mut part, config, ws);
-        refine(fine_graph, &mut part, ws);
+        pairwise_kway_refine_ws(fine_graph, &mut part, config, ws);
     }
     ws.give_u32(fine);
     ws.give_hierarchy(hierarchy);
@@ -370,44 +191,16 @@ pub(crate) fn multilevel_kway_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bisect::recursive_bisection;
+    use crate::bisect::recursive_bisection_ws;
     use tempart_graph::builder::grid_graph;
     use tempart_graph::{edge_cut, max_imbalance};
-
-    #[test]
-    fn refinement_reduces_cut_of_random_partition() {
-        let g = grid_graph(16, 16);
-        // Deliberately bad: pseudo-random scatter over 4 parts.
-        let mut part: Vec<PartId> = (0..256u64)
-            .map(|v| ((v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 4) as PartId)
-            .collect();
-        let before = edge_cut(&g, &part);
-        let cfg = PartitionConfig::new(4).with_ub(1.15);
-        let moves = kway_refine(&g, &mut part, &cfg);
-        let after = edge_cut(&g, &part);
-        assert!(moves > 0);
-        assert!(after < before, "cut {before} -> {after}");
-        assert!(max_imbalance(&g, &part, 4) <= 1.4);
-    }
-
-    #[test]
-    fn refinement_preserves_part_count() {
-        let g = grid_graph(12, 12);
-        let cfg = PartitionConfig::new(6);
-        let mut part = recursive_bisection(&g, &cfg);
-        kway_refine(&g, &mut part, &cfg);
-        let mut used = [false; 6];
-        for &p in &part {
-            used[p as usize] = true;
-        }
-        assert!(used.iter().all(|&u| u));
-    }
 
     #[test]
     fn multilevel_kway_quality() {
         let g = grid_graph(24, 24);
         let cfg = PartitionConfig::new(8).with_ub(1.10);
-        let part = multilevel_kway(&g, &cfg);
+        let mut ws = PartitionWorkspace::new();
+        let part = multilevel_kway_ws(&g, &cfg, &mut ws);
         let mut used = [false; 8];
         for &p in &part {
             used[p as usize] = true;
@@ -415,7 +208,7 @@ mod tests {
         assert!(used.iter().all(|&u| u), "all parts populated");
         assert!(max_imbalance(&g, &part, 8) <= 1.35);
         // Quality within 2x of full recursive bisection on a grid.
-        let rb = recursive_bisection(&g, &cfg);
+        let rb = recursive_bisection_ws(&g, &cfg, &mut ws);
         assert!(
             edge_cut(&g, &part) <= 2 * edge_cut(&g, &rb),
             "mlkway {} vs rb {}",
@@ -430,7 +223,7 @@ mod tests {
         let g = grid_graph(8, 8);
         let mut part = vec![0 as PartId; 64];
         let cfg = PartitionConfig::new(4).with_ub(1.20);
-        let moves = kway_rebalance(&g, &mut part, &cfg);
+        let moves = kway_rebalance_ws(&g, &mut part, &cfg, &mut PartitionWorkspace::new());
         assert!(moves > 0);
         let imb = max_imbalance(&g, &part, 4);
         assert!(imb <= 1.25, "imbalance {imb} after rebalance");
@@ -445,33 +238,7 @@ mod tests {
         }
         let g2 = g.with_vertex_weights(vwgt, 2);
         let cfg = PartitionConfig::new(4).with_ub(1.15);
-        let part = multilevel_kway(&g2, &cfg);
+        let part = multilevel_kway_ws(&g2, &cfg, &mut PartitionWorkspace::new());
         assert!(max_imbalance(&g2, &part, 4) <= 1.5);
-    }
-
-    #[test]
-    fn kway_refine_shared_workspace_matches_fresh() {
-        let g = grid_graph(16, 16);
-        let cfg = PartitionConfig::new(4).with_ub(1.15);
-        let start: Vec<PartId> = (0..256u64)
-            .map(|v| ((v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 4) as PartId)
-            .collect();
-        let mut ws = PartitionWorkspace::new();
-        let mut a = start.clone();
-        kway_refine_ws(&g, &mut a, &cfg, &mut ws); // warm-up
-        let mut b = start.clone();
-        kway_refine_ws(&g, &mut b, &cfg, &mut ws); // warm reuse
-        let mut c = start.clone();
-        kway_refine(&g, &mut c, &cfg); // fresh
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-    }
-
-    #[test]
-    fn noop_on_single_part() {
-        let g = grid_graph(4, 4);
-        let mut part = vec![0 as PartId; 16];
-        let cfg = PartitionConfig::new(1);
-        assert_eq!(kway_refine(&g, &mut part, &cfg), 0);
     }
 }

@@ -36,13 +36,10 @@ pub use geometric::{
     hilbert_index, morton_index, sfc_partition, sfc_partition_with, Curve, SfcWorkspace,
     SFC_RADIX_CUTOFF,
 };
-pub use kway::{kway_rebalance, multilevel_kway};
 pub use par::{partition_graph_par, partition_graph_par_traced, WorkspacePool};
-pub use par_kway::{colour_pairs, pairwise_kway_refine, pairwise_kway_refine_par};
+pub use par_kway::colour_pairs;
 pub use repair::{repair_contiguity, repair_contiguity_traced, RepairReport};
-pub use repart::{
-    diffusion_plan, repartition, repartition_par, repartition_ws, RepartConfig, RepartStats,
-};
+pub use repart::{diffusion_plan, repartition_ws, RepartConfig, RepartStats};
 pub use workspace::{GainBuckets, PartitionWorkspace};
 
 /// Which k-way scheme to use.
@@ -51,10 +48,11 @@ pub enum Scheme {
     /// Recursive bisection — the method the paper selects ("it produces
     /// higher quality solutions on our meshes").
     RecursiveBisection,
-    /// Recursive bisection followed by a direct k-way refinement pass.
+    /// Recursive bisection followed by a pairwise k-way refinement pass
+    /// ([`par_kway`]).
     KWayRefined,
     /// Full multilevel k-way: one global coarsening, k-way split of the
-    /// coarsest graph, greedy k-way refinement during uncoarsening
+    /// coarsest graph, pairwise k-way refinement during uncoarsening
     /// (the `METIS_PartGraphKway` analogue).
     MultilevelKWay,
 }
@@ -85,15 +83,9 @@ pub struct PartitionConfig {
     pub target_fracs: Option<Vec<f64>>,
     /// Parallel bisection grain: subgraphs at or below this vertex count run
     /// their whole subtree sequentially instead of spawning further
-    /// fork-join jobs, and parallel pairwise k-way refinement falls back to
-    /// the sequential driver below it. Scheduling-only — never affects
-    /// results, only where the fan-out stops.
+    /// fork-join jobs. Scheduling-only — never affects results, only where
+    /// the fan-out stops.
     pub par_seq_cutoff: usize,
-    /// Parallel pairwise k-way refinement grain: the minimum number of
-    /// boundary candidates a colour-class chunk must accumulate before it is
-    /// worth a fork-join task of its own. Scheduling-only — same-colour
-    /// pairs commute, so chunking never affects results.
-    pub pair_grain: usize,
 }
 
 impl PartitionConfig {
@@ -109,7 +101,6 @@ impl PartitionConfig {
             refine_passes: 6,
             target_fracs: None,
             par_seq_cutoff: 512,
-            pair_grain: 256,
         }
     }
 

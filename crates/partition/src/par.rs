@@ -38,7 +38,7 @@
 //! [`Kind::Complete`]: tempart_obs::Kind::Complete
 
 use crate::bisect::{extract_subgraph_ws, multilevel_bisection_ws, split_recursive};
-use crate::{kway, PartitionConfig, PartitionWorkspace, Scheme};
+use crate::{PartitionConfig, PartitionWorkspace, Scheme};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use tempart_graph::{CsrGraph, PartId};
@@ -393,11 +393,10 @@ pub fn partition_graph_par(
 /// more workers the bisection tree fans out as fork-join jobs and `rec`
 /// receives the self-contained `part.par.*` events described in the module
 /// docs. [`Scheme::KWayRefined`] follows the parallel bisection with the
-/// parallel pairwise k-way refinement
-/// ([`crate::par_kway::pairwise_kway_refine_par`], `part.kway.*` events);
-/// [`Scheme::MultilevelKWay`] coarsens and rebalances sequentially on a
-/// pooled workspace but fans the same pairwise refinement out at every
-/// uncoarsening level.
+/// pairwise k-way refinement on its one pinned schedule
+/// ([`crate::par_kway::pairwise_kway_refine_ws`], `part.kway` span and
+/// counters); [`Scheme::MultilevelKWay`] has no bisection tree to fan out
+/// and runs as at one worker.
 ///
 /// # Panics
 ///
@@ -415,7 +414,7 @@ pub fn partition_graph_par_traced(
     if config.nparts == 1 || graph.nvtx() <= 1 {
         return vec![0; graph.nvtx()];
     }
-    if n_workers == 1 {
+    if n_workers == 1 || config.scheme == Scheme::MultilevelKWay {
         // Sequential path on a pooled workspace: identical to
         // `partition_graph_with`, with the caller's recorder installed so
         // the phase-level span tree (single-threaded B/E nesting) appears.
@@ -427,34 +426,14 @@ pub fn partition_graph_par_traced(
     }
     let _span = tempart_obs::span!(rec, "part.par", track = 0, arg = n_workers as u64);
     rec.counter("part.nvtx", 0, graph.nvtx() as u64);
-    match config.scheme {
-        Scheme::MultilevelKWay => {
-            // Coarsening / initial split / rebalance run sequentially on a
-            // pooled workspace; every level's pairwise refinement fans out.
-            let mut ws = pool.checkout(0);
-            ws.obs = rec.clone();
-            let out = kway::multilevel_kway_core(graph, config, &mut ws, &mut |g, part, ws| {
-                if g.nvtx() <= config.par_seq_cutoff {
-                    crate::par_kway::pairwise_kway_refine_ws(g, part, config, ws);
-                } else {
-                    crate::par_kway::pairwise_kway_refine_par(
-                        g, part, config, n_workers, pool, rec,
-                    );
-                }
-            });
-            pool.give_back(0, ws);
-            out
-        }
-        _ => {
-            let mut part = recursive_bisection_par(graph, config, n_workers, pool, rec);
-            if config.scheme == Scheme::KWayRefined {
-                crate::par_kway::pairwise_kway_refine_par(
-                    graph, &mut part, config, n_workers, pool, rec,
-                );
-            }
-            part
-        }
+    let mut part = recursive_bisection_par(graph, config, n_workers, pool, rec);
+    if config.scheme == Scheme::KWayRefined {
+        let mut ws = pool.checkout(0);
+        ws.obs = rec.clone();
+        crate::par_kway::pairwise_kway_refine_ws(graph, &mut part, config, &mut ws);
+        pool.give_back(0, ws);
     }
+    part
 }
 
 #[cfg(test)]
@@ -527,16 +506,41 @@ mod tests {
     }
 
     #[test]
-    fn multilevel_kway_parallel_matches_sequential_forced_fanout() {
-        // Zero cutoff + tiny grain: every level's refinement takes the
-        // parallel driver even on this small instance.
+    fn every_scheme_matches_sequential_with_zero_cutoff() {
+        // Zero cutoff: the bisection tree fans out down to two-leaf nodes
+        // even on this small instance.
         let g = grid_graph(32, 32);
-        let cfg = PartitionConfig {
-            par_seq_cutoff: 0,
-            pair_grain: 4,
-            ..PartitionConfig::new(8).with_scheme(Scheme::MultilevelKWay)
-        };
-        check_all_widths(&g, &cfg);
+        for scheme in [
+            Scheme::RecursiveBisection,
+            Scheme::KWayRefined,
+            Scheme::MultilevelKWay,
+        ] {
+            let cfg = PartitionConfig {
+                par_seq_cutoff: 0,
+                ..PartitionConfig::new(8).with_scheme(scheme)
+            };
+            check_all_widths(&g, &cfg);
+        }
+    }
+
+    #[test]
+    fn traced_kway_refined_run_records_one_kway_span() {
+        let g = grid_graph(40, 40);
+        let cfg = PartitionConfig::new(8).with_scheme(Scheme::KWayRefined);
+        let pool = WorkspacePool::new(2);
+        let rec = Recorder::new(1 << 12);
+        let part = partition_graph_par_traced(&g, &cfg, 2, &pool, &rec);
+        let seq = partition_graph_with(&g, &cfg, &mut PartitionWorkspace::new());
+        assert_eq!(part, seq, "tracing must not perturb the result");
+        let trace = rec.take();
+        assert_eq!(trace.dropped, 0);
+        let named = |name: &str| trace.events.iter().filter(|e| e.name == name).count();
+        // One span = one begin + one end event.
+        assert_eq!(named("part.kway"), 2);
+        for counter in ["part.kway.pairs", "part.kway.colours", "part.kway.moves"] {
+            assert_eq!(named(counter), 1, "{counter}");
+        }
+        assert_eq!(named("part.kway.pair") + named("part.kway.colour"), 0);
     }
 
     #[test]

@@ -1,81 +1,78 @@
-//! Parallel pairwise k-way refinement over an edge-coloured part graph.
+//! Pairwise k-way refinement over an edge-coloured part graph: the pinned
+//! colour-class schedule.
 //!
-//! The global sweep in [`crate::kway::kway_refine_ws`] is inherently
-//! sequential: every move updates shared part weights the next decision
-//! reads. The classic coarse-grained alternative (ParMETIS-style) refines
-//! **part pairs** instead: build the part adjacency graph of the current
-//! partition, greedily edge-colour it in a fixed order, and run all pairs of
-//! one colour class concurrently — pairs in a class share no part, so their
-//! moves commute.
+//! Direct k-way refinement here works on **part pairs**: build the part
+//! adjacency graph of the current partition, greedily edge-colour it in a
+//! fixed order ([`colour_pairs`]), and give every pair one bounded two-way
+//! FM pass, in ascending colour and ascending pair index within a colour.
+//! A pair's pass only moves vertices between its own two parts and only
+//! touches their two weight rows, so a pair's work is proportional to its
+//! boundary, and pairs of one colour (which share no part) cannot see each
+//! other's moves.
 //!
-//! # Determinism contract
+//! # The schedule defines the result
 //!
-//! The parallel driver is **bit-identical** to the pinned sequential pair
-//! schedule (ascending colour, ascending pair index within a colour) at
-//! every worker count, by construction:
-//!
-//! * **Pair list, colouring, candidates** are computed single-threaded by
-//!   the driver between classes — pure functions of the partition state at a
-//!   class barrier.
-//! * **Disjoint writes.** A vertex `v` only ever appears in candidate lists
-//!   of pairs containing its round-start part, and a colour class contains
-//!   at most one such pair — so within a class exactly one task may write
-//!   `v`'s slot, and exactly one task owns the `(p, q)` weight rows.
-//! * **Commuting reads.** A pair task's decisions depend on its candidates'
-//!   current parts and on neighbour membership in `{p, q}`. Concurrent
-//!   same-class tasks only move vertices between *other* parts `{p', q'}`;
-//!   a racy read returns the old or the new value — both outside `{p, q}` —
-//!   so every gain, feasibility and skip decision is unaffected.
-//! * **Fixed-order reduction.** Move counts are commutative sums; part
-//!   weights are written back to disjoint rows; class barriers are fork-join
-//!   joins.
-//!
-//! `tests/par_kway.rs` (crate) and `tests/property_tests.rs` (workspace)
-//! enforce the equivalence for widths 1–4 and k ∈ {4, 8, 16}.
+//! Pair list, colouring and candidate lists are pure functions of the
+//! partition at the start of a round, and the pair order within a round is
+//! fixed — so the refined partition is a pure function of
+//! `(graph, part, config)`, and the colouring is part of that function:
+//! another pair order would be another partition. [`crate::repart`] realizes
+//! its diffusion flows over the same schedule. The schedule runs on the
+//! calling thread at every worker count (DESIGN.md §12 records the
+//! measurement behind that).
 
 use crate::kway::total_weights_into;
-use crate::par::WorkspacePool;
 use crate::{PartitionConfig, PartitionWorkspace};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use tempart_graph::{CsrGraph, PartId};
-use tempart_obs::{Clock, Recorder};
-use tempart_runtime::fork_join;
 
 /// Bounded number of sweeps one pair runs over its candidate list per
 /// round. Two sweeps let first-sweep moves unlock second-sweep gains while
 /// keeping each pair's work proportional to its boundary.
 const PAIR_SWEEPS: usize = 2;
 
-/// Read/write access to the per-vertex part slots, so one monomorphised
-/// decision sequence serves both the sequential driver (`Cell` views of the
-/// caller's part vector) and the parallel driver (relaxed atomics). Shared
-/// with the incremental repartitioner ([`crate::repart`]), which realizes
-/// its diffusion flows over the same colour-class schedule.
-pub(crate) trait PartSlots {
-    fn get(&self, v: u32) -> u32;
-    fn set(&self, v: u32, p: u32);
+/// Rejects a caller-supplied part vector that is not one id below `k` per
+/// vertex of `graph` — the entry check of every function that refines or
+/// repartitions an existing partition.
+///
+/// # Panics
+///
+/// Panics on a length mismatch or an out-of-range id, naming the vertex.
+pub(crate) fn check_part_vector(graph: &CsrGraph, part: &[PartId], k: usize) {
+    assert_eq!(
+        part.len(),
+        graph.nvtx(),
+        "part vector has {} entries for a graph of {} vertices",
+        part.len(),
+        graph.nvtx()
+    );
+    if let Some((v, &p)) = part.iter().enumerate().find(|&(_, &p)| p as usize >= k) {
+        panic!("part[{v}] = {p} is not a part id below nparts = {k}");
+    }
 }
 
-impl PartSlots for [Cell<u32>] {
-    #[inline]
-    fn get(&self, v: u32) -> u32 {
-        self[v as usize].get()
-    }
-    #[inline]
-    fn set(&self, v: u32, p: u32) {
-        self[v as usize].set(p);
-    }
-}
-
-impl PartSlots for [AtomicU32] {
-    #[inline]
-    fn get(&self, v: u32) -> u32 {
-        self[v as usize].load(Ordering::Relaxed)
-    }
-    #[inline]
-    fn set(&self, v: u32, p: u32) {
-        self[v as usize].store(p, Ordering::Relaxed)
+/// Fills the per-constraint totals (`ws.kw_tot`), part weights (`ws.kw_pw`,
+/// `p * ncon + c`) and part populations (`ws.kw_psize`) of a checked part
+/// vector — the tables the pair passes of this module and of
+/// [`crate::repart`] keep up to date.
+pub(crate) fn part_tables(
+    graph: &CsrGraph,
+    part: &[PartId],
+    k: usize,
+    ws: &mut PartitionWorkspace,
+) {
+    let ncon = graph.ncon();
+    total_weights_into(graph, &mut ws.kw_tot);
+    ws.kw_pw.clear();
+    ws.kw_pw.resize(k * ncon, 0);
+    ws.kw_psize.clear();
+    ws.kw_psize.resize(k, 0);
+    for (v, &p) in part.iter().enumerate() {
+        let p = p as usize;
+        ws.kw_psize[p] += 1;
+        let vw = graph.vertex_weights(v as u32);
+        for (c, &w) in vw.iter().enumerate().take(ncon) {
+            ws.kw_pw[p * ncon + c] += i64::from(w);
+        }
     }
 }
 
@@ -83,16 +80,12 @@ impl PartSlots for [AtomicU32] {
 /// unordered `(p, q)` with `p < q` joined by at least one edge, sorted
 /// ascending and deduplicated — the edge list of the part adjacency graph
 /// in the fixed order the colouring consumes.
-pub(crate) fn collect_pairs<S: PartSlots + ?Sized>(
-    graph: &CsrGraph,
-    slots: &S,
-    pairs: &mut Vec<(u32, u32)>,
-) {
+pub(crate) fn collect_pairs(graph: &CsrGraph, part: &[PartId], pairs: &mut Vec<(u32, u32)>) {
     pairs.clear();
     for v in 0..graph.nvtx() as u32 {
-        let pv = slots.get(v);
+        let pv = part[v as usize];
         for u in graph.neighbors(v) {
-            let pu = slots.get(u);
+            let pu = part[u as usize];
             // The reverse edge contributes the (pv > pu) orientation.
             if pu > pv {
                 pairs.push((pv, pu));
@@ -108,10 +101,9 @@ pub(crate) fn collect_pairs<S: PartSlots + ?Sized>(
 /// colour not yet used at either endpoint, in pair order. Writes one colour
 /// per pair into `colours` and returns the number of colours used.
 ///
-/// Pairs sharing a colour are guaranteed part-disjoint (the property the
-/// parallel refinement relies on), and the greedy bound caps the colour
-/// count at `2·Δ − 1` for part-graph degree `Δ`. Deterministic: a pure
-/// function of the pair list.
+/// Pairs sharing a colour are guaranteed part-disjoint, and the greedy bound
+/// caps the colour count at `2·Δ − 1` for part-graph degree `Δ`.
+/// Deterministic: a pure function of the pair list.
 pub fn colour_pairs(pairs: &[(u32, u32)], k: usize, colours: &mut Vec<u32>) -> usize {
     colours.clear();
     colours.resize(pairs.len(), 0);
@@ -148,50 +140,69 @@ pub fn colour_pairs(pairs: &[(u32, u32)], k: usize, colours: &mut Vec<u32>) -> u
     ncolours
 }
 
-/// Builds the colour-class CSR: `class_pairs[class_off[c]..class_off[c+1]]`
-/// lists the pair indices of colour `c`, ascending (counting sort — stable).
-pub(crate) fn build_classes(
+/// Lists the pair indices in schedule order — ascending colour, ascending
+/// pair index within a colour — into `order` (a stable counting sort of
+/// the pairs by colour; `cursor` is its scratch).
+pub(crate) fn schedule_order(
     colours: &[u32],
     ncolours: usize,
-    class_off: &mut Vec<usize>,
-    class_pairs: &mut Vec<u32>,
+    cursor: &mut Vec<usize>,
+    order: &mut Vec<u32>,
 ) {
-    class_off.clear();
-    class_off.resize(ncolours + 1, 0);
+    cursor.clear();
+    cursor.resize(ncolours + 1, 0);
     for &c in colours {
-        class_off[c as usize + 1] += 1;
+        cursor[c as usize + 1] += 1;
     }
     for c in 0..ncolours {
-        class_off[c + 1] += class_off[c];
+        cursor[c + 1] += cursor[c];
     }
-    class_pairs.clear();
-    class_pairs.resize(colours.len(), 0);
-    // Temporary cursors in the upper half of a second pass would need extra
-    // scratch; instead re-derive by a stable scan per colour via cursors
-    // stored in a local copy of the offsets.
-    let mut cursor = class_off.clone();
+    order.clear();
+    order.resize(colours.len(), 0);
     for (i, &c) in colours.iter().enumerate() {
-        class_pairs[cursor[c as usize]] = i as u32;
+        order[cursor[c as usize]] = i as u32;
         cursor[c as usize] += 1;
     }
 }
 
-/// Builds the per-pair candidate CSR: for every pair index `pi`,
-/// `cand[cand_off[pi]..cand_off[pi+1]]` lists (ascending) the vertices that
-/// sit on that pair's boundary — each vertex listed once per *distinct*
-/// adjacent foreign part, under the pair keyed by its own part.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_candidates<S: PartSlots + ?Sized>(
+/// The per-pair boundary candidates of one round, in CSR form over the
+/// round's pair list.
+pub(crate) struct Candidates {
+    /// Fill cursors of the build (scratch).
+    pub(crate) cnt: Vec<usize>,
+    /// `list[off[pi]..off[pi + 1]]` are pair `pi`'s candidates.
+    pub(crate) off: Vec<usize>,
+    /// Candidate vertices, pair by pair, ascending within a pair.
+    pub(crate) list: Vec<u32>,
+}
+
+impl Candidates {
+    /// The vertices on pair `pi`'s boundary, ascending.
+    #[inline]
+    pub(crate) fn of(&self, pi: usize) -> &[u32] {
+        &self.list[self.off[pi]..self.off[pi + 1]]
+    }
+}
+
+/// Builds the per-pair candidate lists: for every pair index `pi`,
+/// `out.of(pi)` lists (ascending) the vertices that sit on that pair's
+/// boundary — each vertex listed once per *distinct* adjacent foreign part,
+/// under the pair keyed by its own part. `conn` / `touched` are per-part
+/// scratch.
+pub(crate) fn build_candidates(
     graph: &CsrGraph,
-    slots: &S,
+    part: &[PartId],
     pairs: &[(u32, u32)],
+    k: usize,
     conn: &mut Vec<i64>,
     touched: &mut Vec<usize>,
-    k: usize,
-    cnt: &mut Vec<usize>,
-    cand_off: &mut Vec<usize>,
-    cand: &mut Vec<u32>,
+    out: &mut Candidates,
 ) {
+    let Candidates {
+        cnt,
+        off: cand_off,
+        list: cand,
+    } = out;
     conn.clear();
     conn.resize(k, 0);
     touched.clear();
@@ -199,9 +210,9 @@ pub(crate) fn build_candidates<S: PartSlots + ?Sized>(
     cnt.resize(pairs.len(), 0);
     let n = graph.nvtx() as u32;
     for v in 0..n {
-        let pv = slots.get(v);
+        let pv = part[v as usize];
         for u in graph.neighbors(v) {
-            let pu = slots.get(u);
+            let pu = part[u as usize];
             if pu != pv && conn[pu as usize] == 0 {
                 conn[pu as usize] = 1;
                 touched.push(pu as usize);
@@ -227,9 +238,9 @@ pub(crate) fn build_candidates<S: PartSlots + ?Sized>(
     cand.clear();
     cand.resize(total, 0);
     for v in 0..n {
-        let pv = slots.get(v);
+        let pv = part[v as usize];
         for u in graph.neighbors(v) {
-            let pu = slots.get(u);
+            let pu = part[u as usize];
             if pu != pv && conn[pu as usize] == 0 {
                 conn[pu as usize] = 1;
                 touched.push(pu as usize);
@@ -250,16 +261,16 @@ pub(crate) fn build_candidates<S: PartSlots + ?Sized>(
 /// [`PAIR_SWEEPS`] times, stopping early after a move-free sweep) and moves
 /// a vertex to the pair's other side when the cut gain is strictly positive,
 /// the target side keeps every constraint within its allowance and the
-/// source side keeps at least one vertex — the exact feasibility rules of
-/// the global sweep. Returns the number of moves applied.
+/// source side keeps at least one vertex. Returns the number of moves
+/// applied.
 ///
 /// Zero-allocation: the loop touches only the caller's slices (enforced by
 /// the armed `debug_assert` below, exercised by
 /// `crates/partition/tests/zero_alloc.rs`).
 #[allow(clippy::too_many_arguments)]
-fn refine_pair<S: PartSlots + ?Sized>(
+fn refine_pair(
     graph: &CsrGraph,
-    slots: &S,
+    part: &mut [PartId],
     cands: &[u32],
     p: u32,
     q: u32,
@@ -276,7 +287,7 @@ fn refine_pair<S: PartSlots + ?Sized>(
     for _sweep in 0..PAIR_SWEEPS {
         let mut sweep_moves = 0u64;
         for &v in cands {
-            let own = slots.get(v);
+            let own = part[v as usize];
             if own != p && own != q {
                 // An earlier colour class already moved it off this pair.
                 continue;
@@ -292,7 +303,7 @@ fn refine_pair<S: PartSlots + ?Sized>(
             let mut conn_own = 0i64;
             let mut conn_other = 0i64;
             for (u, w) in graph.neighbors(v).zip(graph.edge_weights(v)) {
-                let pu = slots.get(u);
+                let pu = part[u as usize];
                 if pu == own {
                     conn_own += i64::from(w);
                 } else if pu == other {
@@ -316,7 +327,7 @@ fn refine_pair<S: PartSlots + ?Sized>(
             }
             *size_own -= 1;
             *size_other += 1;
-            slots.set(v, other);
+            part[v as usize] = other;
             sweep_moves += 1;
         }
         moves += sweep_moves;
@@ -333,23 +344,19 @@ fn refine_pair<S: PartSlots + ?Sized>(
     moves
 }
 
-/// Pairwise k-way refinement (allocating wrapper around
-/// [`pairwise_kway_refine_ws`]).
-pub fn pairwise_kway_refine(
-    graph: &CsrGraph,
-    part: &mut [PartId],
-    config: &PartitionConfig,
-) -> usize {
-    pairwise_kway_refine_ws(graph, part, config, &mut PartitionWorkspace::new())
-}
-
-/// Sequential pairwise k-way refinement: the **pinned pair schedule** the
-/// parallel driver is bit-identical to.
+/// Pairwise k-way refinement of `part` in place, on the pinned schedule.
 ///
 /// Per round (up to `config.refine_passes`, stopping after a move-free
 /// round): collect the boundary part pairs, edge-colour them
 /// ([`colour_pairs`]), then run every pair's bounded two-way pass in
-/// ascending colour / ascending pair order. Returns total moves applied.
+/// ascending colour / ascending pair order. Emits one `part.kway` span and
+/// the `part.kway.{pairs,colours,moves}` counters into `ws.obs`. Returns
+/// total moves applied.
+///
+/// # Panics
+///
+/// Panics if `part` is not one id below `config.nparts` per vertex of
+/// `graph`.
 pub fn pairwise_kway_refine_ws(
     graph: &CsrGraph,
     part: &mut [PartId],
@@ -359,27 +366,14 @@ pub fn pairwise_kway_refine_ws(
     let n = graph.nvtx();
     let k = config.nparts;
     let ncon = graph.ncon();
+    check_part_vector(graph, part, k);
     if n == 0 || k <= 1 {
         return 0;
     }
     let rec = ws.obs.clone();
     let _span = rec.span("part.kway", 0, k as u64);
 
-    // Global part-weight / size / allowance tables — the same derivation as
-    // the global sweep in `kway_refine_ws`.
-    total_weights_into(graph, &mut ws.kw_tot);
-    ws.kw_pw.clear();
-    ws.kw_pw.resize(k * ncon, 0);
-    ws.kw_psize.clear();
-    ws.kw_psize.resize(k, 0);
-    for (v, &p) in part.iter().enumerate() {
-        let p = p as usize;
-        ws.kw_psize[p] += 1;
-        let vw = graph.vertex_weights(v as u32);
-        for (c, &w) in vw.iter().enumerate().take(ncon) {
-            ws.kw_pw[p * ncon + c] += i64::from(w);
-        }
-    }
+    part_tables(graph, part, k, ws);
     ws.kw_allow.clear();
     {
         let totals = &ws.kw_tot;
@@ -389,64 +383,61 @@ pub fn pairwise_kway_refine_ws(
 
     let mut pairs = std::mem::take(&mut ws.pairs);
     let mut colours = ws.take_u32();
-    let mut class_pairs = ws.take_u32();
-    let mut cand = ws.take_u32();
-    let mut class_off = ws.take_usize();
-    let mut cand_cnt = ws.take_usize();
-    let mut cand_off = ws.take_usize();
+    let mut order = ws.take_u32();
+    let list = ws.take_u32();
+    let mut cursor = ws.take_usize();
+    let mut cands = Candidates {
+        cnt: ws.take_usize(),
+        off: ws.take_usize(),
+        list,
+    };
 
-    let slots = Cell::from_mut(&mut *part).as_slice_of_cells();
     let mut total_moves = 0u64;
     let mut total_pairs = 0u64;
     let mut peak_colours = 0u64;
     for _round in 0..config.refine_passes.max(1) {
-        collect_pairs(graph, slots, &mut pairs);
+        collect_pairs(graph, part, &mut pairs);
         if pairs.is_empty() {
             break;
         }
         let ncolours = colour_pairs(&pairs, k, &mut colours);
-        build_classes(&colours, ncolours, &mut class_off, &mut class_pairs);
+        schedule_order(&colours, ncolours, &mut cursor, &mut order);
         build_candidates(
             graph,
-            slots,
+            part,
             &pairs,
+            k,
             &mut ws.kw_conn,
             &mut ws.kw_touched,
-            k,
-            &mut cand_cnt,
-            &mut cand_off,
-            &mut cand,
+            &mut cands,
         );
         total_pairs += pairs.len() as u64;
         peak_colours = peak_colours.max(ncolours as u64);
 
         let mut round_moves = 0u64;
-        for class in 0..ncolours {
-            for &pi in &class_pairs[class_off[class]..class_off[class + 1]] {
-                let pi = pi as usize;
-                let (p, q) = pairs[pi];
-                let cands = &cand[cand_off[pi]..cand_off[pi + 1]];
-                let (pp, qq) = (p as usize, q as usize);
-                let (lo, hi) = ws.kw_pw.split_at_mut(qq * ncon);
-                let pw_p = &mut lo[pp * ncon..(pp + 1) * ncon];
-                let pw_q = &mut hi[..ncon];
-                let mut sp = ws.kw_psize[pp] as i64;
-                let mut sq = ws.kw_psize[qq] as i64;
-                round_moves += refine_pair(
-                    graph,
-                    slots,
-                    cands,
-                    p,
-                    q,
-                    pw_p,
-                    pw_q,
-                    &mut sp,
-                    &mut sq,
-                    &ws.kw_allow,
-                );
-                ws.kw_psize[pp] = sp as usize;
-                ws.kw_psize[qq] = sq as usize;
-            }
+        for &pi in &order {
+            let pi = pi as usize;
+            let (p, q) = pairs[pi];
+            let (pp, qq) = (p as usize, q as usize);
+            let (lo, hi) = ws.kw_pw.split_at_mut(qq * ncon);
+            let pw_p = &mut lo[pp * ncon..(pp + 1) * ncon];
+            let pw_q = &mut hi[..ncon];
+            let mut sp = ws.kw_psize[pp] as i64;
+            let mut sq = ws.kw_psize[qq] as i64;
+            round_moves += refine_pair(
+                graph,
+                part,
+                cands.of(pi),
+                p,
+                q,
+                pw_p,
+                pw_q,
+                &mut sp,
+                &mut sq,
+                &ws.kw_allow,
+            );
+            ws.kw_psize[pp] = sp as usize;
+            ws.kw_psize[qq] = sq as usize;
         }
         total_moves += round_moves;
         if round_moves == 0 {
@@ -456,298 +447,11 @@ pub fn pairwise_kway_refine_ws(
 
     ws.pairs = pairs;
     ws.give_u32(colours);
-    ws.give_u32(class_pairs);
-    ws.give_u32(cand);
-    ws.give_usize(class_off);
-    ws.give_usize(cand_cnt);
-    ws.give_usize(cand_off);
-    if rec.enabled() {
-        rec.counter("part.kway.pairs", 0, total_pairs);
-        rec.counter("part.kway.colours", 0, peak_colours);
-        rec.counter("part.kway.moves", 0, total_moves);
-    }
-    total_moves as usize
-}
-
-/// One parallel task: a contiguous chunk of same-colour pairs. Each pair
-/// loads its two (exclusively owned) weight rows into the leased workspace,
-/// runs the shared [`refine_pair`] pass against the atomic part slots, and
-/// stores the rows back — disjoint writes, so the class outcome equals the
-/// pinned sequential order.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    graph: &CsrGraph,
-    slots: &[AtomicU32],
-    pw: &[AtomicI64],
-    psize: &[AtomicI64],
-    allowance: &[f64],
-    pairs: &[(u32, u32)],
-    cand: &[u32],
-    cand_off: &[usize],
-    cls: &[u32],
-    class: usize,
-    worker: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
-    moves: &AtomicU64,
-) {
-    let ncon = graph.ncon();
-    let mut ws = pool.checkout(worker);
-    ws.kw_pw.clear();
-    ws.kw_pw.resize(2 * ncon, 0);
-    let trace = rec.enabled();
-    for &pi in cls {
-        let pi = pi as usize;
-        let t0 = if trace { rec.now_ns() } else { 0 };
-        let (p, q) = pairs[pi];
-        let cands = &cand[cand_off[pi]..cand_off[pi + 1]];
-        let (pp, qq) = (p as usize, q as usize);
-        let (row_p, row_q) = ws.kw_pw.split_at_mut(ncon);
-        for c in 0..ncon {
-            row_p[c] = pw[pp * ncon + c].load(Ordering::Relaxed);
-            row_q[c] = pw[qq * ncon + c].load(Ordering::Relaxed);
-        }
-        let mut sp = psize[pp].load(Ordering::Relaxed);
-        let mut sq = psize[qq].load(Ordering::Relaxed);
-        let m = refine_pair(
-            graph, slots, cands, p, q, row_p, row_q, &mut sp, &mut sq, allowance,
-        );
-        if m != 0 {
-            for c in 0..ncon {
-                pw[pp * ncon + c].store(row_p[c], Ordering::Relaxed);
-                pw[qq * ncon + c].store(row_q[c], Ordering::Relaxed);
-            }
-            psize[pp].store(sp, Ordering::Relaxed);
-            psize[qq].store(sq, Ordering::Relaxed);
-            moves.fetch_add(m, Ordering::Relaxed);
-        }
-        if trace {
-            let dur = rec.now_ns().saturating_sub(t0);
-            rec.complete_at(
-                Clock::Wall,
-                "part.kway.pair",
-                worker as u32,
-                t0,
-                dur,
-                pi as u64,
-                class as u64,
-            );
-        }
-    }
-    pool.give_back(worker, ws);
-}
-
-/// Parallel pairwise k-way refinement on the fork-join pool — bit-identical
-/// to [`pairwise_kway_refine_ws`] at every worker count (see the module docs
-/// for the argument).
-///
-/// The driver colours and plans single-threaded between colour classes; a
-/// class whose pairs accumulate at least `config.pair_grain` boundary
-/// candidates per chunk fans its chunks out as fork-join tasks (each leasing
-/// a workspace from `pool`), otherwise it runs inline. Emits one
-/// `part.kway.colour` complete event per class (a = colour, b = pair count)
-/// and one `part.kway.pair` event per pair (a = pair index, b = colour) plus
-/// the `part.kway.{pairs,colours,moves}` counters. Returns total moves.
-///
-/// # Panics
-///
-/// Panics if `n_workers == 0`.
-pub fn pairwise_kway_refine_par(
-    graph: &CsrGraph,
-    part: &mut [PartId],
-    config: &PartitionConfig,
-    n_workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
-) -> usize {
-    assert!(n_workers >= 1, "need at least one worker");
-    let n = graph.nvtx();
-    let k = config.nparts;
-    let ncon = graph.ncon();
-    if n == 0 || k <= 1 {
-        return 0;
-    }
-    if n_workers == 1 || n <= config.par_seq_cutoff {
-        // Too small to fan out: run the pinned schedule directly (identical
-        // result by the equivalence contract, cheaper by construction).
-        let mut ws = pool.checkout(0);
-        ws.obs = rec.clone();
-        let moves = pairwise_kway_refine_ws(graph, part, config, &mut ws);
-        pool.give_back(0, ws);
-        return moves;
-    }
-    let _span = rec.span("part.kway", 0, k as u64);
-
-    let slots: Vec<AtomicU32> = part.iter().map(|&p| AtomicU32::new(p)).collect();
-    let mut pw_init = vec![0i64; k * ncon];
-    let mut psize_init = vec![0i64; k];
-    for (v, &p) in part.iter().enumerate() {
-        let p = p as usize;
-        psize_init[p] += 1;
-        let vw = graph.vertex_weights(v as u32);
-        for c in 0..ncon {
-            pw_init[p * ncon + c] += i64::from(vw[c]);
-        }
-    }
-    let pw: Vec<AtomicI64> = pw_init.into_iter().map(AtomicI64::new).collect();
-    let psize: Vec<AtomicI64> = psize_init.into_iter().map(AtomicI64::new).collect();
-    let mut dws = pool.checkout(0);
-    total_weights_into(graph, &mut dws.kw_tot);
-    let allowance: Vec<f64> = (0..ncon)
-        .map(|c| dws.kw_tot[c] as f64 / k as f64 * config.ub(c))
-        .collect();
-
-    let mut pairs = std::mem::take(&mut dws.pairs);
-    let mut colours = dws.take_u32();
-    let mut class_pairs = dws.take_u32();
-    let mut cand = dws.take_u32();
-    let mut class_off = dws.take_usize();
-    let mut cand_cnt = dws.take_usize();
-    let mut cand_off = dws.take_usize();
-    let mut chunks: Vec<(usize, usize)> = Vec::new();
-
-    let mut total_moves = 0u64;
-    let mut total_pairs = 0u64;
-    let mut peak_colours = 0u64;
-    let grain = config.pair_grain.max(1);
-    for _round in 0..config.refine_passes.max(1) {
-        // Between classes only the driver thread runs; fork-join joins give
-        // it a happens-before view of every task's relaxed stores.
-        collect_pairs(graph, slots.as_slice(), &mut pairs);
-        if pairs.is_empty() {
-            break;
-        }
-        let ncolours = colour_pairs(&pairs, k, &mut colours);
-        build_classes(&colours, ncolours, &mut class_off, &mut class_pairs);
-        build_candidates(
-            graph,
-            slots.as_slice(),
-            &pairs,
-            &mut dws.kw_conn,
-            &mut dws.kw_touched,
-            k,
-            &mut cand_cnt,
-            &mut cand_off,
-            &mut cand,
-        );
-        total_pairs += pairs.len() as u64;
-        peak_colours = peak_colours.max(ncolours as u64);
-
-        let round_moves = AtomicU64::new(0);
-        for class in 0..ncolours {
-            let cls = &class_pairs[class_off[class]..class_off[class + 1]];
-            let t0 = if rec.enabled() { rec.now_ns() } else { 0 };
-            // Chunk consecutive pairs until each chunk carries at least
-            // `pair_grain` candidates; a single-chunk class is not worth a
-            // fork-join scope and runs inline on the driver.
-            chunks.clear();
-            let mut start = 0usize;
-            let mut acc = 0usize;
-            for (i, &pi) in cls.iter().enumerate() {
-                let pi = pi as usize;
-                acc += cand_off[pi + 1] - cand_off[pi];
-                if acc >= grain {
-                    chunks.push((start, i + 1));
-                    start = i + 1;
-                    acc = 0;
-                }
-            }
-            if start < cls.len() {
-                chunks.push((start, cls.len()));
-            }
-            if chunks.len() <= 1 {
-                run_chunk(
-                    graph,
-                    &slots,
-                    &pw,
-                    &psize,
-                    &allowance,
-                    &pairs,
-                    &cand,
-                    &cand_off,
-                    cls,
-                    class,
-                    0,
-                    pool,
-                    rec,
-                    &round_moves,
-                );
-            } else {
-                let (slots_r, pw_r, psize_r) = (&slots, &pw, &psize);
-                let (allowance_r, pairs_r, cand_r, cand_off_r) =
-                    (&allowance, &pairs, &cand, &cand_off);
-                let (chunks_r, moves_r) = (&chunks, &round_moves);
-                fork_join(n_workers.min(chunks.len()), move |ctx| {
-                    for &(s, e) in &chunks_r[1..] {
-                        ctx.spawn(move |c| {
-                            run_chunk(
-                                graph,
-                                slots_r,
-                                pw_r,
-                                psize_r,
-                                allowance_r,
-                                pairs_r,
-                                cand_r,
-                                cand_off_r,
-                                &cls[s..e],
-                                class,
-                                c.worker_index(),
-                                pool,
-                                rec,
-                                moves_r,
-                            );
-                        });
-                    }
-                    let (s, e) = chunks_r[0];
-                    run_chunk(
-                        graph,
-                        slots_r,
-                        pw_r,
-                        psize_r,
-                        allowance_r,
-                        pairs_r,
-                        cand_r,
-                        cand_off_r,
-                        &cls[s..e],
-                        class,
-                        ctx.worker_index(),
-                        pool,
-                        rec,
-                        moves_r,
-                    );
-                });
-            }
-            if rec.enabled() {
-                let dur = rec.now_ns().saturating_sub(t0);
-                rec.complete_at(
-                    Clock::Wall,
-                    "part.kway.colour",
-                    0,
-                    t0,
-                    dur,
-                    class as u64,
-                    cls.len() as u64,
-                );
-            }
-        }
-        let round_moves = round_moves.into_inner();
-        total_moves += round_moves;
-        if round_moves == 0 {
-            break;
-        }
-    }
-
-    for (dst, s) in part.iter_mut().zip(&slots) {
-        *dst = s.load(Ordering::Relaxed);
-    }
-    dws.pairs = pairs;
-    dws.give_u32(colours);
-    dws.give_u32(class_pairs);
-    dws.give_u32(cand);
-    dws.give_usize(class_off);
-    dws.give_usize(cand_cnt);
-    dws.give_usize(cand_off);
-    pool.give_back(0, dws);
+    ws.give_u32(order);
+    ws.give_u32(cands.list);
+    ws.give_usize(cursor);
+    ws.give_usize(cands.cnt);
+    ws.give_usize(cands.off);
     if rec.enabled() {
         rec.counter("part.kway.pairs", 0, total_pairs);
         rec.counter("part.kway.colours", 0, peak_colours);
@@ -768,15 +472,18 @@ mod tests {
             .collect()
     }
 
+    fn refine(g: &CsrGraph, part: &mut [PartId], cfg: &PartitionConfig) -> usize {
+        pairwise_kway_refine_ws(g, part, cfg, &mut PartitionWorkspace::new())
+    }
+
     #[test]
     fn colouring_is_valid_and_deterministic() {
         // Part graph of a scattered 4-part partition on a grid: every pair
         // of parts is adjacent (K4 needs >= 3 colours).
         let g = grid_graph(16, 16);
-        let mut part = scattered(256, 4);
-        let slots = Cell::from_mut(&mut part[..]).as_slice_of_cells();
+        let part = scattered(256, 4);
         let mut pairs = Vec::new();
-        collect_pairs(&g, slots, &mut pairs);
+        collect_pairs(&g, &part, &mut pairs);
         assert!(!pairs.is_empty());
         let mut colours = Vec::new();
         let nc = colour_pairs(&pairs, 4, &mut colours);
@@ -798,6 +505,13 @@ mod tests {
         let mut colours2 = Vec::new();
         assert_eq!(colour_pairs(&pairs, 4, &mut colours2), nc);
         assert_eq!(colours, colours2);
+        // The schedule lists every pair once, colours ascending, pair
+        // indices ascending within a colour.
+        let (mut cursor, mut order) = (Vec::new(), Vec::new());
+        schedule_order(&colours, nc, &mut cursor, &mut order);
+        let keys: Vec<(u32, u32)> = order.iter().map(|&pi| (colours[pi as usize], pi)).collect();
+        assert_eq!(keys.len(), pairs.len());
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
     }
 
     #[test]
@@ -806,40 +520,11 @@ mod tests {
         let mut part = scattered(256, 4);
         let before = edge_cut(&g, &part);
         let cfg = PartitionConfig::new(4).with_ub(1.15);
-        let moves = pairwise_kway_refine(&g, &mut part, &cfg);
+        let moves = refine(&g, &mut part, &cfg);
         let after = edge_cut(&g, &part);
         assert!(moves > 0);
         assert!(after < before, "cut {before} -> {after}");
         assert!(max_imbalance(&g, &part, 4) <= 1.4);
-    }
-
-    #[test]
-    fn parallel_matches_pinned_sequential_schedule() {
-        let g = grid_graph(40, 40);
-        for k in [4usize, 8, 16] {
-            let start = scattered(1600, k as u64);
-            let cfg = PartitionConfig {
-                // Force the parallel driver even on this small graph.
-                par_seq_cutoff: 0,
-                pair_grain: 8,
-                ..PartitionConfig::new(k).with_ub(1.15)
-            };
-            let mut seq = start.clone();
-            pairwise_kway_refine_ws(&g, &mut seq, &cfg, &mut PartitionWorkspace::new());
-            for workers in [1usize, 2, 3, 4] {
-                let pool = WorkspacePool::new(workers);
-                let mut par = start.clone();
-                let m =
-                    pairwise_kway_refine_par(&g, &mut par, &cfg, workers, &pool, Recorder::off());
-                assert_eq!(par, seq, "k={k} workers={workers}");
-                // Warm pool: capacity, not state.
-                let mut par2 = start.clone();
-                let m2 =
-                    pairwise_kway_refine_par(&g, &mut par2, &cfg, workers, &pool, Recorder::off());
-                assert_eq!(par2, seq, "k={k} workers={workers} warm");
-                assert_eq!(m, m2);
-            }
-        }
     }
 
     #[test]
@@ -853,7 +538,7 @@ mod tests {
         let mut b = start.clone();
         pairwise_kway_refine_ws(&g, &mut b, &cfg, &mut ws);
         let mut c = start.clone();
-        pairwise_kway_refine(&g, &mut c, &cfg);
+        refine(&g, &mut c, &cfg);
         assert_eq!(a, b);
         assert_eq!(a, c);
     }
@@ -862,56 +547,22 @@ mod tests {
     fn noop_on_single_part() {
         let g = grid_graph(4, 4);
         let mut part = vec![0 as PartId; 16];
-        let cfg = PartitionConfig::new(1);
-        assert_eq!(pairwise_kway_refine(&g, &mut part, &cfg), 0);
-        let pool = WorkspacePool::new(1);
-        assert_eq!(
-            pairwise_kway_refine_par(&g, &mut part, &cfg, 2, &pool, Recorder::off()),
-            0
-        );
+        assert_eq!(refine(&g, &mut part, &PartitionConfig::new(1)), 0);
     }
 
     #[test]
-    fn traced_parallel_run_emits_colour_and_pair_events() {
-        let g = grid_graph(40, 40);
-        let cfg = PartitionConfig {
-            par_seq_cutoff: 0,
-            pair_grain: 8,
-            ..PartitionConfig::new(8).with_ub(1.15)
-        };
-        let start = scattered(1600, 8);
-        let mut seq = start.clone();
-        pairwise_kway_refine_ws(&g, &mut seq, &cfg, &mut PartitionWorkspace::new());
-        let pool = WorkspacePool::new(2);
-        let rec = Recorder::new(1 << 14);
-        let mut par = start.clone();
-        pairwise_kway_refine_par(&g, &mut par, &cfg, 2, &pool, &rec);
-        assert_eq!(par, seq, "tracing must not perturb the result");
-        let trace = rec.take();
-        assert_eq!(trace.dropped, 0);
-        let colour_events: Vec<_> = trace
-            .events
-            .iter()
-            .filter(|e| e.name == "part.kway.colour")
-            .collect();
-        let pair_events: Vec<_> = trace
-            .events
-            .iter()
-            .filter(|e| e.name == "part.kway.pair")
-            .collect();
-        assert!(
-            !colour_events.is_empty(),
-            "expected part.kway.colour events"
-        );
-        assert!(!pair_events.is_empty(), "expected part.kway.pair events");
-        // Per-class pair counts must match the colour events' b argument.
-        let per_class_total: u64 = colour_events.iter().map(|e| e.b).sum();
-        assert_eq!(per_class_total, pair_events.len() as u64);
-        // Each pair event's colour (b) refers to an emitted class id (a).
-        for pe in &pair_events {
-            assert!(colour_events.iter().any(|ce| ce.a == pe.b));
-        }
-        assert!(trace.last_counter("part.kway.pairs").unwrap_or(0) > 0);
-        assert!(trace.last_counter("part.kway.colours").unwrap_or(0) > 0);
+    #[should_panic(expected = "part vector has 15 entries for a graph of 16 vertices")]
+    fn short_part_vector_rejected() {
+        let g = grid_graph(4, 4);
+        refine(&g, &mut [0; 15], &PartitionConfig::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "part[5] = 2 is not a part id below nparts = 2")]
+    fn out_of_range_part_id_rejected() {
+        let g = grid_graph(4, 4);
+        let mut part = vec![0 as PartId; 16];
+        part[5] = 2;
+        refine(&g, &mut part, &PartitionConfig::new(2));
     }
 }

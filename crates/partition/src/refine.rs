@@ -43,19 +43,6 @@ fn cut_and_max_abs_gain(graph: &CsrGraph, side: &[u8]) -> (i64, i64) {
     (cut2 / 2, m)
 }
 
-/// One FM refinement driver for a 0/1 bisection (allocating wrapper around
-/// [`fm_refine_ws`]; prefer the workspace variant in loops).
-pub fn fm_refine(graph: &CsrGraph, side: &mut [u8], frac0: f64, ub: f64, max_passes: usize) -> i64 {
-    fm_refine_ws(
-        graph,
-        side,
-        frac0,
-        ub,
-        max_passes,
-        &mut PartitionWorkspace::new(),
-    )
-}
-
 /// One FM refinement driver for a 0/1 bisection.
 ///
 /// Runs up to `max_passes` passes; each pass tentatively moves every vertex
@@ -242,12 +229,6 @@ pub fn fm_refine_ws(
     cut
 }
 
-/// Restores balance of a bisection that violates the tolerance (allocating
-/// wrapper around [`rebalance_ws`]).
-pub fn rebalance(graph: &CsrGraph, side: &mut [u8], frac0: f64, ub: f64) -> usize {
-    rebalance_ws(graph, side, frac0, ub, &mut PartitionWorkspace::new())
-}
-
 /// Restores balance of a bisection that violates the tolerance.
 ///
 /// While some `(side, constraint)` load exceeds `ub`, the pass moves the
@@ -415,7 +396,7 @@ mod tests {
         let g = grid_graph(8, 8);
         let mut side: Vec<u8> = (0..64).map(|v| (v % 2) as u8).collect();
         let before = bisection_cut(&g, &side);
-        let after = fm_refine(&g, &mut side, 0.5, 1.05, 10);
+        let after = fm_refine_ws(&g, &mut side, 0.5, 1.05, 10, &mut PartitionWorkspace::new());
         assert!(after < before, "cut {before} -> {after}");
         assert_eq!(after, bisection_cut(&g, &side), "returned cut consistent");
         let n0 = side.iter().filter(|&&s| s == 0).count();
@@ -428,7 +409,7 @@ mod tests {
         let mut side: Vec<u8> = (0..64).map(|v| u8::from(v % 8 >= 4)).collect();
         let before = bisection_cut(&g, &side);
         assert_eq!(before, 8);
-        let after = fm_refine(&g, &mut side, 0.5, 1.05, 10);
+        let after = fm_refine_ws(&g, &mut side, 0.5, 1.05, 10, &mut PartitionWorkspace::new());
         assert!(after <= before);
     }
 
@@ -439,7 +420,7 @@ mod tests {
         // the balance rule lets it escape.
         let g = grid_graph(6, 6);
         let mut side = vec![0u8; 36];
-        let _ = fm_refine(&g, &mut side, 0.5, 1.10, 20);
+        let _ = fm_refine_ws(&g, &mut side, 0.5, 1.10, 20, &mut PartitionWorkspace::new());
         let n0 = side.iter().filter(|&&s| s == 0).count();
         assert!((13..=23).contains(&n0), "rebalanced: {n0}");
     }
@@ -454,7 +435,7 @@ mod tests {
         let g2 = g.with_vertex_weights(vwgt, 2);
         // Horizontal split balances both classes.
         let mut side: Vec<u8> = (0..64).map(|v| u8::from(v / 8 >= 4)).collect();
-        let _ = fm_refine(&g2, &mut side, 0.5, 1.1, 10);
+        let _ = fm_refine_ws(&g2, &mut side, 0.5, 1.1, 10, &mut PartitionWorkspace::new());
         let w = SideWeights::measure(&g2, &side, 0.5);
         assert!(w.max_norm() <= 1.12, "norm {}", w.max_norm());
     }
@@ -470,7 +451,7 @@ mod tests {
         let mut b = start.clone();
         let cb = fm_refine_ws(&g, &mut b, 0.5, 1.05, 6, &mut ws);
         let mut c = start.clone();
-        let cc = fm_refine(&g, &mut c, 0.5, 1.05, 6);
+        let cc = fm_refine_ws(&g, &mut c, 0.5, 1.05, 6, &mut PartitionWorkspace::new());
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(ca, cb);
@@ -481,7 +462,7 @@ mod tests {
     fn rebalance_fixes_violation_without_full_scans() {
         let g = grid_graph(10, 10);
         let mut side = vec![0u8; 100];
-        let moves = rebalance(&g, &mut side, 0.5, 1.10);
+        let moves = rebalance_ws(&g, &mut side, 0.5, 1.10, &mut PartitionWorkspace::new());
         assert!(moves > 0);
         let w = SideWeights::measure(&g, &side, 0.5);
         assert!(w.max_norm() <= 1.10 + 1e-9, "norm {}", w.max_norm());
@@ -502,7 +483,7 @@ mod tests {
         }
         let g2 = g.with_vertex_weights(vwgt, 2);
         let mut side: Vec<u8> = (0..64).map(|v| u8::from(v % 8 >= 6)).collect();
-        let moves = rebalance(&g2, &mut side, 0.5, 1.25);
+        let moves = rebalance_ws(&g2, &mut side, 0.5, 1.25, &mut PartitionWorkspace::new());
         assert!(moves > 0);
         let w = SideWeights::measure(&g2, &side, 0.5);
         assert!(w.max_norm() <= 1.25 + 1e-9, "norm {}", w.max_norm());
@@ -521,6 +502,9 @@ mod tests {
     fn refine_empty_graph() {
         let g = GraphBuilder::new(0, 1).build();
         let mut side: Vec<u8> = Vec::new();
-        assert_eq!(fm_refine(&g, &mut side, 0.5, 1.05, 3), 0);
+        assert_eq!(
+            fm_refine_ws(&g, &mut side, 0.5, 1.05, 3, &mut PartitionWorkspace::new()),
+            0
+        );
     }
 }

@@ -16,7 +16,7 @@
 //!    constraint already within its allowance — so an undrifted mesh yields
 //!    an empty plan and **zero moves**.
 //! 2. **Move realization**: flows are realized by boundary-cell moves over
-//!    the exact colour-class schedule of [`crate::par_kway`] — collect the
+//!    the pinned colour-class schedule of [`crate::par_kway`] — collect the
 //!    boundary pairs, edge-colour them, and run one bounded transfer per
 //!    pair ([`GainBuckets`]-ordered: among cells whose move reduces the
 //!    pair's remaining flow, the smallest cut damage goes first). Cells move
@@ -27,42 +27,35 @@
 //!    solve + realization repeats (up to [`RepartConfig::realize_rounds`])
 //!    until the plan is empty or a round moves nothing.
 //!
-//! # Determinism contract
+//! # Realization and determinism
 //!
-//! [`repartition_par`] is **bit-identical** to the pinned sequential
-//! schedule of [`repartition_ws`] (ascending colour, ascending pair index)
-//! at every worker count, by the same argument as the pairwise k-way
-//! refinement it borrows its schedule from: pair lists, colours, candidate
-//! lists and the diffusion solve are driver-side pure functions of the
-//! round-start partition; each pair task exclusively owns its two part-load
-//! rows **and its flow row**; and concurrent same-class tasks only move
-//! vertices between other parts, which the gain/benefit/allowance decisions
-//! never read. The migration budget is applied by **scaling the flow plan
-//! at the round barrier** — never by a shared in-loop counter, which would
-//! make the outcome schedule-dependent.
+//! Pair lists, colours, candidate lists and the diffusion solve are pure
+//! functions of the round-start partition, and the pairs of a round run in
+//! one fixed order (ascending colour, ascending pair index), each owning
+//! its two part-load rows and its flow row — so the refreshed partition is
+//! a pure function of `(graph, part, config)`, whatever the worker count of
+//! the surrounding pipeline. The migration budget is applied by **scaling
+//! the flow plan between rounds**, never by a counter inside a pair's
+//! transfer.
 //!
 //! `tests/property_repart.rs` (workspace root) enforces the ceiling,
-//! zero-drift, budget, warm-workspace and width-equivalence properties;
+//! zero-drift, budget, warm-workspace and width-invariance properties;
 //! `ci.sh worker-matrix` diffs `repart-*` fingerprint rows across process
 //! worker counts.
 
-use crate::kway::total_weights_into;
-use crate::par::WorkspacePool;
-use crate::par_kway::{build_candidates, build_classes, collect_pairs, colour_pairs, PartSlots};
+use crate::par_kway::{
+    build_candidates, check_part_vector, collect_pairs, colour_pairs, part_tables, schedule_order,
+    Candidates,
+};
 use crate::workspace::GainBuckets;
 use crate::{PartitionConfig, PartitionWorkspace};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use tempart_graph::{CsrGraph, PartId};
-use tempart_obs::Recorder;
-use tempart_runtime::fork_join;
 
 /// Configuration of the incremental repartitioner.
 #[derive(Debug, Clone)]
 pub struct RepartConfig {
     /// Shared partitioner knobs: part count, per-constraint allowance
-    /// (`ubvec`), optional per-part target fractions, and the scheduling
-    /// grains (`par_seq_cutoff`, `pair_grain`) the parallel driver reuses.
+    /// (`ubvec`) and optional per-part target fractions.
     pub base: PartitionConfig,
     /// Jacobi sweeps of the diffusion solve per round. The solve runs on
     /// the *part* graph (k vertices), so generous pass counts are cheap;
@@ -102,12 +95,6 @@ impl RepartConfig {
         self
     }
 
-    /// Overrides the per-constraint tolerance vector.
-    pub fn with_ubvec(mut self, ubvec: Vec<f64>) -> Self {
-        self.base.ubvec = ubvec;
-        self
-    }
-
     /// Sets the migration budget (see [`RepartConfig::migration_budget`]).
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.migration_budget = Some(budget);
@@ -115,7 +102,7 @@ impl RepartConfig {
     }
 }
 
-/// What one [`repartition_ws`] / [`repartition_par`] call did.
+/// What one [`repartition_ws`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepartStats {
     /// Number of cell moves applied (a cell moved twice counts twice, so
@@ -154,7 +141,7 @@ fn build_allowance(tot: &[i64], k: usize, ncon: usize, base: &PartitionConfig, o
 }
 
 /// The diffusion solve of one round: writes one quantized flow target per
-/// (pair, constraint) into `flow` (`pairs.len() * ncon`, positive = weight
+/// (pair, constraint) into `plan.flow` (`pairs.len() * ncon`, positive = weight
 /// should move `p → q` for the pair `(p, q)` with `p < q`). Constraints
 /// whose every part already sits within its allowance (the deadband) and
 /// constraints with zero total weight contribute no flow. Returns `true`
@@ -164,26 +151,30 @@ fn build_allowance(tot: &[i64], k: usize, ncon: usize, base: &PartitionConfig, o
 /// computed from the same load snapshot, then applied) in pair-list order,
 /// with the classic stable step `λ = 1 / (maxdeg + 1)` of the part graph.
 ///
-/// `realize` is the per-(pair, constraint) realizability mask from
+/// `plan.realize` is the per-(pair, constraint) realizability mask from
 /// [`realizable_mask`] (bit 0: some `p`-side boundary cell carries weight
 /// in `c`, bit 1: some `q`-side cell does) — it steers the sub-cell flow
 /// promotion toward pairs whose boundary can actually move that
 /// constraint.
-#[allow(clippy::too_many_arguments)]
 fn diffusion_flows(
-    pairs: &[(u32, u32)],
+    plan: &mut RoundPlan,
     k: usize,
     ncon: usize,
     pw: &[i64],
     tot: &[i64],
-    allow: &[f64],
-    realize: &[u8],
     config: &RepartConfig,
-    flow: &mut Vec<i64>,
-    x: &mut Vec<f64>,
-    facc: &mut Vec<f64>,
-    fstep: &mut Vec<f64>,
 ) -> bool {
+    let RoundPlan {
+        pairs,
+        allow,
+        realize,
+        flow,
+        x,
+        facc,
+        fstep,
+        ..
+    } = plan;
+    let (pairs, allow, realize) = (&*pairs, &*allow, &*realize);
     flow.clear();
     flow.resize(pairs.len() * ncon, 0);
     if pairs.is_empty() {
@@ -304,21 +295,20 @@ fn diffusion_flows(
 /// Per-(pair, constraint) realizability of the candidate lists: bit 0 set
 /// when some candidate on the pair's `p` side carries weight in `c` (a
 /// `p → q` move of `c` is possible), bit 1 for the `q` side. A pure
-/// function of the round-start partition, computed driver-side.
-fn realizable_mask<S: PartSlots + ?Sized>(
+/// function of the round-start partition.
+fn realizable_mask(
     graph: &CsrGraph,
-    slots: &S,
+    part: &[PartId],
     pairs: &[(u32, u32)],
-    cand: &[u32],
-    cand_off: &[usize],
+    cands: &Candidates,
     out: &mut Vec<u8>,
 ) {
     let ncon = graph.ncon();
     out.clear();
     out.resize(pairs.len() * ncon, 0);
     for (pi, &(p, _)) in pairs.iter().enumerate() {
-        for &v in &cand[cand_off[pi]..cand_off[pi + 1]] {
-            let side = if slots.get(v) == p { 1u8 } else { 2u8 };
+        for &v in cands.of(pi) {
+            let side = if part[v as usize] == p { 1u8 } else { 2u8 };
             for (c, &w) in graph.vertex_weights(v).iter().enumerate() {
                 if w > 0 {
                     out[pi * ncon + c] |= side;
@@ -330,8 +320,8 @@ fn realizable_mask<S: PartSlots + ?Sized>(
 
 /// Scales the flow plan down so its L1 norm fits `remaining` budget units
 /// (truncating toward zero — never overshoots). Returns the resulting L1
-/// norm. A plain round-barrier function: budgets never touch the parallel
-/// inner loops, so they cannot perturb the determinism contract.
+/// norm. Runs between rounds only: the budget never reaches into a pair's
+/// transfer loop.
 fn scale_flows(flow: &mut [i64], remaining: u64) -> u64 {
     let planned: u64 = flow.iter().map(|f| f.unsigned_abs()).sum();
     if planned <= remaining {
@@ -374,9 +364,9 @@ fn flow_benefit(flow: &[i64], vw: &[u32], s: i64) -> i64 {
 /// receiver fills up), so popped-but-infeasible candidates are discarded.
 /// Returns `(cells moved, volume moved)`.
 #[allow(clippy::too_many_arguments)]
-fn transfer_pair<S: PartSlots + ?Sized>(
+fn transfer_pair(
     graph: &CsrGraph,
-    slots: &S,
+    part: &mut [PartId],
     cands: &[u32],
     p: u32,
     q: u32,
@@ -400,7 +390,7 @@ fn transfer_pair<S: PartSlots + ?Sized>(
     let mut gmax = 1i64;
     let mut have = false;
     for &v in cands {
-        let own = slots.get(v);
+        let own = part[v as usize];
         if own != p && own != q {
             continue;
         }
@@ -417,7 +407,7 @@ fn transfer_pair<S: PartSlots + ?Sized>(
     }
     buckets.ensure(graph.nvtx(), gmax);
     for &v in cands {
-        let own = slots.get(v);
+        let own = part[v as usize];
         if own != p && own != q {
             continue;
         }
@@ -429,7 +419,7 @@ fn transfer_pair<S: PartSlots + ?Sized>(
         let mut conn_own = 0i64;
         let mut conn_other = 0i64;
         for (u, w) in graph.neighbors(v).zip(graph.edge_weights(v)) {
-            let pu = slots.get(u);
+            let pu = part[u as usize];
             if pu == own {
                 conn_own += i64::from(w);
             } else if pu == other {
@@ -441,7 +431,7 @@ fn transfer_pair<S: PartSlots + ?Sized>(
     let mut cells = 0u64;
     let mut volume = 0u64;
     while let Some(v) = buckets.pop_best(usize::MAX, |_, _| true) {
-        let own = slots.get(v);
+        let own = part[v as usize];
         debug_assert!(own == p || own == q, "bucketed cell left the pair");
         let (s, pw_own, pw_other, size_own, size_other, allow_other, other) = if own == p {
             (
@@ -497,7 +487,7 @@ fn transfer_pair<S: PartSlots + ?Sized>(
         }
         *size_own -= 1;
         *size_other += 1;
-        slots.set(v, other);
+        part[v as usize] = other;
         cells += 1;
         volume += u64::from(vw[0].max(1));
         // Refresh the cut gains of still-bucketed neighbours — their
@@ -506,12 +496,12 @@ fn transfer_pair<S: PartSlots + ?Sized>(
             if !buckets.contains(u) {
                 continue;
             }
-            let uo = slots.get(u);
+            let uo = part[u as usize];
             let uother = if uo == p { q } else { p };
             let mut conn_own = 0i64;
             let mut conn_other = 0i64;
             for (t, w) in graph.neighbors(u).zip(graph.edge_weights(u)) {
-                let pt = slots.get(t);
+                let pt = part[t as usize];
                 if pt == uo {
                     conn_own += i64::from(w);
                 } else if pt == uother {
@@ -524,81 +514,142 @@ fn transfer_pair<S: PartSlots + ?Sized>(
     (cells, volume)
 }
 
+/// The state of one call's round plans, in buffers on loan from a
+/// workspace: the allowance table, and per round the boundary pair list,
+/// its candidates and realizability mask, the flow targets, and the solve's
+/// scratch.
+struct RoundPlan {
+    allow: Vec<f64>,
+    pairs: Vec<(u32, u32)>,
+    cands: Candidates,
+    realize: Vec<u8>,
+    flow: Vec<i64>,
+    x: Vec<f64>,
+    facc: Vec<f64>,
+    fstep: Vec<f64>,
+}
+
+impl RoundPlan {
+    /// Loads the part tables of the (checked) `part` into `ws` and borrows
+    /// the plan buffers from it.
+    fn begin(
+        graph: &CsrGraph,
+        part: &[PartId],
+        config: &RepartConfig,
+        ws: &mut PartitionWorkspace,
+    ) -> Self {
+        let k = config.base.nparts;
+        part_tables(graph, part, k, ws);
+        let mut allow = ws.take_f64();
+        build_allowance(&ws.kw_tot, k, graph.ncon(), &config.base, &mut allow);
+        Self {
+            allow,
+            pairs: std::mem::take(&mut ws.pairs),
+            cands: Candidates {
+                list: ws.take_u32(),
+                cnt: ws.take_usize(),
+                off: ws.take_usize(),
+            },
+            realize: ws.take_u8(),
+            flow: ws.take_i64(),
+            x: ws.take_f64(),
+            facc: ws.take_f64(),
+            fstep: ws.take_f64(),
+        }
+    }
+
+    /// Plans one round from the current `part` and the part loads in `ws`:
+    /// pair list → candidates → realizability mask → diffusion solve, then
+    /// the flows scaled to what `spent` volume units leave of the migration
+    /// budget. Returns the plan's L1 norm; zero means nothing (more) to
+    /// realize.
+    fn next(
+        &mut self,
+        graph: &CsrGraph,
+        part: &[PartId],
+        config: &RepartConfig,
+        ws: &mut PartitionWorkspace,
+        spent: u64,
+    ) -> u64 {
+        let k = config.base.nparts;
+        collect_pairs(graph, part, &mut self.pairs);
+        if self.pairs.is_empty() {
+            self.flow.clear();
+            return 0;
+        }
+        build_candidates(
+            graph,
+            part,
+            &self.pairs,
+            k,
+            &mut ws.kw_conn,
+            &mut ws.kw_touched,
+            &mut self.cands,
+        );
+        realizable_mask(graph, part, &self.pairs, &self.cands, &mut self.realize);
+        if !diffusion_flows(self, k, graph.ncon(), &ws.kw_pw, &ws.kw_tot, config) {
+            return 0;
+        }
+        match config.migration_budget {
+            Some(b) => scale_flows(&mut self.flow, b.saturating_sub(spent)),
+            None => self.flow.iter().map(|f| f.unsigned_abs()).sum(),
+        }
+    }
+
+    /// Returns the buffers to `ws`, in reverse order of [`Self::begin`] so
+    /// the next call finds each one in the same role.
+    fn end(self, ws: &mut PartitionWorkspace) {
+        ws.give_f64(self.fstep);
+        ws.give_f64(self.facc);
+        ws.give_f64(self.x);
+        ws.give_i64(self.flow);
+        ws.give_u8(self.realize);
+        ws.give_usize(self.cands.off);
+        ws.give_usize(self.cands.cnt);
+        ws.give_u32(self.cands.list);
+        ws.pairs = self.pairs;
+        ws.give_f64(self.allow);
+    }
+}
+
 /// The diffusion plan the first round of [`repartition_ws`] would realize:
 /// the boundary pair list of `part` plus one quantized, budget-scaled flow
 /// target per (pair, constraint) (`pairs.len() * ncon`, positive = `p → q`).
 /// A pure function of `(graph, part, config)` — the worker-matrix
 /// fingerprints digest it to pin the migration plan across process worker
 /// counts. An empty / all-zero flow vector is the zero-drift case.
+///
+/// # Panics
+///
+/// Panics on invalid configuration, or if `part` is not one id below
+/// `config.base.nparts` per vertex of `graph`.
 pub fn diffusion_plan(
     graph: &CsrGraph,
     part: &[PartId],
     config: &RepartConfig,
 ) -> (Vec<(u32, u32)>, Vec<i64>) {
     config.base.validate(graph);
-    assert_eq!(part.len(), graph.nvtx(), "partition vector length");
-    let k = config.base.nparts;
-    let ncon = graph.ncon();
-    let mut tot = Vec::new();
-    total_weights_into(graph, &mut tot);
-    let mut pw = vec![0i64; k * ncon];
-    for (v, &p) in part.iter().enumerate() {
-        let vw = graph.vertex_weights(v as u32);
-        for c in 0..ncon {
-            pw[p as usize * ncon + c] += i64::from(vw[c]);
-        }
-    }
-    let mut allow = Vec::new();
-    build_allowance(&tot, k, ncon, &config.base, &mut allow);
-    let mut pcopy = part.to_vec();
-    let slots = Cell::from_mut(&mut pcopy[..]).as_slice_of_cells();
-    let mut pairs = Vec::new();
-    collect_pairs(graph, slots, &mut pairs);
-    let (mut conn, mut touched) = (Vec::new(), Vec::new());
-    let (mut cand_cnt, mut cand_off, mut cand) = (Vec::new(), Vec::new(), Vec::new());
-    build_candidates(
-        graph,
-        slots,
-        &pairs,
-        &mut conn,
-        &mut touched,
-        k,
-        &mut cand_cnt,
-        &mut cand_off,
-        &mut cand,
-    );
-    let mut realize = Vec::new();
-    realizable_mask(graph, slots, &pairs, &cand, &cand_off, &mut realize);
-    let mut flow = Vec::new();
-    let (mut x, mut facc, mut fstep) = (Vec::new(), Vec::new(), Vec::new());
-    diffusion_flows(
-        &pairs, k, ncon, &pw, &tot, &allow, &realize, config, &mut flow, &mut x, &mut facc,
-        &mut fstep,
-    );
-    if let Some(b) = config.migration_budget {
-        scale_flows(&mut flow, b);
-    }
-    (pairs, flow)
-}
-
-/// Incremental repartitioning (allocating wrapper around
-/// [`repartition_ws`]).
-pub fn repartition(graph: &CsrGraph, part: &mut [PartId], config: &RepartConfig) -> RepartStats {
-    repartition_ws(graph, part, config, &mut PartitionWorkspace::new())
+    check_part_vector(graph, part, config.base.nparts);
+    let mut ws = PartitionWorkspace::new();
+    let mut plan = RoundPlan::begin(graph, part, config, &mut ws);
+    plan.next(graph, part, config, &mut ws, 0);
+    (plan.pairs, plan.flow)
 }
 
 /// Incremental repartitioning with caller-provided scratch: diffuses the
 /// load of `graph`'s (drifted) vertex weights along the part adjacency
-/// graph of `part` and realizes the flows by boundary-cell moves, updating
-/// `part` in place. The **pinned sequential schedule** the parallel driver
-/// is bit-identical to.
+/// graph of `part` and realizes the flows by boundary-cell moves on the
+/// pinned schedule, updating `part` in place. Emits one `part.repart` span
+/// and the `part.repart.{moves,volume,rounds,pairs,flow}` counters into
+/// `ws.obs`.
 ///
 /// The workspace carries capacity, not state — warm reuse across calls
 /// returns bit-identical results to a fresh workspace.
 ///
 /// # Panics
 ///
-/// Panics on invalid configuration or a part vector of the wrong length.
+/// Panics on invalid configuration, or if `part` is not one id below
+/// `config.base.nparts` per vertex of `graph`.
 pub fn repartition_ws(
     graph: &CsrGraph,
     part: &mut [PartId],
@@ -606,124 +657,64 @@ pub fn repartition_ws(
     ws: &mut PartitionWorkspace,
 ) -> RepartStats {
     config.base.validate(graph);
-    assert_eq!(part.len(), graph.nvtx(), "partition vector length");
-    let n = graph.nvtx();
     let k = config.base.nparts;
+    check_part_vector(graph, part, k);
     let ncon = graph.ncon();
     let mut stats = RepartStats::default();
-    if n == 0 || k <= 1 {
+    if graph.nvtx() == 0 || k <= 1 {
         return stats;
     }
     let rec = ws.obs.clone();
     let _span = rec.span("part.repart", 0, k as u64);
 
-    total_weights_into(graph, &mut ws.kw_tot);
-    ws.kw_pw.clear();
-    ws.kw_pw.resize(k * ncon, 0);
-    ws.kw_psize.clear();
-    ws.kw_psize.resize(k, 0);
-    for (v, &p) in part.iter().enumerate() {
-        let p = p as usize;
-        ws.kw_psize[p] += 1;
-        let vw = graph.vertex_weights(v as u32);
-        for (c, &w) in vw.iter().enumerate().take(ncon) {
-            ws.kw_pw[p * ncon + c] += i64::from(w);
-        }
-    }
-    let mut allow = ws.take_f64();
-    build_allowance(&ws.kw_tot, k, ncon, &config.base, &mut allow);
-
-    let mut pairs = std::mem::take(&mut ws.pairs);
+    let mut plan = RoundPlan::begin(graph, part, config, ws);
     let mut colours = ws.take_u32();
-    let mut class_pairs = ws.take_u32();
-    let mut cand = ws.take_u32();
-    let mut class_off = ws.take_usize();
-    let mut cand_cnt = ws.take_usize();
-    let mut cand_off = ws.take_usize();
-    let mut flow = ws.take_i64();
-    let mut x = ws.take_f64();
-    let mut facc = ws.take_f64();
-    let mut fstep = ws.take_f64();
-    let mut realize = ws.take_u8();
+    let mut order = ws.take_u32();
+    let mut cursor = ws.take_usize();
 
-    let slots = Cell::from_mut(&mut *part).as_slice_of_cells();
     let mut total_pairs = 0u64;
     for _round in 0..config.realize_rounds.max(1) {
-        collect_pairs(graph, slots, &mut pairs);
-        if pairs.is_empty() {
-            break;
-        }
-        build_candidates(
-            graph,
-            slots,
-            &pairs,
-            &mut ws.kw_conn,
-            &mut ws.kw_touched,
-            k,
-            &mut cand_cnt,
-            &mut cand_off,
-            &mut cand,
-        );
-        realizable_mask(graph, slots, &pairs, &cand, &cand_off, &mut realize);
-        if !diffusion_flows(
-            &pairs, k, ncon, &ws.kw_pw, &ws.kw_tot, &allow, &realize, config, &mut flow, &mut x,
-            &mut facc, &mut fstep,
-        ) {
-            break;
-        }
-        let planned = match config.migration_budget {
-            Some(b) => {
-                let remaining = b.saturating_sub(stats.volume_moved);
-                if remaining == 0 {
-                    break;
-                }
-                scale_flows(&mut flow, remaining)
-            }
-            None => flow.iter().map(|f| f.unsigned_abs()).sum(),
-        };
+        let planned = plan.next(graph, part, config, ws, stats.volume_moved);
         if planned == 0 {
             break;
         }
         if stats.rounds == 0 {
             stats.planned_flow = planned;
         }
-        let ncolours = colour_pairs(&pairs, k, &mut colours);
-        build_classes(&colours, ncolours, &mut class_off, &mut class_pairs);
-        total_pairs += pairs.len() as u64;
+        let ncolours = colour_pairs(&plan.pairs, k, &mut colours);
+        schedule_order(&colours, ncolours, &mut cursor, &mut order);
+        total_pairs += plan.pairs.len() as u64;
 
         let mut round_cells = 0u64;
-        for class in 0..ncolours {
-            for &pi in &class_pairs[class_off[class]..class_off[class + 1]] {
-                let pi = pi as usize;
-                let (p, q) = pairs[pi];
-                let cands = &cand[cand_off[pi]..cand_off[pi + 1]];
-                let (pp, qq) = (p as usize, q as usize);
-                let (lo, hi) = ws.kw_pw.split_at_mut(qq * ncon);
-                let pw_p = &mut lo[pp * ncon..(pp + 1) * ncon];
-                let pw_q = &mut hi[..ncon];
-                let mut sp = ws.kw_psize[pp] as i64;
-                let mut sq = ws.kw_psize[qq] as i64;
-                let (cells, vol) = transfer_pair(
-                    graph,
-                    slots,
-                    cands,
-                    p,
-                    q,
-                    &mut flow[pi * ncon..(pi + 1) * ncon],
-                    pw_p,
-                    pw_q,
-                    &mut sp,
-                    &mut sq,
-                    &allow[pp * ncon..(pp + 1) * ncon],
-                    &allow[qq * ncon..(qq + 1) * ncon],
-                    &mut ws.buckets,
-                );
-                ws.kw_psize[pp] = sp as usize;
-                ws.kw_psize[qq] = sq as usize;
-                round_cells += cells;
-                stats.cells_moved += cells;
-                stats.volume_moved += vol;
-            }
+        for &pi in &order {
+            let pi = pi as usize;
+            let (p, q) = plan.pairs[pi];
+            let (pp, qq) = (p as usize, q as usize);
+            let (lo, hi) = ws.kw_pw.split_at_mut(qq * ncon);
+            let pw_p = &mut lo[pp * ncon..(pp + 1) * ncon];
+            let pw_q = &mut hi[..ncon];
+            let mut sp = ws.kw_psize[pp] as i64;
+            let mut sq = ws.kw_psize[qq] as i64;
+            let (cells, vol) = transfer_pair(
+                graph,
+                part,
+                plan.cands.of(pi),
+                p,
+                q,
+                &mut plan.flow[pi * ncon..(pi + 1) * ncon],
+                pw_p,
+                pw_q,
+                &mut sp,
+                &mut sq,
+                &plan.allow[pp * ncon..(pp + 1) * ncon],
+                &plan.allow[qq * ncon..(qq + 1) * ncon],
+                &mut ws.buckets,
+            );
+            ws.kw_psize[pp] = sp as usize;
+            ws.kw_psize[qq] = sq as usize;
+            round_cells += cells;
+            stats.cells_moved += cells;
+            stats.volume_moved += vol;
         }
         stats.rounds += 1;
         if round_cells == 0 {
@@ -731,347 +722,10 @@ pub fn repartition_ws(
         }
     }
 
-    ws.pairs = pairs;
+    ws.give_usize(cursor);
+    ws.give_u32(order);
     ws.give_u32(colours);
-    ws.give_u32(class_pairs);
-    ws.give_u32(cand);
-    ws.give_usize(class_off);
-    ws.give_usize(cand_cnt);
-    ws.give_usize(cand_off);
-    ws.give_i64(flow);
-    ws.give_f64(x);
-    ws.give_f64(facc);
-    ws.give_f64(fstep);
-    ws.give_f64(allow);
-    ws.give_u8(realize);
-    if rec.enabled() {
-        rec.counter("part.repart.moves", 0, stats.cells_moved);
-        rec.counter("part.repart.volume", 0, stats.volume_moved);
-        rec.counter("part.repart.rounds", 0, u64::from(stats.rounds));
-        rec.counter("part.repart.pairs", 0, total_pairs);
-        rec.counter("part.repart.flow", 0, stats.planned_flow);
-    }
-    stats
-}
-
-/// One parallel task: a contiguous chunk of same-colour pairs. Exactly the
-/// [`crate::par_kway`] chunk shape, extended with the pair's exclusively
-/// owned flow row: load rows into the leased workspace, run the shared
-/// [`transfer_pair`], store back.
-#[allow(clippy::too_many_arguments)]
-fn run_transfer_chunk(
-    graph: &CsrGraph,
-    slots: &[AtomicU32],
-    pw: &[AtomicI64],
-    psize: &[AtomicI64],
-    flow: &[AtomicI64],
-    allow: &[f64],
-    pairs: &[(u32, u32)],
-    cand: &[u32],
-    cand_off: &[usize],
-    cls: &[u32],
-    worker: usize,
-    pool: &WorkspacePool,
-    cells: &AtomicU64,
-    volume: &AtomicU64,
-) {
-    let ncon = graph.ncon();
-    let mut ws = pool.checkout(worker);
-    ws.kw_pw.clear();
-    ws.kw_pw.resize(3 * ncon, 0);
-    for &pi in cls {
-        let pi = pi as usize;
-        let (p, q) = pairs[pi];
-        let cands = &cand[cand_off[pi]..cand_off[pi + 1]];
-        let (pp, qq) = (p as usize, q as usize);
-        let (rows, frow) = ws.kw_pw.split_at_mut(2 * ncon);
-        let (row_p, row_q) = rows.split_at_mut(ncon);
-        for c in 0..ncon {
-            row_p[c] = pw[pp * ncon + c].load(Ordering::Relaxed);
-            row_q[c] = pw[qq * ncon + c].load(Ordering::Relaxed);
-            frow[c] = flow[pi * ncon + c].load(Ordering::Relaxed);
-        }
-        let mut sp = psize[pp].load(Ordering::Relaxed);
-        let mut sq = psize[qq].load(Ordering::Relaxed);
-        let (m, vol) = transfer_pair(
-            graph,
-            slots,
-            cands,
-            p,
-            q,
-            frow,
-            row_p,
-            row_q,
-            &mut sp,
-            &mut sq,
-            &allow[pp * ncon..(pp + 1) * ncon],
-            &allow[qq * ncon..(qq + 1) * ncon],
-            &mut ws.buckets,
-        );
-        if m != 0 {
-            for c in 0..ncon {
-                pw[pp * ncon + c].store(row_p[c], Ordering::Relaxed);
-                pw[qq * ncon + c].store(row_q[c], Ordering::Relaxed);
-                flow[pi * ncon + c].store(frow[c], Ordering::Relaxed);
-            }
-            psize[pp].store(sp, Ordering::Relaxed);
-            psize[qq].store(sq, Ordering::Relaxed);
-            cells.fetch_add(m, Ordering::Relaxed);
-            volume.fetch_add(vol, Ordering::Relaxed);
-        }
-    }
-    pool.give_back(worker, ws);
-}
-
-/// Parallel incremental repartitioning on the fork-join pool —
-/// bit-identical to [`repartition_ws`] at every worker count (see the
-/// module docs for the argument). The driver solves, colours and plans
-/// single-threaded at each round barrier; colour classes fan their pair
-/// chunks out exactly like the pairwise k-way refinement, with each chunk
-/// leasing a workspace from `pool`.
-///
-/// # Panics
-///
-/// Panics if `n_workers == 0`, on invalid configuration, or on a part
-/// vector of the wrong length.
-pub fn repartition_par(
-    graph: &CsrGraph,
-    part: &mut [PartId],
-    config: &RepartConfig,
-    n_workers: usize,
-    pool: &WorkspacePool,
-    rec: &Recorder,
-) -> RepartStats {
-    assert!(n_workers >= 1, "need at least one worker");
-    config.base.validate(graph);
-    assert_eq!(part.len(), graph.nvtx(), "partition vector length");
-    let n = graph.nvtx();
-    let k = config.base.nparts;
-    let ncon = graph.ncon();
-    let mut stats = RepartStats::default();
-    if n == 0 || k <= 1 {
-        return stats;
-    }
-    if n_workers == 1 || n <= config.base.par_seq_cutoff {
-        // Too small to fan out: run the pinned schedule directly.
-        let mut ws = pool.checkout(0);
-        ws.obs = rec.clone();
-        let stats = repartition_ws(graph, part, config, &mut ws);
-        pool.give_back(0, ws);
-        return stats;
-    }
-    let _span = rec.span("part.repart", 0, k as u64);
-
-    let slots: Vec<AtomicU32> = part.iter().map(|&p| AtomicU32::new(p)).collect();
-    let mut pw_init = vec![0i64; k * ncon];
-    let mut psize_init = vec![0i64; k];
-    for (v, &p) in part.iter().enumerate() {
-        let p = p as usize;
-        psize_init[p] += 1;
-        let vw = graph.vertex_weights(v as u32);
-        for c in 0..ncon {
-            pw_init[p * ncon + c] += i64::from(vw[c]);
-        }
-    }
-    let pw: Vec<AtomicI64> = pw_init.into_iter().map(AtomicI64::new).collect();
-    let psize: Vec<AtomicI64> = psize_init.into_iter().map(AtomicI64::new).collect();
-    let mut dws = pool.checkout(0);
-    total_weights_into(graph, &mut dws.kw_tot);
-    let mut allow = dws.take_f64();
-    build_allowance(&dws.kw_tot, k, ncon, &config.base, &mut allow);
-
-    let mut pairs = std::mem::take(&mut dws.pairs);
-    let mut colours = dws.take_u32();
-    let mut class_pairs = dws.take_u32();
-    let mut cand = dws.take_u32();
-    let mut class_off = dws.take_usize();
-    let mut cand_cnt = dws.take_usize();
-    let mut cand_off = dws.take_usize();
-    let mut flow = dws.take_i64();
-    let mut pw_snap = dws.take_i64();
-    let mut x = dws.take_f64();
-    let mut facc = dws.take_f64();
-    let mut fstep = dws.take_f64();
-    let mut realize = dws.take_u8();
-    let mut flow_slots: Vec<AtomicI64> = Vec::new();
-    let mut chunks: Vec<(usize, usize)> = Vec::new();
-
-    let mut total_pairs = 0u64;
-    let grain = config.base.pair_grain.max(1);
-    for _round in 0..config.realize_rounds.max(1) {
-        // Between rounds only the driver runs; fork-join joins give it a
-        // happens-before view of every task's relaxed stores.
-        collect_pairs(graph, slots.as_slice(), &mut pairs);
-        if pairs.is_empty() {
-            break;
-        }
-        pw_snap.clear();
-        pw_snap.extend(pw.iter().map(|w| w.load(Ordering::Relaxed)));
-        build_candidates(
-            graph,
-            slots.as_slice(),
-            &pairs,
-            &mut dws.kw_conn,
-            &mut dws.kw_touched,
-            k,
-            &mut cand_cnt,
-            &mut cand_off,
-            &mut cand,
-        );
-        realizable_mask(
-            graph,
-            slots.as_slice(),
-            &pairs,
-            &cand,
-            &cand_off,
-            &mut realize,
-        );
-        if !diffusion_flows(
-            &pairs,
-            k,
-            ncon,
-            &pw_snap,
-            &dws.kw_tot,
-            &allow,
-            &realize,
-            config,
-            &mut flow,
-            &mut x,
-            &mut facc,
-            &mut fstep,
-        ) {
-            break;
-        }
-        let planned = match config.migration_budget {
-            Some(b) => {
-                let remaining = b.saturating_sub(stats.volume_moved);
-                if remaining == 0 {
-                    break;
-                }
-                scale_flows(&mut flow, remaining)
-            }
-            None => flow.iter().map(|f| f.unsigned_abs()).sum(),
-        };
-        if planned == 0 {
-            break;
-        }
-        if stats.rounds == 0 {
-            stats.planned_flow = planned;
-        }
-        let ncolours = colour_pairs(&pairs, k, &mut colours);
-        build_classes(&colours, ncolours, &mut class_off, &mut class_pairs);
-        total_pairs += pairs.len() as u64;
-        flow_slots.clear();
-        flow_slots.extend(flow.iter().map(|&f| AtomicI64::new(f)));
-
-        let round_cells = AtomicU64::new(0);
-        let round_volume = AtomicU64::new(0);
-        for class in 0..ncolours {
-            let cls = &class_pairs[class_off[class]..class_off[class + 1]];
-            chunks.clear();
-            let mut start = 0usize;
-            let mut acc = 0usize;
-            for (i, &pi) in cls.iter().enumerate() {
-                let pi = pi as usize;
-                acc += cand_off[pi + 1] - cand_off[pi];
-                if acc >= grain {
-                    chunks.push((start, i + 1));
-                    start = i + 1;
-                    acc = 0;
-                }
-            }
-            if start < cls.len() {
-                chunks.push((start, cls.len()));
-            }
-            if chunks.len() <= 1 {
-                run_transfer_chunk(
-                    graph,
-                    &slots,
-                    &pw,
-                    &psize,
-                    &flow_slots,
-                    &allow,
-                    &pairs,
-                    &cand,
-                    &cand_off,
-                    cls,
-                    0,
-                    pool,
-                    &round_cells,
-                    &round_volume,
-                );
-            } else {
-                let (slots_r, pw_r, psize_r, flow_r) = (&slots, &pw, &psize, &flow_slots);
-                let (allow_r, pairs_r, cand_r, cand_off_r) = (&allow, &pairs, &cand, &cand_off);
-                let (chunks_r, cells_r, volume_r) = (&chunks, &round_cells, &round_volume);
-                fork_join(n_workers.min(chunks.len()), move |ctx| {
-                    for &(s, e) in &chunks_r[1..] {
-                        ctx.spawn(move |c| {
-                            run_transfer_chunk(
-                                graph,
-                                slots_r,
-                                pw_r,
-                                psize_r,
-                                flow_r,
-                                allow_r,
-                                pairs_r,
-                                cand_r,
-                                cand_off_r,
-                                &cls[s..e],
-                                c.worker_index(),
-                                pool,
-                                cells_r,
-                                volume_r,
-                            );
-                        });
-                    }
-                    let (s, e) = chunks_r[0];
-                    run_transfer_chunk(
-                        graph,
-                        slots_r,
-                        pw_r,
-                        psize_r,
-                        flow_r,
-                        allow_r,
-                        pairs_r,
-                        cand_r,
-                        cand_off_r,
-                        &cls[s..e],
-                        ctx.worker_index(),
-                        pool,
-                        cells_r,
-                        volume_r,
-                    );
-                });
-            }
-        }
-        let round_cells = round_cells.into_inner();
-        stats.cells_moved += round_cells;
-        stats.volume_moved += round_volume.into_inner();
-        stats.rounds += 1;
-        if round_cells == 0 {
-            break;
-        }
-    }
-
-    for (dst, s) in part.iter_mut().zip(&slots) {
-        *dst = s.load(Ordering::Relaxed);
-    }
-    dws.pairs = pairs;
-    dws.give_u32(colours);
-    dws.give_u32(class_pairs);
-    dws.give_u32(cand);
-    dws.give_usize(class_off);
-    dws.give_usize(cand_cnt);
-    dws.give_usize(cand_off);
-    dws.give_i64(flow);
-    dws.give_i64(pw_snap);
-    dws.give_f64(x);
-    dws.give_f64(facc);
-    dws.give_f64(fstep);
-    dws.give_f64(allow);
-    dws.give_u8(realize);
-    pool.give_back(0, dws);
+    plan.end(ws);
     if rec.enabled() {
         rec.counter("part.repart.moves", 0, stats.cells_moved);
         rec.counter("part.repart.volume", 0, stats.volume_moved);
@@ -1088,6 +742,11 @@ mod tests {
     use crate::partition_graph;
     use tempart_graph::builder::grid_graph;
     use tempart_graph::{constraint_imbalances, max_imbalance, migration_volume};
+    use tempart_obs::Recorder;
+
+    fn repartition(g: &CsrGraph, part: &mut [PartId], cfg: &RepartConfig) -> RepartStats {
+        repartition_ws(g, part, cfg, &mut PartitionWorkspace::new())
+    }
 
     /// A deliberately skewed 4-part strip partition of an `n × n` grid:
     /// parts get 40% / 30% / 20% / 10% of the columns.
@@ -1218,35 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_pinned_sequential_schedule() {
-        let g = grid_graph(40, 40);
-        let start = skewed_strips(40);
-        let cfg = RepartConfig {
-            base: PartitionConfig {
-                par_seq_cutoff: 0,
-                pair_grain: 8,
-                ..PartitionConfig::new(4).with_ub(1.05)
-            },
-            ..RepartConfig::new(4)
-        };
-        let mut seq = start.clone();
-        let seq_stats = repartition_ws(&g, &mut seq, &cfg, &mut PartitionWorkspace::new());
-        assert!(seq_stats.cells_moved > 0);
-        for workers in [1usize, 2, 3, 4] {
-            let pool = WorkspacePool::new(workers);
-            let mut par = start.clone();
-            let par_stats = repartition_par(&g, &mut par, &cfg, workers, &pool, Recorder::off());
-            assert_eq!(par, seq, "workers={workers}: part vector diverged");
-            assert_eq!(par_stats, seq_stats, "workers={workers}: stats diverged");
-            // Warm pool: capacity, not state.
-            let mut par2 = start.clone();
-            let par2_stats = repartition_par(&g, &mut par2, &cfg, workers, &pool, Recorder::off());
-            assert_eq!(par2, seq, "workers={workers} warm: part vector diverged");
-            assert_eq!(par2_stats, seq_stats);
-        }
-    }
-
-    #[test]
     fn warm_workspace_matches_fresh() {
         let g = grid_graph(20, 20);
         let cfg = RepartConfig::new(4).with_ub(1.05);
@@ -1291,10 +921,98 @@ mod tests {
         let mut part = vec![0 as PartId; 16];
         let cfg = RepartConfig::new(1);
         assert_eq!(repartition(&g, &mut part, &cfg), RepartStats::default());
-        let pool = WorkspacePool::new(1);
-        assert_eq!(
-            repartition_par(&g, &mut part, &cfg, 2, &pool, Recorder::off()),
-            RepartStats::default()
-        );
+    }
+
+    /// A `24 × 24` grid split into 4 under a column-graded weighting and
+    /// handed back with the grading running along the rows instead.
+    fn drifted(ncon: usize) -> (CsrGraph, Vec<PartId>) {
+        let n = 24usize;
+        let g = grid_graph(n, n);
+        let weights = |by_row: bool| {
+            let mut w = vec![0u32; n * n * ncon];
+            for v in 0..n * n {
+                let x = if by_row { v / n } else { v % n };
+                if ncon == 1 {
+                    w[v] = 1 + (x * 4 / n) as u32;
+                } else {
+                    w[v * ncon + x * ncon / n] = 1;
+                }
+            }
+            w
+        };
+        let g0 = g.with_vertex_weights(weights(false), ncon);
+        let part = partition_graph(&g0, &PartitionConfig::new(4).with_ub(1.05));
+        (g.with_vertex_weights(weights(true), ncon), part)
+    }
+
+    #[test]
+    fn diffusion_plan_is_the_first_round_of_repartition() {
+        for ncon in [1usize, 3] {
+            let (g, part) = drifted(ncon);
+            let mut boundary = std::collections::BTreeSet::new();
+            for v in 0..g.nvtx() as u32 {
+                for u in g.neighbors(v) {
+                    let (pv, pu) = (part[v as usize], part[u as usize]);
+                    if pv < pu {
+                        boundary.insert((pv, pu));
+                    }
+                }
+            }
+            let l1 = |flow: &[i64]| flow.iter().map(|f| f.unsigned_abs()).sum::<u64>();
+            let unbounded = l1(&diffusion_plan(&g, &part, &RepartConfig::new(4).with_ub(1.05)).1);
+            assert!(unbounded > 8, "ncon={ncon}: drift must plan flow");
+            for budget in [None, Some(unbounded / 2)] {
+                let mut cfg = RepartConfig::new(4).with_ub(1.05);
+                cfg.migration_budget = budget;
+                let (pairs, flow) = diffusion_plan(&g, &part, &cfg);
+                assert!(pairs.iter().copied().eq(boundary.iter().copied()));
+                assert_eq!(flow.len(), pairs.len() * ncon);
+                let planned = l1(&flow);
+                assert!(planned > 0 && planned <= budget.unwrap_or(u64::MAX));
+                // The full run reports the plan of its first round ...
+                let stats = repartition(&g, &mut part.clone(), &cfg);
+                assert_eq!(stats.planned_flow, planned, "ncon={ncon} budget={budget:?}");
+                // ... over the same pair list (one round: the pair counter
+                // is that round's).
+                cfg.realize_rounds = 1;
+                let rec = Recorder::new(1 << 10);
+                let mut ws = PartitionWorkspace::new();
+                ws.obs = rec.clone();
+                let one = repartition_ws(&g, &mut part.clone(), &cfg, &mut ws);
+                assert_eq!(one.planned_flow, planned);
+                assert_eq!(
+                    rec.take().last_counter("part.repart.pairs"),
+                    Some(pairs.len() as u64)
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "part vector has 15 entries for a graph of 16 vertices")]
+    fn repartition_rejects_short_part_vector() {
+        repartition(&grid_graph(4, 4), &mut [0; 15], &RepartConfig::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "part[5] = 2 is not a part id below nparts = 2")]
+    fn repartition_rejects_out_of_range_part_id() {
+        let mut part = vec![0 as PartId; 16];
+        part[5] = 2;
+        repartition(&grid_graph(4, 4), &mut part, &RepartConfig::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "part vector has 15 entries for a graph of 16 vertices")]
+    fn diffusion_plan_rejects_short_part_vector() {
+        diffusion_plan(&grid_graph(4, 4), &[0; 15], &RepartConfig::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "part[5] = 2 is not a part id below nparts = 2")]
+    fn diffusion_plan_rejects_out_of_range_part_id() {
+        let mut part = vec![0 as PartId; 16];
+        part[5] = 2;
+        diffusion_plan(&grid_graph(4, 4), &part, &RepartConfig::new(2));
     }
 }

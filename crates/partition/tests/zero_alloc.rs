@@ -9,12 +9,18 @@
 //!    through the public driver on a graph too small to coarsen.
 //! 2. **Implicit**: running the full partitioner here arms the
 //!    `debug_assert`s inside the FM pass loop, the rebalance move loop and
-//!    the k-way sweep — any allocation inside those regions aborts the
-//!    test, whatever the warm-up state.
+//!    the pairwise k-way pass — any allocation inside those regions aborts
+//!    the test, whatever the warm-up state.
+//! 3. **Pinned**: a warm `pairwise_kway_refine_ws` / `repartition_ws` call
+//!    allocates a fixed handful per round (the colouring's two tables), not
+//!    per pair or per cell.
 
 use tempart_graph::builder::grid_graph;
+use tempart_partition::par_kway::pairwise_kway_refine_ws;
 use tempart_partition::refine::{fm_refine_ws, rebalance_ws};
-use tempart_partition::{partition_graph_with, PartitionConfig, PartitionWorkspace, Scheme};
+use tempart_partition::{
+    partition_graph_with, repartition_ws, PartitionConfig, PartitionWorkspace, RepartConfig, Scheme,
+};
 use tempart_testkit::alloc::{count_allocations, CountingAllocator};
 
 #[global_allocator]
@@ -88,7 +94,7 @@ fn warm_initial_bisection_tries_do_not_allocate() {
 fn full_partitioner_hot_loops_hold_their_debug_asserts() {
     // With the counting allocator installed, the partitioner's internal
     // `debug_assert_eq!(allocation_count(), ..)` guards are live: an
-    // allocation inside the FM inner loop or the k-way sweep fails here.
+    // allocation inside the FM inner loop or a pairwise k-way pass fails here.
     let g = grid_graph(40, 40);
     let mut ws = PartitionWorkspace::new();
     for scheme in [
@@ -119,5 +125,64 @@ fn warm_partitioner_allocates_far_less_than_cold() {
     assert!(
         warm * 10 <= cold,
         "workspace reuse too weak: cold {cold} allocations vs warm {warm}"
+    );
+}
+
+/// `grid_graph(96, 96)` split into 16 under unit weights, handed back with
+/// weights graded ×4 along the columns: both the pairwise refinement and the
+/// diffusion repartitioner have real work to do on it.
+fn graded_grid() -> (tempart_graph::CsrGraph, Vec<u32>) {
+    let g = grid_graph(96, 96);
+    let part = partition_graph_with(
+        &g,
+        &PartitionConfig::new(16),
+        &mut PartitionWorkspace::new(),
+    );
+    let vwgt = (0..g.nvtx())
+        .map(|v| 1 + (v % 96 * 4 / 96) as u32)
+        .collect();
+    (g.with_vertex_weights(vwgt, 1), part)
+}
+
+#[test]
+fn warm_pairwise_kway_refine_allocates_a_fixed_handful() {
+    let (g, _) = graded_grid();
+    // A hash-scattered start: every part pair is adjacent and most boundary
+    // vertices have a positive-gain move.
+    let start: Vec<u32> = (0..g.nvtx() as u64)
+        .map(|v| ((v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 16) as u32)
+        .collect();
+    let cfg = PartitionConfig::new(16).with_ub(1.30);
+    let mut ws = PartitionWorkspace::new();
+    let run = |ws: &mut PartitionWorkspace| {
+        let mut part = start.clone();
+        count_allocations(|| pairwise_kway_refine_ws(&g, &mut part, &cfg, ws))
+    };
+    run(&mut ws);
+    run(&mut ws);
+    let (moves, allocs) = run(&mut ws);
+    assert!(moves > 0, "graded weights must leave positive-gain moves");
+    // Two rounds here; 6 is what the commit before this test allocated.
+    assert!(allocs <= 6, "warm call allocated {allocs} times");
+}
+
+#[test]
+fn warm_repartition_allocates_a_fixed_handful_per_round() {
+    let (g, start) = graded_grid();
+    let cfg = RepartConfig::new(16).with_ub(1.05);
+    let mut ws = PartitionWorkspace::new();
+    let run = |ws: &mut PartitionWorkspace| {
+        let mut part = start.clone();
+        count_allocations(|| repartition_ws(&g, &mut part, &cfg, ws))
+    };
+    run(&mut ws);
+    run(&mut ws);
+    let (stats, allocs) = run(&mut ws);
+    assert!(stats.cells_moved > 0 && stats.rounds > 1);
+    // 16 rounds here; 48 is what the commit before this test allocated.
+    assert!(
+        allocs <= 48,
+        "warm call allocated {allocs} times over {} rounds",
+        stats.rounds
     );
 }

@@ -1,11 +1,11 @@
-//! Property tests for the parallel pairwise k-way refinement driver.
+//! Property tests for the partitioner's width invariance and for the edge
+//! colouring behind the pairwise k-way schedule.
 //!
-//! The contract under test: `partition_graph_par` with the k-way schemes is
-//! **bit-identical** to the sequential pinned pair schedule at every
-//! fork-join width — the colour-class fan-out decides only *when* each
-//! part-pair is refined, never what the refinement does. The configs below
-//! force maximal fan-out (`par_seq_cutoff = 0`, tiny `pair_grain`) so the
-//! parallel code path actually runs even on these small random meshes.
+//! The contract under test: `partition_graph_par` is **bit-identical** to
+//! the sequential `partition_graph` for every scheme at every fork-join
+//! width — the bisection tree fans out, the pairwise k-way refinement runs
+//! its one pinned schedule. `par_seq_cutoff = 0` makes the tree fan out
+//! even on these small random meshes.
 
 use tempart::core_api::{strategy_weights, PartitionStrategy};
 use tempart::mesh::{Mesh, Octree, OctreeConfig, TemporalScheme};
@@ -34,7 +34,7 @@ fn random_mesh(r1: bool, r2: bool, levels: u8) -> Mesh {
 proptest! {
     #![config(cases = 6, seed = 0x7E57_0077)]
 
-    fn parallel_kway_is_bit_identical_to_sequential_pair_schedule(
+    fn every_scheme_is_width_invariant(
         r1 in tempart_testkit::prop::bools(),
         r2 in tempart_testkit::prop::bools(),
         k_idx in 0usize..3,
@@ -45,13 +45,16 @@ proptest! {
         for strategy in [PartitionStrategy::ScOc, PartitionStrategy::McTl] {
             let (w, ncon) = strategy_weights(&m, strategy);
             let g = m.to_graph().with_vertex_weights(w, ncon);
-            for scheme in [Scheme::KWayRefined, Scheme::MultilevelKWay] {
+            for scheme in [
+                Scheme::RecursiveBisection,
+                Scheme::KWayRefined,
+                Scheme::MultilevelKWay,
+            ] {
                 let mut cfg = PartitionConfig::new(k)
                     .with_seed(seed)
                     .with_scheme(scheme)
                     .with_ub(if ncon > 1 { 1.10 } else { 1.05 });
                 cfg.par_seq_cutoff = 0;
-                cfg.pair_grain = 4;
                 let seq = partition_graph(&g, &cfg);
                 prop_assert_eq!(seq.len(), m.n_cells());
                 for workers in 1usize..=4 {

@@ -245,9 +245,9 @@ fn emit_fingerprints_for_worker_matrix() {
     // Incremental repartitioner rows over a pinned drift sequence on the
     // same depth-4 cylinder: the first migration plan (part-pair list +
     // quantized per-constraint flows) and the post-sequence part vector.
-    // Both run through `repartition_par` at the env worker count, so a
-    // schedule-dependent divergence in the diffusion realization shows up
-    // as a file diff in ci.sh.
+    // The sequence runs its from-scratch step at the env worker count and
+    // its diffusion steps on the one pinned schedule, so a width-dependent
+    // divergence shows up as a file diff in ci.sh.
     let seq_cfg = RepartSequenceConfig::graded_cylinder(
         N_DOMAINS,
         SEED,
