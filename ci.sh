@@ -140,8 +140,10 @@ stage_worker_matrix() {
     # full ranked 24-combo race), the network-mode rows (`net-uniform` /
     # `net-twolevel` priced Gantt + transfer-ledger digests and the
     # comm-bound `net-portfolio` race), and the incremental repartitioner
-    # rows (`repart-plan` / `repart-seq` — the first migration plan and the
-    # post-sequence part vector over a pinned drift sequence) — must come
+    # rows (`repart-plan` / `repart-seq` / `repart-seq16` — the first
+    # migration plan, the post-sequence part vector over a pinned 4-step
+    # drift sequence, and the same sequence run to 16 steps, where the round
+    # cap binds and most rounds work on patched boundary lists) — must come
     # out byte-identical whether the work runs sequentially or forked
     # across 4 workers. Run in separate processes so thread-count-dependent
     # state can't hide inside one test binary (the in-process cross-check

@@ -22,7 +22,7 @@ use crate::strategy::{decompose_with, strategy_weights, PartitionStrategy};
 use tempart_graph::{MigrationStats, PartId, PartitionQuality};
 use tempart_mesh::{DriftConfig, Mesh};
 use tempart_partition::{
-    repartition_ws, sfc_partition_with, RepartConfig, RepartStats, SfcWorkspace,
+    repartition_ws, sfc_partition_with, RepartConfig, RepartStats, RepartStop, SfcWorkspace,
 };
 
 /// How each drift step restores balance.
@@ -153,8 +153,10 @@ pub fn default_repart_config(n_domains: usize, ncon: usize, budget: Option<u64>)
 /// `cfg.mode`, measuring migration and quality against the drifted
 /// weights. Emits a `core.repart.seq` span around the sequence, one
 /// `core.repart.step` span per step, and per-step
-/// `core.repart.{moved,volume}` counters (plus the partitioner's own
-/// `part.repart.*` events in diffusion mode).
+/// `core.repart.{moved,volume}` counters, a `core.repart.cap_hit` counter
+/// (the residual over the allowance) for every diffusion step that stopped
+/// at the round cap, plus the partitioner's own `part.repart.*` events in
+/// diffusion mode.
 ///
 /// Deterministic and worker-count invariant: the from-scratch partitions
 /// run the bit-identical parallel path ([`decompose_with`]) on
@@ -237,6 +239,9 @@ pub fn repartition_sequence(
         if rec.enabled() {
             rec.counter("core.repart.moved", 0, migration.cells_moved as u64);
             rec.counter("core.repart.volume", 0, migration.volume.max(0) as u64);
+            if stats.stop == RepartStop::RoundCap {
+                rec.counter("core.repart.cap_hit", 0, stats.over_allowance);
+            }
         }
         steps.push(RepartStep {
             step,

@@ -39,7 +39,7 @@ pub use geometric::{
 pub use par::{partition_graph_par, partition_graph_par_traced, WorkspacePool};
 pub use par_kway::colour_pairs;
 pub use repair::{repair_contiguity, repair_contiguity_traced, RepairReport};
-pub use repart::{diffusion_plan, repartition_ws, RepartConfig, RepartStats};
+pub use repart::{diffusion_plan, repartition_ws, RepartConfig, RepartStats, RepartStop};
 pub use workspace::{GainBuckets, PartitionWorkspace};
 
 /// Which k-way scheme to use.

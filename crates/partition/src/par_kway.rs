@@ -76,50 +76,38 @@ pub(crate) fn part_tables(
     }
 }
 
-/// Collects the boundary part pairs of the current partition: every
-/// unordered `(p, q)` with `p < q` joined by at least one edge, sorted
-/// ascending and deduplicated — the edge list of the part adjacency graph
-/// in the fixed order the colouring consumes.
-pub(crate) fn collect_pairs(graph: &CsrGraph, part: &[PartId], pairs: &mut Vec<(u32, u32)>) {
-    pairs.clear();
-    for v in 0..graph.nvtx() as u32 {
-        let pv = part[v as usize];
-        for u in graph.neighbors(v) {
-            let pu = part[u as usize];
-            // The reverse edge contributes the (pv > pu) orientation.
-            if pu > pv {
-                pairs.push((pv, pu));
-            }
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-}
-
 /// Greedily edge-colours the part adjacency graph whose edges are `pairs`
 /// (sorted ascending, `p < q` each), assigning every pair the smallest
 /// colour not yet used at either endpoint, in pair order. Writes one colour
-/// per pair into `colours` and returns the number of colours used.
+/// per pair into `colours` and returns the number of colours used; `used`
+/// is scratch (the part degrees, then one colour bitset per part).
 ///
 /// Pairs sharing a colour are guaranteed part-disjoint, and the greedy bound
 /// caps the colour count at `2·Δ − 1` for part-graph degree `Δ`.
 /// Deterministic: a pure function of the pair list.
-pub fn colour_pairs(pairs: &[(u32, u32)], k: usize, colours: &mut Vec<u32>) -> usize {
+pub fn colour_pairs(
+    pairs: &[(u32, u32)],
+    k: usize,
+    used: &mut Vec<u64>,
+    colours: &mut Vec<u32>,
+) -> usize {
     colours.clear();
     colours.resize(pairs.len(), 0);
     if pairs.is_empty() {
         return 0;
     }
-    let mut deg = vec![0u32; k];
+    used.clear();
+    used.resize(k, 0);
     for &(p, q) in pairs {
-        deg[p as usize] += 1;
-        deg[q as usize] += 1;
+        used[p as usize] += 1;
+        used[q as usize] += 1;
     }
-    let maxdeg = deg.iter().copied().max().unwrap_or(0) as usize;
+    let maxdeg = used.iter().copied().max().unwrap_or(0) as usize;
     // When colouring (p, q), at most deg(p)-1 + deg(q)-1 colours are taken,
     // so a free colour always exists below 2·maxdeg.
     let words = (2 * maxdeg).div_ceil(64).max(1);
-    let mut used = vec![0u64; k * words];
+    used.clear();
+    used.resize(k * words, 0);
     let mut ncolours = 0usize;
     for (i, &(p, q)) in pairs.iter().enumerate() {
         let (po, qo) = (p as usize * words, q as usize * words);
@@ -165,95 +153,260 @@ pub(crate) fn schedule_order(
     }
 }
 
-/// The per-pair boundary candidates of one round, in CSR form over the
-/// round's pair list.
+/// One boundary incidence `(b, v)`: vertex `v` has a neighbour in the
+/// foreign part `b`. Its pair key is [`key_of`] — `part[v]` and `b`,
+/// ordered — so an entry stays valid exactly as long as `v` and its
+/// neighbours stay put.
+pub(crate) type Entry = (PartId, u32);
+
+/// The `(p, q)`, `p < q`, an entry is listed under.
+#[inline]
+fn key_of(part: &[PartId], (b, v): Entry) -> (u32, u32) {
+    let a = part[v as usize];
+    (a.min(b), a.max(b))
+}
+
+/// The boundary part pairs of a partition with their candidate vertices, in
+/// CSR form: every unordered `(p, q)`, `p < q`, joined by at least one edge
+/// — the edge list of the part adjacency graph, ascending, in the fixed
+/// order the colouring consumes — and per pair the vertices that sit on its
+/// boundary, each vertex listed once per *distinct* adjacent foreign part,
+/// under the pair keyed by its own part.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Candidates {
-    /// Fill cursors of the build (scratch).
-    pub(crate) cnt: Vec<usize>,
+    /// The boundary pairs, ascending.
+    pub(crate) pairs: Vec<(u32, u32)>,
     /// `list[off[pi]..off[pi + 1]]` are pair `pi`'s candidates.
-    pub(crate) off: Vec<usize>,
-    /// Candidate vertices, pair by pair, ascending within a pair.
-    pub(crate) list: Vec<u32>,
+    off: Vec<usize>,
+    /// Candidate entries, pair by pair, ascending vertex within a pair.
+    list: Vec<Entry>,
 }
 
 impl Candidates {
-    /// The vertices on pair `pi`'s boundary, ascending.
+    /// The entries on pair `pi`'s boundary, vertices ascending.
     #[inline]
-    pub(crate) fn of(&self, pi: usize) -> &[u32] {
+    pub(crate) fn of(&self, pi: usize) -> &[Entry] {
         &self.list[self.off[pi]..self.off[pi + 1]]
+    }
+
+    /// Appends the next entry in (pair key, vertex) order; a new key opens
+    /// the next pair.
+    #[inline]
+    fn push(&mut self, key: (u32, u32), e: Entry) {
+        if self.pairs.last() != Some(&key) {
+            self.pairs.push(key);
+            self.off.push(self.list.len());
+        }
+        self.list.push(e);
+    }
+
+    /// Replaces `self` by the ordered merge of `old` minus its `dirty`
+    /// vertices with `fresh` (sorted by (pair key, vertex), entries of dirty
+    /// vertices only, so the two streams share no entry). A pair left
+    /// without entries is not emitted; a key only `fresh` carries opens a
+    /// new pair.
+    fn merge(&mut self, part: &[PartId], old: &Candidates, dirty: &[bool], fresh: &[Entry]) {
+        self.pairs.clear();
+        self.off.clear();
+        self.list.clear();
+        let mut fresh = fresh.iter().map(|&e| (key_of(part, e), e)).peekable();
+        for (pi, &key) in old.pairs.iter().enumerate() {
+            for &e in old.of(pi) {
+                if dirty[e.1 as usize] {
+                    continue;
+                }
+                while let Some((k, f)) = fresh.next_if(|&(k, f)| (k, f.1) < (key, e.1)) {
+                    self.push(k, f);
+                }
+                self.push(key, e);
+            }
+        }
+        for (k, f) in fresh {
+            self.push(k, f);
+        }
+        self.off.push(self.list.len());
     }
 }
 
-/// Builds the per-pair candidate lists: for every pair index `pi`,
-/// `out.of(pi)` lists (ascending) the vertices that sit on that pair's
-/// boundary — each vertex listed once per *distinct* adjacent foreign part,
-/// under the pair keyed by its own part. `conn` / `touched` are per-part
-/// scratch.
-pub(crate) fn build_candidates(
+/// Per-part scratch of [`sorted_entries`].
+#[derive(Debug, Default)]
+struct EntryScratch {
+    /// Bucket cursors of the counting sort.
+    count: Vec<usize>,
+    /// "Already listed for the current vertex" flag per part ...
+    seen: Vec<bool>,
+    /// ... and the parts to reset after the vertex.
+    touched: Vec<PartId>,
+}
+
+/// The entry generator both the whole-graph build and the patch run: writes
+/// the boundary entries of `verts` (ascending) under `part` into `out`,
+/// sorted by (pair key, vertex) — one entry per vertex and distinct adjacent
+/// foreign part. Entries leave the sweep in ascending `v`, so a stable
+/// counting sort by `q`, then by `p`, orders them: no comparison sort, no
+/// search. `tmp` is the sort's second buffer.
+fn sorted_entries(
     graph: &CsrGraph,
     part: &[PartId],
-    pairs: &[(u32, u32)],
     k: usize,
-    conn: &mut Vec<i64>,
-    touched: &mut Vec<usize>,
-    out: &mut Candidates,
+    verts: impl Iterator<Item = u32>,
+    scratch: &mut EntryScratch,
+    out: &mut Vec<Entry>,
+    tmp: &mut Vec<Entry>,
 ) {
-    let Candidates {
-        cnt,
-        off: cand_off,
-        list: cand,
-    } = out;
-    conn.clear();
-    conn.resize(k, 0);
-    touched.clear();
-    cnt.clear();
-    cnt.resize(pairs.len(), 0);
-    let n = graph.nvtx() as u32;
-    for v in 0..n {
+    let EntryScratch {
+        count,
+        seen,
+        touched,
+    } = scratch;
+    seen.clear();
+    seen.resize(k, false);
+    out.clear();
+    for v in verts {
         let pv = part[v as usize];
         for u in graph.neighbors(v) {
             let pu = part[u as usize];
-            if pu != pv && conn[pu as usize] == 0 {
-                conn[pu as usize] = 1;
-                touched.push(pu as usize);
-                let key = if pv < pu { (pv, pu) } else { (pu, pv) };
-                let pi = pairs.binary_search(&key).expect("boundary pair collected");
-                cnt[pi] += 1;
+            if pu != pv && !seen[pu as usize] {
+                seen[pu as usize] = true;
+                touched.push(pu);
+                out.push((pu, v));
             }
         }
-        for &t in touched.iter() {
-            conn[t] = 0;
+        for t in touched.drain(..) {
+            seen[t as usize] = false;
         }
-        touched.clear();
     }
-    cand_off.clear();
-    cand_off.push(0);
-    let mut total = 0usize;
-    for (pi, c) in cnt.iter_mut().enumerate() {
-        total += *c;
-        cand_off.push(total);
-        // Reuse as the fill cursor.
-        *c = cand_off[pi];
+    // Both passes overwrite every slot, so stale content is as good as zeros.
+    tmp.resize(out.len(), (0, 0));
+    scatter_by(out, tmp, k, count, |&e| key_of(part, e).1);
+    scatter_by(tmp, out, k, count, |&e| key_of(part, e).0);
+}
+
+/// One stable counting-sort pass: `src` into `dst` by `digit(entry) < k`.
+fn scatter_by(
+    src: &[Entry],
+    dst: &mut [Entry],
+    k: usize,
+    count: &mut Vec<usize>,
+    digit: impl Fn(&Entry) -> u32,
+) {
+    count.clear();
+    count.resize(k + 1, 0);
+    for e in src {
+        count[digit(e) as usize + 1] += 1;
     }
-    cand.clear();
-    cand.resize(total, 0);
-    for v in 0..n {
-        let pv = part[v as usize];
-        for u in graph.neighbors(v) {
-            let pu = part[u as usize];
-            if pu != pv && conn[pu as usize] == 0 {
-                conn[pu as usize] = 1;
-                touched.push(pu as usize);
-                let key = if pv < pu { (pv, pu) } else { (pu, pv) };
-                let pi = pairs.binary_search(&key).expect("boundary pair collected");
-                cand[cnt[pi]] = v;
-                cnt[pi] += 1;
+    for d in 0..k {
+        count[d + 1] += count[d];
+    }
+    for e in src {
+        let at = &mut count[digit(e) as usize];
+        dst[*at] = *e;
+        *at += 1;
+    }
+}
+
+/// The boundary lists of a partition that is being refined by vertex moves:
+/// built once from the whole graph, then **patched** around the moved cells.
+///
+/// An entry of vertex `v` depends only on `part[v]` and the parts of `v`'s
+/// neighbours, so after a batch of moves only the moved cells and their
+/// neighbours (the dirty set) can own different entries. [`patch`]
+/// regenerates exactly those from the current `part` and merges them, in
+/// one ordered pass, with the old lists minus the dirty cells — the result
+/// is what [`build`] would produce for the same `part`, which debug builds
+/// assert after every patch.
+///
+/// Lives in the workspace (`PartitionWorkspace::boundary`): capacity
+/// carries across calls, state does not ([`build`] starts every call).
+///
+/// [`build`]: Boundary::build
+/// [`patch`]: Boundary::patch
+#[derive(Debug, Default)]
+pub(crate) struct Boundary {
+    /// The lists of the partition last built or patched for.
+    pub(crate) cands: Candidates,
+    /// The merge target of a patch (then swapped with `cands`); its entry
+    /// list doubles as the build's sort buffer.
+    spare: Candidates,
+    scratch: EntryScratch,
+    /// The dirty cells' regenerated entries, and their sort buffer.
+    fresh: Vec<Entry>,
+    tmp: Vec<Entry>,
+    /// The log of cells moved since the last build or patch (whoever moves
+    /// a cell appends it; a cell may repeat).
+    pub(crate) moved: Vec<u32>,
+    /// Per-vertex dirty flag (moved cells and their neighbours) ...
+    dirty: Vec<bool>,
+    /// ... and the flagged vertices, ascending.
+    dirty_list: Vec<u32>,
+}
+
+impl Boundary {
+    /// Builds the lists of `part` from the whole graph and empties the
+    /// moved log.
+    pub(crate) fn build(&mut self, graph: &CsrGraph, part: &[PartId], k: usize) {
+        self.moved.clear();
+        sorted_entries(
+            graph,
+            part,
+            k,
+            0..graph.nvtx() as u32,
+            &mut self.scratch,
+            &mut self.spare.list,
+            &mut self.cands.list,
+        );
+        self.cands
+            .merge(part, &Candidates::default(), &[], &self.spare.list);
+    }
+
+    /// Brings the lists up to date with `part` after the logged moves, at
+    /// the cost of the dirty cells' adjacency plus one pass over the lists.
+    pub(crate) fn patch(&mut self, graph: &CsrGraph, part: &[PartId], k: usize) {
+        self.dirty.resize(graph.nvtx(), false);
+        for v in self.moved.drain(..) {
+            for u in std::iter::once(v).chain(graph.neighbors(v)) {
+                if !self.dirty[u as usize] {
+                    self.dirty[u as usize] = true;
+                    self.dirty_list.push(u);
+                }
             }
         }
-        for &t in touched.iter() {
-            conn[t] = 0;
+        self.dirty_list.sort_unstable();
+        sorted_entries(
+            graph,
+            part,
+            k,
+            self.dirty_list.iter().copied(),
+            &mut self.scratch,
+            &mut self.fresh,
+            &mut self.tmp,
+        );
+        self.spare
+            .merge(part, &self.cands, &self.dirty, &self.fresh);
+        std::mem::swap(&mut self.cands, &mut self.spare);
+        for v in self.dirty_list.drain(..) {
+            self.dirty[v as usize] = false;
         }
-        touched.clear();
+        // The proof obligation of the patch, armed in every debug build:
+        // the patched lists are the whole-graph build of the same `part`.
+        #[cfg(debug_assertions)]
+        {
+            sorted_entries(
+                graph,
+                part,
+                k,
+                0..graph.nvtx() as u32,
+                &mut self.scratch,
+                &mut self.fresh,
+                &mut self.tmp,
+            );
+            self.spare
+                .merge(part, &Candidates::default(), &[], &self.fresh);
+            debug_assert!(
+                self.cands == self.spare,
+                "patched boundary lists differ from the whole-graph build"
+            );
+        }
     }
 }
 
@@ -271,7 +424,7 @@ pub(crate) fn build_candidates(
 fn refine_pair(
     graph: &CsrGraph,
     part: &mut [PartId],
-    cands: &[u32],
+    cands: &[Entry],
     p: u32,
     q: u32,
     pw_p: &mut [i64],
@@ -286,7 +439,7 @@ fn refine_pair(
     let allocs_at_entry = tempart_testkit::alloc::allocation_count();
     for _sweep in 0..PAIR_SWEEPS {
         let mut sweep_moves = 0u64;
-        for &v in cands {
+        for &(_, v) in cands {
             let own = part[v as usize];
             if own != p && own != q {
                 // An earlier colour class already moved it off this pair.
@@ -347,11 +500,11 @@ fn refine_pair(
 /// Pairwise k-way refinement of `part` in place, on the pinned schedule.
 ///
 /// Per round (up to `config.refine_passes`, stopping after a move-free
-/// round): collect the boundary part pairs, edge-colour them
-/// ([`colour_pairs`]), then run every pair's bounded two-way pass in
-/// ascending colour / ascending pair order. Emits one `part.kway` span and
-/// the `part.kway.{pairs,colours,moves}` counters into `ws.obs`. Returns
-/// total moves applied.
+/// round): build the boundary pair and candidate lists ([`Boundary`]),
+/// edge-colour the pairs ([`colour_pairs`]), then run every pair's bounded
+/// two-way pass in ascending colour / ascending pair order. Emits one
+/// `part.kway` span and the `part.kway.{pairs,colours,moves}` counters into
+/// `ws.obs`. Returns total moves applied.
 ///
 /// # Panics
 ///
@@ -381,43 +534,29 @@ pub fn pairwise_kway_refine_ws(
             .extend((0..ncon).map(|c| totals[c] as f64 / k as f64 * config.ub(c)));
     }
 
-    let mut pairs = std::mem::take(&mut ws.pairs);
+    let mut boundary = std::mem::take(&mut ws.boundary);
     let mut colours = ws.take_u32();
     let mut order = ws.take_u32();
-    let list = ws.take_u32();
     let mut cursor = ws.take_usize();
-    let mut cands = Candidates {
-        cnt: ws.take_usize(),
-        off: ws.take_usize(),
-        list,
-    };
 
     let mut total_moves = 0u64;
     let mut total_pairs = 0u64;
     let mut peak_colours = 0u64;
     for _round in 0..config.refine_passes.max(1) {
-        collect_pairs(graph, part, &mut pairs);
-        if pairs.is_empty() {
+        boundary.build(graph, part, k);
+        let cands = &boundary.cands;
+        if cands.pairs.is_empty() {
             break;
         }
-        let ncolours = colour_pairs(&pairs, k, &mut colours);
+        let ncolours = colour_pairs(&cands.pairs, k, &mut ws.kw_used, &mut colours);
         schedule_order(&colours, ncolours, &mut cursor, &mut order);
-        build_candidates(
-            graph,
-            part,
-            &pairs,
-            k,
-            &mut ws.kw_conn,
-            &mut ws.kw_touched,
-            &mut cands,
-        );
-        total_pairs += pairs.len() as u64;
+        total_pairs += cands.pairs.len() as u64;
         peak_colours = peak_colours.max(ncolours as u64);
 
         let mut round_moves = 0u64;
         for &pi in &order {
             let pi = pi as usize;
-            let (p, q) = pairs[pi];
+            let (p, q) = cands.pairs[pi];
             let (pp, qq) = (p as usize, q as usize);
             let (lo, hi) = ws.kw_pw.split_at_mut(qq * ncon);
             let pw_p = &mut lo[pp * ncon..(pp + 1) * ncon];
@@ -445,13 +584,10 @@ pub fn pairwise_kway_refine_ws(
         }
     }
 
-    ws.pairs = pairs;
+    ws.boundary = boundary;
     ws.give_u32(colours);
     ws.give_u32(order);
-    ws.give_u32(cands.list);
     ws.give_usize(cursor);
-    ws.give_usize(cands.cnt);
-    ws.give_usize(cands.off);
     if rec.enabled() {
         rec.counter("part.kway.pairs", 0, total_pairs);
         rec.counter("part.kway.colours", 0, peak_colours);
@@ -482,11 +618,12 @@ mod tests {
         // of parts is adjacent (K4 needs >= 3 colours).
         let g = grid_graph(16, 16);
         let part = scattered(256, 4);
-        let mut pairs = Vec::new();
-        collect_pairs(&g, &part, &mut pairs);
+        let mut boundary = Boundary::default();
+        boundary.build(&g, &part, 4);
+        let pairs = &boundary.cands.pairs;
         assert!(!pairs.is_empty());
-        let mut colours = Vec::new();
-        let nc = colour_pairs(&pairs, 4, &mut colours);
+        let (mut used, mut colours) = (Vec::new(), Vec::new());
+        let nc = colour_pairs(pairs, 4, &mut used, &mut colours);
         assert!(nc >= 1);
         // Validity: no part appears twice within one colour class.
         for c in 0..nc as u32 {
@@ -503,7 +640,7 @@ mod tests {
         }
         // Determinism: a second run reproduces the assignment bit for bit.
         let mut colours2 = Vec::new();
-        assert_eq!(colour_pairs(&pairs, 4, &mut colours2), nc);
+        assert_eq!(colour_pairs(pairs, 4, &mut used, &mut colours2), nc);
         assert_eq!(colours, colours2);
         // The schedule lists every pair once, colours ascending, pair
         // indices ascending within a colour.

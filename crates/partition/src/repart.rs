@@ -25,27 +25,40 @@
 //!    the load never exceeds `max(previous load, allowance)`.
 //! 3. **Rounds**: moving the boundary exposes new boundary cells, so the
 //!    solve + realization repeats (up to [`RepartConfig::realize_rounds`])
-//!    until the plan is empty or a round moves nothing.
+//!    until the plan is empty or a round moves nothing
+//!    ([`RepartStats::stop`] says which, and [`RepartStats::over_allowance`]
+//!    what is left). What is **kept** across the rounds of a call: the part
+//!    tables, the allowance, and the boundary pair and candidate lists
+//!    (`par_kway::Boundary`), built from the whole graph once, before round
+//!    0. What is **patched**: those lists, before every later round, around
+//!    the cells the previous round moved — so a round costs what it moved
+//!    plus one pass over the boundary, not a sweep of the mesh. The
+//!    dirty-set argument: an entry `(pair, v)` of the lists depends only on
+//!    `part[v]` and the parts of `v`'s neighbours; a round changes `part`
+//!    only at the cells its transfers log; so only *moved ∪ neighbours of
+//!    moved* can own different entries, and regenerating exactly those
+//!    reproduces the whole-graph build (asserted after every patch in debug
+//!    builds).
 //!
 //! # Realization and determinism
 //!
 //! Pair lists, colours, candidate lists and the diffusion solve are pure
-//! functions of the round-start partition, and the pairs of a round run in
-//! one fixed order (ascending colour, ascending pair index), each owning
-//! its two part-load rows and its flow row — so the refreshed partition is
-//! a pure function of `(graph, part, config)`, whatever the worker count of
-//! the surrounding pipeline. The migration budget is applied by **scaling
-//! the flow plan between rounds**, never by a counter inside a pair's
-//! transfer.
+//! functions of the round-start partition (the lists by patching, see
+//! above), and the pairs of a round run in one fixed order (ascending
+//! colour, ascending pair index), each owning its two part-load rows and
+//! its flow row — so the refreshed partition is a pure function of
+//! `(graph, part, config)`, whatever the worker count of the surrounding
+//! pipeline. The migration budget is applied by **scaling the flow plan
+//! between rounds**, never by a counter inside a pair's transfer.
 //!
 //! `tests/property_repart.rs` (workspace root) enforces the ceiling,
-//! zero-drift, budget, warm-workspace and width-invariance properties;
+//! truthful-stop, zero-drift, budget, warm-workspace and width-invariance
+//! properties and pins a 16-step sequence;
 //! `ci.sh worker-matrix` diffs `repart-*` fingerprint rows across process
 //! worker counts.
 
 use crate::par_kway::{
-    build_candidates, check_part_vector, collect_pairs, colour_pairs, part_tables, schedule_order,
-    Candidates,
+    check_part_vector, colour_pairs, part_tables, schedule_order, Boundary, Candidates, Entry,
 };
 use crate::workspace::GainBuckets;
 use crate::{PartitionConfig, PartitionWorkspace};
@@ -102,6 +115,22 @@ impl RepartConfig {
     }
 }
 
+/// Why a [`repartition_ws`] call stopped running rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RepartStop {
+    /// The next round's plan was empty: every constraint sits in its
+    /// deadband, the remaining surplus has no realizable flow, or the
+    /// migration budget scaled the plan to zero.
+    #[default]
+    PlanEmpty,
+    /// A round had a plan but could not move a single cell.
+    Stalled,
+    /// [`RepartConfig::realize_rounds`] rounds ran, each moved cells, and
+    /// some part is still above an allowance
+    /// ([`RepartStats::over_allowance`] is non-zero): the call degraded.
+    RoundCap,
+}
+
 /// What one [`repartition_ws`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepartStats {
@@ -117,6 +146,12 @@ pub struct RepartStats {
     /// L1 norm of the first round's quantized (and budget-scaled) flow
     /// plan, in weight units.
     pub planned_flow: u64,
+    /// How the call ended.
+    pub stop: RepartStop,
+    /// The worst load left above its allowance at return, over parts and
+    /// constraints, in whole weight units (how much must still leave that
+    /// part); zero when every part is within every allowance.
+    pub over_allowance: u64,
 }
 
 /// Per-part per-constraint allowance `total[c] · frac(p) · ub(c)` — the
@@ -165,16 +200,15 @@ fn diffusion_flows(
     config: &RepartConfig,
 ) -> bool {
     let RoundPlan {
-        pairs,
+        boundary,
         allow,
         realize,
         flow,
         x,
         facc,
         fstep,
-        ..
     } = plan;
-    let (pairs, allow, realize) = (&*pairs, &*allow, &*realize);
+    let (pairs, allow, realize) = (&boundary.cands.pairs, &*allow, &*realize);
     flow.clear();
     flow.resize(pairs.len() * ncon, 0);
     if pairs.is_empty() {
@@ -296,18 +330,12 @@ fn diffusion_flows(
 /// when some candidate on the pair's `p` side carries weight in `c` (a
 /// `p → q` move of `c` is possible), bit 1 for the `q` side. A pure
 /// function of the round-start partition.
-fn realizable_mask(
-    graph: &CsrGraph,
-    part: &[PartId],
-    pairs: &[(u32, u32)],
-    cands: &Candidates,
-    out: &mut Vec<u8>,
-) {
+fn realizable_mask(graph: &CsrGraph, part: &[PartId], cands: &Candidates, out: &mut Vec<u8>) {
     let ncon = graph.ncon();
     out.clear();
-    out.resize(pairs.len() * ncon, 0);
-    for (pi, &(p, _)) in pairs.iter().enumerate() {
-        for &v in cands.of(pi) {
+    out.resize(cands.pairs.len() * ncon, 0);
+    for (pi, &(p, _)) in cands.pairs.iter().enumerate() {
+        for &(_, v) in cands.of(pi) {
             let side = if part[v as usize] == p { 1u8 } else { 2u8 };
             for (c, &w) in graph.vertex_weights(v).iter().enumerate() {
                 if w > 0 {
@@ -354,6 +382,22 @@ fn flow_benefit(flow: &[i64], vw: &[u32], s: i64) -> i64 {
     b
 }
 
+/// What one pair's transfer owns for its duration: the pair, its flow row,
+/// the two parts' load rows, populations and allowances, and the round's
+/// moved-cell log.
+struct PairState<'a> {
+    p: u32,
+    q: u32,
+    flow: &'a mut [i64],
+    pw_p: &'a mut [i64],
+    pw_q: &'a mut [i64],
+    size_p: i64,
+    size_q: i64,
+    allow_p: &'a [f64],
+    allow_q: &'a [f64],
+    moved: &'a mut Vec<u32>,
+}
+
 /// One pair's flow realization: candidates whose move direction reduces the
 /// remaining flow enter the gain buckets keyed by **cut gain** (so the
 /// cheapest cut damage moves first, LIFO tie-break documented at
@@ -362,23 +406,25 @@ fn flow_benefit(flow: &[i64], vw: &[u32], s: i64) -> i64 {
 /// flow-bearing constraint) and leave the source non-empty.
 /// Feasibility only shrinks as the transfer proceeds (flows decrease, the
 /// receiver fills up), so popped-but-infeasible candidates are discarded.
-/// Returns `(cells moved, volume moved)`.
-#[allow(clippy::too_many_arguments)]
+/// Every applied move is appended to `pair.moved`. Returns `(cells moved,
+/// volume moved)`.
 fn transfer_pair(
     graph: &CsrGraph,
     part: &mut [PartId],
-    cands: &[u32],
-    p: u32,
-    q: u32,
-    flow: &mut [i64],
-    pw_p: &mut [i64],
-    pw_q: &mut [i64],
-    size_p: &mut i64,
-    size_q: &mut i64,
-    allow_p: &[f64],
-    allow_q: &[f64],
+    cands: &[Entry],
+    pair: &mut PairState,
     buckets: &mut GainBuckets,
 ) -> (u64, u64) {
+    let &mut PairState {
+        p,
+        q,
+        ref mut size_p,
+        ref mut size_q,
+        allow_p,
+        allow_q,
+        ..
+    } = pair;
+    let (flow, pw_p, pw_q) = (&mut *pair.flow, &mut *pair.pw_p, &mut *pair.pw_q);
     if flow.iter().all(|&f| f == 0) {
         return (0, 0);
     }
@@ -389,7 +435,7 @@ fn transfer_pair(
     // index this transfer will ever use.
     let mut gmax = 1i64;
     let mut have = false;
-    for &v in cands {
+    for &(_, v) in cands {
         let own = part[v as usize];
         if own != p && own != q {
             continue;
@@ -406,7 +452,7 @@ fn transfer_pair(
         return (0, 0);
     }
     buckets.ensure(graph.nvtx(), gmax);
-    for &v in cands {
+    for &(_, v) in cands {
         let own = part[v as usize];
         if own != p && own != q {
             continue;
@@ -488,6 +534,7 @@ fn transfer_pair(
         *size_own -= 1;
         *size_other += 1;
         part[v as usize] = other;
+        pair.moved.push(v);
         cells += 1;
         volume += u64::from(vw[0].max(1));
         // Refresh the cut gains of still-bucketed neighbours — their
@@ -515,13 +562,12 @@ fn transfer_pair(
 }
 
 /// The state of one call's round plans, in buffers on loan from a
-/// workspace: the allowance table, and per round the boundary pair list,
-/// its candidates and realizability mask, the flow targets, and the solve's
-/// scratch.
+/// workspace: the allowance table, the boundary pair and candidate lists
+/// (built once, then patched round by round), and per round the
+/// realizability mask, the flow targets, and the solve's scratch.
 struct RoundPlan {
     allow: Vec<f64>,
-    pairs: Vec<(u32, u32)>,
-    cands: Candidates,
+    boundary: Boundary,
     realize: Vec<u8>,
     flow: Vec<i64>,
     x: Vec<f64>,
@@ -530,8 +576,9 @@ struct RoundPlan {
 }
 
 impl RoundPlan {
-    /// Loads the part tables of the (checked) `part` into `ws` and borrows
-    /// the plan buffers from it.
+    /// Loads the part tables of the (checked) `part` into `ws`, borrows the
+    /// plan buffers from it and builds the boundary lists of `part` — the
+    /// one whole-graph build of the call.
     fn begin(
         graph: &CsrGraph,
         part: &[PartId],
@@ -542,14 +589,11 @@ impl RoundPlan {
         part_tables(graph, part, k, ws);
         let mut allow = ws.take_f64();
         build_allowance(&ws.kw_tot, k, graph.ncon(), &config.base, &mut allow);
+        let mut boundary = std::mem::take(&mut ws.boundary);
+        boundary.build(graph, part, k);
         Self {
             allow,
-            pairs: std::mem::take(&mut ws.pairs),
-            cands: Candidates {
-                list: ws.take_u32(),
-                cnt: ws.take_usize(),
-                off: ws.take_usize(),
-            },
+            boundary,
             realize: ws.take_u8(),
             flow: ws.take_i64(),
             x: ws.take_f64(),
@@ -559,34 +603,27 @@ impl RoundPlan {
     }
 
     /// Plans one round from the current `part` and the part loads in `ws`:
-    /// pair list → candidates → realizability mask → diffusion solve, then
-    /// the flows scaled to what `spent` volume units leave of the migration
-    /// budget. Returns the plan's L1 norm; zero means nothing (more) to
-    /// realize.
+    /// boundary lists patched around the cells the previous round moved →
+    /// realizability mask → diffusion solve, then the flows scaled to what
+    /// `spent` volume units leave of the migration budget. Returns the
+    /// plan's L1 norm; zero means nothing (more) to realize.
     fn next(
         &mut self,
         graph: &CsrGraph,
         part: &[PartId],
         config: &RepartConfig,
-        ws: &mut PartitionWorkspace,
+        ws: &PartitionWorkspace,
         spent: u64,
     ) -> u64 {
         let k = config.base.nparts;
-        collect_pairs(graph, part, &mut self.pairs);
-        if self.pairs.is_empty() {
+        if !self.boundary.moved.is_empty() {
+            self.boundary.patch(graph, part, k);
+        }
+        if self.boundary.cands.pairs.is_empty() {
             self.flow.clear();
             return 0;
         }
-        build_candidates(
-            graph,
-            part,
-            &self.pairs,
-            k,
-            &mut ws.kw_conn,
-            &mut ws.kw_touched,
-            &mut self.cands,
-        );
-        realizable_mask(graph, part, &self.pairs, &self.cands, &mut self.realize);
+        realizable_mask(graph, part, &self.boundary.cands, &mut self.realize);
         if !diffusion_flows(self, k, graph.ncon(), &ws.kw_pw, &ws.kw_tot, config) {
             return 0;
         }
@@ -604,10 +641,7 @@ impl RoundPlan {
         ws.give_f64(self.x);
         ws.give_i64(self.flow);
         ws.give_u8(self.realize);
-        ws.give_usize(self.cands.off);
-        ws.give_usize(self.cands.cnt);
-        ws.give_u32(self.cands.list);
-        ws.pairs = self.pairs;
+        ws.boundary = self.boundary;
         ws.give_f64(self.allow);
     }
 }
@@ -632,8 +666,8 @@ pub fn diffusion_plan(
     check_part_vector(graph, part, config.base.nparts);
     let mut ws = PartitionWorkspace::new();
     let mut plan = RoundPlan::begin(graph, part, config, &mut ws);
-    plan.next(graph, part, config, &mut ws, 0);
-    (plan.pairs, plan.flow)
+    plan.next(graph, part, config, &ws, 0);
+    (plan.boundary.cands.pairs, plan.flow)
 }
 
 /// Incremental repartitioning with caller-provided scratch: diffuses the
@@ -673,53 +707,70 @@ pub fn repartition_ws(
     let mut cursor = ws.take_usize();
 
     let mut total_pairs = 0u64;
+    stats.stop = RepartStop::RoundCap;
     for _round in 0..config.realize_rounds.max(1) {
         let planned = plan.next(graph, part, config, ws, stats.volume_moved);
         if planned == 0 {
+            stats.stop = RepartStop::PlanEmpty;
             break;
         }
         if stats.rounds == 0 {
             stats.planned_flow = planned;
         }
-        let ncolours = colour_pairs(&plan.pairs, k, &mut colours);
+        let RoundPlan {
+            boundary: Boundary { cands, moved, .. },
+            allow,
+            flow,
+            ..
+        } = &mut plan;
+        let ncolours = colour_pairs(&cands.pairs, k, &mut ws.kw_used, &mut colours);
         schedule_order(&colours, ncolours, &mut cursor, &mut order);
-        total_pairs += plan.pairs.len() as u64;
+        total_pairs += cands.pairs.len() as u64;
 
         let mut round_cells = 0u64;
         for &pi in &order {
             let pi = pi as usize;
-            let (p, q) = plan.pairs[pi];
+            let (p, q) = cands.pairs[pi];
             let (pp, qq) = (p as usize, q as usize);
             let (lo, hi) = ws.kw_pw.split_at_mut(qq * ncon);
-            let pw_p = &mut lo[pp * ncon..(pp + 1) * ncon];
-            let pw_q = &mut hi[..ncon];
-            let mut sp = ws.kw_psize[pp] as i64;
-            let mut sq = ws.kw_psize[qq] as i64;
-            let (cells, vol) = transfer_pair(
-                graph,
-                part,
-                plan.cands.of(pi),
+            let mut pair = PairState {
                 p,
                 q,
-                &mut plan.flow[pi * ncon..(pi + 1) * ncon],
-                pw_p,
-                pw_q,
-                &mut sp,
-                &mut sq,
-                &plan.allow[pp * ncon..(pp + 1) * ncon],
-                &plan.allow[qq * ncon..(qq + 1) * ncon],
-                &mut ws.buckets,
-            );
-            ws.kw_psize[pp] = sp as usize;
-            ws.kw_psize[qq] = sq as usize;
+                flow: &mut flow[pi * ncon..(pi + 1) * ncon],
+                pw_p: &mut lo[pp * ncon..(pp + 1) * ncon],
+                pw_q: &mut hi[..ncon],
+                size_p: ws.kw_psize[pp] as i64,
+                size_q: ws.kw_psize[qq] as i64,
+                allow_p: &allow[pp * ncon..(pp + 1) * ncon],
+                allow_q: &allow[qq * ncon..(qq + 1) * ncon],
+                moved,
+            };
+            let (cells, vol) = transfer_pair(graph, part, cands.of(pi), &mut pair, &mut ws.buckets);
+            ws.kw_psize[pp] = pair.size_p as usize;
+            ws.kw_psize[qq] = pair.size_q as usize;
             round_cells += cells;
             stats.cells_moved += cells;
             stats.volume_moved += vol;
         }
         stats.rounds += 1;
         if round_cells == 0 {
+            stats.stop = RepartStop::Stalled;
             break;
         }
+    }
+    // What is left above an allowance; a capped call that got every part
+    // within its allowance in its last round would have found its next
+    // plan empty.
+    stats.over_allowance = ws
+        .kw_pw
+        .iter()
+        .zip(&plan.allow)
+        .filter(|&(&load, &allow)| load as f64 > allow)
+        .map(|(&load, &allow)| (load - allow.floor() as i64) as u64)
+        .max()
+        .unwrap_or(0);
+    if stats.stop == RepartStop::RoundCap && stats.over_allowance == 0 {
+        stats.stop = RepartStop::PlanEmpty;
     }
 
     ws.give_usize(cursor);
@@ -740,9 +791,10 @@ pub fn repartition_ws(
 mod tests {
     use super::*;
     use crate::partition_graph;
-    use tempart_graph::builder::grid_graph;
+    use tempart_graph::builder::{grid_graph, GraphBuilder};
     use tempart_graph::{constraint_imbalances, max_imbalance, migration_volume};
     use tempart_obs::Recorder;
+    use tempart_testkit::rng::Rng;
 
     fn repartition(g: &CsrGraph, part: &mut [PartId], cfg: &RepartConfig) -> RepartStats {
         repartition_ws(g, part, cfg, &mut PartitionWorkspace::new())
@@ -986,6 +1038,160 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The boundary lists by definition: every `(p, q, v)` such that `v`
+    /// has a neighbour across the part pair `p < q`, sorted.
+    fn lists_by_definition(g: &CsrGraph, part: &[PartId]) -> Vec<(u32, u32, u32)> {
+        let mut set = std::collections::BTreeSet::new();
+        for v in 0..g.nvtx() as u32 {
+            for u in g.neighbors(v) {
+                let (a, b) = (part[v as usize], part[u as usize]);
+                if a != b {
+                    set.insert((a.min(b), a.max(b), v));
+                }
+            }
+        }
+        set.into_iter().collect()
+    }
+
+    /// A graph of the case: a graded grid (even cases) or a sparse random
+    /// graph with isolated vertices (odd cases), under random `ncon`-ary
+    /// weights — which the lists must not depend on.
+    fn case_graph(case: u64, ncon: usize, rng: &mut Rng) -> CsrGraph {
+        let g = if case.is_multiple_of(2) {
+            grid_graph(rng.gen_range(5usize..22), rng.gen_range(5usize..22))
+        } else {
+            let n = rng.gen_range(40usize..260);
+            let mut b = GraphBuilder::new(n, 1);
+            for _ in 0..rng.gen_range(n / 2..2 * n) {
+                let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                if u != v {
+                    b.add_edge(u, v, rng.gen_range(1u32..4));
+                }
+            }
+            b.build()
+        };
+        let vwgt = (0..g.nvtx() * ncon)
+            .map(|_| rng.gen_range(0u32..5))
+            .collect();
+        g.with_vertex_weights(vwgt, ncon)
+    }
+
+    /// Patched ≡ rebuilt, after each of 10 successive move batches per
+    /// case: random moves, plus the four shapes a patch can get wrong — a
+    /// pair whose boundary empties, a pair that did not exist, a vertex
+    /// moved twice in one batch, a part's entire boundary moved at once.
+    /// Release-profile test runs have no armed oracle in
+    /// [`Boundary::patch`]; this test is their proof.
+    #[test]
+    fn patched_boundary_lists_equal_the_rebuilt_ones() {
+        let (mut emptied, mut created, mut twice, mut whole) = (0, 0, 0, 0);
+        for case in 0..36u64 {
+            let mut rng = Rng::seed_from_u64(0xB0DA_0000 + case);
+            let k = [2usize, 7, 64][case as usize % 3];
+            let ncon = [1usize, 3, 4][case as usize / 3 % 3];
+            let g = case_graph(case, ncon, &mut rng);
+            let n = g.nvtx() as u32;
+            let mut part: Vec<PartId> = (0..n).map(|_| rng.gen_range(0..k as u32)).collect();
+            let mut boundary = Boundary::default();
+            boundary.build(&g, &part, k);
+            for batch in 0..10 {
+                let before = boundary.cands.pairs.clone();
+                let pick = before.get(rng.gen_range(0..before.len().max(1))).copied();
+                let mut mv = |part: &mut [PartId], v: u32, to: PartId| {
+                    part[v as usize] = to;
+                    boundary.moved.push(v);
+                };
+                let mut expect_gone = None;
+                let mut expect_new = None;
+                match (batch % 5, pick) {
+                    // Part p dissolves into q: the pair's boundary empties.
+                    (1, Some((p, q))) => {
+                        for v in (0..n)
+                            .filter(|&v| part[v as usize] == p)
+                            .collect::<Vec<_>>()
+                        {
+                            mv(&mut part, v, q);
+                        }
+                        expect_gone = Some((p, q));
+                    }
+                    // A vertex next to part p hops into a part that p did
+                    // not touch: a key the old lists do not carry.
+                    (2, Some((p, _))) => {
+                        let fresh_q = (0..k as u32)
+                            .find(|&x| x != p && !before.contains(&(p.min(x), p.max(x))));
+                        let hop = (0..n).find(|&v| {
+                            part[v as usize] != p && g.neighbors(v).any(|u| part[u as usize] == p)
+                        });
+                        if let (Some(x), Some(v)) = (fresh_q, hop) {
+                            mv(&mut part, v, x);
+                            expect_new = Some((p.min(x), p.max(x)));
+                        }
+                    }
+                    // One vertex moved twice (the second move may undo the
+                    // first), among other moves.
+                    (3, _) => {
+                        let v = rng.gen_range(0..n);
+                        mv(&mut part, v, rng.gen_range(0..k as u32));
+                        mv(&mut part, rng.gen_range(0..n), rng.gen_range(0..k as u32));
+                        mv(&mut part, v, rng.gen_range(0..k as u32));
+                        twice += 1;
+                    }
+                    // The entire boundary of part p crosses over.
+                    (4, Some((p, _))) => {
+                        let crossing: Vec<(u32, PartId)> = (0..n)
+                            .filter(|&v| part[v as usize] == p)
+                            .filter_map(|v| {
+                                let to = g.neighbors(v).map(|u| part[u as usize]).find(|&x| x != p);
+                                to.map(|to| (v, to))
+                            })
+                            .collect();
+                        for (v, to) in crossing {
+                            mv(&mut part, v, to);
+                        }
+                        whole += 1;
+                    }
+                    _ => {
+                        for _ in 0..rng.gen_range(1..12) {
+                            mv(&mut part, rng.gen_range(0..n), rng.gen_range(0..k as u32));
+                        }
+                    }
+                }
+                boundary.patch(&g, &part, k);
+
+                let mut rebuilt = Boundary::default();
+                rebuilt.build(&g, &part, k);
+                assert!(
+                    boundary.cands == rebuilt.cands,
+                    "case {case} batch {batch}: patched lists differ from rebuilt"
+                );
+                let cands = &boundary.cands;
+                let mut flat = Vec::new();
+                for (pi, &(p, q)) in cands.pairs.iter().enumerate() {
+                    for &(b, v) in cands.of(pi) {
+                        let a = part[v as usize];
+                        assert_eq!((a.min(b), a.max(b)), (p, q), "entry under a foreign key");
+                        flat.push((p, q, v));
+                    }
+                }
+                assert_eq!(
+                    flat,
+                    lists_by_definition(&g, &part),
+                    "case {case} batch {batch}"
+                );
+                if let Some(key) = expect_gone {
+                    assert!(!cands.pairs.contains(&key));
+                    emptied += 1;
+                }
+                if let Some(key) = expect_new {
+                    assert!(cands.pairs.contains(&key));
+                    created += 1;
+                }
+            }
+        }
+        // Every shape occurred, not just compiled.
+        assert!(emptied >= 8 && created >= 8 && twice >= 8 && whole >= 8);
     }
 
     #[test]

@@ -305,10 +305,11 @@ pub struct PartitionWorkspace {
     pub(crate) kw_pw: Vec<i64>,
     /// Part populations.
     pub(crate) kw_psize: Vec<usize>,
-    /// Per-part connection weight of the current vertex.
-    pub(crate) kw_conn: Vec<i64>,
-    /// Parts touched by the current vertex.
-    pub(crate) kw_touched: Vec<usize>,
+    /// Boundary pair and candidate lists of the pairwise passes
+    /// ([`crate::par_kway`], [`crate::repart`]), with their build scratch.
+    pub(crate) boundary: crate::par_kway::Boundary,
+    /// Scratch of the pair colouring.
+    pub(crate) kw_used: Vec<u64>,
     /// Per-constraint weight totals.
     pub(crate) kw_tot: Vec<i64>,
     /// Per-constraint part allowance (average × ub).

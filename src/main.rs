@@ -23,6 +23,7 @@ use tempart::flusim::{
 use tempart::graph::PartitionQuality;
 use tempart::mesh::{level_histogram, GeneratorConfig, Mesh, MeshCase};
 use tempart::obs::Recorder;
+use tempart::partition::RepartStop;
 use tempart::runtime::RuntimeConfig;
 use tempart::solver::{blast_initial, Solver, SolverConfig, TimeIntegration, Viscosity};
 use tempart::taskgraph::stats::block_process_map;
@@ -263,9 +264,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--out" => o.out = Some(PathBuf::from(take(args, &mut i, "--out")?)),
             "--ndjson" => o.ndjson = Some(PathBuf::from(take(args, &mut i, "--ndjson")?)),
             "--steps" => {
-                o.steps = take(args, &mut i, "--steps")?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?
+                let steps = parse_positive(&take(args, &mut i, "--steps")?, "--steps")?;
+                o.steps = u32::try_from(steps).map_err(|e| format!("--steps: {e}"))?
             }
             "--budgets" => {
                 o.budgets = take(args, &mut i, "--budgets")?
@@ -294,6 +294,21 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 fn build_mesh(o: &Options) -> Mesh {
     let base_depth = o.depth.unwrap_or_else(|| o.case.default_base_depth());
     o.case.generate(&GeneratorConfig { base_depth })
+}
+
+/// The mesh of a subcommand that splits it into `--domains` parts: more
+/// domains than cells cannot all be used, and the layers below would report
+/// quality against per-domain targets of less than one cell.
+fn mesh_to_partition(o: &Options) -> Result<Mesh, String> {
+    let mesh = build_mesh(o);
+    if o.domains > mesh.n_cells() {
+        return Err(format!(
+            "--domains {} exceeds the mesh's {} cells",
+            o.domains,
+            mesh.n_cells()
+        ));
+    }
+    Ok(mesh)
 }
 
 /// Fork-join width for the partitioning/sweep stages: `--workers` if given,
@@ -362,7 +377,7 @@ fn cmd_partition(o: &Options) -> Result<(), String> {
     if let Some(path) = o.graph_file.clone() {
         return cmd_partition_file(o, &path);
     }
-    let mesh = build_mesh(o);
+    let mesh = mesh_to_partition(o)?;
     let workers = fj_workers(o);
     let pool = WorkspacePool::new(workers);
     let exec = untraced(workers, &pool);
@@ -411,7 +426,7 @@ fn cmd_partition(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_simulate(o: &Options) -> Result<(), String> {
-    let mesh = build_mesh(o);
+    let mesh = mesh_to_partition(o)?;
     let cluster = ClusterConfig::new(o.processes, o.cores);
     let config = PipelineConfig {
         strategy: o.strategy,
@@ -474,7 +489,7 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
 
 fn cmd_trace(o: &Options) -> Result<(), String> {
     use tempart::obs::{export, replay, schema};
-    let mesh = build_mesh(o);
+    let mesh = mesh_to_partition(o)?;
     let cluster = ClusterConfig::new(o.processes, o.cores);
     let config = PipelineConfig {
         strategy: o.strategy,
@@ -555,7 +570,7 @@ fn cmd_trace(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_solve(o: &Options) -> Result<(), String> {
-    let mesh = build_mesh(o);
+    let mesh = mesh_to_partition(o)?;
     let workers = env_workers();
     let pool = WorkspacePool::new(workers);
     let exec = untraced(workers, &pool);
@@ -604,7 +619,7 @@ fn cmd_solve(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_portfolio(o: &Options) -> Result<(), String> {
-    let mesh = build_mesh(o);
+    let mesh = mesh_to_partition(o)?;
     let cluster = ClusterConfig::new(o.processes, o.cores);
     let config = PipelineConfig {
         strategy: o.strategy,
@@ -670,7 +685,7 @@ fn cmd_portfolio(o: &Options) -> Result<(), String> {
 /// diffusion unbounded, then diffusion at each `--budgets` fraction of the
 /// cell count per step.
 fn cmd_repart(o: &Options) -> Result<(), String> {
-    let mesh = build_mesh(o);
+    let mesh = mesh_to_partition(o)?;
     let workers = fj_workers(o);
     let n = mesh.n_cells();
     let seq_cfg = |mode: RepartMode| RepartSequenceConfig {
@@ -721,6 +736,26 @@ fn cmd_repart(o: &Options) -> Result<(), String> {
             },
         );
     }
+    // A diffusion row that degraded says so: steps that ran out of rounds
+    // with load still above an allowance.
+    for (label, out) in &rows {
+        let capped = || {
+            out.steps
+                .iter()
+                .map(|s| &s.stats)
+                .filter(|s| s.stop == RepartStop::RoundCap)
+        };
+        if let Some(worst) = capped().max_by_key(|s| s.over_allowance) {
+            println!(
+                "{label}: {} of {} steps hit the {}-round cap, worst residual {} weight units \
+                 over the allowance",
+                capped().count(),
+                out.steps.len(),
+                worst.rounds,
+                worst.over_allowance,
+            );
+        }
+    }
     let scratch = &rows[0].1;
     let diffusion = &rows[1].1;
     let ratio =
@@ -738,7 +773,7 @@ fn cmd_repart(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_compare(o: &Options) -> Result<(), String> {
-    let mesh = build_mesh(o);
+    let mesh = mesh_to_partition(o)?;
     let cluster = ClusterConfig::new(o.processes, o.cores);
     println!(
         "{} ({} cells), {} domains on {}p x {}c:",

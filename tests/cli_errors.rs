@@ -15,6 +15,7 @@ fn zero_counts_are_usage_errors_not_panics() {
         ("compare", "--cores"),
         ("portfolio", "--processes"),
         ("repart", "--domains"),
+        ("repart", "--steps"),
         ("simulate", "--workers"),
     ];
     for &(cmd, flag) in cases {
@@ -91,6 +92,45 @@ fn bad_net_values_are_usage_errors_not_panics_or_wrapped_makespans() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!stdout.contains("makespan"), "{net:?}: printed {stdout}");
     }
+}
+
+#[test]
+fn more_domains_than_cells_is_a_usage_error_not_a_report() {
+    // The depth-3 CYLINDER has 736 cells. Asking for more domains than that
+    // used to exit 0 with a five-digit "imbalance ceiling"; every
+    // subcommand that partitions the mesh now refuses after building it.
+    for cmd in [
+        "partition",
+        "simulate",
+        "trace",
+        "compare",
+        "portfolio",
+        "solve",
+        "repart",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .args([cmd, "--depth", "3", "--domains", "100000"])
+            .output()
+            .expect("spawn tempart");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: stderr: {stderr}");
+        assert_eq!(
+            stderr.lines().next().unwrap_or(""),
+            "error: --domains 100000 exceeds the mesh's 736 cells",
+            "{cmd}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd} printed a report");
+    }
+    // One domain per cell is still a request that can be served.
+    let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+        .args(["partition", "--depth", "2", "--domains", "64"])
+        .output()
+        .expect("spawn tempart");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("64 domains"),
+        "{stdout}"
+    );
 }
 
 #[test]

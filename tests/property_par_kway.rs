@@ -73,7 +73,7 @@ proptest! {
     fn greedy_edge_colouring_is_valid_on_random_pair_lists(
         raw in vec_of((0u32..24, 0u32..24), 1..80),
     ) {
-        // Normalise to the collect_pairs invariant: p < q, sorted, deduped.
+        // Normalise to the pair-list invariant: p < q, sorted, deduped.
         let mut pairs: Vec<(u32, u32)> = raw
             .iter()
             .filter(|&&(a, b)| a != b)
@@ -84,8 +84,8 @@ proptest! {
         if pairs.is_empty() {
             return Ok(());
         }
-        let mut colours = Vec::new();
-        let ncolours = colour_pairs(&pairs, 24, &mut colours);
+        let (mut used, mut colours) = (Vec::new(), Vec::new());
+        let ncolours = colour_pairs(&pairs, 24, &mut used, &mut colours);
         prop_assert_eq!(colours.len(), pairs.len());
         // Proper edge colouring: no part appears twice within a colour.
         for colour in 0..ncolours as u32 {
@@ -99,9 +99,9 @@ proptest! {
                 seen[q as usize] = true;
             }
         }
-        // Deterministic: same input, same colouring.
+        // Deterministic: same input, same colouring (dirty scratch too).
         let mut colours2 = Vec::new();
-        let ncolours2 = colour_pairs(&pairs, 24, &mut colours2);
+        let ncolours2 = colour_pairs(&pairs, 24, &mut used, &mut colours2);
         prop_assert_eq!(ncolours, ncolours2);
         prop_assert_eq!(&colours, &colours2);
     }

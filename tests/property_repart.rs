@@ -7,6 +7,10 @@
 //!   maximum part load above `max(previous maximum, allowance)`: normal
 //!   moves are gated by the receiver's allowance, downhill/lateral cascade
 //!   moves by the sender's pre-move load;
+//! * **truthful stop** — over 16-step sequences (where pairs vanish and
+//!   the round cap binds), a step's `over_allowance` is exactly the excess
+//!   an independent recomputation finds, and a step that stopped at the
+//!   round cap reports a non-zero one — never a silent excess;
 //! * **migration bound** — over a drift sequence, diffusion moves at most
 //!   as much volume as re-partitioning from scratch relabels;
 //! * **zero drift ⇒ zero moves** — with velocity and jitter both zero the
@@ -17,11 +21,12 @@
 //!   widths 1 through 4.
 
 use tempart::core_api::{
-    repartition_sequence, strategy_weights, Exec, RepartMode, RepartSequenceConfig,
-    RepartSequenceOutcome, WorkspacePool,
+    default_repart_config, repartition_sequence, strategy_weights, Exec, RepartMode,
+    RepartSequenceConfig, RepartSequenceOutcome, WorkspacePool,
 };
 use tempart::mesh::{cylinder_like, DriftConfig, GeneratorConfig, Mesh};
 use tempart::obs::Recorder;
+use tempart::partition::RepartStop;
 use tempart_testkit::{prop_assert, prop_assert_eq, proptest};
 
 const N_DOMAINS: usize = 16;
@@ -46,6 +51,58 @@ fn sequence(mesh: &Mesh, cfg: &RepartSequenceConfig, workers: usize) -> RepartSe
     sequence_on(mesh, cfg, workers, &WorkspacePool::new(workers))
 }
 
+/// Checks every step of a diffusion sequence against the drifted weights,
+/// re-derived here by mirroring the sequence's own drift application:
+///
+/// * per constraint, the imbalance never ends above `max(pre-step
+///   imbalance, allowance)`;
+/// * `stats.over_allowance` is the worst load above the allowance the
+///   step's own imbalance report implies — so zero means every constraint
+///   is within its allowance;
+/// * a step that reports [`RepartStop::RoundCap`] ran all its rounds and
+///   reports a non-zero residual.
+fn check_steps(
+    mesh: &Mesh,
+    cfg: &RepartSequenceConfig,
+    out: &RepartSequenceOutcome,
+) -> Result<(), String> {
+    let mut m = mesh.clone();
+    cfg.drift.apply(&mut m, 0);
+    for s in &out.steps {
+        cfg.drift.apply(&mut m, s.step);
+        let (w, ncon) = strategy_weights(&m, cfg.strategy);
+        let rcfg = default_repart_config(cfg.n_domains, ncon, None);
+        let mut over = 0u64;
+        for c in 0..ncon {
+            let tot: i64 = w.iter().skip(c).step_by(ncon).map(|&x| i64::from(x)).sum();
+            if tot == 0 {
+                continue;
+            }
+            // The allowance in load units, `max(target·ub, 1)`, and in
+            // imbalance units (divided by the per-part target).
+            let target = tot as f64 / cfg.n_domains as f64;
+            let allow = (target * rcfg.base.ub(c)).max(1.0);
+            let bound = s.migration.imbalance_before[c].max(allow / target);
+            prop_assert!(
+                s.migration.imbalance_after[c] <= bound + 1e-9,
+                "step {} constraint {c}: imbalance {} above ceiling {bound}",
+                s.step,
+                s.migration.imbalance_after[c]
+            );
+            let max_load = (s.migration.imbalance_after[c] * target).round();
+            if max_load > allow {
+                over = over.max((max_load - allow.floor()) as u64);
+            }
+        }
+        prop_assert_eq!(s.stats.over_allowance, over, "step {} residual", s.step);
+        if s.stats.stop == RepartStop::RoundCap {
+            prop_assert!(over > 0, "step {}: capped without a residual", s.step);
+            prop_assert_eq!(s.stats.rounds as usize, rcfg.realize_rounds);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![config(cases = 6, seed = 0x5EED_2026)]
 
@@ -56,33 +113,18 @@ proptest! {
     fn repart_respects_balance_ceiling(seed in 0u64..1 << 48, steps in 1u32..4) {
         let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
         let cfg = seq_config(seed, steps, RepartMode::Diffusion { budget: None });
+        check_steps(&mesh, &cfg, &sequence(&mesh, &cfg, 2))?;
+    }
+
+    /// The same ceiling, and a truthful account of how each step ended,
+    /// over sequences long enough for boundary pairs to vanish and the
+    /// round cap to bind (it binds on every step of this small mesh).
+    fn long_sequences_never_hide_an_excess(seed in 0u64..1 << 48) {
+        let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
+        let cfg = seq_config(seed, 16, RepartMode::Diffusion { budget: None });
         let out = sequence(&mesh, &cfg, 2);
-        // Re-derive the per-step constraint totals, mirroring the
-        // sequence's own drift application.
-        let mut m = mesh.clone();
-        cfg.drift.apply(&mut m, 0);
-        let ub: f64 = 1.08; // default_repart_config for ncon > 1
-        for s in &out.steps {
-            cfg.drift.apply(&mut m, s.step);
-            let (w, ncon) = strategy_weights(&m, cfg.strategy);
-            for c in 0..ncon {
-                let tot: i64 = w.iter().skip(c).step_by(ncon).map(|&x| i64::from(x)).sum();
-                if tot == 0 {
-                    continue;
-                }
-                // The allowance in imbalance units: `max(target·ub, 1)`
-                // load becomes `max(ub, k/tot)` after dividing by the
-                // per-part target `tot/k`.
-                let allow_imb = ub.max(N_DOMAINS as f64 / tot as f64);
-                let bound = s.migration.imbalance_before[c].max(allow_imb);
-                prop_assert!(
-                    s.migration.imbalance_after[c] <= bound + 1e-9,
-                    "step {} constraint {c}: imbalance {} above ceiling {bound}",
-                    s.step,
-                    s.migration.imbalance_after[c]
-                );
-            }
-        }
+        check_steps(&mesh, &cfg, &out)?;
+        prop_assert!(out.steps.iter().any(|s| s.stats.stop == RepartStop::RoundCap));
     }
 
     /// Diffusion's total migration never exceeds what from-scratch
@@ -198,4 +240,40 @@ fn golden_frontier_graded_cylinder() {
     assert_eq!(scratch.total_migration_volume(), 50304);
     assert!((diff.imbalance_ceiling() - 1.08).abs() < 5e-3);
     assert!((scratch.imbalance_ceiling() - 1.092).abs() < 5e-3);
+}
+
+/// The long sequence: 16 drift steps on the same depth-4 CYLINDER, past the
+/// steps where boundary pairs vanish and the round cap binds (steps 10, 11,
+/// 15 and 16). Part-vector FNV-1a, total volume and per-step round counts
+/// were computed on the commit *before* the boundary lists were patched
+/// across rounds (`d95c930`, whole-graph rebuild every round) — the patch
+/// must reproduce them bit for bit.
+#[test]
+fn golden_long_sequence_graded_cylinder() {
+    let mesh = cylinder_like(&GeneratorConfig { base_depth: 4 });
+    let cfg = seq_config(0x5F4D, 16, RepartMode::Diffusion { budget: None });
+    let out = sequence(&mesh, &cfg, 2);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for byte in out.part.iter().flat_map(|&p| u64::from(p).to_le_bytes()) {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    assert_eq!(h, 0xf7cf_2e7a_4ab9_a724, "part vector {h:#018x}");
+    assert_eq!(out.total_migration_volume(), 1343);
+    let rounds: Vec<u32> = out.steps.iter().map(|s| s.stats.rounds).collect();
+    assert_eq!(
+        rounds,
+        [1, 2, 1, 3, 3, 2, 4, 10, 5, 32, 32, 4, 4, 4, 32, 32]
+    );
+    // How the 32-round steps ended is new information, not a pin from the
+    // parent: they are the degraded ones, and only they.
+    for s in &out.steps {
+        assert_eq!(
+            s.stats.stop == RepartStop::RoundCap,
+            s.stats.rounds == 32,
+            "step {}: {:?}",
+            s.step,
+            s.stats
+        );
+    }
+    check_steps(&mesh, &cfg, &out).unwrap();
 }

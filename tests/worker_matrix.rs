@@ -286,6 +286,27 @@ fn emit_fingerprints_for_worker_matrix() {
     )
     .unwrap();
 
+    // The same sequence run out to 16 steps: past the steps where boundary
+    // pairs vanish and the round cap binds, with every later round working
+    // on patched (not rebuilt) boundary lists.
+    let seq16 = repartition_sequence(
+        &sfc_mesh,
+        &RepartSequenceConfig {
+            steps: 16,
+            ..seq_cfg
+        },
+        &exec,
+    );
+    writeln!(
+        out,
+        "cylinder4/repart-seq16 part={:016x} moved={} volume={} rounds={}",
+        part_fingerprint(&seq16.part),
+        seq16.total_cells_moved(),
+        seq16.total_migration_volume(),
+        seq16.steps.iter().map(|s| s.stats.rounds).sum::<u32>(),
+    )
+    .unwrap();
+
     // Nearest ancestor `results/` (repo root when run via cargo).
     let dir = std::env::current_dir()
         .ok()
