@@ -14,7 +14,8 @@
 #     CI_ONLY=build,worker-matrix ./ci.sh
 #
 # Stage names: policy, fmt, clippy, build, test, benchmark-smoke,
-# worker-matrix, paper-scale, bench.
+# worker-matrix, paper-scale, bench (prints medians, gates only its in-run
+# diffuse < scratch invariant).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -87,7 +88,19 @@ stage_policy() {
         echo "ERROR: new suffixed twin in crates/partition/src (allow-list in ci.sh)" >&2
         exit 1
     fi
-    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points)"
+    # Performance numbers are kept, compared and gated in benchmark/ alone:
+    # the absolute-nanosecond bench gate, its knobs and its committed
+    # baselines must not come back (CHANGES.md / EXPERIMENTS.md / ROADMAP.md
+    # keep the history and are exempt). The names are spelt in halves so
+    # that this file does not match itself.
+    local knob='TEMPART_BENCH_' gate
+    gate="${knob}BASELINE|${knob}TOLERANCE|${knob}DIR|CI_SKIP_""BENCH|\bBENCH_[a-z<*]"
+    if grep -rnE "$gate" ci.sh crates src tests README.md DESIGN.md .claude ||
+        compgen -G 'BENCH_?*.json' >/dev/null; then
+        echo "ERROR: the bench baseline gate is gone; perf gates live in benchmark/" >&2
+        exit 1
+    fi
+    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points, no bench gate)"
 }
 
 stage_fmt() {
@@ -181,8 +194,7 @@ stage_paper_scale() {
     # 1-vs-4-worker part vectors at full scale, sorts ≥1M random points
     # against the comparison sort bit for bit, and asserts the whole run
     # stays under the 4 GiB RSS budget. The matching `partition/paper/*`
-    # bench rows run in the bench stage below when the same variable is
-    # set.
+    # rows print in the bench stage below when the same variable is set.
     if [[ "${TEMPART_PAPER_SCALE:-0}" == "1" ]]; then
         TEMPART_PAPER_SCALE=1 cargo test --release --offline --test paper_scale -- --nocapture
         echo "ok (paper-scale suite green)"
@@ -192,52 +204,17 @@ stage_paper_scale() {
 }
 
 stage_bench() {
-    # Short-sample wall-clock runs of the two hot-path suites, compared
-    # against the committed BENCH_partitioner.json / BENCH_flusim.json at
-    # the repo root; the run exits non-zero if any median regresses by more
-    # than TEMPART_BENCH_TOLERANCE (default +15%). Skippable on noisy or
-    # throttled machines with CI_SKIP_BENCH=1; re-baseline deliberate
-    # changes with TEMPART_BENCH_BASELINE=write and commit the JSON.
-    #
-    # This gate doubles as the disabled-recorder overhead guard: since the
-    # observability layer landed, `partition_graph` and `simulate` route
-    # through their `_traced` variants with `Recorder::off()`, so these
-    # baselines (at the pre-instrumentation tolerance, deliberately NOT
-    # loosened) price the one-relaxed-atomic-branch disabled path into
-    # every hot loop they time. The partitioner suite also gates the
-    # fork-join rows (`partition/parallel/MC_TL-w{1,2,4}`) — on a
-    # single-core runner they bound the fork-join overhead against the
-    # sequential baseline — the pairwise k-way refinement
-    # (`partition/parallel/kway-w1`), the geometric
-    # `partition/sfc/{morton,hilbert}` cost floor and the incremental
-    # repartitioner rows (`partition/repart/{diffuse,scratch}`: one
-    # diffusion refresh must undercut the from-scratch MC_TL rebuild it
-    # replaces).
-    # With TEMPART_PAPER_SCALE=1 the partitioner suite additionally emits
-    # the `partition/paper/*` rows (12.6M-cell SFC runs + the
-    # SFC-vs-multilevel race) and checks them against the committed
-    # baseline; on normal runs those rows are simply absent and the gate
-    # ignores them. The flusim suite additionally gates the lattice
-    # scheduler (`flusim/portfolio/*`): one dynamic combo against the
-    # pinned loop, and the full 24-combo race at 1 and 4 workers — pricing
-    # the global-ready-heap path and the racing fan-out — and the network
-    # model (`flusim/comm/{uniform,two-level,race}`): the priced event
-    # loop's NIC-channel bookkeeping and transfer ledger on both topology
-    # presets — each run pricing its own edge table up front and deriving
-    # `NetStats` in one streaming pass after the loop — plus the comm-bound
-    # 24-combo race, which prices the edges once for all combos.
-    if [[ "${CI_SKIP_BENCH:-0}" == "1" ]]; then
-        echo "skipped (CI_SKIP_BENCH=1)"
-        return 0
-    fi
-    TEMPART_BENCH_SAMPLES="${TEMPART_BENCH_SAMPLES:-5}" TEMPART_BENCH_BASELINE=check \
-        cargo bench --offline -p tempart-bench --bench partitioner
-    TEMPART_BENCH_SAMPLES="${TEMPART_BENCH_SAMPLES:-5}" TEMPART_BENCH_BASELINE=check \
-        cargo bench --offline -p tempart-bench --bench flusim
-    echo "-- bench history (trend append)"
-    # One NDJSON record per suite (timestamp + per-benchmark medians) so
-    # the performance trajectory survives beyond the latest bench_*.json.
-    cargo run -q --release --offline -p tempart-bench --bin bench_history
+    # The two hot-path suites as a print-only microscope: nothing is stored
+    # or compared (the numbers of record are benchmark/'s), so the stage is
+    # red only if a suite panics — i.e. on the partitioner suite's in-run
+    # A/B invariant, `partition/repart/diffuse` < `partition/repart/scratch`.
+    # With TEMPART_PAPER_SCALE=1 the `partition/paper/*` rows run and print
+    # too.
+    local suite
+    for suite in partitioner flusim; do
+        TEMPART_BENCH_SAMPLES="${TEMPART_BENCH_SAMPLES:-5}" \
+            cargo bench --offline -p tempart-bench --bench "$suite"
+    done
 }
 
 run_stage policy stage_policy

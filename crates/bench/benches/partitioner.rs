@@ -1,7 +1,7 @@
 //! Wall-clock benches for the multilevel partitioner: SC vs MC weighting,
 //! scheme ablations (recursive bisection vs k-way-refined), and the raw
 //! coarsening stage. Runs on the in-tree `tempart_testkit` harness
-//! (warmup + samples, median/MAD, JSON under `results/`).
+//! (warmup + samples, median/MAD, printed only).
 
 use std::hint::black_box;
 use tempart_core::{strategy_weights, PartitionStrategy};
@@ -180,10 +180,7 @@ fn bench_coarsening(b: &mut Bencher) {
 /// The paper meshes are generated as faces-free [`SfcCloud`]s (~25 B/cell),
 /// so the 12.6M-point run fits comfortably in bounded memory; the
 /// zero-allocation [`cloud_cell_count`] size check runs first and the
-/// suite refuses sizes that drifted away from Table I. These rows live in
-/// the committed baseline like any other; on non-paper runs they are simply
-/// absent from `results/` and the gate reports them as missing-new (never a
-/// failure).
+/// suite refuses sizes that drifted away from Table I.
 fn bench_paper(b: &mut Bencher) {
     if std::env::var("TEMPART_PAPER_SCALE").as_deref() != Ok("1") {
         return;
@@ -295,8 +292,7 @@ fn main() {
     bench_paper(&mut b);
     let stats = b.finish();
     // An incremental refresh that costs as much as the rebuild it replaces
-    // is a bug, not a tuning matter — fail the suite, not just the
-    // baseline gate.
+    // is a bug, not a tuning matter — fail the suite.
     let median = |name: &str| {
         stats
             .iter()

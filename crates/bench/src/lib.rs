@@ -21,26 +21,34 @@ pub struct ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `std::env::args`.
-    pub fn from_args() -> Self {
-        let mut depth = None;
-        let mut seed = 0x5EED;
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--depth" => {
-                    depth = args.get(i + 1).and_then(|s| s.parse().ok());
-                    i += 2;
-                }
-                "--seed" => {
-                    seed = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(seed);
-                    i += 2;
-                }
-                _ => i += 1,
+    /// Parses the arguments after the program name. A malformed or missing
+    /// value and an unknown flag are errors: a mistyped paper-scale run must
+    /// not silently print the default-scale table.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut o = Self {
+            depth: None,
+            seed: 0x5EED,
+        };
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--depth" => o.depth = Some(value()?.parse().map_err(|e| format!("--depth: {e}"))?),
+                "--seed" => o.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+                _ => return Err(format!("unknown option {flag:?}")),
             }
         }
-        Self { depth, seed }
+        Ok(o)
+    }
+
+    /// [`Self::parse`] of `std::env::args`; on a bad command line prints
+    /// `error: …` to stderr and exits with code 2.
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e} (options: --depth N, --seed N)");
+            std::process::exit(2)
+        })
     }
 
     /// Generates `case` at the requested (or default) scale.
@@ -109,6 +117,36 @@ mod tests {
         };
         let m = o.mesh(MeshCase::Cube);
         assert!(m.n_cells() > 1000);
+    }
+
+    fn parse(args: &[&str]) -> Result<ExpOptions, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        ExpOptions::parse(&args)
+    }
+
+    #[test]
+    fn parse_reads_depth_and_seed_in_any_order() {
+        let o = parse(&[]).unwrap();
+        assert_eq!((o.depth, o.seed), (None, 0x5EED));
+        let o = parse(&["--seed", "7", "--depth", "6"]).unwrap();
+        assert_eq!((o.depth, o.seed), (Some(6), 7));
+    }
+
+    #[test]
+    fn parse_rejects_bad_values_missing_values_and_unknown_flags() {
+        for (args, want) in [
+            (&["--depth", "x"][..], "--depth: invalid digit"),
+            (&["--depth", "300"], "--depth: number too large"),
+            (&["--seed", "x"], "--seed: invalid digit"),
+            (&["--seed", "-1"], "--seed: invalid digit"),
+            (&["--depth"], "--depth needs a value"),
+            (&["--depth", "4", "--seed"], "--seed needs a value"),
+            (&["--dpeth", "6"], "unknown option \"--dpeth\""),
+            (&["6"], "unknown option \"6\""),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} parsed"));
+            assert!(err.starts_with(want), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -22,15 +22,19 @@ pub struct OctreeConfig {
 }
 
 impl OctreeConfig {
+    /// Deepest level a leaf may reach (the coordinate budget of a `u32`
+    /// with headroom).
+    pub const MAX_DEPTH: u8 = 20;
+
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `max_depth < base_depth` or `max_depth` exceeds 20 (the
-    /// coordinate budget of a `u32` with headroom).
+    /// Panics if `max_depth < base_depth` or `max_depth` exceeds
+    /// [`Self::MAX_DEPTH`].
     pub fn checked(self) -> Self {
         assert!(self.max_depth >= self.base_depth, "max_depth < base_depth");
-        assert!(self.max_depth <= 20, "max_depth too large");
+        assert!(self.max_depth <= Self::MAX_DEPTH, "max_depth too large");
         self
     }
 }

@@ -53,7 +53,10 @@ pub enum Scheme {
     KWayRefined,
     /// Full multilevel k-way: one global coarsening, k-way split of the
     /// coarsest graph, pairwise k-way refinement during uncoarsening
-    /// (the `METIS_PartGraphKway` analogue).
+    /// (the `METIS_PartGraphKway` analogue). Kept for `ablation_partitioner`
+    /// only — it is the `METIS_PartGraphKway` side of the paper's §V
+    /// "recursive bisection produces higher quality on our meshes": 2.3 s
+    /// and cut 34.8k vs 0.3 s and 22.3k on cyl5/128.
     MultilevelKWay,
 }
 

@@ -7,28 +7,10 @@
 //! deviation) — robust against scheduler noise, which matters more than
 //! criterion's bootstrap machinery on the shared CI boxes this runs on.
 //!
-//! Results print to stdout and are appended to
-//! `results/bench_<suite>.json` (override the directory with
-//! `TEMPART_BENCH_DIR`; set `TEMPART_BENCH_SAMPLES` to change the sample
-//! count globally, e.g. `=3` for smoke runs).
-//!
-//! ## Committed baselines and the regression gate
-//!
-//! The repo root carries committed per-suite baselines
-//! (`BENCH_<suite>.json`), seeding the project's performance trajectory.
-//! `TEMPART_BENCH_BASELINE` switches [`Bencher::finish`] between three
-//! modes:
-//!
-//! * unset — measure and report only (default);
-//! * `write` — additionally (re)write `BENCH_<suite>.json` at the repo
-//!   root (run this after an intentional perf change and commit the file);
-//! * `check` — compare each benchmark's median against the committed
-//!   baseline and **exit non-zero** if any regresses by more than the
-//!   tolerance (`TEMPART_BENCH_TOLERANCE`, default `0.15` = +15%).
-//!
-//! `ci.sh bench-gate` runs the suites in short-sample mode with
-//! `TEMPART_BENCH_BASELINE=check`; set `CI_SKIP_BENCH=1` to skip it on
-//! underpowered runners.
+//! A developer microscope: it prints one line per benchmark and hands the
+//! statistics back to the caller — no file is written, nothing is compared.
+//! The numbers of record, and the only ones CI gates on, are `benchmark/`'s.
+//! `TEMPART_BENCH_SAMPLES` sets the default sample count (`=3` for smoke runs).
 //!
 //! Bench targets use `harness = false` and a plain `main`:
 //!
@@ -222,224 +204,30 @@ impl Bencher {
         self.results.push(stats);
     }
 
-    /// Writes `results/bench_<suite>.json`, applies the baseline mode
-    /// selected by `TEMPART_BENCH_BASELINE` (see module docs), and prints a
-    /// footer. Returns the collected stats for programmatic use.
-    ///
-    /// In `check` mode this **terminates the process with exit code 1** when
-    /// a benchmark's median regresses beyond the tolerance.
+    /// Prints the suite footer and returns the collected stats, in the
+    /// order the benchmarks ran, for in-run comparisons between rows.
     pub fn finish(self) -> Vec<BenchStats> {
-        let dir = output_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("bench: cannot create {}: {e}", dir.display());
-            return self.results;
-        }
-        let path = dir.join(format!("bench_{}.json", self.suite.replace('/', "_")));
-        let json = render_json(&self.suite, &self.results);
-        match std::fs::write(&path, json) {
-            Ok(()) => println!(
-                "bench suite `{}`: {} benchmarks -> {}",
-                self.suite,
-                self.results.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!("bench: cannot write {}: {e}", path.display()),
-        }
-        match std::env::var("TEMPART_BENCH_BASELINE").as_deref() {
-            Ok("write") => {
-                let p = baseline_path(&self.suite);
-                match std::fs::write(&p, render_json(&self.suite, &self.results)) {
-                    Ok(()) => println!("bench baseline written -> {}", p.display()),
-                    Err(e) => eprintln!("bench: cannot write baseline {}: {e}", p.display()),
-                }
-            }
-            Ok("check") => {
-                let tolerance = std::env::var("TEMPART_BENCH_TOLERANCE")
-                    .ok()
-                    .and_then(|t| t.parse::<f64>().ok())
-                    .unwrap_or(0.15);
-                match check_against_baseline(&self.suite, &self.results, tolerance) {
-                    Ok(lines) => {
-                        for l in lines {
-                            println!("{l}");
-                        }
-                    }
-                    Err(failures) => {
-                        for f in &failures {
-                            eprintln!("BENCH REGRESSION: {f}");
-                        }
-                        eprintln!(
-                            "bench gate FAILED for suite `{}` ({} regression(s), tolerance {:.0}%)",
-                            self.suite,
-                            failures.len(),
-                            tolerance * 100.0
-                        );
-                        std::process::exit(1);
-                    }
-                }
-            }
-            _ => {}
-        }
+        println!(
+            "bench suite `{}`: {} benchmarks",
+            self.suite,
+            self.results.len()
+        );
         self.results
     }
-}
-
-/// `BENCH_<suite>.json` at the repo root (nearest ancestor of the current
-/// directory containing a `Cargo.lock`, else the current directory).
-pub fn baseline_path(suite: &str) -> std::path::PathBuf {
-    let root = std::env::current_dir()
-        .ok()
-        .and_then(|cwd| {
-            cwd.ancestors()
-                .find(|d| d.join("Cargo.lock").is_file())
-                .map(std::path::Path::to_path_buf)
-        })
-        .unwrap_or_else(|| ".".into());
-    root.join(format!("BENCH_{}.json", suite.replace('/', "_")))
-}
-
-/// Parses `(name, median_ns)` pairs out of a baseline file previously
-/// written by [`render_json`] (this harness's own format — not a general
-/// JSON parser).
-pub fn parse_baseline(text: &str) -> Vec<(String, u64)> {
-    // Reads a JSON string body starting at `rest`, honouring `\"` and `\\`
-    // escapes; returns the unescaped content up to the closing quote.
-    fn scan_string(rest: &str) -> Option<String> {
-        let mut out = String::new();
-        let mut chars = rest.chars();
-        while let Some(ch) = chars.next() {
-            match ch {
-                '"' => return Some(out),
-                '\\' => out.push(chars.next()?),
-                c => out.push(c),
-            }
-        }
-        None
-    }
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(npos) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let Some(name) = scan_string(&line[npos + 9..]) else {
-            continue;
-        };
-        let Some(mpos) = line.find("\"median_ns\": ") else {
-            continue;
-        };
-        let mrest = &line[mpos + 13..];
-        let digits: String = mrest.chars().take_while(char::is_ascii_digit).collect();
-        if let Ok(median) = digits.parse::<u64>() {
-            out.push((name, median));
-        }
-    }
-    out
-}
-
-/// Compares `results` against the committed `BENCH_<suite>.json`.
-///
-/// Returns human-readable per-benchmark delta lines on success, or the list
-/// of failed comparisons if any median regressed by more than `tolerance`
-/// (fractional: `0.15` allows +15%). Benchmarks missing from the baseline
-/// are reported but never fail the gate (they are new), and a missing
-/// baseline file passes with a notice so first runs don't brick CI.
-pub fn check_against_baseline(
-    suite: &str,
-    results: &[BenchStats],
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let path = baseline_path(suite);
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return Ok(vec![format!(
-            "bench gate: no baseline at {} (run with TEMPART_BENCH_BASELINE=write to seed it)",
-            path.display()
-        )]);
-    };
-    let baseline = parse_baseline(&text);
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    for r in results {
-        let Some(&(_, base)) = baseline.iter().find(|(n, _)| *n == r.name) else {
-            lines.push(format!("{:<44} NEW (no baseline entry)", r.name));
-            continue;
-        };
-        let ratio = if base == 0 {
-            1.0
-        } else {
-            r.median_ns as f64 / base as f64
-        };
-        let line = format!(
-            "{:<44} {:>12} vs baseline {:>12} ({:+.1}%)",
-            r.name,
-            fmt_ns(r.median_ns),
-            fmt_ns(base),
-            (ratio - 1.0) * 100.0
-        );
-        if ratio > 1.0 + tolerance {
-            failures.push(line);
-        } else {
-            lines.push(line);
-        }
-    }
-    if failures.is_empty() {
-        Ok(lines)
-    } else {
-        Err(failures)
-    }
-}
-
-/// `TEMPART_BENCH_DIR`, or the nearest ancestor `results/` directory, or
-/// `./results`.
-fn output_dir() -> std::path::PathBuf {
-    if let Ok(d) = std::env::var("TEMPART_BENCH_DIR") {
-        return d.into();
-    }
-    if let Ok(cwd) = std::env::current_dir() {
-        for dir in cwd.ancestors() {
-            let cand = dir.join("results");
-            if cand.is_dir() {
-                return cand;
-            }
-        }
-    }
-    "results".into()
-}
-
-/// Hand-rolled JSON (no serde in a zero-dependency workspace). All values
-/// are integers or strings, so escaping only needs the string fields.
-fn render_json(suite: &str, results: &[BenchStats]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"suite\": \"{}\",\n", esc(suite)));
-    out.push_str("  \"unit\": \"ns/iter\",\n");
-    out.push_str("  \"benchmarks\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"name\": \"{}\", ", esc(&r.name)));
-        out.push_str(&format!("\"median_ns\": {}, ", r.median_ns));
-        out.push_str(&format!("\"mad_ns\": {}, ", r.mad_ns));
-        out.push_str(&format!("\"iters_per_sample\": {}, ", r.iters_per_sample));
-        out.push_str(&format!(
-            "\"samples_ns\": [{}]",
-            r.samples_ns
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push('}');
-        out.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bencher(warmup_iters: u32, samples: u32, min_sample_us: u64) -> Bencher {
+        let config = BenchConfig {
+            warmup_iters,
+            samples,
+            min_sample: Duration::from_micros(min_sample_us),
+        };
+        Bencher::with_config("selftest", config)
+    }
 
     #[test]
     fn median_and_mad() {
@@ -457,14 +245,7 @@ mod tests {
 
     #[test]
     fn bench_collects_requested_samples() {
-        let mut b = Bencher::with_config(
-            "selftest",
-            BenchConfig {
-                warmup_iters: 1,
-                samples: 5,
-                min_sample: Duration::from_micros(10),
-            },
-        );
+        let mut b = bencher(1, 5, 10);
         let mut acc = 0u64;
         b.bench("spin", || {
             for i in 0..100u64 {
@@ -478,57 +259,20 @@ mod tests {
     }
 
     #[test]
-    fn json_shape() {
-        let stats = vec![BenchStats::from_samples("a/b", vec![1, 2, 3], 4)];
-        let j = render_json("s", &stats);
-        assert!(j.contains("\"suite\": \"s\""));
-        assert!(j.contains("\"name\": \"a/b\""));
-        assert!(j.contains("\"median_ns\": 2"));
-        assert!(j.contains("\"samples_ns\": [1, 2, 3]"));
-    }
-
-    #[test]
-    fn baseline_roundtrip_parses() {
-        let stats = vec![
-            BenchStats::from_samples("partition/strategy/MC_TL", vec![100, 110, 120], 1),
-            BenchStats::from_samples("a\"quoted\"", vec![7], 1),
-        ];
-        let parsed = parse_baseline(&render_json("s", &stats));
-        assert_eq!(
-            parsed,
-            vec![
-                ("partition/strategy/MC_TL".to_string(), 110),
-                ("a\"quoted\"".to_string(), 7)
-            ]
-        );
-    }
-
-    #[test]
-    fn baseline_check_flags_regressions_only() {
-        let baseline = vec![BenchStats::from_samples("x", vec![100], 1)];
-        let text = render_json("s", &baseline);
-        let parsed = parse_baseline(&text);
-        assert_eq!(parsed[0].1, 100);
-        // Direct comparison logic (bypassing the filesystem): 20% slower
-        // fails a 15% gate, 10% slower passes, faster always passes.
-        for (median, ok) in [(120u64, false), (110, true), (80, true)] {
-            let ratio = median as f64 / 100.0;
-            assert_eq!(ratio <= 1.15, ok, "median {median}");
-        }
-    }
-
-    #[test]
     fn setup_variant_runs() {
-        let mut b = Bencher::with_config(
-            "selftest2",
-            BenchConfig {
-                warmup_iters: 0,
-                samples: 3,
-                min_sample: Duration::from_micros(1),
-            },
-        );
+        let mut b = bencher(0, 3, 1);
         b.bench_with_setup("sum", || vec![1u64; 64], |v| v.iter().sum::<u64>());
         assert_eq!(b.results[0].samples_ns.len(), 3);
         assert_eq!(b.results[0].iters_per_sample, 1);
+    }
+
+    #[test]
+    fn finish_returns_rows_by_name_in_run_order() {
+        // `benches/partitioner.rs::main` finds its repart rows by name here.
+        let mut b = bencher(0, 1, 1);
+        b.bench("repart/diffuse", || 1u64);
+        b.bench_with_setup("repart/scratch", || 2u64, |x| x);
+        let names: Vec<String> = b.finish().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["repart/diffuse", "repart/scratch"]);
     }
 }

@@ -15,10 +15,8 @@
 //!   replacing the `proptest` crate. Failures print the seed, case index and
 //!   the minimised input so they reproduce byte-for-byte.
 //! * [`bench`] — a minimal wall-clock benchmark harness (warmup + N samples,
-//!   median/MAD statistics, JSON output under `results/`), replacing
-//!   `criterion` for the paper-experiment benches; it also owns the
-//!   committed-baseline regression gate (`BENCH_<suite>.json` +
-//!   `TEMPART_BENCH_BASELINE=check`).
+//!   median/MAD statistics, printed and returned, never stored or gated),
+//!   replacing `criterion` for the paper-experiment benches.
 //! * [`alloc`] — a counting global allocator, the zero-allocation test hook
 //!   the hot-path `debug_assert!`s (FM inner loop, FLUSIM event loop) read.
 //!

@@ -10,7 +10,7 @@
 //!
 //! Run `tempart help` for the full usage text.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tempart::core_api::{
     decompose_with, decompose_with_repair, env_workers, repartition_sequence, run_flusim_with,
@@ -21,7 +21,7 @@ use tempart::flusim::{
     ascii_gantt, parse_preset, ClusterConfig, DynamicListStrategy, NetworkModel, Strategy,
 };
 use tempart::graph::PartitionQuality;
-use tempart::mesh::{level_histogram, GeneratorConfig, Mesh, MeshCase};
+use tempart::mesh::{level_histogram, GeneratorConfig, Mesh, MeshCase, OctreeConfig};
 use tempart::obs::Recorder;
 use tempart::partition::RepartStop;
 use tempart::runtime::RuntimeConfig;
@@ -162,7 +162,7 @@ fn parse_strategy(s: &str) -> Result<PartitionStrategy, String> {
         }),
         _ => {
             if let Some(k) = s.strip_prefix("dual:") {
-                let k: usize = k.parse().map_err(|_| format!("bad dual factor in {s:?}"))?;
+                let k = parse_positive(k, "--strategy dual:<k>")?;
                 Ok(PartitionStrategy::DualPhase {
                     domains_per_process: k,
                 })
@@ -236,11 +236,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--iterations: {e}"))?
             }
-            "--groups" => {
-                o.groups = take(args, &mut i, "--groups")?
-                    .parse()
-                    .map_err(|e| format!("--groups: {e}"))?
-            }
+            "--groups" => o.groups = parse_positive(&take(args, &mut i, "--groups")?, "--groups")?,
             "--workers" => {
                 o.workers = Some(parse_positive(
                     &take(args, &mut i, "--workers")?,
@@ -288,6 +284,28 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         }
         i += 1;
     }
+    // Checks that need two options at once, whatever order they came in.
+    if let Some(depth) = o.depth {
+        let extra = o.case.extra_depth();
+        if depth > OctreeConfig::MAX_DEPTH.saturating_sub(extra) {
+            return Err(format!(
+                "--depth {depth}: {} refines {extra} levels past it, beyond the octree's limit of {}",
+                o.case.name(),
+                OctreeConfig::MAX_DEPTH
+            ));
+        }
+    }
+    if let PartitionStrategy::DualPhase {
+        domains_per_process: k,
+    } = o.strategy
+    {
+        if o.domains % k != 0 {
+            return Err(format!(
+                "--domains {} is not a multiple of the dual factor {k}",
+                o.domains
+            ));
+        }
+    }
     Ok(o)
 }
 
@@ -323,6 +341,11 @@ fn untraced(workers: usize, pool: &WorkspacePool) -> Exec<'_> {
     Exec::new(workers, pool, Recorder::off())
 }
 
+/// A failure on a file as the CLI reports it: the path, then the cause.
+fn at<E: std::fmt::Display>(path: &Path) -> impl Fn(E) -> String + '_ {
+    move |e| format!("{}: {e}", path.display())
+}
+
 fn cmd_gen(o: &Options) -> Result<(), String> {
     let mesh = build_mesh(o);
     println!(
@@ -333,21 +356,21 @@ fn cmd_gen(o: &Options) -> Result<(), String> {
         level_histogram(&mesh)
     );
     if let Some(path) = &o.vtk {
-        tempart::mesh::write_vtk(&mesh, None, path).map_err(|e| e.to_string())?;
+        tempart::mesh::write_vtk(&mesh, None, path).map_err(at(path))?;
         println!("wrote {}", path.display());
     }
     if let Some(path) = &o.csv {
-        std::fs::write(path, tempart::mesh::cells_csv(&mesh, None)).map_err(|e| e.to_string())?;
+        std::fs::write(path, tempart::mesh::cells_csv(&mesh, None)).map_err(at(path))?;
         println!("wrote {}", path.display());
     }
     Ok(())
 }
 
 /// Partition an external METIS-format graph file (`--graph`).
-fn cmd_partition_file(o: &Options, path: &std::path::Path) -> Result<(), String> {
+fn cmd_partition_file(o: &Options, path: &Path) -> Result<(), String> {
     use tempart::partition::{partition_graph, PartitionConfig};
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let graph = tempart::graph::parse_metis_graph(&text).map_err(|e| e.to_string())?;
+    let text = std::fs::read_to_string(path).map_err(at(path))?;
+    let graph = tempart::graph::parse_metis_graph(&text).map_err(at(path))?;
     let ub = if graph.ncon() > 1 { 1.10 } else { 1.05 };
     let cfg = PartitionConfig::new(o.domains)
         .with_ub(ub)
@@ -366,8 +389,7 @@ fn cmd_partition_file(o: &Options, path: &std::path::Path) -> Result<(), String>
     println!("  comm volume     : {}", q.comm_volume);
     println!("  max imbalance   : {:.3}", q.max_imbalance());
     if let Some(out) = &o.out {
-        std::fs::write(out, tempart::graph::to_metis_partition(&part))
-            .map_err(|e| e.to_string())?;
+        std::fs::write(out, tempart::graph::to_metis_partition(&part)).map_err(at(out))?;
         println!("wrote {}", out.display());
     }
     Ok(())
@@ -419,7 +441,7 @@ fn cmd_partition(o: &Options) -> Result<(), String> {
         q.part_components.saturating_sub(o.domains)
     );
     if let Some(path) = &o.vtk {
-        tempart::mesh::write_vtk(&mesh, Some(&part), path).map_err(|e| e.to_string())?;
+        tempart::mesh::write_vtk(&mesh, Some(&part), path).map_err(at(path))?;
         println!("wrote {}", path.display());
     }
     Ok(())
@@ -541,7 +563,7 @@ fn cmd_trace(o: &Options) -> Result<(), String> {
     let summary = schema::check_chrome_trace(&json)
         .map_err(|e| format!("exported trace failed schema check: {e}"))?;
     let path = o.out.clone().unwrap_or_else(|| PathBuf::from("trace.json"));
-    std::fs::write(&path, &json).map_err(|e| e.to_string())?;
+    std::fs::write(&path, &json).map_err(at(&path))?;
 
     println!(
         "{} × {} domains via {} on {}p×{}c",
@@ -563,7 +585,7 @@ fn cmd_trace(o: &Options) -> Result<(), String> {
         summary.events
     );
     if let Some(nd) = &o.ndjson {
-        std::fs::write(nd, export::ndjson(&trace)).map_err(|e| e.to_string())?;
+        std::fs::write(nd, export::ndjson(&trace)).map_err(at(nd))?;
         println!("  ndjson          : {}", nd.display());
     }
     Ok(())
@@ -826,7 +848,7 @@ fn cmd_compare(o: &Options) -> Result<(), String> {
             out.interprocess_cut
         );
         if let Some(dir) = &o.svg {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+            std::fs::create_dir_all(dir).map_err(at(dir))?;
             let path = dir.join(format!(
                 "{}.svg",
                 strategy.label().to_lowercase().replace(['(', ')'], "")
@@ -839,7 +861,7 @@ fn cmd_compare(o: &Options) -> Result<(), String> {
                 &format!("{} / {}", o.case.name(), strategy.label()),
                 &path,
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(at(&path))?;
             println!("         trace written to {}", path.display());
         }
         spans.push(out.makespan());
@@ -857,29 +879,36 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match parse_options(&args[1..]) {
-        Err(e) => Err(e),
-        Ok(o) => match cmd.as_str() {
-            "gen" => cmd_gen(&o),
-            "partition" => cmd_partition(&o),
-            "simulate" => cmd_simulate(&o),
-            "trace" => cmd_trace(&o),
-            "compare" => cmd_compare(&o),
-            "portfolio" => cmd_portfolio(&o),
-            "solve" => cmd_solve(&o),
-            "repart" => cmd_repart(&o),
-            "help" | "--help" | "-h" => {
-                print!("{USAGE}");
-                Ok(())
-            }
-            other => Err(format!("unknown command {other:?}")),
-        },
+    // Only a usage error (bad option, unknown command) earns the usage
+    // text; a run that failed prints its one `error:` line alone.
+    let usage_error = |e: String| {
+        eprintln!("error: {e}");
+        eprint!("{USAGE}");
+        ExitCode::FAILURE
+    };
+    let o = match parse_options(&args[1..]) {
+        Ok(o) => o,
+        Err(e) => return usage_error(e),
+    };
+    let result = match cmd.as_str() {
+        "gen" => cmd_gen(&o),
+        "partition" => cmd_partition(&o),
+        "simulate" => cmd_simulate(&o),
+        "trace" => cmd_trace(&o),
+        "compare" => cmd_compare(&o),
+        "portfolio" => cmd_portfolio(&o),
+        "solve" => cmd_solve(&o),
+        "repart" => cmd_repart(&o),
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            Ok(())
+        }
+        other => return usage_error(format!("unknown command {other:?}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprint!("{USAGE}");
             ExitCode::FAILURE
         }
     }

@@ -155,3 +155,85 @@ fn positive_counts_still_run() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn option_combinations_the_library_asserts_on_are_usage_errors() {
+    // Each of these reached an `assert!` below the CLI (exit 101): the
+    // octree's depth limit, the two dual-phase preconditions of
+    // `decompose_with`, and `RuntimeConfig::new`.
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["partition", "--depth", "30"],
+            "error: --depth 30: CYLINDER refines 3 levels past it, beyond the octree's limit of 20",
+        ),
+        (
+            &["gen", "--depth", "19", "--case", "pprime"],
+            "error: --depth 19: PPRIME_NOZZLE refines 2 levels past it, beyond the octree's limit of 20",
+        ),
+        (
+            &["partition", "--depth", "2", "--strategy", "dual:0"],
+            "error: --strategy dual:<k> must be at least 1",
+        ),
+        (
+            &["partition", "--depth", "2", "--strategy", "dual:99"],
+            "error: --domains 32 is not a multiple of the dual factor 99",
+        ),
+        (
+            &["solve", "--depth", "2", "--domains", "4", "--groups", "0"],
+            "error: --groups must be at least 1",
+        ),
+    ];
+    for &(args, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .args(args)
+            .output()
+            .expect("spawn tempart");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert_eq!(stderr.lines().next().unwrap_or(""), want, "{args:?}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
+#[test]
+fn io_errors_name_the_file_and_only_usage_errors_print_usage() {
+    let small = ["--depth", "2", "--domains", "4"];
+    let cases: &[(&[&str], &str)] = &[
+        (&["partition", "--graph", "/nonexistent"], "/nonexistent"),
+        (
+            &["trace", "--out", "/nonexistent/x.json"],
+            "/nonexistent/x.json",
+        ),
+        (
+            &["gen", "--vtk", "/nonexistent/x.vtk"],
+            "/nonexistent/x.vtk",
+        ),
+        (&["compare", "--svg", "/proc/nope"], "/proc/nope"),
+    ];
+    for &(args, path) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .args(args)
+            .args(small)
+            .output()
+            .expect("spawn tempart");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(
+            first.starts_with(&format!("error: {path}: ")),
+            "{args:?}: first stderr line {first:?}"
+        );
+        assert!(!stderr.contains("USAGE:"), "{args:?}: {stderr}");
+    }
+    // A bad option value still gets the usage text, after its error line.
+    let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+        .args(["partition", "--domains", "0"])
+        .output()
+        .expect("spawn tempart");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: --domains must be at least 1\n") && stderr.contains("USAGE:"),
+        "{stderr}"
+    );
+}
