@@ -13,9 +13,9 @@
 #
 #     CI_ONLY=build,worker-matrix ./ci.sh
 #
-# Stage names: policy, fmt, clippy, build, test, benchmark-smoke,
-# worker-matrix, paper-scale, bench (prints medians, gates only its in-run
-# diffuse < scratch invariant).
+# Stage names: policy, fmt, clippy, build, experiments (regenerates and
+# diffs results/*.txt), test, benchmark-smoke, worker-matrix, paper-scale,
+# bench (prints medians, gates only its in-run diffuse < scratch invariant).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -100,6 +100,13 @@ stage_policy() {
         echo "ERROR: the bench baseline gate is gone; perf gates live in benchmark/" >&2
         exit 1
     fi
+    # One producer for every reproduced number: a new experiment is a row in
+    # `EXPERIMENTS` (crates/bench/src/lib.rs), not a binary of its own.
+    if [[ "$(ls crates/bench/src/bin)" != experiments.rs ]] ||
+        grep -q '^\[\[bin\]\]' crates/bench/Cargo.toml; then
+        echo "ERROR: crates/bench has one binary, experiments.rs; add a registry row" >&2
+        exit 1
+    fi
     echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points, no bench gate)"
 }
 
@@ -121,6 +128,43 @@ stage_clippy() {
 
 stage_build() {
     cargo build --release --offline --workspace --all-targets
+}
+
+stage_experiments() {
+    # Every `experiments list` row runs. A golden row's stdout must be
+    # results/<id>.txt byte for byte (FLUSIM makespans, cuts and imbalances
+    # are pure functions of the seed); a measured row prints wall-clock
+    # nanoseconds and only has to exit 0. Every line of an EXPERIMENTS.md
+    # block fenced as ```results/<id>.txt must be a line of that file.
+    cargo build -q --release --offline -p tempart-bench --bin experiments
+    local exe=target/release/experiments list id kind what t0 f line
+    list=$("$exe" list)
+    while read -r id kind what; do
+        t0=$SECONDS
+        if [[ $kind != golden ]]; then
+            "$exe" "$id" >/dev/null
+        elif ! "$exe" "$id" | diff -u "results/$id.txt" -; then
+            echo "ERROR: results/$id.txt is not what HEAD prints: bit-identity broke, or the" >&2
+            echo "change meant it: $exe $id > results/$id.txt, then its EXPERIMENTS.md section" >&2
+            exit 1
+        fi
+        printf '  %-21s %-9s %3ds\n' "$id" "$kind" $((SECONDS - t0))
+    done <<<"$list"
+    for f in results/*.txt; do
+        id=$(basename "$f" .txt)
+        if [[ $id != fingerprints_w* ]] && ! grep -q "^$id  *golden " <<<"$list"; then
+            echo "ERROR: $f has no golden row in '$exe list'" >&2
+            exit 1
+        fi
+    done
+    awk '/^```results\//{f=substr($0,4);next} /^```/{f="";next} f{print f"\t"$0}' EXPERIMENTS.md |
+        while IFS=$'\t' read -r f line; do
+            if ! grep -Fxq -- "$line" "$f"; then
+                echo "ERROR: EXPERIMENTS.md quotes a line $f does not hold: $line" >&2
+                exit 1
+            fi
+        done
+    echo "ok (golden files match, EXPERIMENTS.md excerpts are lines of them)"
 }
 
 stage_test() {
@@ -221,6 +265,7 @@ run_stage policy stage_policy
 run_stage fmt stage_fmt
 run_stage clippy stage_clippy
 run_stage build stage_build
+run_stage experiments stage_experiments
 run_stage test stage_test
 run_stage benchmark-smoke stage_benchmark_smoke
 run_stage worker-matrix stage_worker_matrix

@@ -50,13 +50,15 @@ impl std::error::Error for MetisParseError {}
 /// sizes are not supported), i.e. `fmt ∈ {0, 1, 10, 11}`: edge weights
 /// and/or vertex weights, plus multi-constraint `ncon`.
 pub fn parse_metis_graph(text: &str) -> Result<CsrGraph, MetisParseError> {
+    // `%` comment lines are skipped everywhere. Blank lines are skipped only
+    // ahead of the header: after it a blank line is an isolated vertex.
     let mut lines = text
         .lines()
         .enumerate()
         .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('%'));
+        .filter(|(_, l)| !l.starts_with('%'));
     let (_, header) = lines
-        .next()
+        .find(|(_, l)| !l.is_empty())
         .ok_or_else(|| MetisParseError::BadHeader("empty file".into()))?;
     let head: Vec<&str> = header.split_whitespace().collect();
     if head.len() < 2 || head.len() > 4 {
@@ -85,12 +87,36 @@ pub fn parse_metis_graph(text: &str) -> Result<CsrGraph, MetisParseError> {
     } else {
         1
     };
+    // As METIS does: `ncon` describes weights the body must then carry.
+    if ncon > 1 && !has_vwgt {
+        return Err(MetisParseError::BadHeader(format!(
+            "ncon {ncon} but fmt {fmt} has no vertex weights"
+        )));
+    }
+    // The header sizes the builder's allocations, so hold it to what the
+    // text can contain first: a line per vertex, a token per weight, and
+    // vertex ids that fit the graph's `u32`.
+    let body_lines = lines.clone().count();
+    if nvtx > body_lines || u32::try_from(nvtx).is_err() {
+        return Err(MetisParseError::BadHeader(format!(
+            "{nvtx} vertices declared, {body_lines} lines follow"
+        )));
+    }
+    if nvtx.checked_mul(ncon).is_none_or(|n| n > text.len()) {
+        return Err(MetisParseError::BadHeader(format!(
+            "{nvtx} x {ncon} vertex weights declared in a {}-byte file",
+            text.len()
+        )));
+    }
 
     let mut builder = GraphBuilder::new(nvtx, ncon);
     let mut found_edges = 0usize;
     let mut v = 0u32;
     for (line_no, line) in lines {
         if (v as usize) >= nvtx {
+            if line.is_empty() {
+                continue;
+            }
             return Err(MetisParseError::BadLine {
                 line: line_no,
                 reason: "more vertex lines than the header declares".into(),
@@ -138,12 +164,6 @@ pub fn parse_metis_graph(text: &str) -> Result<CsrGraph, MetisParseError> {
             }
         }
         v += 1;
-    }
-    if (v as usize) != nvtx {
-        return Err(MetisParseError::BadLine {
-            line: 0,
-            reason: format!("expected {nvtx} vertex lines, found {v}"),
-        });
     }
     if found_edges != 2 * nedges {
         return Err(MetisParseError::EdgeCountMismatch {
@@ -250,6 +270,50 @@ mod tests {
         assert!(matches!(
             parse_metis_graph("2 1 100\n2\n1\n"),
             Err(MetisParseError::BadHeader(_))
+        ));
+    }
+
+    #[test]
+    fn a_header_cannot_size_allocations_past_the_text() {
+        // Each of these used to reach `GraphBuilder::new` and abort on a
+        // multi-gigabyte `vec!`; the last overflowed `nvtx * ncon`.
+        for text in [
+            "4000000000 3\n2\n",
+            "2 1 0 99999999999\n2\n1\n",
+            "2 1 10 99999999999\n1 2\n1 1\n",
+            "5000000000 0\n",
+            "2 1 10 18446744073709551615\n1 2\n1 1\n",
+        ] {
+            let err = parse_metis_graph(text).expect_err(text);
+            assert!(
+                matches!(err, MetisParseError::BadHeader(_)),
+                "{text:?}: {err}"
+            );
+        }
+        // Fewer vertex lines than declared is a header error too.
+        assert_eq!(
+            parse_metis_graph("3 1\n2\n1\n"),
+            Err(MetisParseError::BadHeader(
+                "3 vertices declared, 2 lines follow".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn blank_lines_after_the_header_are_isolated_vertices() {
+        // Vertex 1 has no neighbours: METIS writes it as an empty line.
+        let g = parse_metis_graph("3 1\n\n3\n2\n").unwrap();
+        assert_eq!((g.nvtx(), g.nedges()), (3, 1));
+        assert_eq!(g.degree(0), 0);
+        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![2]);
+        // Blank lines ahead of the header, comments between vertex lines and
+        // trailing blank lines past the last vertex change nothing.
+        let g = parse_metis_graph("\n% c\n3 1\n\n% c\n3\n2\n\n\n").unwrap();
+        assert_eq!((g.nvtx(), g.nedges(), g.degree(0)), (3, 1, 0));
+        // A non-blank line past the last vertex is still an error.
+        assert!(matches!(
+            parse_metis_graph("2 1\n2\n1\n\n1\n"),
+            Err(MetisParseError::BadLine { line: 5, .. })
         ));
     }
 

@@ -92,6 +92,22 @@ impl MeshCase {
         }
     }
 
+    /// Whether `base_depth` leaves room for this case's refinement stages
+    /// under [`OctreeConfig::MAX_DEPTH`]; the error is the `--depth` message
+    /// every command line prints, so [`Self::generate`] is never reached
+    /// with a depth the octree asserts on.
+    pub fn check_base_depth(self, base_depth: u8) -> Result<(), String> {
+        let extra = self.extra_depth();
+        if base_depth > OctreeConfig::MAX_DEPTH.saturating_sub(extra) {
+            return Err(format!(
+                "--depth {base_depth}: {} refines {extra} levels past it, beyond the octree's limit of {}",
+                self.name(),
+                OctreeConfig::MAX_DEPTH
+            ));
+        }
+        Ok(())
+    }
+
     /// The stage-`k` hotspot rule shared by the octree generators and the
     /// faces-free paper-scale cloud ([`crate::cloud`]): a cell centred at
     /// `c` that has already been refined `k` stages past the base grid is
@@ -277,6 +293,19 @@ mod tests {
         let b = cylinder_like(&cfg);
         assert_eq!(a.n_cells(), b.n_cells());
         assert_eq!(a.tau(), b.tau());
+    }
+
+    #[test]
+    fn base_depth_limit_is_the_octree_limit_minus_the_refinement_stages() {
+        for case in MeshCase::ALL {
+            let deepest = OctreeConfig::MAX_DEPTH - case.extra_depth();
+            assert_eq!(case.check_base_depth(deepest), Ok(()));
+            let err = case.check_base_depth(deepest + 1).unwrap_err();
+            assert!(
+                err.contains(case.name()) && err.contains("limit of 20"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

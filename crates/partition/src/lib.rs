@@ -55,8 +55,9 @@ pub enum Scheme {
     /// coarsest graph, pairwise k-way refinement during uncoarsening
     /// (the `METIS_PartGraphKway` analogue). Kept for `ablation_partitioner`
     /// only — it is the `METIS_PartGraphKway` side of the paper's §V
-    /// "recursive bisection produces higher quality on our meshes": 2.3 s
-    /// and cut 34.8k vs 0.3 s and 22.3k on cyl5/128.
+    /// "recursive bisection produces higher quality on our meshes": 1.8 s
+    /// and cut 36.0k vs 0.3 s and 22.3k on cyl5, MC_TL/64
+    /// (`results/ablation_partitioner.txt`; times from its stderr column).
     MultilevelKWay,
 }
 

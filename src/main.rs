@@ -21,7 +21,7 @@ use tempart::flusim::{
     ascii_gantt, parse_preset, ClusterConfig, DynamicListStrategy, NetworkModel, Strategy,
 };
 use tempart::graph::PartitionQuality;
-use tempart::mesh::{level_histogram, GeneratorConfig, Mesh, MeshCase, OctreeConfig};
+use tempart::mesh::{level_histogram, GeneratorConfig, Mesh, MeshCase};
 use tempart::obs::Recorder;
 use tempart::partition::RepartStop;
 use tempart::runtime::RuntimeConfig;
@@ -286,14 +286,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     }
     // Checks that need two options at once, whatever order they came in.
     if let Some(depth) = o.depth {
-        let extra = o.case.extra_depth();
-        if depth > OctreeConfig::MAX_DEPTH.saturating_sub(extra) {
-            return Err(format!(
-                "--depth {depth}: {} refines {extra} levels past it, beyond the octree's limit of {}",
-                o.case.name(),
-                OctreeConfig::MAX_DEPTH
-            ));
-        }
+        o.case.check_base_depth(depth)?;
     }
     if let PartitionStrategy::DualPhase {
         domains_per_process: k,

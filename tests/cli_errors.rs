@@ -2,6 +2,7 @@
 //! rejected in option handling with a clean `error:` line and exit code 1 —
 //! never a panic (exit 101).
 
+use std::path::Path;
 use std::process::Command;
 
 #[test]
@@ -226,6 +227,25 @@ fn io_errors_name_the_file_and_only_usage_errors_print_usage() {
         );
         assert!(!stderr.contains("USAGE:"), "{args:?}: {stderr}");
     }
+    // A METIS header sizes the reader's allocations: one that promises more
+    // than the file holds is a parse error, not a 96 GB `vec!` (exit 134).
+    let graph = Path::new(env!("CARGO_TARGET_TMPDIR")).join("hostile.graph");
+    std::fs::write(&graph, "4000000000 3\n2\n").expect("write graph");
+    let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+        .args(["partition", "--domains", "2", "--graph"])
+        .arg(&graph)
+        .output()
+        .expect("spawn tempart");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: {}: bad header: ", graph.display())),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("allocation"),
+        "{stderr}"
+    );
     // A bad option value still gets the usage text, after its error line.
     let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
         .args(["partition", "--domains", "0"])

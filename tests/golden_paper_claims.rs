@@ -7,6 +7,11 @@
 //!    subiteration, the operating-cost baseline only the iteration total);
 //! 2. MC_TL's **FLUSIM makespan** does not exceed SC_OC's (Fig. 9/12: the
 //!    per-level balance converts into idealized-execution speedup).
+//!
+//! This is the inequality form of what `ci.sh experiments` diffs byte for
+//! byte against `results/fig07_10.txt` and `results/fig09.txt`: it survives
+//! a deliberate re-pin of those files and runs in tier-1 without a release
+//! build, which is why both forms are kept.
 
 use tempart::core_api::{
     decompose, run_flusim, strategy_weights, PartitionStrategy, PipelineConfig,
