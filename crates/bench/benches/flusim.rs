@@ -125,8 +125,20 @@ fn bench_network(b: &mut Bencher) {
             &two_level,
         ))
     });
-    // The comm-bound 24-combo race on the fork-join pool.
+    // The comm-bound 24-combo race: on the calling thread under the
+    // two-level model (the shape of the repo benchmark's operation at bench
+    // scale), then on the fork-join pool — where 4 workers on a 2-core host
+    // measure time-slicing.
     b.set_samples(10);
+    b.bench("flusim/comm/race-w1", || {
+        black_box(race_network(
+            black_box(&graph),
+            &cluster,
+            &process_of,
+            &two_level,
+            1,
+        ))
+    });
     b.bench("flusim/comm/race", || {
         black_box(race_network(
             black_box(&graph),

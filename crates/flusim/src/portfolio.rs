@@ -16,9 +16,9 @@
 //! combo index, value = its makespan).
 
 use crate::cluster::ClusterConfig;
-use crate::lattice::DynamicListStrategy;
+use crate::lattice::{DynamicListStrategy, TaskCriterion};
 use crate::network::NetworkModel;
-use crate::sim::{sim_core, PricedNetwork};
+use crate::sim::{rank, sim_core, PricedNetwork};
 use std::sync::Mutex;
 use tempart_obs::{Clock, Recorder, Trace};
 use tempart_runtime::fork_join;
@@ -138,14 +138,17 @@ pub fn race(
     let slots: Vec<Mutex<Option<(ComboOutcome, Trace)>>> =
         combos.iter().map(|_| Mutex::new(None)).collect();
     let cores = cluster.cores();
-    // Edge prices do not depend on the scheduling strategy: price the graph
-    // once and lend the table to every combo, at every worker width.
+    // Edge prices and task priorities do not depend on the combo: price the
+    // graph once, rank it once per task criterion, and lend both to every
+    // combo, at every worker width.
     let priced = net.map(|model| PricedNetwork::new(graph, cores.len(), process_of, model));
+    let ranks = TaskCriterion::ALL.map(|criterion| (criterion, rank(graph, criterion)));
     {
         let slots = &slots;
         let combos = &combos;
         let cores = &cores;
         let priced = priced.as_ref();
+        let ranks = &ranks;
         fork_join(workers, move |ctx| {
             for (i, strategy) in combos.iter().enumerate() {
                 ctx.spawn(move |_| {
@@ -154,7 +157,15 @@ pub fn race(
                     } else {
                         Recorder::off().clone()
                     };
-                    let sim = sim_core(graph, cores, process_of, strategy, priced, &combo_rec);
+                    let priority = ranks
+                        .iter()
+                        .find(|(criterion, _)| *criterion == strategy.task)
+                        .and_then(|(_, rank)| rank.as_deref());
+                    // A leaderboard row is made of totals alone, so no combo
+                    // keeps its schedule log.
+                    let sim = sim_core(
+                        graph, cores, process_of, strategy, priority, priced, &combo_rec,
+                    );
                     let outcome = ComboOutcome {
                         strategy: *strategy,
                         combo: i as u32,

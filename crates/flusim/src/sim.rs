@@ -100,7 +100,7 @@ impl SimResult {
 ///
 /// With `net` set, cross-process dependency edges become inbound transfers
 /// scheduled on the destination's NIC channels (communication semantics at
-/// [`sim_core`]) and [`SimResult::net`] is `Some`; `None` is the paper's
+/// `SimState`) and [`SimResult::net`] is `Some`; `None` is the paper's
 /// free communication and skips the network bookkeeping entirely.
 ///
 /// `rec` receives ([`Clock::Virtual`] domain) a `"flusim.run"` span, one
@@ -128,7 +128,21 @@ pub fn simulate_with(
     rec: &Recorder,
 ) -> SimResult {
     let priced = net.map(|model| PricedNetwork::new(graph, cores.len(), process_of, model));
-    sim_core(graph, cores, process_of, strat, priced.as_ref(), rec)
+    let priority = rank(graph, strat.task);
+    let log = ScheduleLog {
+        segments: Vec::with_capacity(graph.len()),
+        transfers: Vec::with_capacity(if net.is_some() { graph.n_edges() } else { 0 }),
+    };
+    let state = SimState::new(
+        graph,
+        cores,
+        process_of,
+        strat,
+        priority.as_deref(),
+        priced.as_ref(),
+        rec,
+    );
+    state.run(Some(log))
 }
 
 /// [`simulate_with`] on a uniform `cluster` under a fixed [`Strategy`],
@@ -277,8 +291,67 @@ fn push_merged(merged: &mut Vec<(u64, u64)>, start: u64, end: u64) {
     }
 }
 
-/// The generalized dirty-set event loop — every `simulate*` entry point
-/// funnels here.
+/// What a caller keeps of a schedule beyond its totals: one Gantt segment
+/// per task and one transfer per message, in emission order. Both are at
+/// full capacity before the loop starts (one segment per task, at most one
+/// message per dependency edge), so appending never allocates.
+struct ScheduleLog {
+    segments: Vec<Segment>,
+    transfers: Vec<TransferSegment>,
+}
+
+/// Per-task priority keys under `criterion` (higher runs first), fixed
+/// before the loop starts. `None` for `Fifo` / `Lifo`: their priority is
+/// uniform and the [`TieBreak`] is the policy. A function of the graph
+/// alone, so a race ranks once for all of its combos.
+pub(crate) fn rank(graph: &TaskGraph, criterion: TaskCriterion) -> Option<Vec<i64>> {
+    // Upward pass (successors have higher ids): `own(t, below)` ranks task
+    // `t` given the highest rank among its successors, `None` at a sink.
+    let upward = |own: &dyn Fn(TaskId, Option<i64>) -> i64| {
+        let mut rank = vec![0i64; graph.len()];
+        for t in (0..graph.len() as TaskId).rev() {
+            let below = graph.succs(t).iter().map(|&s| rank[s as usize]).max();
+            rank[t as usize] = own(t, below);
+        }
+        rank
+    };
+    let cost = |t: TaskId| graph.task(t).cost as i64;
+    match criterion {
+        TaskCriterion::Fifo | TaskCriterion::Lifo => None,
+        TaskCriterion::SmallestCost => Some((0..graph.len() as TaskId).map(|t| -cost(t)).collect()),
+        TaskCriterion::LargestCost => Some((0..graph.len() as TaskId).map(cost).collect()),
+        // Cost-weighted upward rank: longest cost-sum from the task to any
+        // sink, inclusive.
+        TaskCriterion::CriticalPath => Some(upward(&|t, below| below.unwrap_or(0) + cost(t))),
+        // Unweighted bottom level: dependency edges on the longest path
+        // from the task to any sink (sinks are level 0).
+        TaskCriterion::BottomLevel => Some(upward(&|_, below| below.map_or(0, |b| b + 1))),
+    }
+}
+
+/// [`SimState::run`] without a [`ScheduleLog`] — what a portfolio race
+/// runs per combo. `priority` is [`rank`] of `strat.task` and `net` the
+/// race's shared price table. The result carries the totals (`makespan`,
+/// `busy`, `active`, `subiter_work`); `segments` and `transfers` are empty
+/// and `net` is `None`, since [`NetStats`] is derived from the log. `rec`
+/// receives the same stream as under [`simulate_with`].
+pub(crate) fn sim_core(
+    graph: &TaskGraph,
+    cores: &[usize],
+    process_of: &[usize],
+    strat: &DynamicListStrategy,
+    priority: Option<&[i64]>,
+    net: Option<&PricedNetwork>,
+    rec: &Recorder,
+) -> SimResult {
+    SimState::new(graph, cores, process_of, strat, priority, net, rec).run(None)
+}
+
+/// The state of the generalized dirty-set event loop — every `simulate*`
+/// entry point and every race combo is one [`SimState::run`], in four
+/// phases: [`rank`] fixes the priorities, [`SimState::seed_ready`] queues
+/// the source tasks, [`SimState::run_loop`] drains the event queue and
+/// [`SimState::account`] closes the books.
 ///
 /// # Scheduling semantics
 ///
@@ -308,584 +381,585 @@ fn push_merged(merged: &mut Vec<(u64, u64)>, start: u64, end: u64) {
 ///   loop allocation-free and the schedule a pure function of its inputs.
 ///   Destinations and sizes come from the [`PricedNetwork`] table (always,
 ///   when a network is present); only the link duration is computed here.
-/// * **Accounting.** `busy`, `active` and `subiter_work` accumulate inside
-///   the loop. [`NetStats`] is derived *after* it, in one pass over the
-///   transfer log and one over the segments — integer sums plus a
-///   push-or-extend-last interval merge. That merge needs no sort because
-///   the loop emits both logs in start order per process: a transfer starts
-///   at `max(now, earliest-free channel)` and `now` and every channel's
-///   free time only grow, so per destination transfer starts are
-///   non-decreasing; a segment starts at its launch instant `now`, so per
-///   process segment starts are too. `NetStats::from_intervals` rebuilt
-///   from [`SimResult::transfers`] / [`SimResult::segments`] is the oracle
-///   (`tests/property_comm.rs`).
-///
-/// # Panics
-///
-/// Panics if `process_of` is inconsistent with the graph or cluster, or if
-/// the DAG deadlocks (cycle — cannot happen for [`TaskGraph`]s built by
-/// this workspace).
-pub(crate) fn sim_core(
-    graph: &TaskGraph,
-    cores: &[usize],
-    process_of: &[usize],
-    strat: &DynamicListStrategy,
-    net: Option<&PricedNetwork>,
-    rec: &Recorder,
-) -> SimResult {
-    assert!(!cores.is_empty(), "need at least one process");
-    assert!(cores.iter().all(|&c| c >= 1), "every process needs a core");
-    assert_mapping(graph, cores.len(), process_of);
-    let n = graph.len();
-    let np = cores.len();
-    debug_assert!(
-        net.is_none_or(|p| p.home.len() == n && p.bytes.len() == graph.n_edges()),
-        "edge prices belong to another task graph"
-    );
+/// * **Accounting.** Everything the closing counters publish — `busy`,
+///   `active`, `subiter_work` and the per-process `bytes_in` / `messages`
+///   tallies — accumulates inside the loop, so a run emits the same stream
+///   whether or not it keeps a log. The rest of [`NetStats`] is derived
+///   *after* the loop, from the [`ScheduleLog`] when the caller kept one:
+///   one pass over the transfers and one over the segments — integer sums
+///   plus a push-or-extend-last interval merge. That merge needs no sort
+///   because the loop emits both logs in start order per process: a
+///   transfer starts at `max(now, earliest-free channel)` and `now` and
+///   every channel's free time only grow, so per destination transfer
+///   starts are non-decreasing; a segment starts at its launch instant
+///   `now`, so per process segment starts are too.
+///   `NetStats::from_intervals` rebuilt from [`SimResult::transfers`] /
+///   [`SimResult::segments`] is the oracle (`tests/property_comm.rs`).
+struct SimState<'a> {
+    graph: &'a TaskGraph,
+    process_of: &'a [usize],
+    strat: DynamicListStrategy,
+    priority: Option<&'a [i64]>,
+    net: Option<&'a PricedNetwork<'a>>,
+    rec: &'a Recorder,
+    /// `rec.enabled()`, read once: the recorder's state never changes
+    /// mid-run, so the disabled hot path is a plain branch instead of an
+    /// atomic load behind two pointer dereferences per launched task.
+    traced: bool,
+    pinned: bool,
+    /// NIC channels per process; 0 when unbounded (or no network), where
+    /// transfers always start immediately on channel 0.
+    bounded_channels: usize,
+    now: u64,
+    /// Global readiness sequence, the [`TieBreak`] key.
+    seq: i64,
+    indegree: Vec<u32>,
+    /// Ready queues: max-heaps over (priority, tiebreak, task id). Pinned
+    /// placement gives every process a private queue pre-sized to the
+    /// number of tasks mapped to it — a task enters its process's queue at
+    /// most once, so pushes never reallocate inside the event loop. Dynamic
+    /// placement shares a single global queue (slot 0) pre-sized to the
+    /// whole DAG, with the same no-reallocation guarantee.
+    ready: Vec<BinaryHeap<(i64, i64, TaskId)>>,
+    /// Dirty set of processes whose launch capacity may have changed since
+    /// the last refill: a core was freed, or a task was pushed onto their
+    /// ready queue. Between refills every process satisfies
+    /// `free_cores[p] == 0 || ready[p].is_empty()`, so draining only the
+    /// dirty processes (in ascending id order, matching the historical full
+    /// `0..np` sweep) is behaviour-identical while costing O(affected)
+    /// rather than O(np) per event. Pinned mode only: the dynamic global
+    /// queue degenerates the dirty set to a single always-checked slot, so
+    /// its refill runs unconditionally after every event instead.
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
+    /// Event queue: tag 0 = task completion, tag 1 = delayed readiness.
+    /// Any task owns at most one outstanding event at a time (a tag-1
+    /// readiness before it runs, or a tag-0 completion while it runs), so
+    /// the heap never holds more than `n` entries and a capacity of `n`
+    /// keeps the loop free of reallocation.
+    events: BinaryHeap<Reverse<(u64, u8, TaskId)>>,
+    /// Earliest-start constraint accumulated from cross-process messages.
+    ready_at: Vec<u64>,
+    free_cores: Vec<usize>,
+    busy: Vec<u64>,
+    subiter_work: Vec<Vec<u64>>,
+    /// Active-interval tracking per process: count of running tasks and the
+    /// time the process last became active.
+    running: Vec<usize>,
+    active_since: Vec<u64>,
+    active: Vec<u64>,
+    /// Where each task executed — equal to its home process when pinned,
+    /// decided at launch time under a dynamic process criterion. Completion
+    /// must credit the executing process, not the home.
+    ran_on: Vec<u32>,
+    /// Σ n_objects of the currently-running tasks per process, the
+    /// FewestActiveObjects selection key (maintained unconditionally: two
+    /// u64 adds per task are noise next to the heap traffic).
+    active_objects: Vec<u64>,
+    /// Earliest-free time per (process, channel); empty when channels are
+    /// unbounded.
+    nic_free: Vec<u64>,
+    /// Inbound bytes and messages per process (empty without a network).
+    bytes_in: Vec<u64>,
+    messages: Vec<u64>,
+}
 
-    // NIC bookkeeping, at full capacity before the steady state starts:
-    // per-(process, channel) earliest-free times (empty when channels are
-    // unbounded — transfers then always start immediately on channel 0)
-    // and the transfer log, bounded by one message per dependency edge.
-    let bounded_channels = net.map_or(0, |p| {
-        if p.model.channels == UNBOUNDED_CHANNELS {
-            0
+impl<'a> SimState<'a> {
+    /// Allocates the loop state at its peak capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `process_of` is inconsistent with the graph or cluster.
+    fn new(
+        graph: &'a TaskGraph,
+        cores: &[usize],
+        process_of: &'a [usize],
+        strat: &DynamicListStrategy,
+        priority: Option<&'a [i64]>,
+        net: Option<&'a PricedNetwork<'a>>,
+        rec: &'a Recorder,
+    ) -> Self {
+        assert!(!cores.is_empty(), "need at least one process");
+        assert!(cores.iter().all(|&c| c >= 1), "every process needs a core");
+        assert_mapping(graph, cores.len(), process_of);
+        let n = graph.len();
+        let np = cores.len();
+        debug_assert!(
+            net.is_none_or(|p| p.home.len() == n && p.bytes.len() == graph.n_edges()),
+            "edge prices belong to another task graph"
+        );
+        debug_assert!(
+            priority.is_none_or(|p| p.len() == n),
+            "priorities belong to another task graph"
+        );
+        let bounded_channels = net.map_or(0, |p| {
+            if p.model.channels == UNBOUNDED_CHANNELS {
+                0
+            } else {
+                p.model.channels
+            }
+        });
+        let pinned = strat.process == ProcessCriterion::Pinned;
+        let ready = if pinned {
+            let mut tasks_on: Vec<usize> = vec![0; np];
+            for task in graph.tasks() {
+                tasks_on[process_of[task.domain as usize]] += 1;
+            }
+            tasks_on
+                .iter()
+                .map(|&c| BinaryHeap::with_capacity(c))
+                .collect()
         } else {
-            p.model.channels
-        }
-    });
-    let mut nic_free: Vec<u64> = vec![0; np * bounded_channels];
-    let mut transfers: Vec<TransferSegment> =
-        Vec::with_capacity(if net.is_some() { graph.n_edges() } else { 0 });
-
-    // Priority key per task (higher = run first), fixed per task criterion.
-    let priority: Vec<i64> = match strat.task {
-        TaskCriterion::Fifo | TaskCriterion::Lifo => vec![0; n],
-        TaskCriterion::SmallestCost => graph.tasks().iter().map(|t| -(t.cost as i64)).collect(),
-        TaskCriterion::LargestCost => graph.tasks().iter().map(|t| t.cost as i64).collect(),
-        TaskCriterion::CriticalPath => {
-            // Cost-weighted upward rank: longest cost-sum from the task to
-            // any sink, inclusive.
-            let mut rank = vec![0i64; n];
-            for t in (0..n).rev() {
-                let down = graph
-                    .succs(t as TaskId)
-                    .iter()
-                    .map(|&s| rank[s as usize])
-                    .max()
-                    .unwrap_or(0);
-                rank[t] = down + graph.task(t as TaskId).cost as i64;
-            }
-            rank
-        }
-        TaskCriterion::BottomLevel => {
-            // Unweighted bottom level: dependency edges on the longest
-            // path from the task to any sink (sinks are level 0).
-            let mut rank = vec![0i64; n];
-            for t in (0..n).rev() {
-                let down = graph
-                    .succs(t as TaskId)
-                    .iter()
-                    .map(|&s| rank[s as usize] + 1)
-                    .max()
-                    .unwrap_or(0);
-                rank[t] = down;
-            }
-            rank
-        }
-    };
-
-    let mut indegree: Vec<u32> = (0..n)
-        .map(|t| graph.preds(t as TaskId).len() as u32)
-        .collect();
-
-    // Ready queues: max-heaps over (priority, tiebreak, task id).
-    //
-    // Pinned placement gives every process a private queue pre-sized to
-    // the number of tasks mapped to it — a task enters its process's queue
-    // at most once, so pushes never reallocate inside the event loop.
-    // Dynamic placement shares a single global queue (slot 0) pre-sized to
-    // the whole DAG, with the same no-reallocation guarantee.
-    let pinned = strat.process == ProcessCriterion::Pinned;
-    let mut ready: Vec<BinaryHeap<(i64, i64, TaskId)>> = if pinned {
-        let mut tasks_on: Vec<usize> = vec![0; np];
-        for task in graph.tasks() {
-            tasks_on[process_of[task.domain as usize]] += 1;
-        }
-        tasks_on
-            .iter()
-            .map(|&c| BinaryHeap::with_capacity(c))
-            .collect()
-    } else {
-        vec![BinaryHeap::with_capacity(n)]
-    };
-    let mut seq = 0i64;
-    // Dirty set of processes whose launch capacity may have changed since
-    // the last refill: a core was freed, or a task was pushed onto their
-    // ready queue. Between refills every process satisfies
-    // `free_cores[p] == 0 || ready[p].is_empty()`, so draining only the
-    // dirty processes (in ascending id order, matching the historical full
-    // `0..np` sweep) is behaviour-identical while costing O(affected)
-    // rather than O(np) per event. Pinned mode only: the dynamic global
-    // queue degenerates the dirty set to a single always-checked slot, so
-    // its refill runs unconditionally after every event instead.
-    let mut dirty: Vec<usize> = Vec::with_capacity(np);
-    let mut is_dirty = vec![false; np];
-    let push_ready = |ready: &mut Vec<BinaryHeap<(i64, i64, TaskId)>>,
-                      t: TaskId,
-                      seq: &mut i64,
-                      dirty: &mut Vec<usize>,
-                      is_dirty: &mut [bool]| {
-        let tie = match strat.tie {
-            TieBreak::ReverseInsertion => *seq,
-            TieBreak::InsertionOrder => -*seq,
+            vec![BinaryHeap::with_capacity(n)]
         };
-        *seq += 1;
-        if pinned {
-            let p = process_of[graph.task(t).domain as usize];
-            ready[p].push((priority[t as usize], tie, t));
-            if !is_dirty[p] {
-                is_dirty[p] = true;
-                dirty.push(p);
-            }
-        } else {
-            ready[0].push((priority[t as usize], tie, t));
-        }
-    };
-
-    for t in 0..n as TaskId {
-        if indegree[t as usize] == 0 {
-            push_ready(&mut ready, t, &mut seq, &mut dirty, &mut is_dirty);
+        let np_if_priced = if net.is_some() { np } else { 0 };
+        Self {
+            graph,
+            process_of,
+            strat: *strat,
+            priority,
+            net,
+            rec,
+            traced: rec.enabled(),
+            pinned,
+            bounded_channels,
+            now: 0,
+            seq: 0,
+            indegree: (0..n)
+                .map(|t| graph.preds(t as TaskId).len() as u32)
+                .collect(),
+            ready,
+            dirty: Vec::with_capacity(np),
+            is_dirty: vec![false; np],
+            events: BinaryHeap::with_capacity(n),
+            ready_at: vec![0; n],
+            free_cores: cores.to_vec(),
+            busy: vec![0; np],
+            subiter_work: vec![vec![0; graph.n_subiterations as usize]; np],
+            running: vec![0; np],
+            active_since: vec![0; np],
+            active: vec![0; np],
+            ran_on: vec![0; n],
+            active_objects: vec![0; np],
+            nic_free: vec![0; np * bounded_channels],
+            bytes_in: vec![0; np_if_priced],
+            messages: vec![0; np_if_priced],
         }
     }
 
-    // Event queue: tag 0 = task completion, tag 1 = delayed readiness.
-    // Any task owns at most one outstanding event at a time (a tag-1
-    // readiness before it runs, or a tag-0 completion while it runs), so
-    // the heap never holds more than `n` entries and a capacity of `n`
-    // keeps the loop free of reallocation.
-    let mut events: BinaryHeap<Reverse<(u64, u8, TaskId)>> = BinaryHeap::with_capacity(n);
-    // Earliest-start constraint accumulated from cross-process messages.
-    let mut ready_at = vec![0u64; n];
-    let mut free_cores: Vec<usize> = cores.to_vec();
-    let mut busy = vec![0u64; np];
-    let mut subiter_work = vec![vec![0u64; graph.n_subiterations as usize]; np];
-    let mut segments: Vec<Segment> = Vec::with_capacity(n);
-    // Active-interval tracking per process: count of running tasks and the
-    // time the process last became active.
-    let mut running = vec![0usize; np];
-    let mut active_since = vec![0u64; np];
-    let mut active = vec![0u64; np];
-    // Where each task executed — equal to its home process when pinned,
-    // decided at launch time under a dynamic process criterion. Completion
-    // must credit the executing process, not the home.
-    let mut ran_on = vec![0u32; n];
-    // Σ n_objects of the currently-running tasks per process, the
-    // FewestActiveObjects selection key (maintained unconditionally: two
-    // u64 adds per task are noise next to the heap traffic).
-    let mut active_objects = vec![0u64; np];
+    /// The three phases after [`rank`], keeping `log` if the caller wants
+    /// the schedule itself and not only its totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the DAG deadlocks (cycle — cannot happen for
+    /// [`TaskGraph`]s built by this workspace).
+    fn run(mut self, mut log: Option<ScheduleLog>) -> SimResult {
+        self.seed_ready();
+        self.run_loop(log.as_mut());
+        self.account(log)
+    }
 
-    let mut now = 0u64;
-    // Loop-invariant tracing flag: the recorder's enabled state never
-    // changes mid-run, so hoisting the check keeps the disabled hot path
-    // at a register-held branch instead of an atomic load behind two
-    // pointer dereferences on every launched task.
-    let traced = rec.enabled();
-    let launch = |p: usize,
-                  t: TaskId,
-                  now: u64,
-                  events: &mut BinaryHeap<Reverse<(u64, u8, TaskId)>>,
-                  free_cores: &mut [usize],
-                  running: &mut [usize],
-                  active_since: &mut [u64],
-                  busy: &mut [u64],
-                  subiter_work: &mut [Vec<u64>],
-                  segments: &mut Vec<Segment>,
-                  ran_on: &mut [u32],
-                  active_objects: &mut [u64]| {
-        let task = graph.task(t);
-        let end = now + task.cost;
-        if free_cores[p] != UNBOUNDED_CORES {
-            free_cores[p] -= 1;
+    /// Queues `t` as ready now.
+    fn push_ready(&mut self, t: TaskId) {
+        let tie = match self.strat.tie {
+            TieBreak::ReverseInsertion => self.seq,
+            TieBreak::InsertionOrder => -self.seq,
+        };
+        self.seq += 1;
+        let entry = (self.priority.map_or(0, |p| p[t as usize]), tie, t);
+        if self.pinned {
+            let p = self.process_of[self.graph.task(t).domain as usize];
+            self.ready[p].push(entry);
+            if !self.is_dirty[p] {
+                self.is_dirty[p] = true;
+                self.dirty.push(p);
+            }
+        } else {
+            self.ready[0].push(entry);
         }
-        if running[p] == 0 {
-            active_since[p] = now;
+    }
+
+    /// Queues every source task, opens the run span and publishes the
+    /// cluster shape — *before* the zero-allocation steady state begins:
+    /// the first emission on a thread creates its sink (the only allocating
+    /// enabled path).
+    fn seed_ready(&mut self) {
+        let n = self.graph.len();
+        for t in 0..n as TaskId {
+            if self.indegree[t as usize] == 0 {
+                self.push_ready(t);
+            }
         }
-        running[p] += 1;
-        busy[p] += task.cost;
-        subiter_work[p][task.subiter as usize] += task.cost;
-        ran_on[t as usize] = p as u32;
-        active_objects[p] += u64::from(task.n_objects);
-        segments.push(Segment {
-            task: t,
-            process: p as u32,
-            start: now,
-            end,
-        });
+        let rec = self.rec;
+        rec.begin_at(
+            Clock::Virtual,
+            "flusim.run",
+            0,
+            0,
+            n as u64,
+            self.graph.n_subiterations as u64,
+        );
+        for (p, &c) in self.free_cores.iter().enumerate() {
+            rec.counter_at(Clock::Virtual, "flusim.cores", p as u32, 0, c as u64);
+        }
+        if let Some(priced) = self.net {
+            // Publish the channel budget so replay can bound `net.xfer`
+            // overlap per process (`u64::MAX` = unbounded).
+            let ch = if priced.model.channels == UNBOUNDED_CHANNELS {
+                u64::MAX
+            } else {
+                priced.model.channels as u64
+            };
+            for p in 0..self.free_cores.len() {
+                rec.counter_at(Clock::Virtual, "net.channels", p as u32, 0, ch);
+            }
+        }
+    }
+
+    /// Starts `t` on process `p` now.
+    fn launch(&mut self, p: usize, t: TaskId, log: Option<&mut ScheduleLog>) {
+        let task = self.graph.task(t);
+        let end = self.now + task.cost;
+        if self.free_cores[p] != UNBOUNDED_CORES {
+            self.free_cores[p] -= 1;
+        }
+        if self.running[p] == 0 {
+            self.active_since[p] = self.now;
+        }
+        self.running[p] += 1;
+        self.busy[p] += task.cost;
+        self.subiter_work[p][task.subiter as usize] += task.cost;
+        self.ran_on[t as usize] = p as u32;
+        self.active_objects[p] += u64::from(task.n_objects);
+        if let Some(log) = log {
+            log.segments.push(Segment {
+                task: t,
+                process: p as u32,
+                start: self.now,
+                end,
+            });
+        }
         // One structured event per executed task. Inside the event loop
         // this never allocates: the per-thread sink already exists (forced
-        // by the "flusim.run" span-begin below) and its buffer was created
-        // at full capacity, so a push either fits or is counted as dropped.
-        if traced {
-            rec.complete_at(
+        // by the "flusim.run" span-begin in `seed_ready`) and its buffer
+        // was created at full capacity, so a push either fits or is counted
+        // as dropped.
+        if self.traced {
+            self.rec.complete_at(
                 Clock::Virtual,
                 "flusim.task",
                 p as u32,
-                now,
+                self.now,
                 task.cost,
                 u64::from(t),
                 u64::from(task.subiter),
             );
         }
-        events.push(Reverse((end, 0u8, t)));
-    };
-
-    // Open the run span and publish the cluster shape *before* the
-    // zero-allocation steady state begins: the first emission on a thread
-    // creates its sink (the only allocating enabled path).
-    rec.begin_at(
-        Clock::Virtual,
-        "flusim.run",
-        0,
-        0,
-        n as u64,
-        graph.n_subiterations as u64,
-    );
-    for (p, &c) in cores.iter().enumerate() {
-        rec.counter_at(Clock::Virtual, "flusim.cores", p as u32, 0, c as u64);
-    }
-    if let Some(priced) = net {
-        // Publish the channel budget so replay can bound `net.xfer`
-        // overlap per process (`u64::MAX` = unbounded).
-        let ch = if priced.model.channels == UNBOUNDED_CHANNELS {
-            u64::MAX
-        } else {
-            priced.model.channels as u64
-        };
-        for p in 0..np {
-            rec.counter_at(Clock::Virtual, "net.channels", p as u32, 0, ch);
-        }
+        self.events.push(Reverse((end, 0u8, t)));
     }
 
-    // Best free process under the dynamic criterion: ascending-id scan
-    // keeping the current candidate only on strict improvement, so
-    // criterion ties always resolve to the lowest process id. O(np) per
-    // launch, allocation-free. (`Pinned` short-circuits like `FirstFree`
-    // but is never consulted — pinned refills pop per-process queues.)
-    let select_process =
-        |free_cores: &[usize], busy: &[u64], active_objects: &[u64]| -> Option<usize> {
-            let mut best: Option<usize> = None;
-            for p in 0..np {
-                if free_cores[p] == 0 {
-                    continue;
-                }
-                match strat.process {
-                    ProcessCriterion::Pinned | ProcessCriterion::FirstFree => return Some(p),
-                    ProcessCriterion::LeastLoaded => {
-                        if best.is_none_or(|b| busy[p] < busy[b]) {
-                            best = Some(p);
-                        }
+    /// Best free process under the dynamic criterion: ascending-id scan
+    /// keeping the current candidate only on strict improvement, so
+    /// criterion ties always resolve to the lowest process id. O(np) per
+    /// launch, allocation-free. (`Pinned` short-circuits like `FirstFree`
+    /// but is never consulted — pinned refills pop per-process queues.)
+    fn select_process(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for p in 0..self.free_cores.len() {
+            if self.free_cores[p] == 0 {
+                continue;
+            }
+            match self.strat.process {
+                ProcessCriterion::Pinned | ProcessCriterion::FirstFree => return Some(p),
+                ProcessCriterion::LeastLoaded => {
+                    if best.is_none_or(|b| self.busy[p] < self.busy[b]) {
+                        best = Some(p);
                     }
-                    ProcessCriterion::FewestActiveObjects => {
-                        if best.is_none_or(|b| active_objects[p] < active_objects[b]) {
-                            best = Some(p);
-                        }
+                }
+                ProcessCriterion::FewestActiveObjects => {
+                    if best.is_none_or(|b| self.active_objects[p] < self.active_objects[b]) {
+                        best = Some(p);
                     }
                 }
             }
-            best
-        };
+        }
+        best
+    }
 
-    // Initial launches. Pinned: a full per-process sweep, after which every
-    // process satisfies the refill invariant (no free core, or nothing
-    // ready), so the dirty marks from the seeding pushes can be discarded.
-    // Dynamic: drain the global queue into the best free processes.
-    if pinned {
-        for p in 0..np {
-            while free_cores[p] > 0 {
-                let Some((_, _, t)) = ready[p].pop() else {
+    /// Launches ready tasks onto free cores until either side runs out.
+    fn refill(&mut self, mut log: Option<&mut ScheduleLog>) {
+        if self.pinned {
+            // Fill freed capacity on the processes touched since the last
+            // refill. Ascending id order replicates the historical full
+            // `0..np` sweep; untouched processes still satisfy `free == 0
+            // || ready empty` from the end of the previous refill, so
+            // skipping them cannot change behaviour. Launching never marks
+            // new processes dirty (it only pushes completion events), so
+            // draining the snapshot is complete.
+            self.dirty.sort_unstable();
+            for i in 0..self.dirty.len() {
+                let q = self.dirty[i];
+                while self.free_cores[q] > 0 {
+                    let Some((_, _, t)) = self.ready[q].pop() else {
+                        break;
+                    };
+                    self.launch(q, t, log.as_deref_mut());
+                }
+                self.is_dirty[q] = false;
+            }
+            self.dirty.clear();
+        } else {
+            // Hand the best ready task to the best free process. The
+            // selection keys (busy, active_objects) are updated by every
+            // launch, so the criterion is re-evaluated greedily per
+            // placement.
+            while !self.ready[0].is_empty() {
+                let Some(q) = self.select_process() else {
                     break;
                 };
-                launch(
-                    p,
-                    t,
-                    now,
-                    &mut events,
-                    &mut free_cores,
-                    &mut running,
-                    &mut active_since,
-                    &mut busy,
-                    &mut subiter_work,
-                    &mut segments,
-                    &mut ran_on,
-                    &mut active_objects,
-                );
+                let (_, _, t) = self.ready[0].pop().expect("checked non-empty");
+                self.launch(q, t, log.as_deref_mut());
             }
         }
-    } else {
-        while !ready[0].is_empty() {
-            let Some(p) = select_process(&free_cores, &busy, &active_objects) else {
-                break;
-            };
-            let (_, _, t) = ready[0].pop().unwrap();
-            launch(
-                p,
-                t,
-                now,
-                &mut events,
-                &mut free_cores,
-                &mut running,
-                &mut active_since,
-                &mut busy,
-                &mut subiter_work,
-                &mut segments,
-                &mut ran_on,
-                &mut active_objects,
+    }
+
+    /// Schedules one `bytes`-long message for task `succ` from process
+    /// `src` onto an inbound NIC channel of `dst`; returns its delivery
+    /// time.
+    fn transfer(
+        &mut self,
+        model: &NetworkModel,
+        src: usize,
+        dst: usize,
+        succ: TaskId,
+        bytes: u64,
+        log: Option<&mut ScheduleLog>,
+    ) -> u64 {
+        let dur = model.topology.link(src, dst).duration(bytes);
+        let (channel, start) = if self.bounded_channels == 0 {
+            (0usize, self.now)
+        } else {
+            // Earliest-free inbound channel of the destination; strict
+            // improvement on the ascending scan ⇒ lowest id wins ties.
+            let nic = &mut self.nic_free[dst * self.bounded_channels..][..self.bounded_channels];
+            let mut best = 0usize;
+            for c in 1..nic.len() {
+                if nic[c] < nic[best] {
+                    best = c;
+                }
+            }
+            let start = self.now.max(nic[best]);
+            nic[best] = start + dur;
+            (best, start)
+        };
+        let end = start + dur;
+        self.bytes_in[dst] += bytes;
+        self.messages[dst] += 1;
+        if let Some(log) = log {
+            log.transfers.push(TransferSegment {
+                task: succ,
+                src: src as u32,
+                dst: dst as u32,
+                channel: channel as u32,
+                start,
+                end,
+                bytes,
+            });
+        }
+        if self.traced {
+            self.rec.complete_at(
+                Clock::Virtual,
+                "net.xfer",
+                dst as u32,
+                start,
+                dur,
+                (src as u64) << 32 | channel as u64,
+                bytes,
             );
         }
+        end
     }
-    dirty.clear();
-    is_dirty.fill(false);
 
-    // Steady state begins: every container below is at its peak capacity
-    // (events ≤ n, ready[p] ≤ tasks_on[p], dirty ≤ np, segments ≤ n), so
-    // the event loop performs no heap allocation. Verified whenever the
-    // counting test allocator is installed (see testkit::alloc).
-    #[cfg(debug_assertions)]
-    let allocs_at_steady_state = tempart_testkit::alloc::allocation_count();
-
-    let mut done = 0usize;
-    while let Some(Reverse((time, tag, t))) = events.pop() {
-        now = time;
-        if tag == 1 {
-            // Delayed readiness: the task's messages have now all arrived.
-            push_ready(&mut ready, t, &mut seq, &mut dirty, &mut is_dirty);
-        } else {
-            done += 1;
-            // Credit the process the task actually ran on — its home
-            // process when pinned, the dynamically selected one otherwise.
-            let p = ran_on[t as usize] as usize;
-            if free_cores[p] != UNBOUNDED_CORES {
-                free_cores[p] += 1;
-            }
-            if pinned && !is_dirty[p] {
-                is_dirty[p] = true;
-                dirty.push(p);
-            }
-            running[p] -= 1;
-            if running[p] == 0 {
-                active[p] += now - active_since[p];
-            }
-            active_objects[p] -= u64::from(graph.task(t).n_objects);
-            let tp = p;
-            let succs = graph.succs(t);
-            let priced_edges =
-                net.map(|p| (p, &p.bytes[p.first_edge[t as usize]..][..succs.len()]));
-            for (k, &s) in succs.iter().enumerate() {
-                if let Some((priced, edge_bytes)) = priced_edges {
-                    // The message travels from the predecessor's executing
-                    // process to the successor's *home* process (where its
-                    // domain's data lives) — identical to the legacy
-                    // cross-process rule whenever placement is pinned.
-                    // Zero-byte messages are never sent: nothing to wait
-                    // for, no channel occupied.
-                    let sp = priced.home[s as usize] as usize;
-                    let bytes = edge_bytes[k];
-                    if sp != tp && bytes > 0 {
-                        let dur = priced.model.topology.link(tp, sp).duration(bytes);
-                        let (channel, start) = if bounded_channels == 0 {
-                            (0usize, now)
-                        } else {
-                            // Earliest-free inbound channel of the
-                            // destination; strict improvement on the
-                            // ascending scan ⇒ lowest id wins ties.
-                            let base = sp * bounded_channels;
-                            let mut best = 0usize;
-                            for c in 1..bounded_channels {
-                                if nic_free[base + c] < nic_free[base + best] {
-                                    best = c;
-                                }
-                            }
-                            (best, now.max(nic_free[base + best]))
-                        };
-                        let end = start + dur;
-                        if bounded_channels != 0 {
-                            nic_free[sp * bounded_channels + channel] = end;
-                        }
-                        transfers.push(TransferSegment {
-                            task: s,
-                            src: tp as u32,
-                            dst: sp as u32,
-                            channel: channel as u32,
-                            start,
-                            end,
-                            bytes,
-                        });
-                        if traced {
-                            rec.complete_at(
-                                Clock::Virtual,
-                                "net.xfer",
-                                sp as u32,
-                                start,
-                                dur,
-                                (tp as u64) << 32 | channel as u64,
-                                bytes,
-                            );
-                        }
-                        if end > ready_at[s as usize] {
-                            ready_at[s as usize] = end;
-                        }
-                    }
-                }
-                indegree[s as usize] -= 1;
-                if indegree[s as usize] == 0 {
-                    if ready_at[s as usize] > now {
-                        events.push(Reverse((ready_at[s as usize], 1u8, s)));
-                    } else {
-                        push_ready(&mut ready, s, &mut seq, &mut dirty, &mut is_dirty);
+    /// Retires `t`: credits the process it ran on, sends its messages and
+    /// releases the successors whose last dependency it was.
+    fn complete(&mut self, t: TaskId, mut log: Option<&mut ScheduleLog>) {
+        // Credit the process the task actually ran on — its home process
+        // when pinned, the dynamically selected one otherwise.
+        let p = self.ran_on[t as usize] as usize;
+        if self.free_cores[p] != UNBOUNDED_CORES {
+            self.free_cores[p] += 1;
+        }
+        if self.pinned && !self.is_dirty[p] {
+            self.is_dirty[p] = true;
+            self.dirty.push(p);
+        }
+        self.running[p] -= 1;
+        if self.running[p] == 0 {
+            self.active[p] += self.now - self.active_since[p];
+        }
+        let graph = self.graph;
+        self.active_objects[p] -= u64::from(graph.task(t).n_objects);
+        let succs = graph.succs(t);
+        let priced_edges = self
+            .net
+            .map(|n| (n, &n.bytes[n.first_edge[t as usize]..][..succs.len()]));
+        for (k, &s) in succs.iter().enumerate() {
+            if let Some((priced, edge_bytes)) = priced_edges {
+                // The message travels from the predecessor's executing
+                // process to the successor's *home* process (where its
+                // domain's data lives) — identical to the legacy
+                // cross-process rule whenever placement is pinned.
+                // Zero-byte messages are never sent: nothing to wait for,
+                // no channel occupied.
+                let sp = priced.home[s as usize] as usize;
+                let bytes = edge_bytes[k];
+                if sp != p && bytes > 0 {
+                    let end = self.transfer(priced.model, p, sp, s, bytes, log.as_deref_mut());
+                    if end > self.ready_at[s as usize] {
+                        self.ready_at[s as usize] = end;
                     }
                 }
             }
-        }
-        if pinned {
-            // Fill freed capacity on the processes this event touched.
-            // Ascending id order replicates the historical full `0..np`
-            // sweep; untouched processes still satisfy `free == 0 || ready
-            // empty` from the end of the previous refill, so skipping them
-            // cannot change behaviour. Launching never marks new processes
-            // dirty (it only pushes completion events), so draining the
-            // snapshot is complete.
-            dirty.sort_unstable();
-            for &q in &dirty {
-                while free_cores[q] > 0 && !ready[q].is_empty() {
-                    let (_, _, nt) = ready[q].pop().unwrap();
-                    launch(
-                        q,
-                        nt,
-                        now,
-                        &mut events,
-                        &mut free_cores,
-                        &mut running,
-                        &mut active_since,
-                        &mut busy,
-                        &mut subiter_work,
-                        &mut segments,
-                        &mut ran_on,
-                        &mut active_objects,
-                    );
+            self.indegree[s as usize] -= 1;
+            if self.indegree[s as usize] == 0 {
+                if self.ready_at[s as usize] > self.now {
+                    self.events
+                        .push(Reverse((self.ready_at[s as usize], 1u8, s)));
+                } else {
+                    self.push_ready(s);
                 }
-                is_dirty[q] = false;
-            }
-            dirty.clear();
-        } else {
-            // Dynamic refill: hand the best ready task to the best free
-            // process until either side runs out. The selection keys
-            // (busy, active_objects) are updated by every launch, so the
-            // loop re-evaluates the criterion greedily per placement.
-            while !ready[0].is_empty() {
-                let Some(q) = select_process(&free_cores, &busy, &active_objects) else {
-                    break;
-                };
-                let (_, _, nt) = ready[0].pop().unwrap();
-                launch(
-                    q,
-                    nt,
-                    now,
-                    &mut events,
-                    &mut free_cores,
-                    &mut running,
-                    &mut active_since,
-                    &mut busy,
-                    &mut subiter_work,
-                    &mut segments,
-                    &mut ran_on,
-                    &mut active_objects,
-                );
             }
         }
     }
-    assert_eq!(done, n, "deadlock: {} of {n} tasks executed", done);
-    #[cfg(debug_assertions)]
-    debug_assert_eq!(
-        tempart_testkit::alloc::allocation_count(),
-        allocs_at_steady_state,
-        "simulator event loop allocated on the heap"
-    );
 
-    // Communication accounting — deliberately *after* the zero-allocation
-    // steady state (the merged interval lists allocate). Both logs are in
-    // start order per process (see "Accounting" above), so one pass each
-    // builds the interval unions `NetStats::from_intervals` would sort for.
-    let net_stats = net.map(|_| {
-        let mut stats = NetStats {
-            comm_busy: vec![0; np],
-            comm_active: vec![0; np],
-            hidden: vec![0; np],
-            bytes_in: vec![0; np],
-            messages: vec![0; np],
-        };
-        let mut comm: Vec<Vec<(u64, u64)>> = vec![Vec::new(); np];
-        for tr in &transfers {
-            let p = tr.dst as usize;
-            stats.comm_busy[p] += tr.end - tr.start;
-            stats.bytes_in[p] += tr.bytes;
-            stats.messages[p] += 1;
-            push_merged(&mut comm[p], tr.start, tr.end);
-        }
-        let mut compute: Vec<Vec<(u64, u64)>> = vec![Vec::new(); np];
-        for s in &segments {
-            push_merged(&mut compute[s.process as usize], s.start, s.end);
-        }
-        for p in 0..np {
-            stats.comm_active[p] = comm[p].iter().map(|(s, e)| e - s).sum();
-            stats.hidden[p] = intersection_len(&comm[p], &compute[p]);
-        }
-        stats
-    });
+    /// The event loop. Every container it touches is at its peak capacity
+    /// (events ≤ n, ready[p] ≤ tasks on p, dirty ≤ np, and in `log`
+    /// segments ≤ n, transfers ≤ edges), so it performs no heap allocation
+    /// — verified whenever the counting test allocator is installed (see
+    /// testkit::alloc). `log` is what the caller keeps of the schedule;
+    /// `None` writes no per-task or per-transfer record at all.
+    fn run_loop(&mut self, mut log: Option<&mut ScheduleLog>) {
+        #[cfg(debug_assertions)]
+        let allocs_at_steady_state = tempart_testkit::alloc::allocation_count();
 
-    // Closing accounting counters (per process, and per process ×
-    // subiteration) let trace viewers read the Fig. 6 busy/idle story
-    // without replaying the task events; `b` on `subiter_work` carries the
-    // subiteration index.
-    if rec.enabled() {
-        for p in 0..np {
-            rec.counter_at(Clock::Virtual, "flusim.busy", p as u32, now, busy[p]);
-            rec.counter_at(Clock::Virtual, "flusim.active", p as u32, now, active[p]);
-            for (s, &w) in subiter_work[p].iter().enumerate() {
-                rec.counter_args_at(
-                    Clock::Virtual,
-                    "flusim.subiter_work",
-                    p as u32,
-                    now,
-                    w,
-                    s as u64,
-                    0,
-                );
+        let mut done = 0usize;
+        loop {
+            // Launch what the last event made possible — on the first pass
+            // the source tasks: the seeding pushes marked their processes
+            // dirty like any later push.
+            self.refill(log.as_deref_mut());
+            let Some(Reverse((time, tag, t))) = self.events.pop() else {
+                break;
+            };
+            self.now = time;
+            if tag == 1 {
+                // Delayed readiness: the task's messages have now all
+                // arrived.
+                self.push_ready(t);
+            } else {
+                done += 1;
+                self.complete(t, log.as_deref_mut());
             }
         }
-        if let Some(stats) = &net_stats {
-            for p in 0..np {
+        let n = self.graph.len();
+        assert_eq!(done, n, "deadlock: {done} of {n} tasks executed");
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            tempart_testkit::alloc::allocation_count(),
+            allocs_at_steady_state,
+            "simulator event loop allocated on the heap"
+        );
+    }
+
+    /// Closes the books: emits the closing counters, derives [`NetStats`]
+    /// from `log` (priced runs that kept one) and hands the totals over.
+    fn account(self, log: Option<ScheduleLog>) -> SimResult {
+        let now = self.now;
+        // Closing accounting counters (per process, and per process ×
+        // subiteration) let trace viewers read the Fig. 6 busy/idle story
+        // without replaying the task events; `b` on `subiter_work` carries
+        // the subiteration index.
+        if self.traced {
+            let rec = self.rec;
+            for p in 0..self.busy.len() {
+                rec.counter_at(Clock::Virtual, "flusim.busy", p as u32, now, self.busy[p]);
                 rec.counter_at(
                     Clock::Virtual,
-                    "net.bytes",
+                    "flusim.active",
                     p as u32,
                     now,
-                    stats.bytes_in[p],
+                    self.active[p],
                 );
-                rec.counter_at(Clock::Virtual, "net.msgs", p as u32, now, stats.messages[p]);
+                for (s, &w) in self.subiter_work[p].iter().enumerate() {
+                    rec.counter_args_at(
+                        Clock::Virtual,
+                        "flusim.subiter_work",
+                        p as u32,
+                        now,
+                        w,
+                        s as u64,
+                        0,
+                    );
+                }
             }
+            for (p, (&bytes, &msgs)) in self.bytes_in.iter().zip(&self.messages).enumerate() {
+                rec.counter_at(Clock::Virtual, "net.bytes", p as u32, now, bytes);
+                rec.counter_at(Clock::Virtual, "net.msgs", p as u32, now, msgs);
+            }
+            rec.end_at(Clock::Virtual, "flusim.run", 0, now);
         }
-        rec.end_at(Clock::Virtual, "flusim.run", 0, now);
+        // Communication accounting — deliberately *after* the
+        // zero-allocation steady state (the merged interval lists
+        // allocate).
+        let net = match (self.net, &log) {
+            (Some(_), Some(log)) => Some(net_stats(log, self.bytes_in, self.messages)),
+            _ => None,
+        };
+        let (segments, transfers) =
+            log.map_or_else(Default::default, |log| (log.segments, log.transfers));
+        SimResult {
+            makespan: now,
+            busy: self.busy,
+            active: self.active,
+            subiter_work: self.subiter_work,
+            segments,
+            transfers,
+            net,
+        }
     }
+}
 
-    SimResult {
-        makespan: now,
-        busy,
-        active,
-        subiter_work,
-        segments,
-        transfers,
-        net: net_stats,
+/// [`NetStats`] of a logged priced run: both logs are in start order per
+/// process (see "Accounting" at [`SimState`]), so one pass each builds the
+/// interval unions `NetStats::from_intervals` would sort for. `bytes_in`
+/// and `messages` are the loop's own tallies.
+fn net_stats(log: &ScheduleLog, bytes_in: Vec<u64>, messages: Vec<u64>) -> NetStats {
+    let np = bytes_in.len();
+    let mut comm_busy = vec![0; np];
+    let mut comm: Vec<Vec<(u64, u64)>> = vec![Vec::new(); np];
+    for tr in &log.transfers {
+        let p = tr.dst as usize;
+        comm_busy[p] += tr.end - tr.start;
+        push_merged(&mut comm[p], tr.start, tr.end);
+    }
+    let mut compute: Vec<Vec<(u64, u64)>> = vec![Vec::new(); np];
+    for s in &log.segments {
+        push_merged(&mut compute[s.process as usize], s.start, s.end);
+    }
+    NetStats {
+        comm_busy,
+        comm_active: comm
+            .iter()
+            .map(|c| c.iter().map(|(s, e)| e - s).sum())
+            .collect(),
+        hidden: comm
+            .iter()
+            .zip(&compute)
+            .map(|(comm, compute)| intersection_len(comm, compute))
+            .collect(),
+        bytes_in,
+        messages,
     }
 }
 

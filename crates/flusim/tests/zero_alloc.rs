@@ -1,9 +1,10 @@
 //! Zero-allocation contract for the simulator's event loop, measured with
 //! the testkit counting allocator installed as this binary's global
-//! allocator. The event loop behind `simulate_with` snapshots the thread's allocation
-//! count once steady state begins (after setup and the initial launches)
-//! and `debug_assert`s it unchanged when the last event drains — running
-//! any simulation in this binary therefore *is* the verification. The
+//! allocator. The event loop behind `simulate_with` (`SimState::run_loop`)
+//! snapshots the thread's allocation count on entry — after setup, before
+//! the initial launches — and `debug_assert`s it unchanged when the last
+//! event drains — running any simulation in this binary therefore *is* the
+//! verification. The
 //! explicit assertions below additionally pin down that the pre-sizing
 //! arithmetic (events ≤ n, ready[p] ≤ tasks on p) covers adversarial
 //! shapes: wide fan-out, cross-process chains with comm delays, and
@@ -15,7 +16,7 @@ use tempart_flusim::{
 };
 use tempart_obs::Recorder;
 use tempart_taskgraph::{Task, TaskGraph, TaskId, TaskKind};
-use tempart_testkit::alloc::{count_allocations, CountingAllocator};
+use tempart_testkit::alloc::{allocated_bytes, count_allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -239,48 +240,60 @@ fn network_portfolio_race_event_loops_are_allocation_free() {
     }
 }
 
-#[test]
-fn network_accounting_allocations_do_not_grow_with_the_transfer_count() {
-    // The steady-state guard covers the event loop only; this one covers
-    // the whole call — edge pricing before the loop and the `NetStats`
-    // accounting after it. Same tasks, same cluster, every dependency edge
-    // present once vs four times (parallel edges): equal-cost ranks on
-    // ample cores and unbounded channels make each rank's transfers
-    // coincide, so the schedule and the merged interval lists are the same
-    // and only the transfer count differs. Per-transfer copies, or
-    // per-process lists that grow with the log, would show up as extra
-    // allocations on the 4× graph.
-    let ranks = |copies: usize| {
-        let (layers, width, nd) = (12usize, 16usize, 4u32);
-        let mut tasks = Vec::new();
-        let mut preds: Vec<Vec<TaskId>> = Vec::new();
-        for l in 0..layers {
-            for w in 0..width {
-                tasks.push(mk_task((w as u32) % nd, 5, 0));
-                // The neighbour's slot one rank up lives on the next domain.
-                let up = ((l.max(1) - 1) * width + (w + 1) % width) as TaskId;
-                preds.push(if l == 0 { vec![] } else { vec![up; copies] });
-            }
+/// Equal-cost ranks of tasks on four domains, every dependency edge present
+/// `copies` times (parallel edges): on ample cores and unbounded channels
+/// each rank's transfers coincide, so the schedule and the merged interval
+/// lists do not depend on `copies` and only the transfer count does.
+fn parallel_edge_ranks(copies: usize) -> TaskGraph {
+    let (layers, width, nd) = (12usize, 16usize, 4u32);
+    let mut tasks = Vec::new();
+    let mut preds: Vec<Vec<TaskId>> = Vec::new();
+    for l in 0..layers {
+        for w in 0..width {
+            tasks.push(mk_task((w as u32) % nd, 5, 0));
+            // The neighbour's slot one rank up lives on the next domain.
+            let up = ((l.max(1) - 1) * width + (w + 1) % width) as TaskId;
+            preds.push(if l == 0 { vec![] } else { vec![up; copies] });
         }
-        TaskGraph::assemble(tasks, preds, nd as usize, 1)
-    };
-    let process_of: Vec<usize> = (0..4).collect();
-    let cluster = ClusterConfig::new(4, 16);
-    let net = NetworkModel::uniform(
+    }
+    TaskGraph::assemble(tasks, preds, nd as usize, 1)
+}
+
+/// The network [`parallel_edge_ranks`] is simulated under.
+fn unbounded_net() -> NetworkModel {
+    NetworkModel::uniform(
         Link {
             latency: 3,
             cost_per_byte: 1,
         },
         tempart_flusim::UNBOUNDED_CHANNELS,
-    );
+    )
+}
+
+#[test]
+fn network_accounting_allocations_do_not_grow_with_the_transfer_count() {
+    // The steady-state guard covers the event loop only; this one covers
+    // the whole call — edge pricing before the loop and the `NetStats`
+    // accounting after it. Same tasks, same cluster, every dependency edge
+    // present once vs four times. Per-transfer copies, or per-process lists
+    // that grow with the log, would show up as extra allocations on the 4×
+    // graph.
+    let process_of: Vec<usize> = (0..4).collect();
+    let net = unbounded_net();
     let strat = DynamicListStrategy::from(Strategy::EagerFifo);
-    let cores = cluster.cores();
     let counted = |g: &TaskGraph| {
         count_allocations(|| {
-            simulate_with(g, &cores, &process_of, &strat, Some(&net), Recorder::off())
+            simulate_with(
+                g,
+                &[16; 4],
+                &process_of,
+                &strat,
+                Some(&net),
+                Recorder::off(),
+            )
         })
     };
-    let (once, fourfold) = (ranks(1), ranks(4));
+    let (once, fourfold) = (parallel_edge_ranks(1), parallel_edge_ranks(4));
     let (r1, allocs_1x) = counted(&once);
     let (r4, allocs_4x) = counted(&fourfold);
     assert!(!r1.transfers.is_empty());
@@ -289,6 +302,36 @@ fn network_accounting_allocations_do_not_grow_with_the_transfer_count() {
     assert_eq!(
         allocs_4x, allocs_1x,
         "whole-call allocations grew with the transfer count"
+    );
+}
+
+#[test]
+fn priced_race_requests_no_edge_sized_memory_per_combo() {
+    // A leaderboard row is built from totals, so a race combo keeps no
+    // schedule log: the only memory a priced race may request in proportion
+    // to the edge count is the price table it builds once (8 bytes per
+    // edge). Counting calls cannot see this — a log is one allocation
+    // whatever its capacity — so count bytes: with 24 transfer logs the 4×
+    // graph asks for 24 × 40 bytes per extra edge.
+    let process_of: Vec<usize> = (0..4).collect();
+    let cluster = ClusterConfig::new(4, 16);
+    let net = unbounded_net();
+    let requested = |g: &TaskGraph| {
+        let before = allocated_bytes();
+        let board = race(g, &cluster, &process_of, Some(&net), 1, Recorder::off());
+        assert_eq!(board.entries.len(), 24);
+        allocated_bytes() - before
+    };
+    let (once, fourfold) = (parallel_edge_ranks(1), parallel_edge_ranks(4));
+    let extra_edges = (fourfold.n_edges() - once.n_edges()) as u64;
+    assert!(extra_edges > 0);
+    let (bytes_1x, bytes_4x) = (requested(&once), requested(&fourfold));
+    assert!(bytes_1x > 0, "counting allocator not installed");
+    assert!(
+        bytes_4x <= bytes_1x + 8 * extra_edges,
+        "{} extra edges cost a priced race {} extra bytes",
+        extra_edges,
+        bytes_4x - bytes_1x
     );
 }
 

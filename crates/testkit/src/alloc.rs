@@ -2,9 +2,11 @@
 //!
 //! Hot paths (the FM inner loop, the FLUSIM event loop) carry
 //! `debug_assert!`s that no heap allocation happened inside them. Those
-//! asserts read the **thread-local** allocation counter defined here. The
-//! counter only advances when a test binary installs [`CountingAllocator`]
-//! as its global allocator:
+//! asserts read the **thread-local** allocation counter defined here; a
+//! second thread-local counter adds up the bytes requested, for guards on
+//! how much a call allocates rather than how often. The counters only
+//! advance when a test binary installs [`CountingAllocator`] as its global
+//! allocator:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -13,8 +15,8 @@
 //! ```
 //!
 //! In binaries that do not install it (production, ordinary tests) the
-//! counter stays at zero forever, so the debug asserts are vacuously true
-//! and release builds compile the checks out entirely. The counter is
+//! counters stay at zero forever, so the debug asserts are vacuously true
+//! and release builds compile the checks out entirely. The counters are
 //! thread-local so parallel tests in one binary cannot pollute each other's
 //! measurements.
 
@@ -23,34 +25,39 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A [`System`]-backed allocator that counts `alloc`/`realloc` calls in a
-/// thread-local counter (deallocations are free and not counted).
+/// A [`System`]-backed allocator that counts `alloc`/`realloc` calls and
+/// the bytes they request in thread-local counters (deallocations are free
+/// and not counted).
 pub struct CountingAllocator;
 
+/// Counts one call that requested `bytes` new bytes.
 #[inline]
-fn bump() {
+fn bump(bytes: usize) {
     // `try_with`: TLS may already be torn down during thread exit; those
     // late allocations are irrelevant to any measurement.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
-// SAFETY: delegates verbatim to `System`; the counter bump performs no
-// allocation (const-initialised thread-local `Cell`).
+// SAFETY: delegates verbatim to `System`; the counter bumps perform no
+// allocation (const-initialised thread-local `Cell`s).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        // Only the growth is new memory; a shrink requests none.
+        bump(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
@@ -64,6 +71,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[inline]
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Bytes the **current thread** has requested from the heap since it
+/// started — the size of every `alloc` / `alloc_zeroed` plus the growth of
+/// every `realloc`, nothing subtracted on free. Zero unless
+/// [`CountingAllocator`] is the global allocator.
+#[inline]
+pub fn allocated_bytes() -> u64 {
+    BYTES.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Runs `f` and returns `(result, allocations)` where `allocations` is the

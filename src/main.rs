@@ -64,7 +64,10 @@ COMMANDS:
                process criterion) on one decomposition and print the ranked
                leaderboard                 (--case, --depth, --strategy,
                                            --domains, --processes, --cores,
-                                           --seed, --workers)
+                                           --seed, --workers, --net P,
+                                           --latency L) — with --net or
+               --latency every combo is raced under that network model
+               (presets as for simulate)
     solve      real FV solver             (--case, --depth, --strategy, --domains,
                                            --iterations, --heun, --mu X, --groups,
                                            --workers)
@@ -440,6 +443,21 @@ fn cmd_partition(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// The network `simulate` / `portfolio` price communication with, and how
+/// to name it in a header line. `--net` takes a topology preset;
+/// `--latency L` is shorthand for the per-message model (uniform
+/// latency-only links, unbounded channels); neither is free communication.
+fn network_of(o: &Options) -> Result<(Option<NetworkModel>, String), String> {
+    Ok(match (&o.net, o.latency) {
+        (Some(preset), _) => (Some(parse_preset(preset)?), format!("net {preset}")),
+        (None, 0) => (None, "free communication".into()),
+        (None, lat) => (
+            Some(NetworkModel::per_object(lat, 0)),
+            format!("latency {lat}"),
+        ),
+    })
+}
+
 fn cmd_simulate(o: &Options) -> Result<(), String> {
     let mesh = mesh_to_partition(o)?;
     let cluster = ClusterConfig::new(o.processes, o.cores);
@@ -450,13 +468,7 @@ fn cmd_simulate(o: &Options) -> Result<(), String> {
         scheduling: Strategy::EagerFifo,
         seed: o.seed,
     };
-    // `--net` takes a topology preset; `--latency L` is shorthand for the
-    // per-message model (uniform latency-only links, unbounded channels).
-    let net: Option<NetworkModel> = match (&o.net, o.latency) {
-        (Some(preset), _) => Some(parse_preset(preset)?),
-        (None, 0) => None,
-        (None, lat) => Some(NetworkModel::per_object(lat, 0)),
-    };
+    let (net, _) = network_of(o)?;
     let workers = fj_workers(o);
     let pool = WorkspacePool::new(workers);
     let out = run_flusim_with(&mesh, &config, net.as_ref(), &untraced(workers, &pool))?;
@@ -645,17 +657,19 @@ fn cmd_portfolio(o: &Options) -> Result<(), String> {
         scheduling: Strategy::EagerFifo,
         seed: o.seed,
     };
+    let (net, net_label) = network_of(o)?;
     let workers = fj_workers(o);
     let pool = WorkspacePool::new(workers);
-    let out = run_portfolio(&mesh, &config, None, &untraced(workers, &pool))?;
+    let out = run_portfolio(&mesh, &config, net.as_ref(), &untraced(workers, &pool))?;
     println!(
-        "{} × {} domains via {} on {}p×{}c — racing {} scheduler combos ({} worker{})",
+        "{} × {} domains via {} on {}p×{}c — racing {} scheduler combos under {} ({} worker{})",
         o.case.name(),
         o.domains,
         o.strategy.label(),
         o.processes,
         o.cores,
         out.leaderboard.entries.len(),
+        net_label,
         workers,
         if workers == 1 { "" } else { "s" }
     );

@@ -41,12 +41,27 @@ fn zero_counts_are_usage_errors_not_panics() {
     }
 }
 
+/// A 736-cell mesh, 8 domains on 2 × 2 cores: enough to reach the simulator.
+const SMALL_RUN: [&str; 8] = [
+    "--depth",
+    "3",
+    "--domains",
+    "8",
+    "--processes",
+    "2",
+    "--cores",
+    "2",
+];
+
 #[test]
 fn bad_net_values_are_usage_errors_not_panics_or_wrapped_makespans() {
     // Zero channels / zero processes per node used to reach asserts in the
     // simulator (exit 101); a per-byte cost near u64::MAX used to wrap the
     // simulated clock in release builds and exit 0 with a garbage makespan.
+    // `portfolio` used to ignore both flags, so a mistyped preset raced
+    // free communication and exited 0.
     let cases: &[(&[&str], &str)] = &[
+        (&["--net", "bogus"], "unknown --net preset"),
         (&["--net", "uniform:1:1:0"], "at least one channel"),
         (
             &["--net", "two-level:400:2:0:2"],
@@ -61,38 +76,66 @@ fn bad_net_values_are_usage_errors_not_panics_or_wrapped_makespans() {
             "overflows the simulated clock",
         ),
     ];
-    for &(net, want) in cases {
+    for cmd in ["simulate", "portfolio"] {
+        for &(net, want) in cases {
+            let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+                .arg(cmd)
+                .args(SMALL_RUN)
+                .args(net)
+                .output()
+                .expect("spawn tempart");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{cmd} {net:?}: exit {:?}, stderr: {stderr}",
+                out.status.code()
+            );
+            let first = stderr.lines().next().unwrap_or("");
+            assert!(
+                first.starts_with("error: ") && first.contains(want),
+                "{cmd} {net:?}: first stderr line {first:?}"
+            );
+            assert!(!stderr.contains("panicked"), "{cmd} {net:?}: {stderr}");
+            assert!(!stderr.contains("USAGE:"), "{cmd} {net:?}: {stderr}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                !stdout.contains("makespan"),
+                "{cmd} {net:?}: printed {stdout}"
+            );
+        }
+    }
+}
+
+#[test]
+fn portfolio_races_under_the_network_it_is_given() {
+    // The fingerprint `tempart portfolio` prints on the small run.
+    let fingerprint = |extra: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
-            .args([
-                "simulate",
-                "--depth",
-                "3",
-                "--domains",
-                "8",
-                "--processes",
-                "2",
-                "--cores",
-                "2",
-            ])
-            .args(net)
+            .arg("portfolio")
+            .args(SMALL_RUN)
+            .args(extra)
             .output()
             .expect("spawn tempart");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{net:?}: exit {:?}, stderr: {stderr}",
-            out.status.code()
-        );
-        let first = stderr.lines().next().unwrap_or("");
-        assert!(
-            first.starts_with("error: ") && first.contains(want),
-            "{net:?}: first stderr line {first:?}"
-        );
-        assert!(!stderr.contains("panicked"), "{net:?}: {stderr}");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(!stdout.contains("makespan"), "{net:?}: printed {stdout}");
-    }
+        assert!(out.status.success(), "{extra:?}: {stdout}");
+        stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("leaderboard fingerprint: "))
+            .unwrap_or_else(|| panic!("{extra:?}: no fingerprint in {stdout}"))
+            .to_string()
+    };
+    let free = fingerprint(&[]);
+    let priced = fingerprint(&["--net", "two-level"]);
+    assert_ne!(priced, free, "--net two-level raced free communication");
+    assert_eq!(
+        fingerprint(&["--net", "two-level", "--workers", "2"]),
+        priced,
+        "priced leaderboard depends on --workers"
+    );
+    assert_ne!(fingerprint(&["--latency", "300"]), free);
+    // Free links on unbounded channels delay nothing.
+    assert_eq!(fingerprint(&["--net", "zero"]), free);
 }
 
 #[test]

@@ -7,7 +7,10 @@
 //! simulator's one-pass [`NetStats`] must equal the sorting oracle
 //! ([`NetStats::from_intervals`]) rebuilt from its own logs, and a race that
 //! shares one edge-price table must equal 24 simulations that each price
-//! their own.
+//! their own. A race keeps no schedule log: on random graded meshes every
+//! leaderboard number must equal, by f64 bits, the one the logging run of
+//! that combo yields, and a *traced* priced race must absorb, per combo, the
+//! very stream that logging run records.
 //!
 //! Schedule validity extends the free-comm list-scheduling contract with
 //! the transfer ledger ([`SimResult::transfers`]):
@@ -32,7 +35,8 @@ use tempart::flusim::{
     ProcessCriterion, SimResult, Strategy, TaskCriterion, UNBOUNDED_CHANNELS, UNBOUNDED_CORES,
 };
 use tempart::mesh::{Mesh, Octree, OctreeConfig, TemporalScheme};
-use tempart::obs::Recorder;
+use tempart::obs::replay::replay_network;
+use tempart::obs::{Event, Recorder};
 use tempart::taskgraph::{
     generate_taskgraph, stats::block_process_map, DomainDecomposition, Task, TaskGraph,
     TaskGraphConfig, TaskKind,
@@ -539,6 +543,67 @@ proptest! {
     }
 }
 
+proptest! {
+    #![config(cases = 12, seed = 0xC033_10C5)]
+
+    fn log_free_race_outcomes_equal_the_logging_runs_bit_for_bit(
+        r1 in bools(),
+        r2 in bools(),
+        levels in 1u8..4,
+        k in 1usize..6,
+        procs in 1usize..5,
+        cores in 0usize..4,
+        preset in 0u8..4,
+        seed in 0u64..200,
+    ) {
+        // A race combo keeps no segment or transfer log; the run that does
+        // must still be a valid schedule, and every number the leaderboard
+        // holds must be the one that run yields.
+        let (dd, g) = random_instance(r1, r2, levels, k, seed);
+        let process_of = block_process_map(k, procs);
+        // The two cluster shapes `race` takes: `cores` per process, or
+        // unbounded when the draw is 0.
+        let cluster = match cores {
+            0 => ClusterConfig::unbounded(procs),
+            c => ClusterConfig::new(procs, c),
+        };
+        let link = Link { latency: 30, cost_per_byte: 1 };
+        let model = match preset {
+            0 => NetworkModel::zero_cost(),
+            1 => NetworkModel::uniform(link, 1),
+            2 => NetworkModel::two_level(2, link, Link { latency: 300, cost_per_byte: 2 }, 2)
+                .with_halo(&dd, 40),
+            _ => NetworkModel::per_object(25, 0),
+        };
+        let boards: Vec<_> = [1usize, 2]
+            .iter()
+            .map(|&w| race(&g, &cluster, &process_of, Some(&model), w, Recorder::off()))
+            .collect();
+        for strat in DynamicListStrategy::lattice() {
+            let label = strat.label();
+            let sim = simulate_with(
+                &g, &cluster.cores(), &process_of, &strat, Some(&model), Recorder::off());
+            check_schedule(
+                &sim, &g, &model, &process_of, procs, cluster.cores_per_process, &label)?;
+            let idle = cluster.total_cores().map(|_| sim.idle_fraction(&cluster).to_bits());
+            let inactivity: Vec<u64> =
+                sim.process_inactivity().iter().map(|f| f.to_bits()).collect();
+            for board in &boards {
+                let e = board.entry(&strat).expect("every lattice point is raced");
+                prop_assert_eq!(e.makespan, sim.makespan, "{}", label);
+                prop_assert_eq!(e.total_busy, sim.total_executed(), "{}", label);
+                prop_assert_eq!(e.idle_fraction.map(f64::to_bits), idle, "{}", label);
+                prop_assert_eq!(
+                    e.inactivity.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                    inactivity.clone(),
+                    "{}",
+                    label
+                );
+            }
+        }
+    }
+}
+
 /// Equality of two simulations: every field, and the derived floats by bit
 /// pattern (`idle_fraction` only where a bounded uniform cluster defines
 /// it).
@@ -555,6 +620,24 @@ fn assert_same_sim(a: &SimResult, b: &SimResult, cluster: Option<&ClusterConfig>
             "{at}"
         );
     }
+}
+
+/// A bounded two-level network (nodes of 2, 2 NIC channels) carrying the
+/// decomposition's halo bytes.
+fn two_level_halo(dd: &DomainDecomposition) -> NetworkModel {
+    NetworkModel::two_level(
+        2,
+        Link {
+            latency: 4,
+            cost_per_byte: 1,
+        },
+        Link {
+            latency: 40,
+            cost_per_byte: 2,
+        },
+        2,
+    )
+    .with_halo(dd, TaskGraphConfig::default().face_payload_bytes)
 }
 
 /// Runs `f` against a fresh recorder; returns its result and the sorted
@@ -580,19 +663,7 @@ fn convenience_forms_equal_the_general_form_bit_for_bit() {
     let cluster = &ClusterConfig::new(procs, 2);
     let uniform = &cluster.cores();
     let hetero = &[1usize, 3, UNBOUNDED_CORES];
-    let net = &NetworkModel::two_level(
-        2,
-        Link {
-            latency: 4,
-            cost_per_byte: 1,
-        },
-        Link {
-            latency: 40,
-            cost_per_byte: 2,
-        },
-        2,
-    )
-    .with_halo(&dd, TaskGraphConfig::default().face_payload_bytes);
+    let net = &two_level_halo(&dd);
     let off = Recorder::off();
 
     // One row per seam: (label, cluster for idle_fraction, an event the
@@ -669,5 +740,75 @@ fn convenience_forms_equal_the_general_form_bit_for_bit() {
         assert_eq!(trace.dropped, 0);
         assert_eq!(trace.named("portfolio.combo").count(), 24);
         assert_eq!(seen, general, "traced race, workers={workers}");
+    }
+}
+
+/// A race keeps no segment or transfer log, so everything a traced combo
+/// publishes has to come out of the event loop itself. The slice of the
+/// race's absorbed trace that belongs to combo *i* must be, event for event,
+/// what a logging `simulate_with` of that combo records — down to the
+/// closing `net.bytes` / `net.msgs` counters, which nothing else in the
+/// workspace reads — and must replay to the logging run's `NetStats`.
+#[test]
+fn traced_priced_race_absorbs_the_stream_of_each_logging_run() {
+    let (k, procs) = (6usize, 4usize);
+    let (dd, g) = random_instance(true, true, 3, k, 23);
+    let process_of = block_process_map(k, procs);
+    let cluster = ClusterConfig::new(procs, 2);
+    let net = two_level_halo(&dd);
+    let capacity = 8 * g.len() + 2 * g.n_edges() + 64;
+    let logged: Vec<(SimResult, Vec<Event>)> = DynamicListStrategy::lattice()
+        .iter()
+        .map(|strat| {
+            let rec = Recorder::new(capacity);
+            let sim = simulate_with(&g, &cluster.cores(), &process_of, strat, Some(&net), &rec);
+            let trace = rec.take();
+            assert_eq!(trace.dropped, 0);
+            (sim, trace.events)
+        })
+        .collect();
+    // Everything but the sequence number, which absorption re-keys.
+    let unkeyed = |e: &Event| (e.name, e.clock, e.kind, e.track, e.t, e.val, e.a, e.b);
+    for workers in [1usize, 2, 4] {
+        let rec = Recorder::new(24 * capacity + 64);
+        let board = race(&g, &cluster, &process_of, Some(&net), workers, &rec);
+        let trace = rec.take();
+        assert_eq!(trace.dropped, 0);
+        // Combo i's events sit between the (i-1)-th and the i-th
+        // `portfolio.combo` counter.
+        let mut events = trace
+            .events
+            .iter()
+            .filter(|e| e.name != "portfolio.race" && e.name != "portfolio.winner");
+        for (i, (sim, want)) in logged.iter().enumerate() {
+            let at = format!("combo {i}, workers={workers}");
+            let got: Vec<Event> = events
+                .by_ref()
+                .take_while(|e| e.name != "portfolio.combo")
+                .copied()
+                .collect();
+            assert_eq!(got.len(), want.len(), "{at}: event count");
+            for (got, want) in got.iter().zip(want) {
+                assert_eq!(unkeyed(got), unkeyed(want), "{at}");
+            }
+            let count = |name: &str| got.iter().filter(|e| e.name == name).count();
+            assert!(!sim.transfers.is_empty(), "{at}: nothing was sent");
+            assert_eq!(count("net.xfer"), sim.transfers.len(), "{at}");
+            assert_eq!(count("flusim.task"), g.len(), "{at}");
+            for per_process in ["net.channels", "flusim.busy", "net.bytes", "net.msgs"] {
+                assert_eq!(count(per_process), procs, "{at}: {per_process}");
+            }
+            let stats = sim.net.as_ref().expect("priced run has stats");
+            let replayed = replay_network(&got, "net.xfer", "flusim.task", procs);
+            assert_eq!(&replayed, stats, "{at}: replayed NetStats");
+            assert_eq!(
+                replayed.overlap_efficiency().to_bits(),
+                stats.overlap_efficiency().to_bits(),
+                "{at}"
+            );
+            let entry = board.entries.iter().find(|e| e.combo == i as u32);
+            assert_eq!(entry.map(|e| e.makespan), Some(sim.makespan), "{at}");
+        }
+        assert_eq!(events.next(), None, "workers={workers}: trailing events");
     }
 }
