@@ -171,9 +171,12 @@ pub(crate) fn ext_drift(opts: &ExpOptions) {
         )
     );
     println!(
-        "Expected shape: at zero drift both match; the stale partition degrades\n\
-         monotonically with drift while the repartitioned one stays flat — the\n\
-         degradation rate tells you how often a production run must repartition."
+        "Expected shape: the stale partition degrades monotonically with drift while\n\
+         the repartitioned one stays flat — the degradation rate tells you how often\n\
+         a production run must repartition. The zero-drift row is not a no-op:\n\
+         \"repartitioned\" is the better of two seeds, so it may differ from the stale\n\
+         (first-seed) partition and then migrates nearly the whole mesh — a\n\
+         from-scratch repartition moves everything whenever it moves anything."
     );
 }
 

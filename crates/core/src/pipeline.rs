@@ -8,7 +8,7 @@ use tempart_flusim::portfolio::{race, Leaderboard};
 use tempart_flusim::{
     simulate_traced, simulate_with, ClusterConfig, Link, NetworkModel, SimResult, Strategy,
 };
-use tempart_graph::{CsrGraph, PartId, PartitionQuality};
+use tempart_graph::{PartId, PartitionQuality};
 use tempart_mesh::Mesh;
 use tempart_obs::Recorder;
 use tempart_runtime::fork_join;
@@ -83,10 +83,9 @@ struct Lowered {
     net: Option<NetworkModel>,
 }
 
-/// The shared stage behind every entry point: domain classification sharded
-/// over `workers` (bit-identical at every width — see
-/// [`DomainDecomposition::new_sharded`]), task-graph generation (`tg.*`
-/// events into `rec`), contiguous-block process map. A `net`'s message
+/// The shared stage behind every entry point: domain classification,
+/// task-graph generation (`tg.*` events into `rec`), contiguous-block
+/// process map. A `net`'s message
 /// sizes are *replaced* by the halo byte table of this decomposition
 /// ([`NetworkModel::with_halo`], per-face payload from
 /// [`TaskGraphConfig::face_payload_bytes`]) — callers pick a topology
@@ -99,10 +98,9 @@ fn lower(
     n_domains: usize,
     cluster: &ClusterConfig,
     net: Option<&NetworkModel>,
-    workers: usize,
     rec: &Recorder,
 ) -> Result<Lowered, String> {
-    let dd = DomainDecomposition::new_sharded(mesh, part, n_domains, workers);
+    let dd = DomainDecomposition::new(mesh, part, n_domains);
     let tg_config = TaskGraphConfig::default();
     let graph = generate_taskgraph_traced(mesh, &dd, &tg_config, rec);
     let process_of = block_process_map(n_domains, cluster.n_processes);
@@ -119,21 +117,19 @@ fn lower(
 }
 
 /// Quality → [`lower`] for a finished partition: the prefix the single run
-/// and the portfolio race share. The cell graph rides along for the
-/// inter-process cut estimate.
+/// and the portfolio race share. The cell graph lives only as long as the
+/// quality measurement needs it.
 fn prepare(
     mesh: &Mesh,
     part: &[PartId],
     config: &PipelineConfig,
     net: Option<&NetworkModel>,
-    workers: usize,
     rec: &Recorder,
-) -> Result<(CsrGraph, PartitionQuality, Lowered), String> {
-    let cell_graph = mesh.to_graph();
-    let quality = PartitionQuality::measure(&cell_graph, part, config.n_domains);
+) -> Result<(PartitionQuality, Lowered), String> {
+    let quality = PartitionQuality::measure(&mesh.to_graph(), part, config.n_domains);
     let (k, cluster) = (config.n_domains, &config.cluster);
-    let lowered = lower(mesh, part, k, cluster, net, workers, rec)?;
-    Ok((cell_graph, quality, lowered))
+    let lowered = lower(mesh, part, k, cluster, net, rec)?;
+    Ok((quality, lowered))
 }
 
 /// Generates the task graph and simulates a given decomposition on a
@@ -150,7 +146,7 @@ pub fn simulate_decomposition(
 ) -> (TaskGraph, Vec<usize>, SimResult) {
     let Lowered {
         graph, process_of, ..
-    } = lower(mesh, part, n_domains, cluster, None, 1, rec).expect(FREE_COMM_IS_VALID);
+    } = lower(mesh, part, n_domains, cluster, None, rec).expect(FREE_COMM_IS_VALID);
     let sim = simulate_traced(&graph, cluster, &process_of, scheduling, rec);
     (graph, process_of, sim)
 }
@@ -163,15 +159,15 @@ const FREE_COMM_IS_VALID: &str = "only a network model can fail validation";
 /// partitioner's scratch memory released before the task graph is built.
 pub fn run_flusim(mesh: &Mesh, config: &PipelineConfig) -> FlusimOutcome {
     let part = decompose(mesh, config.strategy, config.n_domains, config.seed);
-    simulate_partition(mesh, part, config, None, 1, Recorder::off()).expect(FREE_COMM_IS_VALID)
+    simulate_partition(mesh, part, config, None, Recorder::off()).expect(FREE_COMM_IS_VALID)
 }
 
 /// Runs the full pipeline: partition, generate, simulate, measure — the
 /// general entry.
 ///
-/// The partitioner and the domain classification fan out over
-/// `exec.workers` (the task-graph generator and the FLUSIM event loop stay
-/// sequential); the outcome is bit-identical at every width. With `net`
+/// The partitioner fans out over `exec.workers` (domain classification, the
+/// task-graph generator and the FLUSIM event loop are sequential); the
+/// outcome is bit-identical at every width. With `net`
 /// set, cross-process halo exchanges become first-class NIC transfers
 /// priced by the model, with message sizes derived from this run's own
 /// decomposition (see [`NetworkModel::with_halo`]); `None` is the paper's
@@ -196,7 +192,7 @@ pub fn run_flusim_with(
 ) -> Result<FlusimOutcome, String> {
     let _span = exec.rec.span("core.pipeline", 0, config.n_domains as u64);
     let part = decompose_with(mesh, config.strategy, config.n_domains, config.seed, exec);
-    simulate_partition(mesh, part, config, net, exec.workers, exec.rec)
+    simulate_partition(mesh, part, config, net, exec.rec)
 }
 
 /// The pipeline downstream of the partition: [`prepare`], the FLUSIM
@@ -206,15 +202,14 @@ fn simulate_partition(
     part: Vec<PartId>,
     config: &PipelineConfig,
     net: Option<&NetworkModel>,
-    workers: usize,
     rec: &Recorder,
 ) -> Result<FlusimOutcome, String> {
-    let (cell_graph, quality, lowered) = prepare(mesh, &part, config, net, workers, rec)?;
+    let (quality, lowered) = prepare(mesh, &part, config, net, rec)?;
     let Lowered {
+        dd,
         graph,
         process_of,
         net,
-        ..
     } = &lowered;
     let sim = simulate_with(
         graph,
@@ -226,13 +221,14 @@ fn simulate_partition(
     );
 
     // Inter-process communication estimate: edges between cells whose
-    // domains sit on different processes.
-    let proc_of_cell: Vec<usize> = part.iter().map(|&d| process_of[d as usize]).collect();
+    // domains sit on different processes. A cell-graph edge weighs its face
+    // multiplicity, so that is the halo table summed over domain pairs on
+    // different processes, each pair seen from both sides.
     let mut interprocess_cut = 0i64;
-    for v in 0..cell_graph.nvtx() as u32 {
-        for (u, w) in cell_graph.neighbors(v).zip(cell_graph.edge_weights(v)) {
-            if proc_of_cell[v as usize] != proc_of_cell[u as usize] {
-                interprocess_cut += i64::from(w);
+    for (d, &p) in process_of.iter().enumerate() {
+        for (n, faces) in dd.halo_of(d as PartId) {
+            if process_of[n as usize] != p {
+                interprocess_cut += i64::from(faces);
             }
         }
     }
@@ -294,7 +290,7 @@ pub fn run_portfolio(
 ) -> Result<PortfolioOutcome, String> {
     let _span = exec.rec.span("core.portfolio", 0, config.n_domains as u64);
     let part = decompose_with(mesh, config.strategy, config.n_domains, config.seed, exec);
-    let (_, quality, lowered) = prepare(mesh, &part, config, net, exec.workers, exec.rec)?;
+    let (quality, lowered) = prepare(mesh, &part, config, net, exec.rec)?;
     let leaderboard = race(
         &lowered.graph,
         &config.cluster,
@@ -378,16 +374,7 @@ pub fn comm_crossover(
         .iter()
         .map(|&s| {
             let part = decompose_with(mesh, s, config.n_domains, config.seed, exec);
-            lower(
-                mesh,
-                &part,
-                config.n_domains,
-                cluster,
-                None,
-                exec.workers,
-                exec.rec,
-            )
-            .expect(FREE_COMM_IS_VALID)
+            lower(mesh, &part, config.n_domains, cluster, None, exec.rec).expect(FREE_COMM_IS_VALID)
         })
         .collect();
     let face_payload = TaskGraphConfig::default().face_payload_bytes;
@@ -503,11 +490,11 @@ pub fn run_sweep(jobs: &[(&Mesh, PipelineConfig)], exec: &Exec) -> Vec<FlusimOut
     outcomes
 }
 
-/// Fork-join width each sweep job may use *internally* (the sharded
-/// `decompose → taskgraph` stage): the leftover parallelism once the job
-/// list itself has claimed its share. With at least as many jobs as
-/// workers this is 1 (all parallelism spent across jobs); a short job list
-/// on a wide pool hands the spare width to each job's intra-job stages.
+/// Fork-join width each sweep job may use *internally* (its partitioner):
+/// the leftover parallelism once the job list itself has claimed its share.
+/// With at least as many jobs as workers this is 1 (all parallelism spent
+/// across jobs); a short job list on a wide pool hands the spare width to
+/// each job's `decompose`.
 fn sweep_inner_workers(workers: usize, n_jobs: usize) -> usize {
     (workers / n_jobs.max(1)).max(1)
 }
@@ -574,6 +561,37 @@ mod tests {
         assert!(out.makespan() >= out.graph.critical_path());
         assert!(out.interprocess_cut > 0);
         assert!(out.interprocess_cut <= out.quality.edge_cut);
+    }
+
+    #[test]
+    fn interprocess_cut_is_the_edge_cut_of_the_process_partition() {
+        // The halo-table sum against the definition: the cell graph's edge
+        // cut under "process of the cell's domain".
+        let m = small_mesh();
+        let cell_graph = m.to_graph();
+        for strategy in [
+            PartitionStrategy::McTl,
+            PartitionStrategy::ScOc,
+            PartitionStrategy::SfcOc {
+                curve: tempart_partition::Curve::Hilbert,
+            },
+            PartitionStrategy::DualPhase {
+                domains_per_process: 2,
+            },
+        ] {
+            let out = run_flusim(&m, &config(strategy, 5));
+            let process_of_cell: Vec<PartId> = out
+                .part
+                .iter()
+                .map(|&d| out.process_of[d as usize] as PartId)
+                .collect();
+            assert_eq!(
+                out.interprocess_cut,
+                tempart_graph::edge_cut(&cell_graph, &process_of_cell),
+                "{strategy:?}"
+            );
+            assert!(out.interprocess_cut > 0, "{strategy:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The finite-volume mesh model: cells, faces, adjacency, graph export.
 
 use crate::octree::{Octree, DIRECTIONS};
-use tempart_graph::{CsrGraph, GraphBuilder};
+use tempart_graph::{CsrGraph, Weight};
 
 /// A finite-volume cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,12 +200,10 @@ impl Mesh {
         self.faces.len()
     }
 
-    /// Number of interior faces.
+    /// Number of interior faces: the cell → face CSR lists every face once
+    /// and an interior face once more, from its neighbour's side.
     pub fn n_interior_faces(&self) -> usize {
-        self.faces
-            .iter()
-            .filter(|f| f.interior_neighbor().is_some())
-            .count()
+        self.cell_face_ids.len() - self.faces.len()
     }
 
     /// All cells.
@@ -272,14 +270,56 @@ impl Mesh {
     /// edge whose weight is the face multiplicity). Vertex weights are unit
     /// single-constraint; strategies re-weight via
     /// [`CsrGraph::with_vertex_weights`].
+    ///
+    /// Gathered per cell from the cell → face CSR: the other side of every
+    /// interior face is inserted into the cell's short sorted run at the tail
+    /// of `adjncy`, so the arrays are written once, at the size the interior
+    /// face count gives — the same graph [`tempart_graph::GraphBuilder`]
+    /// builds from the interior faces as an edge list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adjacency exceeds the `u32` offset range (> ~4.29G
+    /// directed edges).
     pub fn to_graph(&self) -> CsrGraph {
-        let mut b = GraphBuilder::new(self.cells.len(), 1);
-        for f in &self.faces {
-            if let FaceNeighbor::Interior(c) = f.neighbor {
-                b.add_edge(f.owner, c, 1);
+        let n = self.cells.len();
+        let directed = 2 * self.n_interior_faces();
+        assert!(
+            directed <= u32::MAX as usize,
+            "adjacency exceeds u32 offset range"
+        );
+        let mut xadj = Vec::with_capacity(n + 1);
+        xadj.push(0u32);
+        let mut adjncy: Vec<u32> = Vec::with_capacity(directed);
+        let mut adjwgt: Vec<Weight> = Vec::with_capacity(directed);
+        for (c, span) in self.cell_face_offsets.windows(2).enumerate() {
+            let c = c as u32;
+            let start = adjncy.len();
+            for &fid in &self.cell_face_ids[span[0]..span[1]] {
+                let f = &self.faces[fid as usize];
+                let FaceNeighbor::Interior(nb) = f.neighbor else {
+                    continue;
+                };
+                let other = if f.owner == c { nb } else { f.owner };
+                assert_ne!(other, c, "self-loops are not allowed");
+                let run = &adjncy[start..];
+                let at = start + run.iter().rposition(|&x| x <= other).map_or(0, |i| i + 1);
+                if at > start && adjncy[at - 1] == other {
+                    adjwgt[at - 1] += 1;
+                } else {
+                    adjncy.insert(at, other);
+                    adjwgt.insert(at, 1);
+                }
             }
+            xadj.push(adjncy.len() as u32);
         }
-        b.build()
+        // Repeated faces between one pair merged: give the slack back.
+        adjncy.shrink_to_fit();
+        adjwgt.shrink_to_fit();
+        let g = CsrGraph::from_parts_unchecked(xadj, adjncy, adjwgt, vec![1; n], 1);
+        #[cfg(debug_assertions)]
+        g.validate().expect("gathered cell graph");
+        g
     }
 
     /// Total mesh volume (should approximate the unit cube for octree
@@ -292,7 +332,11 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{cylinder_like, pprime_nozzle_like, GeneratorConfig};
     use crate::octree::OctreeConfig;
+    use tempart_graph::GraphBuilder;
+    use tempart_testkit::prop::vec_of;
+    use tempart_testkit::{prop_assert, prop_assert_eq, proptest};
 
     fn uniform(depth: u8) -> Mesh {
         let cfg = OctreeConfig {
@@ -376,6 +420,61 @@ mod tests {
         assert_eq!(g.nvtx(), 64);
         assert_eq!(g.nedges(), 144);
         assert!(g.validate().is_ok());
+    }
+
+    /// The edge-list build of the same graph: what `to_graph` must equal.
+    fn graph_builder_oracle(m: &Mesh) -> CsrGraph {
+        let mut b = GraphBuilder::new(m.n_cells(), 1);
+        for f in m.faces() {
+            if let Some(nb) = f.interior_neighbor() {
+                b.add_edge(f.owner, nb, 1);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn gathered_graph_equals_the_edge_list_build_on_generated_meshes() {
+        for base_depth in [3u8, 4] {
+            let cfg = GeneratorConfig { base_depth };
+            for m in [cylinder_like(&cfg), pprime_nozzle_like(&cfg)] {
+                assert_eq!(m.to_graph(), graph_builder_oracle(&m), "depth {base_depth}");
+            }
+        }
+    }
+
+    proptest! {
+        #![config(cases = 256, seed = 0x7E57_0023)]
+
+        // Paths octree meshes never take: several faces between one pair of
+        // cells (in either orientation), cells with boundary faces only or
+        // no face at all, faces in no particular order.
+        fn gathered_graph_equals_the_edge_list_build_on_random_meshes(
+            n_cells in 1u32..12,
+            raw_faces in vec_of((0u32..12, 0u32..16), 0..40),
+        ) {
+            let cells = vec![
+                Cell { centroid: [0.5; 3], volume: 1.0, depth: 0 };
+                n_cells as usize
+            ];
+            let faces = raw_faces
+                .iter()
+                .map(|&(a, b)| {
+                    let owner = a % n_cells;
+                    // `b` in 12..16, or landing on the owner: a boundary face.
+                    let neighbor = if b < 12 && b % n_cells != owner {
+                        FaceNeighbor::Interior(b % n_cells)
+                    } else {
+                        FaceNeighbor::Boundary
+                    };
+                    Face { owner, neighbor, area: 1.0, normal: [1.0, 0.0, 0.0] }
+                })
+                .collect();
+            let m = Mesh::from_parts(cells, faces);
+            let g = m.to_graph();
+            prop_assert!(g.validate().is_ok());
+            prop_assert_eq!(g, graph_builder_oracle(&m));
+        }
     }
 
     #[test]

@@ -3,16 +3,6 @@
 use tempart_graph::PartId;
 use tempart_mesh::{FaceNeighbor, Mesh};
 
-/// Bounds of shard `s` of `n` items split into `shards` near-equal
-/// contiguous ranges (the first `n % shards` ranges get one extra item).
-fn shard_range(n: usize, shards: usize, s: usize) -> (usize, usize) {
-    let base = n / shards;
-    let extra = n % shards;
-    let start = s * base + s.min(extra);
-    let len = base + usize::from(s < extra);
-    (start, start + len)
-}
-
 /// Whether an object (cell or face) sits strictly inside its domain or on the
 /// border to another domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +11,45 @@ pub enum ObjectClass {
     Internal,
     /// Borders at least one other domain.
     External,
+}
+
+/// Object ids grouped by bin, ascending within each bin: one id array in bin
+/// order plus one offset per bin.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Bins {
+    /// `ids[offsets[b]..offsets[b + 1]]` are the objects of bin `b`.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Bins {
+    /// Stable counting sort of the objects `0..bin_of.len()` by bin.
+    fn sort(bin_of: &[u32], n_bins: usize) -> Self {
+        let mut offsets = vec![0u32; n_bins + 1];
+        for &b in bin_of {
+            offsets[b as usize + 1] += 1;
+        }
+        // `offsets[b + 1]` = where bin `b` starts; the fill below advances it
+        // to where bin `b` ends, which is where bin `b + 1` starts.
+        let mut start = 0u32;
+        for slot in &mut offsets[1..] {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        let mut ids = vec![0u32; bin_of.len()];
+        for (id, &b) in bin_of.iter().enumerate() {
+            let slot = &mut offsets[b as usize + 1];
+            ids[*slot as usize] = id as u32;
+            *slot += 1;
+        }
+        Self { offsets, ids }
+    }
+
+    /// The ids of bins `bins.start..bins.end`, concatenated.
+    fn get(&self, bins: std::ops::Range<usize>) -> &[u32] {
+        &self.ids[self.offsets[bins.start] as usize..self.offsets[bins.end] as usize]
+    }
 }
 
 /// A mesh + partition bundle with everything Algorithm 1 needs precomputed:
@@ -34,19 +63,25 @@ pub struct DomainDecomposition {
     pub n_domains: usize,
     /// Number of temporal levels in the mesh.
     pub n_levels: u8,
-    /// `cells[d][τ]` → (internal cell ids, external cell ids).
-    cells: Vec<Vec<(Vec<u32>, Vec<u32>)>>,
-    /// `faces[d][τ]` → (internal face ids, external face ids). A face belongs
-    /// to the domain of its owner cell; its level is the min of its adjacent
-    /// cells' levels; it is external when its two cells live in different
-    /// domains.
-    faces: Vec<Vec<(Vec<u32>, Vec<u32>)>>,
+    /// Cell ids binned by `(domain, τ, class)` (see [`bin_index`]).
+    cells: Bins,
+    /// Face ids binned the same way. A face belongs to the domain of its
+    /// owner cell; its level is the min of its adjacent cells' levels; it is
+    /// external when its two cells live in different domains.
+    faces: Bins,
     /// Sorted neighbour domains of every domain.
     neighbors: Vec<Vec<PartId>>,
     /// `halo_faces[d][i]` → number of interface faces domain `d` shares with
     /// `neighbors[d][i]` (aligned with the sorted neighbour lists). This is
     /// the per-pair halo edge cut the network model prices.
     halo_faces: Vec<Vec<u32>>,
+}
+
+/// Index of bin `(domain, τ, class)` among the `n_domains · n_levels · 2`
+/// bins of a decomposition with `n_levels` temporal levels.
+fn bin_index(n_levels: u8, domain: PartId, tau: u8, external: bool) -> usize {
+    assert!(tau < n_levels, "temporal level out of range");
+    (domain as usize * n_levels as usize + tau as usize) * 2 + usize::from(external)
 }
 
 /// Bumps the interface-face count of neighbour `n` in one domain's
@@ -58,88 +93,70 @@ fn bump_pair(row: &mut Vec<(PartId, u32)>, n: PartId) {
     }
 }
 
-/// The sequential cross-domain face scan shared by [`DomainDecomposition::new`]
-/// and [`DomainDecomposition::new_sharded`]: marks cells that touch another
-/// domain and accumulates, per domain, the sorted neighbour list together
-/// with the number of interface faces shared with each neighbour.
-fn cross_domain_pass(
-    mesh: &Mesh,
-    part: &[PartId],
-    n_domains: usize,
-) -> (Vec<bool>, Vec<Vec<PartId>>, Vec<Vec<u32>>) {
-    let mut cell_external = vec![false; mesh.n_cells()];
-    let mut pairs: Vec<Vec<(PartId, u32)>> = vec![Vec::new(); n_domains];
-    for f in mesh.faces() {
-        if let FaceNeighbor::Interior(nb) = f.neighbor {
-            let d0 = part[f.owner as usize];
-            let d1 = part[nb as usize];
-            if d0 != d1 {
-                cell_external[f.owner as usize] = true;
-                cell_external[nb as usize] = true;
-                bump_pair(&mut pairs[d0 as usize], d1);
-                bump_pair(&mut pairs[d1 as usize], d0);
-            }
-        }
-    }
-    let mut neighbors: Vec<Vec<PartId>> = Vec::with_capacity(n_domains);
-    let mut halo_faces: Vec<Vec<u32>> = Vec::with_capacity(n_domains);
-    for mut row in pairs {
-        row.sort_unstable_by_key(|&(d, _)| d);
-        neighbors.push(row.iter().map(|&(d, _)| d).collect());
-        halo_faces.push(row.iter().map(|&(_, c)| c).collect());
-    }
-    (cell_external, neighbors, halo_faces)
-}
-
 impl DomainDecomposition {
     /// Builds the decomposition from a mesh and a per-cell domain assignment.
     ///
     /// # Panics
     ///
-    /// Panics if `part.len() != mesh.n_cells()` or a part id is `>= n_domains`.
+    /// Panics if `part.len() != mesh.n_cells()`, a part id is `>= n_domains`,
+    /// or the cell, face or `(domain, τ, class)` bin count exceeds `u32`.
     pub fn new(mesh: &Mesh, part: &[PartId], n_domains: usize) -> Self {
         assert_eq!(part.len(), mesh.n_cells(), "partition vector length");
         assert!(
             part.iter().all(|&p| (p as usize) < n_domains),
             "part id out of range"
         );
-        let nl = mesh.n_tau_levels() as usize;
-        let mut cells: Vec<Vec<(Vec<u32>, Vec<u32>)>> =
-            vec![vec![(Vec::new(), Vec::new()); nl]; n_domains];
-        let mut faces: Vec<Vec<(Vec<u32>, Vec<u32>)>> =
-            vec![vec![(Vec::new(), Vec::new()); nl]; n_domains];
+        let nl = mesh.n_tau_levels();
+        let n_bins = n_domains * nl as usize * 2;
+        let largest_id_space = mesh.n_cells().max(mesh.n_faces()).max(n_bins);
+        assert!(
+            u32::try_from(largest_id_space).is_ok(),
+            "cell, face and bin ids are u32"
+        );
+        let bin = |d: PartId, tau: u8, external: bool| bin_index(nl, d, tau, external) as u32;
+        let tau = mesh.tau();
 
-        // Classify cells (external iff any neighbouring cell is elsewhere)
-        // and count interface faces per domain pair.
-        let (cell_external, neighbors, halo_faces) = cross_domain_pass(mesh, part, n_domains);
-        for (c, &tau) in mesh.tau().iter().enumerate() {
-            let d = part[c] as usize;
-            let (int, ext) = &mut cells[d][tau as usize];
-            if cell_external[c] {
-                ext.push(c as u32);
-            } else {
-                int.push(c as u32);
+        // One pass over the faces: each face's bin, the cells that touch
+        // another domain, and the interface-face count per domain pair.
+        let mut cell_external = vec![false; mesh.n_cells()];
+        let mut pairs: Vec<Vec<(PartId, u32)>> = vec![Vec::new(); n_domains];
+        let mut face_bin = Vec::with_capacity(mesh.n_faces());
+        for f in mesh.faces() {
+            let d0 = part[f.owner as usize];
+            let mut t = tau[f.owner as usize];
+            let mut external = false;
+            if let FaceNeighbor::Interior(nb) = f.neighbor {
+                t = t.min(tau[nb as usize]);
+                let d1 = part[nb as usize];
+                if d0 != d1 {
+                    external = true;
+                    cell_external[f.owner as usize] = true;
+                    cell_external[nb as usize] = true;
+                    bump_pair(&mut pairs[d0 as usize], d1);
+                    bump_pair(&mut pairs[d1 as usize], d0);
+                }
             }
+            face_bin.push(bin(d0, t, external));
         }
-        for (fid, f) in mesh.faces().iter().enumerate() {
-            let d = part[f.owner as usize] as usize;
-            let tau = mesh.face_tau(fid as u32) as usize;
-            let external = match f.neighbor {
-                FaceNeighbor::Interior(nb) => part[nb as usize] as usize != d,
-                FaceNeighbor::Boundary => false,
-            };
-            let (int, ext) = &mut faces[d][tau];
-            if external {
-                ext.push(fid as u32);
-            } else {
-                int.push(fid as u32);
-            }
+        let faces = Bins::sort(&face_bin, n_bins);
+        drop(face_bin);
+        let cell_bin: Vec<u32> = (0..mesh.n_cells())
+            .map(|c| bin(part[c], tau[c], cell_external[c]))
+            .collect();
+        let cells = Bins::sort(&cell_bin, n_bins);
+
+        let mut neighbors: Vec<Vec<PartId>> = Vec::with_capacity(n_domains);
+        let mut halo_faces: Vec<Vec<u32>> = Vec::with_capacity(n_domains);
+        for mut row in pairs {
+            row.sort_unstable_by_key(|&(d, _)| d);
+            neighbors.push(row.iter().map(|&(d, _)| d).collect());
+            halo_faces.push(row.iter().map(|&(_, c)| c).collect());
         }
 
         Self {
             cell_domain: part.to_vec(),
             n_domains,
-            n_levels: mesh.n_tau_levels(),
+            n_levels: nl,
             cells,
             faces,
             neighbors,
@@ -147,141 +164,24 @@ impl DomainDecomposition {
         }
     }
 
-    /// [`Self::new`] with the classification stage sharded over `workers`
-    /// fork-join workers. Bit-identical to the sequential build at every
-    /// worker count.
-    ///
-    /// The cross-domain analysis (which cells are external, which domains
-    /// neighbour which) stays sequential — it is one cheap face scan — and
-    /// the expensive part, binning every cell and face into its
-    /// `(domain, τ, class)` list, is split into contiguous id ranges, one
-    /// per worker. Because [`Self::new`] fills each list in ascending id
-    /// order and the ranges are contiguous, concatenating the per-range
-    /// lists in range order reproduces the sequential lists exactly; the
-    /// schedule only decides *when* each range is classified, never what
-    /// ends up where.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `part.len() != mesh.n_cells()` or a part id is
-    /// `>= n_domains`.
-    pub fn new_sharded(mesh: &Mesh, part: &[PartId], n_domains: usize, workers: usize) -> Self {
-        // One shard per worker; below that there is nothing to overlap.
-        let n_cells = mesh.n_cells();
-        let shards = workers.min(n_cells.max(1));
-        if shards <= 1 {
-            return Self::new(mesh, part, n_domains);
-        }
-        assert_eq!(part.len(), n_cells, "partition vector length");
-        assert!(
-            part.iter().all(|&p| (p as usize) < n_domains),
-            "part id out of range"
-        );
-        let nl = mesh.n_tau_levels() as usize;
-
-        // Sequential cross-domain pass (identical to `new`).
-        let (cell_external, neighbors, halo_faces) = cross_domain_pass(mesh, part, n_domains);
-
-        // Parallel classification over contiguous id ranges: scoped
-        // threads, one per shard, each returning its own binned lists
-        // through its join handle (this crate sits below the fork-join
-        // runtime in the dependency graph, so it cannot borrow that pool;
-        // the shard count is tiny and the threads are short-lived).
-        type Binned = Vec<Vec<(Vec<u32>, Vec<u32>)>>;
-        let n_faces = mesh.n_faces();
-        let cell_external = &cell_external;
-        let classify_shard = move |s: usize| -> (Binned, Binned) {
-            let (c0, c1) = shard_range(n_cells, shards, s);
-            let (f0, f1) = shard_range(n_faces, shards, s);
-            let mut cells: Binned = vec![vec![(Vec::new(), Vec::new()); nl]; n_domains];
-            let mut faces: Binned = vec![vec![(Vec::new(), Vec::new()); nl]; n_domains];
-            for (c, &tau) in mesh.tau().iter().enumerate().take(c1).skip(c0) {
-                let d = part[c] as usize;
-                let (int, ext) = &mut cells[d][tau as usize];
-                if cell_external[c] {
-                    ext.push(c as u32);
-                } else {
-                    int.push(c as u32);
-                }
-            }
-            for (fid, f) in mesh.faces().iter().enumerate().take(f1).skip(f0) {
-                let d = part[f.owner as usize] as usize;
-                let tau = mesh.face_tau(fid as u32) as usize;
-                let external = match f.neighbor {
-                    FaceNeighbor::Interior(nb) => part[nb as usize] as usize != d,
-                    FaceNeighbor::Boundary => false,
-                };
-                let (int, ext) = &mut faces[d][tau];
-                if external {
-                    ext.push(fid as u32);
-                } else {
-                    int.push(fid as u32);
-                }
-            }
-            (cells, faces)
-        };
-        let binned: Vec<(Binned, Binned)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..shards)
-                .map(|s| scope.spawn(move || classify_shard(s)))
-                .collect();
-            // The calling thread takes shard 0 instead of idling.
-            let first = classify_shard(0);
-            // Joining in spawn order = shard order; a panicked shard (only
-            // possible via an inconsistent Mesh) propagates here.
-            std::iter::once(first)
-                .chain(handles.into_iter().map(|h| match h.join() {
-                    Ok(b) => b,
-                    Err(p) => std::panic::resume_unwind(p),
-                }))
-                .collect()
-        });
-
-        // Fixed-order merge: shard 0's ids precede shard 1's within every
-        // (domain, τ, class) list, matching the sequential fill order.
-        let mut cells: Binned = vec![vec![(Vec::new(), Vec::new()); nl]; n_domains];
-        let mut faces: Binned = vec![vec![(Vec::new(), Vec::new()); nl]; n_domains];
-        for (sc, sf) in binned {
-            for (dst_d, src_d) in cells.iter_mut().zip(sc) {
-                for (dst, src) in dst_d.iter_mut().zip(src_d) {
-                    dst.0.extend(src.0);
-                    dst.1.extend(src.1);
-                }
-            }
-            for (dst_d, src_d) in faces.iter_mut().zip(sf) {
-                for (dst, src) in dst_d.iter_mut().zip(src_d) {
-                    dst.0.extend(src.0);
-                    dst.1.extend(src.1);
-                }
-            }
-        }
-
-        Self {
-            cell_domain: part.to_vec(),
-            n_domains,
-            n_levels: mesh.n_tau_levels(),
-            cells,
-            faces,
-            neighbors,
-            halo_faces,
-        }
+    /// [`Self::new`]; `workers` is ignored. Sharding the classification over
+    /// two threads was slower than this one-pass build on one (0.026–0.032 s
+    /// against 0.022 s at 474k cells — EXPERIMENTS.md, 2026-10-03); the name
+    /// stays because the frozen `benchmark/` package calls it.
+    pub fn new_sharded(mesh: &Mesh, part: &[PartId], n_domains: usize, _workers: usize) -> Self {
+        Self::new(mesh, part, n_domains)
     }
 
     /// Cell ids of `(domain, τ, class)`.
     pub fn cells_of(&self, domain: PartId, tau: u8, class: ObjectClass) -> &[u32] {
-        let (int, ext) = &self.cells[domain as usize][tau as usize];
-        match class {
-            ObjectClass::Internal => int,
-            ObjectClass::External => ext,
-        }
+        let b = bin_index(self.n_levels, domain, tau, class == ObjectClass::External);
+        self.cells.get(b..b + 1)
     }
 
     /// Face ids of `(domain, τ, class)`.
     pub fn faces_of(&self, domain: PartId, tau: u8, class: ObjectClass) -> &[u32] {
-        let (int, ext) = &self.faces[domain as usize][tau as usize];
-        match class {
-            ObjectClass::Internal => int,
-            ObjectClass::External => ext,
-        }
+        let b = bin_index(self.n_levels, domain, tau, class == ObjectClass::External);
+        self.faces.get(b..b + 1)
     }
 
     /// Sorted neighbour domains of `domain`.
@@ -311,18 +211,16 @@ impl DomainDecomposition {
 
     /// Number of cells of `domain` (all levels, both classes).
     pub fn domain_cell_count(&self, domain: PartId) -> usize {
-        self.cells[domain as usize]
-            .iter()
-            .map(|(i, e)| i.len() + e.len())
-            .sum()
+        let per_domain = self.n_levels as usize * 2;
+        let first = domain as usize * per_domain;
+        self.cells.get(first..first + per_domain).len()
     }
 
     /// Total number of external cells across all domains.
     pub fn total_external_cells(&self) -> usize {
-        self.cells
-            .iter()
-            .flat_map(|per_tau| per_tau.iter())
-            .map(|(_, e)| e.len())
+        (1..self.cells.offsets.len() - 1)
+            .step_by(2)
+            .map(|b| self.cells.get(b..b + 1).len())
             .sum()
     }
 }
@@ -331,6 +229,7 @@ impl DomainDecomposition {
 mod tests {
     use super::*;
     use tempart_mesh::{Octree, OctreeConfig, TemporalScheme};
+    use tempart_testkit::rng::Rng;
 
     fn grid_mesh(depth: u8) -> Mesh {
         let cfg = OctreeConfig {
@@ -405,34 +304,124 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
+    /// Sphere-refined octree, three temporal levels (all populated).
+    fn graded_mesh() -> Mesh {
+        let cfg = OctreeConfig {
+            base_depth: 2,
+            max_depth: 4,
+        };
+        let t = Octree::build(&cfg, |c, _, _| {
+            let r2: f64 = c.iter().map(|x| (x - 0.5) * (x - 0.5)).sum();
+            r2.sqrt() < 0.25
+        });
+        let mut m = Mesh::from_octree(&t);
+        TemporalScheme::new(3).assign(&mut m);
+        m
+    }
+
     #[test]
-    fn sharded_build_is_bit_identical_to_sequential() {
-        let m = grid_mesh(2);
-        // A scattered assignment (round-robin over 4 domains) maximises
-        // externals and exercises every (domain, τ, class) bucket.
-        let scattered: Vec<PartId> = (0..64).map(|i| (i % 4) as PartId).collect();
-        let half = half_split(&m);
-        for part in [&scattered, &half] {
-            let seq = DomainDecomposition::new(&m, part, 4);
-            for workers in [1usize, 2, 3, 4, 7] {
-                let sharded = DomainDecomposition::new_sharded(&m, part, 4, workers);
-                assert_eq!(sharded, seq, "workers={workers}");
+    fn graded_mesh_random_partitions_match_a_naive_oracle() {
+        let m = graded_mesh();
+        assert_eq!(m.n_tau_levels(), 3);
+        for t in 0..3u8 {
+            assert!(m.tau().contains(&t), "τ={t} unpopulated");
+        }
+        let k = 5usize;
+        let other_side = |fid: usize| m.faces()[fid].interior_neighbor();
+        let mut rng = Rng::seed_from_u64(0x7E57_0023);
+        for case in 0..24 {
+            // Domain 3 stays empty; the rest are scattered or blocked.
+            let block = 1 + rng.gen_range(0usize..40);
+            let part: Vec<PartId> = (0..m.n_cells())
+                .map(|c| {
+                    let d = if case % 2 == 0 {
+                        rng.gen_range(0u32..4)
+                    } else {
+                        (c / block % 4) as u32
+                    };
+                    d + u32::from(d == 3)
+                })
+                .collect();
+            let dd = DomainDecomposition::new(&m, &part, k);
+
+            let face_external = |fid: usize| {
+                other_side(fid)
+                    .is_some_and(|nb| part[nb as usize] != part[m.faces()[fid].owner as usize])
+            };
+            let cell_external = |c: usize| {
+                m.cell_faces(c as u32)
+                    .iter()
+                    .any(|&f| face_external(f as usize))
+            };
+            let mut externals = 0;
+            for d in 0..k as PartId {
+                let mut in_domain = 0;
+                for tau in 0..3u8 {
+                    for (class, external) in [
+                        (ObjectClass::Internal, false),
+                        (ObjectClass::External, true),
+                    ] {
+                        let cells: Vec<u32> = (0..m.n_cells())
+                            .filter(|&c| {
+                                part[c] == d && m.tau()[c] == tau && cell_external(c) == external
+                            })
+                            .map(|c| c as u32)
+                            .collect();
+                        assert_eq!(
+                            dd.cells_of(d, tau, class),
+                            cells,
+                            "case {case} d={d} τ={tau}"
+                        );
+                        in_domain += cells.len();
+                        externals += if external { cells.len() } else { 0 };
+                        let faces: Vec<u32> = (0..m.n_faces())
+                            .filter(|&f| {
+                                part[m.faces()[f].owner as usize] == d
+                                    && m.face_tau(f as u32) == tau
+                                    && face_external(f) == external
+                            })
+                            .map(|f| f as u32)
+                            .collect();
+                        assert_eq!(
+                            dd.faces_of(d, tau, class),
+                            faces,
+                            "case {case} d={d} τ={tau}"
+                        );
+                    }
+                }
+                assert_eq!(dd.domain_cell_count(d), in_domain, "case {case} d={d}");
+                let halo: Vec<(PartId, u32)> = (0..k as PartId)
+                    .map(|n| {
+                        let shared = (0..m.n_faces())
+                            .filter(|&f| {
+                                let own = part[m.faces()[f].owner as usize];
+                                other_side(f).is_some_and(|nb| {
+                                    let far = part[nb as usize];
+                                    (own, far) == (d, n) || (own, far) == (n, d)
+                                })
+                            })
+                            .count();
+                        (n, shared as u32)
+                    })
+                    .filter(|&(n, shared)| n != d && shared > 0)
+                    .collect();
+                assert_eq!(dd.halo_of(d).collect::<Vec<_>>(), halo, "case {case} d={d}");
+                let neighbors: Vec<PartId> = halo.iter().map(|&(n, _)| n).collect();
+                assert_eq!(dd.neighbors_of(d), neighbors, "case {case} d={d}");
             }
+            assert_eq!(dd.domain_cell_count(3), 0);
+            assert!(dd.neighbors_of(3).is_empty());
+            assert_eq!(dd.total_external_cells(), externals, "case {case}");
+            assert_eq!(DomainDecomposition::new_sharded(&m, &part, k, 2), dd);
         }
     }
 
     #[test]
-    fn shard_range_partitions_exactly() {
-        for (n, shards) in [(64usize, 4usize), (65, 4), (3, 7), (0, 2), (1, 1)] {
-            let mut next = 0;
-            for s in 0..shards {
-                let (lo, hi) = shard_range(n, shards, s);
-                assert_eq!(lo, next, "n={n} shards={shards} s={s}");
-                assert!(hi >= lo);
-                next = hi;
-            }
-            assert_eq!(next, n, "n={n} shards={shards}");
-        }
+    #[should_panic(expected = "temporal level out of range")]
+    fn a_level_the_mesh_does_not_have_is_not_the_next_bin() {
+        let m = grid_mesh(2);
+        let dd = DomainDecomposition::new(&m, &half_split(&m), 2);
+        dd.cells_of(0, 1, ObjectClass::Internal);
     }
 
     #[test]
