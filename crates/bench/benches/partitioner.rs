@@ -8,10 +8,11 @@ use tempart_core::{strategy_weights, PartitionStrategy};
 use tempart_mesh::{
     cloud_cell_count, cylinder_like, paper_scale_nside, sfc_cloud, GeneratorConfig, MeshCase,
 };
+use tempart_obs::Recorder;
 use tempart_partition::{
-    coarsen::coarsen, partition_graph, partition_graph_par, partition_graph_with, repartition_ws,
-    sfc_partition, sfc_partition_with, Curve, PartitionConfig, PartitionWorkspace, RepartConfig,
-    Scheme, SfcWorkspace, WorkspacePool,
+    coarsen::coarsen, partition_graph, partition_graph_par_traced, partition_graph_with,
+    repartition_ws, sfc_partition, sfc_partition_with, Curve, PartitionConfig, PartitionWorkspace,
+    RepartConfig, Scheme, SfcWorkspace, WorkspacePool,
 };
 use tempart_testkit::bench::Bencher;
 use tempart_testkit::peak_rss_bytes;
@@ -85,9 +86,15 @@ fn bench_parallel(b: &mut Bencher) {
     for workers in [1usize, 2, 4] {
         let pool = WorkspacePool::new(workers);
         // Warm the pool's arenas once outside the measured region.
-        let _ = partition_graph_par(&g, &cfg, workers, &pool);
+        let _ = partition_graph_par_traced(&g, &cfg, workers, &pool, Recorder::off());
         b.bench(&format!("partition/parallel/MC_TL-w{workers}"), || {
-            black_box(partition_graph_par(black_box(&g), &cfg, workers, &pool))
+            black_box(partition_graph_par_traced(
+                black_box(&g),
+                &cfg,
+                workers,
+                &pool,
+                Recorder::off(),
+            ))
         });
     }
 }
@@ -111,7 +118,7 @@ fn bench_sfc(b: &mut Bencher) {
 
 /// Recursive bisection plus pairwise k-way refinement
 /// (`Scheme::KWayRefined`) on the graded cylinder at k = 16, through
-/// [`partition_graph_par`] with a warm pool. One worker: the refinement
+/// [`partition_graph_par_traced`] with a warm pool. One worker: the refinement
 /// runs one pinned schedule at every width, and the bisection fan-out is
 /// `partition/parallel/MC_TL-w{1,2,4}`.
 fn bench_kway_refined(b: &mut Bencher) {
@@ -125,9 +132,15 @@ fn bench_kway_refined(b: &mut Bencher) {
     b.set_samples(10);
     let pool = WorkspacePool::new(1);
     // Warm the pool's arenas once outside the measured region.
-    let _ = partition_graph_par(&g, &cfg, 1, &pool);
+    let _ = partition_graph_par_traced(&g, &cfg, 1, &pool, Recorder::off());
     b.bench("partition/parallel/kway-w1", || {
-        black_box(partition_graph_par(black_box(&g), &cfg, 1, &pool))
+        black_box(partition_graph_par_traced(
+            black_box(&g),
+            &cfg,
+            1,
+            &pool,
+            Recorder::off(),
+        ))
     });
 }
 

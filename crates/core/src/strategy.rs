@@ -5,8 +5,8 @@ use tempart_graph::{PartId, Weight};
 use tempart_mesh::{operating_cost, Mesh};
 use tempart_obs::Recorder;
 use tempart_partition::{
-    bisect::extract_subgraph, partition_graph_par_traced, repair_contiguity_traced,
-    sfc_partition_with, Curve, PartitionConfig, RepairReport, SfcWorkspace, WorkspacePool,
+    bisect::extract_subgraph, partition_graph_par_traced, repair_contiguity, sfc_partition_with,
+    Curve, PartitionConfig, RepairReport, SfcWorkspace, WorkspacePool,
 };
 
 /// How to weight and partition the cell graph.
@@ -227,7 +227,7 @@ pub fn decompose_with_repair(
         ubvec: vec![if ncon > 1 { 1.25 } else { 1.08 }],
         ..PartitionConfig::new(n_domains)
     };
-    let report = repair_contiguity_traced(&g, &mut part, &cfg, rec);
+    let report = repair_contiguity(&g, &mut part, &cfg, rec);
     (part, report)
 }
 

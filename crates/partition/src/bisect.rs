@@ -1,17 +1,34 @@
 //! Multilevel bisection and the recursive-bisection k-way driver.
 //!
-//! Everything below [`recursive_bisection_ws`] is workspace-backed: the
-//! coarsening hierarchy, extracted subgraphs, side vectors and projection
-//! buffers all cycle through the [`PartitionWorkspace`] pools, and the
-//! recursion is ordered so each subgraph is recycled as soon as its subtree
-//! finishes — the peak number of live subgraphs is O(tree depth), not O(k),
-//! and a warm workspace partitions without touching the allocator.
+//! Everything here is workspace-backed: the coarsening hierarchy, extracted
+//! subgraphs, side vectors and projection buffers all cycle through the
+//! [`PartitionWorkspace`] pools, and the recursion is ordered so each
+//! subgraph is recycled as soon as its subtree finishes — the peak number of
+//! live subgraphs is O(tree depth), not O(k), and a warm workspace
+//! partitions without touching the allocator.
+//!
+//! # One tree walk for every width
+//!
+//! Recursive bisection is a binary tree whose shape is a pure function of
+//! `(graph, config)`, and one walk (`split`) runs it at every fork-join
+//! width. Each node bisects its graph, runs its left subtree inline, and
+//! then either spawns its right subtree as a fork-join job or runs it
+//! inline. A node's subproblem — its map back to root vertex ids, its part
+//! range and target fractions, its seed (derived from the parent's by one
+//! splitmix step) — is fixed before any child runs, a [`PartitionWorkspace`]
+//! carries capacity and no state, and every leaf writes its part id into
+//! disjoint `AtomicU32` slots of one output vector (each root vertex belongs
+//! to exactly one leaf). The partition is therefore the same at every
+//! worker count and steal order; only the schedule changes.
 
 use crate::coarsen::{coarsen_ws, Hierarchy};
 use crate::initial::{initial_bisection_into, SideWeights};
 use crate::refine::{fm_refine_ws, project_into, rebalance_ws};
-use crate::{PartitionConfig, PartitionWorkspace};
+use crate::{PartitionConfig, PartitionWorkspace, WorkspacePool};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use tempart_graph::{CsrGraph, PartId};
+use tempart_obs::{Clock, Recorder};
+use tempart_runtime::{fork_join, ForkCtx};
 use tempart_testkit::rng::Rng;
 
 /// One multilevel bisection: coarsen, split, uncoarsen with refinement
@@ -167,19 +184,123 @@ pub fn extract_subgraph_ws(
     )
 }
 
-/// Recursive bisection into `config.nparts` parts.
-pub fn recursive_bisection_ws(
+/// Subgraphs above this many vertices (with more than two leaves) hand
+/// their right subtree to the fork-join deques when the walk runs wide;
+/// smaller ones run their whole subtree inline. A cutoff on the problem, not
+/// the schedule: it decides where the fan-out stops, never the result.
+const FORK_CUTOFF: usize = 512;
+
+/// What every node of one recursive bisection shares.
+struct Tree<'a> {
+    config: &'a PartitionConfig,
+    /// Per-part target fractions; a node owns the slice `lo..hi`.
+    fracs: &'a [f64],
+    /// Per-bisection tolerance: balance errors compound multiplicatively
+    /// down the tree, so `ub_bisect^levels == ub`.
+    ub_bisect: f64,
+    /// One disjoint output slot per root vertex. Relaxed stores suffice:
+    /// each slot has one writer, and the fork-join scope's join orders
+    /// every store before the final read.
+    part: &'a [AtomicU32],
+    /// A wide walk's workspace pool and the recorder of its `part.par.*`
+    /// events; `None` at one worker.
+    fork: Option<(&'a WorkspacePool, &'a Recorder)>,
+    /// Nodes run under a fork context (the `part.par.nodes` counter).
+    nodes: AtomicU64,
+}
+
+impl Tree<'_> {
+    /// Start time of a node event, or 0 when no event will be emitted.
+    fn now(&self) -> u64 {
+        match self.fork {
+            Some((_, rec)) if rec.enabled() => rec.now_ns(),
+            _ => 0,
+        }
+    }
+
+    /// One self-contained `part.par.node` / `part.par.leaf` event, parented
+    /// by heap index.
+    fn emit(&self, name: &'static str, ctx: &ForkCtx<'_, '_>, t0: u64, id: u64) {
+        if let Some((_, rec)) = self.fork.filter(|(_, rec)| rec.enabled()) {
+            let dur = rec.now_ns().saturating_sub(t0);
+            let track = ctx.worker_index() as u32;
+            rec.complete_at(Clock::Wall, name, track, t0, dur, id, id / 2);
+        }
+    }
+}
+
+/// A node's graph: the root borrows the caller's graph with an implicit
+/// identity map; every other node owns its extracted subgraph plus the map
+/// back to *root* vertex ids.
+enum NodeGraph<'g> {
+    Root(&'g CsrGraph),
+    Sub { graph: CsrGraph, to_orig: Vec<u32> },
+}
+
+impl<'g> NodeGraph<'g> {
+    fn graph(&self) -> &CsrGraph {
+        match self {
+            NodeGraph::Root(g) => g,
+            NodeGraph::Sub { graph, .. } => graph,
+        }
+    }
+
+    /// Maps a node-local vertex id to the root graph's vertex id.
+    fn orig(&self, v: u32) -> u32 {
+        match self {
+            NodeGraph::Root(_) => v,
+            NodeGraph::Sub { to_orig, .. } => to_orig[v as usize],
+        }
+    }
+
+    /// A child subgraph extracted from this one, its map composed with this
+    /// node's so the child addresses root vertices directly.
+    fn child(&self, (graph, mut to_orig): (CsrGraph, Vec<u32>)) -> NodeGraph<'g> {
+        if let NodeGraph::Sub { to_orig: own, .. } = self {
+            for m in &mut to_orig {
+                *m = own[*m as usize];
+            }
+        }
+        NodeGraph::Sub { graph, to_orig }
+    }
+
+    /// Recycles an owned subgraph and its map into `ws`'s buffer pools
+    /// (no-op for the borrowed root).
+    fn recycle(self, ws: &mut PartitionWorkspace) {
+        if let NodeGraph::Sub { graph, to_orig } = self {
+            ws.give_graph(graph);
+            ws.give_u32(to_orig);
+        }
+    }
+}
+
+/// One tree node: its graph, its leaves `lo..hi` (part ids start at `lo`),
+/// its seed and its heap id (root 1, children `2i` / `2i + 1`).
+struct Node<'g> {
+    graph: NodeGraph<'g>,
+    lo: usize,
+    hi: usize,
+    seed: u64,
+    id: u64,
+}
+
+/// Recursive bisection into `config.nparts` parts: the one tree walk behind
+/// both bisecting schemes, at every width.
+///
+/// `fork = None` runs every node on `ws`. `fork = Some((n_workers, pool))`
+/// runs the walk as a fork-join job tree whose branches lease workspaces
+/// from `pool`; `ws` is lent to the pool for the duration, so a warm pool
+/// of `n_workers` workspaces serves the whole tree, and `ws.obs` receives
+/// the `part.par.*` events instead of the per-phase spans (begin/end
+/// nesting does not cross threads).
+pub(crate) fn recursive_bisection(
     graph: &CsrGraph,
     config: &PartitionConfig,
     ws: &mut PartitionWorkspace,
+    fork: Option<(usize, &WorkspacePool)>,
 ) -> Vec<PartId> {
-    let mut part = vec![0 as PartId; graph.nvtx()];
-    // Balance errors compound multiplicatively down the bisection tree, so
-    // each bisection gets the per-level share of the global tolerance:
-    // ub_bisect^levels == ub.
     let ub = config.ubvec.iter().copied().fold(1.0f64, f64::max);
     let levels = (config.nparts as f64).log2().ceil().max(1.0);
-    let ub_bisect = ub.powf(1.0 / levels).max(1.001);
     // Uniform targets are only materialised when the config carries none;
     // explicit targets are borrowed, never cloned.
     let uniform;
@@ -190,95 +311,133 @@ pub fn recursive_bisection_ws(
             &uniform
         }
     };
-    split_recursive(
-        graph,
+    let part: Vec<AtomicU32> = (0..graph.nvtx()).map(|_| AtomicU32::new(0)).collect();
+    let rec = ws.obs.clone();
+    let tree = Tree {
         config,
         fracs,
-        0,
-        ub_bisect,
-        config.seed,
-        ws,
-        &mut |v, p| {
-            part[v as usize] = p;
-        },
-    );
-    part
+        ub_bisect: ub.powf(1.0 / levels).max(1.001),
+        part: &part,
+        fork: fork.map(|(_, pool)| (pool, &rec)),
+        nodes: AtomicU64::new(0),
+    };
+    let root = Node {
+        graph: NodeGraph::Root(graph),
+        lo: 0,
+        hi: fracs.len(),
+        seed: config.seed,
+        id: 1,
+    };
+    match fork {
+        None => split(&tree, root, ws, None),
+        Some((n_workers, pool)) => {
+            pool.give_back(0, std::mem::take(ws));
+            let tree = &tree;
+            fork_join(n_workers, move |ctx| {
+                lease(pool, ctx, |ws| split(tree, root, ws, Some(ctx)))
+            });
+            *ws = pool.checkout(0);
+            ws.obs = rec.clone();
+            rec.counter("part.par.workers", 0, n_workers as u64);
+            rec.counter("part.par.nodes", 0, tree.nodes.load(Ordering::Relaxed));
+        }
+    }
+    part.into_iter().map(AtomicU32::into_inner).collect()
 }
 
-/// Recursively splits `graph` into `k` parts, assigning part ids starting at
-/// `base` through the `assign(original_vertex, part)` callback.
+/// Runs `job` on a workspace leased from `pool` for the current worker.
+fn lease(pool: &WorkspacePool, ctx: &ForkCtx<'_, '_>, job: impl FnOnce(&mut PartitionWorkspace)) {
+    let mut ws = pool.checkout(ctx.worker_index());
+    job(&mut ws);
+    pool.give_back(ctx.worker_index(), ws);
+}
+
+/// One node of the walk: bisect, run the left subtree inline, then spawn
+/// the right subtree (under a fork context, above [`FORK_CUTOFF`] vertices
+/// and two leaves) or run it inline after the left one and recycle this
+/// node's graph after both — the order a one-worker walk needs to reuse
+/// sibling buffers depth-first. Every decision that shapes the result is
+/// made here once, whatever the width.
 ///
-/// `graph` vertices are identified via an implicit identity map at the top
-/// call; recursion passes explicit maps through closures. The recursion is
-/// depth-first with eager reclamation: the left subgraph is extracted,
-/// recursed into and recycled into the workspace pools *before* the right
-/// subgraph is built, so sibling subtrees reuse each other's buffers.
-///
-/// `pub(crate)` so the parallel driver ([`crate::par`]) can run sequential
-/// subtrees below its fan-out cutoff through *exactly* this code — the
-/// bit-identity of parallel and sequential partitions rests on both paths
-/// sharing every per-node decision.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn split_recursive(
-    graph: &CsrGraph,
-    config: &PartitionConfig,
-    fracs: &[f64],
-    base: PartId,
-    ub_bisect: f64,
-    seed: u64,
+/// Under a fork context each node counts itself and emits one event: a
+/// forking node `part.par.node` for its own bisection, a node that runs its
+/// subtree inline `part.par.leaf` for the whole subtree (its descendants run
+/// without a context and emit nothing).
+fn split<'t>(
+    tree: &'t Tree<'t>,
+    node: Node<'t>,
     ws: &mut PartitionWorkspace,
-    assign: &mut dyn FnMut(u32, PartId),
+    ctx: Option<&ForkCtx<'_, 't>>,
 ) {
-    let k = fracs.len();
-    if k <= 1 {
-        for v in 0..graph.nvtx() as u32 {
-            assign(v, base);
-        }
-        return;
+    if ctx.is_some() {
+        tree.nodes.fetch_add(1, Ordering::Relaxed);
     }
-    // Left child takes the first floor(k/2) leaves; side 0's share of this
-    // subgraph's weight is the leaves' combined target fraction.
-    let kl = k / 2;
-    let total: f64 = fracs.iter().sum();
-    let left: f64 = fracs[..kl].iter().sum();
-    let frac0 = left / total;
-    let side = if graph.nvtx() <= k {
-        // Degenerate: fewer vertices than parts; round-robin split.
-        let mut s = ws.take_u8();
-        s.extend((0..graph.nvtx()).map(|v| u8::from(v % k >= kl)));
-        s
+    let t0 = ctx.map_or(0, |_| tree.now());
+    let Node {
+        graph,
+        lo,
+        hi,
+        seed,
+        id,
+    } = node;
+    let g = graph.graph();
+    let (n, k) = (g.nvtx(), hi - lo);
+    if k <= 1 {
+        for v in 0..n as u32 {
+            tree.part[graph.orig(v) as usize].store(lo as PartId, Ordering::Relaxed);
+        }
     } else {
-        multilevel_bisection_ws(graph, frac0, config, ub_bisect, seed, ws)
-    };
-    let s0 = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let s1 = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(2);
-    let (g0, map0) = extract_subgraph_ws(graph, &side, 0, ws);
-    split_recursive(
-        &g0,
-        config,
-        &fracs[..kl],
-        base,
-        ub_bisect,
-        s0,
-        ws,
-        &mut |v, p| assign(map0[v as usize], p),
-    );
-    ws.give_graph(g0);
-    ws.give_u32(map0);
-    let (g1, map1) = extract_subgraph_ws(graph, &side, 1, ws);
-    ws.give_u8(side);
-    split_recursive(
-        &g1,
-        config,
-        &fracs[kl..],
-        base + kl as PartId,
-        ub_bisect,
-        s1,
-        ws,
-        &mut |v, p| assign(map1[v as usize], p),
-    );
-    ws.give_graph(g1);
-    ws.give_u32(map1);
+        // Left child takes the first floor(k/2) leaves; side 0's share of
+        // this subgraph's weight is the leaves' combined target fraction.
+        let kl = k / 2;
+        let fracs = &tree.fracs[lo..hi];
+        let frac0 = fracs[..kl].iter().sum::<f64>() / fracs.iter().sum::<f64>();
+        let side = if n <= k {
+            // Degenerate: fewer vertices than parts; round-robin split.
+            let mut s = ws.take_u8();
+            s.extend((0..n).map(|v| u8::from(v % k >= kl)));
+            s
+        } else {
+            multilevel_bisection_ws(g, frac0, tree.config, tree.ub_bisect, seed, ws)
+        };
+        let s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let left = Node {
+            graph: graph.child(extract_subgraph_ws(g, &side, 0, ws)),
+            lo,
+            hi: lo + kl,
+            seed: s.wrapping_add(1),
+            id: 2 * id,
+        };
+        let right = |side: Vec<u8>, ws: &mut PartitionWorkspace| {
+            let sub = extract_subgraph_ws(g, &side, 1, ws);
+            ws.give_u8(side);
+            Node {
+                graph: graph.child(sub),
+                lo: lo + kl,
+                hi,
+                seed: s.wrapping_add(2),
+                id: 2 * id + 1,
+            }
+        };
+        let wide = ctx.filter(|_| k > 2 && n > FORK_CUTOFF).zip(tree.fork);
+        if let Some((ctx, (pool, _))) = wide {
+            let right = right(side, ws);
+            graph.recycle(ws);
+            tree.emit("part.par.node", ctx, t0, id);
+            // Right subtree to the deque (a thief takes the largest
+            // untouched subtree); left inline, depth-first and cache-hot.
+            ctx.spawn(move |c| lease(pool, c, |ws| split(tree, right, ws, Some(c))));
+            split(tree, left, ws, Some(ctx));
+            return;
+        }
+        split(tree, left, ws, None);
+        let right = right(side, ws);
+        split(tree, right, ws, None);
+    }
+    graph.recycle(ws);
+    if let Some(ctx) = ctx {
+        tree.emit("part.par.leaf", ctx, t0, id);
+    }
 }
 
 /// Reports the worst normalised side load of a bisection (test helper).
@@ -339,7 +498,7 @@ mod tests {
     fn recursive_bisection_nonpow2() {
         let g = grid_graph(15, 15);
         let cfg = PartitionConfig::new(5);
-        let part = recursive_bisection_ws(&g, &cfg, &mut PartitionWorkspace::new());
+        let part = recursive_bisection(&g, &cfg, &mut PartitionWorkspace::new(), None);
         let mut counts = vec![0usize; 5];
         for &p in &part {
             counts[p as usize] += 1;
@@ -353,7 +512,7 @@ mod tests {
     fn degenerate_more_parts_than_vertices() {
         let g = grid_graph(2, 2);
         let cfg = PartitionConfig::new(4);
-        let part = recursive_bisection_ws(&g, &cfg, &mut PartitionWorkspace::new());
+        let part = recursive_bisection(&g, &cfg, &mut PartitionWorkspace::new(), None);
         let mut seen: Vec<_> = part.clone();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);

@@ -164,7 +164,7 @@ pub fn multilevel_kway_ws(
     let hierarchy = coarsen_ws(graph, target, config.seed ^ 0x6B77_6179, ws);
     let coarsest = hierarchy.coarsest(graph);
 
-    let mut part = crate::bisect::recursive_bisection_ws(coarsest, config, ws);
+    let mut part = crate::bisect::recursive_bisection(coarsest, config, ws, None);
     kway_rebalance_ws(coarsest, &mut part, config, ws);
     pairwise_kway_refine_ws(coarsest, &mut part, config, ws);
 
@@ -191,7 +191,7 @@ pub fn multilevel_kway_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bisect::recursive_bisection_ws;
+    use crate::bisect::recursive_bisection;
     use tempart_graph::builder::grid_graph;
     use tempart_graph::{edge_cut, max_imbalance};
 
@@ -208,7 +208,7 @@ mod tests {
         assert!(used.iter().all(|&u| u), "all parts populated");
         assert!(max_imbalance(&g, &part, 8) <= 1.35);
         // Quality within 2x of full recursive bisection on a grid.
-        let rb = recursive_bisection_ws(&g, &cfg, &mut ws);
+        let rb = recursive_bisection(&g, &cfg, &mut ws, None);
         assert!(
             edge_cut(&g, &part) <= 2 * edge_cut(&g, &rb),
             "mlkway {} vs rb {}",

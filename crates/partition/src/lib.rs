@@ -36,9 +36,9 @@ pub use geometric::{
     hilbert_index, morton_index, sfc_partition, sfc_partition_with, Curve, SfcWorkspace,
     SFC_RADIX_CUTOFF,
 };
-pub use par::{partition_graph_par, partition_graph_par_traced, WorkspacePool};
+pub use par::{partition_graph_par_traced, WorkspacePool};
 pub use par_kway::colour_pairs;
-pub use repair::{repair_contiguity, repair_contiguity_traced, RepairReport};
+pub use repair::{repair_contiguity, RepairReport};
 pub use repart::{diffusion_plan, repartition_ws, RepartConfig, RepartStats, RepartStop};
 pub use workspace::{GainBuckets, PartitionWorkspace};
 
@@ -85,11 +85,6 @@ pub struct PartitionConfig {
     /// the share of every constraint's total weight part `p` should receive.
     /// `None` means uniform. Must have `nparts` entries summing to ~1.
     pub target_fracs: Option<Vec<f64>>,
-    /// Parallel bisection grain: subgraphs at or below this vertex count run
-    /// their whole subtree sequentially instead of spawning further
-    /// fork-join jobs. Scheduling-only — never affects results, only where
-    /// the fan-out stops.
-    pub par_seq_cutoff: usize,
 }
 
 impl PartitionConfig {
@@ -104,7 +99,6 @@ impl PartitionConfig {
             initial_tries: 8,
             refine_passes: 6,
             target_fracs: None,
-            par_seq_cutoff: 512,
         }
     }
 
@@ -196,22 +190,35 @@ pub fn partition_graph_with(
     config: &PartitionConfig,
     ws: &mut PartitionWorkspace,
 ) -> Vec<PartId> {
+    partition(graph, config, ws, None)
+}
+
+/// The one scheme dispatch behind both entry points. `fork = Some((n_workers,
+/// pool))` runs the bisection tree `n_workers` wide under a `part.par` span
+/// (see [`par`]); [`Scheme::MultilevelKWay`] has no bisection tree to fan
+/// out and runs as at one worker. `ws.obs` receives the events.
+fn partition(
+    graph: &CsrGraph,
+    config: &PartitionConfig,
+    ws: &mut PartitionWorkspace,
+    fork: Option<(usize, &WorkspacePool)>,
+) -> Vec<PartId> {
     config.validate(graph);
     if config.nparts == 1 || graph.nvtx() <= 1 {
         return vec![0; graph.nvtx()];
     }
     let rec = ws.obs.clone();
-    let _span = tempart_obs::span!(
-        &rec,
-        "part.partition",
-        track = 0,
-        arg = config.nparts as u64
-    );
+    let fork = fork.filter(|_| config.scheme != Scheme::MultilevelKWay);
+    let (name, arg) = match fork {
+        None => ("part.partition", config.nparts),
+        Some((n_workers, _)) => ("part.par", n_workers),
+    };
+    let _span = tempart_obs::span!(&rec, name, track = 0, arg = arg as u64);
     rec.counter("part.nvtx", 0, graph.nvtx() as u64);
     match config.scheme {
-        Scheme::RecursiveBisection => bisect::recursive_bisection_ws(graph, config, ws),
+        Scheme::RecursiveBisection => bisect::recursive_bisection(graph, config, ws, fork),
         Scheme::KWayRefined => {
-            let mut part = bisect::recursive_bisection_ws(graph, config, ws);
+            let mut part = bisect::recursive_bisection(graph, config, ws, fork);
             par_kway::pairwise_kway_refine_ws(graph, &mut part, config, ws);
             part
         }

@@ -410,6 +410,17 @@ impl Boundary {
     }
 }
 
+/// What one pair's pass owns for its duration: the pair and the two parts'
+/// load rows and populations.
+struct PairLoads<'a> {
+    p: u32,
+    q: u32,
+    pw_p: &'a mut [i64],
+    pw_q: &'a mut [i64],
+    size_p: i64,
+    size_q: i64,
+}
+
 /// One pair's bounded two-way FM pass: visits `cands` in list order (up to
 /// [`PAIR_SWEEPS`] times, stopping early after a move-free sweep) and moves
 /// a vertex to the pair's other side when the cut gain is strictly positive,
@@ -420,19 +431,21 @@ impl Boundary {
 /// Zero-allocation: the loop touches only the caller's slices (enforced by
 /// the armed `debug_assert` below, exercised by
 /// `crates/partition/tests/zero_alloc.rs`).
-#[allow(clippy::too_many_arguments)]
 fn refine_pair(
     graph: &CsrGraph,
     part: &mut [PartId],
     cands: &[Entry],
-    p: u32,
-    q: u32,
-    pw_p: &mut [i64],
-    pw_q: &mut [i64],
-    size_p: &mut i64,
-    size_q: &mut i64,
+    pair: &mut PairLoads,
     allowance: &[f64],
 ) -> u64 {
+    let &mut PairLoads {
+        p,
+        q,
+        ref mut size_p,
+        ref mut size_q,
+        ..
+    } = pair;
+    let (pw_p, pw_q) = (&mut *pair.pw_p, &mut *pair.pw_q);
     let ncon = graph.ncon();
     let mut moves = 0u64;
     #[cfg(debug_assertions)]
@@ -559,24 +572,17 @@ pub fn pairwise_kway_refine_ws(
             let (p, q) = cands.pairs[pi];
             let (pp, qq) = (p as usize, q as usize);
             let (lo, hi) = ws.kw_pw.split_at_mut(qq * ncon);
-            let pw_p = &mut lo[pp * ncon..(pp + 1) * ncon];
-            let pw_q = &mut hi[..ncon];
-            let mut sp = ws.kw_psize[pp] as i64;
-            let mut sq = ws.kw_psize[qq] as i64;
-            round_moves += refine_pair(
-                graph,
-                part,
-                cands.of(pi),
+            let mut pair = PairLoads {
                 p,
                 q,
-                pw_p,
-                pw_q,
-                &mut sp,
-                &mut sq,
-                &ws.kw_allow,
-            );
-            ws.kw_psize[pp] = sp as usize;
-            ws.kw_psize[qq] = sq as usize;
+                pw_p: &mut lo[pp * ncon..(pp + 1) * ncon],
+                pw_q: &mut hi[..ncon],
+                size_p: ws.kw_psize[pp] as i64,
+                size_q: ws.kw_psize[qq] as i64,
+            };
+            round_moves += refine_pair(graph, part, cands.of(pi), &mut pair, &ws.kw_allow);
+            ws.kw_psize[pp] = pair.size_p as usize;
+            ws.kw_psize[qq] = pair.size_q as usize;
         }
         total_moves += round_moves;
         if round_moves == 0 {

@@ -31,18 +31,10 @@ pub struct RepairReport {
 /// Each fragment moves to the neighbouring domain with the largest connecting
 /// edge weight if that domain stays within `config.ub(c) × (total_c / nparts)`
 /// for every constraint `c`; otherwise it stays.
+///
+/// `rec` receives a `"part.repair"` wall span and `part.repair.*` counters
+/// (fragments moved / vertices moved / fragments kept).
 pub fn repair_contiguity(
-    graph: &CsrGraph,
-    part: &mut [PartId],
-    config: &PartitionConfig,
-) -> RepairReport {
-    repair_contiguity_traced(graph, part, config, Recorder::off())
-}
-
-/// Like [`repair_contiguity`], recording a `"part.repair"` wall span and
-/// `part.repair.*` counters (fragments moved / vertices moved / fragments
-/// kept) into `rec`.
-pub fn repair_contiguity_traced(
     graph: &CsrGraph,
     part: &mut [PartId],
     config: &PartitionConfig,
@@ -222,7 +214,7 @@ mod tests {
         let g = grid_graph(6, 1);
         let mut part: Vec<PartId> = vec![0, 0, 1, 1, 1, 0];
         let cfg = PartitionConfig::new(2).with_ub(2.0);
-        let r = repair_contiguity(&g, &mut part, &cfg);
+        let r = repair_contiguity(&g, &mut part, &cfg, Recorder::off());
         assert_eq!(r.fragments_moved, 1);
         assert_eq!(r.vertices_moved, 1);
         assert_eq!(part, vec![0, 0, 1, 1, 1, 1]);
@@ -235,7 +227,7 @@ mod tests {
         let g = grid_graph(6, 1);
         let mut part: Vec<PartId> = vec![0, 0, 1, 1, 1, 0];
         let cfg = PartitionConfig::new(2).with_ub(1.0); // target exactly 3 each
-        let r = repair_contiguity(&g, &mut part, &cfg);
+        let r = repair_contiguity(&g, &mut part, &cfg, Recorder::off());
         assert_eq!(r.fragments_moved, 0);
         assert_eq!(r.fragments_kept, 1);
         assert_eq!(part, vec![0, 0, 1, 1, 1, 0]);
@@ -247,7 +239,7 @@ mod tests {
         let mut part: Vec<PartId> = (0..64).map(|v| u32::from(v % 8 >= 4)).collect();
         let before = part.clone();
         let cfg = PartitionConfig::new(2);
-        let r = repair_contiguity(&g, &mut part, &cfg);
+        let r = repair_contiguity(&g, &mut part, &cfg, Recorder::off());
         assert_eq!(r.fragments_moved + r.fragments_kept, 0);
         assert_eq!(part, before);
     }
@@ -259,7 +251,7 @@ mod tests {
         let mut part: Vec<PartId> = (0..144).map(|v| ((v / 3) % 3) as PartId).collect();
         let before = part_connectivity(&g, &part, 3);
         let cfg = PartitionConfig::new(3).with_ub(1.6);
-        let r = repair_contiguity(&g, &mut part, &cfg);
+        let r = repair_contiguity(&g, &mut part, &cfg, Recorder::off());
         let after = part_connectivity(&g, &part, 3);
         assert!(r.fragments_moved > 0);
         assert!(after < before, "connectivity {before} -> {after}");

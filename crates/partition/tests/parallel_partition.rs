@@ -1,14 +1,20 @@
 //! Determinism contract of the fork-join partitioner entry point:
-//! [`partition_graph_par`] must be **bit-identical** to the sequential
-//! [`partition_graph_with`] for the same `(graph, config)` at every worker
-//! count, from a fresh or warm [`WorkspacePool`], across schemes,
-//! constraint counts, and random graphs. The schedule is nondeterministic;
-//! the answer never is.
+//! [`partition_graph_par_traced`] must be **bit-identical** to the
+//! sequential [`partition_graph_with`] for the same `(graph, config)` at
+//! every worker count, from a fresh or warm [`WorkspacePool`], across
+//! schemes, constraint counts, and random graphs. The schedule is
+//! nondeterministic; the answer never is.
+//!
+//! The walk forks only at nodes above 512 vertices with more than two
+//! leaves, so the grids here fork at most at the root and the random graphs
+//! span that cutoff; the fan-out at depth is the in-crate
+//! `par::tests::every_scheme_matches_sequential_four_fork_levels_deep`.
 
 use tempart_graph::builder::{grid_graph, GraphBuilder};
 use tempart_graph::CsrGraph;
+use tempart_obs::Recorder;
 use tempart_partition::{
-    partition_graph_par, partition_graph_with, PartitionConfig, PartitionWorkspace, Scheme,
+    partition_graph_par_traced, partition_graph_with, PartitionConfig, PartitionWorkspace, Scheme,
     WorkspacePool,
 };
 use tempart_testkit::prop::vec_of;
@@ -78,13 +84,13 @@ fn parallel_matches_sequential_across_widths_schemes_and_k() {
                 let seq = partition_graph_with(g, &cfg, &mut PartitionWorkspace::new());
                 for workers in [1usize, 2, 3, 4] {
                     let pool = WorkspacePool::new(workers);
-                    let par = partition_graph_par(g, &cfg, workers, &pool);
+                    let par = partition_graph_par_traced(g, &cfg, workers, &pool, Recorder::off());
                     assert_eq!(
                         seq, par,
                         "{name}, {scheme:?}, k={k}, workers={workers}: diverged"
                     );
                     // Second run from the now-warm pool must agree too.
-                    let par2 = partition_graph_par(g, &cfg, workers, &pool);
+                    let par2 = partition_graph_par_traced(g, &cfg, workers, &pool, Recorder::off());
                     assert_eq!(seq, par2, "{name}, {scheme:?}, k={k}: warm pool diverged");
                 }
             }
@@ -101,7 +107,10 @@ fn parallel_respects_target_fractions() {
     let seq = partition_graph_with(&g, &cfg, &mut PartitionWorkspace::new());
     for workers in [2usize, 4] {
         let pool = WorkspacePool::new(workers);
-        assert_eq!(seq, partition_graph_par(&g, &cfg, workers, &pool));
+        assert_eq!(
+            seq,
+            partition_graph_par_traced(&g, &cfg, workers, &pool, Recorder::off())
+        );
     }
 }
 
@@ -109,7 +118,7 @@ proptest! {
     #![config(cases = 24, seed = 0x5EED_0007)]
 
     fn parallel_matches_sequential_on_random_graphs(
-        // Spans the PAR_SEQ_CUTOFF (512): small instances run as single
+        // Spans the fork cutoff (512): small instances run as single
         // leaves, large ones actually fork.
         n in 8usize..900,
         extra in vec_of((0usize..900, 0usize..900), 0..50),
@@ -122,7 +131,7 @@ proptest! {
         let cfg = PartitionConfig::new(k).with_seed(seed);
         let seq = partition_graph_with(&g, &cfg, &mut PartitionWorkspace::new());
         let pool = WorkspacePool::new(workers);
-        let par = partition_graph_par(&g, &cfg, workers, &pool);
+        let par = partition_graph_par_traced(&g, &cfg, workers, &pool, Recorder::off());
         prop_assert_eq!(seq, par);
     }
 }

@@ -9,8 +9,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use tempart_graph::builder::{grid_graph, GraphBuilder};
 use tempart_graph::CsrGraph;
+use tempart_obs::Recorder;
 use tempart_partition::{
-    partition_graph, partition_graph_par, partition_graph_with, PartitionConfig,
+    partition_graph, partition_graph_par_traced, partition_graph_with, PartitionConfig,
     PartitionWorkspace, Scheme, WorkspacePool,
 };
 use tempart_testkit::prop::vec_of;
@@ -183,7 +184,7 @@ fn pool_checkout_is_exclusive_across_threads() {
     assert_eq!(pool.pooled(), THREADS, "give_back lost workspaces");
 }
 
-/// The pool carries **capacity, not state**: `partition_graph_par` from a
+/// The pool carries **capacity, not state**: `partition_graph_par_traced` from a
 /// pool warmed by unrelated instances (different graph, ncon, k, scheme)
 /// must be bit-identical to the same call on a fresh pool.
 #[test]
@@ -191,22 +192,30 @@ fn warm_pool_parallel_is_bit_identical_to_fresh_pool() {
     let g = graded_mc_grid(32, 24, 4);
     let cfg = PartitionConfig::new(8).with_ub(1.1).with_seed(0xBEEF);
     for workers in [1usize, 2, 4] {
-        let fresh = partition_graph_par(&g, &cfg, workers, &WorkspacePool::new(workers));
+        let fresh = partition_graph_par_traced(
+            &g,
+            &cfg,
+            workers,
+            &WorkspacePool::new(workers),
+            Recorder::off(),
+        );
         // Pollute a pool with unrelated work first.
         let warm = WorkspacePool::new(workers);
-        let _ = partition_graph_par(
+        let _ = partition_graph_par_traced(
             &grid_graph(24, 24),
             &PartitionConfig::new(5).with_scheme(Scheme::KWayRefined),
             workers,
             &warm,
+            Recorder::off(),
         );
-        let _ = partition_graph_par(
+        let _ = partition_graph_par_traced(
             &graded_mc_grid(10, 10, 2),
             &PartitionConfig::new(3).with_ub(1.5),
             workers,
             &warm,
+            Recorder::off(),
         );
-        let polluted = partition_graph_par(&g, &cfg, workers, &warm);
+        let polluted = partition_graph_par_traced(&g, &cfg, workers, &warm, Recorder::off());
         assert_eq!(fresh, polluted, "workers={workers}: warm pool diverged");
     }
 }

@@ -15,7 +15,9 @@
 //!    performs *zero* heap allocations — boundary lists, their patch
 //!    scratch and the colouring's tables all live in the workspace. (In this
 //!    debug-profile binary the patch oracle of `par_kway::Boundary` runs
-//!    inside the measured call, so it is covered too.)
+//!    inside the measured call, so it is covered too.) A warm
+//!    `partition_graph_with` allocates its result and its uniform targets
+//!    and nothing else, at any k.
 
 use tempart_graph::builder::grid_graph;
 use tempart_partition::par_kway::pairwise_kway_refine_ws;
@@ -90,6 +92,25 @@ fn warm_initial_bisection_tries_do_not_allocate() {
     );
     // The result vector and the uniform target fractions.
     assert!(many <= 2, "warm 2-way partition allocated {many} times");
+}
+
+#[test]
+fn warm_recursive_bisection_allocates_the_result_and_the_targets_only() {
+    // The whole tree walk — k − 1 bisections, 2(k − 1) extracted subgraphs,
+    // their composed vertex maps — runs out of one warm workspace: a walk
+    // that boxed its jobs or built per-node vectors would show here.
+    let g = grid_graph(96, 96);
+    let mut ws = PartitionWorkspace::new();
+    for k in [8usize, 64, 128] {
+        let cfg = PartitionConfig::new(k);
+        for _ in 0..8 {
+            let _ = partition_graph_with(&g, &cfg, &mut ws);
+        }
+        let (part, allocs) = count_allocations(|| partition_graph_with(&g, &cfg, &mut ws));
+        assert_eq!(part.len(), g.nvtx());
+        // The result vector and the uniform target fractions.
+        assert_eq!(allocs, 2, "k={k}: warm call allocated {allocs} times");
+    }
 }
 
 #[test]

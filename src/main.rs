@@ -367,6 +367,13 @@ fn cmd_partition_file(o: &Options, path: &Path) -> Result<(), String> {
     use tempart::partition::{partition_graph, PartitionConfig};
     let text = std::fs::read_to_string(path).map_err(at(path))?;
     let graph = tempart::graph::parse_metis_graph(&text).map_err(at(path))?;
+    if o.domains > graph.nvtx() {
+        return Err(format!(
+            "--domains {} exceeds the graph's {} vertices",
+            o.domains,
+            graph.nvtx()
+        ));
+    }
     let ub = if graph.ncon() > 1 { 1.10 } else { 1.05 };
     let cfg = PartitionConfig::new(o.domains)
         .with_ub(ub)

@@ -165,6 +165,29 @@ fn more_domains_than_cells_is_a_usage_error_not_a_report() {
         );
         assert!(out.stdout.is_empty(), "{cmd} printed a report");
     }
+    // A graph file is held to its vertex count the same way; a file with no
+    // vertices falls under the same check.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, text, n) in [
+        ("tiny.graph", "3 2\n2\n1 3\n2\n", 3),
+        ("none.graph", "0 0\n", 0),
+    ] {
+        let graph = dir.join(name);
+        std::fs::write(&graph, text).expect("write graph");
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .args(["partition", "--domains", "8", "--graph"])
+            .arg(&graph)
+            .output()
+            .expect("spawn tempart");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: stderr: {stderr}");
+        assert_eq!(
+            stderr.lines().next().unwrap_or(""),
+            format!("error: --domains 8 exceeds the graph's {n} vertices"),
+            "{name}"
+        );
+        assert!(out.stdout.is_empty(), "{name}: printed a report");
+    }
     // One domain per cell is still a request that can be served.
     let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
         .args(["partition", "--depth", "2", "--domains", "64"])

@@ -1,16 +1,21 @@
 //! Property tests for the partitioner's width invariance and for the edge
 //! colouring behind the pairwise k-way schedule.
 //!
-//! The contract under test: `partition_graph_par` is **bit-identical** to
-//! the sequential `partition_graph` for every scheme at every fork-join
-//! width — the bisection tree fans out, the pairwise k-way refinement runs
-//! its one pinned schedule. `par_seq_cutoff = 0` makes the tree fan out
-//! even on these small random meshes.
+//! The contract under test: `partition_graph_par_traced` is
+//! **bit-identical** to the sequential `partition_graph` for every scheme
+//! at every fork-join width — one bisection tree walk serves every width,
+//! the pairwise k-way refinement runs its one pinned schedule. These graded
+//! meshes (176–421 cells) sit below the walk's 512-vertex fork cutoff, so
+//! every width runs the whole tree as one inline subtree; the fan-out at
+//! depth is checked in the partition crate
+//! (`par::tests::every_scheme_matches_sequential_four_fork_levels_deep`).
 
 use tempart::core_api::{strategy_weights, PartitionStrategy};
 use tempart::mesh::{Mesh, Octree, OctreeConfig, TemporalScheme};
+use tempart::obs::Recorder;
 use tempart::partition::{
-    colour_pairs, partition_graph, partition_graph_par, PartitionConfig, Scheme, WorkspacePool,
+    colour_pairs, partition_graph, partition_graph_par_traced, PartitionConfig, Scheme,
+    WorkspacePool,
 };
 use tempart_testkit::prop::vec_of;
 use tempart_testkit::{prop_assert, prop_assert_eq, proptest};
@@ -50,20 +55,19 @@ proptest! {
                 Scheme::KWayRefined,
                 Scheme::MultilevelKWay,
             ] {
-                let mut cfg = PartitionConfig::new(k)
+                let cfg = PartitionConfig::new(k)
                     .with_seed(seed)
                     .with_scheme(scheme)
                     .with_ub(if ncon > 1 { 1.10 } else { 1.05 });
-                cfg.par_seq_cutoff = 0;
                 let seq = partition_graph(&g, &cfg);
                 prop_assert_eq!(seq.len(), m.n_cells());
                 for workers in 1usize..=4 {
                     let pool = WorkspacePool::new(workers);
-                    let par = partition_graph_par(&g, &cfg, workers, &pool);
+                    let par = partition_graph_par_traced(&g, &cfg, workers, &pool, Recorder::off());
                     prop_assert_eq!(&par, &seq);
                     // Warm pool rerun: leased workspaces are capacity, not
                     // state — the answer must not change.
-                    let warm = partition_graph_par(&g, &cfg, workers, &pool);
+                    let warm = partition_graph_par_traced(&g, &cfg, workers, &pool, Recorder::off());
                     prop_assert_eq!(&warm, &seq);
                 }
             }
