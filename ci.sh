@@ -87,10 +87,19 @@ stage_policy() {
         echo "ERROR: new suffixed twin in crates/partition/src (allow-list in ci.sh)" >&2
         exit 1
     fi
+    # The task runtime and the solver have one entry point per operation
+    # and no allow-list: tracing is the recorder argument, not a twin.
+    suffixed=$(grep -rnE 'pub fn [a-z0-9_]*(_traced|_with[a-z0-9_]*)[(<]' \
+        crates/runtime/src crates/solver/src || true)
+    if [[ -n "$suffixed" ]]; then
+        echo "$suffixed"
+        echo "ERROR: add an argument to the general entry point, not a suffix" >&2
+        exit 1
+    fi
     # State shared by a call's helpers is a struct there, not an argument
-    # list: the partition crate carries no `too_many_arguments` allow.
-    if grep -rn 'too_many_arguments' crates/partition/src; then
-        echo "ERROR: bundle the arguments into a struct in crates/partition/src" >&2
+    # list: these crates carry no `too_many_arguments` allow.
+    if grep -rn 'too_many_arguments' crates/partition/src crates/runtime/src crates/solver/src; then
+        echo "ERROR: bundle the arguments into a struct (see the matches above)" >&2
         exit 1
     fi
     # Performance numbers are kept, compared and gated in benchmark/ alone:

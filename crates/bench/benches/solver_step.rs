@@ -5,6 +5,7 @@
 use std::hint::black_box;
 use tempart_core::{decompose, PartitionStrategy};
 use tempart_mesh::{pprime_nozzle_like, GeneratorConfig};
+use tempart_obs::Recorder;
 use tempart_runtime::RuntimeConfig;
 use tempart_solver::{blast_initial, Solver, SolverConfig};
 use tempart_testkit::bench::Bencher;
@@ -48,9 +49,8 @@ fn bench_runtime_groups(b: &mut Bencher) {
                 )
             },
             |mut s| {
-                let mut rt = RuntimeConfig::new(2, workers);
-                rt.record_trace = false;
-                black_box(s.run_iteration(&rt, &[0, 0, 1, 1]))
+                let rt = RuntimeConfig::new(2, workers);
+                black_box(s.run_iteration(&rt, &[0, 0, 1, 1], Recorder::off()))
             },
         );
     }

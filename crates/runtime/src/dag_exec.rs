@@ -1,11 +1,20 @@
-//! Dependency-counted DAG execution over grouped worker threads.
+//! Dependency-counted DAG execution on the grouped fork-join scope.
+//!
+//! The executor owns no threads of its own: each task is one job of a
+//! [`crate::forkjoin`] scope with one group per emulated MPI process. A job
+//! runs the task body, emits the task's `rt.task` event and spawns every
+//! successor whose dependency counter it drops to zero into that
+//! successor's group; the roots are the scope's seeds. Workers steal within
+//! their group only, so a domain's tasks never leave the group its domain is
+//! mapped to, and a panicking task body propagates out of [`execute`]
+//! through the scope.
 
-use crate::groups::{Group, TaskSource};
+use crate::forkjoin::{scope, ForkCtx, Job};
 use crate::trace::WallSegment;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 use tempart_obs::{Clock, Recorder};
-use tempart_taskgraph::{TaskGraph, TaskId};
+use tempart_taskgraph::{Task, TaskGraph, TaskId};
 
 /// Runtime configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,19 +23,16 @@ pub struct RuntimeConfig {
     pub n_groups: usize,
     /// Worker threads per group.
     pub workers_per_group: usize,
-    /// Record a wall-clock Gantt trace (small overhead).
-    pub record_trace: bool,
 }
 
 impl RuntimeConfig {
-    /// A tracing configuration with the given geometry.
+    /// A configuration with the given geometry.
     pub fn new(n_groups: usize, workers_per_group: usize) -> Self {
         assert!(n_groups >= 1, "need at least one group");
         assert!(workers_per_group >= 1, "need at least one worker per group");
         Self {
             n_groups,
             workers_per_group,
-            record_trace: true,
         }
     }
 }
@@ -38,14 +44,52 @@ pub struct ExecReport {
     pub wall: Duration,
     /// Number of tasks executed (equals the DAG size on success).
     pub executed: usize,
-    /// Wall-clock Gantt segments (empty unless `record_trace`).
+    /// Wall-clock Gantt segments (empty unless the recorder is enabled).
     pub segments: Vec<WallSegment>,
 }
 
-impl ExecReport {
-    /// Per-group busy time in nanoseconds.
-    pub fn group_busy_ns(&self, n_groups: usize) -> Vec<u64> {
-        crate::trace::group_busy_ns(&self.segments, n_groups)
+/// What every task job of one run borrows.
+struct Dag<'a, F> {
+    graph: &'a TaskGraph,
+    group_of: &'a [usize],
+    /// Unfinished predecessors per task.
+    pending: Vec<AtomicU32>,
+    rec: &'a Recorder,
+    /// Recorder-clock timestamp of `t0`.
+    wall0: u64,
+    t0: Instant,
+    task_fn: F,
+}
+
+impl<F: Fn(TaskId, &Task) + Sync> Dag<'_, F> {
+    fn group(&self, t: TaskId) -> usize {
+        self.group_of[self.graph.task(t).domain as usize]
+    }
+
+    /// The job that runs task `t`.
+    fn job<'env>(&'env self, t: TaskId) -> Job<'env> {
+        Box::new(move |ctx| self.run(ctx, t))
+    }
+
+    fn run<'env>(&'env self, ctx: &ForkCtx<'_, 'env>, t: TaskId) {
+        let start = self.t0.elapsed().as_nanos() as u64;
+        (self.task_fn)(t, self.graph.task(t));
+        let end = self.t0.elapsed().as_nanos() as u64;
+        let (group, worker) = (ctx.group(), ctx.worker_index());
+        self.rec.complete_at(
+            Clock::Wall,
+            "rt.task",
+            (group * ctx.workers() + worker) as u32,
+            self.wall0 + start,
+            end - start,
+            u64::from(t),
+            ((group as u64) << 32) | worker as u64,
+        );
+        for &s in self.graph.succs(t) {
+            if self.pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                ctx.spawn_to(self.group(s), move |c| self.run(c, s));
+            }
+        }
     }
 }
 
@@ -55,42 +99,28 @@ impl ExecReport {
 /// workers steal within their group only. `task_fn(id, task)` is the task
 /// body and must be safe to call concurrently for independent tasks.
 ///
+/// Per executed task one `"rt.task"` [`Clock::Wall`] `Complete` event is
+/// emitted into `rec` (track = global worker id, `a` = task id, `b` =
+/// `group << 32 | worker`); per worker the counters `"rt.exec"` /
+/// `"rt.local"` / `"rt.inject"` / `"rt.steal"` (tasks by acquisition path,
+/// `exec` = their sum) and `"rt.park"` (backoff sleeps while starved) are
+/// emitted once the workers have stopped, and the whole run is wrapped in an
+/// `"rt.run"` span. Task timestamps live on the recorder's clock so they
+/// interleave with spans from other layers; [`crate::trace::wall_segments`]
+/// re-bases them.
+///
+/// `ExecReport::segments` is derived from those events when `rec` is
+/// enabled — the runtime holds no second trace representation — so its
+/// buffers must be large enough for the run (one event per task per worker
+/// buffer plus a handful of counters), or segments will be incomplete and
+/// `Recorder::dropped` non-zero.
+///
 /// # Panics
 ///
 /// Panics on inconsistent configuration, or if the run completes without
 /// executing every task (dependency cycle — impossible for graphs assembled
-/// by `tempart-taskgraph`).
+/// by `tempart-taskgraph`), and propagates a panic of `task_fn`.
 pub fn execute<F>(
-    graph: &TaskGraph,
-    config: &RuntimeConfig,
-    group_of: &[usize],
-    task_fn: F,
-) -> ExecReport
-where
-    F: Fn(TaskId, &tempart_taskgraph::Task) + Sync,
-{
-    execute_traced(graph, config, group_of, Recorder::off(), task_fn)
-}
-
-/// Like [`execute`], recording structured events into `rec`.
-///
-/// Per executed task one `"rt.task"` [`Clock::Wall`] `Complete` event is
-/// emitted (track = global worker id, `a` = task id, `b` = `group << 32 |
-/// worker`); per worker the counters `"rt.exec"` / `"rt.local"` /
-/// `"rt.inject"` / `"rt.steal"` (tasks by acquisition path, `exec` = their
-/// sum) and `"rt.park"` (20 µs sleeps while starved) are emitted once at
-/// worker exit, and the whole run is wrapped in an `"rt.run"` span. Task
-/// timestamps live on the recorder's clock so they interleave with spans
-/// from other layers; [`crate::trace::wall_segments`] re-bases them.
-///
-/// `ExecReport::segments` is derived from those events — the runtime holds
-/// no second trace representation. When `rec` is disabled but
-/// `config.record_trace` is set, a private recorder sized for the run is
-/// used so the report still carries segments; when `rec` is enabled its
-/// buffers must be large enough for the run (one event per task per worker
-/// buffer plus a handful of counters) or segments will be incomplete and
-/// `Recorder::dropped` non-zero.
-pub fn execute_traced<F>(
     graph: &TaskGraph,
     config: &RuntimeConfig,
     group_of: &[usize],
@@ -98,7 +128,7 @@ pub fn execute_traced<F>(
     task_fn: F,
 ) -> ExecReport
 where
-    F: Fn(TaskId, &tempart_taskgraph::Task) + Sync,
+    F: Fn(TaskId, &Task) + Sync,
 {
     assert_eq!(group_of.len(), graph.n_domains, "one group per domain");
     assert!(
@@ -113,136 +143,46 @@ where
             segments: Vec::new(),
         };
     }
-
-    // Recorder selection: an enabled caller recorder wins; otherwise
-    // `record_trace` spins up a private one so `segments` keeps working.
-    let fallback;
-    let rec: &Recorder = if rec.enabled() {
-        rec
-    } else if config.record_trace {
-        fallback = Recorder::new(n + 16);
-        &fallback
-    } else {
-        rec
-    };
     let watermark = rec.seq_watermark();
-
-    let pending: Vec<AtomicU32> = (0..n)
-        .map(|t| AtomicU32::new(graph.preds(t as TaskId).len() as u32))
-        .collect();
-    let done = AtomicUsize::new(0);
-
-    // Build the group fabric; worker deques move into threads.
-    let mut groups: Vec<Group> = Vec::with_capacity(config.n_groups);
-    let mut deques: Vec<Vec<crate::groups::Worker>> = Vec::with_capacity(config.n_groups);
-    for _ in 0..config.n_groups {
-        let (g, w) = Group::new(config.workers_per_group);
-        groups.push(g);
-        deques.push(w);
-    }
-    // Seed roots.
-    for t in 0..n as TaskId {
-        if graph.preds(t).is_empty() {
-            let g = group_of[graph.task(t).domain as usize];
-            groups[g].injector.push(t);
-        }
-    }
-
     let run_span = rec.span("rt.run", 0, n as u64);
-    // Recorder-clock timestamp of the run start: task events are stamped at
-    // `wall0 + <ns since t0>` so every layer shares one wall timeline.
-    let wall0 = if rec.enabled() { rec.now_ns() } else { 0 };
-    let t0 = Instant::now();
-    let groups = &groups;
-    let pending = &pending;
-    let done = &done;
-    let task_fn = &task_fn;
+    let dag = Dag {
+        graph,
+        group_of,
+        pending: (0..n as TaskId)
+            .map(|t| AtomicU32::new(graph.preds(t).len() as u32))
+            .collect(),
+        rec,
+        wall0: if rec.enabled() { rec.now_ns() } else { 0 },
+        t0: Instant::now(),
+        task_fn,
+    };
+    let dag = &dag;
+    let roots = (0..n as TaskId)
+        .filter(|&t| graph.preds(t).is_empty())
+        .map(|t| (dag.group(t), dag.job(t)));
+    let tallies = scope(config.n_groups, config.workers_per_group, roots);
+    let wall = dag.t0.elapsed();
 
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (gid, group_deques) in deques.into_iter().enumerate() {
-            for (wid, local) in group_deques.into_iter().enumerate() {
-                let rec = rec.clone();
-                let handle = scope.spawn(move || {
-                    let track = (gid * config.workers_per_group + wid) as u32;
-                    let lane = ((gid as u64) << 32) | wid as u64;
-                    let (mut n_local, mut n_inject, mut n_steal, mut n_park) =
-                        (0u64, 0u64, 0u64, 0u64);
-                    let mut idle_spins = 0u32;
-                    loop {
-                        if done.load(Ordering::Acquire) >= n {
-                            break;
-                        }
-                        let Some((t, src)) = groups[gid].find_task_tagged(&local, wid) else {
-                            // Nothing available in this group right now.
-                            idle_spins += 1;
-                            if idle_spins < 64 {
-                                std::hint::spin_loop();
-                            } else {
-                                n_park += 1;
-                                std::thread::sleep(Duration::from_micros(20));
-                            }
-                            continue;
-                        };
-                        idle_spins = 0;
-                        match src {
-                            TaskSource::Local => n_local += 1,
-                            TaskSource::Inject => n_inject += 1,
-                            TaskSource::Steal => n_steal += 1,
-                        }
-                        let start = t0.elapsed().as_nanos() as u64;
-                        task_fn(t, graph.task(t));
-                        let end = t0.elapsed().as_nanos() as u64;
-                        rec.complete_at(
-                            Clock::Wall,
-                            "rt.task",
-                            track,
-                            wall0 + start,
-                            end - start,
-                            u64::from(t),
-                            lane,
-                        );
-                        // Release successors.
-                        for &s in graph.succs(t) {
-                            if pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                let sg = group_of[graph.task(s).domain as usize];
-                                if sg == gid {
-                                    local.push(s);
-                                } else {
-                                    groups[sg].injector.push(s);
-                                }
-                            }
-                        }
-                        done.fetch_add(1, Ordering::AcqRel);
-                    }
-                    if rec.enabled() {
-                        rec.counter("rt.exec", track, n_local + n_inject + n_steal);
-                        rec.counter("rt.local", track, n_local);
-                        rec.counter("rt.inject", track, n_inject);
-                        rec.counter("rt.steal", track, n_steal);
-                        rec.counter("rt.park", track, n_park);
-                    }
-                });
-                handles.push(handle);
-            }
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-    });
-
-    let executed = done.load(Ordering::Acquire);
-    assert_eq!(executed, n, "not every task executed");
-    let wall = t0.elapsed();
+    let mut executed = 0;
+    for (track, [local, inject, steal, park]) in tallies.into_iter().enumerate() {
+        let track = track as u32;
+        executed += local + inject + steal;
+        rec.counter("rt.exec", track, local + inject + steal);
+        rec.counter("rt.local", track, local);
+        rec.counter("rt.inject", track, inject);
+        rec.counter("rt.steal", track, steal);
+        rec.counter("rt.park", track, park);
+    }
+    assert_eq!(executed as usize, n, "not every task executed");
     drop(run_span);
     let segments = if rec.enabled() {
-        crate::trace::wall_segments(&rec.events_since(watermark), wall0)
+        crate::trace::wall_segments(&rec.events_since(watermark), dag.wall0)
     } else {
         Vec::new()
     };
     ExecReport {
         wall,
-        executed,
+        executed: n,
         segments,
     }
 }
@@ -251,7 +191,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use tempart_taskgraph::{Task, TaskKind};
+    use tempart_taskgraph::TaskKind;
 
     fn mk_task(domain: u32, cost: u64) -> Task {
         Task {
@@ -290,7 +230,8 @@ mod tests {
         let counts: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
         let cfg = RuntimeConfig::new(2, 2);
         let group_of = vec![0, 0, 1, 1];
-        let report = execute(&g, &cfg, &group_of, |t, _| {
+        let rec = Recorder::new(g.len() + 16);
+        let report = execute(&g, &cfg, &group_of, &rec, |t, _| {
             counts[t as usize].fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(report.executed, g.len());
@@ -304,7 +245,7 @@ mod tests {
         let stamp = AtomicU64::new(0);
         let finished: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
         let cfg = RuntimeConfig::new(1, 4);
-        execute(&g, &cfg, &[0, 0], |t, _| {
+        execute(&g, &cfg, &[0, 0], Recorder::off(), |t, _| {
             finished[t as usize].store(stamp.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
         });
         for t in 0..g.len() as TaskId {
@@ -324,7 +265,9 @@ mod tests {
         // their group's workers.
         let g = layered(4, 8, 2);
         let cfg = RuntimeConfig::new(2, 3);
-        let report = execute(&g, &cfg, &[0, 1], |_, _| {});
+        let rec = Recorder::new(g.len() + 16);
+        let report = execute(&g, &cfg, &[0, 1], &rec, |_, _| {});
+        assert_eq!(report.segments.len(), g.len());
         for s in &report.segments {
             let dom = g.task(s.task).domain;
             assert_eq!(
@@ -339,9 +282,11 @@ mod tests {
     fn single_worker_serialises() {
         let g = layered(3, 3, 1);
         let cfg = RuntimeConfig::new(1, 1);
-        let report = execute(&g, &cfg, &[0], |_, _| {
+        let rec = Recorder::new(g.len() + 16);
+        let report = execute(&g, &cfg, &[0], &rec, |_, _| {
             std::thread::sleep(Duration::from_micros(200));
         });
+        assert_eq!(report.segments.len(), g.len());
         // Segments must not overlap on a single worker.
         for w in report.segments.windows(2) {
             assert!(w[1].start_ns >= w[0].end_ns);
@@ -356,7 +301,7 @@ mod tests {
             let g = layered(6, 12, 3);
             let rec = Recorder::new(4 * g.len());
             let cfg = RuntimeConfig::new(1, workers);
-            let report = execute_traced(&g, &cfg, &[0, 0, 0], &rec, |_, _| {});
+            let report = execute(&g, &cfg, &[0, 0, 0], &rec, |_, _| {});
             assert_eq!(report.executed, g.len());
             assert_eq!(report.segments.len(), g.len());
             let trace = rec.take();
@@ -374,13 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_without_record_trace_skips_segments() {
+    fn disabled_recorder_skips_segments() {
         let g = layered(3, 4, 2);
-        let cfg = RuntimeConfig {
-            record_trace: false,
-            ..RuntimeConfig::new(1, 2)
-        };
-        let report = execute_traced(&g, &cfg, &[0, 0], Recorder::off(), |_, _| {});
+        let cfg = RuntimeConfig::new(1, 2);
+        let report = execute(&g, &cfg, &[0, 0], Recorder::off(), |_, _| {});
         assert_eq!(report.executed, g.len());
         assert!(report.segments.is_empty());
     }
@@ -388,7 +330,13 @@ mod tests {
     #[test]
     fn empty_graph_returns_immediately() {
         let g = TaskGraph::assemble(Vec::new(), Vec::new(), 1, 1);
-        let report = execute(&g, &RuntimeConfig::new(1, 1), &[0], |_, _| {});
+        let report = execute(
+            &g,
+            &RuntimeConfig::new(1, 1),
+            &[0],
+            Recorder::off(),
+            |_, _| {},
+        );
         assert_eq!(report.executed, 0);
     }
 }

@@ -1,11 +1,21 @@
-//! Scoped fork-join execution over the work-stealing deques.
+//! Scoped fork-join execution over grouped work-stealing deques — the
+//! crate's one task runtime.
 //!
 //! [`fork_join`] runs a dynamically growing tree of closures on `n_workers`
-//! threads using the same fabric as the DAG executor ([`crate::groups`]):
-//! one LIFO owner deque per worker, FIFO stealing, and a FIFO injector that
-//! seeds the root job. Jobs receive a [`ForkCtx`] and may [`ForkCtx::spawn`]
-//! further jobs; `fork_join` returns once every transitively spawned job has
-//! finished.
+//! threads over the crate's private `groups` fabric: one LIFO owner deque per
+//! worker, FIFO stealing, and a FIFO injector that seeds the root job. Jobs
+//! receive a [`ForkCtx`] and may [`ForkCtx::spawn`] further jobs;
+//! `fork_join` returns once every transitively spawned job has finished.
+//!
+//! # Groups and the steal boundary
+//!
+//! Underneath, a scope runs `n_groups × per_group` workers over one pending
+//! counter. A worker steals only within its own group — the MPI process
+//! boundary of the paper's runtime — and a job hands work to another group
+//! through that group's injector. `fork_join` is the one-group case; the
+//! DAG executor ([`crate::dag_exec`]) is the multi-group one, and publishes
+//! the scope's per-worker `[local, inject, steal, park]` tallies as its
+//! `rt.*` counters.
 //!
 //! # Determinism contract
 //!
@@ -26,20 +36,30 @@
 //! unless asked to.
 
 use crate::groups::{Group, Worker};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// A queued fork-join job: a boxed closure run at most once.
-type Job<'env> = Box<dyn FnOnce(&ForkCtx<'_, 'env>) + Send + 'env>;
+pub(crate) type Job<'env> = Box<dyn FnOnce(&ForkCtx<'_, 'env>) + Send + 'env>;
 
-/// Shared state of one [`fork_join`] scope.
+/// One worker's jobs by acquisition path, then its backoff sleeps:
+/// `[local, inject, steal, park]`.
+pub(crate) type Tally = [u64; 4];
+
+/// Shared state of one scope.
 struct FjShared<'env> {
-    group: Group<Job<'env>>,
+    /// The scope's groups, each an injector plus one deque per worker.
+    groups: Vec<Group<Job<'env>>>,
     /// Jobs spawned but not yet finished. Incremented *before* a job is
     /// pushed, decremented after it returns; the scope is complete when this
     /// reaches zero (a job in flight keeps its own count alive, so the
     /// counter can never reach zero while more work may still be spawned).
     pending: AtomicUsize,
+    /// Set by a panicking job. From then on a worker that finds its group
+    /// dry leaves instead of waiting for `pending`: work queued for a group
+    /// whose every worker panicked would otherwise never run. (Release in
+    /// the guard, Acquire in the loop; the flag publishes nothing else.)
+    panicked: AtomicBool,
 }
 
 /// Per-worker execution context handed to every job.
@@ -51,6 +71,7 @@ struct FjShared<'env> {
 pub struct ForkCtx<'fj, 'env> {
     shared: &'fj FjShared<'env>,
     local: &'fj Worker<Job<'env>>,
+    group: usize,
     index: usize,
 }
 
@@ -62,16 +83,36 @@ impl<'fj, 'env> ForkCtx<'fj, 'env> {
         self.index
     }
 
-    /// Total number of workers in this fork-join scope.
+    /// Total number of workers in this fork-join scope (in this worker's
+    /// group, for the executor's grouped scopes).
     pub fn workers(&self) -> usize {
-        self.shared.group.stealers.len()
+        self.shared.groups[self.group].stealers.len()
+    }
+
+    /// The group of the worker running this job.
+    pub(crate) fn group(&self) -> usize {
+        self.group
     }
 
     /// Spawns `job` into the scope. It may run on any worker, at any point
     /// before `fork_join` returns.
     pub fn spawn(&self, job: impl FnOnce(&ForkCtx<'_, 'env>) + Send + 'env) {
+        self.spawn_to(self.group, job);
+    }
+
+    /// Spawns `job` into `group`: onto this worker's deque when that is its
+    /// own group, else into that group's injector.
+    pub(crate) fn spawn_to(
+        &self,
+        group: usize,
+        job: impl FnOnce(&ForkCtx<'_, 'env>) + Send + 'env,
+    ) {
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        self.local.push(Box::new(job));
+        if group == self.group {
+            self.local.push(Box::new(job));
+        } else {
+            self.shared.groups[group].injector.push(Box::new(job));
+        }
     }
 }
 
@@ -93,74 +134,117 @@ where
     F: FnOnce(&ForkCtx<'_, 'env>) + Send + 'env,
 {
     assert!(n_workers >= 1, "need at least one fork-join worker");
-    let (group, deques) = Group::<Job<'env>>::new(n_workers);
-    let shared = FjShared {
-        group,
-        pending: AtomicUsize::new(1),
-    };
-    shared.group.injector.push(Box::new(root));
+    let root: Job<'env> = Box::new(root);
+    scope(1, n_workers, [(0, root)]);
+}
 
-    if n_workers == 1 {
-        worker_loop(&shared, &deques[0], 0);
-        return;
+/// Runs the `(group, job)` seeds, pushed in order into their group's
+/// injector, and everything they transitively spawn on `n_groups ×
+/// per_group` workers; returns one [`Tally`] per worker, group-major. A
+/// single worker runs on the calling thread. Panics from job bodies
+/// propagate once every worker has stopped.
+pub(crate) fn scope<'env>(
+    n_groups: usize,
+    per_group: usize,
+    seeds: impl IntoIterator<Item = (usize, Job<'env>)>,
+) -> Vec<Tally> {
+    let (groups, deques): (Vec<Group<Job<'env>>>, Vec<_>) =
+        (0..n_groups).map(|_| Group::new(per_group)).unzip();
+    let mut pending = 0;
+    for (group, job) in seeds {
+        groups[group].injector.push(job);
+        pending += 1;
+    }
+    let shared = FjShared {
+        groups,
+        pending: AtomicUsize::new(pending),
+        panicked: AtomicBool::new(false),
+    };
+
+    if n_groups * per_group == 1 {
+        return vec![worker_loop(&shared, &deques[0][0], 0, 0)];
     }
     let shared = &shared;
+    let mut tallies = Vec::with_capacity(n_groups * per_group);
     let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_workers);
-        for (index, local) in deques.iter().enumerate() {
-            handles.push(scope.spawn(move || worker_loop(shared, local, index)));
+    std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(n_groups * per_group);
+        for (group, locals) in deques.iter().enumerate() {
+            for (index, local) in locals.iter().enumerate() {
+                handles.push(s.spawn(move || worker_loop(shared, local, group, index)));
+            }
         }
-        // Join every worker before propagating: a panicking job's pending
-        // decrement happens in a drop guard (see `worker_loop`), so the
-        // survivors drain the remaining queued jobs and exit normally
-        // instead of spinning on a count that never reaches zero.
+        // Join every worker before propagating: a panicking job retires its
+        // pending count and raises `panicked` in a drop guard (see
+        // `worker_loop`), so the survivors drain what their groups hold and
+        // exit normally instead of spinning on a count that never reaches
+        // zero.
         for h in handles {
-            if let Err(p) = h.join() {
-                payload.get_or_insert(p);
+            match h.join() {
+                Ok(tally) => tallies.push(tally),
+                Err(p) => {
+                    payload.get_or_insert(p);
+                }
             }
         }
     });
     if let Some(p) = payload {
         std::panic::resume_unwind(p);
     }
+    tallies
 }
 
 /// One worker's drain loop: run jobs until the scope's pending count hits
-/// zero. Starvation backoff: yield first (cheap when oversubscribed), then
+/// zero (or, once a job has panicked, until its group runs dry), counting
+/// them in the returned tally. Starvation backoff: yield first (cheap when oversubscribed), then
 /// park in growing sleeps capped at 500 µs so late-arriving stolen work is
 /// still picked up promptly.
-fn worker_loop<'env>(shared: &FjShared<'env>, local: &Worker<Job<'env>>, index: usize) {
+fn worker_loop<'env>(
+    shared: &FjShared<'env>,
+    local: &Worker<Job<'env>>,
+    group: usize,
+    index: usize,
+) -> Tally {
+    let mut tally = [0u64; 4];
     let mut idle_rounds = 0u32;
     loop {
         if shared.pending.load(Ordering::Acquire) == 0 {
-            return;
+            return tally;
         }
-        let Some(job) = shared.group.find_task(local, index) else {
+        let Some((job, source)) = shared.groups[group].find_task(local, index) else {
+            if shared.panicked.load(Ordering::Acquire) {
+                return tally;
+            }
             idle_rounds += 1;
             if idle_rounds <= 16 {
                 std::thread::yield_now();
             } else {
+                tally[3] += 1;
                 let us = (u64::from(idle_rounds - 16) * 20).min(500);
                 std::thread::sleep(Duration::from_micros(us));
             }
             continue;
         };
         idle_rounds = 0;
+        tally[source as usize] += 1;
         // The decrement lives in a drop guard so a panicking job still
         // retires its pending count — without it, the sibling workers of a
         // panicked thread would spin forever waiting for zero while the
         // scope waits for them: a deadlock instead of a propagated panic.
-        struct Retire<'a>(&'a AtomicUsize);
+        struct Retire<'a>(&'a AtomicUsize, &'a AtomicBool);
         impl Drop for Retire<'_> {
             fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.1.store(true, Ordering::Release);
+                }
                 self.0.fetch_sub(1, Ordering::AcqRel);
             }
         }
-        let _retire = Retire(&shared.pending);
+        let _retire = Retire(&shared.pending, &shared.panicked);
         job(&ForkCtx {
             shared,
             local,
+            group,
             index,
         });
     }

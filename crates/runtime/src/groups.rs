@@ -1,18 +1,17 @@
-//! Process-group structure: per-group injectors and in-group stealing.
+//! Process-group fabric: per-group injectors and in-group stealing.
 //!
 //! Built on std primitives only (`Mutex<VecDeque>` + `Arc`), replacing the
 //! previous `crossbeam::deque` fabric so the workspace stays dependency-free.
-//! The deque types are generic over the queued item (defaulting to
-//! [`TaskId`]): the DAG executor queues task ids, the fork-join layer
-//! ([`crate::forkjoin`]) queues boxed closures — one fabric, two runtimes.
-//! The scheduling semantics are preserved exactly:
+//! The deque types are generic over the queued item; the crate's one scope
+//! ([`crate::forkjoin`]) queues boxed jobs, one [`Group`] per process group.
+//! The scheduling semantics:
 //!
-//! * **Owner pop is LIFO** — a worker pops the task it most recently pushed
+//! * **Owner pop is LIFO** — a worker pops the job it most recently pushed
 //!   (its just-released successor), keeping the hot cache lines hot;
-//! * **Stealing is FIFO** — thieves take the *oldest* task from a victim's
+//! * **Stealing is FIFO** — thieves take the *oldest* job from a victim's
 //!   deque, which tends to be the root of the largest untouched subtree;
-//! * **The injector is FIFO** — newly-ready cross-group tasks are consumed
-//!   in arrival order.
+//! * **The injector is FIFO** — seeds and jobs handed over from another
+//!   group are consumed in arrival order.
 //!
 //! Under the task granularities this runtime executes (finite-volume cell
 //! blocks, ≥ tens of microseconds each) a per-deque mutex is not a
@@ -21,12 +20,11 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use tempart_taskgraph::TaskId;
 
-/// The shared FIFO inbox of a group; newly-ready tasks land here when the
-/// releasing worker belongs to a different group.
+/// The shared FIFO inbox of a group: seeds, and work handed over by a
+/// worker of a different group.
 #[derive(Debug)]
-pub struct Injector<T = TaskId> {
+pub struct Injector<T> {
     queue: Mutex<VecDeque<T>>,
 }
 
@@ -39,11 +37,6 @@ impl<T> Default for Injector<T> {
 }
 
 impl<T> Injector<T> {
-    /// Creates an empty injector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Enqueues a ready task (FIFO order).
     pub fn push(&self, t: T) {
         self.queue.lock().expect("injector poisoned").push_back(t);
@@ -53,35 +46,17 @@ impl<T> Injector<T> {
     pub fn pop(&self) -> Option<T> {
         self.queue.lock().expect("injector poisoned").pop_front()
     }
-
-    /// Number of queued tasks (diagnostics only; racy by nature).
-    pub fn len(&self) -> usize {
-        self.queue.lock().expect("injector poisoned").len()
-    }
-
-    /// Whether the injector is empty (diagnostics only; racy by nature).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
-/// The owner-side handle of one worker's deque. Moves into the worker
-/// thread; the matching [`Stealer`]s stay in the [`Group`].
+/// The owner-side handle of one worker's deque; the matching [`Stealer`]s
+/// stay in the [`Group`].
 #[derive(Debug)]
-pub struct Worker<T = TaskId> {
+pub struct Worker<T> {
     deque: Arc<Mutex<VecDeque<T>>>,
 }
 
-impl<T> Clone for Worker<T> {
-    fn clone(&self) -> Self {
-        Self {
-            deque: Arc::clone(&self.deque),
-        }
-    }
-}
-
 impl<T> Worker<T> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             deque: Arc::new(Mutex::new(VecDeque::new())),
         }
@@ -107,16 +82,8 @@ impl<T> Worker<T> {
 
 /// The thief-side handle of a worker's deque: takes the *oldest* task.
 #[derive(Debug)]
-pub struct Stealer<T = TaskId> {
+pub struct Stealer<T> {
     deque: Arc<Mutex<VecDeque<T>>>,
-}
-
-impl<T> Clone for Stealer<T> {
-    fn clone(&self) -> Self {
-        Self {
-            deque: Arc::clone(&self.deque),
-        }
-    }
 }
 
 impl<T> Stealer<T> {
@@ -126,9 +93,9 @@ impl<T> Stealer<T> {
     }
 }
 
-/// Where a worker's [`Group::find_task_tagged`] call found its task. Fed
-/// into the runtime's `rt.local` / `rt.inject` / `rt.steal` counters so a
-/// trace shows how much of the schedule flowed through each path.
+/// Where [`Group::find_task`] found its task; it indexes the worker's
+/// `[local, inject, steal, park]` tally, which becomes the runtime's
+/// `rt.local` / `rt.inject` / `rt.steal` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskSource {
     /// Popped from the worker's own deque (LIFO).
@@ -141,8 +108,8 @@ pub enum TaskSource {
 
 /// The scheduling fabric of one process group: a shared injector plus one
 /// work-stealing deque per worker thread of the group.
-pub struct Group<T = TaskId> {
-    /// Global inbox of the group; newly-ready tasks land here.
+pub struct Group<T> {
+    /// Inbox of the group.
     pub injector: Injector<T>,
     /// Stealers for all worker deques of this group.
     pub stealers: Vec<Stealer<T>>,
@@ -150,33 +117,23 @@ pub struct Group<T = TaskId> {
 
 impl<T> Group<T> {
     /// Creates the group fabric, returning the group and the worker-local
-    /// deques (to be moved into the worker threads).
+    /// deques (one per worker of the group).
     pub fn new(n_workers: usize) -> (Self, Vec<Worker<T>>) {
         let workers: Vec<Worker<T>> = (0..n_workers).map(|_| Worker::new()).collect();
         let stealers = workers.iter().map(Worker::stealer).collect();
         (
             Self {
-                injector: Injector::new(),
+                injector: Injector::default(),
                 stealers,
             },
             workers,
         )
     }
 
-    /// Finds work for the worker owning `local`: local deque first (LIFO),
-    /// then the group injector (FIFO), then stealing from in-group siblings
-    /// (FIFO from each victim).
-    pub fn find_task(&self, local: &Worker<T>, self_index: usize) -> Option<T> {
-        self.find_task_tagged(local, self_index).map(|(t, _)| t)
-    }
-
-    /// Like [`Group::find_task`], additionally reporting which path produced
-    /// the task. The probe order (and thus the schedule) is identical.
-    pub fn find_task_tagged(
-        &self,
-        local: &Worker<T>,
-        self_index: usize,
-    ) -> Option<(T, TaskSource)> {
+    /// Finds work for the worker owning `local`, and the path it came by:
+    /// local deque first (LIFO), then the group injector (FIFO), then
+    /// stealing from in-group siblings (FIFO from each victim).
+    pub fn find_task(&self, local: &Worker<T>, self_index: usize) -> Option<(T, TaskSource)> {
         if let Some(t) = local.pop() {
             return Some((t, TaskSource::Local));
         }
@@ -199,16 +156,21 @@ impl<T> Group<T> {
 mod tests {
     use super::*;
 
+    /// The task `find_task` returns, without its source.
+    fn task<T>(g: &Group<T>, local: &Worker<T>, self_index: usize) -> Option<T> {
+        g.find_task(local, self_index).map(|(t, _)| t)
+    }
+
     #[test]
     fn injector_roundtrip() {
         let (g, workers) = Group::new(2);
         g.injector.push(7);
         g.injector.push(8);
-        let t = g.find_task(&workers[0], 0).unwrap();
+        let t = task(&g, &workers[0], 0).unwrap();
         assert_eq!(t, 7, "injector is FIFO");
-        let t2 = g.find_task(&workers[1], 1).unwrap();
+        let t2 = task(&g, &workers[1], 1).unwrap();
         assert_eq!(t2, 8);
-        assert!(g.find_task(&workers[1], 1).is_none());
+        assert!(task(&g, &workers[1], 1).is_none());
     }
 
     #[test]
@@ -216,9 +178,9 @@ mod tests {
         let (g, workers) = Group::new(1);
         workers[0].push(1);
         g.injector.push(2);
-        assert_eq!(g.find_task(&workers[0], 0), Some(1));
-        assert_eq!(g.find_task(&workers[0], 0), Some(2));
-        assert_eq!(g.find_task(&workers[0], 0), None);
+        assert_eq!(task(&g, &workers[0], 0), Some(1));
+        assert_eq!(task(&g, &workers[0], 0), Some(2));
+        assert_eq!(task(&g, &workers[0], 0), None);
     }
 
     #[test]
@@ -242,10 +204,10 @@ mod tests {
         workers[0].push(3);
         // Worker 1 has nothing local and the injector is empty: it must
         // steal the *oldest* task of worker 0.
-        assert_eq!(g.find_task(&workers[1], 1), Some(1));
+        assert_eq!(task(&g, &workers[1], 1), Some(1));
         // Owner still pops its newest first.
         assert_eq!(workers[0].pop(), Some(3));
-        assert_eq!(g.find_task(&workers[1], 1), Some(2));
+        assert_eq!(task(&g, &workers[1], 1), Some(2));
     }
 
     #[test]
@@ -254,19 +216,10 @@ mod tests {
         workers[0].push(1);
         g.injector.push(2);
         workers[1].push(3);
-        assert_eq!(
-            g.find_task_tagged(&workers[0], 0),
-            Some((1, TaskSource::Local))
-        );
-        assert_eq!(
-            g.find_task_tagged(&workers[0], 0),
-            Some((2, TaskSource::Inject))
-        );
-        assert_eq!(
-            g.find_task_tagged(&workers[0], 0),
-            Some((3, TaskSource::Steal))
-        );
-        assert_eq!(g.find_task_tagged(&workers[0], 0), None);
+        assert_eq!(g.find_task(&workers[0], 0), Some((1, TaskSource::Local)));
+        assert_eq!(g.find_task(&workers[0], 0), Some((2, TaskSource::Inject)));
+        assert_eq!(g.find_task(&workers[0], 0), Some((3, TaskSource::Steal)));
+        assert_eq!(g.find_task(&workers[0], 0), None);
     }
 
     #[test]
@@ -274,7 +227,7 @@ mod tests {
         let (g, workers) = Group::new(3);
         workers[2].push(42);
         // Worker 1 must reach worker 2's deque even with worker 0 empty.
-        assert_eq!(g.find_task(&workers[1], 1), Some(42));
-        assert!(g.find_task(&workers[1], 1).is_none());
+        assert_eq!(task(&g, &workers[1], 1), Some(42));
+        assert!(task(&g, &workers[1], 1).is_none());
     }
 }

@@ -24,13 +24,6 @@ pub struct WallSegment {
     pub end_ns: u64,
 }
 
-impl WallSegment {
-    /// Execution duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns - self.start_ns
-    }
-}
-
 /// Rebuilds [`WallSegment`]s from a unified obs event stream — the thin-view
 /// inverse of the runtime's `"rt.task"` `Complete` events.
 ///
@@ -55,71 +48,9 @@ pub fn wall_segments(events: &[Event], t0_ns: u64) -> Vec<WallSegment> {
     segs
 }
 
-/// Computes per-group busy nanoseconds from a trace.
-pub fn group_busy_ns(segments: &[WallSegment], n_groups: usize) -> Vec<u64> {
-    let mut busy = vec![0u64; n_groups];
-    for s in segments {
-        busy[s.group as usize] += s.duration_ns();
-    }
-    busy
-}
-
-/// Length of the union of a group's active intervals, in nanoseconds: the
-/// composite-resource activity used to spot whole-process idleness.
-pub fn group_active_ns(segments: &[WallSegment], group: u32) -> u64 {
-    let mut spans: Vec<(u64, u64)> = segments
-        .iter()
-        .filter(|s| s.group == group)
-        .map(|s| (s.start_ns, s.end_ns))
-        .collect();
-    spans.sort_unstable();
-    let mut total = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
-    for (a, b) in spans {
-        match cur {
-            None => cur = Some((a, b)),
-            Some((ca, cb)) => {
-                if a <= cb {
-                    cur = Some((ca, cb.max(b)));
-                } else {
-                    total += cb - ca;
-                    cur = Some((a, b));
-                }
-            }
-        }
-    }
-    if let Some((a, b)) = cur {
-        total += b - a;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn seg(group: u32, start: u64, end: u64) -> WallSegment {
-        WallSegment {
-            task: 0,
-            group,
-            worker: 0,
-            start_ns: start,
-            end_ns: end,
-        }
-    }
-
-    #[test]
-    fn busy_sums_durations() {
-        let segs = vec![seg(0, 0, 10), seg(0, 5, 15), seg(1, 0, 3)];
-        assert_eq!(group_busy_ns(&segs, 2), vec![20, 3]);
-    }
-
-    #[test]
-    fn active_merges_overlaps() {
-        let segs = vec![seg(0, 0, 10), seg(0, 5, 15), seg(0, 20, 25)];
-        assert_eq!(group_active_ns(&segs, 0), 15 + 5);
-        assert_eq!(group_active_ns(&segs, 1), 0);
-    }
 
     #[test]
     fn wall_segments_unpacks_and_rebases() {

@@ -94,6 +94,18 @@ pub struct SolverArrays {
     pub u0: SharedArray<[f64; 5]>,
 }
 
+/// What every task body works on: the mesh, its domain decomposition and
+/// the shared state arrays.
+#[derive(Clone, Copy)]
+pub struct Fields<'a> {
+    /// The mesh.
+    pub mesh: &'a Mesh,
+    /// Its decomposition into domains (the task → objects map).
+    pub dd: &'a DomainDecomposition,
+    /// The state the tasks read and write.
+    pub arrays: &'a SolverArrays,
+}
+
 /// Computes fluxes for every face of `(domain, τ, class)`.
 ///
 /// # Safety
@@ -102,9 +114,7 @@ pub struct SolverArrays {
 /// `tempart-taskgraph`) are satisfied; this guarantees exclusive access to
 /// the face entries and read-stability of the adjacent cell states.
 pub unsafe fn face_task(
-    mesh: &Mesh,
-    dd: &DomainDecomposition,
-    arrays: &SolverArrays,
+    Fields { mesh, dd, arrays }: Fields<'_>,
     domain: u32,
     tau: u8,
     class: ObjectClass,
@@ -163,11 +173,8 @@ pub enum CellStage {
 /// # Safety
 ///
 /// Same contract as [`face_task`].
-#[allow(clippy::too_many_arguments)]
 pub unsafe fn cell_task(
-    mesh: &Mesh,
-    dd: &DomainDecomposition,
-    arrays: &SolverArrays,
+    Fields { mesh, dd, arrays }: Fields<'_>,
     domain: u32,
     tau: u8,
     class: ObjectClass,
@@ -259,18 +266,14 @@ mod tests {
             flux: SharedArray::new(vec![[0.0; 5]; m.n_faces()]),
             u0: SharedArray::new(vec![[0.0; 5]; m.n_cells()]),
         };
+        let fields = Fields {
+            mesh: &m,
+            dd: &dd,
+            arrays: &arrays,
+        };
         unsafe {
-            face_task(&m, &dd, &arrays, 0, 0, ObjectClass::Internal, None);
-            cell_task(
-                &m,
-                &dd,
-                &arrays,
-                0,
-                0,
-                ObjectClass::Internal,
-                0.01,
-                CellStage::Euler,
-            );
+            face_task(fields, 0, 0, ObjectClass::Internal, None);
+            cell_task(fields, 0, 0, ObjectClass::Internal, 0.01, CellStage::Euler);
         }
         let mut u = arrays.u;
         for (after, before) in u.to_vec().iter().zip(&state.u) {
@@ -303,18 +306,14 @@ mod tests {
             flux: SharedArray::new(vec![[0.0; 5]; m.n_faces()]),
             u0: SharedArray::new(vec![[0.0; 5]; m.n_cells()]),
         };
+        let fields = Fields {
+            mesh: &m,
+            dd: &dd,
+            arrays: &arrays,
+        };
         unsafe {
-            face_task(&m, &dd, &arrays, 0, 0, ObjectClass::Internal, None);
-            cell_task(
-                &m,
-                &dd,
-                &arrays,
-                0,
-                0,
-                ObjectClass::Internal,
-                1e-3,
-                CellStage::Euler,
-            );
+            face_task(fields, 0, 0, ObjectClass::Internal, None);
+            cell_task(fields, 0, 0, ObjectClass::Internal, 1e-3, CellStage::Euler);
         }
         let mut u = arrays.u;
         let after_state = EulerState { u: u.to_vec() };

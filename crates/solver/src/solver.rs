@@ -1,13 +1,13 @@
 //! The iteration driver: task-graph execution of the adaptive scheme.
 
-use crate::kernels::{cell_task, face_task, CellStage, SharedArray, SolverArrays};
+use crate::kernels::{cell_task, face_task, CellStage, Fields, SharedArray, SolverArrays};
 use crate::state::{EulerState, Primitive};
 use crate::timestep::stable_dt;
 use crate::viscous::Viscosity;
 use tempart_graph::PartId;
 use tempart_mesh::Mesh;
 use tempart_obs::Recorder;
-use tempart_runtime::{execute_traced, ExecReport, RuntimeConfig};
+use tempart_runtime::{execute, ExecReport, RuntimeConfig};
 use tempart_taskgraph::{
     generate_taskgraph, DomainDecomposition, ObjectClass, TaskGraph, TaskGraphConfig, TaskKind,
 };
@@ -122,6 +122,11 @@ impl<'m> Solver<'m> {
         } else {
             ObjectClass::Internal
         };
+        let fields = Fields {
+            mesh: self.mesh,
+            dd: &self.dd,
+            arrays: &self.arrays,
+        };
         // SAFETY: called with the task's DAG dependencies satisfied (either
         // by the runtime or by serial in-order execution), which is exactly
         // the contract of the kernels.
@@ -129,9 +134,7 @@ impl<'m> Solver<'m> {
             match task.kind {
                 TaskKind::FaceExternal | TaskKind::FaceInternal => {
                     face_task(
-                        self.mesh,
-                        &self.dd,
-                        &self.arrays,
+                        fields,
                         task.domain,
                         task.tau,
                         class,
@@ -145,16 +148,7 @@ impl<'m> Solver<'m> {
                         (TimeIntegration::Heun, 0) => CellStage::HeunPredict,
                         (TimeIntegration::Heun, _) => CellStage::HeunCorrect,
                     };
-                    cell_task(
-                        self.mesh,
-                        &self.dd,
-                        &self.arrays,
-                        task.domain,
-                        task.tau,
-                        class,
-                        dt_tau,
-                        stage,
-                    );
+                    cell_task(fields, task.domain, task.tau, class, dt_tau, stage);
                 }
             }
         }
@@ -163,23 +157,19 @@ impl<'m> Solver<'m> {
     /// Runs one full iteration (all subiterations) on the threaded runtime.
     ///
     /// `group_of[d]` maps domain `d` to a process group of `runtime`.
-    pub fn run_iteration(&mut self, runtime: &RuntimeConfig, group_of: &[usize]) -> ExecReport {
-        self.run_iteration_traced(runtime, group_of, Recorder::off())
-    }
-
-    /// Like [`Solver::run_iteration`], recording structured events into
-    /// `rec`: a `"solver.iteration"` wall span around the whole iteration
-    /// (`a` = task count) plus the runtime's own `rt.*` events, followed by
-    /// a `"solver.dt0"` counter carrying the next iteration's finest-level
+    /// Structured events go into `rec` (pass [`Recorder::off`] for none): a
+    /// `"solver.iteration"` wall span around the whole iteration (`a` = task
+    /// count) plus the runtime's own `rt.*` events, followed by a
+    /// `"solver.dt0"` counter carrying the next iteration's finest-level
     /// time step (f64 bits).
-    pub fn run_iteration_traced(
+    pub fn run_iteration(
         &mut self,
         runtime: &RuntimeConfig,
         group_of: &[usize],
         rec: &Recorder,
     ) -> ExecReport {
         let span = rec.span("solver.iteration", 0, self.graph.len() as u64);
-        let report = execute_traced(&self.graph, runtime, group_of, rec, |id, _| {
+        let report = execute(&self.graph, runtime, group_of, rec, |id, _| {
             self.run_task(id)
         });
         self.finish_iteration();
@@ -373,7 +363,7 @@ mod tests {
         let mut parallel = Solver::new(&m, &part, 2, SolverConfig::default(), &init);
         serial.run_iteration_serial();
         let rt = RuntimeConfig::new(2, 2);
-        parallel.run_iteration(&rt, &[0, 1]);
+        parallel.run_iteration(&rt, &[0, 1], Recorder::off());
         let us = serial.state();
         let up = parallel.state();
         for (a, b) in us.u.iter().zip(&up.u) {
@@ -470,7 +460,7 @@ mod tests {
         let mut serial = Solver::new(&m, &part, 2, cfg, &init);
         let mut parallel = Solver::new(&m, &part, 2, cfg, &init);
         serial.run_iteration_serial();
-        parallel.run_iteration(&RuntimeConfig::new(2, 2), &[0, 1]);
+        parallel.run_iteration(&RuntimeConfig::new(2, 2), &[0, 1], Recorder::off());
         for (a, b) in serial.state().u.iter().zip(&parallel.state().u) {
             for k in 0..5 {
                 assert!((a[k] - b[k]).abs() < 1e-14, "heun serial/parallel mismatch");
@@ -494,7 +484,7 @@ mod tests {
             blast_initial([0.5, 0.5, 0.5], 0.2),
         );
         let rt = RuntimeConfig::new(2, 2);
-        let report = s.run_iteration(&rt, &[0, 1]);
+        let report = s.run_iteration(&rt, &[0, 1], Recorder::off());
         assert_eq!(report.executed, s.graph().len());
         assert!(s.state().is_physical());
     }

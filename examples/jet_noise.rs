@@ -6,6 +6,7 @@
 
 use tempart::core_api::{decompose, PartitionStrategy};
 use tempart::mesh::{GeneratorConfig, MeshCase};
+use tempart::obs::Recorder;
 use tempart::runtime::RuntimeConfig;
 use tempart::solver::{blast_initial, Solver, SolverConfig};
 use tempart::taskgraph::stats::block_process_map;
@@ -46,7 +47,7 @@ fn main() {
     let before = solver.totals();
     let runtime = RuntimeConfig::new(2, 2);
     for it in 0..4 {
-        let report = solver.run_iteration(&runtime, &group_of);
+        let report = solver.run_iteration(&runtime, &group_of, Recorder::off());
         println!(
             "iteration {it}: {} tasks in {:?}, simulated time t = {:.5}",
             report.executed, report.wall, solver.time

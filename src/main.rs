@@ -636,7 +636,7 @@ fn cmd_solve(o: &Options) -> Result<(), String> {
     let group_of = block_process_map(o.domains, o.groups);
     let before = solver.totals();
     for it in 0..o.iterations {
-        let report = solver.run_iteration(&runtime, &group_of);
+        let report = solver.run_iteration(&runtime, &group_of, Recorder::off());
         println!(
             "  iteration {it}: {} tasks in {:?} (t = {:.5})",
             report.executed, report.wall, solver.time

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tempart::core_api::{decompose, PartitionStrategy};
 use tempart::flusim::{simulate, ClusterConfig, Strategy};
 use tempart::mesh::{GeneratorConfig, MeshCase};
+use tempart::obs::Recorder;
 use tempart::runtime::{execute, RuntimeConfig};
 use tempart::taskgraph::{
     generate_taskgraph, stats::block_process_map, DomainDecomposition, TaskGraphConfig,
@@ -43,7 +44,14 @@ fn both_backends_run_every_task_on_the_owning_process() {
     }
 
     // Runtime side.
-    let report = execute(&graph, &RuntimeConfig::new(2, 2), &process_of, |_, _| {});
+    let rec = Recorder::new(graph.len() + 16);
+    let report = execute(
+        &graph,
+        &RuntimeConfig::new(2, 2),
+        &process_of,
+        &rec,
+        |_, _| {},
+    );
     assert_eq!(report.executed, graph.len());
     for s in &report.segments {
         let dom = graph.task(s.task).domain as usize;
@@ -56,9 +64,15 @@ fn runtime_respects_the_same_dag_the_simulator_schedules() {
     let (_mesh, graph, process_of) = setup();
     let stamp = AtomicU64::new(1);
     let finished: Vec<AtomicU64> = (0..graph.len()).map(|_| AtomicU64::new(0)).collect();
-    execute(&graph, &RuntimeConfig::new(2, 2), &process_of, |t, _| {
-        finished[t as usize].store(stamp.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-    });
+    execute(
+        &graph,
+        &RuntimeConfig::new(2, 2),
+        &process_of,
+        Recorder::off(),
+        |t, _| {
+            finished[t as usize].store(stamp.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+        },
+    );
     for t in 0..graph.len() as u32 {
         for &p in graph.preds(t) {
             assert!(
@@ -90,7 +104,14 @@ fn simulator_busy_time_equals_runtime_task_count_weighting() {
     );
     assert_eq!(sim.busy, expected);
 
-    let report = execute(&graph, &RuntimeConfig::new(2, 1), &process_of, |_, _| {});
+    let rec = Recorder::new(graph.len() + 16);
+    let report = execute(
+        &graph,
+        &RuntimeConfig::new(2, 1),
+        &process_of,
+        &rec,
+        |_, _| {},
+    );
     let mut counts = vec![0usize; 2];
     for s in &report.segments {
         counts[s.group as usize] += 1;

@@ -7,13 +7,14 @@
 //!   more overlapping task spans than it has cores;
 //! * runtime: the per-worker `rt.local + rt.inject + rt.steal` acquisition
 //!   counters sum to exactly the DAG size (every task acquired once), under
-//!   both a single worker and a contended 4-worker group.
+//!   a single worker, a contended 4-worker group, and two 2-worker groups
+//!   that hand tasks to each other through their injectors.
 
 use tempart::core_api::{decompose, PartitionStrategy};
 use tempart::flusim::{simulate_traced, ClusterConfig, Strategy};
 use tempart::mesh::{Mesh, Octree, OctreeConfig, TemporalScheme};
 use tempart::obs::{replay, Recorder};
-use tempart::runtime::{execute_traced, RuntimeConfig};
+use tempart::runtime::{execute, RuntimeConfig};
 use tempart::taskgraph::{
     generate_taskgraph, stats::block_process_map, DomainDecomposition, TaskGraphConfig,
 };
@@ -114,22 +115,23 @@ proptest! {
         seed in 0u64..100,
     ) {
         let g = random_taskgraph(r1, r2, levels, k, seed);
-        let group_of = vec![0usize; k];
-        for workers in [1usize, 4] {
+        for (groups, per_group) in [(1usize, 1usize), (1, 4), (2, 2)] {
+            let group_of: Vec<usize> = (0..k).map(|d| d % groups).collect();
+            let workers = groups * per_group;
             let rec = Recorder::new(4 * g.len() + 64);
-            let cfg = RuntimeConfig::new(1, workers);
-            let report = execute_traced(&g, &cfg, &group_of, &rec, |_, _| {});
+            let cfg = RuntimeConfig::new(groups, per_group);
+            let report = execute(&g, &cfg, &group_of, &rec, |_, _| {});
             prop_assert_eq!(report.executed, g.len());
             prop_assert_eq!(report.segments.len(), g.len());
             let trace = rec.take();
             prop_assert_eq!(trace.dropped, 0);
             // Steal + local + inject acquisitions conserve the task count.
             let exec = trace.counter_total("rt.exec");
-            prop_assert_eq!(exec as usize, g.len(), "workers={workers}");
+            prop_assert_eq!(exec as usize, g.len(), "{groups} × {per_group}");
             let by_path = trace.counter_total("rt.local")
                 + trace.counter_total("rt.inject")
                 + trace.counter_total("rt.steal");
-            prop_assert_eq!(by_path, exec, "workers={workers}");
+            prop_assert_eq!(by_path, exec, "{groups} × {per_group}");
             // One rt.task event per task; a worker runs one task at a time.
             prop_assert_eq!(trace.named("rt.task").count(), g.len());
             for w in 0..workers as u32 {

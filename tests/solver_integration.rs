@@ -3,6 +3,7 @@
 
 use tempart::core_api::{decompose, PartitionStrategy};
 use tempart::mesh::{GeneratorConfig, MeshCase};
+use tempart::obs::Recorder;
 use tempart::runtime::RuntimeConfig;
 use tempart::solver::{blast_initial, Solver, SolverConfig};
 use tempart::taskgraph::stats::block_process_map;
@@ -63,7 +64,7 @@ fn threaded_runtime_matches_serial_multilevel() {
     let mut threaded = Solver::new(&mesh, &part, 4, SolverConfig::default(), &init);
     serial.run_iteration_serial();
     let rt = RuntimeConfig::new(2, 2);
-    threaded.run_iteration(&rt, &block_process_map(4, 2));
+    threaded.run_iteration(&rt, &block_process_map(4, 2), Recorder::off());
     let us = serial.state();
     let ut = threaded.state();
     for (a, b) in us.u.iter().zip(&ut.u) {
