@@ -122,40 +122,45 @@ pub fn parse_metis_graph(text: &str) -> Result<CsrGraph, MetisParseError> {
                 reason: "more vertex lines than the header declares".into(),
             });
         }
+        let bad = |reason: String| MetisParseError::BadLine {
+            line: line_no,
+            reason,
+        };
         let mut tokens = line.split_whitespace().map(|t| {
-            t.parse::<u64>().map_err(|_| MetisParseError::BadLine {
-                line: line_no,
-                reason: format!("not a number: {t}"),
-            })
+            t.parse::<u64>()
+                .map_err(|_| bad(format!("not a number: {t}")))
         });
+        let weight = |x: u64| {
+            Weight::try_from(x).map_err(|_| bad(format!("weight {x} exceeds {}", Weight::MAX)))
+        };
         if has_vwgt {
             let mut w = Vec::with_capacity(ncon);
             for _ in 0..ncon {
-                let x = tokens.next().ok_or_else(|| MetisParseError::BadLine {
-                    line: line_no,
-                    reason: "missing vertex weights".into(),
-                })??;
-                w.push(x as Weight);
+                let x = tokens
+                    .next()
+                    .ok_or_else(|| bad("missing vertex weights".into()))??;
+                w.push(weight(x)?);
             }
             builder.set_vertex_weights(v, &w);
         }
         while let Some(u) = tokens.next() {
             let u = u?;
             if u == 0 || u as usize > nvtx {
-                return Err(MetisParseError::BadLine {
-                    line: line_no,
-                    reason: format!("neighbour {u} out of range (ids are 1-based)"),
-                });
+                return Err(bad(format!("neighbour {u} out of range (ids are 1-based)")));
+            }
+            let u = (u - 1) as u32;
+            if u == v {
+                return Err(bad(format!("self-loop on vertex {}", u + 1)));
             }
             let w = if has_ewgt {
-                tokens.next().ok_or_else(|| MetisParseError::BadLine {
-                    line: line_no,
-                    reason: "missing edge weight".into(),
-                })?? as Weight
+                weight(
+                    tokens
+                        .next()
+                        .ok_or_else(|| bad("missing edge weight".into()))??,
+                )?
             } else {
                 1
             };
-            let u = (u - 1) as u32;
             found_edges += 1;
             // Each undirected edge appears in both endpoint lines; add it
             // once, from the lower endpoint.
@@ -297,6 +302,45 @@ mod tests {
                 "3 vertices declared, 2 lines follow".into()
             ))
         );
+    }
+
+    #[test]
+    fn weights_above_u32_are_rejected_not_truncated() {
+        // 5000000000 used to become 705032704 through `as Weight`.
+        for (text, line) in [
+            ("2 1 10\n5000000000 2\n1 1\n", 2),
+            ("2 1 11 2\n1 1 2 3\n1 4294967296 1 3\n", 3),
+            ("2 1 1\n2 5000000000\n1 5000000000\n", 2),
+        ] {
+            let err = parse_metis_graph(text).expect_err(text);
+            assert!(
+                matches!(&err, MetisParseError::BadLine { line: l, reason }
+                    if *l == line && reason.contains("exceeds 4294967295")),
+                "{text:?}: {err}"
+            );
+        }
+        // The largest weight that fits is kept exactly.
+        let g = parse_metis_graph("2 1 11\n4294967295 2 4294967295\n1 1 4294967295\n").unwrap();
+        assert_eq!(g.vertex_weights(0), &[u32::MAX]);
+        assert_eq!(g.edge_weights(0).collect::<Vec<_>>(), vec![u32::MAX]);
+    }
+
+    #[test]
+    fn self_loops_are_rejected_not_counted_as_edges() {
+        // Both lines list a self-loop beside the one real edge, so the body
+        // held the 2 · 2 adjacency entries the header asks for and parsed as
+        // a 1-edge graph.
+        assert_eq!(
+            parse_metis_graph("2 2\n1 2\n1 2\n"),
+            Err(MetisParseError::BadLine {
+                line: 2,
+                reason: "self-loop on vertex 1".into()
+            })
+        );
+        assert!(matches!(
+            parse_metis_graph("3 1 1\n2 1\n1 1 2 5\n\n"),
+            Err(MetisParseError::BadLine { line: 3, .. })
+        ));
     }
 
     #[test]

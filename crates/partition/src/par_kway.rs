@@ -204,14 +204,27 @@ impl Candidates {
     /// vertices with `fresh` (sorted by (pair key, vertex), entries of dirty
     /// vertices only, so the two streams share no entry). A pair left
     /// without entries is not emitted; a key only `fresh` carries opens a
-    /// new pair.
+    /// new pair. A *clean* old pair — no dirty entry, no fresh entry under
+    /// its key — is copied whole; only touched pairs merge entry by entry.
     fn merge(&mut self, part: &[PartId], old: &Candidates, dirty: &[bool], fresh: &[Entry]) {
         self.pairs.clear();
         self.off.clear();
         self.list.clear();
         let mut fresh = fresh.iter().map(|&e| (key_of(part, e), e)).peekable();
         for (pi, &key) in old.pairs.iter().enumerate() {
-            for &e in old.of(pi) {
+            while let Some((k, f)) = fresh.next_if(|&(k, _)| k < key) {
+                self.push(k, f);
+            }
+            let entries = old.of(pi);
+            let touched = fresh.peek().is_some_and(|&(k, _)| k == key)
+                || entries.iter().any(|e| dirty[e.1 as usize]);
+            if !touched {
+                self.pairs.push(key);
+                self.off.push(self.list.len());
+                self.list.extend_from_slice(entries);
+                continue;
+            }
+            for &e in entries {
                 if dirty[e.1 as usize] {
                     continue;
                 }
@@ -312,7 +325,8 @@ fn scatter_by(
 /// neighbours, so after a batch of moves only the moved cells and their
 /// neighbours (the dirty set) can own different entries. [`patch`]
 /// regenerates exactly those from the current `part` and merges them, in
-/// one ordered pass, with the old lists minus the dirty cells — the result
+/// one ordered pass, with the old lists minus the dirty cells (a pair they
+/// do not touch is copied whole) — the result
 /// is what [`build`] would produce for the same `part`, which debug builds
 /// assert after every patch.
 ///
@@ -607,6 +621,7 @@ mod tests {
     use super::*;
     use tempart_graph::builder::grid_graph;
     use tempart_graph::{edge_cut, max_imbalance};
+    use tempart_testkit::rng::Rng;
 
     fn scattered(n: u64, k: u64) -> Vec<PartId> {
         (0..n)
@@ -655,6 +670,144 @@ mod tests {
         let keys: Vec<(u32, u32)> = order.iter().map(|&pi| (colours[pi as usize], pi)).collect();
         assert_eq!(keys.len(), pairs.len());
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+    }
+
+    /// Lists holding `entries` (unique `(b, v)`, `b != part[v]`) under
+    /// `part`, in (pair key, vertex) order.
+    fn lists(part: &[PartId], mut entries: Vec<Entry>) -> Candidates {
+        entries.sort_by_key(|&e| (key_of(part, e), e.1));
+        let mut out = Candidates::default();
+        for e in entries {
+            out.push(key_of(part, e), e);
+        }
+        out.off.push(out.list.len());
+        out
+    }
+
+    /// The merge entry by entry, for every pair: the reference the
+    /// clean-pair copy of [`Candidates::merge`] must reproduce.
+    fn merge_by_entry(
+        part: &[PartId],
+        old: &Candidates,
+        dirty: &[bool],
+        fresh: &[Entry],
+    ) -> Candidates {
+        let mut out = Candidates::default();
+        let mut fresh = fresh.iter().map(|&e| (key_of(part, e), e)).peekable();
+        for (pi, &key) in old.pairs.iter().enumerate() {
+            for &e in old.of(pi) {
+                if dirty[e.1 as usize] {
+                    continue;
+                }
+                while let Some((k, f)) = fresh.next_if(|&(k, f)| (k, f.1) < (key, e.1)) {
+                    out.push(k, f);
+                }
+                out.push(key, e);
+            }
+        }
+        for (k, f) in fresh {
+            out.push(k, f);
+        }
+        out.off.push(out.list.len());
+        out
+    }
+
+    fn merged(part: &[PartId], old: &Candidates, dirty: &[bool], fresh: &[Entry]) -> Candidates {
+        let mut fresh = fresh.to_vec();
+        fresh.sort_by_key(|&e| (key_of(part, e), e.1));
+        let mut out = Candidates::default();
+        out.merge(part, old, dirty, &fresh);
+        assert_eq!(out, merge_by_entry(part, old, dirty, &fresh));
+        out
+    }
+
+    #[test]
+    fn clean_pair_copy_merges_like_the_entry_by_entry_merge() {
+        // Ten vertices; `part` is the partition after the moves, `old` the
+        // lists before them, `dirty` the vertices whose entries the merge
+        // replaces by `fresh`.
+        let part: Vec<PartId> = vec![0, 0, 1, 1, 2, 2, 3, 3, 0, 1];
+        let flags = |vs: &[u32]| -> Vec<bool> { (0..10).map(|v| vs.contains(&v)).collect() };
+        let old = lists(
+            &part,
+            vec![
+                (1, 0),
+                (1, 1),
+                (0, 2),
+                (0, 9),
+                (2, 3),
+                (1, 4),
+                (1, 5),
+                (2, 9),
+            ],
+        );
+        assert_eq!(old.pairs, [(0, 1), (1, 2)]);
+        assert_eq!(old.of(0), [(1, 0), (1, 1), (0, 2), (0, 9)]);
+
+        // A pair whose entries are all dirty, and nothing fresh: it drops
+        // (vertex 9 also leaves the pair before it).
+        let out = merged(&part, &old, &flags(&[3, 4, 5, 9]), &[]);
+        assert_eq!(out.pairs, [(0, 1)]);
+        assert_eq!(out.list, [(1, 0), (1, 1), (0, 2)]);
+        // ... and re-filled by fresh entries of the same cells, it stays.
+        let out = merged(
+            &part,
+            &old,
+            &flags(&[3, 4, 5, 9]),
+            &[(0, 9), (2, 9), (1, 5)],
+        );
+        assert_eq!(out.pairs, [(0, 1), (1, 2)]);
+        assert_eq!((out.of(0), out.of(1)), (old.of(0), &[(1, 5), (2, 9)][..]));
+
+        // A fresh-only pair opened between two clean pairs: (0, 3) sorts
+        // between (0, 1) and (1, 2), whose lists are copied whole.
+        let out = merged(&part, &old, &flags(&[7]), &[(0, 7)]);
+        assert_eq!(out.pairs, [(0, 1), (0, 3), (1, 2)]);
+        assert_eq!((out.of(0), out.of(2)), (old.of(0), old.of(1)));
+        assert_eq!(out.of(1), [(0, 7)]);
+
+        // A fresh entry landing inside an otherwise clean pair: vertex 8
+        // had no entry, and slots in between vertices 2 and 9.
+        let out = merged(&part, &old, &flags(&[8]), &[(1, 8)]);
+        assert_eq!(out.pairs, [(0, 1), (1, 2)]);
+        assert_eq!(out.of(0), [(1, 0), (1, 1), (0, 2), (1, 8), (0, 9)]);
+        assert_eq!(out.of(1), old.of(1));
+
+        // Empty old lists (the whole-graph build's merge), with and without
+        // fresh entries, in either empty form.
+        let fresh = [(2, 3), (0, 2), (1, 0), (0, 7)];
+        for empty in [Candidates::default(), lists(&part, Vec::new())] {
+            assert_eq!(
+                merged(&part, &empty, &[], &fresh),
+                lists(&part, fresh.to_vec())
+            );
+            assert_eq!(merged(&part, &empty, &[], &[]), lists(&part, Vec::new()));
+        }
+
+        // Random lists, dirty sets and moves of the dirty vertices.
+        fn entries(part: &[PartId], vs: impl Iterator<Item = u32>, rng: &mut Rng) -> Vec<Entry> {
+            let mut out = Vec::new();
+            for v in vs {
+                for b in 0..6 {
+                    if b != part[v as usize] && rng.gen_range(0..4) == 0 {
+                        out.push((b, v));
+                    }
+                }
+            }
+            out
+        }
+        let mut rng = Rng::seed_from_u64(0x3E_26E);
+        for _ in 0..200 {
+            let n = rng.gen_range(1..40u32);
+            let mut part: Vec<PartId> = (0..n).map(|_| rng.gen_range(0..6)).collect();
+            let old = lists(&part, entries(&part, 0..n, &mut rng));
+            let dirty: Vec<bool> = (0..n).map(|_| rng.gen_range(0..5) == 0).collect();
+            for v in (0..n as usize).filter(|&v| dirty[v]) {
+                part[v] = rng.gen_range(0..6);
+            }
+            let fresh = entries(&part, (0..n).filter(|&v| dirty[v as usize]), &mut rng);
+            merged(&part, &old, &dirty, &fresh);
+        }
     }
 
     #[test]

@@ -31,14 +31,24 @@
 //!    tables, the allowance, and the boundary pair and candidate lists
 //!    (`par_kway::Boundary`), built from the whole graph once, before round
 //!    0. What is **patched**: those lists, before every later round, around
-//!    the cells the previous round moved — so a round costs what it moved
-//!    plus one pass over the boundary, not a sweep of the mesh. The
-//!    dirty-set argument: an entry `(pair, v)` of the lists depends only on
-//!    `part[v]` and the parts of `v`'s neighbours; a round changes `part`
-//!    only at the cells its transfers log; so only *moved ∪ neighbours of
-//!    moved* can own different entries, and regenerating exactly those
-//!    reproduces the whole-graph build (asserted after every patch in debug
-//!    builds).
+//!    the cells the previous round moved — so a round costs what it moved,
+//!    not a sweep of the mesh. The dirty-set argument: an entry `(pair, v)`
+//!    of the lists depends only on `part[v]` and the parts of `v`'s
+//!    neighbours; a round changes `part` only at the cells its transfers
+//!    log; so only *moved ∪ neighbours of moved* can own different entries,
+//!    and regenerating exactly those reproduces the whole-graph build
+//!    (asserted after every patch in debug builds). The patch merges
+//!    entry by entry only the pairs those entries touch; every other pair's
+//!    list is copied whole.
+//!
+//! What else a round reads is what its plan asks for. The sub-cell
+//! promotion ([`diffusion_flows`]) is the only reader of realizability
+//! ("does this pair's boundary hold a cell of constraint `c` on this
+//! side?") and of the part → pair incidence: [`OnDemand`] builds the
+//! incidence (one pass over the pairs) on a round's first question, so an
+//! over-allowance part visits its own pairs rather than all of them, and
+//! answers each realizability question with an early-exit scan of one
+//! pair's candidates, memoized for the round.
 //!
 //! # Realization and determinism
 //!
@@ -175,40 +185,139 @@ fn build_allowance(tot: &[i64], k: usize, ncon: usize, base: &PartitionConfig, o
     }
 }
 
-/// The diffusion solve of one round: writes one quantized flow target per
-/// (pair, constraint) into `plan.flow` (`pairs.len() * ncon`, positive = weight
-/// should move `p → q` for the pair `(p, q)` with `p < q`). Constraints
-/// whose every part already sits within its allowance (the deadband) and
-/// constraints with zero total weight contribute no flow. Returns `true`
-/// if any flow target is non-zero.
+/// The two questions the sub-cell promotion of [`diffusion_flows`] asks
+/// about a round's pairs. [`OnDemand`] answers them for the solver; the
+/// tests answer them from whole-boundary oracles and compare the plans.
+trait PairIndex {
+    /// The indices of the pairs incident to part `p`, ascending.
+    fn incident(&mut self, p: usize) -> &[u32];
+    /// Whether pair `e`'s boundary holds a cell on `side` (1: the pair's
+    /// `p` side, 2: its `q` side) that carries weight in constraint `c` —
+    /// i.e. whether the pair can move `c` away from that side.
+    fn realizable(&mut self, e: usize, c: usize, side: u8) -> bool;
+}
+
+/// The buffers of [`OnDemand`], on loan from a workspace for one call.
+struct PromotionScratch {
+    /// Per (pair, constraint): bit `side` holds the answer, bit `side << 2`
+    /// says it was asked this round.
+    memo: Vec<u8>,
+    /// Part → incident-pair CSR: `inc[off[p]..off[p + 1]]`.
+    off: Vec<usize>,
+    inc: Vec<u32>,
+}
+
+/// [`PairIndex`] over one round's boundary lists, paying only for what
+/// promotion asks: one pass over the pairs for the incident CSR on the
+/// round's first question (in ascending pair index, so a part visits its
+/// pairs in the order an all-pairs scan would) and, per question, an
+/// early-exit scan of one pair's candidates, memoized for the round.
+struct OnDemand<'a> {
+    graph: &'a CsrGraph,
+    part: &'a [PartId],
+    cands: &'a Candidates,
+    k: usize,
+    scratch: &'a mut PromotionScratch,
+    ready: bool,
+}
+
+impl OnDemand<'_> {
+    /// Clears the memo and builds the incident CSR, once per round.
+    fn prepare(&mut self) {
+        if self.ready {
+            return;
+        }
+        self.ready = true;
+        let pairs = &self.cands.pairs;
+        let PromotionScratch { memo, off, inc } = &mut *self.scratch;
+        memo.clear();
+        memo.resize(pairs.len() * self.graph.ncon(), 0);
+        off.clear();
+        off.resize(self.k + 1, 0);
+        for &(p, q) in pairs {
+            off[p as usize + 1] += 1;
+            off[q as usize + 1] += 1;
+        }
+        for p in 0..self.k {
+            off[p + 1] += off[p];
+        }
+        inc.resize(2 * pairs.len(), 0);
+        for (e, &(p, q)) in pairs.iter().enumerate() {
+            for x in [p as usize, q as usize] {
+                inc[off[x]] = e as u32;
+                off[x] += 1;
+            }
+        }
+        // Each `off[p]` now holds the end of `p`'s run, the start of
+        // `p + 1`'s: shift the offsets back by one part.
+        off.rotate_right(1);
+        off[0] = 0;
+    }
+}
+
+impl PairIndex for OnDemand<'_> {
+    fn incident(&mut self, p: usize) -> &[u32] {
+        self.prepare();
+        let PromotionScratch { off, inc, .. } = &*self.scratch;
+        &inc[off[p]..off[p + 1]]
+    }
+
+    fn realizable(&mut self, e: usize, c: usize, side: u8) -> bool {
+        self.prepare();
+        let (graph, part) = (self.graph, self.part);
+        let slot = &mut self.scratch.memo[e * graph.ncon() + c];
+        let asked = side << 2;
+        if *slot & asked == 0 {
+            let p = self.cands.pairs[e].0;
+            let hit = self.cands.of(e).iter().any(|&(_, v)| {
+                (part[v as usize] == p) == (side == 1) && graph.vertex_weights(v)[c] > 0
+            });
+            *slot |= if hit { asked | side } else { asked };
+        }
+        *slot & side != 0
+    }
+}
+
+/// The diffusion solve's buffers: the quantized flow targets it writes and
+/// its scratch.
+struct Solve {
+    flow: Vec<i64>,
+    x: Vec<f64>,
+    facc: Vec<f64>,
+    fstep: Vec<f64>,
+}
+
+/// The diffusion solve of one round over the boundary `pairs`: writes one
+/// quantized flow target per (pair, constraint) into `solve.flow`
+/// (`pairs.len() * ncon`, positive = weight should move `p → q` for the
+/// pair `(p, q)` with `p < q`). Constraints whose every part already sits
+/// within its allowance (the deadband) and constraints with zero total
+/// weight contribute no flow. Returns `true` if any flow target is
+/// non-zero.
 ///
 /// Deterministic: a fixed number of Jacobi sweeps (flows of one sweep are
 /// computed from the same load snapshot, then applied) in pair-list order,
 /// with the classic stable step `λ = 1 / (maxdeg + 1)` of the part graph.
 ///
-/// `plan.realize` is the per-(pair, constraint) realizability mask from
-/// [`realizable_mask`] (bit 0: some `p`-side boundary cell carries weight
-/// in `c`, bit 1: some `q`-side cell does) — it steers the sub-cell flow
-/// promotion toward pairs whose boundary can actually move that
-/// constraint.
+/// `index` answers the sub-cell flow promotion's questions — which pairs
+/// touch a part, and whether a pair's boundary can move a constraint away
+/// from a side — so promotion only plans flow a boundary move can carry.
 fn diffusion_flows(
-    plan: &mut RoundPlan,
-    k: usize,
-    ncon: usize,
+    solve: &mut Solve,
+    pairs: &[(u32, u32)],
+    allow: &[f64],
     pw: &[i64],
     tot: &[i64],
     config: &RepartConfig,
+    index: &mut impl PairIndex,
 ) -> bool {
-    let RoundPlan {
-        boundary,
-        allow,
-        realize,
+    let (k, ncon) = (config.base.nparts, tot.len());
+    let Solve {
         flow,
         x,
         facc,
         fstep,
-    } = plan;
-    let (pairs, allow, realize) = (&boundary.cands.pairs, &*allow, &*realize);
+    } = solve;
     flow.clear();
     flow.resize(pairs.len() * ncon, 0);
     if pairs.is_empty() {
@@ -280,7 +389,7 @@ fn diffusion_flows(
         // plan, so its sign points across the plateau toward the genuine
         // deficit, and once the unit lands there the recomputed field keeps
         // pointing it onward rather than back. Deterministic: parts
-        // ascending, first maximum wins.
+        // ascending, each part's pairs ascending, first maximum wins.
         for p in 0..k {
             if pw[p * ncon + c] as f64 <= allow[p * ncon + c] {
                 continue;
@@ -288,15 +397,15 @@ fn diffusion_flows(
             let mut has_out = false;
             let mut down: Option<(usize, i64)> = None;
             let mut lateral: Option<(usize, f64)> = None;
-            for (e, &(a, b)) in pairs.iter().enumerate() {
+            for i in 0..index.incident(p).len() {
+                let e = index.incident(p)[i] as usize;
+                let (a, b) = pairs[e];
                 let (other, outflow, outacc, side) = if a as usize == p {
                     (b as usize, flow[e * ncon + c] > 0, facc[e], 1u8)
-                } else if b as usize == p {
-                    (a as usize, flow[e * ncon + c] < 0, -facc[e], 2u8)
                 } else {
-                    continue;
+                    (a as usize, flow[e * ncon + c] < 0, -facc[e], 2u8)
                 };
-                if realize[e * ncon + c] & side == 0 {
+                if !index.realizable(e, c, side) {
                     continue;
                 }
                 let gap = pw[p * ncon + c] - pw[other * ncon + c];
@@ -324,26 +433,6 @@ fn diffusion_flows(
         }
     }
     any
-}
-
-/// Per-(pair, constraint) realizability of the candidate lists: bit 0 set
-/// when some candidate on the pair's `p` side carries weight in `c` (a
-/// `p → q` move of `c` is possible), bit 1 for the `q` side. A pure
-/// function of the round-start partition.
-fn realizable_mask(graph: &CsrGraph, part: &[PartId], cands: &Candidates, out: &mut Vec<u8>) {
-    let ncon = graph.ncon();
-    out.clear();
-    out.resize(cands.pairs.len() * ncon, 0);
-    for (pi, &(p, _)) in cands.pairs.iter().enumerate() {
-        for &(_, v) in cands.of(pi) {
-            let side = if part[v as usize] == p { 1u8 } else { 2u8 };
-            for (c, &w) in graph.vertex_weights(v).iter().enumerate() {
-                if w > 0 {
-                    out[pi * ncon + c] |= side;
-                }
-            }
-        }
-    }
 }
 
 /// Scales the flow plan down so its L1 norm fits `remaining` budget units
@@ -564,15 +653,12 @@ fn transfer_pair(
 /// The state of one call's round plans, in buffers on loan from a
 /// workspace: the allowance table, the boundary pair and candidate lists
 /// (built once, then patched round by round), and per round the
-/// realizability mask, the flow targets, and the solve's scratch.
+/// promotion's index, the flow targets, and the solve's scratch.
 struct RoundPlan {
     allow: Vec<f64>,
     boundary: Boundary,
-    realize: Vec<u8>,
-    flow: Vec<i64>,
-    x: Vec<f64>,
-    facc: Vec<f64>,
-    fstep: Vec<f64>,
+    promotion: PromotionScratch,
+    solve: Solve,
 }
 
 impl RoundPlan {
@@ -594,19 +680,26 @@ impl RoundPlan {
         Self {
             allow,
             boundary,
-            realize: ws.take_u8(),
-            flow: ws.take_i64(),
-            x: ws.take_f64(),
-            facc: ws.take_f64(),
-            fstep: ws.take_f64(),
+            promotion: PromotionScratch {
+                memo: ws.take_u8(),
+                off: ws.take_usize(),
+                inc: ws.take_u32(),
+            },
+            solve: Solve {
+                flow: ws.take_i64(),
+                x: ws.take_f64(),
+                facc: ws.take_f64(),
+                fstep: ws.take_f64(),
+            },
         }
     }
 
     /// Plans one round from the current `part` and the part loads in `ws`:
     /// boundary lists patched around the cells the previous round moved →
-    /// realizability mask → diffusion solve, then the flows scaled to what
-    /// `spent` volume units leave of the migration budget. Returns the
-    /// plan's L1 norm; zero means nothing (more) to realize.
+    /// diffusion solve (asking [`OnDemand`] for what promotion needs), then
+    /// the flows scaled to what `spent` volume units leave of the migration
+    /// budget. Returns the plan's L1 norm; zero means nothing (more) to
+    /// realize.
     fn next(
         &mut self,
         graph: &CsrGraph,
@@ -619,28 +712,55 @@ impl RoundPlan {
         if !self.boundary.moved.is_empty() {
             self.boundary.patch(graph, part, k);
         }
-        if self.boundary.cands.pairs.is_empty() {
-            self.flow.clear();
+        let cands = &self.boundary.cands;
+        if cands.pairs.is_empty() {
+            self.solve.flow.clear();
             return 0;
         }
-        realizable_mask(graph, part, &self.boundary.cands, &mut self.realize);
-        if !diffusion_flows(self, k, graph.ncon(), &ws.kw_pw, &ws.kw_tot, config) {
+        let mut index = OnDemand {
+            graph,
+            part,
+            cands,
+            k,
+            scratch: &mut self.promotion,
+            ready: false,
+        };
+        let (pw, tot) = (&ws.kw_pw, &ws.kw_tot);
+        if !diffusion_flows(
+            &mut self.solve,
+            &cands.pairs,
+            &self.allow,
+            pw,
+            tot,
+            config,
+            &mut index,
+        ) {
             return 0;
         }
+        let flow = &mut self.solve.flow;
         match config.migration_budget {
-            Some(b) => scale_flows(&mut self.flow, b.saturating_sub(spent)),
-            None => self.flow.iter().map(|f| f.unsigned_abs()).sum(),
+            Some(b) => scale_flows(flow, b.saturating_sub(spent)),
+            None => flow.iter().map(|f| f.unsigned_abs()).sum(),
         }
     }
 
     /// Returns the buffers to `ws`, in reverse order of [`Self::begin`] so
     /// the next call finds each one in the same role.
     fn end(self, ws: &mut PartitionWorkspace) {
-        ws.give_f64(self.fstep);
-        ws.give_f64(self.facc);
-        ws.give_f64(self.x);
-        ws.give_i64(self.flow);
-        ws.give_u8(self.realize);
+        let Solve {
+            flow,
+            x,
+            facc,
+            fstep,
+        } = self.solve;
+        ws.give_f64(fstep);
+        ws.give_f64(facc);
+        ws.give_f64(x);
+        ws.give_i64(flow);
+        let PromotionScratch { memo, off, inc } = self.promotion;
+        ws.give_u32(inc);
+        ws.give_usize(off);
+        ws.give_u8(memo);
         ws.boundary = self.boundary;
         ws.give_f64(self.allow);
     }
@@ -667,7 +787,7 @@ pub fn diffusion_plan(
     let mut ws = PartitionWorkspace::new();
     let mut plan = RoundPlan::begin(graph, part, config, &mut ws);
     plan.next(graph, part, config, &ws, 0);
-    (plan.boundary.cands.pairs, plan.flow)
+    (plan.boundary.cands.pairs, plan.solve.flow)
 }
 
 /// Incremental repartitioning with caller-provided scratch: diffuses the
@@ -720,7 +840,7 @@ pub fn repartition_ws(
         let RoundPlan {
             boundary: Boundary { cands, moved, .. },
             allow,
-            flow,
+            solve: Solve { flow, .. },
             ..
         } = &mut plan;
         let ncolours = colour_pairs(&cands.pairs, k, &mut ws.kw_used, &mut colours);
@@ -1192,6 +1312,150 @@ mod tests {
         }
         // Every shape occurred, not just compiled.
         assert!(emptied >= 8 && created >= 8 && twice >= 8 && whole >= 8);
+    }
+
+    /// The realizability oracle: one pass over every candidate entry. Bit 0
+    /// of `(pair, c)` is set when some candidate on the pair's `p` side
+    /// carries weight in `c` (a `p → q` move of `c` is possible), bit 1 for
+    /// the `q` side.
+    fn realizable_mask(graph: &CsrGraph, part: &[PartId], cands: &Candidates, out: &mut Vec<u8>) {
+        let ncon = graph.ncon();
+        out.clear();
+        out.resize(cands.pairs.len() * ncon, 0);
+        for (pi, &(p, _)) in cands.pairs.iter().enumerate() {
+            for &(_, v) in cands.of(pi) {
+                let side = if part[v as usize] == p { 1u8 } else { 2u8 };
+                for (c, &w) in graph.vertex_weights(v).iter().enumerate() {
+                    if w > 0 {
+                        out[pi * ncon + c] |= side;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`PairIndex`] from the oracles: the mask, and the all-pairs scan for
+    /// a part's incident pairs. Counts the realizability questions asked.
+    struct Oracle {
+        pairs: Vec<(u32, u32)>,
+        mask: Vec<u8>,
+        ncon: usize,
+        scan: Vec<u32>,
+        asked: u64,
+    }
+
+    impl PairIndex for Oracle {
+        fn incident(&mut self, p: usize) -> &[u32] {
+            self.scan.clear();
+            for (e, &(a, b)) in self.pairs.iter().enumerate() {
+                if a as usize == p || b as usize == p {
+                    self.scan.push(e as u32);
+                }
+            }
+            &self.scan
+        }
+
+        fn realizable(&mut self, e: usize, c: usize, side: u8) -> bool {
+            self.asked += 1;
+            self.mask[e * self.ncon + c] & side != 0
+        }
+    }
+
+    /// A grid partitioned under unit weights, then given one-hot weights in
+    /// which the constraints above 0 are rare — about one or two cells per
+    /// part, scattered — so their surpluses are sub-cell and promotion runs,
+    /// and many pairs have no such cell on one side.
+    fn one_hot_case(case: u64, rng: &mut Rng) -> (CsrGraph, Vec<PartId>, usize) {
+        let k = [4usize, 8, 13, 16][case as usize % 4];
+        let ncon = [2usize, 3, 4][case as usize / 4 % 3];
+        let g = grid_graph(rng.gen_range(12usize..28), rng.gen_range(12usize..28));
+        let part = partition_graph(&g, &PartitionConfig::new(k));
+        let n = g.nvtx();
+        let mut vwgt = vec![0u32; n * ncon];
+        for v in 0..n {
+            let c = if rng.gen_range(0..n) < 3 * k / 2 * (ncon - 1) {
+                rng.gen_range(1..ncon)
+            } else {
+                0
+            };
+            vwgt[v * ncon + c] = 1;
+        }
+        (g.with_vertex_weights(vwgt, ncon), part, k)
+    }
+
+    /// On-demand realizability and the incident-pair walk against their
+    /// whole-boundary oracles: every answer, asked in random order and
+    /// again from the memo, is the mask bit; every part's incident pairs
+    /// are the all-pairs scan's; and the plan built with the oracles is
+    /// [`diffusion_plan`]'s.
+    #[test]
+    fn on_demand_promotion_index_matches_the_oracles() {
+        let mut asked = 0;
+        for case in 0..24u64 {
+            let mut rng = Rng::seed_from_u64(0x0DD5_0000 + case);
+            let (g, part, k) = one_hot_case(case, &mut rng);
+            let ncon = g.ncon();
+            let cfg = RepartConfig::new(k);
+            let mut ws = PartitionWorkspace::new();
+            let mut plan = RoundPlan::begin(&g, &part, &cfg, &mut ws);
+            let cands = &plan.boundary.cands;
+            let mut mask = Vec::new();
+            realizable_mask(&g, &part, cands, &mut mask);
+            let mut oracle = Oracle {
+                pairs: cands.pairs.clone(),
+                mask,
+                ncon,
+                scan: Vec::new(),
+                asked: 0,
+            };
+            let mut on_demand = OnDemand {
+                graph: &g,
+                part: &part,
+                cands,
+                k,
+                scratch: &mut plan.promotion,
+                ready: false,
+            };
+            for p in 0..k {
+                assert_eq!(
+                    on_demand.incident(p),
+                    oracle.incident(p),
+                    "case {case} part {p}"
+                );
+            }
+            let slots = oracle.mask.len();
+            let mut ask = |e: usize, c: usize, side: u8| {
+                let want = oracle.mask[e * ncon + c] & side != 0;
+                let got = on_demand.realizable(e, c, side);
+                assert_eq!(got, want, "case {case} pair {e} constraint {c} side {side}");
+            };
+            for _ in 0..2 * slots {
+                let (e, c) = (rng.gen_range(0..slots / ncon), rng.gen_range(0..ncon));
+                ask(e, c, rng.gen_range(1u8..3));
+            }
+            for e in 0..slots / ncon {
+                for c in 0..ncon {
+                    ask(e, c, 1);
+                    ask(e, c, 2);
+                }
+            }
+            let (pw, tot) = (&ws.kw_pw, &ws.kw_tot);
+            diffusion_flows(
+                &mut plan.solve,
+                &cands.pairs,
+                &plan.allow,
+                pw,
+                tot,
+                &cfg,
+                &mut oracle,
+            );
+            let (pairs, flow) = diffusion_plan(&g, &part, &cfg);
+            assert_eq!(pairs, oracle.pairs);
+            assert_eq!(flow, plan.solve.flow, "case {case}");
+            asked += oracle.asked;
+        }
+        // Promotion ran, not just compiled.
+        assert!(asked >= 200, "promotion asked only {asked} questions");
     }
 
     #[test]

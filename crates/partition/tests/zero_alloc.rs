@@ -13,7 +13,9 @@
 //!    the test, whatever the warm-up state.
 //! 3. **Pinned**: a warm `pairwise_kway_refine_ws` / `repartition_ws` call
 //!    performs *zero* heap allocations — boundary lists, their patch
-//!    scratch and the colouring's tables all live in the workspace. (In this
+//!    scratch, the colouring's tables and the diffusion promotion's
+//!    incident-pair index and realizability memo all live in the
+//!    workspace, under one constraint and under three. (In this
 //!    debug-profile binary the patch oracle of `par_kway::Boundary` runs
 //!    inside the measured call, so it is covered too.) A warm
 //!    `partition_graph_with` allocates its result and its uniform targets
@@ -188,14 +190,18 @@ fn warm_pairwise_kway_refine_does_not_allocate() {
     assert_eq!(allocs, 0, "warm call allocated {allocs} times");
 }
 
-#[test]
-fn warm_repartition_does_not_allocate() {
-    let (g, start) = graded_grid();
-    let cfg = RepartConfig::new(16).with_ub(1.05);
+/// Runs `repartition_ws` on `g` from `start` three times on one workspace
+/// and asserts that the third call moved cells over several rounds and
+/// allocated nothing.
+fn assert_warm_repartition_does_not_allocate(
+    g: &tempart_graph::CsrGraph,
+    start: &[u32],
+    cfg: &RepartConfig,
+) {
     let mut ws = PartitionWorkspace::new();
     let run = |ws: &mut PartitionWorkspace| {
-        let mut part = start.clone();
-        count_allocations(|| repartition_ws(&g, &mut part, &cfg, ws))
+        let mut part = start.to_vec();
+        count_allocations(|| repartition_ws(g, &mut part, cfg, ws))
     };
     run(&mut ws);
     run(&mut ws);
@@ -206,4 +212,32 @@ fn warm_repartition_does_not_allocate() {
         "warm call allocated {allocs} times over {} rounds",
         stats.rounds
     );
+}
+
+#[test]
+fn warm_repartition_does_not_allocate() {
+    let (g, start) = graded_grid();
+    assert_warm_repartition_does_not_allocate(&g, &start, &RepartConfig::new(16).with_ub(1.05));
+}
+
+#[test]
+fn warm_multi_constraint_repartition_does_not_allocate() {
+    // `graded_grid`'s partition under three one-hot constraints: the left
+    // third of the columns carries constraint 1 (a graded drift), one cell
+    // in 61 constraint 2 — about nine per part, so its surpluses are
+    // sub-cell and the promotion's incident-pair index and realizability
+    // memo are built and asked in the measured call — the rest constraint 0.
+    let (g, start) = graded_grid();
+    let vwgt = (0..g.nvtx())
+        .flat_map(|v| {
+            let c = if v % 61 == 0 {
+                2
+            } else {
+                usize::from(v % 96 < 32)
+            };
+            (0..3).map(move |x| u32::from(x == c))
+        })
+        .collect();
+    let g = g.with_vertex_weights(vwgt, 3);
+    assert_warm_repartition_does_not_allocate(&g, &start, &RepartConfig::new(16));
 }

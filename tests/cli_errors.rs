@@ -312,6 +312,37 @@ fn io_errors_name_the_file_and_only_usage_errors_print_usage() {
         !stderr.contains("panicked") && !stderr.contains("allocation"),
         "{stderr}"
     );
+    // A weight that does not fit the graph's `u32` and a self-loop were
+    // partitioned silently (truncated; counted as an edge): each is now an
+    // error naming its line.
+    for (name, text, want) in [
+        (
+            "heavy.graph",
+            "2 1 10\n5000000000 2\n1 1\n",
+            "line 2: weight 5000000000 exceeds 4294967295",
+        ),
+        (
+            "loop.graph",
+            "2 2\n1 2\n1 2\n",
+            "line 2: self-loop on vertex 1",
+        ),
+    ] {
+        let graph = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&graph, text).expect("write graph");
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .args(["partition", "--domains", "2", "--graph"])
+            .arg(&graph)
+            .output()
+            .expect("spawn tempart");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert_eq!(
+            stderr.lines().next().unwrap_or(""),
+            format!("error: {}: {want}", graph.display()),
+            "{name}"
+        );
+        assert!(out.stdout.is_empty(), "{name}: printed a report");
+    }
     // A bad option value still gets the usage text, after its error line.
     let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
         .args(["partition", "--domains", "0"])
