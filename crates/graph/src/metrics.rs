@@ -1,5 +1,6 @@
 //! Partition-quality metrics: edge cut, communication volume, imbalance.
 
+use crate::components::PartComponents;
 use crate::{CsrGraph, PartId};
 
 /// Sum of the weights of edges whose endpoints lie in different parts.
@@ -67,18 +68,22 @@ pub fn part_weights(graph: &CsrGraph, part: &[PartId], nparts: usize) -> Vec<Vec
 /// weight is zero report `1.0`.
 pub fn constraint_imbalances(graph: &CsrGraph, part: &[PartId], nparts: usize) -> Vec<f64> {
     let w = part_weights(graph, part, nparts);
-    let ncon = graph.ncon();
-    let mut out = Vec::with_capacity(ncon);
-    for c in 0..ncon {
-        let total: i64 = w.iter().map(|pw| pw[c]).sum();
-        if total == 0 {
-            out.push(1.0);
-            continue;
-        }
-        let maxp = w.iter().map(|pw| pw[c]).max().unwrap_or(0);
-        out.push(maxp as f64 * nparts as f64 / total as f64);
+    (0..graph.ncon())
+        .map(|c| {
+            let total: i64 = w.iter().map(|pw| pw[c]).sum();
+            let maxp = w.iter().map(|pw| pw[c]).max().unwrap_or(0);
+            imbalance(maxp, total, nparts)
+        })
+        .collect()
+}
+
+/// One constraint's imbalance from its heaviest part's load and its total.
+fn imbalance(maxp: i64, total: i64, nparts: usize) -> f64 {
+    if total == 0 {
+        1.0
+    } else {
+        maxp as f64 * nparts as f64 / total as f64
     }
-    out
 }
 
 /// The worst per-constraint imbalance (see [`constraint_imbalances`]).
@@ -171,14 +176,61 @@ pub struct PartitionQuality {
 }
 
 impl PartitionQuality {
-    /// Computes all metrics for `part`.
+    /// Computes all metrics for `part` in one pass over the adjacency: per
+    /// vertex it adds the part's weights, sums the cut edges, counts the
+    /// distinct remote parts and unites same-part neighbours `u < v` in the
+    /// per-part component counter. Equal to [`edge_cut`],
+    /// [`communication_volume`], [`constraint_imbalances`] and
+    /// [`part_connectivity`](crate::part_connectivity) computed one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` has the wrong length or holds a part id `≥ nparts`.
     pub fn measure(graph: &CsrGraph, part: &[PartId], nparts: usize) -> Self {
+        assert_eq!(part.len(), graph.nvtx(), "partition vector length");
+        let ncon = graph.ncon();
+        let mut w = vec![0i64; nparts * ncon];
+        let mut comps = PartComponents::new(graph.nvtx());
+        let (mut cut, mut comm_volume) = (0i64, 0i64);
+        let mut seen: Vec<PartId> = Vec::with_capacity(8);
+        for v in 0..graph.nvtx() as u32 {
+            let pv = part[v as usize];
+            let p = pv as usize;
+            assert!(p < nparts, "part id {p} out of range");
+            for (acc, &x) in w[p * ncon..].iter_mut().zip(graph.vertex_weights(v)) {
+                *acc += i64::from(x);
+            }
+            seen.clear();
+            let (adj, wgt) = graph.adjacency(v);
+            for (&u, &ew) in adj.iter().zip(wgt) {
+                let pu = part[u as usize];
+                if pu != pv {
+                    cut += i64::from(ew);
+                    if !seen.contains(&pu) {
+                        seen.push(pu);
+                    }
+                } else if u < v {
+                    comps.union(u, v);
+                }
+            }
+            comm_volume += seen.len() as i64;
+        }
+        let imbalances = (0..ncon)
+            .map(|c| {
+                let loads = w.iter().skip(c).step_by(ncon);
+                imbalance(
+                    loads.clone().copied().max().unwrap_or(0),
+                    loads.sum(),
+                    nparts,
+                )
+            })
+            .collect();
         Self {
             nparts,
-            edge_cut: edge_cut(graph, part),
-            comm_volume: communication_volume(graph, part),
-            imbalances: constraint_imbalances(graph, part, nparts),
-            part_components: crate::components::part_connectivity(graph, part, nparts),
+            edge_cut: cut / 2,
+            comm_volume,
+            imbalances,
+            part_components: comps.count(),
         }
     }
 
@@ -288,5 +340,63 @@ mod tests {
         assert_eq!(q.comm_volume, 8);
         assert!((q.max_imbalance() - 1.0).abs() < 1e-12);
         assert_eq!(q.part_components, 2);
+    }
+
+    /// A random instance for the quality oracle: `n` vertices with `ncon`
+    /// weights in 0..=4, up to `3n` edges of weight 0..=3 among the first
+    /// `n − n/4` vertices (the rest stay isolated), and `k ≤ n` parts of
+    /// which only the first few are used, so the others are empty.
+    fn random_instance(n: usize, ncon: usize, seed: u64) -> (CsrGraph, Vec<PartId>, usize) {
+        let mut rng = tempart_testkit::rng::Rng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n, ncon);
+        for v in 0..n as u32 {
+            let w: Vec<u32> = (0..ncon).map(|_| rng.bounded_u64(5) as u32).collect();
+            b.set_vertex_weights(v, &w);
+        }
+        let linked = (n - n / 4) as u64;
+        if linked >= 2 {
+            for _ in 0..rng.bounded_u64(3 * n as u64) {
+                let u = rng.bounded_u64(linked) as u32;
+                let v = rng.bounded_u64(linked) as u32;
+                if u != v {
+                    b.add_edge(u, v, rng.bounded_u64(4) as u32);
+                }
+            }
+        }
+        let k = 1 + rng.bounded_u64(n.max(1) as u64) as usize;
+        let used = 1 + rng.bounded_u64(k as u64);
+        let part = (0..n).map(|_| rng.bounded_u64(used) as PartId).collect();
+        (b.build(), part, k)
+    }
+
+    tempart_testkit::proptest! {
+        #![config(cases = 512, seed = 0x0A11_7E57)]
+
+        fn measure_equals_the_standalone_metrics(
+            n in 0usize..48,
+            ncon in 1usize..4,
+            seed in 0u64..1 << 32,
+        ) {
+            let (g, part, k) = random_instance(n, ncon, seed);
+            let oracle = PartitionQuality {
+                nparts: k,
+                edge_cut: edge_cut(&g, &part),
+                comm_volume: communication_volume(&g, &part),
+                imbalances: constraint_imbalances(&g, &part, k),
+                part_components: crate::components::part_connectivity_dfs(&g, &part),
+            };
+            tempart_testkit::prop_assert_eq!(PartitionQuality::measure(&g, &part, k), oracle);
+            tempart_testkit::prop_assert_eq!(
+                crate::part_connectivity(&g, &part, k),
+                oracle.part_components
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "part id 3 out of range")]
+    fn measure_rejects_an_out_of_range_part_id() {
+        // The bad id sits on the last vertex: the sweep must still reach it.
+        PartitionQuality::measure(&grid_graph(4, 1), &[0, 0, 1, 3], 3);
     }
 }

@@ -23,8 +23,11 @@
 //! 3. walks the curve once, cutting it into `k` chunks with a
 //!    running-remainder weight target.
 //!
-//! Every buffer is leased from an [`SfcWorkspace`], so steady-state calls
-//! are allocation-free apart from the returned part vector. The output is
+//! Every buffer is leased from an [`SfcWorkspace`], so a warm call allocates
+//! the returned part vector and the fork-join scopes' job boxes — a few
+//! hundred small blocks, about 18 KiB, whose number follows the worker
+//! count and not `n` (`crates/partition/tests/zero_alloc.rs` pins the
+//! bytes). The output is
 //! **bit-identical at every worker count** and identical to the
 //! comparison-sort path used below the cutoff: both realise the canonical
 //! lexicographic `(key, id)` order (LSD radix is stable, so ties keep
@@ -33,6 +36,26 @@
 //! and the merge visits shards in a fixed order, so `TEMPART_WORKERS` can
 //! only change wall-clock, never bytes (enforced by the `ci.sh` worker
 //! matrix and `tests/property_sfc.rs`).
+//!
+//! # Keys
+//!
+//! Both curves start from the Morton key: 16 bits per axis, bit `b` of
+//! x / y / z at `3b` / `3b+1` / `3b+2`. The Hilbert key is Skilling's
+//! transpose-form construction, computed as a walk over that key instead of
+//! his 45-step loop. At level `b` his transform only permutes and reflects
+//! the axes of the bits *below* `b`, and his final `t` mask XORs level `b`
+//! with the parity of the Gray-coded third axis over the levels above. So
+//! what the levels above `b` leave behind is one of 96 states: an axis
+//! permutation (6), a reflection mask (8) and that parity (2). A `const fn`
+//! applies exactly Skilling's per-level rules to every state and every
+//! 6-bit input of a level pair, into one `static` table of `u16` entries
+//! (the pair's six key bits and the next state). A key is then three
+//! `spread16` plus eight lookups, and equals Skilling's bit for bit by
+//! construction. Level 0's transform only picks the state that the last
+//! lookup discards, so the same table serves all eight pairs. Skilling's
+//! loop stays as the test oracle: `hilbert_oracle` in this module's tests
+//! checks every key on random clouds, dyadic grids and the quantiser's
+//! edges.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use tempart_graph::PartId;
@@ -71,10 +94,15 @@ const RADIX: usize = 1 << RADIX_BITS;
 /// Radix passes needed for a 48-bit key.
 const PASSES: u32 = 3 * BITS / RADIX_BITS;
 
-/// Quantises a coordinate in `[0, 1]` to `BITS` bits.
+/// Quantises a coordinate in `[0, 1]` to `BITS` bits, rounding half away
+/// from zero like `f64::round` without the libm call: for `y ∈ [0, 65535]`
+/// the fraction `y − ⌊y⌋` is exact, so comparing it with 0.5 is the
+/// rounding. NaN maps to 0, ±∞ clamp to the ends.
+#[inline]
 fn quantise(x: f64) -> u64 {
-    let max = (1u64 << BITS) - 1;
-    ((x.clamp(0.0, 1.0) * max as f64).round() as u64).min(max)
+    let y = x.clamp(0.0, 1.0) * ((1u64 << BITS) - 1) as f64;
+    let i = y as u64;
+    i + u64::from(y - i as f64 >= 0.5)
 }
 
 /// Spreads the low 16 bits of `v` so bit `b` lands at bit `3*b` — the
@@ -97,46 +125,104 @@ pub fn morton_index(p: [f64; 3]) -> u64 {
     spread16(x) | spread16(y) << 1 | spread16(z) << 2
 }
 
+/// The six axis permutations a Hilbert state can carry, identity first.
+const PERMS: [[u8; 3]; 6] = [
+    [0, 1, 2],
+    [0, 2, 1],
+    [1, 0, 2],
+    [1, 2, 0],
+    [2, 0, 1],
+    [2, 1, 0],
+];
+
+/// Hilbert states: axis permutation (6) × reflection mask (8) × running
+/// Gray parity (2).
+const STATES: usize = 96;
+
+/// One level of Skilling's transform seen from a state. Axis `j` of the
+/// transformed coordinates reads input axis `perm[j]`, flipped when bit `j`
+/// of `refl` is set; `par` is the XOR of the Gray-coded third axis over the
+/// levels above, which Skilling's final `t` mask applies to this level.
+/// `m` holds the level's input bits in Morton order (x at bit 0). Returns
+/// the level's key digit (transformed axis 0 at bit 2, as in the key) and
+/// the state the levels below see.
+const fn hilbert_level(perm: [u8; 3], refl: u8, par: u8, m: usize) -> (usize, [u8; 3], u8, u8) {
+    let mut a = [0u8; 3];
+    let mut j = 0;
+    while j < 3 {
+        a[j] = ((m >> perm[j]) & 1) as u8 ^ ((refl >> j) & 1);
+        j += 1;
+    }
+    let (g0, g1) = (a[0], a[0] ^ a[1]);
+    let g2 = g1 ^ a[2];
+    let digit = ((g0 ^ par) << 2 | (g1 ^ par) << 1 | (g2 ^ par)) as usize;
+    // The level's three steps on the bits below it: a set bit inverts
+    // axis 0, a clear one swaps axis 0 with axis i (a no-op for i = 0).
+    let (mut perm, mut refl) = (perm, refl);
+    let mut i = 0;
+    while i < 3 {
+        if a[i] == 1 {
+            refl ^= 1;
+        } else if i > 0 {
+            let p = perm[0];
+            perm[0] = perm[i];
+            perm[i] = p;
+            let (r0, ri) = (refl & 1, (refl >> i) & 1);
+            refl ^= (r0 ^ ri) | (r0 ^ ri) << i;
+        }
+        i += 1;
+    }
+    (digit, perm, refl, par ^ g2)
+}
+
+/// Index of a state in [`PERMS`]-major, reflection, parity order.
+const fn state_index(perm: [u8; 3], refl: u8, par: u8) -> usize {
+    let mut p = 0;
+    while PERMS[p][0] != perm[0] || PERMS[p][1] != perm[1] {
+        p += 1;
+    }
+    (p * 8 + refl as usize) * 2 + par as usize
+}
+
+/// Two Hilbert levels per lookup: entry `state · 64 + m`, for the six
+/// Morton bits `m` of a level pair (the higher level in bits 3–5), holds
+/// the pair's six key bits in its low six bits and `next_state · 64` above
+/// them.
+const fn hilbert_table() -> [u16; STATES * 64] {
+    let mut table = [0u16; STATES * 64];
+    let mut s = 0;
+    while s < STATES {
+        let (perm, refl, par) = (PERMS[s / 16], (s / 2 % 8) as u8, (s % 2) as u8);
+        let mut m = 0;
+        while m < 64 {
+            let (hi, perm1, refl1, par1) = hilbert_level(perm, refl, par, m >> 3);
+            let (lo, perm2, refl2, par2) = hilbert_level(perm1, refl1, par1, m & 7);
+            table[s * 64 + m] = (state_index(perm2, refl2, par2) << 6 | hi << 3 | lo) as u16;
+            m += 1;
+        }
+        s += 1;
+    }
+    table
+}
+
+static HILBERT: [u16; STATES * 64] = hilbert_table();
+
 /// Hilbert index of a point in the unit cube (3-D Hilbert curve of order
-/// `BITS`), via the transpose-form construction (Skilling's algorithm):
-/// 48 significant bits.
+/// `BITS`): 48 significant bits, equal to Skilling's transpose-form
+/// construction (see the module docs) — eight state-table lookups over the
+/// point's Morton key, most significant level pair first.
 pub fn hilbert_index(p: [f64; 3]) -> u64 {
-    let mut x = [quantise(p[0]), quantise(p[1]), quantise(p[2])];
-    // Transpose-form Hilbert encoding (Skilling's algorithm, inverse step).
-    let m = 1u64 << (BITS - 1);
-    // Inverse undo of Skilling transform.
-    let mut q = m;
-    while q > 1 {
-        let pmask = q - 1;
-        for i in 0..3 {
-            if x[i] & q != 0 {
-                x[0] ^= pmask; // invert
-            } else {
-                let t = (x[0] ^ x[i]) & pmask;
-                x[0] ^= t;
-                x[i] ^= t;
-            }
-        }
-        q >>= 1;
+    let morton = morton_index(p);
+    let mut key = 0u64;
+    // The current state's row, `state · 64`; the walk starts in state 0.
+    let mut row = 0usize;
+    for pair in (0..BITS / 2).rev() {
+        let shift = 6 * pair;
+        let e = HILBERT[row | (morton >> shift) as usize & 63];
+        key |= u64::from(e & 63) << shift;
+        row = usize::from(e & !63);
     }
-    // Gray encode.
-    for i in 1..3 {
-        x[i] ^= x[i - 1];
-    }
-    let mut t = 0u64;
-    q = m;
-    while q > 1 {
-        if x[2] & q != 0 {
-            t ^= q - 1;
-        }
-        q >>= 1;
-    }
-    for xi in &mut x {
-        *xi ^= t;
-    }
-    // Interleave the transposed coordinates into the Hilbert index: bit b of
-    // axis a becomes bit 3*b + (2 - a) — most significant axis first.
-    spread16(x[0]) << 2 | spread16(x[1]) << 1 | spread16(x[2])
+    key
 }
 
 #[inline]
@@ -149,9 +235,10 @@ fn curve_key(curve: Curve, p: [f64; 3]) -> u64 {
 
 /// Reusable scratch for [`sfc_partition_with`], in the
 /// [`PartitionWorkspace`](crate::PartitionWorkspace) mould: buffers grow to
-/// the largest instance seen and are never shrunk, so a long-lived workspace
-/// makes repeated SFC partitioning allocation-free apart from the returned
-/// part vector. Carries **no state** between calls — only capacity.
+/// the largest instance seen and are never shrunk, so with a long-lived
+/// workspace a repeated SFC partition allocates only the returned part
+/// vector and the fork-join job boxes, a constant in `n` (see the module
+/// docs). Carries **no state** between calls — only capacity.
 ///
 /// The key/id arrays are atomics because the radix scatter writes to
 /// globally disjoint but non-contiguous slots from several workers at once
@@ -506,6 +593,157 @@ mod tests {
                 naive |= ((v >> b) & 1) << (3 * b);
             }
             assert_eq!(spread16(v), naive, "v={v:#x}");
+        }
+    }
+
+    /// The quantiser `quantise` replaced, with libm's `round`.
+    fn quantise_round(x: f64) -> u64 {
+        let max = (1u64 << BITS) - 1;
+        ((x.clamp(0.0, 1.0) * max as f64).round() as u64).min(max)
+    }
+
+    /// Morton key by a per-bit interleave of the `quantise_round` coordinates.
+    fn morton_oracle(p: [f64; 3]) -> u64 {
+        let mut key = 0u64;
+        for (a, &x) in p.iter().enumerate() {
+            let q = quantise_round(x);
+            for b in 0..BITS {
+                key |= ((q >> b) & 1) << (3 * b + a as u32);
+            }
+        }
+        key
+    }
+
+    /// Skilling's transpose-form Hilbert construction on the `quantise_round`
+    /// coordinates: the oracle the state table is built to reproduce.
+    fn hilbert_oracle(p: [f64; 3]) -> u64 {
+        let mut x = p.map(quantise_round);
+        let m = 1u64 << (BITS - 1);
+        // Inverse undo of Skilling's transform.
+        let mut q = m;
+        while q > 1 {
+            let pmask = q - 1;
+            for i in 0..3 {
+                if x[i] & q != 0 {
+                    x[0] ^= pmask; // invert
+                } else {
+                    let t = (x[0] ^ x[i]) & pmask;
+                    x[0] ^= t;
+                    x[i] ^= t;
+                }
+            }
+            q >>= 1;
+        }
+        // Gray encode.
+        for i in 1..3 {
+            x[i] ^= x[i - 1];
+        }
+        let mut t = 0u64;
+        q = m;
+        while q > 1 {
+            if x[2] & q != 0 {
+                t ^= q - 1;
+            }
+            q >>= 1;
+        }
+        for xi in &mut x {
+            *xi ^= t;
+        }
+        // Bit b of axis a becomes bit 3b + (2 − a): most significant axis
+        // first.
+        spread16(x[0]) << 2 | spread16(x[1]) << 1 | spread16(x[2])
+    }
+
+    fn assert_keys_match_oracles(p: [f64; 3]) {
+        assert_eq!(morton_index(p), morton_oracle(p), "morton {p:?}");
+        assert_eq!(hilbert_index(p), hilbert_oracle(p), "hilbert {p:?}");
+    }
+
+    /// Coordinates where the quantiser can go wrong: the ends of the cube,
+    /// signed zero, values outside it, non-finite values, and the rounding
+    /// midpoints `(k + 0.5) / 65535` with their neighbouring floats.
+    fn quantiser_edges() -> Vec<f64> {
+        let mut v = vec![
+            0.0,
+            -0.0,
+            1.0,
+            1.0f64.next_down(),
+            1.0f64.next_up(),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            -0.25,
+            -1.0,
+            2.0,
+            1e300,
+            -1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for k in [
+            0u32, 1, 2, 3, 255, 256, 4095, 21845, 32767, 32768, 65533, 65534,
+        ] {
+            let x = (f64::from(k) + 0.5) / 65535.0;
+            v.extend([x.next_down(), x, x.next_up()]);
+        }
+        v
+    }
+
+    #[test]
+    fn quantise_matches_round() {
+        for x in quantiser_edges() {
+            assert_eq!(quantise(x), quantise_round(x), "x={x:e}");
+        }
+        for k in 0..65535u32 {
+            let x = (f64::from(k) + 0.5) / 65535.0;
+            for x in [x.next_down(), x, x.next_up()] {
+                assert_eq!(quantise(x), quantise_round(x), "x={x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_match_oracles_on_quantiser_edges() {
+        let edges = quantiser_edges();
+        for &x in &edges {
+            for &y in &edges {
+                for &z in &edges {
+                    assert_keys_match_oracles([x, y, z]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_match_oracles_on_dyadic_grids() {
+        // Every cell centre and every corner of the 2^b grid, b = 1..6.
+        for b in 1..=6u32 {
+            let side = 1usize << b;
+            let h = 1.0 / side as f64;
+            for (offset, count) in [(0.5, side), (0.0, side + 1)] {
+                let c = |i: usize| (i as f64 + offset) * h;
+                for i in 0..count {
+                    for j in 0..count {
+                        for k in 0..count {
+                            assert_keys_match_oracles([c(i), c(j), c(k)]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_match_oracles_on_random_clouds() {
+        // Arbitrary doubles over the cube and a margin around it, and the
+        // quantiser's lattice points.
+        let mut rng = tempart_testkit::rng::Rng::seed_from_u64(0x5EED_4B45);
+        for _ in 0..1 << 17 {
+            let p = [(); 3].map(|_| rng.gen_range(-0.1..1.1));
+            assert_keys_match_oracles(p);
+        }
+        for p in random_points(1 << 15, 0xC0FFEE) {
+            assert_keys_match_oracles(p);
         }
     }
 

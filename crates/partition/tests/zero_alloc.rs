@@ -1,6 +1,6 @@
 //! Zero-allocation contract for the partitioner's hot loops, measured with
 //! the testkit counting allocator installed as this binary's global
-//! allocator. Two layers of coverage:
+//! allocator. Three layers of coverage:
 //!
 //! 1. **Explicit**: a warm `fm_refine_ws` / `rebalance_ws` call performs
 //!    *zero* heap allocations end to end (all scratch lives in the
@@ -19,15 +19,17 @@
 //!    debug-profile binary the patch oracle of `par_kway::Boundary` runs
 //!    inside the measured call, so it is covered too.) A warm
 //!    `partition_graph_with` allocates its result and its uniform targets
-//!    and nothing else, at any k.
+//!    and nothing else, at any k. A warm `sfc_partition_with` allocates its
+//!    result plus a constant number of bytes that does not grow with n.
 
 use tempart_graph::builder::grid_graph;
+use tempart_partition::geometric::{sfc_partition_with, Curve, SfcWorkspace};
 use tempart_partition::par_kway::pairwise_kway_refine_ws;
 use tempart_partition::refine::{fm_refine_ws, rebalance_ws};
 use tempart_partition::{
     partition_graph_with, repartition_ws, PartitionConfig, PartitionWorkspace, RepartConfig, Scheme,
 };
-use tempart_testkit::alloc::{count_allocations, CountingAllocator};
+use tempart_testkit::alloc::{allocated_bytes, count_allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -112,6 +114,38 @@ fn warm_recursive_bisection_allocates_the_result_and_the_targets_only() {
         assert_eq!(part.len(), g.nvtx());
         // The result vector and the uniform target fractions.
         assert_eq!(allocs, 2, "k={k}: warm call allocated {allocs} times");
+    }
+}
+
+#[test]
+fn warm_sfc_partition_allocates_its_result_plus_a_constant() {
+    // Every key, id and histogram buffer is leased from the workspace. What
+    // a warm call still allocates is the part vector (4 bytes a point) and
+    // the fork-join scopes' job boxes — about 18 KiB, a function of the
+    // worker count, not of n.
+    const SLACK: u64 = 32 << 10;
+    for workers in [1usize, 2] {
+        for n in [20_000usize, 160_000] {
+            let pts: Vec<[f64; 3]> = (0..n)
+                .map(|i| {
+                    let t = i as f64 / n as f64;
+                    [t, (t * 7.0).fract(), (t * 13.0).fract()]
+                })
+                .collect();
+            let weights = vec![1u64; n];
+            let mut ws = SfcWorkspace::new();
+            let mut run =
+                || sfc_partition_with(&pts, &weights, 64, Curve::Hilbert, workers, &mut ws);
+            run();
+            let before = allocated_bytes();
+            let part = run();
+            let bytes = allocated_bytes() - before;
+            assert_eq!(part.len(), n);
+            assert!(
+                bytes <= 4 * n as u64 + SLACK,
+                "w{workers} n={n}: warm call allocated {bytes} bytes"
+            );
+        }
     }
 }
 

@@ -248,11 +248,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--heun" => o.heun = true,
             "--mu" => {
-                o.mu = Some(
-                    take(args, &mut i, "--mu")?
-                        .parse()
-                        .map_err(|e| format!("--mu: {e}"))?,
-                )
+                // A negative viscosity runs the solver backwards in time and
+                // a non-finite one ends in a NaN state; so does −0, whose
+                // sign turns the viscous time step limit into −∞.
+                let s = take(args, &mut i, "--mu")?;
+                let mu: f64 = s.parse().map_err(|e| format!("--mu: {e}"))?;
+                if !(mu.is_finite() && mu.is_sign_positive()) {
+                    return Err(format!("--mu {s} is not a finite viscosity ≥ 0"));
+                }
+                o.mu = Some(mu)
             }
             "--repair" => o.repair = true,
             "--gantt" => o.gantt = true,

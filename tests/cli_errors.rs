@@ -221,6 +221,16 @@ fn positive_counts_still_run() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // An inviscid run is still a valid request.
+    let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+        .args(["solve", "--depth", "2", "--domains", "4", "--mu", "0"])
+        .output()
+        .expect("spawn tempart");
+    assert!(
+        out.status.success(),
+        "--mu 0: stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -248,6 +258,24 @@ fn option_combinations_the_library_asserts_on_are_usage_errors() {
         (
             &["solve", "--depth", "2", "--domains", "4", "--groups", "0"],
             "error: --groups must be at least 1",
+        ),
+        // A negative viscosity integrated backwards in time; an infinite or
+        // NaN one, or −0, ended in a NaN state. All four exited 0.
+        (
+            &["solve", "--depth", "2", "--mu", "-0.001"],
+            "error: --mu -0.001 is not a finite viscosity ≥ 0",
+        ),
+        (
+            &["solve", "--depth", "2", "--mu", "-0"],
+            "error: --mu -0 is not a finite viscosity ≥ 0",
+        ),
+        (
+            &["solve", "--depth", "2", "--mu", "inf"],
+            "error: --mu inf is not a finite viscosity ≥ 0",
+        ),
+        (
+            &["solve", "--depth", "2", "--mu", "nan"],
+            "error: --mu nan is not a finite viscosity ≥ 0",
         ),
     ];
     for &(args, want) in cases {
