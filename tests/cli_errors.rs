@@ -294,19 +294,24 @@ fn option_combinations_the_library_asserts_on_are_usage_errors() {
 #[test]
 fn io_errors_name_the_file_and_only_usage_errors_print_usage() {
     let small = ["--depth", "2", "--domains", "4"];
-    let cases: &[(&[&str], &str)] = &[
-        (&["partition", "--graph", "/nonexistent"], "/nonexistent"),
-        (
-            &["trace", "--out", "/nonexistent/x.json"],
-            "/nonexistent/x.json",
-        ),
-        (
-            &["gen", "--vtk", "/nonexistent/x.vtk"],
-            "/nonexistent/x.vtk",
-        ),
-        (&["compare", "--svg", "/proc/nope"], "/proc/nope"),
+    // Paths below a regular file fail with ENOTDIR whoever runs the test,
+    // root included, and whatever directories the host happens to have.
+    let blocker = Path::new(env!("CARGO_TARGET_TMPDIR")).join("not-a-dir");
+    std::fs::write(&blocker, "").expect("write blocker file");
+    let under = |name: &str| blocker.join(name).display().to_string();
+    let (graph, json, vtk, svg) = (
+        under("x.graph"),
+        under("x.json"),
+        under("x.vtk"),
+        under("svg"),
+    );
+    let cases: [([&str; 3], &str); 4] = [
+        (["partition", "--graph", &graph], &graph),
+        (["trace", "--out", &json], &json),
+        (["gen", "--vtk", &vtk], &vtk),
+        (["compare", "--svg", &svg], &svg),
     ];
-    for &(args, path) in cases {
+    for (args, path) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
             .args(args)
             .args(small)
