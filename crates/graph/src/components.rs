@@ -33,73 +33,46 @@ pub fn count_components(graph: &CsrGraph) -> usize {
     connected_components(graph).1
 }
 
-/// The workspace's one per-part component counter: a union-find over vertex
-/// ids with path halving. Uniting the endpoints of every same-part edge
-/// leaves `n − merges` components, so empty parts contribute nothing.
-/// Behind both [`part_connectivity`] and
-/// [`PartitionQuality::measure`](crate::PartitionQuality::measure), which
-/// feed it each edge `{u, v}` once, from `v` with `u < v`.
-pub(crate) struct PartComponents {
-    parent: Vec<u32>,
-    merges: usize,
-}
-
-impl PartComponents {
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n as u32).collect(),
-            merges: 0,
-        }
-    }
-
-    fn find(&mut self, mut v: u32) -> u32 {
-        while self.parent[v as usize] != v {
-            let up = self.parent[self.parent[v as usize] as usize];
-            self.parent[v as usize] = up;
-            v = up;
-        }
-        v
-    }
-
-    /// Unites the components of two adjacent vertices of the same part.
-    #[inline]
-    pub(crate) fn union(&mut self, u: u32, v: u32) {
-        let (a, b) = (self.find(u), self.find(v));
-        if a != b {
-            self.parent[a.max(b) as usize] = a.min(b);
-            self.merges += 1;
-        }
-    }
-
-    /// Per-part components, once every same-part edge has been united.
-    pub(crate) fn count(&self) -> usize {
-        self.parent.len() - self.merges
-    }
-}
-
 /// Sum over all parts of the number of connected components *within* that
 /// part (edges crossing parts are ignored). A partition in which every domain
 /// is contiguous scores exactly `nparts`; disconnected domains — the artefact
 /// the paper attributes to MC_TL — push the score above `nparts`.
 ///
-/// Empty parts contribute zero.
+/// Empty parts contribute zero: a union-find over vertex ids (path halving)
+/// unites the endpoints of every same-part edge once, from `v` with `u < v`,
+/// and `n − merges` components remain.
 pub fn part_connectivity(graph: &CsrGraph, part: &[PartId], nparts: usize) -> usize {
     assert_eq!(part.len(), graph.nvtx(), "partition vector length");
-    let mut comps = PartComponents::new(graph.nvtx());
+    let mut parent: Vec<u32> = (0..graph.nvtx() as u32).collect();
+    let mut merges = 0usize;
     for v in 0..graph.nvtx() as u32 {
         let p = part[v as usize];
         assert!((p as usize) < nparts, "part id out of range");
         for u in graph.neighbors(v) {
             if u < v && part[u as usize] == p {
-                comps.union(u, v);
+                let (a, b) = (find(&mut parent, u), find(&mut parent, v));
+                if a != b {
+                    parent[a.max(b) as usize] = a.min(b);
+                    merges += 1;
+                }
             }
         }
     }
-    comps.count()
+    parent.len() - merges
+}
+
+/// Root of `v`'s union-find tree, halving the path on the way up.
+fn find(parent: &mut [u32], mut v: u32) -> u32 {
+    while parent[v as usize] != v {
+        let up = parent[parent[v as usize] as usize];
+        parent[v as usize] = up;
+        v = up;
+    }
+    v
 }
 
 /// Per-part components by depth-first search from every unseen vertex: the
-/// oracle of [`PartComponents`].
+/// oracle of [`part_connectivity`]'s union-find.
 #[cfg(test)]
 pub(crate) fn part_connectivity_dfs(graph: &CsrGraph, part: &[PartId]) -> usize {
     let n = graph.nvtx();

@@ -1,6 +1,5 @@
 //! Partition-quality metrics: edge cut, communication volume, imbalance.
 
-use crate::components::PartComponents;
 use crate::{CsrGraph, PartId};
 
 /// Sum of the weights of edges whose endpoints lie in different parts.
@@ -68,22 +67,18 @@ pub fn part_weights(graph: &CsrGraph, part: &[PartId], nparts: usize) -> Vec<Vec
 /// weight is zero report `1.0`.
 pub fn constraint_imbalances(graph: &CsrGraph, part: &[PartId], nparts: usize) -> Vec<f64> {
     let w = part_weights(graph, part, nparts);
-    (0..graph.ncon())
-        .map(|c| {
-            let total: i64 = w.iter().map(|pw| pw[c]).sum();
-            let maxp = w.iter().map(|pw| pw[c]).max().unwrap_or(0);
-            imbalance(maxp, total, nparts)
-        })
-        .collect()
-}
-
-/// One constraint's imbalance from its heaviest part's load and its total.
-fn imbalance(maxp: i64, total: i64, nparts: usize) -> f64 {
-    if total == 0 {
-        1.0
-    } else {
-        maxp as f64 * nparts as f64 / total as f64
+    let ncon = graph.ncon();
+    let mut out = Vec::with_capacity(ncon);
+    for c in 0..ncon {
+        let total: i64 = w.iter().map(|pw| pw[c]).sum();
+        if total == 0 {
+            out.push(1.0);
+            continue;
+        }
+        let maxp = w.iter().map(|pw| pw[c]).max().unwrap_or(0);
+        out.push(maxp as f64 * nparts as f64 / total as f64);
     }
+    out
 }
 
 /// The worst per-constraint imbalance (see [`constraint_imbalances`]).
@@ -176,61 +171,18 @@ pub struct PartitionQuality {
 }
 
 impl PartitionQuality {
-    /// Computes all metrics for `part` in one pass over the adjacency: per
-    /// vertex it adds the part's weights, sums the cut edges, counts the
-    /// distinct remote parts and unites same-part neighbours `u < v` in the
-    /// per-part component counter. Equal to [`edge_cut`],
-    /// [`communication_volume`], [`constraint_imbalances`] and
-    /// [`part_connectivity`](crate::part_connectivity) computed one by one.
+    /// Computes all metrics for `part`.
     ///
     /// # Panics
     ///
     /// Panics if `part` has the wrong length or holds a part id `≥ nparts`.
     pub fn measure(graph: &CsrGraph, part: &[PartId], nparts: usize) -> Self {
-        assert_eq!(part.len(), graph.nvtx(), "partition vector length");
-        let ncon = graph.ncon();
-        let mut w = vec![0i64; nparts * ncon];
-        let mut comps = PartComponents::new(graph.nvtx());
-        let (mut cut, mut comm_volume) = (0i64, 0i64);
-        let mut seen: Vec<PartId> = Vec::with_capacity(8);
-        for v in 0..graph.nvtx() as u32 {
-            let pv = part[v as usize];
-            let p = pv as usize;
-            assert!(p < nparts, "part id {p} out of range");
-            for (acc, &x) in w[p * ncon..].iter_mut().zip(graph.vertex_weights(v)) {
-                *acc += i64::from(x);
-            }
-            seen.clear();
-            let (adj, wgt) = graph.adjacency(v);
-            for (&u, &ew) in adj.iter().zip(wgt) {
-                let pu = part[u as usize];
-                if pu != pv {
-                    cut += i64::from(ew);
-                    if !seen.contains(&pu) {
-                        seen.push(pu);
-                    }
-                } else if u < v {
-                    comps.union(u, v);
-                }
-            }
-            comm_volume += seen.len() as i64;
-        }
-        let imbalances = (0..ncon)
-            .map(|c| {
-                let loads = w.iter().skip(c).step_by(ncon);
-                imbalance(
-                    loads.clone().copied().max().unwrap_or(0),
-                    loads.sum(),
-                    nparts,
-                )
-            })
-            .collect();
         Self {
             nparts,
-            edge_cut: cut / 2,
-            comm_volume,
-            imbalances,
-            part_components: comps.count(),
+            edge_cut: edge_cut(graph, part),
+            comm_volume: communication_volume(graph, part),
+            imbalances: constraint_imbalances(graph, part, nparts),
+            part_components: crate::components::part_connectivity(graph, part, nparts),
         }
     }
 
@@ -386,17 +338,13 @@ mod tests {
                 part_components: crate::components::part_connectivity_dfs(&g, &part),
             };
             tempart_testkit::prop_assert_eq!(PartitionQuality::measure(&g, &part, k), oracle);
-            tempart_testkit::prop_assert_eq!(
-                crate::part_connectivity(&g, &part, k),
-                oracle.part_components
-            );
         }
     }
 
     #[test]
     #[should_panic(expected = "part id 3 out of range")]
     fn measure_rejects_an_out_of_range_part_id() {
-        // The bad id sits on the last vertex: the sweep must still reach it.
+        // The bad id sits on the last vertex.
         PartitionQuality::measure(&grid_graph(4, 1), &[0, 0, 1, 3], 3);
     }
 }
