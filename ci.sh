@@ -117,6 +117,17 @@ stage_policy() {
         echo "ERROR: bundle the arguments into a struct (see the matches above)" >&2
         exit 1
     fi
+    # The pipeline reads partition quality off the domain decomposition's
+    # face pass: no cell graph is built downstream of a partition, so the
+    # non-test part of pipeline.rs never calls `to_graph`.
+    local graph_calls
+    graph_calls=$(awk '/^#\[cfg\(test\)\]/ { exit } /to_graph\(/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/core/src/pipeline.rs)
+    if [[ -n "$graph_calls" ]]; then
+        echo "$graph_calls"
+        echo "ERROR: use DomainDecomposition::quality, not a cell graph, in the pipeline" >&2
+        exit 1
+    fi
     # Performance numbers are kept, compared and gated in benchmark/ alone:
     # the absolute-nanosecond bench gate, its knobs and its committed
     # baselines must not come back (CHANGES.md / EXPERIMENTS.md / ROADMAP.md
@@ -136,7 +147,7 @@ stage_policy() {
         echo "ERROR: crates/bench has one binary, experiments.rs; add a registry row" >&2
         exit 1
     fi
-    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points, no bench gate)"
+    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points, no bench gate, no pipeline cell graph)"
 }
 
 stage_fmt() {

@@ -53,7 +53,8 @@ pub struct FlusimOutcome {
     /// Per-cell domain assignment.
     pub part: Vec<PartId>,
     /// Partition quality of the decomposition (cut, volume, imbalance,
-    /// contiguity).
+    /// contiguity) on the unit-weight cell graph, read off the domain
+    /// classification ([`DomainDecomposition::quality`]).
     pub quality: PartitionQuality,
     /// The generated task DAG.
     pub graph: TaskGraph,
@@ -117,9 +118,10 @@ fn lower(
     })
 }
 
-/// Quality → [`lower`] for a finished partition: the prefix the single run
-/// and the portfolio race share. The cell graph lives only as long as the
-/// quality measurement needs it.
+/// [`lower`] → quality for a finished partition: the prefix the single run
+/// and the portfolio race share. The quality figures come off the domain
+/// classification's face pass ([`DomainDecomposition::quality`]); no cell
+/// graph is built downstream of the partition.
 fn prepare(
     mesh: &Mesh,
     part: &[PartId],
@@ -127,10 +129,9 @@ fn prepare(
     net: Option<&NetworkModel>,
     rec: &Recorder,
 ) -> Result<(PartitionQuality, Lowered), String> {
-    let quality = PartitionQuality::measure(&mesh.to_graph(), part, config.n_domains);
     let (k, cluster) = (config.n_domains, &config.cluster);
     let lowered = lower(mesh, part, k, cluster, net, rec)?;
-    Ok((quality, lowered))
+    Ok((lowered.dd.quality(), lowered))
 }
 
 /// Generates the task graph and simulates a given decomposition on a
@@ -567,7 +568,8 @@ mod tests {
     #[test]
     fn interprocess_cut_is_the_edge_cut_of_the_process_partition() {
         // The halo-table sum against the definition: the cell graph's edge
-        // cut under "process of the cell's domain".
+        // cut under "process of the cell's domain"; the face-pass quality
+        // against the cell graph's metrics.
         let m = small_mesh();
         let cell_graph = m.to_graph();
         for strategy in [
@@ -589,6 +591,11 @@ mod tests {
             assert_eq!(
                 out.interprocess_cut,
                 tempart_graph::edge_cut(&cell_graph, &process_of_cell),
+                "{strategy:?}"
+            );
+            assert_eq!(
+                out.quality,
+                PartitionQuality::measure(&cell_graph, &out.part, 8),
                 "{strategy:?}"
             );
             assert!(out.interprocess_cut > 0, "{strategy:?}");

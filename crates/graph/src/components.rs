@@ -38,41 +38,74 @@ pub fn count_components(graph: &CsrGraph) -> usize {
 /// is contiguous scores exactly `nparts`; disconnected domains — the artefact
 /// the paper attributes to MC_TL — push the score above `nparts`.
 ///
-/// Empty parts contribute zero: a union-find over vertex ids (path halving)
-/// unites the endpoints of every same-part edge once, from `v` with `u < v`,
-/// and `n − merges` components remain.
+/// Empty parts contribute zero: a [`UnionFind`] over vertex ids unites the
+/// endpoints of every same-part edge once, from `v` with `u < v`.
 pub fn part_connectivity(graph: &CsrGraph, part: &[PartId], nparts: usize) -> usize {
     assert_eq!(part.len(), graph.nvtx(), "partition vector length");
-    let mut parent: Vec<u32> = (0..graph.nvtx() as u32).collect();
-    let mut merges = 0usize;
+    let mut sets = UnionFind::new(graph.nvtx());
     for v in 0..graph.nvtx() as u32 {
         let p = part[v as usize];
         assert!((p as usize) < nparts, "part id out of range");
         for u in graph.neighbors(v) {
             if u < v && part[u as usize] == p {
-                let (a, b) = (find(&mut parent, u), find(&mut parent, v));
-                if a != b {
-                    parent[a.max(b) as usize] = a.min(b);
-                    merges += 1;
-                }
+                sets.union(u, v);
             }
         }
     }
-    parent.len() - merges
+    sets.components()
 }
 
-/// Root of `v`'s union-find tree, halving the path on the way up.
-fn find(parent: &mut [u32], mut v: u32) -> u32 {
-    while parent[v as usize] != v {
-        let up = parent[parent[v as usize] as usize];
-        parent[v as usize] = up;
-        v = up;
+/// Disjoint sets over `0..n` with path halving, counting its merges: after
+/// any sequence of [`Self::union`] calls, [`Self::components`] is the number
+/// of connected components of the graph those calls describe.
+#[derive(Debug, Clone)]
+pub struct UnionFind {
+    parent: Vec<u32>,
+    merges: usize,
+}
+
+impl UnionFind {
+    /// `n` singleton sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the `u32` id range.
+    pub fn new(n: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "union-find ids are u32");
+        Self {
+            parent: (0..n as u32).collect(),
+            merges: 0,
+        }
     }
-    v
+
+    /// Unites the sets of `a` and `b`; the smaller root becomes the parent.
+    pub fn union(&mut self, a: u32, b: u32) {
+        let (a, b) = (self.find(a), self.find(b));
+        if a != b {
+            self.parent[a.max(b) as usize] = a.min(b);
+            self.merges += 1;
+        }
+    }
+
+    /// Number of disjoint sets: `n` minus the merges so far.
+    pub fn components(&self) -> usize {
+        self.parent.len() - self.merges
+    }
+
+    /// Root of `v`'s tree, halving the path on the way up.
+    fn find(&mut self, mut v: u32) -> u32 {
+        let parent = &mut self.parent;
+        while parent[v as usize] != v {
+            let up = parent[parent[v as usize] as usize];
+            parent[v as usize] = up;
+            v = up;
+        }
+        v
+    }
 }
 
 /// Per-part components by depth-first search from every unseen vertex: the
-/// oracle of [`part_connectivity`]'s union-find.
+/// oracle of [`part_connectivity`]'s [`UnionFind`].
 #[cfg(test)]
 pub(crate) fn part_connectivity_dfs(graph: &CsrGraph, part: &[PartId]) -> usize {
     let n = graph.nvtx();

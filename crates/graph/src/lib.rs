@@ -20,7 +20,7 @@ pub mod io;
 pub mod metrics;
 
 pub use builder::GraphBuilder;
-pub use components::{connected_components, count_components, part_connectivity};
+pub use components::{connected_components, count_components, part_connectivity, UnionFind};
 pub use csr::CsrGraph;
 pub use io::{parse_metis_graph, to_metis_graph, to_metis_partition, MetisParseError};
 pub use metrics::{

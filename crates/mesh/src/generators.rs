@@ -193,17 +193,21 @@ pub fn cylinder_like(config: &GeneratorConfig) -> Mesh {
     case_mesh(MeshCase::Cylinder, config)
 }
 
-/// Octree build shared by the three cases: refine by
-/// [`MeshCase::refine_stage`] for [`MeshCase::extra_depth`] stages past the
-/// base grid, then assign temporal levels.
+/// Mesh build shared by the three cases: [`case_tree`], then assign
+/// temporal levels.
 fn case_mesh(case: MeshCase, config: &GeneratorConfig) -> Mesh {
+    finish(&case_tree(case, config), case.n_levels())
+}
+
+/// Octree of a case: refine by [`MeshCase::refine_stage`] for
+/// [`MeshCase::extra_depth`] stages past the base grid.
+fn case_tree(case: MeshCase, config: &GeneratorConfig) -> Octree {
     let b = config.base_depth;
     let cfg = OctreeConfig {
         base_depth: b,
         max_depth: b + case.extra_depth(),
     };
-    let tree = Octree::build(&cfg, |c, _, d| case.refine_stage(c, (d - b) as usize));
-    finish(&tree, case.n_levels())
+    Octree::build(&cfg, |c, _, d| case.refine_stage(c, (d - b) as usize))
 }
 
 /// CUBE-like mesh: three non-contiguous spherical hotspots, 4 temporal
@@ -283,6 +287,49 @@ mod tests {
             let m = case.generate(&GeneratorConfig { base_depth: 3 });
             let g = m.to_graph();
             assert_eq!(tempart_graph::count_components(&g), 1, "{}", case.name());
+        }
+    }
+
+    /// FNV-1a over a case's octree leaf keys, its mesh's faces (`owner`,
+    /// `neighbor`, a boundary as `u32::MAX`) and its τ.
+    fn mesh_fingerprint(case: MeshCase, base_depth: u8) -> u64 {
+        let tree = case_tree(case, &GeneratorConfig { base_depth });
+        let mesh = finish(&tree, case.n_levels());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for &(d, x, y, z) in tree.leaves() {
+            eat(&[d]);
+            for c in [x, y, z] {
+                eat(&c.to_le_bytes());
+            }
+        }
+        for f in mesh.faces() {
+            eat(&f.owner.to_le_bytes());
+            eat(&f.interior_neighbor().unwrap_or(u32::MAX).to_le_bytes());
+        }
+        eat(mesh.tau());
+        h
+    }
+
+    /// The leaf map's hasher and iteration order cannot change a mesh: the
+    /// 2:1 closure is unique and the leaves are sorted before cells get ids.
+    #[test]
+    fn generated_meshes_match_pinned_fingerprints() {
+        let pinned = [
+            (MeshCase::Cylinder, 3, 0xc595_c8b9_7f45_301d_u64),
+            (MeshCase::Cylinder, 4, 0x636d_1a7b_d128_3a55),
+            (MeshCase::Cube, 3, 0x9600_3160_486b_aba5),
+            (MeshCase::Cube, 4, 0xbd66_7946_5785_e52d),
+            (MeshCase::PprimeNozzle, 3, 0x92d8_c027_c3b5_7025),
+            (MeshCase::PprimeNozzle, 4, 0x3a04_fe5b_bda0_b282),
+        ];
+        for (case, depth, want) in pinned {
+            let got = mesh_fingerprint(case, depth);
+            assert_eq!(got, want, "{} depth {depth}: {got:#018x}", case.name());
         }
     }
 

@@ -8,9 +8,56 @@
 //! 4-to-1 and keeps face enumeration local.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Key of a leaf: `(depth, x, y, z)`.
 pub type LeafKey = (u8, u32, u32, u32);
+
+/// Multiply-rotate (Fx-style) hasher for leaf keys: one rotate, xor and
+/// multiply per field instead of SipHash's rounds. The keys are the tree's
+/// own coordinates, never attacker-chosen, and the map's iteration order
+/// never reaches a mesh (`Octree::finalize` sorts the keys), so neither
+/// HashDoS resistance nor a random seed buys anything here.
+#[derive(Debug, Clone, Copy, Default)]
+struct LeafHasher(u64);
+
+impl LeafHasher {
+    /// Odd multiplier with well-spread bits (the 64-bit Fx constant).
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for LeafHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    /// The last multiply leaves the high bits best mixed; the table indexes
+    /// buckets by the low ones, so rotate the high bits down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The leaf set: key → cell id.
+type LeafMap = HashMap<LeafKey, u32, BuildHasherDefault<LeafHasher>>;
 
 /// Configuration of an octree build.
 #[derive(Debug, Clone)]
@@ -44,7 +91,7 @@ impl OctreeConfig {
 pub struct Octree {
     /// Leaf set; value is the leaf's index in insertion order (rebuilt at the
     /// end so iteration order is deterministic).
-    leaves: HashMap<LeafKey, u32>,
+    leaves: LeafMap,
     /// Sorted leaf keys, index = cell id.
     ordered: Vec<LeafKey>,
     max_depth: u8,
@@ -72,7 +119,7 @@ impl Octree {
         F: FnMut([f64; 3], f64, u8) -> bool,
     {
         let config = config.clone().checked();
-        let mut leaves: HashMap<LeafKey, u32> = HashMap::new();
+        let mut leaves = LeafMap::default();
         let n0 = 1u32 << config.base_depth;
         let mut work: Vec<LeafKey> = Vec::new();
         for z in 0..n0 {

@@ -1,6 +1,6 @@
 //! Domain decomposition analysis: object classification and neighbourhoods.
 
-use tempart_graph::PartId;
+use tempart_graph::{PartId, PartitionQuality, UnionFind};
 use tempart_mesh::{FaceNeighbor, Mesh};
 
 /// Whether an object (cell or face) sits strictly inside its domain or on the
@@ -75,6 +75,33 @@ pub struct DomainDecomposition {
     /// `neighbors[d][i]` (aligned with the sorted neighbour lists). This is
     /// the per-pair halo edge cut the network model prices.
     halo_faces: Vec<Vec<u32>>,
+    /// Sum over cells of the distinct remote domains among their face
+    /// neighbours (the cell graph's communication volume).
+    comm_volume: i64,
+    /// Connected components of the cells, each domain on its own, summed
+    /// over the domains.
+    part_components: usize,
+}
+
+/// [`DomainDecomposition::new`]'s per-cell remote-domain slot: no remote
+/// neighbour yet. Any other value is the one remote domain seen so far, or
+/// [`MULTI`]. Both sentinels lie above every domain id, since the bin count
+/// `2 · n_domains` already fits a `u32`.
+const NONE: u32 = u32::MAX;
+/// The cell has face neighbours in at least two different remote domains.
+const MULTI: u32 = u32::MAX - 1;
+
+/// Capacity of the scratch list of one cell's remote domains: a cell of a
+/// 2:1-balanced octree mesh has at most four faces per side.
+const MAX_REMOTE_HINT: usize = 24;
+
+/// Records that a cell has a face neighbour in remote domain `d`.
+fn note_remote(slot: &mut u32, d: PartId) {
+    if *slot == NONE {
+        *slot = d;
+    } else if *slot != d {
+        *slot = MULTI;
+    }
 }
 
 /// Index of bin `(domain, τ, class)` among the `n_domains · n_levels · 2`
@@ -116,9 +143,11 @@ impl DomainDecomposition {
         let bin = |d: PartId, tau: u8, external: bool| bin_index(nl, d, tau, external) as u32;
         let tau = mesh.tau();
 
-        // One pass over the faces: each face's bin, the cells that touch
-        // another domain, and the interface-face count per domain pair.
-        let mut cell_external = vec![false; mesh.n_cells()];
+        // One pass over the faces: each face's bin, the remote domains of
+        // the cells that touch another domain, the interface-face count per
+        // domain pair, and the union of the two cells of a same-domain face.
+        let mut remote = vec![NONE; mesh.n_cells()];
+        let mut sets = UnionFind::new(mesh.n_cells());
         let mut pairs: Vec<Vec<(PartId, u32)>> = vec![Vec::new(); n_domains];
         let mut face_bin = Vec::with_capacity(mesh.n_faces());
         for f in mesh.faces() {
@@ -130,19 +159,55 @@ impl DomainDecomposition {
                 let d1 = part[nb as usize];
                 if d0 != d1 {
                     external = true;
-                    cell_external[f.owner as usize] = true;
-                    cell_external[nb as usize] = true;
+                    note_remote(&mut remote[f.owner as usize], d1);
+                    note_remote(&mut remote[nb as usize], d0);
                     bump_pair(&mut pairs[d0 as usize], d1);
                     bump_pair(&mut pairs[d1 as usize], d0);
+                } else {
+                    sets.union(f.owner, nb);
                 }
             }
             face_bin.push(bin(d0, t, external));
         }
         let faces = Bins::sort(&face_bin, n_bins);
         drop(face_bin);
+        let part_components = sets.components();
+        drop(sets);
+
+        // A cell with one remote domain sends to one; only the few cells
+        // between several domains recount theirs through their faces.
+        let mut comm_volume = 0i64;
+        let mut seen: Vec<PartId> = Vec::with_capacity(MAX_REMOTE_HINT);
         let cell_bin: Vec<u32> = (0..mesh.n_cells())
-            .map(|c| bin(part[c], tau[c], cell_external[c]))
+            .map(|c| {
+                let own = part[c];
+                let external = match remote[c] {
+                    NONE => false,
+                    MULTI => {
+                        seen.clear();
+                        for &fid in mesh.cell_faces(c as u32) {
+                            let f = &mesh.faces()[fid as usize];
+                            let Some(nb) = f.interior_neighbor() else {
+                                continue;
+                            };
+                            let other = if f.owner as usize == c { nb } else { f.owner };
+                            let d = part[other as usize];
+                            if d != own && !seen.contains(&d) {
+                                seen.push(d);
+                            }
+                        }
+                        comm_volume += seen.len() as i64;
+                        true
+                    }
+                    _ => {
+                        comm_volume += 1;
+                        true
+                    }
+                };
+                bin(own, tau[c], external)
+            })
             .collect();
+        drop(remote);
         let cells = Bins::sort(&cell_bin, n_bins);
 
         let mut neighbors: Vec<Vec<PartId>> = Vec::with_capacity(n_domains);
@@ -161,6 +226,41 @@ impl DomainDecomposition {
             faces,
             neighbors,
             halo_faces,
+            comm_volume,
+            part_components,
+        }
+    }
+
+    /// The quality of the partition this decomposition classifies, equal to
+    /// [`PartitionQuality::measure`] on the mesh's cell graph (unit vertex
+    /// weights, one edge per face-sharing cell pair weighted by its face
+    /// count), without building that graph: the edge cut is the halo table's
+    /// sum seen from one side, the imbalance the largest domain's cell
+    /// count over the mean, and the communication volume and per-domain
+    /// components come from the face pass of [`Self::new`].
+    pub fn quality(&self) -> PartitionQuality {
+        let halo: u64 = self
+            .halo_faces
+            .iter()
+            .flatten()
+            .map(|&c| u64::from(c))
+            .sum();
+        let (n, k) = (self.cell_domain.len(), self.n_domains);
+        let imbalance = if n == 0 {
+            1.0
+        } else {
+            let largest = (0..k as PartId)
+                .map(|d| self.domain_cell_count(d))
+                .max()
+                .unwrap_or(0);
+            largest as f64 * k as f64 / n as f64
+        };
+        PartitionQuality {
+            nparts: k,
+            edge_cut: (halo / 2) as i64,
+            comm_volume: self.comm_volume,
+            imbalances: vec![imbalance],
+            part_components: self.part_components,
         }
     }
 
@@ -228,8 +328,15 @@ impl DomainDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempart_mesh::{Octree, OctreeConfig, TemporalScheme};
+    use tempart_mesh::{Cell, Face, Octree, OctreeConfig, TemporalScheme};
+    use tempart_testkit::prop::vec_of;
     use tempart_testkit::rng::Rng;
+    use tempart_testkit::{prop_assert_eq, proptest};
+
+    /// The quality oracle: the standalone metrics on the mesh's cell graph.
+    fn measured(m: &Mesh, part: &[PartId], k: usize) -> PartitionQuality {
+        PartitionQuality::measure(&m.to_graph(), part, k)
+    }
 
     fn grid_mesh(depth: u8) -> Mesh {
         let cfg = OctreeConfig {
@@ -267,6 +374,9 @@ mod tests {
         assert_eq!(dd.neighbors_of(0), &[1]);
         assert_eq!(dd.neighbors_of(1), &[0]);
         assert_eq!(dd.total_external_cells(), 32);
+        let q = dd.quality();
+        assert_eq!((q.edge_cut, q.comm_volume, q.part_components), (16, 32, 2));
+        assert_eq!(q, measured(&m, &part, 2));
     }
 
     #[test]
@@ -327,6 +437,7 @@ mod tests {
             assert!(m.tau().contains(&t), "τ={t} unpopulated");
         }
         let k = 5usize;
+        let cell_graph = m.to_graph();
         let other_side = |fid: usize| m.faces()[fid].interior_neighbor();
         let mut rng = Rng::seed_from_u64(0x7E57_0023);
         for case in 0..24 {
@@ -412,6 +523,11 @@ mod tests {
             assert_eq!(dd.domain_cell_count(3), 0);
             assert!(dd.neighbors_of(3).is_empty());
             assert_eq!(dd.total_external_cells(), externals, "case {case}");
+            assert_eq!(
+                dd.quality(),
+                PartitionQuality::measure(&cell_graph, &part, k),
+                "case {case}"
+            );
             assert_eq!(DomainDecomposition::new_sharded(&m, &part, k, 2), dd);
         }
     }
@@ -464,5 +580,56 @@ mod tests {
         assert_eq!(dd.total_external_cells(), 0);
         assert!(dd.neighbors_of(0).is_empty());
         assert_eq!(dd.domain_cell_count(0), 64);
+        assert_eq!(dd.quality(), measured(&m, &vec![0; 64], 1));
+    }
+
+    #[test]
+    fn quality_of_an_empty_mesh_is_the_graph_metrics_of_an_empty_graph() {
+        let m = Mesh::from_parts(Vec::new(), Vec::new());
+        for k in [1usize, 3] {
+            let q = DomainDecomposition::new(&m, &[], k).quality();
+            assert_eq!(q.imbalances, vec![1.0]);
+            assert_eq!(q, measured(&m, &[], k), "k={k}");
+        }
+    }
+
+    proptest! {
+        #![config(cases = 512, seed = 0x0DD0_0A11)]
+
+        // Meshes octree generation never makes: several faces between one
+        // pair of cells (in either orientation), isolated cells, boundary
+        // faces anywhere; partitions from one domain to one per cell, some
+        // domains empty.
+        fn quality_equals_the_cell_graph_metrics_on_random_meshes(
+            n_cells in 0u32..14,
+            raw_faces in vec_of((0u32..14, 0u32..18), 0..48),
+            raw_part in vec_of(0u32..1 << 16, 14..15),
+            k in 1usize..15,
+        ) {
+            let cells = vec![
+                Cell { centroid: [0.5; 3], volume: 1.0, depth: 0 };
+                n_cells as usize
+            ];
+            let faces = raw_faces
+                .iter()
+                .filter(|_| n_cells > 0)
+                .map(|&(a, b)| {
+                    let owner = a % n_cells;
+                    let neighbor = if b < 14 && b % n_cells != owner {
+                        FaceNeighbor::Interior(b % n_cells)
+                    } else {
+                        FaceNeighbor::Boundary
+                    };
+                    Face { owner, neighbor, area: 1.0, normal: [1.0, 0.0, 0.0] }
+                })
+                .collect();
+            let m = Mesh::from_parts(cells, faces);
+            let part: Vec<PartId> = raw_part[..n_cells as usize]
+                .iter()
+                .map(|&p| p % k as PartId)
+                .collect();
+            let dd = DomainDecomposition::new(&m, &part, k);
+            prop_assert_eq!(dd.quality(), measured(&m, &part, k));
+        }
     }
 }

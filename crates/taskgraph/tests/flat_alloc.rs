@@ -3,7 +3,8 @@
 //! global allocator: `Mesh::to_graph` and `DomainDecomposition::new` make a
 //! number of allocator calls that depends on the domain count, never on the
 //! mesh size. A return to one `Vec` per cell (the old `GraphBuilder` export)
-//! or per `(domain, τ, class)` bin turns these red.
+//! or per `(domain, τ, class)` bin turns these red, and so does a quality
+//! pass whose scratch grows with the mesh (a `(cell, domain)` spill list).
 
 use tempart_graph::PartId;
 use tempart_mesh::{cylinder_like, GeneratorConfig, Mesh};
@@ -36,8 +37,10 @@ fn allocator_calls(base_depth: u8) -> (usize, u64, u64) {
 
     let (dd, dd_calls) = count_allocations(|| DomainDecomposition::new(&mesh, &part, N_DOMAINS));
     assert!(dd.total_external_cells() > 0);
-    // A fixed set of mesh-sized arrays plus three short rows per domain.
-    let bound = 16 + 4 * N_DOMAINS as u64;
+    // A fixed set of mesh-sized arrays (the quality figures add the
+    // union-find parents and the pre-sized remote-domain scratch) plus three
+    // short rows per domain.
+    let bound = 18 + 4 * N_DOMAINS as u64;
     assert!(
         dd_calls <= bound,
         "DomainDecomposition::new: {dd_calls} > {bound}"
@@ -66,6 +69,6 @@ fn scattered_domains_pay_per_domain_not_per_bin() {
         .collect();
     let (_, calls) = count_allocations(|| DomainDecomposition::new(&mesh, &part, N_DOMAINS));
     // 2 · levels · N_DOMAINS bins per object kind would already be 128.
-    let bound = 16 + 6 * N_DOMAINS as u64;
+    let bound = 18 + 6 * N_DOMAINS as u64;
     assert!(calls <= bound, "{calls} > {bound}");
 }
