@@ -128,6 +128,17 @@ stage_policy() {
         echo "ERROR: use DomainDecomposition::quality, not a cell graph, in the pipeline" >&2
         exit 1
     fi
+    # The curve partition has one path for every n, the bucket walk of
+    # crates/partition/src/geometric.rs: the radix sort's size cutoff and
+    # the entry point that forced either side of it stay gone.
+    local sfc_paths
+    sfc_paths=$(grep -rnE '\bSFC_RADIX_CUTOFF\b|\bsfc_partition_forced\b' crates src tests examples ||
+        true)
+    if [[ -n "$sfc_paths" ]]; then
+        echo "$sfc_paths"
+        echo "ERROR: the SFC partition has one path; compare against a test oracle instead" >&2
+        exit 1
+    fi
     # Performance numbers are kept, compared and gated in benchmark/ alone:
     # the absolute-nanosecond bench gate, its knobs and its committed
     # baselines must not come back (CHANGES.md / EXPERIMENTS.md / ROADMAP.md
@@ -247,9 +258,8 @@ stage_worker_matrix() {
     # at widths 1/2/4 already ran in the suites above, including the
     # portfolio suites property_portfolio and golden_portfolio).
     # The fingerprint file also carries the geometric rows
-    # (`cylinder4/sfc-*`, above SFC_RADIX_CUTOFF), so the parallel radix
-    # sort's shard merge is diffed across process-level worker counts here
-    # too.
+    # (`cylinder4/sfc-*`), so the sharded SFC key pass and the bucket walk
+    # after it are diffed across process-level worker counts here too.
     #
     # Stale fingerprints from an earlier script revision (or an aborted
     # run) would make the diff below compare rows this run never emitted,
@@ -274,11 +284,12 @@ stage_worker_matrix() {
 stage_paper_scale() {
     # Opt-in because it costs minutes and ~1 GB RSS: generates the
     # 12.6M-cell PPRIME_NOZZLE-class cloud (faces-free, calibrated to
-    # Table I), partitions it through the parallel radix SFC path, diffs
-    # 1-vs-4-worker part vectors at full scale, sorts ≥1M random points
-    # against the comparison sort bit for bit, and asserts the whole run
-    # stays under the 4 GiB RSS budget. The matching `partition/paper/*`
-    # rows print in the bench stage below when the same variable is set.
+    # Table I), partitions it through the SFC path, diffs 1-vs-4-worker
+    # part vectors and the sort-and-walk oracle at full scale, checks ≥1M
+    # random points against the same oracle bit for bit, and asserts the
+    # whole run stays under the 4 GiB RSS budget. The matching
+    # `partition/paper/*` rows print in the bench stage below when the same
+    # variable is set.
     if [[ "${TEMPART_PAPER_SCALE:-0}" == "1" ]]; then
         TEMPART_PAPER_SCALE=1 cargo test --release --offline --test paper_scale -- --nocapture
         echo "ok (paper-scale suite green)"

@@ -217,7 +217,7 @@ fn bench_paper(b: &mut Bencher) {
     let weights = cloud.operating_costs();
     let k = 64;
     let mut ws = SfcWorkspace::new();
-    // Warm the sort arenas once outside the measured region.
+    // Warm the workspace once outside the measured region.
     let _ = sfc_partition_with(&cloud.centroids, &weights, k, Curve::Morton, 1, &mut ws);
     b.set_samples(3);
     for (name, curve, workers) in [
@@ -285,7 +285,10 @@ fn bench_paper(b: &mut Bencher) {
         "  cloud (centroids+tau+weights): {}",
         fmt_mb(cloud_bytes as u64)
     );
-    eprintln!("  SfcWorkspace peak (sort arenas): {}", fmt_mb(ws_bytes));
+    eprintln!(
+        "  SfcWorkspace peak (key and bucket arenas): {}",
+        fmt_mb(ws_bytes)
+    );
     match peak_rss_bytes() {
         Some(rss) => eprintln!("  process peak RSS (VmHWM): {}", fmt_mb(rss)),
         None => eprintln!("  process peak RSS: unavailable (no procfs)"),

@@ -102,8 +102,8 @@ fn partition_config(nparts: usize, ncon: usize, seed: u64) -> PartitionConfig {
 /// a pooled workspace. The result is **bit-identical** for every strategy at
 /// every worker count: the multilevel strategies inherit the parallel
 /// driver's fixed tree-order merge, the dual-phase inner splits use one seed
-/// per process slot, and the SFC strategies run the radix pipeline whose
-/// stable fixed-order merge is worker-count-invariant
+/// per process slot, and the SFC strategies shard only the curve keys over
+/// the workers and cut the curve in one sequential bucket walk
 /// (`tempart_partition::geometric`).
 ///
 /// `exec.rec` receives a `"core.decompose"` wall span around the whole

@@ -13,29 +13,61 @@
 //!
 //! SFC partitioning is the O(n) route to the paper's 6.4M–12.6M-cell meshes
 //! (Borrell et al., "Parallel SFC-based mesh partitioning and load
-//! balancing"): above [`SFC_RADIX_CUTOFF`] points the pipeline
+//! balancing"). Cutting the curve into `k` chunks only needs to know which
+//! chunk every point falls in, not the full curve order, so the pipeline
+//! sorts only the few points that sit where a chunk boundary falls:
 //!
-//! 1. computes every 48-bit curve key **once** into a pooled arena, sharded
-//!    over [`tempart_runtime::fork_join`] in contiguous id ranges,
-//! 2. sorts `(key, id)` with a **deterministic parallel LSD radix sort**
-//!    (six 8-bit passes; per-shard counting, one fixed-order digit-major /
-//!    shard-minor prefix-sum merge, parallel scatter into disjoint slots),
-//! 3. walks the curve once, cutting it into `k` chunks with a
-//!    running-remainder weight target.
+//! 1. **Keys.** Every 48-bit curve key is computed once into a pooled
+//!    arena, sharded over [`tempart_runtime::fork_join`] in contiguous id
+//!    ranges.
+//! 2. **Buckets.** One pass counts the points and sums the weights of every
+//!    bucket of the keys' top bits; a prefix sum and one scatter put the
+//!    ids in bucket order (ascending id inside a bucket).
+//! 3. **Walk.** The buckets are visited in curve order under the exact
+//!    running-remainder rule of the canonical walk (below). A bucket in
+//!    which no chunk can close after its first point is assigned whole from
+//!    its count and weight sum; only the others ("boundary buckets") have
+//!    their points sorted by `(key, id)` and walked one at a time.
+//!
+//! The canonical walk visits the points in lexicographic `(key, id)` order
+//! with the state `(cur, part_w, target)` (open chunk, its weight, its
+//! target). Before assigning the point at curve position `pos` it closes
+//! the chunk when `cur + 1 < k` and either `part_w ≥ target` (the weight
+//! test) or `n − pos < k − cur` (the must-close guard, so that every chunk
+//! still unopened gets a point); a close opens chunk `cur + 1` with target
+//! `⌈remaining weight / parts left⌉` (at least 1) and `part_w = 0`.
+//!
+//! **Why a bulk bucket is exact.** A bucket's points are consecutive in the
+//! canonical order, since its keys share their top bits. The close test at
+//! its first point reads only the state left by the buckets before it, so
+//! it is applied as it is. After it, let the state be `(cur, part_w,
+//! target)` at position `pos`, and let the bucket hold `c` points of total
+//! weight `W`. The bucket is assigned whole to `cur` when `cur + 1 == k`,
+//! or when both `part_w + W < target` and `n − (pos + c − 1) ≥ k − cur`
+//! hold. If `cur + 1 == k` no close can ever fire. Otherwise, at the
+//! bucket's `j`-th point (`1 ≤ j < c`) the open chunk weighs `part_w` plus
+//! the first `j` weights, at most `part_w + W < target`, so the weight test
+//! fails; and `n − (pos + j) ≥ n − (pos + c − 1) ≥ k − cur`, so the guard
+//! fails. No close fires inside the bucket, every point of it lands in
+//! `cur`, and the state after it is `(cur, part_w + W, target)`: exactly
+//! what the canonical walk leaves. The strict `<` matters for zero
+//! weights: with `part_w + W == target` a zero-weight tail point would see
+//! `part_w ≥ target` and close. A bucket that is not bulk is walked point by
+//! point in `(key, id)` order, which *is* the canonical walk on that
+//! stretch. So the output equals the canonical walk's for every bucket
+//! width; the width (a pure function of `n`, at most 16 bits) decides only
+//! how many points are sorted — on the 474 496-cell PPRIME_NOZZLE mesh at
+//! 512 chunks, 42 119 at 16 bits.
 //!
 //! Every buffer is leased from an [`SfcWorkspace`], so a warm call allocates
-//! the returned part vector and the fork-join scopes' job boxes — a few
-//! hundred small blocks, about 18 KiB, whose number follows the worker
-//! count and not `n` (`crates/partition/tests/zero_alloc.rs` pins the
-//! bytes). The output is
-//! **bit-identical at every worker count** and identical to the
-//! comparison-sort path used below the cutoff: both realise the canonical
-//! lexicographic `(key, id)` order (LSD radix is stable, so ties keep
-//! ascending-id order; the small path sorts the `(key, id)` pair directly).
-//! Shard boundaries are a pure function of `n` — never of the worker count —
-//! and the merge visits shards in a fixed order, so `TEMPART_WORKERS` can
-//! only change wall-clock, never bytes (enforced by the `ci.sh` worker
-//! matrix and `tests/property_sfc.rs`).
+//! the returned part vector and, above one worker, the key step's one
+//! fork-join scope — nothing else at one worker and about 1.1 KiB at two,
+//! whatever `n` (`crates/partition/tests/zero_alloc.rs` pins the bytes).
+//! The output is **bit-identical at every worker count**: the workers only
+//! compute keys, each into its own slot, and everything after that is one
+//! sequential pass (enforced by the `ci.sh` worker matrix and
+//! `tests/property_sfc.rs`, which checks every width against a
+//! sort-and-walk oracle).
 //!
 //! # Keys
 //!
@@ -57,7 +89,6 @@
 //! checks every key on random clouds, dyadic grids and the quantiser's
 //! edges.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use tempart_graph::PartId;
 use tempart_obs::Recorder;
 use tempart_runtime::fork_join;
@@ -76,23 +107,21 @@ pub enum Curve {
 /// with room to spare.
 const BITS: u32 = 16;
 
-/// Below this many points the comparison sort wins (no histogram setup, no
-/// ping-pong buffers); above it the pipeline switches to the parallel LSD
-/// radix sort. Both paths produce identical output (canonical `(key, id)`
-/// order), so the cutoff is a pure scheduling knob.
-pub const SFC_RADIX_CUTOFF: usize = 4096;
-
-/// Contiguous points per radix shard. A pure function of `n` only — shard
-/// boundaries (and therefore the fixed merge order) never depend on the
-/// worker count.
+/// Contiguous points per key shard. Shards only decide which worker computes
+/// which keys, never a key's value, so the grain is a pure scheduling knob.
 const SHARD_GRAIN: usize = 2048;
 
-/// Radix-sort digit width: six 8-bit passes cover all 48 key bits.
-const RADIX_BITS: u32 = 8;
-/// Number of buckets per radix pass.
-const RADIX: usize = 1 << RADIX_BITS;
-/// Radix passes needed for a 48-bit key.
-const PASSES: u32 = 3 * BITS / RADIX_BITS;
+/// Widest bucket index, in top key bits: 65 536 buckets, 768 KiB of tables.
+const MAX_BUCKET_BITS: u32 = 16;
+
+/// Bucket width for `n` points: about eight points a bucket, at most
+/// [`MAX_BUCKET_BITS`]. A pure function of `n`; the walk's output does not
+/// depend on it (see the module docs), only how many points it sorts.
+fn bucket_bits(n: usize) -> u32 {
+    (usize::BITS - n.leading_zeros())
+        .saturating_sub(3)
+        .min(MAX_BUCKET_BITS)
+}
 
 /// Quantises a coordinate in `[0, 1]` to `BITS` bits, rounding half away
 /// from zero like `f64::round` without the libm call: for `y ∈ [0, 65535]`
@@ -239,30 +268,22 @@ fn curve_key(curve: Curve, p: [f64; 3]) -> u64 {
 /// workspace a repeated SFC partition allocates only the returned part
 /// vector and the fork-join job boxes, a constant in `n` (see the module
 /// docs). Carries **no state** between calls — only capacity.
-///
-/// The key/id arrays are atomics because the radix scatter writes to
-/// globally disjoint but non-contiguous slots from several workers at once
-/// (the repo's safe-code idiom for disjoint-slot output; the fork-join scope
-/// join provides the happens-before edge between phases).
 #[derive(Debug, Default)]
 pub struct SfcWorkspace {
     /// Structured-event recorder for the `part.sfc.*` spans and counters.
     /// Defaults to the process-wide disabled recorder; install an enabled
     /// one (`ws.obs = rec.clone()`) to trace the geometric path.
     pub obs: Recorder,
-    /// Primary key buffer (holds the final curve keys after an even number
-    /// of scatter passes).
-    keys: Vec<AtomicU64>,
-    /// Ping-pong partner of `keys`.
-    keys_tmp: Vec<AtomicU64>,
-    /// Point ids, permuted alongside the keys.
-    ids: Vec<AtomicU32>,
-    /// Ping-pong partner of `ids`.
-    ids_tmp: Vec<AtomicU32>,
-    /// Per-shard digit histograms, `shards * RADIX` entries; turned into
-    /// scatter cursors in place by the prefix-sum merge.
-    hist: Vec<u32>,
-    /// `(key, id)` pairs for the comparison-sort path below the cutoff.
+    /// Curve key of every point, indexed by id.
+    keys: Vec<u64>,
+    /// Point ids in bucket order.
+    order: Vec<u32>,
+    /// Per bucket: its point count, then its start, then (after the
+    /// scatter) its end in `order`.
+    ends: Vec<u32>,
+    /// Per bucket: the sum of its points' weights.
+    wsum: Vec<u64>,
+    /// `(key, id)` pairs of the boundary bucket being walked.
     pairs: Vec<(u64, u32)>,
 }
 
@@ -272,27 +293,13 @@ impl SfcWorkspace {
         Self::default()
     }
 
-    /// Grows the radix buffers to hold `n` points and `shards` histograms.
-    fn ensure(&mut self, n: usize, shards: usize) {
-        if self.keys.len() < n {
-            self.keys.resize_with(n, || AtomicU64::new(0));
-            self.keys_tmp.resize_with(n, || AtomicU64::new(0));
-            self.ids.resize_with(n, || AtomicU32::new(0));
-            self.ids_tmp.resize_with(n, || AtomicU32::new(0));
-        }
-        if self.hist.len() < shards * RADIX {
-            self.hist.resize(shards * RADIX, 0);
-        }
-    }
-
     /// Total bytes currently held by the workspace's buffers — the
     /// peak-buffer figure the paper-scale audit reports through `obs`.
     pub fn peak_bytes(&self) -> u64 {
         (self.keys.capacity() * 8
-            + self.keys_tmp.capacity() * 8
-            + self.ids.capacity() * 4
-            + self.ids_tmp.capacity() * 4
-            + self.hist.capacity() * 4
+            + self.order.capacity() * 4
+            + self.ends.capacity() * 4
+            + self.wsum.capacity() * 8
             + self.pairs.capacity() * std::mem::size_of::<(u64, u32)>()) as u64
     }
 }
@@ -316,14 +323,13 @@ pub fn sfc_partition(
 /// [`sfc_partition`] with explicit worker count and leased scratch: the
 /// paper-scale entry point.
 ///
-/// Above [`SFC_RADIX_CUTOFF`] points the curve keys are computed in
-/// parallel shards and sorted by the deterministic parallel LSD radix sort
-/// (see the module docs); below it a sequential comparison sort on the
-/// `(key, id)` pairs is used. The result is bit-identical across paths and
-/// across every `workers` value.
+/// The curve keys are computed in parallel shards; the chunks are cut by one
+/// bucket pass that sorts only the points of the buckets a chunk boundary
+/// falls in (see the module docs). The result is the canonical sort-and-walk
+/// partition, bit-identical at every `workers` value.
 ///
 /// Emits `part.sfc` / `part.sfc.{keys,sort,chunk}` spans and
-/// `part.sfc.{points,shards,peak_bytes}` counters into `ws.obs`.
+/// `part.sfc.{points,sorted,peak_bytes}` counters into `ws.obs`.
 pub fn sfc_partition_with(
     centroids: &[[f64; 3]],
     weights: &[u64],
@@ -331,33 +337,6 @@ pub fn sfc_partition_with(
     curve: Curve,
     workers: usize,
     ws: &mut SfcWorkspace,
-) -> Vec<PartId> {
-    sfc_partition_impl(centroids, weights, k, curve, workers, ws, SFC_RADIX_CUTOFF)
-}
-
-/// Test-only entry that overrides the radix cutoff, so the comparison and
-/// radix paths can be forced onto the same input and diffed bit for bit.
-#[doc(hidden)]
-pub fn sfc_partition_forced(
-    centroids: &[[f64; 3]],
-    weights: &[u64],
-    k: usize,
-    curve: Curve,
-    workers: usize,
-    ws: &mut SfcWorkspace,
-    radix_cutoff: usize,
-) -> Vec<PartId> {
-    sfc_partition_impl(centroids, weights, k, curve, workers, ws, radix_cutoff)
-}
-
-fn sfc_partition_impl(
-    centroids: &[[f64; 3]],
-    weights: &[u64],
-    k: usize,
-    curve: Curve,
-    workers: usize,
-    ws: &mut SfcWorkspace,
-    radix_cutoff: usize,
 ) -> Vec<PartId> {
     assert_eq!(centroids.len(), weights.len(), "one weight per point");
     assert!(k >= 1, "need at least one part");
@@ -370,202 +349,156 @@ fn sfc_partition_impl(
     if n == 0 {
         return part;
     }
-
-    if n < radix_cutoff {
-        // Small path: sort the (key, id) pairs directly. Sorting the full
-        // pair (id breaks key ties) realises the same canonical order as the
-        // stable radix sort, and `sort_unstable` keeps the path in-place.
-        let pairs = &mut ws.pairs;
-        {
-            let _s = tempart_obs::span!(&rec, "part.sfc.keys", track = 0, arg = n as u64);
-            pairs.clear();
-            pairs.extend(
-                centroids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| (curve_key(curve, c), i as u32)),
-            );
-        }
-        {
-            let _s = tempart_obs::span!(&rec, "part.sfc.sort", track = 0, arg = n as u64);
-            pairs.sort_unstable();
-        }
-        let _s = tempart_obs::span!(&rec, "part.sfc.chunk", track = 0, arg = k as u64);
-        chunk_greedy(pairs.iter().map(|&(_, id)| id), n, weights, k, &mut part);
-        rec.counter("part.sfc.peak_bytes", 0, ws.peak_bytes());
-        return part;
+    let bits = bucket_bits(n);
+    let (shift, buckets) = (3 * BITS - bits, 1usize << bits);
+    let SfcWorkspace {
+        keys,
+        order,
+        ends,
+        wsum,
+        pairs,
+        ..
+    } = ws;
+    if keys.len() < n {
+        keys.resize(n, 0);
+        order.resize(n, 0);
     }
+    if ends.len() < buckets {
+        ends.resize(buckets, 0);
+        wsum.resize(buckets, 0);
+    }
+    let (keys, order) = (&mut keys[..n], &mut order[..n]);
+    let (ends, wsum) = (&mut ends[..buckets], &mut wsum[..buckets]);
 
-    // Shard layout: contiguous id ranges, a pure function of n alone.
-    let shards = n.div_ceil(SHARD_GRAIN);
-    // Job grouping is a scheduling choice (it may depend on the worker
-    // count): each job owns a contiguous run of shards. Which thread runs
-    // which job never affects the bytes produced.
-    let jobs = shards.min(workers * 8).max(1);
-    let job_range = |j: usize| -> (usize, usize) {
-        // Balanced contiguous split of `shards` into `jobs` runs.
-        (shards * j / jobs, shards * (j + 1) / jobs)
-    };
-    let shard_range =
-        |s: usize| -> (usize, usize) { (s * SHARD_GRAIN, ((s + 1) * SHARD_GRAIN).min(n)) };
-    ws.ensure(n, shards);
-    rec.counter("part.sfc.shards", 0, shards as u64);
-
-    // Phase 1: every curve key computed exactly once, sharded over the
+    // Step 1: every curve key computed exactly once, sharded over the
     // fork-join pool in contiguous id ranges.
-    let keys = &ws.keys[..n];
-    let keys_tmp = &ws.keys_tmp[..n];
-    let ids = &ws.ids[..n];
-    let ids_tmp = &ws.ids_tmp[..n];
     {
         let _s = tempart_obs::span!(&rec, "part.sfc.keys", track = 0, arg = n as u64);
-        fork_join(workers, |ctx| {
-            for j in 0..jobs {
-                let (s0, s1) = job_range(j);
-                let (lo, hi) = (shard_range(s0).0, shard_range(s1 - 1).1);
-                ctx.spawn(move |_| {
-                    for i in lo..hi {
-                        keys[i].store(curve_key(curve, centroids[i]), Ordering::Relaxed);
-                        ids[i].store(i as u32, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-    }
-
-    // Phase 2: deterministic parallel LSD radix sort of (key, id), least
-    // significant 8-bit digit first. Each pass: per-shard counting
-    // (disjoint &mut histogram slices), one sequential digit-major /
-    // shard-minor exclusive prefix sum (the fixed-order merge), then a
-    // parallel scatter where shard s writes bucket d at positions
-    // start[d][s] .. start[d][s] + count[s][d] — globally disjoint slots.
-    // Stability: within a digit, elements stay in (shard, in-shard) order =
-    // ascending previous position, so six passes realise the canonical
-    // lexicographic (key, id) order regardless of shard or worker count.
-    let (mut src_k, mut dst_k) = (keys, keys_tmp);
-    let (mut src_i, mut dst_i) = (ids, ids_tmp);
-    {
-        let _s = tempart_obs::span!(&rec, "part.sfc.sort", track = 0, arg = n as u64);
-        for pass in 0..PASSES {
-            let shift = pass * RADIX_BITS;
-            let hist = &mut ws.hist[..shards * RADIX];
-            hist.fill(0);
+        if workers == 1 {
+            fill_keys(keys, centroids, curve);
+        } else {
+            let shard = n.div_ceil(n.div_ceil(SHARD_GRAIN).min(workers * 8));
             fork_join(workers, |ctx| {
-                let mut rest = hist;
-                let mut s0 = 0usize;
-                for j in 0..jobs {
-                    let (_, s1) = job_range(j);
-                    let (mine, r) = rest.split_at_mut((s1 - s0) * RADIX);
-                    rest = r;
-                    ctx.spawn(move |_| {
-                        for (s, h) in (s0..s1).zip(mine.chunks_mut(RADIX)) {
-                            let (lo, hi) = shard_range(s);
-                            for e in &src_k[lo..hi] {
-                                let d = (e.load(Ordering::Relaxed) >> shift) as usize & (RADIX - 1);
-                                h[d] += 1;
-                            }
-                        }
-                    });
-                    s0 = s1;
+                for (keys, pts) in keys.chunks_mut(shard).zip(centroids.chunks(shard)) {
+                    ctx.spawn(move |_| fill_keys(keys, pts, curve));
                 }
             });
-            let hist = &mut ws.hist[..shards * RADIX];
-            // If every key shares this digit the scatter would be the
-            // identity permutation: skip the pass (a data-dependent — hence
-            // deterministic — shortcut that pays off on clustered inputs).
-            let uniform = (0..RADIX).any(|d| {
-                (0..shards)
-                    .map(|s| hist[s * RADIX + d] as usize)
-                    .sum::<usize>()
-                    == n
-            });
-            if uniform {
-                continue;
-            }
-            // Fixed-order merge: exclusive prefix sum over (digit, shard) in
-            // digit-major, shard-minor order turns counts into the start
-            // cursor of every (shard, digit) output run.
-            let mut running = 0u32;
-            for d in 0..RADIX {
-                for s in 0..shards {
-                    let c = hist[s * RADIX + d];
-                    hist[s * RADIX + d] = running;
-                    running += c;
-                }
-            }
-            fork_join(workers, |ctx| {
-                let mut rest = hist;
-                let mut s0 = 0usize;
-                for j in 0..jobs {
-                    let (_, s1) = job_range(j);
-                    let (mine, r) = rest.split_at_mut((s1 - s0) * RADIX);
-                    rest = r;
-                    ctx.spawn(move |_| {
-                        for (s, cur) in (s0..s1).zip(mine.chunks_mut(RADIX)) {
-                            let (lo, hi) = shard_range(s);
-                            for i in lo..hi {
-                                let key = src_k[i].load(Ordering::Relaxed);
-                                let d = (key >> shift) as usize & (RADIX - 1);
-                                let pos = cur[d] as usize;
-                                cur[d] += 1;
-                                dst_k[pos].store(key, Ordering::Relaxed);
-                                dst_i[pos]
-                                    .store(src_i[i].load(Ordering::Relaxed), Ordering::Relaxed);
-                            }
-                        }
-                    });
-                    s0 = s1;
-                }
-            });
-            std::mem::swap(&mut src_k, &mut dst_k);
-            std::mem::swap(&mut src_i, &mut dst_i);
         }
     }
 
-    // Phase 3: one sequential walk along the curve.
+    // Step 2: count and weigh every bucket, then scatter the ids into
+    // bucket order; `ends[b]` goes count → start → end.
+    {
+        let _s = tempart_obs::span!(&rec, "part.sfc.sort", track = 0, arg = n as u64);
+        ends.fill(0);
+        wsum.fill(0);
+        for (&key, &w) in keys.iter().zip(weights) {
+            let b = (key >> shift) as usize;
+            ends[b] += 1;
+            wsum[b] += w;
+        }
+        let mut start = 0u32;
+        for e in ends.iter_mut() {
+            (*e, start) = (start, start + *e);
+        }
+        for (id, &key) in keys.iter().enumerate() {
+            let e = &mut ends[(key >> shift) as usize];
+            order[*e as usize] = id as u32;
+            *e += 1;
+        }
+    }
+
+    // Step 3: the walk along the curve, bucket by bucket.
     let _s = tempart_obs::span!(&rec, "part.sfc.chunk", track = 0, arg = k as u64);
-    chunk_greedy(
-        src_i.iter().map(|id| id.load(Ordering::Relaxed)),
-        n,
-        weights,
-        k,
-        &mut part,
-    );
+    let mut cut = Cut::new(weights.iter().sum(), n, k);
+    let (mut begin, mut sorted) = (0usize, 0u64);
+    for (&end, &w) in ends.iter().zip(wsum.iter()) {
+        let end = end as usize;
+        if end == begin {
+            continue;
+        }
+        let bucket = &order[begin..end];
+        cut.close_if_due(begin);
+        // Bulk: no close can fire after the bucket's first point (the
+        // module docs prove it); otherwise walk the bucket in curve order.
+        if cut.cur + 1 == k || (cut.part_w + w < cut.target && n - (end - 1) >= k - cut.cur) {
+            for &id in bucket {
+                part[id as usize] = cut.cur as PartId;
+            }
+            cut.part_w += w;
+        } else {
+            sorted += bucket.len() as u64;
+            pairs.clear();
+            pairs.extend(bucket.iter().map(|&id| (keys[id as usize], id)));
+            pairs.sort_unstable();
+            for (pos, &(_, id)) in (begin..).zip(pairs.iter()) {
+                if pos > begin {
+                    cut.close_if_due(pos);
+                }
+                part[id as usize] = cut.cur as PartId;
+                cut.part_w += weights[id as usize];
+            }
+        }
+        begin = end;
+    }
+    rec.counter("part.sfc.sorted", 0, sorted);
     rec.counter("part.sfc.peak_bytes", 0, ws.peak_bytes());
     part
 }
 
-/// Cuts the curve order into `k` consecutive chunks with a
-/// **running-remainder** weight target: when part `p` opens, its target is
-/// `ceil(remaining_weight / remaining_parts)` (at least 1), so weight
-/// swallowed early by a huge cell shrinks the targets of the parts after it
-/// instead of starving the tail. A must-close guard (`points left ==
-/// parts still unopened`) additionally hands every remaining part one point
-/// each, so the last part can never be starved to zero when `k` is large
-/// relative to the number of distinct keys.
-fn chunk_greedy(
-    order: impl Iterator<Item = u32>,
+/// Writes the curve key of every point in `pts` to the matching slot of
+/// `keys`.
+fn fill_keys(keys: &mut [u64], pts: &[[f64; 3]], curve: Curve) {
+    for (key, &p) in keys.iter_mut().zip(pts) {
+        *key = curve_key(curve, p);
+    }
+}
+
+/// The state of the canonical walk, which cuts the curve order into `k`
+/// consecutive chunks with a **running-remainder** weight target: when
+/// chunk `cur` opens, its target is `ceil(remaining_weight /
+/// remaining_parts)` (at least 1), so weight swallowed early by a huge cell
+/// shrinks the targets of the chunks after it instead of starving the
+/// tail. A must-close guard (`points left == chunks still unopened`)
+/// additionally hands every remaining chunk one point each, so the last
+/// chunk can never be starved to zero when `k` is large relative to the
+/// number of distinct keys.
+struct Cut {
     n: usize,
-    weights: &[u64],
     k: usize,
-    part: &mut [PartId],
-) {
-    let total: u64 = weights.iter().sum();
-    let mut remaining = total;
-    let mut parts_left = k as u64;
-    let mut target = (remaining.div_ceil(parts_left)).max(1);
-    let mut cur = 0usize;
-    let mut part_w = 0u64;
-    for (pos, id) in order.enumerate() {
-        if cur + 1 < k && (part_w >= target || n - pos < k - cur) {
-            cur += 1;
-            remaining -= part_w;
-            parts_left -= 1;
-            target = (remaining.div_ceil(parts_left)).max(1);
-            part_w = 0;
+    /// The open chunk.
+    cur: usize,
+    /// Weight assigned to the open chunk so far.
+    part_w: u64,
+    /// The open chunk's target weight.
+    target: u64,
+    /// Weight not assigned to a closed chunk.
+    remaining: u64,
+}
+
+impl Cut {
+    fn new(total: u64, n: usize, k: usize) -> Self {
+        Self {
+            n,
+            k,
+            cur: 0,
+            part_w: 0,
+            target: total.div_ceil(k as u64).max(1),
+            remaining: total,
         }
-        part[id as usize] = cur as PartId;
-        part_w += weights[id as usize];
+    }
+
+    /// The close test the walk applies once before the point at curve
+    /// position `pos`.
+    #[inline]
+    fn close_if_due(&mut self, pos: usize) {
+        if self.cur + 1 < self.k && (self.part_w >= self.target || self.n - pos < self.k - self.cur)
+        {
+            self.cur += 1;
+            self.remaining -= self.part_w;
+            self.target = self.remaining.div_ceil((self.k - self.cur) as u64).max(1);
+            self.part_w = 0;
+        }
     }
 }
 
@@ -903,21 +836,41 @@ mod tests {
             .collect()
     }
 
+    /// The reference partition: every `(key, id)` pair sorted, then the
+    /// canonical walk point by point.
+    fn sort_and_walk(pts: &[[f64; 3]], weights: &[u64], k: usize, curve: Curve) -> Vec<PartId> {
+        let mut pairs: Vec<(u64, u32)> = (0u32..)
+            .zip(pts)
+            .map(|(id, &p)| (curve_key(curve, p), id))
+            .collect();
+        pairs.sort_unstable();
+        let mut part = vec![0; pts.len()];
+        let mut cut = Cut::new(weights.iter().sum(), pts.len(), k);
+        for (pos, &(_, id)) in pairs.iter().enumerate() {
+            cut.close_if_due(pos);
+            part[id as usize] = cut.cur as PartId;
+            cut.part_w += weights[id as usize];
+        }
+        part
+    }
+
     #[test]
-    fn radix_matches_comparison_sort_bit_for_bit() {
-        // The two sort paths on the same input, at several worker counts
-        // and ns straddling shard boundaries (including duplicate keys from
-        // the quantiser at n > 2^16 distinct values per axis).
-        for n in [64usize, 2048, 2049, 4096, 5000] {
+    fn bucket_walk_matches_sort_and_walk() {
+        // ns across several bucket widths, k from one part to more parts
+        // than points, duplicate keys (the quantiser's lattice), zero
+        // weights and one weight that dwarfs the rest.
+        for n in [1usize, 7, 8, 64, 2049, 5000, 70_000] {
             let pts = random_points(n, 42 + n as u64);
-            let weights: Vec<u64> = (0..n as u64).map(|i| 1 + i % 7).collect();
-            for curve in [Curve::Morton, Curve::Hilbert] {
-                let mut ws = SfcWorkspace::new();
-                let expect =
-                    sfc_partition_forced(&pts, &weights, 16, curve, 1, &mut ws, usize::MAX);
-                for workers in [1usize, 2, 4] {
-                    let got = sfc_partition_forced(&pts, &weights, 16, curve, workers, &mut ws, 1);
-                    assert_eq!(got, expect, "{curve:?} n={n} workers={workers}");
+            let mut weights: Vec<u64> = (0..n as u64).map(|i| i % 7 % 3).collect();
+            weights[n / 2] = 1 << 40;
+            for k in [1usize, 2, 16, 512, n, n + 3] {
+                for curve in [Curve::Morton, Curve::Hilbert] {
+                    let expect = sort_and_walk(&pts, &weights, k, curve);
+                    let mut ws = SfcWorkspace::new();
+                    for workers in [1usize, 2, 4] {
+                        let got = sfc_partition_with(&pts, &weights, k, curve, workers, &mut ws);
+                        assert_eq!(got, expect, "{curve:?} n={n} k={k} workers={workers}");
+                    }
                 }
             }
         }
@@ -968,9 +921,9 @@ mod tests {
             .events
             .iter()
             .any(|e| e.name == "part.sfc.peak_bytes" && e.val > 0));
-        assert_eq!(
-            trace.last_counter("part.sfc.shards"),
-            Some(5000u64.div_ceil(SHARD_GRAIN as u64))
-        );
+        // Seven chunk boundaries fall in at most seven of the 1 024
+        // buckets, so only a few points are sorted.
+        let sorted = trace.last_counter("part.sfc.sorted").unwrap();
+        assert!(sorted > 0 && sorted < 500, "sorted {sorted}");
     }
 }

@@ -34,7 +34,6 @@ use tempart_graph::{CsrGraph, PartId};
 
 pub use geometric::{
     hilbert_index, morton_index, sfc_partition, sfc_partition_with, Curve, SfcWorkspace,
-    SFC_RADIX_CUTOFF,
 };
 pub use par::{partition_graph_par_traced, WorkspacePool};
 pub use par_kway::colour_pairs;

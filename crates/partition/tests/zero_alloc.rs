@@ -20,7 +20,8 @@
 //!    inside the measured call, so it is covered too.) A warm
 //!    `partition_graph_with` allocates its result and its uniform targets
 //!    and nothing else, at any k. A warm `sfc_partition_with` allocates its
-//!    result plus a constant number of bytes that does not grow with n.
+//!    result plus a constant number of bytes that does not grow with n
+//!    (none at one worker).
 
 use tempart_graph::builder::grid_graph;
 use tempart_partition::geometric::{sfc_partition_with, Curve, SfcWorkspace};
@@ -119,11 +120,13 @@ fn warm_recursive_bisection_allocates_the_result_and_the_targets_only() {
 
 #[test]
 fn warm_sfc_partition_allocates_its_result_plus_a_constant() {
-    // Every key, id and histogram buffer is leased from the workspace. What
-    // a warm call still allocates is the part vector (4 bytes a point) and
-    // the fork-join scopes' job boxes — about 18 KiB, a function of the
-    // worker count, not of n.
-    const SLACK: u64 = 32 << 10;
+    // The key, order and bucket tables and the boundary-bucket scratch are
+    // leased from the workspace. What a warm call still allocates is the
+    // part vector (4 bytes a point) and, above one worker, what this
+    // thread allocates to open the key step's one fork-join scope: nothing
+    // at one worker, 1 080 to 1 224 bytes at two as measured, a function of
+    // the worker count, not of n.
+    const SLACK: u64 = 1536;
     for workers in [1usize, 2] {
         for n in [20_000usize, 160_000] {
             let pts: Vec<[f64; 3]> = (0..n)
@@ -141,8 +144,9 @@ fn warm_sfc_partition_allocates_its_result_plus_a_constant() {
             let part = run();
             let bytes = allocated_bytes() - before;
             assert_eq!(part.len(), n);
+            let slack = if workers == 1 { 0 } else { SLACK };
             assert!(
-                bytes <= 4 * n as u64 + SLACK,
+                bytes <= 4 * n as u64 + slack,
                 "w{workers} n={n}: warm call allocated {bytes} bytes"
             );
         }

@@ -1,14 +1,16 @@
 //! Opt-in paper-scale suite (`TEMPART_PAPER_SCALE=1`).
 //!
-//! These tests exercise the SFC fast path at the paper's actual Table I
+//! These tests exercise the SFC partition at the paper's actual Table I
 //! sizes — a 12.6M-cell PPRIME_NOZZLE-class cloud — which takes tens of
 //! seconds and hundreds of MB, so they no-op (with a note) unless the
 //! environment opts in. ci.sh runs them in its `paper-scale` stage; the
 //! default tier-1 / workspace stages never pay for them.
 
+mod common;
+
+use common::oracle;
 use tempart::mesh::{cloud_cell_count, paper_scale_nside, sfc_cloud, MeshCase};
-use tempart::partition::geometric::sfc_partition_forced;
-use tempart::partition::{sfc_partition_with, Curve, SfcWorkspace, SFC_RADIX_CUTOFF};
+use tempart::partition::{sfc_partition_with, Curve, SfcWorkspace};
 use tempart_testkit::{peak_rss_bytes, SplitMix64};
 
 fn enabled(test: &str) -> bool {
@@ -40,9 +42,9 @@ fn cloud_counts_match_table1() {
     }
 }
 
-/// The radix sort at a size where every digit pass has real work: ≥1M
-/// uniformly random points, parallel widths 1/2/4 diffed bit for bit
-/// against the forced comparison sort.
+/// The bucket walk past the widest bucket table (≥1M uniformly random
+/// points, about 16 a bucket): parallel widths 1/2/4 diffed bit for bit
+/// against the sort-and-walk oracle.
 #[test]
 fn million_point_sort_matches_sequential() {
     if !enabled("million_point_sort_matches_sequential") {
@@ -57,11 +59,9 @@ fn million_point_sort_matches_sequential() {
         centroids.push([f(&mut rng), f(&mut rng), f(&mut rng)]);
         weights.push(1 + rng.next_u64() % 8);
     }
-    assert!(n > SFC_RADIX_CUTOFF);
     let k = 96;
     for curve in [Curve::Morton, Curve::Hilbert] {
-        let mut seq_ws = SfcWorkspace::new();
-        let seq = sfc_partition_forced(&centroids, &weights, k, curve, 1, &mut seq_ws, usize::MAX);
+        let seq = oracle(&centroids, &weights, k, curve);
         let mut ws = SfcWorkspace::new();
         for workers in [1usize, 2, 4] {
             let par = sfc_partition_with(&centroids, &weights, k, curve, workers, &mut ws);
@@ -103,9 +103,15 @@ fn pprime_scale_cloud_partitions_in_bounded_memory() {
             "part {p} load {l} vs ideal {ideal:.0}"
         );
     }
-    // Parallel and sequential agree at full scale too.
+    // Parallel, sequential and the sort-and-walk oracle agree at full
+    // scale too.
     let seq = sfc_partition_with(&cloud.centroids, &weights, k, Curve::Hilbert, 1, &mut ws);
     assert_eq!(part, seq, "w4 diverged from w1 at n = {n}");
+    let expect = oracle(&cloud.centroids, &weights, k, Curve::Hilbert);
+    assert_eq!(
+        part, expect,
+        "bucket walk diverged from the oracle at n = {n}"
+    );
     // Bounded memory: the whole run — cloud, weights, sort arenas, part
     // vectors — must stay well under 4 GiB peak RSS (the seed's u128-keyed
     // comparison sort with a full faces mesh needed several times that).

@@ -26,9 +26,7 @@ use tempart::core_api::{
 use tempart::flusim::{parse_preset, ClusterConfig, DynamicListStrategy, Segment, TransferSegment};
 use tempart::mesh::{cube_like, cylinder_like, GeneratorConfig, Mesh};
 use tempart::obs::Recorder;
-use tempart::partition::{
-    diffusion_plan, sfc_partition_with, Curve, SfcWorkspace, SFC_RADIX_CUTOFF,
-};
+use tempart::partition::{diffusion_plan, sfc_partition_with, Curve, SfcWorkspace};
 
 const SEED: u64 = 0x3A7_2026;
 const N_DOMAINS: usize = 16;
@@ -219,15 +217,10 @@ fn emit_fingerprints_for_worker_matrix() {
         )
         .unwrap();
     }
-    // Geometric SFC path on a mesh above `SFC_RADIX_CUTOFF`, so the
-    // parallel radix sort engages (not the small-n comparison sort). The
-    // digest lines name only the curve — never the worker count — so a
+    // Geometric SFC path: sharded keys and the bucket walk. The digest
+    // lines name only the curve — never the worker count — so a
     // schedule-dependent divergence shows up as a file diff in ci.sh.
     let sfc_mesh = cylinder_like(&GeneratorConfig { base_depth: 4 });
-    assert!(
-        sfc_mesh.n_cells() > SFC_RADIX_CUTOFF,
-        "SFC fingerprint mesh must exercise the radix path"
-    );
     let centroids: Vec<[f64; 3]> = sfc_mesh.cells().iter().map(|c| c.centroid).collect();
     let (w, _) = strategy_weights(&sfc_mesh, PartitionStrategy::ScOc);
     let weights: Vec<u64> = w.into_iter().map(u64::from).collect();
