@@ -128,6 +128,18 @@ stage_policy() {
         echo "ERROR: use DomainDecomposition::quality, not a cell graph, in the pipeline" >&2
         exit 1
     fi
+    # A priced transfer reads its link off the price table's node vector
+    # and its bytes off the table's edge row: the non-test part of sim.rs
+    # never calls `Topology::link` (an enum match and two divisions per
+    # transfer) or `message_bytes` (a binary search per edge).
+    local net_calls
+    net_calls=$(awk '/^#\[cfg\(test\)\]/ { exit } /\.link\(|message_bytes\(/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/flusim/src/sim.rs)
+    if [[ -n "$net_calls" ]]; then
+        echo "$net_calls"
+        echo "ERROR: price transfers from PricedNetwork, not per call, in the event loop" >&2
+        exit 1
+    fi
     # The curve partition has one path for every n, the bucket walk of
     # crates/partition/src/geometric.rs: the radix sort's size cutoff and
     # the entry point that forced either side of it stay gone.
@@ -158,7 +170,7 @@ stage_policy() {
         echo "ERROR: crates/bench has one binary, experiments.rs; add a registry row" >&2
         exit 1
     fi
-    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points, no bench gate, no pipeline cell graph)"
+    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points, no bench gate, no pipeline cell graph, no per-transfer link)"
 }
 
 stage_fmt() {

@@ -178,15 +178,55 @@ impl HaloBytes {
         self.offsets.len() - 1
     }
 
+    /// Index range of domain `a`'s row in `neighbor` / `bytes`.
+    fn row(&self, a: u32) -> std::ops::Range<usize> {
+        self.offsets[a as usize] as usize..self.offsets[a as usize + 1] as usize
+    }
+
     /// Bytes of one halo message between domains `a` and `b` (0 when not
     /// adjacent or equal).
     pub fn between(&self, a: u32, b: u32) -> u64 {
-        let lo = self.offsets[a as usize] as usize;
-        let hi = self.offsets[a as usize + 1] as usize;
-        match self.neighbor[lo..hi].binary_search(&b) {
-            Ok(i) => self.bytes[lo + i],
+        let row = self.row(a);
+        match self.neighbor[row.clone()].binary_search(&b) {
+            Ok(i) => self.bytes[row.start + i],
             Err(_) => 0,
         }
+    }
+
+    /// Message bytes of every dependency edge of `graph`, task by task in
+    /// id order and in [`TaskGraph::succs`] order within a task — edge by
+    /// edge what [`NetworkModel::message_bytes`] gives, without a binary
+    /// search per edge. The sender's halo row is scattered into a dense
+    /// `n_domains` row (a domain is never its own neighbour, so the
+    /// same-domain entry stays 0) and re-scattered only when the sender's
+    /// domain changes; clearing the old row first keeps every non-adjacent
+    /// entry 0. Requires the table to cover `graph`'s domains
+    /// ([`NetworkModel::validate`]).
+    pub(crate) fn edge_bytes(&self, graph: &TaskGraph) -> Vec<u64> {
+        let mut dense = vec![0u64; self.n_domains()];
+        let mut loaded: Option<u32> = None;
+        let mut bytes = Vec::with_capacity(graph.n_edges());
+        for t in 0..graph.len() as TaskId {
+            let d = graph.task(t).domain;
+            if loaded != Some(d) {
+                if let Some(old) = loaded {
+                    for &n in &self.neighbor[self.row(old)] {
+                        dense[n as usize] = 0;
+                    }
+                }
+                for i in self.row(d) {
+                    dense[self.neighbor[i] as usize] = self.bytes[i];
+                }
+                loaded = Some(d);
+            }
+            bytes.extend(
+                graph
+                    .succs(t)
+                    .iter()
+                    .map(|&s| dense[graph.task(s).domain as usize]),
+            );
+        }
+        bytes
     }
 }
 

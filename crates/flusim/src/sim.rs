@@ -7,7 +7,7 @@
 
 use crate::cluster::{ClusterConfig, UNBOUNDED_CORES};
 use crate::lattice::{DynamicListStrategy, ProcessCriterion, TaskCriterion, TieBreak};
-use crate::network::{NetworkModel, TransferSegment, UNBOUNDED_CHANNELS};
+use crate::network::{Link, NetworkModel, Topology, TransferSegment, UNBOUNDED_CHANNELS};
 use crate::trace::Segment;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -192,11 +192,20 @@ fn assert_mapping(graph: &TaskGraph, np: usize, process_of: &[usize]) {
 /// so the event loop reads both from this table instead of re-deriving them
 /// per completed task, and a portfolio race builds the table once for all
 /// of its combos. Which *link* the message travels over depends on where
-/// the predecessor executed, so durations stay in the loop.
+/// the predecessor executed, so durations stay in the loop; the topology
+/// is resolved here into a node per process and two links, so the loop
+/// compares two node ids where [`Topology::link`] would match on the enum
+/// and divide twice.
 pub(crate) struct PricedNetwork<'a> {
     model: &'a NetworkModel,
     /// Home process of each task: its domain's owner under `process_of`.
     home: Vec<u32>,
+    /// Node of each process: `p / procs_per_node` on a two-level topology,
+    /// 0 everywhere on a uniform one.
+    node: Vec<u32>,
+    /// `[intra, inter]`: the link between two processes on one node and
+    /// between two nodes (both the one link of a uniform topology).
+    links: [Link; 2],
     /// Index in `bytes` of each task's first successor edge.
     first_edge: Vec<usize>,
     /// Message bytes per successor edge, aligned with [`TaskGraph::succs`]
@@ -226,24 +235,52 @@ impl<'a> PricedNetwork<'a> {
             .iter()
             .map(|t| process_of[t.domain as usize] as u32)
             .collect();
+        let (node, links) = match model.topology {
+            Topology::Uniform(l) => (vec![0; np], [l, l]),
+            Topology::TwoLevel {
+                procs_per_node,
+                intra,
+                inter,
+            } => (
+                (0..np).map(|p| (p / procs_per_node) as u32).collect(),
+                [intra, inter],
+            ),
+        };
         let mut first_edge = Vec::with_capacity(graph.len());
-        let mut bytes = Vec::with_capacity(graph.n_edges());
+        let mut edges = 0;
         for t in 0..graph.len() as TaskId {
-            first_edge.push(bytes.len());
-            bytes.extend(
-                graph
-                    .succs(t)
-                    .iter()
-                    .map(|&s| model.message_bytes(graph, t, s)),
-            );
+            first_edge.push(edges);
+            edges += graph.succs(t).len();
         }
         Self {
             model,
             home,
+            node,
+            links,
             first_edge,
-            bytes,
+            bytes: model.sizes.edge_bytes(graph),
         }
     }
+
+    /// The link a message from process `src` to process `dst` travels over
+    /// — [`Topology::link`], read off the node vector without a branch.
+    fn route(&self, src: usize, dst: usize) -> Link {
+        self.links[usize::from(self.node[src] != self.node[dst])]
+    }
+}
+
+/// The earliest-free channel of one NIC row and its free time, the lowest
+/// id among equals. The running pair is updated by selects, not by a
+/// branch: which channel frees first is data the predictor cannot learn,
+/// and the strict `<` keeps the first minimum.
+fn earliest_free(nic: &[u64]) -> (usize, u64) {
+    let (mut best, mut best_free) = (0, nic[0]);
+    for (c, &free) in nic.iter().enumerate().skip(1) {
+        let earlier = free < best_free;
+        best = if earlier { c } else { best };
+        best_free = if earlier { free } else { best_free };
+    }
+    (best, best_free)
 }
 
 /// Appends `[start, end)` to a sorted list of disjoint, non-touching
@@ -357,7 +394,14 @@ pub(crate) fn sim_core(
 ///   channel occupancy is decided once, in completion order, keeping the
 ///   loop allocation-free and the schedule a pure function of its inputs.
 ///   Destinations and sizes come from the [`PricedNetwork`] table (always,
-///   when a network is present); only the link duration is computed here.
+///   when a network is present); only the link duration is computed here,
+///   and without a data-dependent branch: the link is `intra` when the
+///   node vector puts source and destination on one node and `inter`
+///   otherwise (one compare, no division), the earliest-free channel is a
+///   running `(channel, free time)` pair updated by selects with a strict
+///   `<` (so the lowest id still wins ties), and the successor's readiness
+///   is a `max`. A channel row is `min(channels, edges)` wide: no pick can
+///   land past it (see [`SimState::new`]).
 /// * **Accounting.** Everything the closing counters publish — `busy`,
 ///   `active`, `subiter_work` and the per-process `bytes_in` / `messages`
 ///   tallies — accumulates inside the loop, so a run emits the same stream
@@ -384,7 +428,8 @@ struct SimState<'a> {
     /// atomic load behind two pointer dereferences per launched task.
     traced: bool,
     pinned: bool,
-    /// NIC channels per process; 0 when unbounded (or no network), where
+    /// NIC channels per process, at most one per dependency edge (see
+    /// [`SimState::new`]); 0 when unbounded (or no network), where
     /// transfers always start immediately on channel 0.
     bounded_channels: usize,
     now: u64,
@@ -469,11 +514,17 @@ impl<'a> SimState<'a> {
             priority.is_none_or(|p| p.len() == n),
             "priorities belong to another task graph"
         );
+        // Each dependency edge sends at most one transfer, and the k-th
+        // transfer into a process finds at most k − 1 channels touched: an
+        // untouched channel reads 0, the minimum, so the lowest-id
+        // earliest-free pick never lands above index `n_edges − 1`. Wider
+        // rows schedule alike — and at a budget near `usize::MAX` could not
+        // be allocated.
         let bounded_channels = net.map_or(0, |p| {
             if p.model.channels == UNBOUNDED_CHANNELS {
                 0
             } else {
-                p.model.channels
+                p.model.channels.min(graph.n_edges().max(1))
             }
         });
         let pinned = strat.process == ProcessCriterion::Pinned;
@@ -706,27 +757,20 @@ impl<'a> SimState<'a> {
     /// time.
     fn transfer(
         &mut self,
-        model: &NetworkModel,
+        priced: &PricedNetwork,
         src: usize,
         dst: usize,
         succ: TaskId,
         bytes: u64,
         log: Option<&mut ScheduleLog>,
     ) -> u64 {
-        let dur = model.topology.link(src, dst).duration(bytes);
+        let dur = priced.route(src, dst).duration(bytes);
         let (channel, start) = if self.bounded_channels == 0 {
             (0usize, self.now)
         } else {
-            // Earliest-free inbound channel of the destination; strict
-            // improvement on the ascending scan ⇒ lowest id wins ties.
             let nic = &mut self.nic_free[dst * self.bounded_channels..][..self.bounded_channels];
-            let mut best = 0usize;
-            for c in 1..nic.len() {
-                if nic[c] < nic[best] {
-                    best = c;
-                }
-            }
-            let start = self.now.max(nic[best]);
+            let (best, best_free) = earliest_free(nic);
+            let start = self.now.max(best_free);
             nic[best] = start + dur;
             (best, start)
         };
@@ -792,10 +836,8 @@ impl<'a> SimState<'a> {
                 let sp = priced.home[s as usize] as usize;
                 let bytes = edge_bytes[k];
                 if sp != p && bytes > 0 {
-                    let end = self.transfer(priced.model, p, sp, s, bytes, log.as_deref_mut());
-                    if end > self.ready_at[s as usize] {
-                        self.ready_at[s as usize] = end;
-                    }
+                    let end = self.transfer(priced, p, sp, s, bytes, log.as_deref_mut());
+                    self.ready_at[s as usize] = self.ready_at[s as usize].max(end);
                 }
             }
             self.indegree[s as usize] -= 1;
@@ -943,8 +985,9 @@ fn net_stats(log: &ScheduleLog, bytes_in: Vec<u64>, messages: Vec<u64>) -> NetSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{HaloBytes, Link, UNBOUNDED_CHANNELS};
+    use crate::network::HaloBytes;
     use tempart_taskgraph::{Task, TaskKind};
+    use tempart_testkit::Rng;
 
     const EAGER_FIFO: DynamicListStrategy = DynamicListStrategy::EAGER_FIFO;
 
@@ -1370,7 +1413,6 @@ mod tests {
     #[test]
     fn push_merged_builds_what_merge_intervals_builds() {
         use tempart_obs::replay::merge_intervals;
-        use tempart_testkit::Rng;
         let mut rng = Rng::seed_from_u64(0x5EED_1A7E);
         for _ in 0..200 {
             // Start-ordered intervals with ties, touching neighbours, gaps
@@ -1387,6 +1429,185 @@ mod tests {
                 push_merged(&mut merged, s, e);
             }
             assert_eq!(merged, merge_intervals(intervals.clone()), "{intervals:?}");
+        }
+    }
+
+    /// A random DAG of `n` tasks over `n_domains` domains: runs of tasks on
+    /// one domain, so the sender's domain both repeats and changes from one
+    /// task to the next, each task depending on up to three earlier ones.
+    fn random_dag(rng: &mut Rng, n: usize, n_domains: u32) -> TaskGraph {
+        let mut tasks = Vec::with_capacity(n);
+        let mut preds = Vec::with_capacity(n);
+        let mut domain = 0;
+        for t in 0..n {
+            if rng.gen_range(0u32..3) == 0 {
+                domain = rng.gen_range(0..n_domains);
+            }
+            tasks.push(mk_task(domain, rng.gen_range(1u64..20), 0));
+            let mut p: Vec<TaskId> = if t == 0 {
+                Vec::new()
+            } else {
+                (0..rng.gen_range(0usize..4))
+                    .map(|_| rng.gen_range(0..t as TaskId))
+                    .collect()
+            };
+            p.sort_unstable();
+            p.dedup();
+            preds.push(p);
+        }
+        TaskGraph::assemble(tasks, preds, n_domains as usize, 1)
+    }
+
+    /// Halo pairs joining about half of the domain pairs, 1–99 bytes each.
+    fn random_halo(rng: &mut Rng, n_domains: u32) -> Vec<(u32, u32, u64)> {
+        let mut pairs = Vec::new();
+        for a in 0..n_domains {
+            for b in a + 1..n_domains {
+                if rng.gen_bool() {
+                    pairs.push((a, b, rng.gen_range(1u64..100)));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn edge_prices_match_message_bytes_on_every_edge() {
+        let mut rng = Rng::seed_from_u64(0xED6E_B17E);
+        let (mut same, mut adjacent, mut apart) = (0, 0, 0);
+        for _ in 0..40 {
+            let n_domains = rng.gen_range(1u32..9);
+            let n = rng.gen_range(0usize..200);
+            let g = random_dag(&mut rng, n, n_domains);
+            let halo = random_halo(&mut rng, n_domains);
+            let model = sized(NetworkModel::zero_cost(), n_domains as usize, &halo);
+            let process_of = vec![0; n_domains as usize];
+            let priced = PricedNetwork::new(&g, 1, &process_of, &model);
+            assert_eq!(priced.bytes.len(), g.n_edges());
+            for t in 0..g.len() as TaskId {
+                for (k, &s) in g.succs(t).iter().enumerate() {
+                    let want = model.message_bytes(&g, t, s);
+                    let got = priced.bytes[priced.first_edge[t as usize] + k];
+                    assert_eq!(got, want, "edge {t} -> {s} of {halo:?}");
+                    if g.task(t).domain == g.task(s).domain {
+                        same += 1;
+                    } else if want > 0 {
+                        adjacent += 1;
+                    } else {
+                        apart += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            same > 0 && adjacent > 0 && apart > 0,
+            "{same} {adjacent} {apart}"
+        );
+    }
+
+    #[test]
+    fn node_vector_routes_every_pair_like_the_topology() {
+        // 3 does not divide np, so the last node is a partial one.
+        let np = 7;
+        let intra = Link {
+            latency: 3,
+            cost_per_byte: 1,
+        };
+        let inter = Link {
+            latency: 50,
+            cost_per_byte: 4,
+        };
+        let tasks = (0..np as u32).map(|d| mk_task(d, 1, 0)).collect();
+        let g = TaskGraph::assemble(tasks, vec![vec![]; np], np, 1);
+        let process_of: Vec<usize> = (0..np).collect();
+        let mut topologies = vec![NetworkModel::uniform(inter, 2)];
+        for procs_per_node in [1, 3, np, np + 1] {
+            topologies.push(NetworkModel::two_level(procs_per_node, intra, inter, 2));
+        }
+        for model in topologies {
+            let model = sized(model, np, &[]);
+            let priced = PricedNetwork::new(&g, np, &process_of, &model);
+            for src in 0..np {
+                for dst in 0..np {
+                    assert_eq!(
+                        priced.route(src, dst),
+                        model.topology.link(src, dst),
+                        "{src} -> {dst} under {:?}",
+                        model.topology
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branchless_pick_matches_the_branching_scan() {
+        // The pick before it was branch-free: strict improvement on an
+        // ascending scan.
+        fn scan(nic: &[u64]) -> usize {
+            let mut best = 0;
+            for c in 1..nic.len() {
+                if nic[c] < nic[best] {
+                    best = c;
+                }
+            }
+            best
+        }
+        let mut rng = Rng::seed_from_u64(0xC4A2_2E15);
+        for channels in 1..=5 {
+            for _ in 0..500 {
+                // Three distinct free times over up to five channels force
+                // ties, the minimum's among them.
+                let nic: Vec<u64> = (0..channels)
+                    .map(|_| rng.gen_range(0u64..3) * 1000)
+                    .collect();
+                let best = scan(&nic);
+                assert_eq!(earliest_free(&nic), (best, nic[best]), "{nic:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn channel_budgets_beyond_the_edge_count_schedule_alike() {
+        // A channel row is `min(channels, edges)` wide: no transfer can
+        // pick a channel at or past the edge count, so every larger budget
+        // — up to one no machine could hold a row of — schedules alike.
+        let mut rng = Rng::seed_from_u64(0x0C4A_77E1);
+        let link = Link {
+            latency: 40,
+            cost_per_byte: 3,
+        };
+        let process_of = [0, 1, 2, 0, 1, 2];
+        for n in [0, 1, 150] {
+            let g = random_dag(&mut rng, n, 6);
+            let e = g.n_edges();
+            let halo = random_halo(&mut rng, 6);
+            let mut spilled = false;
+            for strat in DynamicListStrategy::lattice() {
+                let run = |channels| {
+                    let net = sized(NetworkModel::uniform(link, channels), 6, &halo);
+                    simulate_with(
+                        &g,
+                        &[1, 2, 1],
+                        &process_of,
+                        &strat,
+                        Some(&net),
+                        Recorder::off(),
+                    )
+                };
+                let at_edges = run(e.max(1));
+                spilled |= at_edges.transfers.iter().any(|x| x.channel > 0);
+                let budgets = [e + 1, 2 * e, 1_000_000_000_000_000_000];
+                for channels in budgets.into_iter().filter(|&c| c > 0) {
+                    assert_eq!(
+                        run(channels),
+                        at_edges,
+                        "{}: {channels} channels",
+                        strat.label()
+                    );
+                }
+            }
+            assert!(n < 150 || spilled, "no transfer left channel 0");
         }
     }
 

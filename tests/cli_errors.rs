@@ -180,6 +180,42 @@ fn latency_is_the_uniform_preset_and_not_a_second_network_flag() {
 }
 
 #[test]
+fn a_channel_budget_past_the_edge_count_runs_like_a_million_channels() {
+    // A NIC row used to be `channels` slots wide, so a budget of 10^18
+    // aborted with `capacity overflow` (exit 101). No transfer can pick a
+    // channel past the task graph's edge count, so the row stops there and
+    // any larger budget schedules alike.
+    let run = |cmd: &str, channels: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .arg(cmd)
+            .args(SMALL_RUN)
+            .args(["--net", &format!("uniform:200:2:{channels}")])
+            .output()
+            .expect("spawn tempart");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{cmd} {channels} channels: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+    for cmd in ["simulate", "portfolio"] {
+        let huge = run(cmd, "1000000000000000000");
+        let million = run(cmd, "1000000");
+        // `portfolio`'s header names the network; the reports below it
+        // must match.
+        let skip = usize::from(cmd == "portfolio");
+        let body = |s: &str| s.lines().skip(skip).collect::<Vec<_>>().join("\n");
+        assert!(
+            huge.contains("makespan") || huge.contains("fingerprint"),
+            "{huge}"
+        );
+        assert_eq!(body(&huge), body(&million), "{cmd}");
+    }
+}
+
+#[test]
 fn more_domains_than_cells_is_a_usage_error_not_a_report() {
     // The depth-3 CYLINDER has 736 cells. Asking for more domains than that
     // used to exit 0 with a five-digit "imbalance ceiling"; every
