@@ -128,6 +128,20 @@ stage_policy() {
         echo "ERROR: use DomainDecomposition::quality, not a cell graph, in the pipeline" >&2
         exit 1
     fi
+    # A bisection level reads its adjacency once: the non-test part of
+    # refine.rs reads edge weights only in `measure_gains` (the level's
+    # sweep) and `flip` (one move), so no FM pass, rollback or rebalance
+    # index build sweeps the graph again.
+    local sweeps
+    sweeps=$(awk '/^#\[cfg\(test\)\]/ { exit }
+        /^(pub(\(crate\))? )?fn / { fn_line = $0 }
+        /edge_weights\(/ && fn_line !~ /fn (measure_gains|flip)\(/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/partition/src/refine.rs)
+    if [[ -n "$sweeps" ]]; then
+        echo "$sweeps"
+        echo "ERROR: keep gains exact through flip, not a new sweep of the adjacency" >&2
+        exit 1
+    fi
     # A priced transfer reads its link off the price table's node vector
     # and its bytes off the table's edge row: the non-test part of sim.rs
     # never calls `Topology::link` (an enum match and two divisions per

@@ -104,6 +104,19 @@ impl SideWeights {
         m
     }
 
+    /// The worst `(side, constraint, norm)`: the first maximum, side-major.
+    pub(crate) fn worst(&self) -> (usize, usize, f64) {
+        let (mut ws, mut wc, mut wn) = (0usize, 0usize, 0.0f64);
+        for (s, norms) in self.norms.iter().enumerate() {
+            for (c, &norm) in norms.iter().enumerate() {
+                if norm > wn {
+                    (ws, wc, wn) = (s, c, norm);
+                }
+            }
+        }
+        (ws, wc, wn)
+    }
+
     /// Applies the move of a vertex with weights `vw` from `from` to the
     /// other side. Only constraints the vertex carries are touched.
     pub fn apply(&mut self, vw: &[u32], from: usize) {
@@ -140,6 +153,19 @@ impl SideWeights {
             m = m.max(nf).max(nt);
         }
         m
+    }
+
+    /// `max_norm_after(vw, from) <= limit`, for a `limit` at or above every
+    /// cached norm: the constraints `vw` does not carry keep their norms,
+    /// and of the ones it carries only the receiving side's can rise — the
+    /// sending side's weight falls, and `norm_of` is monotone in it — so
+    /// only those are tested, and the first one over `limit` decides.
+    #[inline]
+    pub(crate) fn fits_after(&self, vw: &[u32], from: usize, limit: f64) -> bool {
+        let to = 1 - from;
+        vw.iter().enumerate().all(|(c, &x)| {
+            x == 0 || norm_of(self.w[to][c] + i64::from(x), self.target(to, c)) <= limit
+        })
     }
 }
 
@@ -410,7 +436,7 @@ pub(crate) fn initial_bisection_into(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tempart_graph::builder::grid_graph;
 
@@ -461,7 +487,7 @@ mod tests {
     /// `one_hot`, else mixed vectors (zeros allowed); edge weights in 0..4,
     /// so zero-weight edges occur. Constraint `ncon - 1` is left empty
     /// (zero total) on every third instance.
-    fn random_graph(rng: &mut Rng, n: usize, ncon: usize, one_hot: bool) -> CsrGraph {
+    pub(crate) fn random_graph(rng: &mut Rng, n: usize, ncon: usize, one_hot: bool) -> CsrGraph {
         let mut b = tempart_graph::GraphBuilder::new(n, ncon);
         let live = if ncon > 1 && rng.gen_range(0..3usize) == 0 {
             ncon - 1

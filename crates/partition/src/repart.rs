@@ -565,7 +565,7 @@ fn transfer_pair(
     }
     let mut cells = 0u64;
     let mut volume = 0u64;
-    while let Some(v) = buckets.pop_best(usize::MAX, |_, _| true) {
+    while let Some(v) = buckets.pop_best(usize::MAX, |_| true) {
         let own = part[v as usize];
         debug_assert!(own == p || own == q, "bucketed cell left the pair");
         let (s, pw_own, pw_other, size_own, size_other, allow_other, other) = if own == p {

@@ -32,10 +32,16 @@ use tempart_obs::Recorder;
 /// Sentinel for "no vertex / no bucket".
 const NONE: u32 = u32::MAX;
 
+/// Largest |gain| with a bucket of its own. Larger gains share the end
+/// buckets, so edge weights near `u32::MAX` cost 2^21 bucket heads, not
+/// `2·max_gain + 1`; callers keep the exact gains beside the structure.
+const GAIN_CAP: i64 = 1 << 20;
+
 /// Bounded-gain bucket priority structure for FM refinement.
 ///
 /// Vertices live in doubly linked lists indexed by gain (offset so the most
-/// negative representable gain maps to bucket 0). All operations are O(1)
+/// negative representable gain maps to bucket 0; gains beyond ±2^20 share
+/// the end buckets). All operations are O(1)
 /// except [`GainBuckets::pop_best`], which walks from the highest non-empty
 /// bucket downward past infeasible candidates.
 ///
@@ -75,6 +81,7 @@ impl GainBuckets {
     pub fn ensure(&mut self, n: usize, max_gain: i64) {
         // Wipe what the previous instance left before its range is forgotten.
         self.clear();
+        let max_gain = max_gain.clamp(0, GAIN_CAP);
         let nbuckets = (2 * max_gain + 1).max(1) as usize;
         if self.heads.len() < nbuckets {
             self.heads.resize(nbuckets, NONE);
@@ -125,16 +132,13 @@ impl GainBuckets {
 
     #[inline]
     fn index_of(&self, gain: i64) -> usize {
-        let idx = gain + self.offset;
-        debug_assert!(
-            idx >= 0 && (idx as usize) < self.nbuckets,
-            "gain {gain} out of bucket range ±{}",
-            self.offset
-        );
-        idx as usize
+        (gain.clamp(-self.offset, self.offset) + self.offset) as usize
     }
 
-    /// Inserts `v` with `gain`. `v` must not already be present.
+    /// Inserts `v` with `gain`. `v` must not already be present. Inlined:
+    /// FM's neighbour loop and the repart transfers call it once per
+    /// touched vertex.
+    #[inline]
     pub fn insert(&mut self, v: u32, gain: i64) {
         debug_assert!((v as usize) < self.n, "vertex {v} outside the instance");
         debug_assert!(!self.contains(v), "vertex {v} already bucketed");
@@ -188,7 +192,7 @@ impl GainBuckets {
     pub fn pop_best(
         &mut self,
         scan_limit: usize,
-        mut feasible: impl FnMut(u32, i64) -> bool,
+        mut feasible: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
         if self.len == 0 {
             return None;
@@ -206,10 +210,9 @@ impl GainBuckets {
         }
         self.cur_max = idx;
         loop {
-            let gain = idx as i64 - self.offset;
             let mut v = self.heads[idx];
             while v != NONE {
-                if feasible(v, gain) {
+                if feasible(v) {
                     self.remove(v);
                     return Some(v);
                 }
@@ -262,15 +265,15 @@ pub struct PartitionWorkspace {
     // --- FM refinement ---
     /// Per-vertex FM gain.
     pub(crate) gain: Vec<i64>,
+    /// Per-vertex count of edges to the other side (FM's boundary test).
+    pub(crate) ext: Vec<u32>,
     /// Per-vertex lock flag (moved this pass).
     pub(crate) locked: Vec<bool>,
     /// Applied moves this pass, for best-prefix rollback.
     pub(crate) history: Vec<u32>,
-    /// FM gain buckets.
+    /// Gain buckets of FM, of the rebalance candidate index and of the
+    /// diffusion transfers, one user at a time.
     pub(crate) buckets: GainBuckets,
-    /// Rebalance candidate index (second instance so `rebalance` inside an
-    /// FM uncoarsening level does not clobber FM state).
-    pub(crate) rb_buckets: GainBuckets,
     /// Per-side/per-constraint weight bookkeeping.
     pub(crate) side_weights: crate::initial::SideWeights,
 
@@ -435,11 +438,11 @@ mod tests {
         b.insert(2, 5);
         b.insert(3, 0);
         // LIFO within bucket: 2 (inserted after 1) pops first at gain 5.
-        assert_eq!(b.pop_best(64, |_, _| true), Some(2));
-        assert_eq!(b.pop_best(64, |_, _| true), Some(1));
-        assert_eq!(b.pop_best(64, |_, _| true), Some(3));
-        assert_eq!(b.pop_best(64, |_, _| true), Some(0));
-        assert_eq!(b.pop_best(64, |_, _| true), None);
+        assert_eq!(b.pop_best(64, |_| true), Some(2));
+        assert_eq!(b.pop_best(64, |_| true), Some(1));
+        assert_eq!(b.pop_best(64, |_| true), Some(3));
+        assert_eq!(b.pop_best(64, |_| true), Some(0));
+        assert_eq!(b.pop_best(64, |_| true), None);
         assert!(b.is_empty());
     }
 
@@ -450,8 +453,8 @@ mod tests {
         b.insert(0, 1);
         b.insert(1, 2);
         b.update(0, 6); // 0 overtakes 1
-        assert_eq!(b.pop_best(64, |_, _| true), Some(0));
-        assert_eq!(b.pop_best(64, |_, _| true), Some(1));
+        assert_eq!(b.pop_best(64, |_| true), Some(0));
+        assert_eq!(b.pop_best(64, |_| true), Some(1));
     }
 
     #[test]
@@ -461,9 +464,9 @@ mod tests {
         b.insert(0, 4);
         b.insert(1, 2);
         // 0 rejected, 1 accepted; 0 must survive for the next call.
-        assert_eq!(b.pop_best(64, |v, _| v != 0), Some(1));
+        assert_eq!(b.pop_best(64, |v| v != 0), Some(1));
         assert!(b.contains(0));
-        assert_eq!(b.pop_best(64, |_, _| true), Some(0));
+        assert_eq!(b.pop_best(64, |_| true), Some(0));
     }
 
     #[test]
@@ -474,7 +477,7 @@ mod tests {
             b.insert(v, 1);
         }
         let mut seen = 0;
-        let r = b.pop_best(3, |_, _| {
+        let r = b.pop_best(3, |_| {
             seen += 1;
             false
         });
@@ -491,9 +494,9 @@ mod tests {
         b.insert(1, 0);
         b.insert(2, 0);
         b.remove(1); // middle of the LIFO list 2 -> 1 -> 0
-        assert_eq!(b.pop_best(64, |_, _| true), Some(2));
-        assert_eq!(b.pop_best(64, |_, _| true), Some(0));
-        assert_eq!(b.pop_best(64, |_, _| true), None);
+        assert_eq!(b.pop_best(64, |_| true), Some(2));
+        assert_eq!(b.pop_best(64, |_| true), Some(0));
+        assert_eq!(b.pop_best(64, |_| true), None);
     }
 
     #[test]
@@ -505,7 +508,7 @@ mod tests {
         assert!(b.is_empty());
         assert!(!b.contains(3));
         b.insert(3, 4);
-        assert_eq!(b.pop_best(64, |_, _| true), Some(3));
+        assert_eq!(b.pop_best(64, |_| true), Some(3));
     }
 
     #[test]
@@ -522,25 +525,25 @@ mod tests {
         b.ensure(16, 3);
         assert!(b.is_empty());
         assert!((0..16).all(|v| !b.contains(v)));
-        assert_eq!(b.pop_best(64, |_, _| true), None);
+        assert_eq!(b.pop_best(64, |_| true), None);
         // Pop order as documented: best gain first, LIFO within a bucket.
         b.insert(5, 3);
         b.insert(9, -3);
         b.insert(2, 3);
         b.insert(7, 0);
         for want in [2, 5, 7, 9] {
-            assert_eq!(b.pop_best(64, |_, _| true), Some(want));
+            assert_eq!(b.pop_best(64, |_| true), Some(want));
         }
         assert!(b.is_empty());
         // Back to a large instance (drained, so `clear` took the empty fast
         // path): nothing of either earlier instance is visible.
         b.ensure(4096, 500);
         assert!((0..4096).all(|v| !b.contains(v)));
-        assert_eq!(b.pop_best(usize::MAX, |_, _| true), None);
+        assert_eq!(b.pop_best(usize::MAX, |_| true), None);
         b.insert(4000, -500);
         b.insert(17, 500);
-        assert_eq!(b.pop_best(64, |_, _| true), Some(17));
-        assert_eq!(b.pop_best(64, |_, _| true), Some(4000));
+        assert_eq!(b.pop_best(64, |_| true), Some(17));
+        assert_eq!(b.pop_best(64, |_| true), Some(4000));
     }
 
     #[test]
@@ -550,13 +553,30 @@ mod tests {
         for v in 0..64u32 {
             b.insert(v, i64::from(v % 17) - 8);
         }
-        let _ = b.pop_best(64, |_, _| true);
+        let _ = b.pop_best(64, |_| true);
         b.clear();
         assert!(b.is_empty());
         assert!((0..64).all(|v| !b.contains(v)));
-        assert_eq!(b.pop_best(64, |_, _| true), None);
+        assert_eq!(b.pop_best(64, |_| true), None);
         b.insert(63, -8);
-        assert_eq!(b.pop_best(64, |_, _| true), Some(63));
+        assert_eq!(b.pop_best(64, |_| true), Some(63));
+    }
+
+    #[test]
+    fn buckets_cap_their_range_and_share_the_end_buckets() {
+        let mut b = GainBuckets::default();
+        b.ensure(6, 8_000_000_000);
+        assert_eq!(b.heads.len(), 2 * GAIN_CAP as usize + 1);
+        b.insert(0, 5);
+        b.insert(1, 8_000_000_000);
+        b.insert(2, GAIN_CAP);
+        b.insert(3, -8_000_000_000);
+        b.insert(4, -GAIN_CAP + 1);
+        // 1 and 2 share the top bucket (LIFO: 2 first), 3 the bottom one.
+        for want in [2, 1, 0, 4, 3] {
+            assert_eq!(b.pop_best(64, |_| true), Some(want));
+        }
+        assert!(b.is_empty());
     }
 
     #[test]

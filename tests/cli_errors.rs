@@ -453,6 +453,30 @@ fn io_errors_name_the_file_and_only_usage_errors_print_usage() {
         );
         assert!(out.stdout.is_empty(), "{name}: printed a report");
     }
+    // Edge weights the reader accepts must not size an allocation: a path
+    // whose gains reach ±8·10^9 used to ask the FM buckets for 64 GB
+    // (exit 134). It partitions, and the cut is the one heavy edge.
+    let graph = Path::new(env!("CARGO_TARGET_TMPDIR")).join("heavy-path.graph");
+    let w = "4000000000";
+    std::fs::write(
+        &graph,
+        format!("4 3 1\n2 {w}\n1 {w} 3 {w}\n2 {w} 4 {w}\n3 {w}\n"),
+    )
+    .expect("write graph");
+    let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+        .args(["partition", "--domains", "2", "--graph"])
+        .arg(&graph)
+        .output()
+        .expect("spawn tempart");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stdout.contains("4 vertices, 3 edges") && stdout.contains("edge cut        : 4000000000"),
+        "{stdout}"
+    );
     // A bad option value still gets the usage text, after its error line.
     let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
         .args(["partition", "--domains", "0"])
