@@ -23,7 +23,7 @@
 
 use crate::coarsen::{coarsen_ws, Hierarchy};
 use crate::initial::{initial_bisection_into, SideWeights};
-use crate::refine::{fm_passes, rebalance_level};
+use crate::refine::{project_into, refine_level};
 use crate::{PartitionConfig, PartitionWorkspace, WorkspacePool};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use tempart_graph::{CsrGraph, PartId};
@@ -125,31 +125,6 @@ pub fn multilevel_bisection_ws(
     ws.give_u8(fine);
     ws.give_hierarchy(hierarchy);
     side
-}
-
-/// Refines one level: a rebalance if `side` violates `ub`, then FM, both on
-/// the level's one gain sweep — bit-identical to
-/// [`rebalance_ws`](crate::refine::rebalance_ws) followed by
-/// [`fm_refine_ws`](crate::refine::fm_refine_ws).
-pub(crate) fn refine_level(
-    graph: &CsrGraph,
-    side: &mut [u8],
-    frac0: f64,
-    ub: f64,
-    passes: usize,
-    ws: &mut PartitionWorkspace,
-) {
-    if graph.nvtx() > 0 {
-        let (_, measured) = rebalance_level(graph, side, frac0, ub, ws);
-        fm_passes(graph, side, ub, passes, measured, ws);
-    }
-}
-
-/// Projects a coarse bisection onto the fine graph into `out` (cleared
-/// first): the allocation-free [`project`](crate::refine::project).
-fn project_into(fine_to_coarse: &[u32], coarse_side: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    out.extend(fine_to_coarse.iter().map(|&cv| coarse_side[cv as usize]));
 }
 
 /// Extracts the induced subgraph of the vertices with `side[v] == which`

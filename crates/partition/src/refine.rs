@@ -14,15 +14,18 @@
 use crate::PartitionWorkspace;
 use tempart_graph::CsrGraph;
 
+/// What a level's one sweep leaves beside `ws.gain` / `ws.ext`: the cut of
+/// the side it measured and the largest incident edge-weight sum (at least
+/// 1), which bounds every |gain|.
+struct Sweep {
+    cut: i64,
+    max_gain: i64,
+}
+
 /// The level's one adjacency sweep: reports every vertex's exact gain
 /// (external minus internal edge weight) and its count of external edges
-/// to `each`, and returns the cut and the largest incident edge-weight sum
-/// (at least 1), which bounds every |gain|.
-fn measure_gains(
-    graph: &CsrGraph,
-    side: &[u8],
-    mut each: impl FnMut(usize, i64, u32),
-) -> (i64, i64) {
+/// to `each`.
+fn measure_gains(graph: &CsrGraph, side: &[u8], mut each: impl FnMut(usize, i64, u32)) -> Sweep {
     let mut cut2 = 0i64;
     let mut max_gain = 1i64;
     for v in 0..graph.nvtx() as u32 {
@@ -40,11 +43,12 @@ fn measure_gains(
         cut2 += external;
         max_gain = max_gain.max(sum);
     }
-    (cut2 / 2, max_gain)
+    let cut = cut2 / 2;
+    Sweep { cut, max_gain }
 }
 
 /// [`measure_gains`] into `ws.gain` / `ws.ext`.
-fn measure(graph: &CsrGraph, side: &[u8], ws: &mut PartitionWorkspace) -> (i64, i64) {
+fn measure(graph: &CsrGraph, side: &[u8], ws: &mut PartitionWorkspace) -> Sweep {
     let (gain, ext) = (&mut ws.gain, &mut ws.ext);
     gain.clear();
     gain.reserve(graph.nvtx());
@@ -59,10 +63,10 @@ fn measure(graph: &CsrGraph, side: &[u8], ws: &mut PartitionWorkspace) -> (i64, 
 /// Debug oracle: `gain`, `ext` and `cut` equal a fresh [`measure_gains`].
 #[cfg(debug_assertions)]
 fn assert_exact(graph: &CsrGraph, side: &[u8], gain: &[i64], ext: &[u32], cut: i64) {
-    let (fresh, _) = measure_gains(graph, side, |v, g, e| {
+    let fresh = measure_gains(graph, side, |v, g, e| {
         assert_eq!((gain[v], ext[v]), (g, e), "stale gain at vertex {v}");
     });
-    assert_eq!(cut, fresh, "running cut drifted");
+    assert_eq!(cut, fresh.cut, "running cut drifted");
 }
 
 /// Moves `v` to the other side and keeps `gain` and `ext` exact: each
@@ -116,22 +120,40 @@ pub fn fm_refine_ws(
     max_passes: usize,
     ws: &mut PartitionWorkspace,
 ) -> i64 {
-    let (cut, max_gain) = measure(graph, side, ws);
+    let sweep = measure(graph, side, ws);
     if graph.nvtx() == 0 {
-        return cut;
+        return sweep.cut;
     }
     ws.side_weights.remeasure(graph, side, frac0);
-    fm_passes(graph, side, ub, max_passes, (cut, max_gain), ws)
+    fm_passes(graph, side, ub, max_passes, sweep, ws)
 }
 
-/// The pass loop of [`fm_refine_ws`] on `ws.gain` / `ws.ext` / `ws.side_weights`
-/// exact for `side`, whose cut and gain bound are `(cut, max_gain)`.
-pub(crate) fn fm_passes(
+/// Refines one level of a multilevel bisection: a rebalance if `side`
+/// violates `ub`, then FM, both on the level's one gain sweep —
+/// bit-identical to [`rebalance_ws`] followed by [`fm_refine_ws`].
+pub(crate) fn refine_level(
+    graph: &CsrGraph,
+    side: &mut [u8],
+    frac0: f64,
+    ub: f64,
+    max_passes: usize,
+    ws: &mut PartitionWorkspace,
+) {
+    if graph.nvtx() > 0 {
+        let (_, sweep) = rebalance(graph, side, frac0, ub, true, ws);
+        let sweep = sweep.expect("rebalance sweeps the level for FM");
+        fm_passes(graph, side, ub, max_passes, sweep, ws);
+    }
+}
+
+/// The pass loop of [`fm_refine_ws`]. `sweep` is `side`'s, and `ws.gain`,
+/// `ws.ext` and `ws.side_weights` are exact for `side`.
+fn fm_passes(
     graph: &CsrGraph,
     side: &mut [u8],
     ub: f64,
     max_passes: usize,
-    (mut cut, max_gain): (i64, i64),
+    Sweep { mut cut, max_gain }: Sweep,
     ws: &mut PartitionWorkspace,
 ) -> i64 {
     let n = graph.nvtx();
@@ -291,25 +313,31 @@ pub fn rebalance_ws(
     if graph.nvtx() == 0 {
         return 0;
     }
-    rebalance_level(graph, side, frac0, ub, ws).0
+    rebalance(graph, side, frac0, ub, false, ws).0
 }
 
-/// The `part.rebalance` phase of a level: its gain sweep, then the moves of
-/// [`rebalance_ws`]. Returns them and the `(cut, gain bound)` [`fm_passes`] takes.
-pub(crate) fn rebalance_level(
+/// The `part.rebalance` phase of a level: [`rebalance_ws`]'s moves. With
+/// `for_fm` the level's gain sweep runs even when `side` is balanced and is
+/// returned for [`fm_passes`]; without, a balanced `side` is not swept.
+fn rebalance(
     graph: &CsrGraph,
     side: &mut [u8],
     frac0: f64,
     ub: f64,
+    for_fm: bool,
     ws: &mut PartitionWorkspace,
-) -> (usize, (i64, i64)) {
+) -> (usize, Option<Sweep>) {
     let n = graph.nvtx();
     let rec = ws.obs.clone();
     let level = ws.obs_level;
     let _span = rec.span("part.rebalance", level, 0);
-    let (mut cut, max_gain) = measure(graph, side, ws);
     ws.side_weights.remeasure(graph, side, frac0);
-    ws.buckets.ensure(n, max_gain);
+    if !for_fm && ws.side_weights.max_norm() <= ub + 1e-12 {
+        rec.counter("part.rebalance.moves", level, 0);
+        return (0, None);
+    }
+    let mut sweep = measure(graph, side, ws);
+    ws.buckets.ensure(n, sweep.max_gain);
     let (gain, ext, weights) = (&mut ws.gain, &mut ws.ext, &mut ws.side_weights);
     let buckets = &mut ws.buckets;
 
@@ -348,7 +376,7 @@ pub(crate) fn rebalance_level(
         });
         let Some(v) = chosen else { break };
         weights.apply(graph.vertex_weights(v), wsd);
-        cut -= gain[v as usize];
+        sweep.cut -= gain[v as usize];
         moves += 1;
         // Every still-indexed neighbour sat on side `wsd` with v, so its
         // edge to v turned external: re-rank it.
@@ -366,12 +394,12 @@ pub(crate) fn rebalance_level(
             allocs_at_loop_entry,
             "rebalance move loop allocated on the heap"
         );
-        assert_exact(graph, side, gain, ext, cut);
+        assert_exact(graph, side, gain, ext, sweep.cut);
     }
     if rec.enabled() {
         rec.counter("part.rebalance.moves", level, moves as u64);
     }
-    (moves, (cut, max_gain))
+    (moves, Some(sweep))
 }
 
 /// Projects a coarse bisection onto the fine graph: every fine vertex takes
@@ -381,6 +409,12 @@ pub fn project(fine_to_coarse: &[u32], coarse_side: &[u8]) -> Vec<u8> {
         .iter()
         .map(|&cv| coarse_side[cv as usize])
         .collect()
+}
+
+/// Allocation-free [`project`]: writes into `out` (cleared first).
+pub(crate) fn project_into(fine_to_coarse: &[u32], coarse_side: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.extend(fine_to_coarse.iter().map(|&cv| coarse_side[cv as usize]));
 }
 
 #[cfg(test)]
@@ -495,6 +529,9 @@ mod tests {
     fn project_maps_sides() {
         let side = project(&[0, 0, 1, 2, 2], &[1, 0, 1]);
         assert_eq!(side, vec![1, 1, 0, 1, 1]);
+        let mut out = Vec::new();
+        project_into(&[0, 0, 1, 2, 2], &[1, 0, 1], &mut out);
+        assert_eq!(out, side);
     }
 
     #[test]
@@ -837,7 +874,7 @@ mod tests {
                         // The level refinement of a multilevel bisection.
                         let (mut a, mut b) = (start.clone(), start);
                         let new = traced(&mut ws, |ws| {
-                            crate::bisect::refine_level(&g, &mut a, frac0, ub, passes, ws)
+                            refine_level(&g, &mut a, frac0, ub, passes, ws)
                         });
                         let old = traced(&mut PartitionWorkspace::new(), |ws| {
                             oracle_rebalance(&g, &mut b, frac0, ub, ws);

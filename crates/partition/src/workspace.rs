@@ -62,8 +62,10 @@ pub struct GainBuckets {
     prev: Vec<u32>,
     /// Current bucket index per vertex (`NONE` = not present).
     gidx: Vec<u32>,
-    /// `gain + offset` = bucket index.
+    /// `gain + offset` = bucket index (`offset` = `bound` capped at 2^20).
     offset: i64,
+    /// The instance's gain bound: every |gain| stays within it.
+    bound: i64,
     /// Highest bucket index that may be non-empty.
     cur_max: usize,
     /// Number of vertices currently stored.
@@ -81,8 +83,9 @@ impl GainBuckets {
     pub fn ensure(&mut self, n: usize, max_gain: i64) {
         // Wipe what the previous instance left before its range is forgotten.
         self.clear();
-        let max_gain = max_gain.clamp(0, GAIN_CAP);
-        let nbuckets = (2 * max_gain + 1).max(1) as usize;
+        let bound = max_gain.max(0);
+        let max_gain = bound.min(GAIN_CAP);
+        let nbuckets = (2 * max_gain + 1) as usize;
         if self.heads.len() < nbuckets {
             self.heads.resize(nbuckets, NONE);
         }
@@ -92,6 +95,7 @@ impl GainBuckets {
             self.gidx.resize(n, NONE);
         }
         self.offset = max_gain;
+        self.bound = bound;
         self.n = n;
         self.nbuckets = nbuckets;
     }
@@ -132,7 +136,12 @@ impl GainBuckets {
 
     #[inline]
     fn index_of(&self, gain: i64) -> usize {
-        (gain.clamp(-self.offset, self.offset) + self.offset) as usize
+        debug_assert!(
+            gain.abs() <= self.bound,
+            "gain {gain} out of bound ±{}",
+            self.bound
+        );
+        (gain.clamp(-GAIN_CAP, GAIN_CAP) + self.offset) as usize
     }
 
     /// Inserts `v` with `gain`. `v` must not already be present. Inlined:
