@@ -78,7 +78,8 @@ pub fn multilevel_bisection_ws(
     let coarsest = hierarchy.coarsest(graph);
     rec.counter("part.coarsen.nvtx", 0, coarsest.nvtx() as u64);
 
-    let mut side = ws.take_u8();
+    // Both side buffers end at most `graph.nvtx()` long, the finest level.
+    let mut side = ws.take_u8(graph.nvtx());
     ws.obs_level = hierarchy.levels.len() as u32;
     {
         let _s = tempart_obs::span!(
@@ -104,7 +105,7 @@ pub fn multilevel_bisection_ws(
     // rebalance pass precedes FM at every level: projection and coarse moves
     // can leave per-constraint violations that boundary-seeded FM cannot
     // reach (especially for one-hot multi-constraint instances).
-    let mut fine = ws.take_u8();
+    let mut fine = ws.take_u8(graph.nvtx());
     for i in (0..hierarchy.levels.len()).rev() {
         let fine_graph = if i == 0 {
             graph
@@ -139,7 +140,9 @@ pub fn extract_subgraph(graph: &CsrGraph, side: &[u8], which: u8) -> (CsrGraph, 
 /// Workspace-backed [`extract_subgraph`]: the subgraph's CSR arrays and the
 /// index map come from the workspace pools (recycle them with
 /// `ws.give_graph` / `ws.give_u32`), the original→sub map lives in the
-/// `to_sub` arena.
+/// `to_sub` arena. The side's vertex count and degree sum are counted
+/// first, so each array is taken at its length (the adjacency at a bound
+/// that only the cut edges exceed).
 pub fn extract_subgraph_ws(
     graph: &CsrGraph,
     side: &[u8],
@@ -148,24 +151,23 @@ pub fn extract_subgraph_ws(
 ) -> (CsrGraph, Vec<u32>) {
     let n = graph.nvtx();
     let ncon = graph.ncon();
-    let mut to_orig = ws.take_u32();
-    let mut xadj = ws.take_u32();
-    let mut adjncy = ws.take_u32();
-    let mut adjwgt = ws.take_u32();
-    let mut vwgt = ws.take_u32();
     let to_sub = &mut ws.to_sub;
     to_sub.clear();
     to_sub.resize(n, u32::MAX);
-    for v in 0..n {
-        if side[v] == which {
-            to_sub[v] = to_orig.len() as u32;
-            to_orig.push(v as u32);
-        }
+    let (mut ns, mut degrees) = (0, 0);
+    for v in (0..n as u32).filter(|&v| side[v as usize] == which) {
+        to_sub[v as usize] = ns as u32;
+        ns += 1;
+        degrees += graph.degree(v);
     }
-    let ns = to_orig.len();
-    xadj.reserve(ns + 1);
+    let mut to_orig = ws.take_u32(ns);
+    let mut xadj = ws.take_u32(ns + 1);
+    let mut adjncy = ws.take_u32(degrees);
+    let mut adjwgt = ws.take_u32(degrees);
+    let mut vwgt = ws.take_u32(ns * ncon);
+    to_orig.extend((0..n as u32).filter(|&v| side[v as usize] == which));
+    let to_sub = &ws.to_sub;
     xadj.push(0u32);
-    vwgt.reserve(ns * ncon);
     for &ov in &to_orig {
         for (u, w) in graph.neighbors(ov).zip(graph.edge_weights(ov)) {
             if to_sub[u as usize] != u32::MAX {
@@ -392,7 +394,7 @@ fn split<'t>(
         let frac0 = fracs[..kl].iter().sum::<f64>() / fracs.iter().sum::<f64>();
         let side = if n <= k {
             // Degenerate: fewer vertices than parts; round-robin split.
-            let mut s = ws.take_u8();
+            let mut s = ws.take_u8(n);
             s.extend((0..n).map(|v| u8::from(v % k >= kl)));
             s
         } else {

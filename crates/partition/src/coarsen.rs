@@ -115,7 +115,7 @@ pub(crate) fn contract_ws(
 ) -> CoarseLevel {
     let n = graph.nvtx();
     let ncon = graph.ncon();
-    let mut fine_to_coarse = ws.take_u32();
+    let mut fine_to_coarse = ws.take_u32(n);
     fine_to_coarse.resize(n, u32::MAX);
     let mut next = 0u32;
     for v in 0..n as u32 {
@@ -131,12 +131,14 @@ pub(crate) fn contract_ws(
     }
     let nc = next as usize;
 
-    let mut vwgt = ws.take_u32();
-    vwgt.reserve(nc * ncon);
-    let mut xadj = ws.take_u32();
-    xadj.reserve(nc + 1);
-    let mut adjncy = ws.take_u32();
-    let mut adjwgt = ws.take_u32();
+    // Every merged pair drops the edge joining it, in both directions (a
+    // matching pairs neighbours), so the fine adjacency less those bounds
+    // the coarse one.
+    let adj_bound = graph.adjncy().len().saturating_sub(2 * (n - nc));
+    let mut vwgt = ws.take_u32(nc * ncon);
+    let mut xadj = ws.take_u32(nc + 1);
+    let mut adjncy = ws.take_u32(adj_bound);
+    let mut adjwgt = ws.take_u32(adj_bound);
     xadj.push(0u32);
 
     // Coarse adjacency: accumulate per coarse vertex with a dense scratch map
@@ -176,10 +178,10 @@ pub(crate) fn contract_ws(
                 }
                 let cu = cu as usize;
                 if stamp[cu] == cv {
-                    adjwgt[slot[cu]] += w;
+                    adjwgt[slot[cu] as usize] += w;
                 } else {
                     stamp[cu] = cv;
-                    slot[cu] = adjncy.len();
+                    slot[cu] = adjncy.len() as u32;
                     adjncy.push(cu as u32);
                     adjwgt.push(w);
                 }
@@ -241,6 +243,23 @@ impl Hierarchy {
     }
 }
 
+/// A level is kept only if it has at most this fraction of its parent's
+/// vertices; a worse matching ends the coarsening.
+const MAX_SHRINK: f64 = 0.92;
+
+/// The most levels [`coarsen_ws`] can keep from `n` vertices: each kept
+/// level has at most [`MAX_SHRINK`] of its parent's vertices (rounded up
+/// here, against float error) and at least one fewer, and a level is built
+/// only above `target_nvtx` vertices.
+fn max_levels(n: usize, target_nvtx: usize) -> usize {
+    let (mut m, mut levels) = (n, 0);
+    while m > target_nvtx {
+        m = ((m as f64 * MAX_SHRINK).ceil() as usize).min(m - 1);
+        levels += 1;
+    }
+    levels
+}
+
 /// Coarsens `graph` until it has at most `target_nvtx` vertices or matching
 /// stops making progress (shrink factor under 10%).
 pub fn coarsen(graph: &CsrGraph, target_nvtx: usize, seed: u64) -> Hierarchy {
@@ -258,7 +277,7 @@ pub fn coarsen_ws(
     ws: &mut PartitionWorkspace,
 ) -> Hierarchy {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut levels: Vec<CoarseLevel> = ws.take_levels();
+    let mut levels: Vec<CoarseLevel> = ws.take_levels(max_levels(graph.nvtx(), target_nvtx));
     loop {
         let (cur_nvtx, level) = {
             let current = levels.last().map_or(graph, |l| &l.graph);
@@ -272,7 +291,7 @@ pub fn coarsen_ws(
             (current.nvtx(), level)
         };
         let shrink = level.graph.nvtx() as f64 / cur_nvtx as f64;
-        if shrink > 0.92 {
+        if shrink > MAX_SHRINK {
             ws.give_level(level);
             break; // mostly unmatched: contracting further is useless
         }

@@ -425,7 +425,9 @@ pub(crate) fn initial_bisection_into(
             }
         };
         if better {
-            std::mem::swap(best, &mut cur);
+            // Copied, not swapped: `best` is a pooled buffer sized for the
+            // finest level, `cur` an arena sized for the coarsest graph.
+            best.clone_from(&cur);
             best_cut = cut;
             best_norm = norm;
             have_best = true;

@@ -168,7 +168,9 @@ pub fn multilevel_kway_ws(
     kway_rebalance_ws(coarsest, &mut part, config, ws);
     pairwise_kway_refine_ws(coarsest, &mut part, config, ws);
 
-    let mut fine: Vec<PartId> = ws.take_u32();
+    // Both projection buffers end `graph.nvtx()` long: size them once.
+    part.reserve_exact(graph.nvtx() - part.len());
+    let mut fine: Vec<PartId> = ws.take_u32(graph.nvtx());
     for i in (0..hierarchy.levels.len()).rev() {
         let fine_graph = if i == 0 {
             graph

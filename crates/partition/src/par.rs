@@ -304,17 +304,16 @@ mod tests {
     fn pool_scans_other_stripes_before_allocating() {
         let pool = WorkspacePool::new(3);
         let mut ws = PartitionWorkspace::new();
-        let v = {
-            let mut v = ws.take_u32();
-            v.reserve(4096);
-            v
-        };
+        let v = ws.take_u32(4096);
         let marker_cap = v.capacity();
         ws.give_u32(v);
         pool.give_back(2, ws);
         // Hinting stripe 0 must still find the warm workspace on stripe 2.
         let mut got = pool.checkout(0);
-        assert!(got.take_u32().capacity() >= marker_cap, "warm arena reused");
+        assert!(
+            got.take_u32(0).capacity() >= marker_cap,
+            "warm arena reused"
+        );
         assert_eq!(pool.pooled(), 0);
     }
 

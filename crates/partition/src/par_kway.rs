@@ -562,9 +562,6 @@ pub fn pairwise_kway_refine_ws(
     }
 
     let mut boundary = std::mem::take(&mut ws.boundary);
-    let mut colours = ws.take_u32();
-    let mut order = ws.take_u32();
-    let mut cursor = ws.take_usize();
 
     let mut total_moves = 0u64;
     let mut total_pairs = 0u64;
@@ -575,13 +572,18 @@ pub fn pairwise_kway_refine_ws(
         if cands.pairs.is_empty() {
             break;
         }
-        let ncolours = colour_pairs(&cands.pairs, k, &mut ws.kw_used, &mut colours);
-        schedule_order(&colours, ncolours, &mut cursor, &mut order);
+        let ncolours = colour_pairs(&cands.pairs, k, &mut ws.kw_used, &mut ws.kw_colours);
+        schedule_order(
+            &ws.kw_colours,
+            ncolours,
+            &mut ws.kw_cursor,
+            &mut ws.kw_order,
+        );
         total_pairs += cands.pairs.len() as u64;
         peak_colours = peak_colours.max(ncolours as u64);
 
         let mut round_moves = 0u64;
-        for &pi in &order {
+        for &pi in &ws.kw_order {
             let pi = pi as usize;
             let (p, q) = cands.pairs[pi];
             let (pp, qq) = (p as usize, q as usize);
@@ -605,9 +607,6 @@ pub fn pairwise_kway_refine_ws(
     }
 
     ws.boundary = boundary;
-    ws.give_u32(colours);
-    ws.give_u32(order);
-    ws.give_usize(cursor);
     if rec.enabled() {
         rec.counter("part.kway.pairs", 0, total_pairs);
         rec.counter("part.kway.colours", 0, peak_colours);

@@ -198,6 +198,7 @@ trait PairIndex {
 }
 
 /// The buffers of [`OnDemand`], on loan from a workspace for one call.
+#[derive(Debug, Default)]
 struct PromotionScratch {
     /// Per (pair, constraint): bit `side` holds the answer, bit `side << 2`
     /// says it was asked this round.
@@ -280,6 +281,7 @@ impl PairIndex for OnDemand<'_> {
 
 /// The diffusion solve's buffers: the quantized flow targets it writes and
 /// its scratch.
+#[derive(Debug, Default)]
 struct Solve {
     flow: Vec<i64>,
     x: Vec<f64>,
@@ -653,8 +655,11 @@ fn transfer_pair(
 /// The state of one call's round plans, in buffers on loan from a
 /// workspace: the allowance table, the boundary pair and candidate lists
 /// (built once, then patched round by round), and per round the
-/// promotion's index, the flow targets, and the solve's scratch.
-struct RoundPlan {
+/// promotion's index, the flow targets, and the solve's scratch. Between
+/// calls the workspace keeps it (as `ws.plan`, its boundary in
+/// `ws.boundary`, which the pairwise k-way passes share).
+#[derive(Debug, Default)]
+pub(crate) struct RoundPlan {
     allow: Vec<f64>,
     boundary: Boundary,
     promotion: PromotionScratch,
@@ -673,25 +678,11 @@ impl RoundPlan {
     ) -> Self {
         let k = config.base.nparts;
         part_tables(graph, part, k, ws);
-        let mut allow = ws.take_f64();
-        build_allowance(&ws.kw_tot, k, graph.ncon(), &config.base, &mut allow);
-        let mut boundary = std::mem::take(&mut ws.boundary);
-        boundary.build(graph, part, k);
-        Self {
-            allow,
-            boundary,
-            promotion: PromotionScratch {
-                memo: ws.take_u8(),
-                off: ws.take_usize(),
-                inc: ws.take_u32(),
-            },
-            solve: Solve {
-                flow: ws.take_i64(),
-                x: ws.take_f64(),
-                facc: ws.take_f64(),
-                fstep: ws.take_f64(),
-            },
-        }
+        let mut plan = std::mem::take(&mut ws.plan);
+        build_allowance(&ws.kw_tot, k, graph.ncon(), &config.base, &mut plan.allow);
+        plan.boundary = std::mem::take(&mut ws.boundary);
+        plan.boundary.build(graph, part, k);
+        plan
     }
 
     /// Plans one round from the current `part` and the part loads in `ws`:
@@ -744,25 +735,10 @@ impl RoundPlan {
         }
     }
 
-    /// Returns the buffers to `ws`, in reverse order of [`Self::begin`] so
-    /// the next call finds each one in the same role.
-    fn end(self, ws: &mut PartitionWorkspace) {
-        let Solve {
-            flow,
-            x,
-            facc,
-            fstep,
-        } = self.solve;
-        ws.give_f64(fstep);
-        ws.give_f64(facc);
-        ws.give_f64(x);
-        ws.give_i64(flow);
-        let PromotionScratch { memo, off, inc } = self.promotion;
-        ws.give_u32(inc);
-        ws.give_usize(off);
-        ws.give_u8(memo);
-        ws.boundary = self.boundary;
-        ws.give_f64(self.allow);
+    /// Returns the buffers to `ws` for the next call.
+    fn end(mut self, ws: &mut PartitionWorkspace) {
+        ws.boundary = std::mem::take(&mut self.boundary);
+        ws.plan = self;
     }
 }
 
@@ -822,9 +798,6 @@ pub fn repartition_ws(
     let _span = rec.span("part.repart", 0, k as u64);
 
     let mut plan = RoundPlan::begin(graph, part, config, ws);
-    let mut colours = ws.take_u32();
-    let mut order = ws.take_u32();
-    let mut cursor = ws.take_usize();
 
     let mut total_pairs = 0u64;
     stats.stop = RepartStop::RoundCap;
@@ -843,12 +816,17 @@ pub fn repartition_ws(
             solve: Solve { flow, .. },
             ..
         } = &mut plan;
-        let ncolours = colour_pairs(&cands.pairs, k, &mut ws.kw_used, &mut colours);
-        schedule_order(&colours, ncolours, &mut cursor, &mut order);
+        let ncolours = colour_pairs(&cands.pairs, k, &mut ws.kw_used, &mut ws.kw_colours);
+        schedule_order(
+            &ws.kw_colours,
+            ncolours,
+            &mut ws.kw_cursor,
+            &mut ws.kw_order,
+        );
         total_pairs += cands.pairs.len() as u64;
 
         let mut round_cells = 0u64;
-        for &pi in &order {
+        for &pi in &ws.kw_order {
             let pi = pi as usize;
             let (p, q) = cands.pairs[pi];
             let (pp, qq) = (p as usize, q as usize);
@@ -893,9 +871,6 @@ pub fn repartition_ws(
         stats.stop = RepartStop::PlanEmpty;
     }
 
-    ws.give_usize(cursor);
-    ws.give_u32(order);
-    ws.give_u32(colours);
     plan.end(ws);
     if rec.enabled() {
         rec.counter("part.repart.moves", 0, stats.cells_moved);

@@ -11,10 +11,14 @@
 //!   subgraph-extraction maps: plain `Vec`s resized (never shrunk) to the
 //!   current instance, so the first — largest — call pays all allocations.
 //! * **Buffer pools** — coarse-level CSR arrays, extraction results and
-//!   projection buffers cycle through free-lists (`pool_usize` /
-//!   `pool_u32` / `pool_u8`); a dead `CsrGraph` is decomposed with
-//!   [`CsrGraph::into_parts`] and its arrays are reused by the next level
-//!   or sibling bisection instead of being freed and re-allocated.
+//!   side/projection buffers cycle through best-fit free-lists (`Pool`:
+//!   `pool_u32` / `pool_u8` / `pool_levels`); a dead `CsrGraph` is
+//!   decomposed with [`CsrGraph::into_parts`] and its arrays are reused by
+//!   the next level or sibling bisection instead of being freed and
+//!   re-allocated. Every take names the length it will fill and gets the
+//!   smallest pooled buffer that holds it, so a workspace carries capacity
+//!   bounded by its deepest live set of buffers, not by the largest role
+//!   each buffer ever played.
 //! * **[`GainBuckets`]** — the classic FM bounded-gain bucket structure
 //!   (doubly linked lists indexed by gain) replacing the lazy-deletion
 //!   `BinaryHeap`: O(1) insert/remove/update on neighbour-gain change, and
@@ -250,9 +254,11 @@ impl GainBuckets {
 /// [`partition_graph_with`](crate::partition_graph_with) and every stage
 /// below it (`coarsen` / `initial` / `refine` / `bisect` / `kway`).
 ///
-/// Construction is cheap (every arena starts empty); buffers grow to the
-/// largest instance seen and are never shrunk, so a long-lived workspace
-/// makes repeated partitioning calls allocation-free after the first.
+/// Construction is cheap (every arena starts empty); arenas grow to the
+/// largest instance seen and are never shrunk, and the buffer pools hold
+/// what the deepest live set of buffers of a call needs (every take names
+/// its length and gets the best fit), so a long-lived workspace makes
+/// repeated partitioning calls allocation-free after the first.
 /// A workspace carries **no state** between calls — only capacity. Two
 /// consecutive `partition_graph_with` calls sharing one workspace return
 /// bit-identical results to fresh-workspace calls (covered by
@@ -297,8 +303,9 @@ pub struct PartitionWorkspace {
     pub(crate) class_of: Vec<u32>,
     /// Stamp array for coarse-adjacency accumulation.
     pub(crate) stamp: Vec<u32>,
-    /// Slot of each stamped coarse neighbour in the adjacency being built.
-    pub(crate) slot: Vec<usize>,
+    /// Slot of each stamped coarse neighbour in the adjacency being built
+    /// (CSR offsets are `u32`).
+    pub(crate) slot: Vec<u32>,
     /// Sorting scratch for one coarse vertex's adjacency.
     pub(crate) pairs: Vec<(u32, u32)>,
 
@@ -322,18 +329,22 @@ pub struct PartitionWorkspace {
     pub(crate) boundary: crate::par_kway::Boundary,
     /// Scratch of the pair colouring.
     pub(crate) kw_used: Vec<u64>,
+    /// Colour per boundary pair, the pairs in schedule order and the
+    /// counting sort's cursor ([`crate::par_kway::schedule_order`]).
+    pub(crate) kw_colours: Vec<u32>,
+    pub(crate) kw_order: Vec<u32>,
+    pub(crate) kw_cursor: Vec<usize>,
+    /// The diffusion repartitioner's round-plan buffers between calls.
+    pub(crate) plan: crate::repart::RoundPlan,
     /// Per-constraint weight totals.
     pub(crate) kw_tot: Vec<i64>,
     /// Per-constraint part allowance (average × ub).
     pub(crate) kw_allow: Vec<f64>,
 
-    // --- buffer pools (free-lists) ---
-    pool_usize: Vec<Vec<usize>>,
-    pool_u32: Vec<Vec<u32>>,
-    pool_u8: Vec<Vec<u8>>,
-    pool_i64: Vec<Vec<i64>>,
-    pool_f64: Vec<Vec<f64>>,
-    pool_levels: Vec<Vec<crate::coarsen::CoarseLevel>>,
+    // --- buffer pools (best-fit free-lists) ---
+    pool_u32: Pool<u32>,
+    pool_u8: Pool<u8>,
+    pool_levels: Pool<crate::coarsen::CoarseLevel>,
 }
 
 impl PartitionWorkspace {
@@ -342,86 +353,47 @@ impl PartitionWorkspace {
         Self::default()
     }
 
-    /// Takes a cleared `Vec<usize>` from the pool (or a fresh one).
-    pub(crate) fn take_usize(&mut self) -> Vec<usize> {
-        let mut v = self.pool_usize.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Takes a cleared `Vec<u32>` from the pool (or a fresh one).
-    pub(crate) fn take_u32(&mut self) -> Vec<u32> {
-        let mut v = self.pool_u32.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Takes a cleared `Vec<u8>` from the pool (or a fresh one).
-    pub(crate) fn take_u8(&mut self) -> Vec<u8> {
-        let mut v = self.pool_u8.pop().unwrap_or_default();
-        v.clear();
-        v
+    /// An empty `Vec<u32>` with room for `len` elements: the pooled buffer
+    /// with the smallest sufficient capacity, or a fresh one of exactly
+    /// `len` (see [`Pool::take`]).
+    pub(crate) fn take_u32(&mut self, len: usize) -> Vec<u32> {
+        self.pool_u32.take(len)
     }
 
     /// Returns a `Vec<u32>` to the pool.
     pub(crate) fn give_u32(&mut self, v: Vec<u32>) {
-        self.pool_u32.push(v);
+        self.pool_u32.give(v);
     }
 
-    /// Returns a `Vec<usize>` to the pool.
-    pub(crate) fn give_usize(&mut self, v: Vec<usize>) {
-        self.pool_usize.push(v);
+    /// An empty `Vec<u8>` with room for `len` elements (best fit, as
+    /// [`Self::take_u32`]).
+    pub(crate) fn take_u8(&mut self, len: usize) -> Vec<u8> {
+        self.pool_u8.take(len)
     }
 
     /// Returns a `Vec<u8>` to the pool.
     pub(crate) fn give_u8(&mut self, v: Vec<u8>) {
-        self.pool_u8.push(v);
-    }
-
-    /// Takes a cleared `Vec<i64>` from the pool (or a fresh one).
-    pub(crate) fn take_i64(&mut self) -> Vec<i64> {
-        let mut v = self.pool_i64.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Returns a `Vec<i64>` to the pool.
-    pub(crate) fn give_i64(&mut self, v: Vec<i64>) {
-        self.pool_i64.push(v);
-    }
-
-    /// Takes a cleared `Vec<f64>` from the pool (or a fresh one).
-    pub(crate) fn take_f64(&mut self) -> Vec<f64> {
-        let mut v = self.pool_f64.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Returns a `Vec<f64>` to the pool.
-    pub(crate) fn give_f64(&mut self, v: Vec<f64>) {
-        self.pool_f64.push(v);
+        self.pool_u8.give(v);
     }
 
     /// Decomposes a dead graph and pools its CSR arrays for reuse.
     pub(crate) fn give_graph(&mut self, g: CsrGraph) {
         let (xadj, adjncy, adjwgt, vwgt, _ncon) = g.into_parts();
-        self.pool_u32.push(xadj);
-        self.pool_u32.push(adjncy);
-        self.pool_u32.push(adjwgt);
-        self.pool_u32.push(vwgt);
+        for v in [xadj, adjncy, adjwgt, vwgt] {
+            self.pool_u32.give(v);
+        }
     }
 
-    /// Takes a cleared level vector for a new coarsening hierarchy.
-    pub(crate) fn take_levels(&mut self) -> Vec<crate::coarsen::CoarseLevel> {
-        let mut v = self.pool_levels.pop().unwrap_or_default();
-        v.clear();
-        v
+    /// An empty level vector with room for `len` levels, for a new
+    /// coarsening hierarchy (best fit, as [`Self::take_u32`]).
+    pub(crate) fn take_levels(&mut self, len: usize) -> Vec<crate::coarsen::CoarseLevel> {
+        self.pool_levels.take(len)
     }
 
     /// Recycles one coarse level's graph and projection map.
     pub(crate) fn give_level(&mut self, level: crate::coarsen::CoarseLevel) {
         self.give_graph(level.graph);
-        self.pool_u32.push(level.fine_to_coarse);
+        self.pool_u32.give(level.fine_to_coarse);
     }
 
     /// Recycles a whole coarsening hierarchy (graphs, maps and the level
@@ -430,7 +402,54 @@ impl PartitionWorkspace {
         for level in h.levels.drain(..) {
             self.give_level(level);
         }
-        self.pool_levels.push(h.levels);
+        self.pool_levels.give(h.levels);
+    }
+}
+
+/// A best-fit free-list of `Vec<T>` buffers.
+///
+/// [`Pool::take`] hands out the pooled buffer with the *smallest* capacity
+/// that holds the requested length, and allocates exactly that length when
+/// none does. A buffer therefore serves the smallest role it fits rather
+/// than whichever role returned last, so no buffer grows to the largest role
+/// it ever held, and the pool's capacity stays bounded by the deepest live
+/// set of requests. Callers pass an upper bound on the length they will
+/// fill, so a taken buffer never grows. A call that returns its buffers in
+/// reverse order of taking (consecutive returns in any order), as the
+/// one-worker partitioner does, then finds a fit at every take when it is
+/// replayed on the pool it left behind: a warm call allocates nothing.
+/// Capacity never reaches a result: every buffer comes back empty.
+#[derive(Debug)]
+pub(crate) struct Pool<T> {
+    free: Vec<Vec<T>>,
+}
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Self { free: Vec::new() }
+    }
+}
+
+impl<T> Pool<T> {
+    /// An empty buffer with capacity for at least `len` elements: the
+    /// smallest sufficient pooled one, else a fresh one of exactly `len`.
+    pub(crate) fn take(&mut self, len: usize) -> Vec<T> {
+        let best = (0..self.free.len())
+            .filter(|&i| self.free[i].capacity() >= len)
+            .min_by_key(|&i| self.free[i].capacity());
+        match best {
+            Some(i) => {
+                let mut v = self.free.swap_remove(i);
+                v.clear();
+                v
+            }
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// Returns a buffer to the pool.
+    pub(crate) fn give(&mut self, v: Vec<T>) {
+        self.free.push(v);
     }
 }
 
@@ -591,14 +610,96 @@ mod tests {
     #[test]
     fn pool_roundtrip_reuses_buffers() {
         let mut ws = PartitionWorkspace::new();
-        let mut v = ws.take_u32();
+        let mut v = ws.take_u32(3);
         v.extend_from_slice(&[1, 2, 3]);
         let cap = v.capacity();
         let ptr = v.as_ptr();
         ws.give_u32(v);
-        let v2 = ws.take_u32();
+        let v2 = ws.take_u32(3);
         assert!(v2.is_empty());
         assert_eq!(v2.capacity(), cap);
         assert_eq!(v2.as_ptr(), ptr, "same buffer came back");
+    }
+
+    /// `(address, capacity)` of every buffer in `pool`.
+    fn inventory(pool: &Pool<u32>) -> Vec<(usize, usize)> {
+        pool.free
+            .iter()
+            .map(|v| (v.as_ptr() as usize, v.capacity()))
+            .collect()
+    }
+
+    #[test]
+    fn pool_take_returns_the_smallest_sufficient_buffer() {
+        let mut pool = Pool::<u32>::default();
+        let bufs: Vec<Vec<u32>> = [32, 16, 64].map(Vec::with_capacity).into();
+        let ptrs: Vec<*const u32> = bufs.iter().map(|v| v.as_ptr()).collect();
+        bufs.into_iter().for_each(|v| pool.give(v));
+        // The last buffer given (64) is not the one that fits best.
+        let v = pool.take(20);
+        assert_eq!((v.as_ptr(), v.capacity()), (ptrs[0], 32));
+        let w = pool.take(16);
+        assert_eq!((w.as_ptr(), w.capacity()), (ptrs[1], 16));
+        let x = pool.take(0);
+        assert_eq!((x.as_ptr(), x.capacity()), (ptrs[2], 64));
+    }
+
+    #[test]
+    fn pool_miss_allocates_exactly_the_request() {
+        let mut pool = Pool::<u32>::default();
+        pool.give(Vec::with_capacity(8));
+        let before = inventory(&pool);
+        let v = pool.take(100);
+        assert_eq!(v.capacity(), 100, "a miss allocates the request, no more");
+        assert_eq!(inventory(&pool), before, "the small buffer stays pooled");
+        let w = pool.take(8);
+        assert_eq!((w.as_ptr() as usize, w.capacity()), before[0]);
+    }
+
+    /// A call's worth of nested takes and gives: a coarsening hierarchy
+    /// (five arrays a level, all live until it dies at once), then two
+    /// sibling extractions, each returned before the next is taken.
+    /// Returns `(address, capacity)` of every buffer it was handed.
+    fn partition_like_call(pool: &mut Pool<u32>) -> Vec<(usize, usize)> {
+        let mut seen = Vec::new();
+        let mut take = |pool: &mut Pool<u32>, len: usize| {
+            let v = pool.take(len);
+            assert!(v.capacity() >= len);
+            seen.push((v.as_ptr() as usize, v.capacity()));
+            v
+        };
+        let mut live = Vec::new();
+        for n in [1000, 520, 270, 140] {
+            for len in [n, n + 1, 3 * n, 3 * n, n] {
+                live.push(take(pool, len));
+            }
+        }
+        live.drain(..).for_each(|v| pool.give(v));
+        for ns in [600, 400] {
+            let map = take(pool, ns);
+            let adj = take(pool, 3 * ns);
+            pool.give(adj);
+            pool.give(map);
+        }
+        seen
+    }
+
+    #[test]
+    fn pool_replay_on_a_warm_pool_allocates_nothing() {
+        let mut pool = Pool::<u32>::default();
+        partition_like_call(&mut pool);
+        let warm = inventory(&pool);
+        for _ in 0..3 {
+            let seen = partition_like_call(&mut pool);
+            assert!(
+                seen.iter().all(|b| warm.contains(b)),
+                "a warm replay was handed a buffer the pool did not hold"
+            );
+            let mut after = inventory(&pool);
+            after.sort_unstable();
+            let mut want = warm.clone();
+            want.sort_unstable();
+            assert_eq!(after, want, "the pool neither grew nor shrank");
+        }
     }
 }

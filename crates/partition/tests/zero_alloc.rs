@@ -22,6 +22,10 @@
 //!    and nothing else, at any k. A warm `sfc_partition_with` allocates its
 //!    result plus a constant number of bytes that does not grow with n
 //!    (none at one worker).
+//! 4. **Peak**: a cold `partition_graph_with` holds at most a fixed
+//!    multiple of its graph's bytes at once, and a warm one nothing beyond
+//!    its result and targets — read off the allocator's live-byte
+//!    high-water mark, so pooled buffers that outgrow their role show.
 
 use tempart_graph::builder::grid_graph;
 use tempart_partition::geometric::{sfc_partition_with, Curve, SfcWorkspace};
@@ -30,7 +34,10 @@ use tempart_partition::refine::{fm_refine_ws, rebalance_ws};
 use tempart_partition::{
     partition_graph_with, repartition_ws, PartitionConfig, PartitionWorkspace, RepartConfig, Scheme,
 };
-use tempart_testkit::alloc::{allocated_bytes, count_allocations, CountingAllocator};
+use tempart_testkit::alloc::{
+    allocated_bytes, count_allocations, live_bytes, peak_live_bytes, reset_peak_live_bytes,
+    CountingAllocator,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -116,6 +123,55 @@ fn warm_recursive_bisection_allocates_the_result_and_the_targets_only() {
         // The result vector and the uniform target fractions.
         assert_eq!(allocs, 2, "k={k}: warm call allocated {allocs} times");
     }
+}
+
+/// Heap bytes `f` held above what was live when it started, at its most.
+fn peak_above_start<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    reset_peak_live_bytes();
+    let start = live_bytes();
+    let r = f();
+    (r, (peak_live_bytes() - start) as u64)
+}
+
+/// The most heap a cold `partition_graph_with` may hold at once above its
+/// start, in units of the input graph's own CSR bytes. Measured 3.03× on
+/// the instance below with best-fit pools sized at every take, 5.06× when
+/// each take popped the last buffer returned, whatever its size; the bound
+/// leaves 9 % for a new arena or a looser take bound.
+const COLD_PEAK_OVER_GRAPH: f64 = 3.3;
+
+#[test]
+fn cold_partition_peak_is_bounded_by_the_graph_and_a_warm_one_adds_the_result() {
+    // One-hot 4-constraint weights in column bands (the MC_TL shape), 128
+    // parts: the workspace's buffers must track the live set of the tree
+    // walk, not the largest role each pooled buffer ever held.
+    let (nx, ncon, k) = (230usize, 4usize, 128usize);
+    let base = grid_graph(nx, nx);
+    let n = base.nvtx();
+    let mut vwgt = vec![0u32; n * ncon];
+    for v in 0..n {
+        vwgt[v * ncon + (v % nx) * ncon / nx] = 1;
+    }
+    let g = base.with_vertex_weights(vwgt, ncon);
+    let graph_bytes = 4 * (g.xadj().len() + g.adjncy().len() + g.adjwgt().len() + g.vwgt().len());
+    let cfg = PartitionConfig::new(k).with_ub(1.10);
+    let mut ws = PartitionWorkspace::new();
+    let (cold, cold_peak) = peak_above_start(|| partition_graph_with(&g, &cfg, &mut ws));
+    let ratio = cold_peak as f64 / graph_bytes as f64;
+    assert!(
+        ratio <= COLD_PEAK_OVER_GRAPH,
+        "cold call peaked at {cold_peak} B, {ratio:.2}x the graph's {graph_bytes} B"
+    );
+    // A warm call holds nothing new but the result vector and the uniform
+    // target fractions.
+    let (warm, warm_peak) = peak_above_start(|| partition_graph_with(&g, &cfg, &mut ws));
+    assert_eq!(cold, warm);
+    // The lower bound keeps the counters honest: the result is held.
+    let (result, fresh) = (4 * n as u64, (4 * n + 8 * k) as u64);
+    assert!(
+        (result..=fresh).contains(&warm_peak),
+        "warm call peaked at {warm_peak} B above its start, result + targets are {fresh} B"
+    );
 }
 
 #[test]

@@ -16,6 +16,11 @@
 //!   thread-count-dependent state a single-process test could mask. The
 //!   file *content* never mentions the worker count, so matching runs
 //!   produce byte-identical files.
+//!
+//! The binary installs the testkit's counting allocator, which arms the
+//! zero-allocation `debug_assert`s of FM, rebalance, the pairwise k-way
+//! pass and the FLUSIM event loop across every pipeline run here (debug
+//! builds only; the counters change no result).
 
 use std::fmt::Write as _;
 use tempart::core_api::{
@@ -27,6 +32,9 @@ use tempart::flusim::{parse_preset, ClusterConfig, DynamicListStrategy, Segment,
 use tempart::mesh::{cube_like, cylinder_like, GeneratorConfig, Mesh};
 use tempart::obs::Recorder;
 use tempart::partition::{diffusion_plan, sfc_partition_with, Curve, SfcWorkspace};
+
+#[global_allocator]
+static ALLOC: tempart_testkit::alloc::CountingAllocator = tempart_testkit::alloc::CountingAllocator;
 
 const SEED: u64 = 0x3A7_2026;
 const N_DOMAINS: usize = 16;
