@@ -226,6 +226,7 @@ pub fn pprime_nozzle_like(config: &GeneratorConfig) -> Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::octree::DIRECTIONS;
     use crate::temporal::level_histogram;
 
     fn fractions(mesh: &Mesh) -> Vec<f64> {
@@ -330,6 +331,50 @@ mod tests {
         for (case, depth, want) in pinned {
             let got = mesh_fingerprint(case, depth);
             assert_eq!(got, want, "{} depth {depth}: {got:#018x}", case.name());
+        }
+    }
+
+    /// The geometry the mesh derives equals, bit for bit, the geometry it
+    /// used to store: each cell's `h³` and each face's `h²` and axis normal,
+    /// recomputed from the octree leaves in the order faces are emitted.
+    #[test]
+    fn derived_geometry_matches_the_leaf_formulas() {
+        for case in MeshCase::ALL {
+            for base_depth in [3u8, 4] {
+                let tree = case_tree(case, &GeneratorConfig { base_depth });
+                let mesh = finish(&tree, case.n_levels());
+                let leaves = tree.leaves();
+                assert_eq!(mesh.n_cells(), leaves.len());
+                let mut want = Vec::new();
+                for (id, (&key, cell)) in leaves.iter().zip(mesh.cells()).enumerate() {
+                    let (d, x, y, z) = key;
+                    let h = Octree::size_of(d);
+                    assert_eq!(cell.volume().to_bits(), (h * h * h).to_bits());
+                    let n = 1i64 << d;
+                    for &dir in &DIRECTIONS {
+                        let (nx, ny, nz) = (
+                            i64::from(x) + dir.0,
+                            i64::from(y) + dir.1,
+                            i64::from(z) + dir.2,
+                        );
+                        let outside = nx < 0 || ny < 0 || nz < 0 || nx >= n || ny >= n || nz >= n;
+                        let emits = outside
+                            || tree
+                                .same_or_coarser_neighbor(key, dir)
+                                .is_some_and(|(nk, _)| nk.0 < d || dir.0 + dir.1 + dir.2 > 0);
+                        if emits {
+                            let normal = [dir.0 as f64, dir.1 as f64, dir.2 as f64];
+                            want.push((id as u32, (h * h).to_bits(), normal.map(f64::to_bits)));
+                        }
+                    }
+                }
+                let got: Vec<_> = mesh
+                    .faces()
+                    .iter()
+                    .map(|f| (f.owner, f.area().to_bits(), f.normal().map(f64::to_bits)))
+                    .collect();
+                assert_eq!(got, want, "{} depth {base_depth}", case.name());
+            }
         }
     }
 

@@ -1,8 +1,11 @@
 //! Mesh export: legacy VTK and CSV, for inspection in ParaView/VisIt.
+//!
+//! Each format has one writer that streams rows into any [`Write`]:
+//! [`write_vtk`] hands it a buffered file, [`to_vtk`] and [`cells_csv`] a
+//! byte vector, so a file never exists twice in memory.
 
 use crate::mesh::Mesh;
-use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Serialises the mesh as a legacy-VTK unstructured grid (hexahedral cells,
@@ -10,16 +13,28 @@ use std::path::Path;
 /// cell-data arrays. Corners are emitted per cell (8 points each, not
 /// deduplicated) — simple and robust for visualisation purposes.
 pub fn to_vtk(mesh: &Mesh, part: Option<&[u32]>) -> String {
+    let mut out = Vec::new();
+    vtk_rows(mesh, part, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("VTK rows are ASCII")
+}
+
+/// Writes [`to_vtk`]'s bytes to a file, row by row through a buffer.
+pub fn write_vtk(mesh: &Mesh, part: Option<&[u32]>, path: &Path) -> io::Result<()> {
+    let mut f = io::BufWriter::new(std::fs::File::create(path)?);
+    vtk_rows(mesh, part, &mut f)?;
+    f.flush()
+}
+
+fn vtk_rows(mesh: &Mesh, part: Option<&[u32]>, out: &mut impl Write) -> io::Result<()> {
     if let Some(p) = part {
         assert_eq!(p.len(), mesh.n_cells(), "one domain per cell");
     }
     let n = mesh.n_cells();
-    let mut out = String::with_capacity(n * 200);
-    out.push_str("# vtk DataFile Version 3.0\n");
-    out.push_str("tempart mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n");
-    let _ = writeln!(out, "POINTS {} double", 8 * n);
+    out.write_all(b"# vtk DataFile Version 3.0\n")?;
+    out.write_all(b"tempart mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")?;
+    writeln!(out, "POINTS {} double", 8 * n)?;
     for cell in mesh.cells() {
-        let h = cell.volume.cbrt() / 2.0;
+        let h = cell.volume().cbrt() / 2.0;
         let [cx, cy, cz] = cell.centroid;
         // VTK_HEXAHEDRON corner order.
         for (dx, dy, dz) in [
@@ -32,13 +47,13 @@ pub fn to_vtk(mesh: &Mesh, part: Option<&[u32]>) -> String {
             (1.0, 1.0, 1.0),
             (-1.0, 1.0, 1.0),
         ] {
-            let _ = writeln!(out, "{} {} {}", cx + dx * h, cy + dy * h, cz + dz * h);
+            writeln!(out, "{} {} {}", cx + dx * h, cy + dy * h, cz + dz * h)?;
         }
     }
-    let _ = writeln!(out, "CELLS {} {}", n, 9 * n);
+    writeln!(out, "CELLS {} {}", n, 9 * n)?;
     for c in 0..n {
         let b = 8 * c;
-        let _ = writeln!(
+        writeln!(
             out,
             "8 {} {} {} {} {} {} {} {}",
             b,
@@ -49,61 +64,61 @@ pub fn to_vtk(mesh: &Mesh, part: Option<&[u32]>) -> String {
             b + 5,
             b + 6,
             b + 7
-        );
+        )?;
     }
-    let _ = writeln!(out, "CELL_TYPES {n}");
+    writeln!(out, "CELL_TYPES {n}")?;
     for _ in 0..n {
-        out.push_str("12\n"); // VTK_HEXAHEDRON
+        out.write_all(b"12\n")?; // VTK_HEXAHEDRON
     }
-    let _ = writeln!(out, "CELL_DATA {n}");
-    out.push_str("SCALARS tau int 1\nLOOKUP_TABLE default\n");
+    writeln!(out, "CELL_DATA {n}")?;
+    out.write_all(b"SCALARS tau int 1\nLOOKUP_TABLE default\n")?;
     for &t in mesh.tau() {
-        let _ = writeln!(out, "{t}");
+        writeln!(out, "{t}")?;
     }
-    out.push_str("SCALARS depth int 1\nLOOKUP_TABLE default\n");
+    out.write_all(b"SCALARS depth int 1\nLOOKUP_TABLE default\n")?;
     for cell in mesh.cells() {
-        let _ = writeln!(out, "{}", cell.depth);
+        writeln!(out, "{}", cell.depth)?;
     }
     if let Some(p) = part {
-        out.push_str("SCALARS domain int 1\nLOOKUP_TABLE default\n");
+        out.write_all(b"SCALARS domain int 1\nLOOKUP_TABLE default\n")?;
         for &d in p {
-            let _ = writeln!(out, "{d}");
+            writeln!(out, "{d}")?;
         }
     }
-    out
-}
-
-/// Writes [`to_vtk`] output to a file.
-pub fn write_vtk(mesh: &Mesh, part: Option<&[u32]>, path: &Path) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    f.write_all(to_vtk(mesh, part).as_bytes())
+    Ok(())
 }
 
 /// Serialises per-cell data as CSV: `cell,x,y,z,volume,depth,tau[,domain]`.
 pub fn cells_csv(mesh: &Mesh, part: Option<&[u32]>) -> String {
-    let mut out = String::from(if part.is_some() {
-        "cell,x,y,z,volume,depth,tau,domain\n"
+    let mut out = Vec::new();
+    csv_rows(mesh, part, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("CSV rows are ASCII")
+}
+
+fn csv_rows(mesh: &Mesh, part: Option<&[u32]>, out: &mut impl Write) -> io::Result<()> {
+    out.write_all(if part.is_some() {
+        b"cell,x,y,z,volume,depth,tau,domain\n"
     } else {
-        "cell,x,y,z,volume,depth,tau\n"
-    });
+        b"cell,x,y,z,volume,depth,tau\n"
+    })?;
     for (i, cell) in mesh.cells().iter().enumerate() {
-        let _ = write!(
+        write!(
             out,
             "{},{},{},{},{},{},{}",
             i,
             cell.centroid[0],
             cell.centroid[1],
             cell.centroid[2],
-            cell.volume,
+            cell.volume(),
             cell.depth,
             mesh.tau()[i]
-        );
+        )?;
         if let Some(p) = part {
-            let _ = write!(out, ",{}", p[i]);
+            write!(out, ",{}", p[i])?;
         }
-        out.push('\n');
+        out.write_all(b"\n")?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -156,6 +171,18 @@ mod tests {
             .nth(1)
             .unwrap()
             .starts_with("0,0.25,0.25,0.25,0.125,1,0"));
+    }
+
+    #[test]
+    fn streamed_file_equals_the_string_export() {
+        let m = crate::generators::cylinder_like(&crate::GeneratorConfig { base_depth: 3 });
+        let part: Vec<u32> = (0..m.n_cells() as u32).map(|c| c % 7).collect();
+        let path =
+            std::env::temp_dir().join(format!("tempart_vtk_stream_{}.vtk", std::process::id()));
+        write_vtk(&m, Some(&part), &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(bytes, to_vtk(&m, Some(&part)).into_bytes());
     }
 
     #[test]

@@ -3,15 +3,22 @@
 use crate::octree::{Octree, DIRECTIONS};
 use tempart_graph::{CsrGraph, Weight};
 
-/// A finite-volume cell.
+/// A finite-volume cell: an octree leaf's centre and depth. Its volume is
+/// derived from the depth ([`Cell::volume`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Cell centre in the unit cube.
     pub centroid: [f64; 3],
-    /// Cell volume.
-    pub volume: f64,
     /// Octree depth the cell was generated at (size = `2^-depth`).
     pub depth: u8,
+}
+
+impl Cell {
+    /// Cell volume: `h³` with `h = 2^-depth` the leaf's edge.
+    pub fn volume(&self) -> f64 {
+        let h = Octree::size_of(self.depth);
+        h * h * h
+    }
 }
 
 /// What lies on the other side of a face.
@@ -24,20 +31,34 @@ pub enum FaceNeighbor {
 }
 
 /// A face of the mesh. `owner` is always the finer (or equal) adjacent cell,
-/// so hanging faces are stored once, from the fine side.
+/// so hanging faces are stored once, from the fine side. Every face is a
+/// whole side of its owner's octree leaf, so its normal and area are
+/// derived from `dir` and `depth` ([`Face::normal`], [`Face::area`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Face {
     /// The owning cell (the finer side for hanging faces).
     pub owner: u32,
     /// The opposite side.
     pub neighbor: FaceNeighbor,
-    /// Face area.
-    pub area: f64,
-    /// Outward unit normal, pointing from `owner` to `neighbor`.
-    pub normal: [f64; 3],
+    /// Direction from `owner` to `neighbor`: an index into [`DIRECTIONS`].
+    pub dir: u8,
+    /// Octree depth of the owner, whose side the face is.
+    pub depth: u8,
 }
 
 impl Face {
+    /// Outward unit normal, pointing from `owner` to `neighbor`.
+    pub fn normal(&self) -> [f64; 3] {
+        let (x, y, z) = DIRECTIONS[usize::from(self.dir)];
+        [x as f64, y as f64, z as f64]
+    }
+
+    /// Face area: `h²` with `h = 2^-depth` the owner leaf's edge.
+    pub fn area(&self) -> f64 {
+        let h = Octree::size_of(self.depth);
+        h * h
+    }
+
     /// The interior neighbour id, if any.
     pub fn interior_neighbor(&self) -> Option<u32> {
         match self.neighbor {
@@ -58,7 +79,7 @@ pub struct Mesh {
     /// Number of temporal-level classes present in the scheme (τ ∈ 0..n).
     n_levels: u8,
     /// CSR cell → face-id adjacency.
-    cell_face_offsets: Vec<usize>,
+    cell_face_offsets: Vec<u32>,
     cell_face_ids: Vec<u32>,
 }
 
@@ -68,58 +89,56 @@ impl Mesh {
     /// derive them from cell sizes.
     pub fn from_octree(tree: &Octree) -> Self {
         let leaves = tree.leaves();
-        let mut cells = Vec::with_capacity(leaves.len());
-        for &key in leaves {
-            let h = Octree::size_of(key.0);
-            cells.push(Cell {
+        let cells: Vec<Cell> = leaves
+            .iter()
+            .map(|&key| Cell {
                 centroid: Octree::centre_of(key),
-                volume: h * h * h,
                 depth: key.0,
-            });
-        }
-        let mut faces = Vec::new();
+            })
+            .collect();
+        // A leaf emits at most one face a direction.
+        let mut faces = Vec::with_capacity(DIRECTIONS.len() * leaves.len());
         for (id, &key) in leaves.iter().enumerate() {
-            let id = id as u32;
+            let owner = id as u32;
             let (d, x, y, z) = key;
             let n = 1i64 << d;
-            let h = Octree::size_of(d);
-            for &dir in &DIRECTIONS {
+            for (dir, &step) in (0u8..).zip(&DIRECTIONS) {
                 let (nx, ny, nz) = (
-                    i64::from(x) + dir.0,
-                    i64::from(y) + dir.1,
-                    i64::from(z) + dir.2,
+                    i64::from(x) + step.0,
+                    i64::from(y) + step.1,
+                    i64::from(z) + step.2,
                 );
-                let normal = [dir.0 as f64, dir.1 as f64, dir.2 as f64];
                 if nx < 0 || ny < 0 || nz < 0 || nx >= n || ny >= n || nz >= n {
                     faces.push(Face {
-                        owner: id,
+                        owner,
                         neighbor: FaceNeighbor::Boundary,
-                        area: h * h,
-                        normal,
+                        dir,
+                        depth: d,
                     });
                     continue;
                 }
                 // A `None` lookup means the region is covered by finer
                 // leaves: they own the shared faces.
-                if let Some((nk, nid)) = tree.same_or_coarser_neighbor(key, dir) {
+                if let Some((nk, nid)) = tree.same_or_coarser_neighbor(key, step) {
                     // Emit once per pair: the finer side owns the face; at
                     // equal depth only the positive direction emits.
                     let emit = if nk.0 < d {
                         true
                     } else {
-                        dir.0 + dir.1 + dir.2 > 0
+                        step.0 + step.1 + step.2 > 0
                     };
                     if emit {
                         faces.push(Face {
-                            owner: id,
+                            owner,
                             neighbor: FaceNeighbor::Interior(nid),
-                            area: h * h,
-                            normal,
+                            dir,
+                            depth: d,
                         });
                     }
                 }
             }
         }
+        faces.shrink_to_fit();
         let n_cells = cells.len();
         let mut mesh = Self {
             cells,
@@ -133,15 +152,36 @@ impl Mesh {
         mesh
     }
 
-    /// Builds a mesh directly from parts (used by tests and tools).
+    /// Builds a mesh directly from parts (used by tests and tools). The
+    /// geometry is derived, not given: a cell's volume from its `depth`, a
+    /// face's normal from its `dir` and its area from its `depth`.
     ///
     /// # Panics
     ///
-    /// Panics if a face references an out-of-range cell.
+    /// Panics if a face references an out-of-range cell or direction, if a
+    /// cell or face depth has no octree edge (`2^-depth` needs `depth < 32`),
+    /// or if the cell → face incidences (every face once, an interior face
+    /// twice) exceed the `u32` offset range.
     pub fn from_parts(cells: Vec<Cell>, faces: Vec<Face>) -> Self {
         let n = cells.len() as u32;
+        let depths = cells
+            .iter()
+            .map(|c| c.depth)
+            .chain(faces.iter().map(|f| f.depth));
+        for depth in depths {
+            assert!(
+                u32::from(depth) < u32::BITS,
+                "depth {depth} out of range (0..32)"
+            );
+        }
         for f in &faces {
             assert!(f.owner < n, "face owner out of range");
+            assert!(
+                usize::from(f.dir) < DIRECTIONS.len(),
+                "face direction {} out of range (0..{})",
+                f.dir,
+                DIRECTIONS.len()
+            );
             if let FaceNeighbor::Interior(c) = f.neighbor {
                 assert!(c < n, "face neighbor out of range");
                 assert_ne!(c, f.owner, "face connects a cell to itself");
@@ -162,27 +202,30 @@ impl Mesh {
 
     fn rebuild_adjacency(&mut self) {
         let n = self.cells.len();
-        let mut counts = vec![0usize; n];
+        let interior = self
+            .faces
+            .iter()
+            .filter(|f| matches!(f.neighbor, FaceNeighbor::Interior(_)))
+            .count();
+        let total = incidence_range(self.faces.len() + interior);
+        // Counts at `c + 1`, then summed into offsets in place.
+        let mut offsets = vec![0u32; n + 1];
         for f in &self.faces {
-            counts[f.owner as usize] += 1;
+            offsets[f.owner as usize + 1] += 1;
             if let FaceNeighbor::Interior(c) = f.neighbor {
-                counts[c as usize] += 1;
+                offsets[c as usize + 1] += 1;
             }
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for c in &counts {
-            acc += c;
-            offsets.push(acc);
+        for c in 0..n {
+            offsets[c + 1] += offsets[c];
         }
-        let mut ids = vec![0u32; acc];
-        let mut cursor = offsets.clone();
+        let mut ids = vec![0u32; total as usize];
+        let mut cursor = offsets[..n].to_vec();
         for (fid, f) in self.faces.iter().enumerate() {
-            ids[cursor[f.owner as usize]] = fid as u32;
+            ids[cursor[f.owner as usize] as usize] = fid as u32;
             cursor[f.owner as usize] += 1;
             if let FaceNeighbor::Interior(c) = f.neighbor {
-                ids[cursor[c as usize]] = fid as u32;
+                ids[cursor[c as usize] as usize] = fid as u32;
                 cursor[c as usize] += 1;
             }
         }
@@ -219,7 +262,8 @@ impl Mesh {
     /// Face ids incident to `cell`.
     pub fn cell_faces(&self, cell: u32) -> &[u32] {
         let c = cell as usize;
-        &self.cell_face_ids[self.cell_face_offsets[c]..self.cell_face_offsets[c + 1]]
+        let (start, end) = (self.cell_face_offsets[c], self.cell_face_offsets[c + 1]);
+        &self.cell_face_ids[start as usize..end as usize]
     }
 
     /// Temporal level of every cell.
@@ -295,7 +339,7 @@ impl Mesh {
         for (c, span) in self.cell_face_offsets.windows(2).enumerate() {
             let c = c as u32;
             let start = adjncy.len();
-            for &fid in &self.cell_face_ids[span[0]..span[1]] {
+            for &fid in &self.cell_face_ids[span[0] as usize..span[1] as usize] {
                 let f = &self.faces[fid as usize];
                 let FaceNeighbor::Interior(nb) = f.neighbor else {
                     continue;
@@ -325,8 +369,19 @@ impl Mesh {
     /// Total mesh volume (should approximate the unit cube for octree
     /// meshes).
     pub fn total_volume(&self) -> f64 {
-        self.cells.iter().map(|c| c.volume).sum()
+        self.cells.iter().map(Cell::volume).sum()
     }
+}
+
+/// The cell → face CSR's length as a `u32` offset.
+///
+/// # Panics
+///
+/// Panics if `incidences` exceeds the `u32` offset range.
+fn incidence_range(incidences: usize) -> u32 {
+    u32::try_from(incidences).unwrap_or_else(|_| {
+        panic!("{incidences} cell → face incidences exceed the u32 offset range")
+    })
 }
 
 #[cfg(test)]
@@ -454,7 +509,7 @@ mod tests {
             raw_faces in vec_of((0u32..12, 0u32..16), 0..40),
         ) {
             let cells = vec![
-                Cell { centroid: [0.5; 3], volume: 1.0, depth: 0 };
+                Cell { centroid: [0.5; 3], depth: 0 };
                 n_cells as usize
             ];
             let faces = raw_faces
@@ -467,7 +522,7 @@ mod tests {
                     } else {
                         FaceNeighbor::Boundary
                     };
-                    Face { owner, neighbor, area: 1.0, normal: [1.0, 0.0, 0.0] }
+                    Face { owner, neighbor, dir: 0, depth: 0 }
                 })
                 .collect();
             let m = Mesh::from_parts(cells, faces);
@@ -492,6 +547,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn one_cell() -> Vec<Cell> {
+        vec![Cell {
+            centroid: [0.5; 3],
+            depth: 0,
+        }]
+    }
+
+    #[test]
+    #[should_panic(expected = "face direction 6 out of range")]
+    fn from_parts_rejects_a_direction_past_the_six_axes() {
+        let face = Face {
+            owner: 0,
+            neighbor: FaceNeighbor::Boundary,
+            dir: 6,
+            depth: 0,
+        };
+        Mesh::from_parts(one_cell(), vec![face]);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth 32 out of range")]
+    fn from_parts_rejects_a_depth_without_an_edge() {
+        let mut cells = one_cell();
+        cells[0].depth = 32;
+        Mesh::from_parts(cells, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the u32 offset range")]
+    fn incidences_past_the_u32_offset_range_are_rejected() {
+        assert_eq!(incidence_range(u32::MAX as usize), u32::MAX);
+        incidence_range(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn geometry_is_derived_from_depth_and_direction() {
+        let cells = vec![
+            Cell {
+                centroid: [0.25; 3],
+                depth: 1,
+            },
+            Cell {
+                centroid: [0.625; 3],
+                depth: 2,
+            },
+        ];
+        let faces = (0u8..6)
+            .map(|dir| Face {
+                owner: 1,
+                neighbor: FaceNeighbor::Interior(0),
+                dir,
+                depth: 2,
+            })
+            .collect();
+        let m = Mesh::from_parts(cells, faces);
+        assert_eq!(m.cells()[0].volume(), 0.125);
+        assert_eq!(m.cells()[1].volume(), 1.0 / 64.0);
+        assert_eq!(m.total_volume(), 0.125 + 1.0 / 64.0);
+        for (f, &(x, y, z)) in m.faces().iter().zip(&DIRECTIONS) {
+            assert_eq!(f.area(), 1.0 / 16.0);
+            assert_eq!(f.normal(), [x as f64, y as f64, z as f64]);
+        }
+        assert_eq!(m.faces()[1].normal(), [-1.0, 0.0, 0.0]);
     }
 
     #[test]

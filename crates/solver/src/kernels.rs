@@ -122,6 +122,7 @@ pub unsafe fn face_task(
 ) {
     for &fid in dd.faces_of(domain, tau, class) {
         let face = &mesh.faces()[fid as usize];
+        let normal = face.normal();
         let ul = arrays.u.get(face.owner as usize);
         let (ur, dist) = match face.neighbor {
             FaceNeighbor::Interior(nb) => {
@@ -134,11 +135,11 @@ pub unsafe fn face_task(
             }
             FaceNeighbor::Boundary => {
                 // Slip wall: no viscous contribution (mirror state only).
-                let h = mesh.cells()[face.owner as usize].volume.cbrt();
-                (reflect(&ul, &face.normal), h)
+                let h = mesh.cells()[face.owner as usize].volume().cbrt();
+                (reflect(&ul, &normal), h)
             }
         };
-        let mut f = rusanov(&ul, &ur, &face.normal);
+        let mut f = rusanov(&ul, &ur, &normal);
         if let Some(visc) = viscosity {
             if matches!(face.neighbor, FaceNeighbor::Interior(_)) {
                 let fv = viscous_flux(&ul, &ur, dist, visc);
@@ -147,9 +148,10 @@ pub unsafe fn face_task(
                 }
             }
         }
+        let area = face.area();
         let mut scaled = [0.0f64; 5];
         for k in 0..5 {
-            scaled[k] = f[k] * face.area;
+            scaled[k] = f[k] * area;
         }
         arrays.flux.set(fid as usize, scaled);
     }
@@ -196,7 +198,7 @@ pub unsafe fn cell_task(
             }
         }
         let cur = arrays.u.get(cid as usize);
-        let scale = dt_tau / cell.volume;
+        let scale = dt_tau / cell.volume();
         let mut u = cur;
         match stage {
             CellStage::Euler => {
@@ -230,7 +232,7 @@ pub unsafe fn cell_task(
 mod tests {
     use super::*;
     use crate::state::{EulerState, Primitive};
-    use tempart_mesh::{Octree, OctreeConfig, TemporalScheme};
+    use tempart_mesh::{Cell, Octree, OctreeConfig, TemporalScheme};
 
     fn uniform_mesh() -> Mesh {
         let cfg = OctreeConfig {
@@ -299,7 +301,7 @@ mod tests {
                 Primitive::at_rest(0.8, 1.0)
             }
         });
-        let vols: Vec<f64> = m.cells().iter().map(|c| c.volume).collect();
+        let vols: Vec<f64> = m.cells().iter().map(Cell::volume).collect();
         let before = state.totals(vols.iter().copied());
         let arrays = SolverArrays {
             u: SharedArray::new(state.u.clone()),

@@ -33,12 +33,13 @@ impl FlowStats {
         let mut max_p = f64::NEG_INFINITY;
         let mut max_mach = 0.0f64;
         for (u, cell) in state.u.iter().zip(mesh.cells()) {
+            let volume = cell.volume();
             for k in 0..5 {
-                totals[k] += u[k] * cell.volume;
+                totals[k] += u[k] * volume;
             }
             let pr = to_primitive(u);
             let speed2 = pr.vel[0] * pr.vel[0] + pr.vel[1] * pr.vel[1] + pr.vel[2] * pr.vel[2];
-            kinetic += 0.5 * pr.rho * speed2 * cell.volume;
+            kinetic += 0.5 * pr.rho * speed2 * volume;
             min_rho = min_rho.min(pr.rho);
             max_rho = max_rho.max(pr.rho);
             max_p = max_p.max(pr.p);
@@ -87,8 +88,9 @@ impl Monitor {
                 let mut vol = 0.0f64;
                 for ((u, p), cell) in state.u.iter().zip(prev).zip(mesh.cells()) {
                     let d = u[0] - p[0];
-                    acc += d * d * cell.volume;
-                    vol += cell.volume;
+                    let volume = cell.volume();
+                    acc += d * d * volume;
+                    vol += volume;
                 }
                 (acc / vol.max(f64::MIN_POSITIVE)).sqrt()
             }

@@ -5,7 +5,7 @@ use crate::state::{EulerState, Primitive};
 use crate::timestep::stable_dt;
 use crate::viscous::Viscosity;
 use tempart_graph::PartId;
-use tempart_mesh::Mesh;
+use tempart_mesh::{Cell, Mesh};
 use tempart_obs::Recorder;
 use tempart_runtime::{execute, ExecReport, RuntimeConfig};
 use tempart_taskgraph::{
@@ -228,7 +228,7 @@ impl<'m> Solver<'m> {
 
     /// Volume-weighted conserved totals.
     pub fn totals(&mut self) -> [f64; 5] {
-        let vols: Vec<f64> = self.mesh.cells().iter().map(|c| c.volume).collect();
+        let vols: Vec<f64> = self.mesh.cells().iter().map(Cell::volume).collect();
         self.state().totals(vols.into_iter())
     }
 }
@@ -239,7 +239,7 @@ fn viscous_dt(mesh: &Mesh, u: &[[f64; 5]], visc: &Viscosity) -> f64 {
     let deepest = mesh.cells().iter().map(|c| c.depth).max().unwrap_or(0);
     let mut dt = f64::INFINITY;
     for (cell, state) in mesh.cells().iter().zip(u) {
-        let h = cell.volume.cbrt();
+        let h = cell.volume().cbrt();
         let octaves = f64::from(u32::from(deepest - cell.depth));
         let local = state[0] * h * h / (6.0 * visc.mu) / 2f64.powf(octaves);
         dt = dt.min(local);

@@ -16,7 +16,7 @@ pub fn stable_dt(mesh: &Mesh, u: &[[f64; 5]], cfl: f64) -> f64 {
         let pr = to_primitive(state);
         let speed = (pr.vel[0] * pr.vel[0] + pr.vel[1] * pr.vel[1] + pr.vel[2] * pr.vel[2]).sqrt()
             + pr.sound_speed();
-        let h = cell.volume.cbrt();
+        let h = cell.volume().cbrt();
         // Normalise to the finest level: a τ-cell is 2^τ octaves coarser, so
         // its own stable step is 2^τ larger; dt here is the τ=0 step.
         let tau_octaves = f64::from(u32::from(deepest - cell.depth));

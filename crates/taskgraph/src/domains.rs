@@ -607,7 +607,7 @@ mod tests {
             k in 1usize..15,
         ) {
             let cells = vec![
-                Cell { centroid: [0.5; 3], volume: 1.0, depth: 0 };
+                Cell { centroid: [0.5; 3], depth: 0 };
                 n_cells as usize
             ];
             let faces = raw_faces
@@ -620,7 +620,7 @@ mod tests {
                     } else {
                         FaceNeighbor::Boundary
                     };
-                    Face { owner, neighbor, area: 1.0, normal: [1.0, 0.0, 0.0] }
+                    Face { owner, neighbor, dir: 0, depth: 0 }
                 })
                 .collect();
             let m = Mesh::from_parts(cells, faces);

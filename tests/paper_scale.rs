@@ -1,17 +1,22 @@
 //! Opt-in paper-scale suite (`TEMPART_PAPER_SCALE=1`).
 //!
 //! These tests exercise the SFC partition at the paper's actual Table I
-//! sizes — a 12.6M-cell PPRIME_NOZZLE-class cloud — which takes tens of
-//! seconds and hundreds of MB, so they no-op (with a note) unless the
-//! environment opts in. ci.sh runs them in its `paper-scale` stage; the
+//! sizes — a 12.6M-cell PPRIME_NOZZLE-class cloud — and a full-connectivity
+//! mesh one octave past the laptop scale, which takes tens of seconds and
+//! hundreds of MB, so they no-op (with a note) unless the environment opts
+//! in. ci.sh runs them in its `paper-scale` stage; the
 //! default tier-1 / workspace stages never pay for them.
 
 mod common;
 
 use common::oracle;
-use tempart::mesh::{cloud_cell_count, paper_scale_nside, sfc_cloud, MeshCase};
+use tempart::mesh::{cloud_cell_count, paper_scale_nside, sfc_cloud, GeneratorConfig, MeshCase};
 use tempart::partition::{sfc_partition_with, Curve, SfcWorkspace};
+use tempart_testkit::alloc::{live_bytes, CountingAllocator};
 use tempart_testkit::{peak_rss_bytes, SplitMix64};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
 
 fn enabled(test: &str) -> bool {
     if std::env::var("TEMPART_PAPER_SCALE").as_deref() == Ok("1") {
@@ -130,4 +135,36 @@ fn pprime_scale_cloud_partitions_in_bounded_memory() {
             rss / (1024 * 1024)
         );
     }
+}
+
+/// The full-connectivity row: a CYLINDER mesh at `base_depth` 6 (cells,
+/// faces, the cell → face CSR and τ) holds at most 128 live heap bytes a
+/// cell, the bound that puts the paper's 6.4M-cell CYLINDER under 800 MiB.
+#[test]
+fn full_mesh_at_depth_six_holds_at_most_128_bytes_a_cell() {
+    if !enabled("full_mesh_at_depth_six_holds_at_most_128_bytes_a_cell") {
+        return;
+    }
+    let before = live_bytes();
+    let start = std::time::Instant::now();
+    let mesh = MeshCase::Cylinder.generate(&GeneratorConfig { base_depth: 6 });
+    let secs = start.elapsed().as_secs_f64();
+    let held = live_bytes() - before;
+    let per_cell = held as f64 / mesh.n_cells() as f64;
+    eprintln!(
+        "paper-scale mesh report: CYLINDER depth 6: {} cells, {} faces, {held} B live \
+         ({per_cell:.1} B/cell), generated in {secs:.2} s",
+        mesh.n_cells(),
+        mesh.n_faces(),
+    );
+    if let Some(rss) = peak_rss_bytes() {
+        eprintln!(
+            "paper-scale mesh report: process peak {} MiB (every test of this binary so far)",
+            rss / (1024 * 1024)
+        );
+    }
+    assert!(
+        per_cell <= 128.0,
+        "CYLINDER depth 6: {per_cell:.1} B/cell above 128"
+    );
 }

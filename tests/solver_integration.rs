@@ -116,7 +116,7 @@ fn navier_stokes_dissipates_kinetic_energy() {
     let kinetic = |s: &tempart::solver::EulerState, mesh: &tempart::mesh::Mesh| -> f64 {
         s.u.iter()
             .zip(mesh.cells())
-            .map(|(u, c)| 0.5 * (u[1] * u[1] + u[2] * u[2] + u[3] * u[3]) / u[0] * c.volume)
+            .map(|(u, c)| 0.5 * (u[1] * u[1] + u[2] * u[2] + u[3] * u[3]) / u[0] * c.volume())
             .sum()
     };
     let run = |viscosity| {
@@ -192,5 +192,50 @@ fn measured_costs_reflect_object_counts() {
     assert!(
         large > small,
         "large tasks ({large} ns) should outweigh small ones ({small} ns)"
+    );
+}
+
+/// FNV-1a over the state and the physical time after three serial
+/// iterations of every case at depth 3 (MC_TL into 4 domains, seed 5),
+/// under forward Euler, Heun and Navier–Stokes: any change to a face's
+/// normal or area, a cell's volume or the order they are read in moves it.
+#[test]
+fn solver_state_matches_pinned_fingerprint() {
+    use tempart::solver::{TimeIntegration, Viscosity};
+    let configs = [
+        SolverConfig::default(),
+        SolverConfig {
+            integration: TimeIntegration::Heun,
+            ..SolverConfig::default()
+        },
+        SolverConfig {
+            viscosity: Some(Viscosity::air(5e-3)),
+            ..SolverConfig::default()
+        },
+    ];
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for case in MeshCase::ALL {
+        let mesh = case.generate(&GeneratorConfig { base_depth: 3 });
+        let part = decompose(&mesh, PartitionStrategy::McTl, 4, 5);
+        for config in configs {
+            let init = blast_initial([0.4, 0.5, 0.5], 0.15);
+            let mut solver = Solver::new(&mesh, &part, 4, config, init);
+            for _ in 0..3 {
+                solver.run_iteration_serial();
+            }
+            for u in &solver.state().u {
+                u.iter().for_each(|x| eat(x.to_bits()));
+            }
+            eat(solver.time.to_bits());
+        }
+    }
+    assert_eq!(
+        h, 0x7644_6fcd_19e2_682d,
+        "solver state fingerprint {h:#018x}"
     );
 }
