@@ -128,6 +128,20 @@ stage_policy() {
         echo "ERROR: use DomainDecomposition::quality, not a cell graph, in the pipeline" >&2
         exit 1
     fi
+    # Task-graph generation and the FLUSIM pipeline price tasks from the
+    # domain classification's object counts; only the solver walks object
+    # ids. The non-test parts of crates/core/src/ and generate.rs never name
+    # the id lists, so the counting build cannot grow them back.
+    local id_lists f
+    id_lists=$(for f in crates/core/src/*.rs crates/taskgraph/src/generate.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+            /ObjectLists|cells_of\(|faces_of\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done)
+    if [[ -n "$id_lists" ]]; then
+        echo "$id_lists"
+        echo "ERROR: read DomainDecomposition::{cell,face}_count; object ids are the solver's" >&2
+        exit 1
+    fi
     # A bisection level reads its adjacency once: the non-test part of
     # refine.rs reads edge weights only in `measure_gains` (the level's
     # sweep) and `flip` (one move), so no FM pass, rollback or rebalance

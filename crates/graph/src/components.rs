@@ -55,9 +55,15 @@ pub fn part_connectivity(graph: &CsrGraph, part: &[PartId], nparts: usize) -> us
     sets.components()
 }
 
-/// Disjoint sets over `0..n` with path halving, counting its merges: after
-/// any sequence of [`Self::union`] calls, [`Self::components`] is the number
-/// of connected components of the graph those calls describe.
+/// Disjoint sets over `0..n`, counting its merges: after any sequence of
+/// [`Self::union`] calls, [`Self::components`] is the number of connected
+/// components of the graph those calls describe.
+///
+/// Every parent id is at most its child's, so a root is its set's smallest
+/// id. [`Self::union`] is Rem's algorithm with splicing (Patwary, Blair &
+/// Manne, "Experiments on Union-Find Algorithms for the Disjoint-Set Data
+/// Structure", SEA 2010): it climbs both paths at once and stops at the
+/// first common parent, with no separate find.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<u32>,
@@ -78,29 +84,40 @@ impl UnionFind {
         }
     }
 
-    /// Unites the sets of `a` and `b`; the smaller root becomes the parent.
+    /// Unites the sets of `a` and `b`.
+    ///
+    /// Of the two nodes climbed, the one with the larger parent moves: a
+    /// root is linked under the other node's parent (the merge), any other
+    /// node is spliced there and the climb goes on from its old parent. A
+    /// splice keeps every parent at most its child, and both sets are one
+    /// after the link, so each call merges at most once, and exactly when
+    /// `a` and `b` were apart.
     pub fn union(&mut self, a: u32, b: u32) {
-        let (a, b) = (self.find(a), self.find(b));
-        if a != b {
-            self.parent[a.max(b) as usize] = a.min(b);
-            self.merges += 1;
+        let parent = &mut self.parent;
+        let (mut x, mut y) = (a, b);
+        loop {
+            let (px, py) = (parent[x as usize], parent[y as usize]);
+            if px == py {
+                return;
+            }
+            // Move the side whose parent is larger.
+            let (node, up, other_up) = if px > py { (x, px, py) } else { (y, py, px) };
+            parent[node as usize] = other_up;
+            if node == up {
+                self.merges += 1;
+                return;
+            }
+            if px > py {
+                x = up;
+            } else {
+                y = up;
+            }
         }
     }
 
     /// Number of disjoint sets: `n` minus the merges so far.
     pub fn components(&self) -> usize {
         self.parent.len() - self.merges
-    }
-
-    /// Root of `v`'s tree, halving the path on the way up.
-    fn find(&mut self, mut v: u32) -> u32 {
-        let parent = &mut self.parent;
-        while parent[v as usize] != v {
-            let up = parent[parent[v as usize] as usize];
-            parent[v as usize] = up;
-            v = up;
-        }
-        v
     }
 }
 
@@ -178,5 +195,51 @@ mod tests {
         let g = GraphBuilder::new(0, 1).build();
         assert_eq!(count_components(&g), 0);
         assert_eq!(part_connectivity(&g, &[], 4), 0);
+    }
+
+    tempart_testkit::proptest! {
+        #![config(cases = 512, seed = 0x0F1D_5E75)]
+
+        // Same-part edges in random order and orientation, some repeated,
+        // with self-unions mixed in: the spliced union counts exactly the
+        // per-part components the depth-first search finds.
+        fn spliced_union_find_counts_the_dfs_components(
+            n in 1u32..40,
+            raw_edges in tempart_testkit::prop::vec_of((0u32..40, 0u32..40, 0u8..4), 0..160),
+            raw_part in tempart_testkit::prop::vec_of(0u32..4, 40..41),
+        ) {
+            let part = &raw_part[..n as usize];
+            let edges: Vec<(u32, u32, u8)> =
+                raw_edges.iter().map(|&(a, b, how)| (a % n, b % n, how)).collect();
+            let mut b = GraphBuilder::new(n as usize, 1);
+            for &(u, v, _) in &edges {
+                if u != v {
+                    b.add_edge(u, v, 1);
+                }
+            }
+            let g = b.build();
+            let oracle = part_connectivity_dfs(&g, part);
+            let mut sets = UnionFind::new(n as usize);
+            for &(u, v, how) in &edges {
+                if part[u as usize] != part[v as usize] {
+                    continue;
+                }
+                match how {
+                    0 => sets.union(u, v),
+                    1 => sets.union(v, u),
+                    2 => {
+                        sets.union(u, v);
+                        sets.union(v, u);
+                    }
+                    _ => {
+                        sets.union(u, u);
+                        sets.union(v, u);
+                        sets.union(v, v);
+                    }
+                }
+            }
+            tempart_testkit::prop_assert_eq!(sets.components(), oracle);
+            tempart_testkit::prop_assert_eq!(part_connectivity(&g, part, 4), oracle);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Mesh export: legacy VTK and CSV, for inspection in ParaView/VisIt.
 //!
 //! Each format has one writer that streams rows into any [`Write`]:
-//! [`write_vtk`] hands it a buffered file, [`to_vtk`] and [`cells_csv`] a
-//! byte vector, so a file never exists twice in memory.
+//! [`write_vtk`] and [`write_cells_csv`] hand it a buffered file, [`to_vtk`]
+//! and [`cells_csv`] a byte vector, so a file never exists twice in memory.
 
 use crate::mesh::Mesh;
 use std::io::{self, Write};
@@ -95,6 +95,13 @@ pub fn cells_csv(mesh: &Mesh, part: Option<&[u32]>) -> String {
     String::from_utf8(out).expect("CSV rows are ASCII")
 }
 
+/// Writes [`cells_csv`]'s bytes to a file, row by row through a buffer.
+pub fn write_cells_csv(mesh: &Mesh, part: Option<&[u32]>, path: &Path) -> io::Result<()> {
+    let mut f = io::BufWriter::new(std::fs::File::create(path)?);
+    csv_rows(mesh, part, &mut f)?;
+    f.flush()
+}
+
 fn csv_rows(mesh: &Mesh, part: Option<&[u32]>, out: &mut impl Write) -> io::Result<()> {
     out.write_all(if part.is_some() {
         b"cell,x,y,z,volume,depth,tau,domain\n"
@@ -183,6 +190,23 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(bytes, to_vtk(&m, Some(&part)).into_bytes());
+    }
+
+    #[test]
+    fn streamed_csv_equals_the_string_export() {
+        let m = crate::generators::cylinder_like(&crate::GeneratorConfig { base_depth: 3 });
+        let part: Vec<u32> = (0..m.n_cells() as u32).map(|c| c % 7).collect();
+        for part in [None, Some(&part[..])] {
+            let path = std::env::temp_dir().join(format!(
+                "tempart_csv_stream_{}_{}.csv",
+                std::process::id(),
+                part.is_some()
+            ));
+            write_cells_csv(&m, part, &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(bytes, cells_csv(&m, part).into_bytes());
+        }
     }
 
     #[test]

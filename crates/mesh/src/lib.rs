@@ -24,7 +24,7 @@ pub mod temporal;
 pub use cloud::{cloud_cell_count, paper_scale_nside, sfc_cloud, SfcCloud};
 pub use drift::DriftConfig;
 pub use generators::{cube_like, cylinder_like, pprime_nozzle_like, GeneratorConfig, MeshCase};
-pub use io::{cells_csv, to_vtk, write_vtk};
+pub use io::{cells_csv, to_vtk, write_cells_csv, write_vtk};
 pub use mesh::{Cell, Face, FaceNeighbor, Mesh};
 pub use octree::{Octree, OctreeConfig};
 pub use temporal::{

@@ -11,7 +11,7 @@ use crate::state::to_primitive;
 use crate::viscous::{viscous_flux, Viscosity};
 use std::cell::UnsafeCell;
 use tempart_mesh::{FaceNeighbor, Mesh};
-use tempart_taskgraph::{DomainDecomposition, ObjectClass};
+use tempart_taskgraph::{ObjectClass, ObjectLists};
 
 /// A fixed-size array shareable across worker threads with *externally
 /// guaranteed* disjoint access.
@@ -94,14 +94,14 @@ pub struct SolverArrays {
     pub u0: SharedArray<[f64; 5]>,
 }
 
-/// What every task body works on: the mesh, its domain decomposition and
+/// What every task body works on: the mesh, the objects of every task and
 /// the shared state arrays.
 #[derive(Clone, Copy)]
 pub struct Fields<'a> {
     /// The mesh.
     pub mesh: &'a Mesh,
-    /// Its decomposition into domains (the task → objects map).
-    pub dd: &'a DomainDecomposition,
+    /// The objects of every `(domain, τ, class)` bin (the task → objects map).
+    pub lists: &'a ObjectLists,
     /// The state the tasks read and write.
     pub arrays: &'a SolverArrays,
 }
@@ -114,13 +114,17 @@ pub struct Fields<'a> {
 /// `tempart-taskgraph`) are satisfied; this guarantees exclusive access to
 /// the face entries and read-stability of the adjacent cell states.
 pub unsafe fn face_task(
-    Fields { mesh, dd, arrays }: Fields<'_>,
+    Fields {
+        mesh,
+        lists,
+        arrays,
+    }: Fields<'_>,
     domain: u32,
     tau: u8,
     class: ObjectClass,
     viscosity: Option<&Viscosity>,
 ) {
-    for &fid in dd.faces_of(domain, tau, class) {
+    for &fid in lists.faces_of(domain, tau, class) {
         let face = &mesh.faces()[fid as usize];
         let normal = face.normal();
         let ul = arrays.u.get(face.owner as usize);
@@ -176,14 +180,18 @@ pub enum CellStage {
 ///
 /// Same contract as [`face_task`].
 pub unsafe fn cell_task(
-    Fields { mesh, dd, arrays }: Fields<'_>,
+    Fields {
+        mesh,
+        lists,
+        arrays,
+    }: Fields<'_>,
     domain: u32,
     tau: u8,
     class: ObjectClass,
     dt_tau: f64,
     stage: CellStage,
 ) {
-    for &cid in dd.cells_of(domain, tau, class) {
+    for &cid in lists.cells_of(domain, tau, class) {
         let cell = &mesh.cells()[cid as usize];
         let mut res = [0.0f64; 5];
         for &fid in mesh.cell_faces(cid) {
@@ -233,6 +241,7 @@ mod tests {
     use super::*;
     use crate::state::{EulerState, Primitive};
     use tempart_mesh::{Cell, Octree, OctreeConfig, TemporalScheme};
+    use tempart_taskgraph::DomainDecomposition;
 
     fn uniform_mesh() -> Mesh {
         let cfg = OctreeConfig {
@@ -259,7 +268,8 @@ mod tests {
     fn rest_state_is_a_fixed_point() {
         // A uniform gas at rest in a closed box must stay exactly put.
         let m = uniform_mesh();
-        let dd = DomainDecomposition::new(&m, &vec![0; m.n_cells()], 1);
+        let part = vec![0; m.n_cells()];
+        let lists = ObjectLists::new(&m, &part, &DomainDecomposition::new(&m, &part, 1));
         let state = EulerState::init(m.cells().iter().map(|c| c.centroid), |_| {
             Primitive::at_rest(1.0, 1.0)
         });
@@ -270,7 +280,7 @@ mod tests {
         };
         let fields = Fields {
             mesh: &m,
-            dd: &dd,
+            lists: &lists,
             arrays: &arrays,
         };
         unsafe {
@@ -293,7 +303,8 @@ mod tests {
         // A pressure bump in a closed box: one synchronous step conserves
         // volume-weighted mass and energy to round-off.
         let m = uniform_mesh();
-        let dd = DomainDecomposition::new(&m, &vec![0; m.n_cells()], 1);
+        let part = vec![0; m.n_cells()];
+        let lists = ObjectLists::new(&m, &part, &DomainDecomposition::new(&m, &part, 1));
         let state = EulerState::init(m.cells().iter().map(|c| c.centroid), |c| {
             if c[0] < 0.5 {
                 Primitive::at_rest(1.0, 2.0)
@@ -310,7 +321,7 @@ mod tests {
         };
         let fields = Fields {
             mesh: &m,
-            dd: &dd,
+            lists: &lists,
             arrays: &arrays,
         };
         unsafe {

@@ -9,7 +9,8 @@ use tempart_mesh::{Cell, Mesh};
 use tempart_obs::Recorder;
 use tempart_runtime::{execute, ExecReport, RuntimeConfig};
 use tempart_taskgraph::{
-    generate_taskgraph, DomainDecomposition, ObjectClass, TaskGraph, TaskGraphConfig, TaskKind,
+    generate_taskgraph, DomainDecomposition, ObjectClass, ObjectLists, TaskGraph, TaskGraphConfig,
+    TaskKind,
 };
 
 /// Time-integration scheme.
@@ -50,6 +51,8 @@ impl Default for SolverConfig {
 pub struct Solver<'m> {
     mesh: &'m Mesh,
     dd: DomainDecomposition,
+    /// The objects each task's kernel walks.
+    lists: ObjectLists,
     graph: TaskGraph,
     arrays: SolverArrays,
     config: SolverConfig,
@@ -60,8 +63,9 @@ pub struct Solver<'m> {
 }
 
 impl<'m> Solver<'m> {
-    /// Builds a solver: decomposes the mesh along `part`, generates the task
-    /// graph and initialises the flow with `init(centroid)`.
+    /// Builds a solver: decomposes the mesh along `part`, lists each task's
+    /// objects, generates the task graph and initialises the flow with
+    /// `init(centroid)`.
     pub fn new<F>(
         mesh: &'m Mesh,
         part: &[PartId],
@@ -73,6 +77,7 @@ impl<'m> Solver<'m> {
         F: Fn([f64; 3]) -> Primitive,
     {
         let dd = DomainDecomposition::new(mesh, part, n_domains);
+        let lists = ObjectLists::new(mesh, part, &dd);
         let tg_config = match config.integration {
             TimeIntegration::ForwardEuler => TaskGraphConfig::default(),
             TimeIntegration::Heun => TaskGraphConfig::heun(),
@@ -92,6 +97,7 @@ impl<'m> Solver<'m> {
         Self {
             mesh,
             dd,
+            lists,
             graph,
             arrays,
             config,
@@ -124,7 +130,7 @@ impl<'m> Solver<'m> {
         };
         let fields = Fields {
             mesh: self.mesh,
-            dd: &self.dd,
+            lists: &self.lists,
             arrays: &self.arrays,
         };
         // SAFETY: called with the task's DAG dependencies satisfied (either

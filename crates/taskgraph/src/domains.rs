@@ -1,7 +1,13 @@
 //! Domain decomposition analysis: object classification and neighbourhoods.
+//!
+//! [`DomainDecomposition`] is what Algorithm 1 and FLUSIM read: how many
+//! faces and cells each `(domain, τ, class)` bin holds, which domains touch
+//! and how many faces they share. [`ObjectLists`] is what the solver's
+//! kernels read: the ids of the objects in each bin. Both classify faces
+//! with the one private rule, `classify_face`.
 
 use tempart_graph::{PartId, PartitionQuality, UnionFind};
-use tempart_mesh::{FaceNeighbor, Mesh};
+use tempart_mesh::{Face, FaceNeighbor, Mesh};
 
 /// Whether an object (cell or face) sits strictly inside its domain or on the
 /// border to another domain.
@@ -13,62 +19,25 @@ pub enum ObjectClass {
     External,
 }
 
-/// Object ids grouped by bin, ascending within each bin: one id array in bin
-/// order plus one offset per bin.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Bins {
-    /// `ids[offsets[b]..offsets[b + 1]]` are the objects of bin `b`.
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
-}
-
-impl Bins {
-    /// Stable counting sort of the objects `0..bin_of.len()` by bin.
-    fn sort(bin_of: &[u32], n_bins: usize) -> Self {
-        let mut offsets = vec![0u32; n_bins + 1];
-        for &b in bin_of {
-            offsets[b as usize + 1] += 1;
-        }
-        // `offsets[b + 1]` = where bin `b` starts; the fill below advances it
-        // to where bin `b` ends, which is where bin `b + 1` starts.
-        let mut start = 0u32;
-        for slot in &mut offsets[1..] {
-            let count = *slot;
-            *slot = start;
-            start += count;
-        }
-        let mut ids = vec![0u32; bin_of.len()];
-        for (id, &b) in bin_of.iter().enumerate() {
-            let slot = &mut offsets[b as usize + 1];
-            ids[*slot as usize] = id as u32;
-            *slot += 1;
-        }
-        Self { offsets, ids }
-    }
-
-    /// The ids of bins `bins.start..bins.end`, concatenated.
-    fn get(&self, bins: std::ops::Range<usize>) -> &[u32] {
-        &self.ids[self.offsets[bins.start] as usize..self.offsets[bins.end] as usize]
-    }
-}
-
 /// A mesh + partition bundle with everything Algorithm 1 needs precomputed:
-/// per-domain, per-level object lists split into internal/external classes,
-/// and the domain adjacency (which domains share faces).
+/// per-domain, per-level object counts split into internal/external classes,
+/// and the domain adjacency (which domains share faces). The object ids
+/// themselves are the solver's business ([`ObjectLists`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainDecomposition {
-    /// Domain of every cell.
-    pub cell_domain: Vec<PartId>,
     /// Number of domains.
     pub n_domains: usize,
     /// Number of temporal levels in the mesh.
     pub n_levels: u8,
-    /// Cell ids binned by `(domain, τ, class)` (see [`bin_index`]).
-    cells: Bins,
-    /// Face ids binned the same way. A face belongs to the domain of its
-    /// owner cell; its level is the min of its adjacent cells' levels; it is
+    /// Number of cells of the mesh.
+    n_cells: usize,
+    /// `cell_offsets[b]..cell_offsets[b + 1]` is where bin `b` (see
+    /// [`bin_index`]) starts and ends in the bin-ordered list of the cells.
+    cell_offsets: Vec<u32>,
+    /// The same for the faces. A face belongs to the domain of its owner
+    /// cell; its level is the min of its adjacent cells' levels; it is
     /// external when its two cells live in different domains.
-    faces: Bins,
+    face_offsets: Vec<u32>,
     /// Sorted neighbour domains of every domain.
     neighbors: Vec<Vec<PartId>>,
     /// `halo_faces[d][i]` → number of interface faces domain `d` shares with
@@ -83,32 +52,132 @@ pub struct DomainDecomposition {
     part_components: usize,
 }
 
-/// [`DomainDecomposition::new`]'s per-cell remote-domain slot: no remote
-/// neighbour yet. Any other value is the one remote domain seen so far, or
-/// [`MULTI`]. Both sentinels lie above every domain id, since the bin count
-/// `2 · n_domains` already fits a `u32`.
+/// A slot of [`DomainDecomposition::new`]'s per-cell pair of remote-domain
+/// slots: no remote domain in it yet. Any other value is a remote domain
+/// seen so far, or [`MULTI`]. Both sentinels lie above every domain id,
+/// since the bin count, at least `2 · n_domains`, fits a `u32`.
 const NONE: u32 = u32::MAX;
-/// The cell has face neighbours in at least two different remote domains.
+/// Both slots of a cell with face neighbours in at least three different
+/// remote domains.
 const MULTI: u32 = u32::MAX - 1;
 
 /// Capacity of the scratch list of one cell's remote domains: a cell of a
 /// 2:1-balanced octree mesh has at most four faces per side.
 const MAX_REMOTE_HINT: usize = 24;
 
-/// Records that a cell has a face neighbour in remote domain `d`.
-fn note_remote(slot: &mut u32, d: PartId) {
-    if *slot == NONE {
-        *slot = d;
-    } else if *slot != d {
-        *slot = MULTI;
+/// Records that a cell has a face neighbour in remote domain `d`: the first
+/// two distinct domains take a slot each, a third makes both [`MULTI`].
+fn note_remote(slots: &mut [u32; 2], d: PartId) {
+    if slots[0] == d || slots[1] == d {
+        return;
+    }
+    if slots[0] == NONE {
+        slots[0] = d;
+    } else if slots[1] == NONE {
+        slots[1] = d;
+    } else {
+        *slots = [MULTI, MULTI];
     }
 }
 
-/// Index of bin `(domain, τ, class)` among the `n_domains · n_levels · 2`
-/// bins of a decomposition with `n_levels` temporal levels.
+/// Bits of a `(domain, τ)` word below the domain: the fewest that hold
+/// `n_levels - 1`.
+fn level_bits(n_levels: u8) -> u32 {
+    u8::BITS - n_levels.saturating_sub(1).leading_zeros()
+}
+
+/// Index of bin `(domain, τ, class)`: twice the `(domain, τ)` word — the
+/// domain shifted above the [`level_bits`] that hold τ — plus one when
+/// external. The bins of a domain are contiguous, its levels ascending, and
+/// the bins of levels from `n_levels` up to the next power of two stay
+/// empty.
 fn bin_index(n_levels: u8, domain: PartId, tau: u8, external: bool) -> usize {
     assert!(tau < n_levels, "temporal level out of range");
-    (domain as usize * n_levels as usize + tau as usize) * 2 + usize::from(external)
+    let word = (domain as usize) << level_bits(n_levels) | tau as usize;
+    word * 2 + usize::from(external)
+}
+
+/// One `u32` per cell holding its `(domain, τ)` word ([`bin_index`]), so
+/// that a face reads one word per cell, not one from each of two arrays,
+/// and a word is its bin's index halved. The domain fits above the level
+/// because the bin count fits a `u32`.
+struct CellWords {
+    words: Vec<u32>,
+    shift: u32,
+}
+
+impl CellWords {
+    fn new(part: &[PartId], tau: &[u8], n_levels: u8) -> Self {
+        let shift = level_bits(n_levels);
+        let words = part
+            .iter()
+            .zip(tau)
+            .map(|(&d, &t)| d << shift | u32::from(t))
+            .collect();
+        Self { words, shift }
+    }
+
+    /// The domain of a word.
+    #[inline]
+    fn domain(&self, word: u32) -> PartId {
+        word >> self.shift
+    }
+
+    /// The temporal level of a word.
+    #[inline]
+    fn level(&self, word: u32) -> u32 {
+        word & ((1 << self.shift) - 1)
+    }
+}
+
+/// The bin of a `(domain, τ)` word and a class ([`bin_index`] without its
+/// range check: every word's level comes from the mesh).
+#[inline]
+fn word_bin(word: u32, external: bool) -> usize {
+    word as usize * 2 + usize::from(external)
+}
+
+/// What lies across a face, seen from its owner's domain.
+enum Across {
+    /// The domain boundary.
+    Boundary,
+    /// A neighbour cell of the owner's domain.
+    Same(u32),
+    /// A neighbour cell of another domain, and that domain.
+    Remote(u32, PartId),
+}
+
+/// The face bin rule: a face's domain is its owner's, its level the min of
+/// its cells' levels, and it is external exactly when it crosses into
+/// another domain. Returns the face's `(domain, τ)` word and what lies
+/// across it.
+#[inline]
+fn classify_face(f: &Face, cells: &CellWords) -> (u32, Across) {
+    let w0 = cells.words[f.owner as usize];
+    match f.neighbor {
+        FaceNeighbor::Boundary => (w0, Across::Boundary),
+        FaceNeighbor::Interior(nb) => {
+            let w1 = cells.words[nb as usize];
+            let (d0, d1) = (cells.domain(w0), cells.domain(w1));
+            let word = d0 << cells.shift | cells.level(w0).min(cells.level(w1));
+            let across = if d0 == d1 {
+                Across::Same(nb)
+            } else {
+                Across::Remote(nb, d1)
+            };
+            (word, across)
+        }
+    }
+}
+
+/// Turns per-bin counts stored at `offsets[b + 1]` into start offsets:
+/// afterwards bin `b` spans `offsets[b]..offsets[b + 1]`.
+fn prefix_sum(offsets: &mut [u32]) {
+    let mut start = 0u32;
+    for slot in offsets.iter_mut() {
+        start += *slot;
+        *slot = start;
+    }
 }
 
 /// Bumps the interface-face count of neighbour `n` in one domain's
@@ -134,81 +203,84 @@ impl DomainDecomposition {
             "part id out of range"
         );
         let nl = mesh.n_tau_levels();
-        let n_bins = n_domains * nl as usize * 2;
+        let n_bins = (n_domains << level_bits(nl)) * 2;
         let largest_id_space = mesh.n_cells().max(mesh.n_faces()).max(n_bins);
         assert!(
             u32::try_from(largest_id_space).is_ok(),
             "cell, face and bin ids are u32"
         );
-        let bin = |d: PartId, tau: u8, external: bool| bin_index(nl, d, tau, external) as u32;
-        let tau = mesh.tau();
+        let words = CellWords::new(part, mesh.tau(), nl);
 
-        // One pass over the faces: each face's bin, the remote domains of
-        // the cells that touch another domain, the interface-face count per
-        // domain pair, and the union of the two cells of a same-domain face.
-        let mut remote = vec![NONE; mesh.n_cells()];
+        // One pass over the faces: each face's bin count, the remote domains
+        // of the cells that touch another domain, the interface-face count
+        // per domain pair, and the union of the two cells of a same-domain
+        // face.
+        let mut remote = vec![[NONE; 2]; mesh.n_cells()];
         let mut sets = UnionFind::new(mesh.n_cells());
         let mut pairs: Vec<Vec<(PartId, u32)>> = vec![Vec::new(); n_domains];
-        let mut face_bin = Vec::with_capacity(mesh.n_faces());
+        let mut face_offsets = vec![0u32; n_bins + 1];
         for f in mesh.faces() {
-            let d0 = part[f.owner as usize];
-            let mut t = tau[f.owner as usize];
-            let mut external = false;
-            if let FaceNeighbor::Interior(nb) = f.neighbor {
-                t = t.min(tau[nb as usize]);
-                let d1 = part[nb as usize];
-                if d0 != d1 {
-                    external = true;
+            let (word, across) = classify_face(f, &words);
+            let external = match across {
+                Across::Boundary => false,
+                Across::Same(nb) => {
+                    sets.union(f.owner, nb);
+                    false
+                }
+                Across::Remote(nb, d1) => {
+                    let d0 = words.domain(word);
                     note_remote(&mut remote[f.owner as usize], d1);
                     note_remote(&mut remote[nb as usize], d0);
                     bump_pair(&mut pairs[d0 as usize], d1);
                     bump_pair(&mut pairs[d1 as usize], d0);
-                } else {
-                    sets.union(f.owner, nb);
+                    true
                 }
-            }
-            face_bin.push(bin(d0, t, external));
+            };
+            face_offsets[word_bin(word, external) + 1] += 1;
         }
-        let faces = Bins::sort(&face_bin, n_bins);
-        drop(face_bin);
+        prefix_sum(&mut face_offsets);
         let part_components = sets.components();
         drop(sets);
 
-        // A cell with one remote domain sends to one; only the few cells
-        // between several domains recount theirs through their faces.
+        // A cell with one or two remote domains sends to that many; only the
+        // few cells between three or more recount theirs through their faces.
         let mut comm_volume = 0i64;
         let mut seen: Vec<PartId> = Vec::with_capacity(MAX_REMOTE_HINT);
-        let cell_bin: Vec<u32> = (0..mesh.n_cells())
-            .map(|c| {
-                let own = part[c];
-                let external = match remote[c] {
-                    NONE => false,
-                    MULTI => {
-                        seen.clear();
-                        for &fid in mesh.cell_faces(c as u32) {
-                            let f = &mesh.faces()[fid as usize];
-                            let Some(nb) = f.interior_neighbor() else {
-                                continue;
-                            };
-                            let other = if f.owner as usize == c { nb } else { f.owner };
-                            let d = part[other as usize];
-                            if d != own && !seen.contains(&d) {
-                                seen.push(d);
-                            }
+        let mut cell_offsets = vec![0u32; n_bins + 1];
+        for (c, (slots, &word)) in remote.iter().zip(&words.words).enumerate() {
+            let own = words.domain(word);
+            let external = match *slots {
+                [NONE, _] => false,
+                [MULTI, _] => {
+                    seen.clear();
+                    for &fid in mesh.cell_faces(c as u32) {
+                        let f = &mesh.faces()[fid as usize];
+                        let Some(nb) = f.interior_neighbor() else {
+                            continue;
+                        };
+                        let other = if f.owner as usize == c { nb } else { f.owner };
+                        let d = part[other as usize];
+                        if d != own && !seen.contains(&d) {
+                            seen.push(d);
                         }
-                        comm_volume += seen.len() as i64;
-                        true
                     }
-                    _ => {
-                        comm_volume += 1;
-                        true
-                    }
-                };
-                bin(own, tau[c], external)
-            })
-            .collect();
+                    comm_volume += seen.len() as i64;
+                    true
+                }
+                [_, NONE] => {
+                    comm_volume += 1;
+                    true
+                }
+                _ => {
+                    comm_volume += 2;
+                    true
+                }
+            };
+            cell_offsets[word_bin(word, external) + 1] += 1;
+        }
         drop(remote);
-        let cells = Bins::sort(&cell_bin, n_bins);
+        drop(words);
+        prefix_sum(&mut cell_offsets);
 
         let mut neighbors: Vec<Vec<PartId>> = Vec::with_capacity(n_domains);
         let mut halo_faces: Vec<Vec<u32>> = Vec::with_capacity(n_domains);
@@ -219,11 +291,11 @@ impl DomainDecomposition {
         }
 
         Self {
-            cell_domain: part.to_vec(),
             n_domains,
             n_levels: nl,
-            cells,
-            faces,
+            n_cells: mesh.n_cells(),
+            cell_offsets,
+            face_offsets,
             neighbors,
             halo_faces,
             comm_volume,
@@ -245,7 +317,7 @@ impl DomainDecomposition {
             .flatten()
             .map(|&c| u64::from(c))
             .sum();
-        let (n, k) = (self.cell_domain.len(), self.n_domains);
+        let (n, k) = (self.n_cells, self.n_domains);
         let imbalance = if n == 0 {
             1.0
         } else {
@@ -265,23 +337,25 @@ impl DomainDecomposition {
     }
 
     /// [`Self::new`]; `workers` is ignored. Sharding the classification over
-    /// two threads was slower than this one-pass build on one (0.026–0.032 s
-    /// against 0.022 s at 474k cells — EXPERIMENTS.md, 2026-10-03); the name
-    /// stays because the frozen `benchmark/` package calls it.
+    /// two threads was slower than the sequential build on one (0.026–0.032 s
+    /// against 0.022 s at 474k cells, when the build still listed every
+    /// object — EXPERIMENTS.md, 2026-10-03), and the counting build is
+    /// cheaper still (EXPERIMENTS.md, "Domain classification counts"); the
+    /// name stays because the frozen `benchmark/` package calls it.
     pub fn new_sharded(mesh: &Mesh, part: &[PartId], n_domains: usize, _workers: usize) -> Self {
         Self::new(mesh, part, n_domains)
     }
 
-    /// Cell ids of `(domain, τ, class)`.
-    pub fn cells_of(&self, domain: PartId, tau: u8, class: ObjectClass) -> &[u32] {
+    /// Number of cells of `(domain, τ, class)`.
+    pub fn cell_count(&self, domain: PartId, tau: u8, class: ObjectClass) -> usize {
         let b = bin_index(self.n_levels, domain, tau, class == ObjectClass::External);
-        self.cells.get(b..b + 1)
+        (self.cell_offsets[b + 1] - self.cell_offsets[b]) as usize
     }
 
-    /// Face ids of `(domain, τ, class)`.
-    pub fn faces_of(&self, domain: PartId, tau: u8, class: ObjectClass) -> &[u32] {
+    /// Number of faces of `(domain, τ, class)`.
+    pub fn face_count(&self, domain: PartId, tau: u8, class: ObjectClass) -> usize {
         let b = bin_index(self.n_levels, domain, tau, class == ObjectClass::External);
-        self.faces.get(b..b + 1)
+        (self.face_offsets[b + 1] - self.face_offsets[b]) as usize
     }
 
     /// Sorted neighbour domains of `domain`.
@@ -311,17 +385,132 @@ impl DomainDecomposition {
 
     /// Number of cells of `domain` (all levels, both classes).
     pub fn domain_cell_count(&self, domain: PartId) -> usize {
-        let per_domain = self.n_levels as usize * 2;
+        let per_domain = 2 << level_bits(self.n_levels);
         let first = domain as usize * per_domain;
-        self.cells.get(first..first + per_domain).len()
+        (self.cell_offsets[first + per_domain] - self.cell_offsets[first]) as usize
     }
 
     /// Total number of external cells across all domains.
     pub fn total_external_cells(&self) -> usize {
-        (1..self.cells.offsets.len() - 1)
+        let o = &self.cell_offsets;
+        (1..o.len() - 1)
             .step_by(2)
-            .map(|b| self.cells.get(b..b + 1).len())
+            .map(|b| (o[b + 1] - o[b]) as usize)
             .sum()
+    }
+}
+
+/// Object ids grouped by bin, ascending within each bin: one id array in bin
+/// order plus one offset per bin.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Bins {
+    /// `ids[offsets[b]..offsets[b + 1]]` are the objects of bin `b`.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Bins {
+    /// Room for the objects of `offsets`' bins; `cursor` starts at each
+    /// bin's first slot.
+    fn empty(offsets: &[u32]) -> (Self, Vec<u32>) {
+        let len = *offsets.last().expect("an offset table has a last entry") as usize;
+        let bins = Self {
+            offsets: offsets.to_vec(),
+            ids: vec![0; len],
+        };
+        (bins, offsets[..offsets.len() - 1].to_vec())
+    }
+
+    /// Appends `id` to bin `b` (`cursor` is [`Self::empty`]'s). As many ids
+    /// are pushed as the offsets count, so if none overflows its bin, every
+    /// bin ends up exactly full.
+    #[inline]
+    fn push(&mut self, cursor: &mut [u32], b: usize, id: u32) {
+        let slot = &mut cursor[b];
+        assert!(
+            *slot < self.offsets[b + 1],
+            "object lists of another partition than the decomposition's"
+        );
+        self.ids[*slot as usize] = id;
+        *slot += 1;
+    }
+
+    /// The ids of bin `b`.
+    fn get(&self, b: usize) -> &[u32] {
+        &self.ids[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+    }
+}
+
+/// The objects of every `(domain, τ, class)` bin of a [`DomainDecomposition`],
+/// ascending within each bin: the task → objects map the solver's kernels
+/// walk. Task-graph generation and FLUSIM need only the bin sizes, which
+/// the decomposition holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObjectLists {
+    n_levels: u8,
+    cells: Bins,
+    faces: Bins,
+}
+
+impl ObjectLists {
+    /// Lists the objects of `dd`'s bins: one pass over the faces fills the
+    /// face lists and marks the external cells, one over the cells fills
+    /// the cell lists, both in id order into the slots `dd`'s counts give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` is not the partition `dd` classifies `mesh` by.
+    pub fn new(mesh: &Mesh, part: &[PartId], dd: &DomainDecomposition) -> Self {
+        assert_eq!(part.len(), mesh.n_cells(), "partition vector length");
+        let faces_counted = *dd
+            .face_offsets
+            .last()
+            .expect("an offset table has a last entry");
+        assert!(
+            dd.n_cells == mesh.n_cells() && faces_counted as usize == mesh.n_faces(),
+            "decomposition of another mesh"
+        );
+        let words = CellWords::new(part, mesh.tau(), dd.n_levels);
+        let mut external = vec![false; mesh.n_cells()];
+        let (mut faces, mut cursor) = Bins::empty(&dd.face_offsets);
+        for (fid, f) in mesh.faces().iter().enumerate() {
+            let (word, across) = classify_face(f, &words);
+            let is_external = matches!(across, Across::Remote(..));
+            if let Across::Remote(nb, _) = across {
+                external[f.owner as usize] = true;
+                external[nb as usize] = true;
+            }
+            faces.push(&mut cursor, word_bin(word, is_external), fid as u32);
+        }
+        let (mut cells, mut cursor) = Bins::empty(&dd.cell_offsets);
+        for (c, (&word, &is_external)) in words.words.iter().zip(&external).enumerate() {
+            cells.push(&mut cursor, word_bin(word, is_external), c as u32);
+        }
+        Self {
+            n_levels: dd.n_levels,
+            cells,
+            faces,
+        }
+    }
+
+    /// Cell ids of `(domain, τ, class)`.
+    pub fn cells_of(&self, domain: PartId, tau: u8, class: ObjectClass) -> &[u32] {
+        self.cells.get(bin_index(
+            self.n_levels,
+            domain,
+            tau,
+            class == ObjectClass::External,
+        ))
+    }
+
+    /// Face ids of `(domain, τ, class)`.
+    pub fn faces_of(&self, domain: PartId, tau: u8, class: ObjectClass) -> &[u32] {
+        self.faces.get(bin_index(
+            self.n_levels,
+            domain,
+            tau,
+            class == ObjectClass::External,
+        ))
     }
 }
 
@@ -366,8 +555,8 @@ mod tests {
         // Each half: 32 cells; the 16 cells touching the split plane are
         // external.
         for d in 0..2u32 {
-            let int = dd.cells_of(d, 0, ObjectClass::Internal).len();
-            let ext = dd.cells_of(d, 0, ObjectClass::External).len();
+            let int = dd.cell_count(d, 0, ObjectClass::Internal);
+            let ext = dd.cell_count(d, 0, ObjectClass::External);
             assert_eq!(int + ext, 32);
             assert_eq!(ext, 16, "domain {d}");
         }
@@ -384,12 +573,12 @@ mod tests {
         let m = grid_mesh(2);
         let part = half_split(&m);
         let dd = DomainDecomposition::new(&m, &part, 2);
-        let ext0 = dd.faces_of(0, 0, ObjectClass::External).len();
-        let ext1 = dd.faces_of(1, 0, ObjectClass::External).len();
+        let ext0 = dd.face_count(0, 0, ObjectClass::External);
+        let ext1 = dd.face_count(1, 0, ObjectClass::External);
         // 16 faces cross the plane; each owned by exactly one side.
         assert_eq!(ext0 + ext1, 16);
-        let int_total = dd.faces_of(0, 0, ObjectClass::Internal).len()
-            + dd.faces_of(1, 0, ObjectClass::Internal).len();
+        let int_total =
+            dd.face_count(0, 0, ObjectClass::Internal) + dd.face_count(1, 0, ObjectClass::Internal);
         // All other faces (interior of halves + boundary) are internal.
         assert_eq!(int_total, m.n_faces() - 16);
     }
@@ -399,11 +588,12 @@ mod tests {
         let m = grid_mesh(2);
         let part: Vec<PartId> = (0..64).map(|i| (i % 4) as PartId).collect();
         let dd = DomainDecomposition::new(&m, &part, 4);
+        let lists = ObjectLists::new(&m, &part, &dd);
         let mut seen = [false; 64];
         for d in 0..4u32 {
             for tau in 0..1u8 {
                 for class in [ObjectClass::Internal, ObjectClass::External] {
-                    for &c in dd.cells_of(d, tau, class) {
+                    for &c in lists.cells_of(d, tau, class) {
                         assert!(!seen[c as usize], "cell {c} duplicated");
                         seen[c as usize] = true;
                         assert_eq!(part[c as usize], d);
@@ -454,6 +644,7 @@ mod tests {
                 })
                 .collect();
             let dd = DomainDecomposition::new(&m, &part, k);
+            let lists = ObjectLists::new(&m, &part, &dd);
 
             let face_external = |fid: usize| {
                 other_side(fid)
@@ -479,10 +670,11 @@ mod tests {
                             .map(|c| c as u32)
                             .collect();
                         assert_eq!(
-                            dd.cells_of(d, tau, class),
+                            lists.cells_of(d, tau, class),
                             cells,
                             "case {case} d={d} τ={tau}"
                         );
+                        assert_eq!(dd.cell_count(d, tau, class), cells.len());
                         in_domain += cells.len();
                         externals += if external { cells.len() } else { 0 };
                         let faces: Vec<u32> = (0..m.n_faces())
@@ -494,10 +686,11 @@ mod tests {
                             .map(|f| f as u32)
                             .collect();
                         assert_eq!(
-                            dd.faces_of(d, tau, class),
+                            lists.faces_of(d, tau, class),
                             faces,
                             "case {case} d={d} τ={tau}"
                         );
+                        assert_eq!(dd.face_count(d, tau, class), faces.len());
                     }
                 }
                 assert_eq!(dd.domain_cell_count(d), in_domain, "case {case} d={d}");
@@ -537,7 +730,25 @@ mod tests {
     fn a_level_the_mesh_does_not_have_is_not_the_next_bin() {
         let m = grid_mesh(2);
         let dd = DomainDecomposition::new(&m, &half_split(&m), 2);
-        dd.cells_of(0, 1, ObjectClass::Internal);
+        dd.cell_count(0, 1, ObjectClass::Internal);
+    }
+
+    #[test]
+    #[should_panic(expected = "temporal level out of range")]
+    fn the_lists_have_no_next_level_either() {
+        let m = grid_mesh(2);
+        let part = half_split(&m);
+        let lists = ObjectLists::new(&m, &part, &DomainDecomposition::new(&m, &part, 2));
+        lists.faces_of(1, 1, ObjectClass::External);
+    }
+
+    #[test]
+    #[should_panic(expected = "another partition")]
+    fn lists_of_another_partition_are_refused() {
+        let m = grid_mesh(2);
+        let dd = DomainDecomposition::new(&m, &half_split(&m), 2);
+        let scattered: Vec<PartId> = (0..64).map(|i| (i % 2) as PartId).collect();
+        ObjectLists::new(&m, &scattered, &dd);
     }
 
     #[test]

@@ -134,9 +134,9 @@ fn generate_impl(mesh: &Mesh, dd: &DomainDecomposition, config: &TaskGraphConfig
                             ObjectClass::Internal
                         };
                         let n_objects = if kind.is_face() {
-                            dd.faces_of(d, tau, class).len()
+                            dd.face_count(d, tau, class)
                         } else {
-                            dd.cells_of(d, tau, class).len()
+                            dd.cell_count(d, tau, class)
                         };
                         if n_objects == 0 {
                             continue;

@@ -21,6 +21,6 @@ pub mod generate;
 pub mod stats;
 
 pub use dag::{Task, TaskGraph, TaskId, TaskKind};
-pub use domains::{DomainDecomposition, ObjectClass};
+pub use domains::{DomainDecomposition, ObjectClass, ObjectLists};
 pub use generate::{generate_taskgraph, generate_taskgraph_traced, TaskGraphConfig};
 pub use stats::{DomainLevelCosts, SubiterationLoads};

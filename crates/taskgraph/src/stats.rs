@@ -20,8 +20,8 @@ impl DomainLevelCosts {
         let mut costs = vec![vec![0u64; nl]; dd.n_domains];
         for d in 0..dd.n_domains as u32 {
             for tau in 0..dd.n_levels {
-                let n = dd.cells_of(d, tau, ObjectClass::Internal).len()
-                    + dd.cells_of(d, tau, ObjectClass::External).len();
+                let n = dd.cell_count(d, tau, ObjectClass::Internal)
+                    + dd.cell_count(d, tau, ObjectClass::External);
                 costs[d as usize][tau as usize] =
                     n as u64 * u64::from(operating_cost(tau, tau_max));
             }

@@ -9,7 +9,9 @@
 use tempart_graph::PartId;
 use tempart_mesh::{cylinder_like, GeneratorConfig, Mesh};
 use tempart_taskgraph::DomainDecomposition;
-use tempart_testkit::alloc::{count_allocations, CountingAllocator};
+use tempart_testkit::alloc::{
+    count_allocations, live_bytes, peak_live_bytes, reset_peak_live_bytes, CountingAllocator,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -71,4 +73,31 @@ fn scattered_domains_pay_per_domain_not_per_bin() {
     // 2 · levels · N_DOMAINS bins per object kind would already be 128.
     let bound = 18 + 6 * N_DOMAINS as u64;
     assert!(calls <= bound, "{calls} > {bound}");
+}
+
+/// Heap bytes per cell that `DomainDecomposition::new` holds at its most
+/// above its starting point, on the slab decomposition of CYLINDER at
+/// `base_depth`.
+fn peak_bytes_per_cell(base_depth: u8) -> f64 {
+    let mesh = cylinder_like(&GeneratorConfig { base_depth });
+    let part = slabs(&mesh);
+    reset_peak_live_bytes();
+    let start = live_bytes();
+    let dd = DomainDecomposition::new(&mesh, &part, N_DOMAINS);
+    let peak = peak_live_bytes() - start;
+    assert!(dd.total_external_cells() > 0);
+    peak as f64 / mesh.n_cells() as f64
+}
+
+#[test]
+fn the_classification_holds_no_mesh_sized_id_lists() {
+    // Its scratch is a `(domain, τ)` word, two remote-domain slots and a
+    // union-find parent per cell (16 B, 16.0–16.1 measured). The build that
+    // also listed every object — a bin per face and per cell, both id
+    // arrays and a copy of the partition vector — held 33.9 B/cell at
+    // depth 4.
+    for depth in [4, 5] {
+        let per_cell = peak_bytes_per_cell(depth);
+        assert!(per_cell <= 17.0, "depth {depth}: {per_cell:.2} B/cell");
+    }
 }

@@ -364,7 +364,7 @@ fn cmd_gen(o: &Options) -> Result<(), String> {
         println!("wrote {}", path.display());
     }
     if let Some(path) = &o.csv {
-        std::fs::write(path, tempart::mesh::cells_csv(&mesh, None)).map_err(at(path))?;
+        tempart::mesh::write_cells_csv(&mesh, None, path).map_err(at(path))?;
         println!("wrote {}", path.display());
     }
     Ok(())
