@@ -337,11 +337,11 @@ impl DomainDecomposition {
     }
 
     /// [`Self::new`]; `workers` is ignored. Sharding the classification over
-    /// two threads was slower than the sequential build on one (0.026–0.032 s
-    /// against 0.022 s at 474k cells, when the build still listed every
-    /// object — EXPERIMENTS.md, 2026-10-03), and the counting build is
-    /// cheaper still (EXPERIMENTS.md, "Domain classification counts"); the
-    /// name stays because the frozen `benchmark/` package calls it.
+    /// two threads lost to the sequential build on one (EXPERIMENTS.md,
+    /// 2026-10-03), and the sequential build now only counts: 0.017–0.028 s
+    /// at 474k cells on the 2-core benchmark host (`taskgraph.domains_s`,
+    /// EXPERIMENTS.md, "Domain classification counts"). The name stays
+    /// because the frozen `benchmark/` package calls it.
     pub fn new_sharded(mesh: &Mesh, part: &[PartId], n_domains: usize, _workers: usize) -> Self {
         Self::new(mesh, part, n_domains)
     }
