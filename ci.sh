@@ -128,6 +128,17 @@ stage_policy() {
         echo "ERROR: use DomainDecomposition::quality, not a cell graph, in the pipeline" >&2
         exit 1
     fi
+    # The octree is one node array over the base grid: the non-test part of
+    # octree.rs holds no hash map of leaf keys (the hash-map oracle lives in
+    # its tests), so lookups stay array reads down from a base cell.
+    local leaf_maps
+    leaf_maps=$(awk '/^#\[cfg\(test\)\]/ { exit } /HashMap|LeafHasher/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/mesh/src/octree.rs)
+    if [[ -n "$leaf_maps" ]]; then
+        echo "$leaf_maps"
+        echo "ERROR: the octree is a node array; keep hash maps of leaf keys out of octree.rs" >&2
+        exit 1
+    fi
     # Task-graph generation and the FLUSIM pipeline price tasks from the
     # domain classification's object counts; only the solver walks object
     # ids. The non-test parts of crates/core/src/ and generate.rs never name

@@ -72,6 +72,33 @@ impl SimResult {
     pub fn total_executed(&self) -> u64 {
         self.busy.iter().sum()
     }
+
+    /// Peak number of tasks running at once on each process, over
+    /// [`Self::segments`]. A segment runs over `[start, end)`: a task ending
+    /// at `t` and one starting at `t` never overlap, and a zero-cost task
+    /// never runs. A peak below a process's core count means its cores
+    /// never bound it.
+    pub fn peak_running(&self) -> Vec<usize> {
+        // (process, time, +1 start / -1 end): at equal times ends sort first.
+        let mut events: Vec<(u32, u64, i8)> = Vec::with_capacity(2 * self.segments.len());
+        for s in self.segments.iter().filter(|s| s.start < s.end) {
+            events.push((s.process, s.start, 1));
+            events.push((s.process, s.end, -1));
+        }
+        events.sort_unstable();
+        let mut peak = vec![0; self.busy.len()];
+        let mut running = 0usize;
+        for (process, _, delta) in events {
+            if delta > 0 {
+                running += 1;
+                let p = &mut peak[process as usize];
+                *p = (*p).max(running);
+            } else {
+                running -= 1;
+            }
+        }
+        peak
+    }
 }
 
 /// Simulates `graph` under an arbitrary lattice point — the general entry
@@ -1111,6 +1138,37 @@ mod tests {
             assert!(r.makespan >= g.total_cost() / total_cores);
             assert_eq!(r.total_executed(), g.total_cost());
         }
+    }
+
+    /// Half-open segments: back-to-back tasks share no instant and a
+    /// zero-cost one never runs; each process counts its own.
+    #[test]
+    fn peak_running_counts_overlaps_per_process() {
+        let seg = |task, process, start, end| Segment {
+            task,
+            process,
+            start,
+            end,
+        };
+        let r = SimResult {
+            makespan: 10,
+            busy: vec![0; 3],
+            active: vec![0; 3],
+            subiter_work: Vec::new(),
+            segments: vec![
+                seg(0, 0, 0, 4),
+                seg(1, 0, 4, 8),
+                seg(2, 0, 2, 6),
+                seg(3, 0, 6, 6),
+                seg(4, 1, 0, 10),
+                seg(5, 1, 1, 2),
+                seg(6, 1, 1, 3),
+                seg(7, 2, 5, 5),
+            ],
+            transfers: Vec::new(),
+            net: None,
+        };
+        assert_eq!(r.peak_running(), vec![2, 3, 0]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! paper studies — stay approximately constant.
 
 use crate::mesh::Mesh;
-use crate::octree::{Octree, OctreeConfig};
+use crate::octree::{Octree, OctreeConfig, MAX_BASE_DEPTH};
 use crate::temporal::TemporalScheme;
 
 /// Which of the paper's test meshes to emulate.
@@ -93,9 +93,10 @@ impl MeshCase {
     }
 
     /// Whether `base_depth` leaves room for this case's refinement stages
-    /// under [`OctreeConfig::MAX_DEPTH`]; the error is the `--depth` message
-    /// every command line prints, so [`Self::generate`] is never reached
-    /// with a depth the octree asserts on.
+    /// under [`OctreeConfig::MAX_DEPTH`] and names at most 2^31 base cells
+    /// (`base_depth <= 10`); the error is the `--depth` message every
+    /// command line prints, so [`Self::generate`] is never reached with a
+    /// depth the octree asserts on.
     pub fn check_base_depth(self, base_depth: u8) -> Result<(), String> {
         let extra = self.extra_depth();
         if base_depth > OctreeConfig::MAX_DEPTH.saturating_sub(extra) {
@@ -103,6 +104,13 @@ impl MeshCase {
                 "--depth {base_depth}: {} refines {extra} levels past it, beyond the octree's limit of {}",
                 self.name(),
                 OctreeConfig::MAX_DEPTH
+            ));
+        }
+        if base_depth > MAX_BASE_DEPTH {
+            // Below MAX_DEPTH, so 8^base_depth fits a u64.
+            let cells = 1u64 << (3 * u32::from(base_depth));
+            return Err(format!(
+                "--depth {base_depth}: the base grid alone has 8^{base_depth} = {cells} cells, beyond the octree's 2^31 cell ids"
             ));
         }
         Ok(())
@@ -334,6 +342,61 @@ mod tests {
         }
     }
 
+    /// FNV-1a over everything a generated mesh hands on: the octree leaf
+    /// keys, every face's `owner`, `neighbor` (a boundary as `u32::MAX`),
+    /// `dir` and `depth`, the cell → face CSR cell by cell, and τ.
+    fn full_mesh_fingerprint(case: MeshCase, base_depth: u8) -> u64 {
+        let tree = case_tree(case, &GeneratorConfig { base_depth });
+        let mesh = finish(&tree, case.n_levels());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for &(d, x, y, z) in tree.leaves() {
+            eat(&[d]);
+            for c in [x, y, z] {
+                eat(&c.to_le_bytes());
+            }
+        }
+        for f in mesh.faces() {
+            eat(&f.owner.to_le_bytes());
+            eat(&f.interior_neighbor().unwrap_or(u32::MAX).to_le_bytes());
+            eat(&[f.dir, f.depth]);
+        }
+        for cell in 0..mesh.n_cells() as u32 {
+            let ids = mesh.cell_faces(cell);
+            eat(&(ids.len() as u32).to_le_bytes());
+            for id in ids {
+                eat(&id.to_le_bytes());
+            }
+        }
+        eat(mesh.tau());
+        h
+    }
+
+    /// Pinned on the hash-map octree before the node-array rewrite: the tree
+    /// representation reaches no face, direction, depth or incidence list.
+    #[test]
+    fn generated_meshes_match_pinned_full_fingerprints() {
+        let pinned = [
+            (MeshCase::Cylinder, 3, 0x00ab_6dd5_22e8_b3ad_u64),
+            (MeshCase::Cylinder, 4, 0x7a0e_75b9_736d_5b26),
+            (MeshCase::Cylinder, 5, 0x550a_1493_3c10_244c),
+            (MeshCase::Cube, 3, 0x9632_6917_4a4f_1779),
+            (MeshCase::Cube, 4, 0x406b_ed2e_c4dd_934c),
+            (MeshCase::Cube, 5, 0xfcc0_d89e_551c_e94e),
+            (MeshCase::PprimeNozzle, 3, 0xaa20_2574_b92d_2af8),
+            (MeshCase::PprimeNozzle, 4, 0xdf0e_7d77_a8c9_355a),
+            (MeshCase::PprimeNozzle, 5, 0x66ae_1dc1_9205_68f0),
+        ];
+        for (case, depth, want) in pinned {
+            let got = full_mesh_fingerprint(case, depth);
+            assert_eq!(got, want, "{} depth {depth}: {got:#018x}", case.name());
+        }
+    }
+
     /// The geometry the mesh derives equals, bit for bit, the geometry it
     /// used to store: each cell's `h³` and each face's `h²` and axis normal,
     /// recomputed from the octree leaves in the order faces are emitted.
@@ -387,11 +450,19 @@ mod tests {
         assert_eq!(a.tau(), b.tau());
     }
 
+    /// Depth 10 is the deepest base grid whose cells fit the octree's
+    /// 2^31 ids; past `MAX_DEPTH − extra` the refinement stages run out of
+    /// room first. Only the checks run here: no tree is built.
     #[test]
     fn base_depth_limit_is_the_octree_limit_minus_the_refinement_stages() {
         for case in MeshCase::ALL {
+            assert_eq!(case.check_base_depth(10), Ok(()));
             let deepest = OctreeConfig::MAX_DEPTH - case.extra_depth();
-            assert_eq!(case.check_base_depth(deepest), Ok(()));
+            for depth in 11..=deepest {
+                let err = case.check_base_depth(depth).unwrap_err();
+                let cells = format!("8^{depth} = {} cells", 1u64 << (3 * depth));
+                assert!(err.contains(&cells) && err.contains("2^31"), "{err}");
+            }
             let err = case.check_base_depth(deepest + 1).unwrap_err();
             assert!(
                 err.contains(case.name()) && err.contains("limit of 20"),

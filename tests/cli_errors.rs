@@ -324,6 +324,16 @@ fn option_combinations_the_library_asserts_on_are_usage_errors() {
             &["gen", "--depth", "19", "--case", "pprime"],
             "error: --depth 19: PPRIME_NOZZLE refines 2 levels past it, beyond the octree's limit of 20",
         ),
+        // 8^11 base cells is past the octree's 2^31 cell ids: the depth
+        // check answers before any tree is built.
+        (
+            &["partition", "--depth", "11"],
+            "error: --depth 11: the base grid alone has 8^11 = 8589934592 cells, beyond the octree's 2^31 cell ids",
+        ),
+        (
+            &["gen", "--depth", "17", "--case", "cube"],
+            "error: --depth 17: the base grid alone has 8^17 = 2251799813685248 cells, beyond the octree's 2^31 cell ids",
+        ),
         (
             &["partition", "--depth", "2", "--strategy", "dual:0"],
             "error: --strategy dual:<k> must be at least 1",

@@ -9,6 +9,12 @@
 //! each of the 128 domains, and both statements hold there for SC_OC and
 //! MC_TL, as they do at the figure's depth 5 (SC_OC 9 985 = CP at 16 × 32,
 //! 19 664 > 9 985 at 16 × 4; MC_TL 4 605 = CP, 10 203 > 4 605).
+//!
+//! [`SimResult::peak_running`](tempart::flusim::SimResult::peak_running)
+//! says the same from the cores' side: at 16 × 32 no process ever runs more
+//! than 16 tasks at once (the largest peak at base depths 3 and 5, SC_OC
+//! and MC_TL, is exactly 16), so half of every process's cores never run a
+//! task; at 16 × 4 every process keeps all 4 busy at some instant.
 
 use tempart::core_api::{run_flusim, FlusimOutcome, PartitionStrategy, PipelineConfig};
 use tempart::flusim::ClusterConfig;
@@ -36,6 +42,13 @@ fn fig09_configuration_is_critical_path_bound() {
             "{}",
             strategy.label()
         );
+        let peak = out.sim.peak_running();
+        assert_eq!(peak.len(), 16);
+        assert!(
+            peak.iter().all(|&p| p <= 16),
+            "{}: {peak:?}",
+            strategy.label()
+        );
     }
 }
 
@@ -50,5 +63,7 @@ fn four_cores_per_process_bind() {
             out.makespan(),
             out.graph.critical_path()
         );
+        let peak = out.sim.peak_running();
+        assert_eq!(peak, vec![4; 16], "{}", strategy.label());
     }
 }
