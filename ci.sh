@@ -14,8 +14,8 @@
 #     CI_ONLY=build,worker-matrix ./ci.sh
 #
 # Stage names: policy, fmt, clippy, build, experiments (regenerates and
-# diffs results/*.txt), test, benchmark-smoke, worker-matrix, paper-scale,
-# bench (prints medians, gates only its in-run diffuse < scratch invariant).
+# diffs results/*.txt), test, benchmark-smoke, worker-matrix, paper-scale.
+# Nothing here times the product: wall-clock numbers come from benchmark/.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -190,16 +190,26 @@ stage_policy() {
         echo "ERROR: the SFC partition has one path; compare against a test oracle instead" >&2
         exit 1
     fi
-    # Performance numbers are kept, compared and gated in benchmark/ alone:
-    # the absolute-nanosecond bench gate, its knobs and its committed
-    # baselines must not come back (CHANGES.md / EXPERIMENTS.md / ROADMAP.md
-    # keep the history and are exempt). The names are spelt in halves so
-    # that this file does not match itself.
-    local knob='TEMPART_BENCH_' gate
-    gate="${knob}BASELINE|${knob}TOLERANCE|${knob}DIR|CI_SKIP_""BENCH|\bBENCH_[a-z<*]"
+    # Performance numbers are taken, kept, compared and gated in benchmark/
+    # alone: no `cargo bench` suite, no second timing harness, and none of
+    # the old bench knobs or committed baselines may come back (CHANGES.md /
+    # EXPERIMENTS.md / ROADMAP.md keep the history and are exempt). The
+    # names are spelt in halves so that this file does not match itself.
+    local knob='TEMPART_''BENCH_' gate suites
+    gate="${knob}|CI_SKIP_""BENCH|\bBENCH_[a-z<*]"
     if grep -rnE "$gate" ci.sh crates src tests README.md DESIGN.md .claude ||
         compgen -G 'BENCH_?*.json' >/dev/null; then
-        echo "ERROR: the bench baseline gate is gone; perf gates live in benchmark/" >&2
+        echo "ERROR: the bench knobs and baselines are gone; perf gates live in benchmark/" >&2
+        exit 1
+    fi
+    suites=$(
+        find crates -type d -name benches
+        grep -rn '^\[\[bench\]\]' --include=Cargo.toml crates
+        grep -rnE 'testkit::''bench|\bBench''er\b' crates src tests
+    ) || true
+    if [[ -n "$suites" ]]; then
+        echo "$suites"
+        echo "ERROR: the cargo bench suites and their harness are gone; time it in benchmark/" >&2
         exit 1
     fi
     # One producer for every reproduced number: a new experiment is a row in
@@ -209,7 +219,7 @@ stage_policy() {
         echo "ERROR: crates/bench has one binary, experiments.rs; add a registry row" >&2
         exit 1
     fi
-    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points, no bench gate, no pipeline cell graph, no per-transfer link)"
+    echo "ok (${#MANIFESTS[@]} manifests scanned, no suffixed entry points, no bench suite or gate, no pipeline cell graph, no per-transfer link)"
 }
 
 stage_fmt() {
@@ -338,29 +348,14 @@ stage_paper_scale() {
     # Table I), partitions it through the SFC path, diffs 1-vs-4-worker
     # part vectors and the sort-and-walk oracle at full scale, checks ≥1M
     # random points against the same oracle bit for bit, and asserts the
-    # whole run stays under the 4 GiB RSS budget. The matching
-    # `partition/paper/*` rows print in the bench stage below when the same
-    # variable is set.
+    # whole run stays under the 4 GiB RSS budget. Each SFC call prints its
+    # elapsed time beside the RSS report.
     if [[ "${TEMPART_PAPER_SCALE:-0}" == "1" ]]; then
         TEMPART_PAPER_SCALE=1 cargo test --release --offline --test paper_scale -- --nocapture
         echo "ok (paper-scale suite green)"
     else
         echo "skipped (set TEMPART_PAPER_SCALE=1 to run the 12.6M-cell suite)"
     fi
-}
-
-stage_bench() {
-    # The two hot-path suites as a print-only microscope: nothing is stored
-    # or compared (the numbers of record are benchmark/'s), so the stage is
-    # red only if a suite panics — i.e. on the partitioner suite's in-run
-    # A/B invariant, `partition/repart/diffuse` < `partition/repart/scratch`.
-    # With TEMPART_PAPER_SCALE=1 the `partition/paper/*` rows run and print
-    # too.
-    local suite
-    for suite in partitioner flusim; do
-        TEMPART_BENCH_SAMPLES="${TEMPART_BENCH_SAMPLES:-5}" \
-            cargo bench --offline -p tempart-bench --bench "$suite"
-    done
 }
 
 run_stage policy stage_policy
@@ -372,7 +367,6 @@ run_stage test stage_test
 run_stage benchmark-smoke stage_benchmark_smoke
 run_stage worker-matrix stage_worker_matrix
 run_stage paper-scale stage_paper_scale
-run_stage bench stage_bench
 
 echo
 echo "== stage timing =="

@@ -208,7 +208,10 @@ impl Octree {
                         let first = tree.split(at as u32);
                         queue.extend(children(coarse, first));
                         // Re-examine ourselves: the new children may still be
-                        // too coarse relative to us.
+                        // too coarse relative to us. Each face sibling splits
+                        // the chain of coarse ancestors only once, so a path
+                        // seven or more levels deep needs the leaf to look
+                        // again (`single_path_trees_are_balanced`).
                         queue.push((key, node));
                     }
                 }
@@ -534,6 +537,50 @@ mod tests {
         assert!(t.len() > 64);
         assert!(t.check_balance().is_ok());
         assert!(t.deepest_leaf() > 2);
+    }
+
+    /// Trees refined along one path from the origin base cell: child `first`
+    /// of the base cell, then child `later` at every level down to
+    /// `max_depth`, for every pair of child indices, base depths 0–2 and
+    /// 5–8 levels past the base. A path seven or more levels deep ends
+    /// unbalanced unless `balance` re-examines a leaf after splitting a
+    /// neighbour (base depth 0, `max_depth` 7, child 0 then child 7 leaves
+    /// `(7, 62, 62, 63)` next to `(5, 15, 15, 16)` without it).
+    #[test]
+    fn single_path_trees_are_balanced() {
+        for base_depth in 0..3u8 {
+            for levels in 5..9u8 {
+                let cfg = OctreeConfig {
+                    base_depth,
+                    max_depth: base_depth + levels,
+                };
+                for (first, later) in (0..8u32).flat_map(|a| (0..8u32).map(move |b| (a, b))) {
+                    // The path's key at each depth below the base.
+                    let mut path = vec![(base_depth, 0, 0, 0)];
+                    for l in 0..levels {
+                        let c = if l == 0 { first } else { later };
+                        let (d, x, y, z) = path[usize::from(l)];
+                        path.push((
+                            d + 1,
+                            2 * x + (c & 1),
+                            2 * y + (c >> 1 & 1),
+                            2 * z + (c >> 2),
+                        ));
+                    }
+                    let t = Octree::build(&cfg, |c, h, d| {
+                        let at = |i: usize| (c[i] / h) as u32;
+                        path[usize::from(d - base_depth)] == (d, at(0), at(1), at(2))
+                    });
+                    assert_eq!(t.deepest_leaf(), cfg.max_depth);
+                    assert_eq!(
+                        t.check_balance(),
+                        Ok(()),
+                        "base depth {base_depth}, max depth {}, child {first} then {later}",
+                        cfg.max_depth
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -261,15 +261,11 @@ fn max_levels(n: usize, target_nvtx: usize) -> usize {
 }
 
 /// Coarsens `graph` until it has at most `target_nvtx` vertices or matching
-/// stops making progress (shrink factor under 10%).
-pub fn coarsen(graph: &CsrGraph, target_nvtx: usize, seed: u64) -> Hierarchy {
-    coarsen_ws(graph, target_nvtx, seed, &mut PartitionWorkspace::new())
-}
-
-/// Workspace-backed [`coarsen`]. Each level's graph is built once (into
-/// pooled buffers) and moved into the hierarchy — never cloned; the next
-/// level reads it through `levels.last()`. Recycle the returned hierarchy
-/// with the workspace when done to keep the buffers in circulation.
+/// stops making progress (a level keeps more than [`MAX_SHRINK`] of its
+/// parent's vertices). Each level's graph is built once (into pooled
+/// buffers) and moved into the hierarchy — never cloned; the next level
+/// reads it through `levels.last()`. Recycle the returned hierarchy with
+/// the workspace when done to keep the buffers in circulation.
 pub fn coarsen_ws(
     graph: &CsrGraph,
     target_nvtx: usize,
@@ -494,7 +490,7 @@ mod tests {
     #[test]
     fn hierarchy_reaches_target() {
         let g = grid_graph(32, 32);
-        let h = coarsen(&g, 64, 42);
+        let h = coarsen_ws(&g, 64, 42, &mut PartitionWorkspace::new());
         assert!(
             h.coarsest(&g).nvtx() <= 130,
             "coarsest {}",
@@ -512,7 +508,7 @@ mod tests {
     #[test]
     fn coarsen_small_graph_is_noop_or_fast() {
         let g = grid_graph(4, 4);
-        let h = coarsen(&g, 100, 1);
+        let h = coarsen_ws(&g, 100, 1, &mut PartitionWorkspace::new());
         assert!(h.levels.is_empty());
         assert_eq!(h.coarsest(&g).nvtx(), 16);
     }
@@ -524,7 +520,7 @@ mod tests {
         let mut ws = PartitionWorkspace::new();
         let a = coarsen_ws(&g, 64, 9, &mut ws);
         let b = coarsen_ws(&g, 64, 9, &mut ws); // warm reuse
-        let c = coarsen(&g, 64, 9); // fresh
+        let c = coarsen_ws(&g, 64, 9, &mut PartitionWorkspace::new()); // fresh
         assert_eq!(a.levels.len(), b.levels.len());
         assert_eq!(a.levels.len(), c.levels.len());
         for ((la, lb), lc) in a.levels.iter().zip(&b.levels).zip(&c.levels) {

@@ -1,8 +1,8 @@
-//! Process-memory probes for the paper-scale bench suite.
+//! Process-memory probes for the paper-scale tests and the benchmark.
 //!
 //! The paper-scale acceptance story ("a 12.6M-cell mesh partitions in
 //! bounded RSS") needs a number, not a vibe: [`peak_rss_bytes`] reads the
-//! kernel's high-water mark (`VmHWM` in `/proc/self/status`) so bench
+//! kernel's high-water mark (`VmHWM` in `/proc/self/status`) so
 //! reports can print the true peak footprint of a run. On platforms without
 //! procfs it degrades to `None` rather than guessing.
 

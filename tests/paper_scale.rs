@@ -10,6 +10,7 @@
 mod common;
 
 use common::oracle;
+use std::time::Instant;
 use tempart::mesh::{cloud_cell_count, paper_scale_nside, sfc_cloud, GeneratorConfig, MeshCase};
 use tempart::partition::{sfc_partition_with, Curve, SfcWorkspace};
 use tempart_testkit::alloc::{live_bytes, CountingAllocator};
@@ -77,7 +78,7 @@ fn million_point_sort_matches_sequential() {
 
 /// The headline acceptance: a 12.6M-cell-class cloud partitions through the
 /// parallel SFC pipeline in bounded memory, every part populated and
-/// balanced, with the RSS numbers printed for the bench report.
+/// balanced, with each call's elapsed time and the RSS numbers printed.
 #[test]
 fn pprime_scale_cloud_partitions_in_bounded_memory() {
     if !enabled("pprime_scale_cloud_partitions_in_bounded_memory") {
@@ -91,7 +92,18 @@ fn pprime_scale_cloud_partitions_in_bounded_memory() {
     let total: u64 = weights.iter().sum();
     let k = 96;
     let mut ws = SfcWorkspace::new();
-    let part = sfc_partition_with(&cloud.centroids, &weights, k, Curve::Hilbert, 4, &mut ws);
+    let timed = |workers: usize, ws: &mut SfcWorkspace| {
+        let start = Instant::now();
+        let part = sfc_partition_with(&cloud.centroids, &weights, k, Curve::Hilbert, workers, ws);
+        eprintln!(
+            "paper-scale SFC report: Hilbert w{workers}: {n} points partitioned in {:.2} s",
+            start.elapsed().as_secs_f64()
+        );
+        part
+    };
+    // The first call also allocates the workspace's arenas; the w1 call
+    // below reuses them.
+    let part = timed(4, &mut ws);
     assert_eq!(part.len(), n);
     // Every part populated, and no part above ~1.05× the ideal load (the
     // greedy splitter's worst case is ideal + one max-weight point, which
@@ -110,7 +122,7 @@ fn pprime_scale_cloud_partitions_in_bounded_memory() {
     }
     // Parallel, sequential and the sort-and-walk oracle agree at full
     // scale too.
-    let seq = sfc_partition_with(&cloud.centroids, &weights, k, Curve::Hilbert, 1, &mut ws);
+    let seq = timed(1, &mut ws);
     assert_eq!(part, seq, "w4 diverged from w1 at n = {n}");
     let expect = oracle(&cloud.centroids, &weights, k, Curve::Hilbert);
     assert_eq!(
@@ -146,7 +158,7 @@ fn full_mesh_at_depth_six_holds_at_most_128_bytes_a_cell() {
         return;
     }
     let before = live_bytes();
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mesh = MeshCase::Cylinder.generate(&GeneratorConfig { base_depth: 6 });
     let secs = start.elapsed().as_secs_f64();
     let held = live_bytes() - before;
