@@ -139,6 +139,18 @@ stage_policy() {
         echo "ERROR: the octree is a node array; keep hash maps of leaf keys out of octree.rs" >&2
         exit 1
     fi
+    # The face pass reserves the octree's face bound (`Octree::max_faces`,
+    # 1.24× the faces emitted at PPRIME_NOZZLE depth 6), not six faces a
+    # leaf (1.96×): that capacity was the largest item of generation's
+    # live peak.
+    local face_reserve
+    face_reserve=$(awk '/^#\[cfg\(test\)\]/ { exit } /DIRECTIONS\.len\(\) \*/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/mesh/src/mesh.rs)
+    if [[ -n "$face_reserve" ]]; then
+        echo "$face_reserve"
+        echo "ERROR: reserve Octree::max_faces faces, not six a leaf, in mesh.rs" >&2
+        exit 1
+    fi
     # Task-graph generation and the FLUSIM pipeline price tasks from the
     # domain classification's object counts; only the solver walks object
     # ids. The non-test parts of crates/core/src/ and generate.rs never name

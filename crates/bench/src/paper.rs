@@ -258,13 +258,16 @@ pub(crate) fn fig09(opts: &ExpOptions) {
         let mut spans = Vec::new();
         for strategy in [PartitionStrategy::ScOc, PartitionStrategy::McTl] {
             let out = opts.flusim(&mesh, strategy, 128, cluster);
+            let cp = out.graph.critical_path();
             println!(
-                "{} makespan={:>9}  idle={:>5.1}%  cut={:>7}  domains-components={}",
+                "{} makespan={:>9}  idle={:>5.1}%  cut={:>7}  domains-components={}  cp={:>9}  makespan/cp={:.2}",
                 tag(case, strategy),
                 out.makespan(),
                 out.sim.idle_fraction(&cluster) * 100.0,
                 out.quality.edge_cut,
                 out.quality.part_components,
+                cp,
+                out.makespan() as f64 / cp as f64,
             );
             gantt(&out.graph, &out.sim, 16, 96);
             spans.push(out.makespan());
@@ -296,6 +299,7 @@ pub(crate) fn fig11(opts: &ExpOptions) {
             let res = [PartitionStrategy::ScOc, PartitionStrategy::McTl]
                 .map(|strategy| opts.flusim(&mesh, strategy, nd, cluster));
             let ratio = res[0].makespan() as f64 / res[1].makespan() as f64;
+            let cp = res.each_ref().map(|out| out.graph.critical_path());
             rows.push(vec![
                 nd.to_string(),
                 res[0].makespan().to_string(),
@@ -303,6 +307,10 @@ pub(crate) fn fig11(opts: &ExpOptions) {
                 format!("{ratio:.2}"),
                 res[0].interprocess_cut.to_string(),
                 res[1].interprocess_cut.to_string(),
+                cp[0].to_string(),
+                cp[1].to_string(),
+                format!("{:.2}", res[0].makespan() as f64 / cp[0] as f64),
+                format!("{:.2}", res[1].makespan() as f64 / cp[1] as f64),
             ]);
         }
         println!("{}:", case.name());
@@ -316,6 +324,10 @@ pub(crate) fn fig11(opts: &ExpOptions) {
                     "ratio (11a)",
                     "SC_OC ip-cut (11b)",
                     "MC_TL ip-cut (11b)",
+                    "SC_OC cp",
+                    "MC_TL cp",
+                    "SC_OC makespan/cp",
+                    "MC_TL makespan/cp",
                 ],
                 &rows
             )
@@ -336,12 +348,15 @@ pub(crate) fn fig12(opts: &ExpOptions) {
     let mut spans = Vec::new();
     for strategy in [PartitionStrategy::ScOc, PartitionStrategy::McTl] {
         let out = opts.flusim(&mesh, strategy, 12, cluster);
+        let cp = out.graph.critical_path();
         println!(
-            "{} makespan={:>9}  idle={:>5.1}%  interprocess-cut={}",
+            "{} makespan={:>9}  idle={:>5.1}%  interprocess-cut={}  cp={:>9}  makespan/cp={:.2}",
             tag(case, strategy),
             out.makespan(),
             out.sim.idle_fraction(&cluster) * 100.0,
-            out.interprocess_cut
+            out.interprocess_cut,
+            cp,
+            out.makespan() as f64 / cp as f64,
         );
         gantt(&out.graph, &out.sim, 6, 96);
         spans.push(out.makespan());

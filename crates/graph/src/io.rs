@@ -28,6 +28,15 @@ pub enum MetisParseError {
         /// Edges found in the body.
         found: usize,
     },
+    /// A weight total exceeds [`Weight::MAX`]. Coarsening sums the weights
+    /// of merged vertices and of the edges between them, so a total past
+    /// the weight type would wrap.
+    WeightTotal {
+        /// Which total: the edge weights, or one constraint's vertex weights.
+        what: String,
+        /// The total.
+        total: u64,
+    },
 }
 
 impl std::fmt::Display for MetisParseError {
@@ -39,6 +48,9 @@ impl std::fmt::Display for MetisParseError {
             }
             MetisParseError::EdgeCountMismatch { declared, found } => {
                 write!(f, "header declares {declared} edges, body has {found}")
+            }
+            MetisParseError::WeightTotal { what, total } => {
+                write!(f, "{what} total {total} exceeds {}", Weight::MAX)
             }
         }
     }
@@ -111,6 +123,8 @@ pub fn parse_metis_graph(text: &str) -> Result<CsrGraph, MetisParseError> {
 
     let mut builder = GraphBuilder::new(nvtx, ncon);
     let mut found_edges = 0usize;
+    let mut vertex_totals = vec![if has_vwgt { 0 } else { nvtx as u64 }; ncon];
+    let mut edge_total = 0u64;
     let mut v = 0u32;
     for (line_no, line) in lines {
         if (v as usize) >= nvtx {
@@ -135,11 +149,12 @@ pub fn parse_metis_graph(text: &str) -> Result<CsrGraph, MetisParseError> {
         };
         if has_vwgt {
             let mut w = Vec::with_capacity(ncon);
-            for _ in 0..ncon {
+            for total in &mut vertex_totals {
                 let x = tokens
                     .next()
                     .ok_or_else(|| bad("missing vertex weights".into()))??;
                 w.push(weight(x)?);
+                *total = total.saturating_add(x);
             }
             builder.set_vertex_weights(v, &w);
         }
@@ -166,6 +181,7 @@ pub fn parse_metis_graph(text: &str) -> Result<CsrGraph, MetisParseError> {
             // once, from the lower endpoint.
             if u > v {
                 builder.add_edge(v, u, w);
+                edge_total = edge_total.saturating_add(u64::from(w));
             }
         }
         v += 1;
@@ -175,6 +191,16 @@ pub fn parse_metis_graph(text: &str) -> Result<CsrGraph, MetisParseError> {
             declared: nedges,
             found: found_edges / 2,
         });
+    }
+    let totals = (1..).zip(vertex_totals).map(|(c, total)| {
+        let what = format!("vertex-weight (constraint {c} of {ncon})");
+        (what, total)
+    });
+    let over = totals
+        .chain([("edge-weight".to_string(), edge_total)])
+        .find(|&(_, total)| total > u64::from(Weight::MAX));
+    if let Some((what, total)) = over {
+        return Err(MetisParseError::WeightTotal { what, total });
     }
     Ok(builder.build())
 }
@@ -319,10 +345,55 @@ mod tests {
                 "{text:?}: {err}"
             );
         }
-        // The largest weight that fits is kept exactly.
-        let g = parse_metis_graph("2 1 11\n4294967295 2 4294967295\n1 1 4294967295\n").unwrap();
+        // The largest weight that fits is kept exactly (with the other
+        // vertex weighing 0, so that the total fits too).
+        let g = parse_metis_graph("2 1 11\n4294967295 2 4294967295\n0 1 4294967295\n").unwrap();
         assert_eq!(g.vertex_weights(0), &[u32::MAX]);
         assert_eq!(g.edge_weights(0).collect::<Vec<_>>(), vec![u32::MAX]);
+    }
+
+    /// A ring of `n` vertices, each joined to the next two, every vertex
+    /// weighing `vw` and every edge `ew` (`fmt 011`).
+    fn ring(n: usize, vw: u64, ew: u64) -> String {
+        let mut text = format!("{n} {} 011\n", 2 * n);
+        for v in 0..n {
+            let mut line = vw.to_string();
+            for u in [v + n - 2, v + n - 1, v + 1, v + 2] {
+                line.push_str(&format!(" {} {ew}", u % n + 1));
+            }
+            text.push_str(&line);
+            text.push('\n');
+        }
+        text
+    }
+
+    #[test]
+    fn weight_totals_past_the_weight_type_are_rejected() {
+        let max = u64::from(Weight::MAX);
+        // 400 vertices and 800 edges: totals up to exactly `Weight::MAX` parse.
+        assert!(parse_metis_graph(&ring(400, max / 400, max / 800)).is_ok());
+        let err = parse_metis_graph(&ring(400, 1, max)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("edge-weight total {} exceeds {max}", 800 * max)
+        );
+        let err = parse_metis_graph(&ring(400, max, 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "vertex-weight (constraint 1 of 1) total {} exceeds {max}",
+                400 * max
+            )
+        );
+        // Each constraint is held to the bound on its own.
+        let err = parse_metis_graph("2 1 10 2\n1 4294967295 2\n1 1 1\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "vertex-weight (constraint 2 of 2) total {} exceeds {max}",
+                max + 1
+            )
+        );
     }
 
     #[test]

@@ -397,6 +397,17 @@ mod tests {
         }
     }
 
+    /// The benchmark's mesh (474 496 cells, 1 451 040 faces), pinned before
+    /// the face pass read neighbours off the node array.
+    #[test]
+    fn pprime_depth_6_matches_pinned_full_fingerprint() {
+        let got = full_mesh_fingerprint(MeshCase::PprimeNozzle, 6);
+        assert_eq!(
+            got, 0x2cf3_e17d_fcd8_69f8,
+            "PPRIME_NOZZLE depth 6: {got:#018x}"
+        );
+    }
+
     /// The geometry the mesh derives equals, bit for bit, the geometry it
     /// used to store: each cell's `h³` and each face's `h²` and axis normal,
     /// recomputed from the octree leaves in the order faces are emitted.

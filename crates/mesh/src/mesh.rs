@@ -1,6 +1,6 @@
 //! The finite-volume mesh model: cells, faces, adjacency, graph export.
 
-use crate::octree::{Octree, DIRECTIONS};
+use crate::octree::{Octree, Side, DIRECTIONS};
 use tempart_graph::{CsrGraph, Weight};
 
 /// A finite-volume cell: an octree leaf's centre and depth. Its volume is
@@ -96,60 +96,35 @@ impl Mesh {
                 depth: key.0,
             })
             .collect();
-        // A leaf emits at most one face a direction.
-        let mut faces = Vec::with_capacity(DIRECTIONS.len() * leaves.len());
-        for (id, &key) in leaves.iter().enumerate() {
-            let owner = id as u32;
-            let (d, x, y, z) = key;
-            let n = 1i64 << d;
-            for (dir, &step) in (0u8..).zip(&DIRECTIONS) {
-                let (nx, ny, nz) = (
-                    i64::from(x) + step.0,
-                    i64::from(y) + step.1,
-                    i64::from(z) + step.2,
-                );
-                if nx < 0 || ny < 0 || nz < 0 || nx >= n || ny >= n || nz >= n {
-                    faces.push(Face {
-                        owner,
-                        neighbor: FaceNeighbor::Boundary,
-                        dir,
-                        depth: d,
-                    });
-                    continue;
-                }
-                // A `None` lookup means the region is covered by finer
-                // leaves: they own the shared faces.
-                if let Some((nk, nid)) = tree.same_or_coarser_neighbor(key, step) {
-                    // Emit once per pair: the finer side owns the face; at
-                    // equal depth only the positive direction emits.
-                    let emit = if nk.0 < d {
-                        true
-                    } else {
-                        step.0 + step.1 + step.2 > 0
-                    };
-                    if emit {
-                        faces.push(Face {
-                            owner,
-                            neighbor: FaceNeighbor::Interior(nid),
-                            dir,
-                            depth: d,
-                        });
+        let mut faces = Vec::with_capacity(tree.max_faces());
+        // Each cell's incidences, at `c + 1`, counted side by side.
+        let mut offsets = vec![0u32; cells.len() + 1];
+        for (owner, (&key, &node)) in (0u32..).zip(leaves.iter().zip(tree.leaf_nodes())) {
+            let d = key.0;
+            for dir in 0..DIRECTIONS.len() as u8 {
+                // Emit once per pair: the finer side owns the face; at equal
+                // depth only the positive (even) direction emits. A side
+                // is one face, or four owned by the finer leaves across it
+                // (the tree is 2:1 balanced).
+                let side = tree.side(key, node, dir);
+                offsets[owner as usize + 1] += if side == Side::Finer { 4 } else { 1 };
+                let neighbor = match side {
+                    Side::Boundary => FaceNeighbor::Boundary,
+                    Side::Leaf(nd, nid) if nd < d || dir.is_multiple_of(2) => {
+                        FaceNeighbor::Interior(nid)
                     }
-                }
+                    Side::Leaf(..) | Side::Finer => continue,
+                };
+                faces.push(Face {
+                    owner,
+                    neighbor,
+                    dir,
+                    depth: d,
+                });
             }
         }
         faces.shrink_to_fit();
-        let n_cells = cells.len();
-        let mut mesh = Self {
-            cells,
-            faces,
-            tau: vec![0; n_cells],
-            n_levels: 1,
-            cell_face_offsets: Vec::new(),
-            cell_face_ids: Vec::new(),
-        };
-        mesh.rebuild_adjacency();
-        mesh
+        Self::with_incidence_counts(cells, faces, offsets)
     }
 
     /// Builds a mesh directly from parts (used by tests and tools). The
@@ -174,6 +149,8 @@ impl Mesh {
                 "depth {depth} out of range (0..32)"
             );
         }
+        // Each cell's incidences, at `c + 1`.
+        let mut offsets = vec![0u32; cells.len() + 1];
         for f in &faces {
             assert!(f.owner < n, "face owner out of range");
             assert!(
@@ -182,55 +159,49 @@ impl Mesh {
                 f.dir,
                 DIRECTIONS.len()
             );
+            offsets[f.owner as usize + 1] += 1;
             if let FaceNeighbor::Interior(c) = f.neighbor {
                 assert!(c < n, "face neighbor out of range");
                 assert_ne!(c, f.owner, "face connects a cell to itself");
-            }
-        }
-        let n_cells = cells.len();
-        let mut mesh = Self {
-            cells,
-            faces,
-            tau: vec![0; n_cells],
-            n_levels: 1,
-            cell_face_offsets: Vec::new(),
-            cell_face_ids: Vec::new(),
-        };
-        mesh.rebuild_adjacency();
-        mesh
-    }
-
-    fn rebuild_adjacency(&mut self) {
-        let n = self.cells.len();
-        let interior = self
-            .faces
-            .iter()
-            .filter(|f| matches!(f.neighbor, FaceNeighbor::Interior(_)))
-            .count();
-        let total = incidence_range(self.faces.len() + interior);
-        // Counts at `c + 1`, then summed into offsets in place.
-        let mut offsets = vec![0u32; n + 1];
-        for f in &self.faces {
-            offsets[f.owner as usize + 1] += 1;
-            if let FaceNeighbor::Interior(c) = f.neighbor {
                 offsets[c as usize + 1] += 1;
             }
         }
-        for c in 0..n {
-            offsets[c + 1] += offsets[c];
+        Self::with_incidence_counts(cells, faces, offsets)
+    }
+
+    /// A mesh of `cells` and `faces` with uniform τ, its cell → face CSR
+    /// filled from each cell's incidence count, given at `offsets[c + 1]`.
+    fn with_incidence_counts(cells: Vec<Cell>, faces: Vec<Face>, mut offsets: Vec<u32>) -> Self {
+        let n = cells.len();
+        let mut total = 0usize;
+        for o in &mut offsets {
+            total += *o as usize;
+            *o = incidence_range(total);
         }
-        let mut ids = vec![0u32; total as usize];
-        let mut cursor = offsets[..n].to_vec();
-        for (fid, f) in self.faces.iter().enumerate() {
-            ids[cursor[f.owner as usize] as usize] = fid as u32;
-            cursor[f.owner as usize] += 1;
+        // `offsets[c]` is cell `c`'s cursor, which ends at `c + 1`'s start;
+        // shifted one place up afterwards, the cursors are the offsets.
+        let mut ids = vec![0u32; total];
+        for (fid, f) in (0u32..).zip(&faces) {
+            let mut put = |c: u32| {
+                let at = &mut offsets[c as usize];
+                ids[*at as usize] = fid;
+                *at += 1;
+            };
+            put(f.owner);
             if let FaceNeighbor::Interior(c) = f.neighbor {
-                ids[cursor[c as usize] as usize] = fid as u32;
-                cursor[c as usize] += 1;
+                put(c);
             }
         }
-        self.cell_face_offsets = offsets;
-        self.cell_face_ids = ids;
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Self {
+            tau: vec![0; n],
+            n_levels: 1,
+            cells,
+            faces,
+            cell_face_offsets: offsets,
+            cell_face_ids: ids,
+        }
     }
 
     /// Number of cells.
@@ -382,6 +353,100 @@ fn incidence_range(incidences: usize) -> u32 {
     u32::try_from(incidences).unwrap_or_else(|_| {
         panic!("{incidences} cell → face incidences exceed the u32 offset range")
     })
+}
+
+#[cfg(test)]
+impl Mesh {
+    /// The face pass the node-array reads replaced, kept as the oracle: one
+    /// [`Octree::same_or_coarser_neighbor`] search per leaf side, then the
+    /// cell → face CSR from a pass counting interior faces, a pass counting
+    /// incidences and a cursor copy of the offsets.
+    pub(crate) fn from_octree_by_lookup(tree: &Octree) -> Self {
+        let leaves = tree.leaves();
+        let cells: Vec<Cell> = leaves
+            .iter()
+            .map(|&key| Cell {
+                centroid: Octree::centre_of(key),
+                depth: key.0,
+            })
+            .collect();
+        let mut faces = Vec::new();
+        for (id, &key) in leaves.iter().enumerate() {
+            let owner = id as u32;
+            let (d, x, y, z) = key;
+            let n = 1i64 << d;
+            for (dir, &step) in (0u8..).zip(&DIRECTIONS) {
+                let (nx, ny, nz) = (
+                    i64::from(x) + step.0,
+                    i64::from(y) + step.1,
+                    i64::from(z) + step.2,
+                );
+                if nx < 0 || ny < 0 || nz < 0 || nx >= n || ny >= n || nz >= n {
+                    faces.push(Face {
+                        owner,
+                        neighbor: FaceNeighbor::Boundary,
+                        dir,
+                        depth: d,
+                    });
+                    continue;
+                }
+                if let Some((nk, nid)) = tree.same_or_coarser_neighbor(key, step) {
+                    if nk.0 < d || step.0 + step.1 + step.2 > 0 {
+                        faces.push(Face {
+                            owner,
+                            neighbor: FaceNeighbor::Interior(nid),
+                            dir,
+                            depth: d,
+                        });
+                    }
+                }
+            }
+        }
+        let n = cells.len();
+        let interior = faces
+            .iter()
+            .filter(|f| f.interior_neighbor().is_some())
+            .count();
+        let total = incidence_range(faces.len() + interior);
+        let mut offsets = vec![0u32; n + 1];
+        for f in &faces {
+            offsets[f.owner as usize + 1] += 1;
+            if let Some(c) = f.interior_neighbor() {
+                offsets[c as usize + 1] += 1;
+            }
+        }
+        for c in 0..n {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut ids = vec![0u32; total as usize];
+        let mut cursor = offsets[..n].to_vec();
+        for (fid, f) in faces.iter().enumerate() {
+            ids[cursor[f.owner as usize] as usize] = fid as u32;
+            cursor[f.owner as usize] += 1;
+            if let Some(c) = f.interior_neighbor() {
+                ids[cursor[c as usize] as usize] = fid as u32;
+                cursor[c as usize] += 1;
+            }
+        }
+        Self {
+            tau: vec![0; n],
+            n_levels: 1,
+            cells,
+            faces,
+            cell_face_offsets: offsets,
+            cell_face_ids: ids,
+        }
+    }
+
+    /// Cells, faces and the cell → face CSR, for comparing two builds.
+    pub(crate) fn parts(&self) -> (&[Cell], &[Face], &[u32], &[u32]) {
+        (
+            &self.cells,
+            &self.faces,
+            &self.cell_face_offsets,
+            &self.cell_face_ids,
+        )
+    }
 }
 
 #[cfg(test)]

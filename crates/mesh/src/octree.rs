@@ -8,11 +8,13 @@
 //! 4-to-1 and keeps face enumeration local.
 //!
 //! The tree is one array of `u32` nodes: the `8^base_depth` base cells
-//! (`x` fastest, then `y`, then `z`), then one block of eight children per
-//! split, child `cx + 2cy + 4cz` in its parent's octant `(cx, cy, cz)`. A
-//! node is either a leaf, a tag bit plus its cell id, or the index of its
-//! first child, so the leaf covering a point is at most `max_depth −
-//! base_depth` reads below its base cell.
+//! (`z` fastest, then `y`, then `x`: the order cell ids take), then one
+//! block of eight children per split, child `cx + 2cy + 4cz` in its parent's
+//! octant `(cx, cy, cz)`. A node is either a leaf, a tag bit plus its cell
+//! id, or the index of its first child, so the leaf covering a point is at
+//! most `max_depth − base_depth` reads below its base cell, and a leaf's
+//! same-depth neighbour is one read: a base cell one stride away or a
+//! sibling in its block.
 
 /// Key of a leaf: `(depth, x, y, z)`.
 pub type LeafKey = (u8, u32, u32, u32);
@@ -64,11 +66,14 @@ pub struct Octree {
     nodes: Vec<u32>,
     /// Sorted leaf keys, index = cell id.
     ordered: Vec<LeafKey>,
+    /// Each leaf's node, index = cell id.
+    leaf_nodes: Vec<u32>,
     base_depth: u8,
     max_depth: u8,
 }
 
-/// The six axis directions used for neighbour lookups.
+/// The six axis directions used for neighbour lookups. Direction `dir` runs
+/// along axis `dir / 2`, up it for an even `dir` and down it for an odd one.
 pub const DIRECTIONS: [(i64, i64, i64); 6] = [
     (1, 0, 0),
     (-1, 0, 0),
@@ -77,6 +82,17 @@ pub const DIRECTIONS: [(i64, i64, i64); 6] = [
     (0, 0, 1),
     (0, 0, -1),
 ];
+
+/// What lies across one side of a leaf ([`Octree::side`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    /// The domain boundary.
+    Boundary,
+    /// One leaf as deep as this one or coarser: its depth and cell id.
+    Leaf(u8, u32),
+    /// Finer leaves.
+    Finer,
+}
 
 /// The eight children of `key`, whose block starts at node `first`, in node
 /// order.
@@ -94,6 +110,13 @@ fn step((d, x, y, z): LeafKey, (dx, dy, dz): (i64, i64, i64)) -> Option<LeafKey>
     Some((d, at(x, dx)?, at(y, dy)?, at(z, dz)?))
 }
 
+/// Whether side `dir` (an index into [`DIRECTIONS`]) of `key`, below the
+/// base grid, faces a sibling in its parent's block: up an axis from the
+/// block's lower half, down it from the upper.
+fn faces_sibling((_, x, y, z): LeafKey, dir: u8) -> bool {
+    ([x, y, z][usize::from(dir / 2)] & 1 == 0) == (dir.is_multiple_of(2))
+}
+
 impl Octree {
     /// Builds an octree: start from a uniform grid at `base_depth`, refine
     /// every leaf for which `refine(centre, size, depth)` returns true (until
@@ -101,7 +124,17 @@ impl Octree {
     ///
     /// `refine` receives the leaf centre in `[0,1]^3`, its side length and its
     /// current depth.
-    pub fn build<F>(config: &OctreeConfig, mut refine: F) -> Self
+    pub fn build<F>(config: &OctreeConfig, refine: F) -> Self
+    where
+        F: FnMut([f64; 3], f64, u8) -> bool,
+    {
+        let mut tree = Self::grow(config, refine);
+        tree.finalize();
+        tree
+    }
+
+    /// The refined and balanced tree [`Self::build`] numbers.
+    fn grow<F>(config: &OctreeConfig, mut refine: F) -> Self
     where
         F: FnMut([f64; 3], f64, u8) -> bool,
     {
@@ -109,6 +142,7 @@ impl Octree {
         let mut tree = Self {
             nodes: vec![LEAF; 1 << (3 * u32::from(config.base_depth))],
             ordered: Vec::new(),
+            leaf_nodes: Vec::new(),
             base_depth: config.base_depth,
             max_depth: config.max_depth,
         };
@@ -124,7 +158,6 @@ impl Octree {
             }
         }
         tree.balance();
-        tree.finalize();
         tree
     }
 
@@ -145,11 +178,14 @@ impl Octree {
         1.0 / f64::from(1u32 << d)
     }
 
-    /// The base cells and their nodes, in node order.
+    /// The base cells and their nodes, `x` fastest, then `y`, then `z`.
     fn base_cells(&self) -> impl DoubleEndedIterator<Item = (LeafKey, u32)> {
         let b = self.base_depth;
         let n0 = 1u32 << b;
-        (0..n0 * n0 * n0).map(move |i| ((b, i % n0, i / n0 % n0, i / (n0 * n0)), i))
+        (0..n0 * n0 * n0).map(move |i| {
+            let (x, y, z) = (i % n0, i / n0 % n0, i / (n0 * n0));
+            ((b, x, y, z), z + n0 * (y + n0 * x))
+        })
     }
 
     /// Turns leaf `node` into an inner node over eight new leaves; returns
@@ -171,7 +207,7 @@ impl Octree {
         let s = d.checked_sub(self.base_depth)?;
         let n0 = 1usize << self.base_depth;
         let (bx, by, bz) = ((x >> s) as usize, (y >> s) as usize, (z >> s) as usize);
-        let mut node = bx + n0 * (by + n0 * bz);
+        let mut node = bz + n0 * (by + n0 * bx);
         let mut ad = self.base_depth;
         while ad < d && self.nodes[node] & LEAF == 0 {
             ad += 1;
@@ -198,8 +234,12 @@ impl Octree {
                 }
                 // For each direction, the neighbour *region* at our depth must
                 // be covered by leaves of depth >= d-1. If it is covered by an
-                // ancestor at depth <= d-2, that ancestor must split.
-                for &dir in &DIRECTIONS {
+                // ancestor at depth <= d-2, that ancestor must split. A
+                // sibling's region is a node at our depth.
+                for (side, &dir) in (0u8..).zip(&DIRECTIONS) {
+                    if faces_sibling(key, side) {
+                        continue;
+                    }
                     let Some(region) = step(key, dir) else {
                         continue; // domain boundary
                     };
@@ -234,35 +274,70 @@ impl Octree {
         }
     }
 
-    /// Sorts leaves deterministically — by depth, then `x`, `y`, `z` — and
-    /// writes each cell id into its node.
+    /// Numbers the leaves deterministically — by depth, then `x`, `y`, `z` —
+    /// and writes each cell id into its node. No leaf is shallower than the
+    /// base grid, so its leaves come first, read off the grid in that order;
+    /// only the leaves below it are sorted.
+    ///
+    /// The blocks are laid out again on the way, each base cell's subtree
+    /// after the previous one's in base-grid order, so that leaves numbered
+    /// close together lie close together in the node array.
     fn finalize(&mut self) {
         // Coordinates at depth `d <= MAX_DEPTH` fit 20 bits, so a depth's
         // leaves sort as one packed `u64` each.
         const MASK: u32 = (1 << 20) - 1;
-        let mut by_depth = vec![Vec::new(); usize::from(self.max_depth) + 1];
-        self.for_each_leaf(|_, (d, x, y, z), _| {
-            let packed = (u64::from(x) << 40) | (u64::from(y) << 20) | u64::from(z);
-            by_depth[usize::from(d)].push(packed);
-        });
-        let mut keys = Vec::with_capacity(by_depth.iter().map(Vec::len).sum());
-        for (d, mut packed) in (0u8..).zip(by_depth) {
-            packed.sort_unstable();
-            let unpack = |p: u64| {
-                (
+        let b = self.base_depth;
+        let n0 = 1u32 << b;
+        let base = n0 * n0 * n0;
+        let old = std::mem::take(&mut self.nodes);
+        let mut nodes = Vec::with_capacity(old.len());
+        nodes.extend_from_slice(&old[..base as usize]);
+        // Each split turns one leaf into eight.
+        let n_leaves = base as usize + (old.len() - base as usize) / 8 * 7;
+        let mut keys = Vec::with_capacity(n_leaves);
+        let mut leaf_nodes = Vec::with_capacity(n_leaves);
+        let mut number = |nodes: &mut [u32], key: LeafKey, node: u32| {
+            nodes[node as usize] = LEAF | keys.len() as u32;
+            keys.push(key);
+            leaf_nodes.push(node);
+        };
+        let mut by_depth = vec![Vec::new(); usize::from(self.max_depth - b)];
+        let mut stack = Vec::new();
+        for node in 0..base {
+            let key = (b, node / (n0 * n0), node / n0 % n0, node % n0);
+            if nodes[node as usize] & LEAF != 0 {
+                number(&mut nodes, key, node);
+                continue;
+            }
+            stack.push((key, node));
+            while let Some((key @ (d, x, y, z), node)) = stack.pop() {
+                let v = nodes[node as usize];
+                if v & LEAF != 0 {
+                    let packed = (u64::from(x) << 40) | (u64::from(y) << 20) | u64::from(z);
+                    by_depth[usize::from(d - b - 1)].push((packed, node));
+                } else {
+                    let first = nodes.len() as u32;
+                    nodes.extend_from_slice(&old[v as usize..v as usize + 8]);
+                    nodes[node as usize] = first;
+                    stack.extend(children(key, first));
+                }
+            }
+        }
+        for (d, mut leaves) in (b + 1..).zip(by_depth) {
+            leaves.sort_unstable_by_key(|&(packed, _)| packed);
+            for (p, node) in leaves {
+                let key = (
                     d,
                     (p >> 40) as u32,
                     (p >> 20) as u32 & MASK,
                     p as u32 & MASK,
-                )
-            };
-            keys.extend(packed.iter().map(|&p| unpack(p)));
+                );
+                number(&mut nodes, key, node);
+            }
         }
-        for (id, &key) in keys.iter().enumerate() {
-            let (_, node) = self.locate(key).expect("leaves lie below the base grid");
-            self.nodes[node] = LEAF | id as u32;
-        }
+        self.nodes = nodes;
         self.ordered = keys;
+        self.leaf_nodes = leaf_nodes;
     }
 
     /// Number of leaves (cells).
@@ -300,9 +375,70 @@ impl Octree {
         key: LeafKey,
         dir: (i64, i64, i64),
     ) -> Option<(LeafKey, u32)> {
-        let (nk, node) = self.locate(step(key, dir)?)?;
+        self.leaf_covering(step(key, dir)?)
+    }
+
+    /// The leaf covering `region` with its cell id, or `None` if finer
+    /// leaves cover it.
+    fn leaf_covering(&self, region: LeafKey) -> Option<(LeafKey, u32)> {
+        let (nk, node) = self.locate(region)?;
         let v = self.nodes[node];
         (v & LEAF != 0).then_some((nk, v & !LEAF))
+    }
+
+    /// At most how many faces [`crate::Mesh::from_octree`] emits: a face
+    /// per side of its owner, a same-depth pair's from the upper side. Each
+    /// of a leaf's three upper sides emits at most one. A lower side facing
+    /// a same-depth base cell or sibling emits none, so only a base cell on
+    /// the domain's lower boundary (at most `3 · 4^base_depth` sides) or a
+    /// leaf below the base across its block boundary (twelve sides a block)
+    /// emits from a lower side.
+    pub(crate) fn max_faces(&self) -> usize {
+        let n0 = 1usize << self.base_depth;
+        let blocks = (self.nodes.len() - n0 * n0 * n0) / 8;
+        3 * self.len() + 12 * blocks + 3 * n0 * n0
+    }
+
+    /// Each leaf's node, in cell-id order.
+    pub(crate) fn leaf_nodes(&self) -> &[u32] {
+        &self.leaf_nodes
+    }
+
+    /// What lies across side `dir` (an index into [`DIRECTIONS`]) of the leaf
+    /// `key` at `node`: what [`Self::same_or_coarser_neighbor`] finds, read
+    /// off the node array. The same-depth neighbour of a base cell is the
+    /// base cell one stride away, and that of a deeper leaf inside its
+    /// block the sibling one child index away; only a neighbour across a
+    /// block boundary is read down from its base cell.
+    // Left out of line, it makes generating PPRIME_NOZZLE at depth 6 take
+    // ~1.3× as long.
+    #[inline]
+    pub(crate) fn side(&self, key: LeafKey, node: u32, dir: u8) -> Side {
+        let (d, x, y, z) = key;
+        let axis = u32::from(dir / 2);
+        let up = dir.is_multiple_of(2);
+        let c = [x, y, z][axis as usize];
+        if (up && c + 1 == 1 << d) || (!up && c == 0) {
+            return Side::Boundary;
+        }
+        let stride = if d == self.base_depth {
+            1 << ((2 - axis) * u32::from(d))
+        } else if faces_sibling(key, dir) {
+            1 << axis
+        } else {
+            let mut at = [x, y, z];
+            at[axis as usize] = if up { c + 1 } else { c - 1 };
+            return match self.leaf_covering((d, at[0], at[1], at[2])) {
+                Some(((nd, ..), id)) => Side::Leaf(nd, id),
+                None => Side::Finer,
+            };
+        };
+        let v = self.nodes[if up { node + stride } else { node - stride } as usize];
+        if v & LEAF != 0 {
+            Side::Leaf(d, v & !LEAF)
+        } else {
+            Side::Finer
+        }
     }
 
     /// Verifies the 2:1 balance invariant; returns the first violating pair.
@@ -455,39 +591,68 @@ mod tests {
         }
     }
 
-    /// 1 000 seeded random predicates over base depths 0–3 and up to four
-    /// more levels — coin flips thinning with depth, or a ball refined to the
-    /// full depth — call the predicate in the oracle's order and give its
-    /// leaves, its every neighbour answer and its mesh.
-    #[test]
-    fn random_trees_match_the_hash_map_oracle() {
-        for seed in 0..1000u64 {
+    /// A seeded random predicate over base depths 0–3 and up to four more
+    /// levels: coin flips thinning with depth, or a ball refined to the full
+    /// depth.
+    struct RandomRefine {
+        cfg: OctreeConfig,
+        ball: bool,
+        p: f64,
+        r: f64,
+        centre: [f64; 3],
+        coin_seed: u64,
+    }
+
+    impl RandomRefine {
+        fn new(seed: u64) -> Self {
             let mut rng = Rng::seed_from_u64(seed);
             let base_depth = rng.gen_range(0..4u64) as u8;
             let cfg = OctreeConfig {
                 base_depth,
                 max_depth: base_depth + rng.gen_range(0..5u64) as u8,
             };
-            let ball = rng.gen_bool();
-            let p = 0.25 * rng.gen_f64();
-            let r = 0.06 * rng.gen_f64();
-            let centre = [rng.gen_f64(), rng.gen_f64(), rng.gen_f64()];
-            let coin_seed = rng.next_u64();
-            let refine =
-                |calls: &mut Vec<([f64; 3], u8)>, coin: &mut Rng, c: [f64; 3], h: f64, d: u8| {
-                    calls.push((c, d));
-                    if ball {
-                        let d2: f64 = (0..3).map(|i| (c[i] - centre[i]).powi(2)).sum();
-                        d2 < (r + h) * (r + h)
-                    } else {
-                        coin.gen_f64() < p / f64::from(1u32 << (d - base_depth))
-                    }
-                };
-            let (mut calls, mut coin) = (Vec::new(), Rng::seed_from_u64(coin_seed));
-            let tree = Octree::build(&cfg, |c, h, d| refine(&mut calls, &mut coin, c, h, d));
-            let (mut want_calls, mut coin) = (Vec::new(), Rng::seed_from_u64(coin_seed));
-            let oracle =
-                MapTree::build(&cfg, |c, h, d| refine(&mut want_calls, &mut coin, c, h, d));
+            Self {
+                cfg,
+                ball: rng.gen_bool(),
+                p: 0.25 * rng.gen_f64(),
+                r: 0.06 * rng.gen_f64(),
+                centre: [rng.gen_f64(), rng.gen_f64(), rng.gen_f64()],
+                coin_seed: rng.next_u64(),
+            }
+        }
+
+        /// The predicate, with a fresh coin.
+        fn predicate(&self) -> impl FnMut([f64; 3], f64, u8) -> bool + '_ {
+            let mut coin = Rng::seed_from_u64(self.coin_seed);
+            move |c, h, d| {
+                if self.ball {
+                    let d2: f64 = (0..3).map(|i| (c[i] - self.centre[i]).powi(2)).sum();
+                    d2 < (self.r + h) * (self.r + h)
+                } else {
+                    coin.gen_f64() < self.p / f64::from(1u32 << (d - self.cfg.base_depth))
+                }
+            }
+        }
+    }
+
+    /// 1 000 seeded random predicates ([`RandomRefine`]) call the predicate
+    /// in the oracle's order and give its leaves, its every neighbour answer
+    /// and its mesh.
+    #[test]
+    fn random_trees_match_the_hash_map_oracle() {
+        for seed in 0..1000u64 {
+            let spec = RandomRefine::new(seed);
+            let cfg = &spec.cfg;
+            let (mut calls, mut refine) = (Vec::new(), spec.predicate());
+            let tree = Octree::build(cfg, |c, h, d| {
+                calls.push((c, d));
+                refine(c, h, d)
+            });
+            let (mut want_calls, mut refine) = (Vec::new(), spec.predicate());
+            let oracle = MapTree::build(cfg, |c, h, d| {
+                want_calls.push((c, d));
+                refine(c, h, d)
+            });
             assert_eq!(calls, want_calls, "seed {seed}: predicate calls");
             assert_eq!(tree.leaves(), &oracle.ordered[..], "seed {seed}: leaves");
             for &key in tree.leaves() {
@@ -502,6 +667,105 @@ mod tests {
             let mesh = Mesh::from_octree(&tree);
             assert_eq!(mesh.faces(), &oracle.faces()[..], "seed {seed}: faces");
         }
+    }
+
+    /// The numbering the base-grid scan replaced, kept as the oracle: every
+    /// leaf bucketed by depth and sorted, then found by a search from its
+    /// base cell.
+    fn finalize_by_sorting(tree: &mut Octree) {
+        const MASK: u32 = (1 << 20) - 1;
+        let mut by_depth = vec![Vec::new(); usize::from(tree.max_depth) + 1];
+        tree.for_each_leaf(|_, (d, x, y, z), _| {
+            let packed = (u64::from(x) << 40) | (u64::from(y) << 20) | u64::from(z);
+            by_depth[usize::from(d)].push(packed);
+        });
+        let mut keys = Vec::new();
+        for (d, mut packed) in (0u8..).zip(by_depth) {
+            packed.sort_unstable();
+            let unpack = |p: u64| {
+                (
+                    d,
+                    (p >> 40) as u32,
+                    (p >> 20) as u32 & MASK,
+                    p as u32 & MASK,
+                )
+            };
+            keys.extend(packed.iter().map(|&p| unpack(p)));
+        }
+        let mut leaf_nodes = Vec::new();
+        for (id, &key) in keys.iter().enumerate() {
+            let (_, node) = tree.locate(key).expect("leaves lie below the base grid");
+            tree.nodes[node] = LEAF | id as u32;
+            leaf_nodes.push(node as u32);
+        }
+        tree.ordered = keys;
+        tree.leaf_nodes = leaf_nodes;
+    }
+
+    /// `finalize`, `side` and `Mesh::from_octree` against the searches they
+    /// replaced: the numbered nodes, leaves and leaf nodes of
+    /// [`finalize_by_sorting`], [`Octree::same_or_coarser_neighbor`] (and the
+    /// domain boundary) on every side of every leaf, and the cells, faces
+    /// and cell → face CSR of [`Mesh::from_octree_by_lookup`].
+    fn assert_matches_the_lookup_oracles(
+        cfg: &OctreeConfig,
+        refine: impl FnMut([f64; 3], f64, u8) -> bool,
+        what: &str,
+    ) -> Octree {
+        let mut tree = Octree::grow(cfg, refine);
+        let mut oracle = tree.clone();
+        tree.finalize();
+        finalize_by_sorting(&mut oracle);
+        assert_eq!(tree.leaves(), oracle.leaves(), "{what}: leaves");
+        assert_eq!(tree.nodes.len(), oracle.nodes.len(), "{what}: nodes");
+        for (id, (&key, &node)) in (0u32..).zip(tree.leaves().iter().zip(tree.leaf_nodes())) {
+            assert_eq!(
+                tree.locate(key),
+                Some((key, node as usize)),
+                "{what}: {key:?}"
+            );
+            assert_eq!(tree.nodes[node as usize], LEAF | id, "{what}: {key:?}");
+        }
+        for (&key, &node) in tree.leaves().iter().zip(tree.leaf_nodes()) {
+            for (dir, &towards) in (0u8..).zip(&DIRECTIONS) {
+                let want = match tree.same_or_coarser_neighbor(key, towards) {
+                    Some(((nd, ..), id)) => Side::Leaf(nd, id),
+                    None if step(key, towards).is_none() => Side::Boundary,
+                    None => Side::Finer,
+                };
+                let got = tree.side(key, node, dir);
+                assert_eq!(got, want, "{what}: {key:?} towards {towards:?}");
+            }
+        }
+        let (mesh, want) = (Mesh::from_octree(&tree), Mesh::from_octree_by_lookup(&tree));
+        assert!(mesh.parts() == want.parts(), "{what}: mesh");
+        tree
+    }
+
+    /// The 1 000 trees of `random_trees_match_the_hash_map_oracle`, a tree
+    /// with no refinement, one refined everywhere to its maximum depth and
+    /// one over a single base cell.
+    #[test]
+    fn random_and_edge_trees_match_the_lookup_oracles() {
+        for seed in 0..1000u64 {
+            let spec = RandomRefine::new(seed);
+            assert_matches_the_lookup_oracles(&spec.cfg, spec.predicate(), &format!("seed {seed}"));
+        }
+        let cfg = |base_depth, max_depth| OctreeConfig {
+            base_depth,
+            max_depth,
+        };
+        let flat = assert_matches_the_lookup_oracles(&cfg(3, 5), |_, _, _| false, "no refinement");
+        assert_eq!((flat.len(), flat.deepest_leaf()), (512, 3));
+        let full =
+            assert_matches_the_lookup_oracles(&cfg(2, 4), |_, _, _| true, "all at max depth");
+        assert_eq!((full.len(), full.deepest_leaf()), (4096, 4));
+        let near = |c: [f64; 3], h: f64, _| {
+            (c[0] - 0.2).abs() + (c[1] - 0.3).abs() + (c[2] - 0.4).abs() < h
+        };
+        let graded = assert_matches_the_lookup_oracles(&cfg(0, 5), near, "base depth 0");
+        assert_eq!(graded.deepest_leaf(), 5);
+        assert!(graded.leaves().iter().any(|&(d, ..)| d == 2));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! cell (a 6.4M-cell CYLINDER in under 800 MiB).
 
 use tempart_mesh::{Cell, Face, GeneratorConfig, MeshCase};
-use tempart_testkit::alloc::{live_bytes, CountingAllocator};
+use tempart_testkit::alloc::{
+    live_bytes, peak_live_bytes, reset_peak_live_bytes, CountingAllocator,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -39,4 +41,27 @@ fn generated_meshes_hold_at_most_128_bytes_a_cell() {
             );
         }
     }
+}
+
+/// The live-heap peak of generating PPRIME_NOZZLE at depth 6 (474 496
+/// cells), per cell. It is 135.4 B, reached while the cell → face CSR is
+/// filled beside the tree, the cells and the faces; the bound leaves 3 %
+/// over that. Reserving six faces a leaf in the face pass peaked at 148 B.
+const MAX_PEAK_BYTES_PER_CELL: f64 = 140.0;
+
+#[test]
+fn generating_a_mesh_peaks_below_the_bound_per_cell() {
+    let before = live_bytes();
+    reset_peak_live_bytes();
+    let mesh = MeshCase::PprimeNozzle.generate(&GeneratorConfig { base_depth: 6 });
+    let peak = peak_live_bytes() - before;
+    let per_cell = peak as f64 / mesh.n_cells() as f64;
+    eprintln!(
+        "PPRIME_NOZZLE depth 6: {} cells, {peak} B live at the peak, {per_cell:.1} B/cell",
+        mesh.n_cells()
+    );
+    assert!(
+        per_cell <= MAX_PEAK_BYTES_PER_CELL,
+        "{per_cell:.1} B/cell at the peak, above {MAX_PEAK_BYTES_PER_CELL}"
+    );
 }

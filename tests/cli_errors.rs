@@ -464,10 +464,12 @@ fn io_errors_name_the_file_and_only_usage_errors_print_usage() {
         assert!(out.stdout.is_empty(), "{name}: printed a report");
     }
     // Edge weights the reader accepts must not size an allocation: a path
-    // whose gains reach ±8·10^9 used to ask the FM buckets for 64 GB
-    // (exit 134). It partitions, and the cut is the one heavy edge.
+    // whose gains reached ±8·10^9 used to ask the FM buckets for 64 GB
+    // (exit 134). Its edge weights now total at most `u32::MAX`, so its
+    // gains reach ±2.8·10^9. It partitions, and the cut is the one heavy
+    // edge.
     let graph = Path::new(env!("CARGO_TARGET_TMPDIR")).join("heavy-path.graph");
-    let w = "4000000000";
+    let w = "1400000000";
     std::fs::write(
         &graph,
         format!("4 3 1\n2 {w}\n1 {w} 3 {w}\n2 {w} 4 {w}\n3 {w}\n"),
@@ -484,7 +486,7 @@ fn io_errors_name_the_file_and_only_usage_errors_print_usage() {
     );
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(
-        stdout.contains("4 vertices, 3 edges") && stdout.contains("edge cut        : 4000000000"),
+        stdout.contains("4 vertices, 3 edges") && stdout.contains("edge cut        : 1400000000"),
         "{stdout}"
     );
     // A bad option value still gets the usage text, after its error line.
@@ -497,4 +499,69 @@ fn io_errors_name_the_file_and_only_usage_errors_print_usage() {
         stderr.starts_with("error: --domains must be at least 1\n") && stderr.contains("USAGE:"),
         "{stderr}"
     );
+}
+
+/// A 400-vertex ring, each vertex joined to the next two, with every edge
+/// (`fmt 001`) or every vertex (`fmt 010`) weighing `u32::MAX`: coarsening
+/// summed those weights, which panicked a debug build and wrapped in a
+/// release one (a cut of 51 539 607 540). The reader rejects a weight total
+/// past `u32::MAX`, naming it; so does it the path whose three edges weigh
+/// 4·10^9 each.
+#[test]
+fn weight_totals_past_u32_are_errors_not_panics() {
+    let (n, max) = (400usize, u32::MAX);
+    let ring = |fmt: &str| {
+        let mut text = format!("{n} {} {fmt}\n", 2 * n);
+        for v in 0..n {
+            let ids = [v + n - 2, v + n - 1, v + 1, v + 2].map(|u| u % n + 1);
+            let line: Vec<String> = match fmt {
+                "001" => ids.iter().map(|u| format!("{u} {max}")).collect(),
+                _ => std::iter::once(max.to_string())
+                    .chain(ids.iter().map(usize::to_string))
+                    .collect(),
+            };
+            text.push_str(&line.join(" "));
+            text.push('\n');
+        }
+        text
+    };
+    let w = "4000000000";
+    for (name, text, want) in [
+        (
+            "ring-edges.graph",
+            ring("001"),
+            format!("edge-weight total {} exceeds {max}", 800 * u64::from(max)),
+        ),
+        (
+            "ring-vertices.graph",
+            ring("010"),
+            format!(
+                "vertex-weight (constraint 1 of 1) total {} exceeds {max}",
+                400 * u64::from(max)
+            ),
+        ),
+        (
+            "heavier-path.graph",
+            format!("4 3 1\n2 {w}\n1 {w} 3 {w}\n2 {w} 4 {w}\n3 {w}\n"),
+            format!("edge-weight total 12000000000 exceeds {max}"),
+        ),
+    ] {
+        let graph = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&graph, text).expect("write graph");
+        let out = Command::new(env!("CARGO_BIN_EXE_tempart"))
+            .args(["partition", "--graph"])
+            .arg(&graph)
+            .args(["--domains", "4"])
+            .output()
+            .expect("spawn tempart");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert_eq!(
+            stderr.lines().next().unwrap_or(""),
+            format!("error: {}: {want}", graph.display()),
+            "{name}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: printed a report");
+    }
 }
