@@ -139,6 +139,18 @@ stage_policy() {
         echo "ERROR: the octree is a node array; keep hash maps of leaf keys out of octree.rs" >&2
         exit 1
     fi
+    # `Octree::side` answers every face of the face pass; out of line it
+    # makes PPRIME_NOZZLE depth-6 generation ~1.3× slower with every test
+    # green, so the line above its definition stays `#[inline]`.
+    local side_inline
+    side_inline=$(awk '/pub\(crate\) fn side\(/ { found = 1; if (prev !~ /^[[:space:]]*#\[inline\][[:space:]]*$/) print FILENAME ":" FNR ": " $0 }
+        { prev = $0 } END { if (!found) print FILENAME ": no pub(crate) fn side(" }' \
+        crates/mesh/src/octree.rs)
+    if [[ -n "$side_inline" ]]; then
+        echo "$side_inline"
+        echo "ERROR: keep #[inline] on the line above Octree::side in octree.rs" >&2
+        exit 1
+    fi
     # The face pass reserves the octree's face bound (`Octree::max_faces`,
     # 1.24× the faces emitted at PPRIME_NOZZLE depth 6), not six faces a
     # leaf (1.96×): that capacity was the largest item of generation's

@@ -22,7 +22,7 @@ use crate::strategy::{decompose_with, strategy_weights, PartitionStrategy};
 use tempart_graph::{MigrationStats, PartId, PartitionQuality};
 use tempart_mesh::{DriftConfig, Mesh};
 use tempart_partition::{
-    repartition_ws, sfc_partition_with, RepartConfig, RepartStats, RepartStop, SfcWorkspace,
+    repartition_ws, sfc_partition_by, RepartConfig, RepartStats, RepartStop, SfcWorkspace,
 };
 
 /// How each drift step restores balance.
@@ -184,14 +184,12 @@ pub fn repartition_sequence(
     let (w0, ncon) = strategy_weights(&mesh, cfg.strategy);
     let initial_quality =
         PartitionQuality::measure(&graph.with_vertex_weights(w0, ncon), &part, cfg.n_domains);
-    // Warm SFC scratch state for the geometric strategy (centroids are
-    // drift-invariant too).
-    let mut sfc: Option<(Vec<[f64; 3]>, SfcWorkspace)> = None;
+    // Warm SFC scratch state for the geometric strategy.
+    let mut sfc: Option<SfcWorkspace> = None;
     if let (RepartMode::Scratch, PartitionStrategy::SfcOc { .. }) = (cfg.mode, cfg.strategy) {
-        let centroids: Vec<[f64; 3]> = mesh.cells().iter().map(|c| c.centroid).collect();
         let mut sfc_ws = SfcWorkspace::new();
         sfc_ws.obs = rec.clone();
-        sfc = Some((centroids, sfc_ws));
+        sfc = Some(sfc_ws);
     }
 
     let mut steps = Vec::with_capacity(cfg.steps as usize);
@@ -212,23 +210,17 @@ pub fn repartition_sequence(
             }
             RepartMode::Scratch => {
                 part = match (&mut sfc, cfg.strategy) {
-                    (Some((centroids, sfc_ws)), PartitionStrategy::SfcOc { curve }) => {
-                        let weights: Vec<u64> = mesh
-                            .tau()
-                            .iter()
-                            .map(|&t| {
-                                u64::from(tempart_mesh::operating_cost(t, mesh.n_tau_levels() - 1))
-                            })
-                            .collect();
-                        sfc_partition_with(
-                            centroids,
-                            &weights,
-                            cfg.n_domains,
-                            curve,
-                            workers,
-                            sfc_ws,
-                        )
-                    }
+                    // The cells read in place, weighed by the step's SC_OC
+                    // weights (`ncon` is 1).
+                    (Some(sfc_ws), PartitionStrategy::SfcOc { curve }) => sfc_partition_by(
+                        mesh.cells(),
+                        |c| c.centroid,
+                        g.vwgt(),
+                        cfg.n_domains,
+                        curve,
+                        workers,
+                        sfc_ws,
+                    ),
                     _ => decompose_with(&mesh, cfg.strategy, cfg.n_domains, cfg.seed, exec),
                 };
                 RepartStats::default()

@@ -5,7 +5,7 @@ use tempart_graph::{PartId, Weight};
 use tempart_mesh::{operating_cost, Mesh};
 use tempart_obs::Recorder;
 use tempart_partition::{
-    bisect::extract_subgraph, partition_graph_par_traced, repair_contiguity, sfc_partition_with,
+    bisect::extract_subgraph, partition_graph_par_traced, repair_contiguity, sfc_partition_by,
     Curve, PartitionConfig, RepairReport, SfcWorkspace, WorkspacePool,
 };
 
@@ -138,12 +138,18 @@ pub fn decompose_with(
             dual_phase(mesh, n_outer, domains_per_process, seed, exec)
         }
         PartitionStrategy::SfcOc { curve } => {
-            let centroids: Vec<[f64; 3]> = mesh.cells().iter().map(|c| c.centroid).collect();
             let (w, _) = strategy_weights(mesh, strategy);
-            let weights: Vec<u64> = w.into_iter().map(u64::from).collect();
             let mut sfc_ws = SfcWorkspace::new();
             sfc_ws.obs = rec.clone();
-            sfc_partition_with(&centroids, &weights, n_domains, curve, workers, &mut sfc_ws)
+            sfc_partition_by(
+                mesh.cells(),
+                |c| c.centroid,
+                &w,
+                n_domains,
+                curve,
+                workers,
+                &mut sfc_ws,
+            )
         }
         _ => {
             let (w, ncon) = strategy_weights(mesh, strategy);

@@ -19,7 +19,9 @@
 //!
 //! 1. **Keys.** Every 48-bit curve key is computed once into a pooled
 //!    arena, sharded over [`tempart_runtime::fork_join`] in contiguous id
-//!    ranges.
+//!    ranges. The points are read where the caller keeps them
+//!    ([`sfc_partition_by`]: a mesh's cells, through a position accessor),
+//!    never gathered into a point cloud first.
 //! 2. **Buckets.** One pass counts the points and sums the weights of every
 //!    bucket of the keys' top bits; a prefix sum and one scatter put the
 //!    ids in bucket order (ascending id inside a bucket).
@@ -88,6 +90,13 @@
 //! loop stays as the test oracle: `hilbert_oracle` in this module's tests
 //! checks every key on random clouds, dyadic grids and the quantiser's
 //! edges.
+//!
+//! The eight lookups of one key form a dependent chain, so the key step
+//! walks four points in lockstep (`curve_keys`): level pair by level pair,
+//! the lookups of independent points overlap. A lane runs the same step
+//! (`hilbert_pair`) as [`hilbert_index`], so the two cannot drift apart;
+//! eight lanes were slower than four (EXPERIMENTS.md, "The curve reads the
+//! cells in place").
 
 use tempart_graph::PartId;
 use tempart_obs::Recorder;
@@ -242,24 +251,46 @@ static HILBERT: [u16; STATES * 64] = hilbert_table();
 /// point's Morton key, most significant level pair first.
 pub fn hilbert_index(p: [f64; 3]) -> u64 {
     let morton = morton_index(p);
-    let mut key = 0u64;
-    // The current state's row, `state · 64`; the walk starts in state 0.
-    let mut row = 0usize;
+    let (mut key, mut row) = (0u64, 0usize);
     for pair in (0..BITS / 2).rev() {
-        let shift = 6 * pair;
-        let e = HILBERT[row | (morton >> shift) as usize & 63];
-        key |= u64::from(e & 63) << shift;
-        row = usize::from(e & !63);
+        hilbert_pair(&mut key, &mut row, morton, pair);
     }
     key
 }
 
+/// One step of the Hilbert walk: the level pair `pair` of `morton`, read
+/// from the state whose row (`state · 64`) is `row`, ORs its six key bits
+/// into `key` and moves `row` to the next state's. The walk starts in
+/// state 0.
+#[inline(always)]
+fn hilbert_pair(key: &mut u64, row: &mut usize, morton: u64, pair: u32) {
+    let shift = 6 * pair;
+    let e = HILBERT[*row | (morton >> shift) as usize & 63];
+    *key |= u64::from(e & 63) << shift;
+    *row = usize::from(e & !63);
+}
+
+/// Points whose keys are computed in lockstep.
+const LANES: usize = 4;
+
+/// The curve keys of `LANES` points. A Hilbert key is a chain of eight
+/// dependent table lookups; the lanes run their chains level by level, so
+/// the lookups of independent points overlap instead of waiting on each
+/// other. Each lane's key equals [`hilbert_index`] / [`morton_index`] of its
+/// point: they share [`hilbert_pair`].
 #[inline]
-fn curve_key(curve: Curve, p: [f64; 3]) -> u64 {
-    match curve {
-        Curve::Morton => morton_index(p),
-        Curve::Hilbert => hilbert_index(p),
+fn curve_keys(curve: Curve, pts: [[f64; 3]; LANES]) -> [u64; LANES] {
+    let morton = pts.map(morton_index);
+    if curve == Curve::Morton {
+        return morton;
     }
+    let (mut key, mut row) = ([0u64; LANES], [0usize; LANES]);
+    for pair in (0..BITS / 2).rev() {
+        for j in 0..LANES {
+            hilbert_pair(&mut key[j], &mut row[j], morton[j], pair);
+        }
+    }
+    key
 }
 
 /// Reusable scratch for [`sfc_partition_with`], in the
@@ -321,15 +352,8 @@ pub fn sfc_partition(
 }
 
 /// [`sfc_partition`] with explicit worker count and leased scratch: the
-/// paper-scale entry point.
-///
-/// The curve keys are computed in parallel shards; the chunks are cut by one
-/// bucket pass that sorts only the points of the buckets a chunk boundary
-/// falls in (see the module docs). The result is the canonical sort-and-walk
-/// partition, bit-identical at every `workers` value.
-///
-/// Emits `part.sfc` / `part.sfc.{keys,sort,chunk}` spans and
-/// `part.sfc.{points,sorted,peak_bytes}` counters into `ws.obs`.
+/// paper-scale entry point for a plain point cloud, [`sfc_partition_by`] on
+/// the points themselves.
 pub fn sfc_partition_with(
     centroids: &[[f64; 3]],
     weights: &[u64],
@@ -338,10 +362,38 @@ pub fn sfc_partition_with(
     workers: usize,
     ws: &mut SfcWorkspace,
 ) -> Vec<PartId> {
-    assert_eq!(centroids.len(), weights.len(), "one weight per point");
+    sfc_partition_by(centroids, |&p| p, weights, k, curve, workers, ws)
+}
+
+/// [`sfc_partition_with`] over the caller's own records: item `i` sits at
+/// `pos(&items[i])` and weighs `weights[i]`, so a mesh's cells and its
+/// `u32` weights are read in place instead of being copied into a point
+/// cloud and `u64`s first.
+///
+/// The curve keys are computed in parallel shards; the chunks are cut by one
+/// bucket pass that sorts only the points of the buckets a chunk boundary
+/// falls in (see the module docs). The result is the canonical sort-and-walk
+/// partition, bit-identical at every `workers` value.
+///
+/// Emits `part.sfc` / `part.sfc.{keys,sort,chunk}` spans and
+/// `part.sfc.{points,sorted,peak_bytes}` counters into `ws.obs`.
+pub fn sfc_partition_by<T, W>(
+    items: &[T],
+    pos: impl Fn(&T) -> [f64; 3] + Sync,
+    weights: &[W],
+    k: usize,
+    curve: Curve,
+    workers: usize,
+    ws: &mut SfcWorkspace,
+) -> Vec<PartId>
+where
+    T: Sync,
+    W: Copy + Into<u64>,
+{
+    assert_eq!(items.len(), weights.len(), "one weight per point");
     assert!(k >= 1, "need at least one part");
     assert!(workers >= 1, "need at least one worker");
-    let n = centroids.len();
+    let n = items.len();
     let rec = ws.obs.clone();
     let _span = tempart_obs::span!(&rec, "part.sfc", track = 0, arg = n as u64);
     rec.counter("part.sfc.points", 0, n as u64);
@@ -375,12 +427,15 @@ pub fn sfc_partition_with(
     {
         let _s = tempart_obs::span!(&rec, "part.sfc.keys", track = 0, arg = n as u64);
         if workers == 1 {
-            fill_keys(keys, centroids, curve);
+            fill_keys(keys, items, &pos, curve);
         } else {
-            let shard = n.div_ceil(n.div_ceil(SHARD_GRAIN).min(workers * 8));
+            let shard = n
+                .div_ceil(n.div_ceil(SHARD_GRAIN).min(workers * 8))
+                .next_multiple_of(LANES);
+            let pos = &pos;
             fork_join(workers, |ctx| {
-                for (keys, pts) in keys.chunks_mut(shard).zip(centroids.chunks(shard)) {
-                    ctx.spawn(move |_| fill_keys(keys, pts, curve));
+                for (keys, items) in keys.chunks_mut(shard).zip(items.chunks(shard)) {
+                    ctx.spawn(move |_| fill_keys(keys, items, pos, curve));
                 }
             });
         }
@@ -395,7 +450,7 @@ pub fn sfc_partition_with(
         for (&key, &w) in keys.iter().zip(weights) {
             let b = (key >> shift) as usize;
             ends[b] += 1;
-            wsum[b] += w;
+            wsum[b] += w.into();
         }
         let mut start = 0u32;
         for e in ends.iter_mut() {
@@ -410,7 +465,7 @@ pub fn sfc_partition_with(
 
     // Step 3: the walk along the curve, bucket by bucket.
     let _s = tempart_obs::span!(&rec, "part.sfc.chunk", track = 0, arg = k as u64);
-    let mut cut = Cut::new(weights.iter().sum(), n, k);
+    let mut cut = Cut::new(weights.iter().map(|&w| w.into()).sum(), n, k);
     let (mut begin, mut sorted) = (0usize, 0u64);
     for (&end, &w) in ends.iter().zip(wsum.iter()) {
         let end = end as usize;
@@ -436,7 +491,7 @@ pub fn sfc_partition_with(
                     cut.close_if_due(pos);
                 }
                 part[id as usize] = cut.cur as PartId;
-                cut.part_w += weights[id as usize];
+                cut.part_w += weights[id as usize].into();
             }
         }
         begin = end;
@@ -446,11 +501,18 @@ pub fn sfc_partition_with(
     part
 }
 
-/// Writes the curve key of every point in `pts` to the matching slot of
-/// `keys`.
-fn fill_keys(keys: &mut [u64], pts: &[[f64; 3]], curve: Curve) {
-    for (key, &p) in keys.iter_mut().zip(pts) {
-        *key = curve_key(curve, p);
+/// Writes the curve key of every item to the matching slot of `keys`,
+/// [`LANES`] items at a time; a short tail is padded with its last item.
+fn fill_keys<T>(keys: &mut [u64], items: &[T], pos: &impl Fn(&T) -> [f64; 3], curve: Curve) {
+    let mut key_lanes = keys.chunks_exact_mut(LANES);
+    let mut item_lanes = items.chunks_exact(LANES);
+    for (k, it) in (&mut key_lanes).zip(&mut item_lanes) {
+        k.copy_from_slice(&curve_keys(curve, std::array::from_fn(|j| pos(&it[j]))));
+    }
+    let (k, it) = (key_lanes.into_remainder(), item_lanes.remainder());
+    if let Some(last) = it.len().checked_sub(1) {
+        let lanes = curve_keys(curve, std::array::from_fn(|j| pos(&it[j.min(last)])));
+        k.copy_from_slice(&lanes[..k.len()]);
     }
 }
 
@@ -635,21 +697,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn keys_match_oracles_on_quantiser_edges() {
+    /// Every point of the cube of [`quantiser_edges`].
+    fn edge_points() -> Vec<[f64; 3]> {
         let edges = quantiser_edges();
+        let mut pts = Vec::new();
         for &x in &edges {
             for &y in &edges {
                 for &z in &edges {
-                    assert_keys_match_oracles([x, y, z]);
+                    pts.push([x, y, z]);
                 }
             }
         }
+        pts
     }
 
-    #[test]
-    fn keys_match_oracles_on_dyadic_grids() {
-        // Every cell centre and every corner of the 2^b grid, b = 1..6.
+    /// Every cell centre and every corner of the 2^b grid, b = 1..6.
+    fn dyadic_points() -> Vec<[f64; 3]> {
+        let mut pts = Vec::new();
         for b in 1..=6u32 {
             let side = 1usize << b;
             let h = 1.0 / side as f64;
@@ -658,25 +722,79 @@ mod tests {
                 for i in 0..count {
                     for j in 0..count {
                         for k in 0..count {
-                            assert_keys_match_oracles([c(i), c(j), c(k)]);
+                            pts.push([c(i), c(j), c(k)]);
                         }
                     }
                 }
             }
         }
+        pts
+    }
+
+    /// Arbitrary doubles over the cube and a margin around it, then the
+    /// quantiser's lattice points.
+    fn cloud_points() -> Vec<[f64; 3]> {
+        let mut rng = tempart_testkit::rng::Rng::seed_from_u64(0x5EED_4B45);
+        let mut pts: Vec<[f64; 3]> = (0..1 << 17)
+            .map(|_| [(); 3].map(|_| rng.gen_range(-0.1..1.1)))
+            .collect();
+        pts.extend(random_points(1 << 15, 0xC0FFEE));
+        pts
+    }
+
+    #[test]
+    fn keys_match_oracles_on_quantiser_edges() {
+        edge_points()
+            .into_iter()
+            .for_each(assert_keys_match_oracles);
+    }
+
+    #[test]
+    fn keys_match_oracles_on_dyadic_grids() {
+        dyadic_points()
+            .into_iter()
+            .for_each(assert_keys_match_oracles);
     }
 
     #[test]
     fn keys_match_oracles_on_random_clouds() {
-        // Arbitrary doubles over the cube and a margin around it, and the
-        // quantiser's lattice points.
-        let mut rng = tempart_testkit::rng::Rng::seed_from_u64(0x5EED_4B45);
-        for _ in 0..1 << 17 {
-            let p = [(); 3].map(|_| rng.gen_range(-0.1..1.1));
-            assert_keys_match_oracles(p);
+        cloud_points()
+            .into_iter()
+            .for_each(assert_keys_match_oracles);
+    }
+
+    /// One point's key from the single-point functions.
+    fn curve_key(curve: Curve, p: [f64; 3]) -> u64 {
+        match curve {
+            Curve::Morton => morton_index(p),
+            Curve::Hilbert => hilbert_index(p),
         }
-        for p in random_points(1 << 15, 0xC0FFEE) {
-            assert_keys_match_oracles(p);
+    }
+
+    /// The lockstep keys of `fill_keys` equal the single-point keys, point
+    /// for point, on the last `LANES` prefixes of `pts`: every tail length
+    /// `n mod LANES`.
+    fn assert_batch_matches_single_keys(pts: &[[f64; 3]]) {
+        for curve in [Curve::Morton, Curve::Hilbert] {
+            let expect: Vec<u64> = pts.iter().map(|&p| curve_key(curve, p)).collect();
+            for n in pts.len().saturating_sub(LANES - 1)..=pts.len() {
+                let mut keys = vec![u64::MAX; n];
+                fill_keys(&mut keys, &pts[..n], &|&p| p, curve);
+                let diff = keys.iter().zip(&expect).position(|(a, b)| a != b);
+                assert_eq!(diff, None, "{curve:?} n={n} (tail {})", n % LANES);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_keys_match_single_point_keys_at_every_tail() {
+        for pts in [edge_points(), dyadic_points(), cloud_points()] {
+            assert_batch_matches_single_keys(&pts);
+        }
+        // Inputs shorter than one lane group: only a padded tail.
+        let few = random_points(LANES - 1, 11);
+        for n in 0..LANES {
+            assert_batch_matches_single_keys(&few[..n]);
         }
     }
 

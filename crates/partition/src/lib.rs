@@ -33,7 +33,8 @@ pub mod workspace;
 use tempart_graph::{CsrGraph, PartId};
 
 pub use geometric::{
-    hilbert_index, morton_index, sfc_partition, sfc_partition_with, Curve, SfcWorkspace,
+    hilbert_index, morton_index, sfc_partition, sfc_partition_by, sfc_partition_with, Curve,
+    SfcWorkspace,
 };
 pub use par::{partition_graph_par_traced, WorkspacePool};
 pub use par_kway::colour_pairs;

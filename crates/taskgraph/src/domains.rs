@@ -180,12 +180,35 @@ fn prefix_sum(offsets: &mut [u32]) {
     }
 }
 
-/// Bumps the interface-face count of neighbour `n` in one domain's
-/// accumulation row (linear scan — domain adjacency lists are tiny).
-fn bump_pair(row: &mut Vec<(PartId, u32)>, n: PartId) {
-    match row.iter_mut().find(|(d, _)| *d == n) {
-        Some((_, count)) => *count += 1,
-        None => row.push((n, 1)),
+/// One domain's `(neighbour, interface faces)` accumulation row, and the
+/// entry it bumped last. A domain's remote faces come in runs towards one
+/// neighbour, so most bumps hit that entry without scanning the row.
+#[derive(Clone, Default)]
+struct PairRow {
+    row: Vec<(PartId, u32)>,
+    last: usize,
+}
+
+impl PairRow {
+    /// Bumps the interface-face count of neighbour `n`.
+    #[inline]
+    fn bump(&mut self, n: PartId) {
+        if let Some((d, count)) = self.row.get_mut(self.last) {
+            if *d == n {
+                *count += 1;
+                return;
+            }
+        }
+        match self.row.iter().position(|&(d, _)| d == n) {
+            Some(i) => {
+                self.row[i].1 += 1;
+                self.last = i;
+            }
+            None => {
+                self.last = self.row.len();
+                self.row.push((n, 1));
+            }
+        }
     }
 }
 
@@ -217,7 +240,7 @@ impl DomainDecomposition {
         // face.
         let mut remote = vec![[NONE; 2]; mesh.n_cells()];
         let mut sets = UnionFind::new(mesh.n_cells());
-        let mut pairs: Vec<Vec<(PartId, u32)>> = vec![Vec::new(); n_domains];
+        let mut pairs = vec![PairRow::default(); n_domains];
         let mut face_offsets = vec![0u32; n_bins + 1];
         for f in mesh.faces() {
             let (word, across) = classify_face(f, &words);
@@ -231,8 +254,8 @@ impl DomainDecomposition {
                     let d0 = words.domain(word);
                     note_remote(&mut remote[f.owner as usize], d1);
                     note_remote(&mut remote[nb as usize], d0);
-                    bump_pair(&mut pairs[d0 as usize], d1);
-                    bump_pair(&mut pairs[d1 as usize], d0);
+                    pairs[d0 as usize].bump(d1);
+                    pairs[d1 as usize].bump(d0);
                     true
                 }
             };
@@ -284,7 +307,7 @@ impl DomainDecomposition {
 
         let mut neighbors: Vec<Vec<PartId>> = Vec::with_capacity(n_domains);
         let mut halo_faces: Vec<Vec<u32>> = Vec::with_capacity(n_domains);
-        for mut row in pairs {
+        for PairRow { mut row, .. } in pairs {
             row.sort_unstable_by_key(|&(d, _)| d);
             neighbors.push(row.iter().map(|&(d, _)| d).collect());
             halo_faces.push(row.iter().map(|&(_, c)| c).collect());

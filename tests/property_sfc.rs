@@ -15,7 +15,9 @@ mod common;
 use common::oracle;
 use tempart::core_api::{strategy_weights, PartitionStrategy};
 use tempart::mesh::{Mesh, Octree, OctreeConfig, TemporalScheme};
-use tempart::partition::{sfc_partition, sfc_partition_with, Curve, SfcWorkspace};
+use tempart::partition::{
+    sfc_partition, sfc_partition_by, sfc_partition_with, Curve, SfcWorkspace,
+};
 use tempart_testkit::rng::Rng;
 use tempart_testkit::{prop_assert, prop_assert_eq, proptest};
 
@@ -150,6 +152,39 @@ proptest! {
                     seen[p as usize] = true;
                 }
                 prop_assert!(seen.iter().all(|&s| s));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![config(cases = 16, seed = 0x5FC_2046)]
+
+    fn the_cell_reading_entry_matches_gathered_centroids(
+        r1 in tempart_testkit::prop::bools(),
+        r2 in tempart_testkit::prop::bools(),
+        k_idx in 0usize..4,
+        heavy in tempart_testkit::prop::bools(),
+        seed in 0u64..1 << 32,
+    ) {
+        // The mesh's own `u32` weights, or random ones up to `u32::MAX`
+        // whose sum overflows a `u32`.
+        let m = random_mesh(r1, r2, 3);
+        let w: Vec<u32> = if heavy {
+            let mut rng = Rng::seed_from_u64(seed);
+            (0..m.n_cells()).map(|_| rng.bounded_u64(1 << 32) as u32).collect()
+        } else {
+            strategy_weights(&m, PartitionStrategy::ScOc).0
+        };
+        let centroids: Vec<[f64; 3]> = m.cells().iter().map(|c| c.centroid).collect();
+        let weights: Vec<u64> = w.iter().map(|&x| u64::from(x)).collect();
+        let k = [1usize, 7, 64, m.n_cells() + 2][k_idx];
+        let mut ws = SfcWorkspace::new();
+        for curve in [Curve::Morton, Curve::Hilbert] {
+            for workers in 1usize..=4 {
+                let gathered = sfc_partition_with(&centroids, &weights, k, curve, workers, &mut ws);
+                let got = sfc_partition_by(m.cells(), |c| c.centroid, &w, k, curve, workers, &mut ws);
+                prop_assert!(got == gathered, "{curve:?} k={k} w{workers}");
             }
         }
     }
