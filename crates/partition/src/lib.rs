@@ -22,7 +22,6 @@ pub mod bisect;
 pub mod coarsen;
 pub mod geometric;
 pub mod initial;
-pub mod kway;
 pub mod par;
 pub mod par_kway;
 pub mod refine;
@@ -51,14 +50,6 @@ pub enum Scheme {
     /// Recursive bisection followed by a pairwise k-way refinement pass
     /// ([`par_kway`]).
     KWayRefined,
-    /// Full multilevel k-way: one global coarsening, k-way split of the
-    /// coarsest graph, pairwise k-way refinement during uncoarsening
-    /// (the `METIS_PartGraphKway` analogue). Kept for `ablation_partitioner`
-    /// only — it is the `METIS_PartGraphKway` side of the paper's §V
-    /// "recursive bisection produces higher quality on our meshes": 1.8 s
-    /// and cut 36.0k vs 0.3 s and 22.3k on cyl5, MC_TL/64
-    /// (`results/ablation_partitioner.txt`; times from its stderr column).
-    MultilevelKWay,
 }
 
 /// Partitioner configuration.
@@ -81,10 +72,6 @@ pub struct PartitionConfig {
     pub initial_tries: usize,
     /// Maximum FM passes per uncoarsening level.
     pub refine_passes: usize,
-    /// Optional per-part target fractions (METIS `tpwgts`): `target[p]` is
-    /// the share of every constraint's total weight part `p` should receive.
-    /// `None` means uniform. Must have `nparts` entries summing to ~1.
-    pub target_fracs: Option<Vec<f64>>,
 }
 
 impl PartitionConfig {
@@ -98,14 +85,7 @@ impl PartitionConfig {
             coarsen_to: 120,
             initial_tries: 8,
             refine_passes: 6,
-            target_fracs: None,
         }
-    }
-
-    /// Sets per-part target fractions (heterogeneous capacities).
-    pub fn with_targets(mut self, fracs: Vec<f64>) -> Self {
-        self.target_fracs = Some(fracs);
-        self
     }
 
     /// Overrides the imbalance tolerance for all constraints.
@@ -146,15 +126,6 @@ impl PartitionConfig {
             "imbalance tolerances must be >= 1.0"
         );
         assert!(self.initial_tries >= 1, "initial_tries must be >= 1");
-        if let Some(t) = &self.target_fracs {
-            assert_eq!(t.len(), self.nparts, "one target fraction per part");
-            assert!(
-                t.iter().all(|&f| f > 0.0),
-                "target fractions must be positive"
-            );
-            let sum: f64 = t.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6, "target fractions must sum to 1");
-        }
     }
 }
 
@@ -195,8 +166,7 @@ pub fn partition_graph_with(
 
 /// The one scheme dispatch behind both entry points. `fork = Some((n_workers,
 /// pool))` runs the bisection tree `n_workers` wide under a `part.par` span
-/// (see [`par`]); [`Scheme::MultilevelKWay`] has no bisection tree to fan
-/// out and runs as at one worker. `ws.obs` receives the events.
+/// (see [`par`]). `ws.obs` receives the events.
 fn partition(
     graph: &CsrGraph,
     config: &PartitionConfig,
@@ -208,7 +178,6 @@ fn partition(
         return vec![0; graph.nvtx()];
     }
     let rec = ws.obs.clone();
-    let fork = fork.filter(|_| config.scheme != Scheme::MultilevelKWay);
     let (name, arg) = match fork {
         None => ("part.partition", config.nparts),
         Some((n_workers, _)) => ("part.par", n_workers),
@@ -222,7 +191,6 @@ fn partition(
             par_kway::pairwise_kway_refine_ws(graph, &mut part, config, ws);
             part
         }
-        Scheme::MultilevelKWay => kway::multilevel_kway_ws(graph, config, ws),
     }
 }
 
@@ -291,33 +259,6 @@ mod tests {
         let a = partition_graph(&g, &cfg);
         let b = partition_graph(&g, &cfg);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn target_fractions_skew_part_sizes() {
-        let g = grid_graph(20, 20);
-        let cfg = PartitionConfig::new(4)
-            .with_ub(1.05)
-            .with_targets(vec![0.4, 0.3, 0.2, 0.1]);
-        let part = partition_graph(&g, &cfg);
-        let mut counts = [0usize; 4];
-        for &p in &part {
-            counts[p as usize] += 1;
-        }
-        // 400 vertices: expect ~160/120/80/40 within tolerance.
-        let expect = [160.0, 120.0, 80.0, 40.0];
-        for (i, (&c, &e)) in counts.iter().zip(&expect).enumerate() {
-            let rel = (c as f64 - e).abs() / e;
-            assert!(rel < 0.25, "part {i}: {c} vs target {e}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn bad_target_fractions_rejected() {
-        let g = grid_graph(4, 4);
-        let cfg = PartitionConfig::new(2).with_targets(vec![0.9, 0.3]);
-        let _ = partition_graph(&g, &cfg);
     }
 
     #[test]

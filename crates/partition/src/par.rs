@@ -123,8 +123,7 @@ impl WorkspacePool {
 /// [`KWayRefined`](crate::Scheme::KWayRefined) follows the bisection with
 /// the pairwise k-way refinement on its one pinned schedule
 /// ([`crate::par_kway::pairwise_kway_refine_ws`], `part.kway` span and
-/// counters); [`MultilevelKWay`](crate::Scheme::MultilevelKWay) has no
-/// bisection tree to fan out and runs as at one worker.
+/// counters).
 ///
 /// # Panics
 ///
@@ -180,15 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_with_targets() {
-        let g = grid_graph(36, 36);
-        let cfg = PartitionConfig::new(4)
-            .with_ub(1.05)
-            .with_targets(vec![0.4, 0.3, 0.2, 0.1]);
-        check_all_widths(&g, &cfg);
-    }
-
-    #[test]
     fn parallel_matches_sequential_multiconstraint() {
         let g = grid_graph(32, 32);
         let nv = g.nvtx();
@@ -213,23 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn multilevel_kway_parallel_matches_sequential() {
-        let g = grid_graph(24, 24);
-        let cfg = PartitionConfig::new(6).with_scheme(Scheme::MultilevelKWay);
-        check_all_widths(&g, &cfg);
-    }
-
-    #[test]
     fn every_scheme_matches_sequential_four_fork_levels_deep() {
         // 16 384 vertices into 32 parts: nodes fork down to 2 048-vertex,
         // 4-leaf subgraphs (four levels of forks, 15 forking nodes) and
         // the 16 two-leaf subtrees below them run inline.
         let g = grid_graph(128, 128);
-        for scheme in [
-            Scheme::RecursiveBisection,
-            Scheme::KWayRefined,
-            Scheme::MultilevelKWay,
-        ] {
+        for scheme in [Scheme::RecursiveBisection, Scheme::KWayRefined] {
             let cfg = PartitionConfig::new(32).with_scheme(scheme);
             let seq = partition_graph_with(&g, &cfg, &mut PartitionWorkspace::new());
             for workers in 2..=4 {
@@ -243,14 +222,10 @@ mod tests {
                 );
                 assert_eq!(par, seq, "{scheme:?}, workers={workers}: diverged");
                 let nodes = rec.take().last_counter("part.par.nodes");
-                if scheme == Scheme::MultilevelKWay {
-                    assert_eq!(nodes, None, "no bisection tree to fan out");
-                } else {
-                    assert!(
-                        nodes >= Some(31),
-                        "{scheme:?}, workers={workers}: {nodes:?} nodes"
-                    );
-                }
+                assert!(
+                    nodes >= Some(31),
+                    "{scheme:?}, workers={workers}: {nodes:?} nodes"
+                );
             }
         }
     }

@@ -20,8 +20,10 @@
 //! its diffusion flows over the same schedule. The schedule runs on the
 //! calling thread at every worker count (DESIGN.md §12 records the
 //! measurement behind that).
+//!
+//! [`kway_rebalance_ws`] restores k-way balance over the same part-weight
+//! tables ([`part_tables`]).
 
-use crate::kway::total_weights_into;
 use crate::{PartitionConfig, PartitionWorkspace};
 use tempart_graph::{CsrGraph, PartId};
 
@@ -61,7 +63,8 @@ pub(crate) fn part_tables(
     ws: &mut PartitionWorkspace,
 ) {
     let ncon = graph.ncon();
-    total_weights_into(graph, &mut ws.kw_tot);
+    ws.kw_tot.clear();
+    ws.kw_tot.resize(ncon, 0);
     ws.kw_pw.clear();
     ws.kw_pw.resize(k * ncon, 0);
     ws.kw_psize.clear();
@@ -71,6 +74,7 @@ pub(crate) fn part_tables(
         ws.kw_psize[p] += 1;
         let vw = graph.vertex_weights(v as u32);
         for (c, &w) in vw.iter().enumerate().take(ncon) {
+            ws.kw_tot[c] += i64::from(w);
             ws.kw_pw[p * ncon + c] += i64::from(w);
         }
     }
@@ -615,6 +619,118 @@ pub fn pairwise_kway_refine_ws(
     total_moves as usize
 }
 
+/// K-way balance restoration: while some `(part, constraint)` load exceeds
+/// its allowance, move the best-gain vertex carrying that constraint out of
+/// the overloaded part into its best-connected part with headroom. The
+/// k-way analogue of `refine::rebalance` — without it, k-way partitions of
+/// one-hot multi-constraint graphs can stay arbitrarily imbalanced (greedy
+/// refinement only ever takes positive-gain moves).
+///
+/// Returns the number of moves applied.
+///
+/// # Panics
+///
+/// Panics if `part` is not one id below `config.nparts` per vertex of
+/// `graph`.
+pub fn kway_rebalance_ws(
+    graph: &CsrGraph,
+    part: &mut [PartId],
+    config: &PartitionConfig,
+    ws: &mut PartitionWorkspace,
+) -> usize {
+    let n = graph.nvtx();
+    let k = config.nparts;
+    let ncon = graph.ncon();
+    check_part_vector(graph, part, k);
+    if n == 0 || k <= 1 {
+        return 0;
+    }
+    part_tables(graph, part, k, ws);
+    let (totals, pw, allowance) = (&ws.kw_tot, &mut ws.kw_pw, &mut ws.kw_allow);
+    allowance.clear();
+    allowance.extend((0..ncon).map(|c| (totals[c] as f64 / k as f64 * config.ub(c)).max(1.0)));
+
+    let mut moves = 0usize;
+    while moves < n {
+        // Worst (part, constraint) violation.
+        let mut worst: Option<(f64, usize, usize)> = None; // (ratio, part, con)
+        for p in 0..k {
+            for c in 0..ncon {
+                if totals[c] == 0 {
+                    continue;
+                }
+                let ratio = pw[p * ncon + c] as f64 / allowance[c];
+                if ratio > 1.0 && worst.is_none_or(|(r, _, _)| ratio > r) {
+                    worst = Some((ratio, p, c));
+                }
+            }
+        }
+        let Some((_, wp, wc)) = worst else { break };
+        // Best-gain movable vertex: in part `wp`, carrying `wc`, going to a
+        // connected part with headroom for all its constraints; if the
+        // overloaded part has no usable boundary (e.g. everything crammed
+        // into one part), fall back to the least-loaded part that fits.
+        let mut best: Option<(i64, u32, usize)> = None; // (gain, vertex, target)
+        let mut fallback: Option<(i64, u32)> = None; // (-internal, vertex)
+        for v in 0..n as u32 {
+            if part[v as usize] as usize != wp {
+                continue;
+            }
+            let vw = graph.vertex_weights(v);
+            if vw[wc] == 0 {
+                continue;
+            }
+            // Connection per candidate part.
+            let mut internal = 0i64;
+            let mut best_target: Option<(i64, usize)> = None;
+            for (u, w) in graph.neighbors(v).zip(graph.edge_weights(v)) {
+                let pu = part[u as usize] as usize;
+                if pu == wp {
+                    internal += i64::from(w);
+                } else {
+                    let fits = (0..ncon).all(|c| {
+                        vw[c] == 0 || (pw[pu * ncon + c] + i64::from(vw[c])) as f64 <= allowance[c]
+                    });
+                    if fits && best_target.is_none_or(|(bw, _)| i64::from(w) > bw) {
+                        best_target = Some((i64::from(w), pu));
+                    }
+                }
+            }
+            if let Some((conn, target)) = best_target {
+                let gain = conn - internal;
+                if best.is_none_or(|(bg, _, _)| gain > bg) {
+                    best = Some((gain, v, target));
+                }
+            } else if fallback.is_none_or(|(bi, _)| -internal > bi) {
+                fallback = Some((-internal, v));
+            }
+        }
+        let chosen = best.map(|(_, v, t)| (v, t)).or_else(|| {
+            let (_, v) = fallback?;
+            let vw = graph.vertex_weights(v);
+            // Least-loaded (on wc) part that fits every constraint.
+            (0..k)
+                .filter(|&p| p != wp)
+                .filter(|&p| {
+                    (0..ncon).all(|c| {
+                        vw[c] == 0 || (pw[p * ncon + c] + i64::from(vw[c])) as f64 <= allowance[c]
+                    })
+                })
+                .min_by_key(|&p| pw[p * ncon + wc])
+                .map(|p| (v, p))
+        });
+        let Some((v, target)) = chosen else { break };
+        let vw = graph.vertex_weights(v);
+        for c in 0..ncon {
+            pw[wp * ncon + c] -= i64::from(vw[c]);
+            pw[target * ncon + c] += i64::from(vw[c]);
+        }
+        part[v as usize] = target as PartId;
+        moves += 1;
+    }
+    moves
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,6 +952,18 @@ mod tests {
         refine(&g, &mut c, &cfg);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn kway_rebalance_fixes_violations() {
+        // Cram everything into part 0 of 4: rebalance must spread it out.
+        let g = grid_graph(8, 8);
+        let mut part = vec![0 as PartId; 64];
+        let cfg = PartitionConfig::new(4).with_ub(1.20);
+        let moves = kway_rebalance_ws(&g, &mut part, &cfg, &mut PartitionWorkspace::new());
+        assert!(moves > 0);
+        let imb = max_imbalance(&g, &part, 4);
+        assert!(imb <= 1.25, "imbalance {imb} after rebalance");
     }
 
     #[test]

@@ -164,7 +164,7 @@ pub struct RepartStats {
     pub over_allowance: u64,
 }
 
-/// Per-part per-constraint allowance `total[c] · frac(p) · ub(c)` — the
+/// Per-part per-constraint allowance `total[c] · (1/k) · ub(c)` — the
 /// ceiling a receiving part must stay under, laid out `p * ncon + c`.
 ///
 /// The ceiling is floored at one weight unit: a constraint whose target
@@ -176,8 +176,8 @@ pub struct RepartStats {
 fn build_allowance(tot: &[i64], k: usize, ncon: usize, base: &PartitionConfig, out: &mut Vec<f64>) {
     out.clear();
     out.resize(k * ncon, 0.0);
+    let frac = 1.0 / k as f64;
     for p in 0..k {
-        let frac = base.target_fracs.as_ref().map_or(1.0 / k as f64, |t| t[p]);
         for c in 0..ncon {
             let target = tot[c] as f64 * frac;
             out[p * ncon + c] = (target * base.ub(c)).max(1.0);
@@ -345,12 +345,7 @@ fn diffusion_flows(
             continue;
         }
         for p in 0..k {
-            let frac = config
-                .base
-                .target_fracs
-                .as_ref()
-                .map_or(1.0 / k as f64, |t| t[p]);
-            x[p] = pw[p * ncon + c] as f64 - tot[c] as f64 * frac;
+            x[p] = pw[p * ncon + c] as f64 - tot[c] as f64 * (1.0 / k as f64);
         }
         facc.clear();
         facc.resize(pairs.len(), 0.0);

@@ -252,7 +252,7 @@ impl GainBuckets {
 
 /// Reusable scratch memory threaded through
 /// [`partition_graph_with`](crate::partition_graph_with) and every stage
-/// below it (`coarsen` / `initial` / `refine` / `bisect` / `kway`).
+/// below it (`coarsen` / `initial` / `refine` / `bisect` / `par_kway`).
 ///
 /// Construction is cheap (every arena starts empty); arenas grow to the
 /// largest instance seen and are never shrunk, and the buffer pools hold

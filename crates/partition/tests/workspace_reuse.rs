@@ -70,11 +70,7 @@ fn shared_workspace_is_bit_identical_across_schemes_and_graphs() {
         grid_graph(7, 5),
         graded_mc_grid(12, 12, 2),
     ];
-    let schemes = [
-        Scheme::RecursiveBisection,
-        Scheme::KWayRefined,
-        Scheme::MultilevelKWay,
-    ];
+    let schemes = [Scheme::RecursiveBisection, Scheme::KWayRefined];
     let mut ws = PartitionWorkspace::new();
     for pass in 0..2 {
         for (gi, g) in graphs.iter().enumerate() {
@@ -240,7 +236,7 @@ proptest! {
         let _ = partition_graph_with(&grid_graph(warm_nx, 3), &PartitionConfig::new(2), &mut ws);
         let _ = partition_graph_with(
             &graded_mc_grid(warm_nx + 2, 4, 3),
-            &PartitionConfig::new(3).with_ub(1.5).with_scheme(Scheme::MultilevelKWay),
+            &PartitionConfig::new(3).with_ub(1.5).with_scheme(Scheme::KWayRefined),
             &mut ws,
         );
         let warm = partition_graph_with(&g, &cfg, &mut ws);

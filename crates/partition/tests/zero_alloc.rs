@@ -18,13 +18,13 @@
 //!    workspace, under one constraint and under three. (In this
 //!    debug-profile binary the patch oracle of `par_kway::Boundary` runs
 //!    inside the measured call, so it is covered too.) A warm
-//!    `partition_graph_with` allocates its result and its uniform targets
-//!    and nothing else, at any k. A warm `sfc_partition_with` allocates its
+//!    `partition_graph_with` allocates its result and nothing else, at any
+//!    k. A warm `sfc_partition_with` allocates its
 //!    result plus a constant number of bytes that does not grow with n
 //!    (none at one worker).
 //! 4. **Peak**: a cold `partition_graph_with` holds at most a fixed
 //!    multiple of its graph's bytes at once, and a warm one nothing beyond
-//!    its result and targets — read off the allocator's live-byte
+//!    its result — read off the allocator's live-byte
 //!    high-water mark, so pooled buffers that outgrow their role show.
 
 use tempart_graph::builder::grid_graph;
@@ -107,7 +107,7 @@ fn warm_initial_bisection_tries_do_not_allocate() {
 }
 
 #[test]
-fn warm_recursive_bisection_allocates_the_result_and_the_targets_only() {
+fn warm_recursive_bisection_allocates_the_result_only() {
     // The whole tree walk — k − 1 bisections, 2(k − 1) extracted subgraphs,
     // their composed vertex maps — runs out of one warm workspace: a walk
     // that boxed its jobs or built per-node vectors would show here.
@@ -120,8 +120,8 @@ fn warm_recursive_bisection_allocates_the_result_and_the_targets_only() {
         }
         let (part, allocs) = count_allocations(|| partition_graph_with(&g, &cfg, &mut ws));
         assert_eq!(part.len(), g.nvtx());
-        // The result vector and the uniform target fractions.
-        assert_eq!(allocs, 2, "k={k}: warm call allocated {allocs} times");
+        // The result vector: its atomic slots become the part ids in place.
+        assert_eq!(allocs, 1, "k={k}: warm call allocated {allocs} times");
     }
 }
 
@@ -162,15 +162,14 @@ fn cold_partition_peak_is_bounded_by_the_graph_and_a_warm_one_adds_the_result() 
         ratio <= COLD_PEAK_OVER_GRAPH,
         "cold call peaked at {cold_peak} B, {ratio:.2}x the graph's {graph_bytes} B"
     );
-    // A warm call holds nothing new but the result vector and the uniform
-    // target fractions.
+    // A warm call holds nothing new but the result vector.
     let (warm, warm_peak) = peak_above_start(|| partition_graph_with(&g, &cfg, &mut ws));
     assert_eq!(cold, warm);
-    // The lower bound keeps the counters honest: the result is held.
-    let (result, fresh) = (4 * n as u64, (4 * n + 8 * k) as u64);
-    assert!(
-        (result..=fresh).contains(&warm_peak),
-        "warm call peaked at {warm_peak} B above its start, result + targets are {fresh} B"
+    assert_eq!(
+        warm_peak,
+        4 * n as u64,
+        "warm call peaked at {warm_peak} B above its start, the result is {} B",
+        4 * n
     );
 }
 
@@ -216,11 +215,7 @@ fn full_partitioner_hot_loops_hold_their_debug_asserts() {
     // allocation inside the FM inner loop or a pairwise k-way pass fails here.
     let g = grid_graph(40, 40);
     let mut ws = PartitionWorkspace::new();
-    for scheme in [
-        Scheme::RecursiveBisection,
-        Scheme::KWayRefined,
-        Scheme::MultilevelKWay,
-    ] {
+    for scheme in [Scheme::RecursiveBisection, Scheme::KWayRefined] {
         let cfg = PartitionConfig::new(8).with_seed(11).with_scheme(scheme);
         let part = partition_graph_with(&g, &cfg, &mut ws);
         assert_eq!(part.len(), g.nvtx());

@@ -50,11 +50,7 @@ proptest! {
         for strategy in [PartitionStrategy::ScOc, PartitionStrategy::McTl] {
             let (w, ncon) = strategy_weights(&m, strategy);
             let g = m.to_graph().with_vertex_weights(w, ncon);
-            for scheme in [
-                Scheme::RecursiveBisection,
-                Scheme::KWayRefined,
-                Scheme::MultilevelKWay,
-            ] {
+            for scheme in [Scheme::RecursiveBisection, Scheme::KWayRefined] {
                 let cfg = PartitionConfig::new(k)
                     .with_seed(seed)
                     .with_scheme(scheme)
