@@ -128,6 +128,19 @@ stage_policy() {
         echo "ERROR: use DomainDecomposition::quality, not a cell graph, in the pipeline" >&2
         exit 1
     fi
+    # Domain classification reads a cell's `(domain, τ)` word off the
+    # partition vector and the levels where they lie, and finishes in its
+    # one face pass: the non-test part of domains.rs holds no per-cell word
+    # array and walks the remote-domain slots in no second pass over the
+    # cells (the two-pass build lives on as the oracle in its tests).
+    local cell_passes
+    cell_passes=$(awk '/^#\[cfg\(test\)\]/ { exit } /words: Vec|remote\.iter\(|slots\.iter\(/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/taskgraph/src/domains.rs)
+    if [[ -n "$cell_passes" ]]; then
+        echo "$cell_passes"
+        echo "ERROR: classify in the one face pass; no word array or second cell pass in domains.rs" >&2
+        exit 1
+    fi
     # The octree is one node array over the base grid: the non-test part of
     # octree.rs holds no hash map of leaf keys (the hash-map oracle lives in
     # its tests), so lookups stay array reads down from a base cell.

@@ -85,9 +85,9 @@ struct Lowered {
     net: Option<NetworkModel>,
 }
 
-/// The shared stage behind every entry point: domain classification,
-/// task-graph generation (`tg.*` events into `rec`), contiguous-block
-/// process map. A `net`'s message
+/// The shared stage behind every entry point: domain classification (a
+/// `tg.domains` wall span into `rec`), task-graph generation (`tg.*`
+/// events), contiguous-block process map. A `net`'s message
 /// sizes are *replaced* by the halo byte table of this decomposition
 /// ([`NetworkModel::with_halo`], per-face payload from
 /// [`TaskGraphConfig::face_payload_bytes`]) — callers pick a topology
@@ -102,7 +102,10 @@ fn lower(
     net: Option<&NetworkModel>,
     rec: &Recorder,
 ) -> Result<Lowered, String> {
-    let dd = DomainDecomposition::new(mesh, part, n_domains);
+    let dd = {
+        let _span = rec.span("tg.domains", 0, n_domains as u64);
+        DomainDecomposition::new(mesh, part, n_domains)
+    };
     let tg_config = TaskGraphConfig::default();
     let graph = generate_taskgraph_traced(mesh, &dd, &tg_config, rec);
     let process_of = block_process_map(n_domains, cluster.n_processes);

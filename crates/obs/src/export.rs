@@ -43,7 +43,9 @@ pub fn pid_of(clock: Clock) -> u32 {
     }
 }
 
-fn push_event(out: &mut String, e: &Event) {
+/// Writes one Chrome-trace event; `seq` is its number within its clock
+/// domain ([`chrome_trace_filtered`]).
+fn push_event(out: &mut String, e: &Event, seq: u64) {
     out.push_str("{\"name\":\"");
     out.push_str(&escape_json(e.name));
     out.push_str("\",\"ph\":\"");
@@ -59,8 +61,8 @@ fn push_event(out: &mut String, e: &Event) {
             out.push_str(",\"dur\":");
             out.push_str(&ts(e, e.val));
             out.push_str(&format!(
-                ",\"args\":{{\"a\":{},\"b\":{},\"seq\":{}}}",
-                e.a, e.b, e.seq
+                ",\"args\":{{\"a\":{},\"b\":{},\"seq\":{seq}}}",
+                e.a, e.b
             ));
         }
         Kind::Counter => {
@@ -68,8 +70,8 @@ fn push_event(out: &mut String, e: &Event) {
         }
         Kind::SpanBegin | Kind::Instant => {
             out.push_str(&format!(
-                ",\"args\":{{\"a\":{},\"b\":{},\"seq\":{}}}",
-                e.a, e.b, e.seq
+                ",\"args\":{{\"a\":{},\"b\":{},\"seq\":{seq}}}",
+                e.a, e.b
             ));
         }
         Kind::SpanEnd => {}
@@ -88,20 +90,26 @@ pub fn chrome_trace(trace: &Trace) -> String {
 /// `clock` is `Some` — e.g. `Some(Clock::Virtual)` exports the
 /// deterministic simulated timeline only, which is what the golden
 /// fingerprint tests pin.
+///
+/// An event's `seq` argument is its position among the events of its own
+/// clock domain, not the recorder's global sequence number, so a wall span
+/// recorded between two virtual events leaves the virtual timeline's export
+/// byte-identical.
 pub fn chrome_trace_filtered(trace: &Trace, clock: Option<Clock>) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
+    let mut next_seq = [0u64; 2];
     for e in &trace.events {
-        if let Some(c) = clock {
-            if e.clock != c {
-                continue;
-            }
+        let seq = &mut next_seq[pid_of(e.clock) as usize];
+        *seq += 1;
+        if clock.is_some_and(|c| e.clock != c) {
+            continue;
         }
         if !first {
             out.push(',');
         }
         first = false;
-        push_event(&mut out, e);
+        push_event(&mut out, e, *seq - 1);
     }
     out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":");
     out.push_str(&trace.dropped.to_string());
@@ -199,6 +207,36 @@ mod tests {
         assert_eq!(lines[0], "{\"type\":\"meta\",\"events\":5,\"dropped\":0}");
         assert!(lines[2].contains("\"kind\":\"complete\""));
         assert!(lines[6].starts_with("{\"type\":\"hist\",\"name\":\"gain\""));
+    }
+
+    #[test]
+    fn a_wall_span_leaves_the_virtual_export_byte_identical() {
+        let record = |wall_span: bool| {
+            let rec = Recorder::new(32);
+            if wall_span {
+                let _span = rec.span("tg.domains", 0, 16);
+            }
+            rec.begin_at(Clock::Virtual, "run", 0, 0, 0, 0);
+            rec.complete_at(Clock::Virtual, "task", 2, 5, 7, 11, 1);
+            if wall_span {
+                rec.complete_at(Clock::Wall, "exec", 1, 1500, 2500, 3, 0);
+            }
+            rec.counter_at(Clock::Virtual, "busy", 2, 9, 4);
+            rec.end_at(Clock::Virtual, "run", 0, 12);
+            rec.take()
+        };
+        let (plain, spanned) = (record(false), record(true));
+        assert_eq!(spanned.events.len(), plain.events.len() + 3);
+        let virtual_export = |t: &Trace| chrome_trace_filtered(t, Some(Clock::Virtual));
+        assert_eq!(virtual_export(&spanned), virtual_export(&plain));
+        // The wall lane numbers its own events from zero too.
+        let wall = chrome_trace_filtered(&spanned, Some(Clock::Wall));
+        assert!(
+            wall.contains("\"name\":\"tg.domains\",\"ph\":\"B\""),
+            "{wall}"
+        );
+        assert!(wall.contains("\"b\":0,\"seq\":0}"), "{wall}");
+        assert!(wall.contains("\"b\":0,\"seq\":2}}"), "{wall}");
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   timelines never mix.
 //! * **Deterministic.** Events carry a global sequence number; exports are
 //!   ordered by it, and virtual-domain traces of deterministic runs are
-//!   bit-identical across runs (pinned by golden fingerprint tests).
+//!   bit-identical across runs (pinned by golden fingerprint tests). The
+//!   Chrome export numbers events within their clock domain, so wall spans
+//!   added around a run leave its virtual export unchanged.
 
 pub mod export;
 pub mod json;

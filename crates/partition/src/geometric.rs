@@ -91,12 +91,13 @@
 //! checks every key on random clouds, dyadic grids and the quantiser's
 //! edges.
 //!
-//! The eight lookups of one key form a dependent chain, so the key step
-//! walks four points in lockstep (`curve_keys`): level pair by level pair,
-//! the lookups of independent points overlap. A lane runs the same step
-//! (`hilbert_pair`) as [`hilbert_index`], so the two cannot drift apart;
-//! eight lanes were slower than four (EXPERIMENTS.md, "The curve reads the
-//! cells in place").
+//! The key step makes two passes over its shard: every Morton key in one
+//! plain loop, then the Hilbert walks over them in place. The eight lookups
+//! of one key form a dependent chain, so the second pass walks four keys in
+//! lockstep, level pair by level pair, and the lookups of independent keys
+//! overlap. A lane runs the same step (`hilbert_pair`) as
+//! [`hilbert_index`], so the two cannot drift apart (EXPERIMENTS.md, "The
+//! curve keys and the classification, pass by pass", has the variants).
 
 use tempart_graph::PartId;
 use tempart_obs::Recorder;
@@ -133,14 +134,21 @@ fn bucket_bits(n: usize) -> u32 {
 }
 
 /// Quantises a coordinate in `[0, 1]` to `BITS` bits, rounding half away
-/// from zero like `f64::round` without the libm call: for `y ∈ [0, 65535]`
-/// the fraction `y − ⌊y⌋` is exact, so comparing it with 0.5 is the
-/// rounding. NaN maps to 0, ±∞ clamp to the ends.
+/// from zero like `f64::round`, without the libm call and without a
+/// float-to-integer conversion: adding 2^52 to `y ∈ [0, 65535]` rounds it
+/// to the nearest integer `r`, ties to even, and leaves `r` in the low
+/// mantissa bits. `y − r` is exact, so it is 0.5 exactly when a tie went
+/// down, the one case `round` takes up. NaN maps to 0, ±∞ clamp to the
+/// ends.
 #[inline]
 fn quantise(x: f64) -> u64 {
-    let y = x.clamp(0.0, 1.0) * ((1u64 << BITS) - 1) as f64;
-    let i = y as u64;
-    i + u64::from(y - i as f64 >= 0.5)
+    const TO_INTEGER: f64 = (1u64 << 52) as f64;
+    // Both tests are false for NaN, which so lands on 0.
+    let x = if x > 0.0 { x } else { 0.0 };
+    let x = if x < 1.0 { x } else { 1.0 };
+    let y = x * ((1u64 << BITS) - 1) as f64;
+    let r = y + TO_INTEGER;
+    (r.to_bits() & ((1 << 52) - 1)) + u64::from(y - (r - TO_INTEGER) == 0.5)
 }
 
 /// Spreads the low 16 bits of `v` so bit `b` lands at bit `3*b` — the
@@ -250,7 +258,12 @@ static HILBERT: [u16; STATES * 64] = hilbert_table();
 /// construction (see the module docs) — eight state-table lookups over the
 /// point's Morton key, most significant level pair first.
 pub fn hilbert_index(p: [f64; 3]) -> u64 {
-    let morton = morton_index(p);
+    hilbert_of_morton(morton_index(p))
+}
+
+/// The Hilbert key of a point from its Morton key: the walk from state 0,
+/// most significant level pair first.
+fn hilbert_of_morton(morton: u64) -> u64 {
     let (mut key, mut row) = (0u64, 0usize);
     for pair in (0..BITS / 2).rev() {
         hilbert_pair(&mut key, &mut row, morton, pair);
@@ -270,27 +283,29 @@ fn hilbert_pair(key: &mut u64, row: &mut usize, morton: u64, pair: u32) {
     *row = usize::from(e & !63);
 }
 
-/// Points whose keys are computed in lockstep.
+/// Keys whose Hilbert walks run in lockstep.
 const LANES: usize = 4;
 
-/// The curve keys of `LANES` points. A Hilbert key is a chain of eight
-/// dependent table lookups; the lanes run their chains level by level, so
-/// the lookups of independent points overlap instead of waiting on each
-/// other. Each lane's key equals [`hilbert_index`] / [`morton_index`] of its
-/// point: they share [`hilbert_pair`].
-#[inline]
-fn curve_keys(curve: Curve, pts: [[f64; 3]; LANES]) -> [u64; LANES] {
-    let morton = pts.map(morton_index);
-    if curve == Curve::Morton {
-        return morton;
-    }
-    let (mut key, mut row) = ([0u64; LANES], [0usize; LANES]);
-    for pair in (0..BITS / 2).rev() {
-        for j in 0..LANES {
-            hilbert_pair(&mut key[j], &mut row[j], morton[j], pair);
+/// Turns Morton keys into Hilbert keys in place. A Hilbert key is a chain
+/// of eight dependent table lookups; [`LANES`] keys run their chains level
+/// pair by level pair, so that the lookups of independent keys overlap
+/// instead of waiting on each other, and a short tail walks alone. Every
+/// key equals [`hilbert_index`] of its point: they share [`hilbert_pair`].
+fn hilbert_keys(keys: &mut [u64]) {
+    let mut lanes = keys.chunks_exact_mut(LANES);
+    for lane in &mut lanes {
+        let morton: [u64; LANES] = std::array::from_fn(|j| lane[j]);
+        let (mut key, mut row) = ([0u64; LANES], [0usize; LANES]);
+        for pair in (0..BITS / 2).rev() {
+            for j in 0..LANES {
+                hilbert_pair(&mut key[j], &mut row[j], morton[j], pair);
+            }
         }
+        lane.copy_from_slice(&key);
     }
-    key
+    for key in lanes.into_remainder() {
+        *key = hilbert_of_morton(*key);
+    }
 }
 
 /// Reusable scratch for [`sfc_partition_with`], in the
@@ -465,7 +480,7 @@ where
 
     // Step 3: the walk along the curve, bucket by bucket.
     let _s = tempart_obs::span!(&rec, "part.sfc.chunk", track = 0, arg = k as u64);
-    let mut cut = Cut::new(weights.iter().map(|&w| w.into()).sum(), n, k);
+    let mut cut = Cut::new(wsum.iter().sum(), n, k);
     let (mut begin, mut sorted) = (0usize, 0u64);
     for (&end, &w) in ends.iter().zip(wsum.iter()) {
         let end = end as usize;
@@ -501,18 +516,15 @@ where
     part
 }
 
-/// Writes the curve key of every item to the matching slot of `keys`,
-/// [`LANES`] items at a time; a short tail is padded with its last item.
+/// Writes the curve key of every item to the matching slot of `keys`: every
+/// Morton key in one plain pass, then, for the Hilbert curve, the table
+/// walks over them in place ([`hilbert_keys`]).
 fn fill_keys<T>(keys: &mut [u64], items: &[T], pos: &impl Fn(&T) -> [f64; 3], curve: Curve) {
-    let mut key_lanes = keys.chunks_exact_mut(LANES);
-    let mut item_lanes = items.chunks_exact(LANES);
-    for (k, it) in (&mut key_lanes).zip(&mut item_lanes) {
-        k.copy_from_slice(&curve_keys(curve, std::array::from_fn(|j| pos(&it[j]))));
+    for (key, item) in keys.iter_mut().zip(items) {
+        *key = morton_index(pos(item));
     }
-    let (k, it) = (key_lanes.into_remainder(), item_lanes.remainder());
-    if let Some(last) = it.len().checked_sub(1) {
-        let lanes = curve_keys(curve, std::array::from_fn(|j| pos(&it[j.min(last)])));
-        k.copy_from_slice(&lanes[..k.len()]);
+    if curve == Curve::Hilbert {
+        hilbert_keys(keys);
     }
 }
 

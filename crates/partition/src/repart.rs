@@ -164,8 +164,9 @@ pub struct RepartStats {
     pub over_allowance: u64,
 }
 
-/// Per-part per-constraint allowance `total[c] · (1/k) · ub(c)` — the
-/// ceiling a receiving part must stay under, laid out `p * ncon + c`.
+/// The per-constraint allowance `total[c] · (1/k) · ub(c)` — the ceiling a
+/// receiving part must stay under, the same for every part: one row of
+/// `ncon` entries.
 ///
 /// The ceiling is floored at one weight unit: a constraint whose target
 /// share is sub-cell (fewer cells than parts) would otherwise forbid every
@@ -173,16 +174,10 @@ pub struct RepartStats {
 /// larger than a one-unit floor is counterproductive — it legitimizes a
 /// `target + 1` park that a from-scratch partition of the same tiny
 /// constraint would beat.
-fn build_allowance(tot: &[i64], k: usize, ncon: usize, base: &PartitionConfig, out: &mut Vec<f64>) {
-    out.clear();
-    out.resize(k * ncon, 0.0);
+fn build_allowance(tot: &[i64], k: usize, base: &PartitionConfig, out: &mut Vec<f64>) {
     let frac = 1.0 / k as f64;
-    for p in 0..k {
-        for c in 0..ncon {
-            let target = tot[c] as f64 * frac;
-            out[p * ncon + c] = (target * base.ub(c)).max(1.0);
-        }
-    }
+    out.clear();
+    out.extend((0..tot.len()).map(|c| (tot[c] as f64 * frac * base.ub(c)).max(1.0)));
 }
 
 /// The two questions the sub-cell promotion of [`diffusion_flows`] asks
@@ -341,11 +336,12 @@ fn diffusion_flows(
         }
         // Deadband: a constraint already within its allowance everywhere
         // needs no flow — this is what makes zero drift produce zero moves.
-        if (0..k).all(|p| pw[p * ncon + c] as f64 <= allow[p * ncon + c]) {
+        if (0..k).all(|p| pw[p * ncon + c] as f64 <= allow[c]) {
             continue;
         }
+        let mean = tot[c] as f64 * (1.0 / k as f64);
         for p in 0..k {
-            x[p] = pw[p * ncon + c] as f64 - tot[c] as f64 * (1.0 / k as f64);
+            x[p] = pw[p * ncon + c] as f64 - mean;
         }
         facc.clear();
         facc.resize(pairs.len(), 0.0);
@@ -388,7 +384,7 @@ fn diffusion_flows(
         // pointing it onward rather than back. Deterministic: parts
         // ascending, each part's pairs ascending, first maximum wins.
         for p in 0..k {
-            if pw[p * ncon + c] as f64 <= allow[p * ncon + c] {
+            if pw[p * ncon + c] as f64 <= allow[c] {
                 continue;
             }
             let mut has_out = false;
@@ -469,8 +465,8 @@ fn flow_benefit(flow: &[i64], vw: &[u32], s: i64) -> i64 {
 }
 
 /// What one pair's transfer owns for its duration: the pair, its flow row,
-/// the two parts' load rows, populations and allowances, and the round's
-/// moved-cell log.
+/// the two parts' load rows and populations, the allowance row, and the
+/// round's moved-cell log.
 struct PairState<'a> {
     p: u32,
     q: u32,
@@ -479,8 +475,7 @@ struct PairState<'a> {
     pw_q: &'a mut [i64],
     size_p: i64,
     size_q: i64,
-    allow_p: &'a [f64],
-    allow_q: &'a [f64],
+    allow: &'a [f64],
     moved: &'a mut Vec<u32>,
 }
 
@@ -506,8 +501,7 @@ fn transfer_pair(
         q,
         ref mut size_p,
         ref mut size_q,
-        allow_p,
-        allow_q,
+        allow,
         ..
     } = pair;
     let (flow, pw_p, pw_q) = (&mut *pair.flow, &mut *pair.pw_p, &mut *pair.pw_q);
@@ -565,26 +559,10 @@ fn transfer_pair(
     while let Some(v) = buckets.pop_best(usize::MAX, |_| true) {
         let own = part[v as usize];
         debug_assert!(own == p || own == q, "bucketed cell left the pair");
-        let (s, pw_own, pw_other, size_own, size_other, allow_other, other) = if own == p {
-            (
-                1i64,
-                &mut *pw_p,
-                &mut *pw_q,
-                &mut *size_p,
-                &mut *size_q,
-                allow_q,
-                q,
-            )
+        let (s, pw_own, pw_other, size_own, size_other, other) = if own == p {
+            (1i64, &mut *pw_p, &mut *pw_q, &mut *size_p, &mut *size_q, q)
         } else {
-            (
-                -1i64,
-                &mut *pw_q,
-                &mut *pw_p,
-                &mut *size_q,
-                &mut *size_p,
-                allow_p,
-                p,
-            )
+            (-1i64, &mut *pw_q, &mut *pw_p, &mut *size_q, &mut *size_p, p)
         };
         if *size_own <= 1 {
             continue;
@@ -606,7 +584,7 @@ fn transfer_pair(
                 return true;
             }
             let recv = pw_other[c] + w;
-            (recv as f64) <= allow_other[c].max(1.0) || (s * flow[c] > 0 && recv <= pw_own[c])
+            (recv as f64) <= allow[c].max(1.0) || (s * flow[c] > 0 && recv <= pw_own[c])
         });
         if !fits {
             continue;
@@ -674,7 +652,7 @@ impl RoundPlan {
         let k = config.base.nparts;
         part_tables(graph, part, k, ws);
         let mut plan = std::mem::take(&mut ws.plan);
-        build_allowance(&ws.kw_tot, k, graph.ncon(), &config.base, &mut plan.allow);
+        build_allowance(&ws.kw_tot, k, &config.base, &mut plan.allow);
         plan.boundary = std::mem::take(&mut ws.boundary);
         plan.boundary.build(graph, part, k);
         plan
@@ -834,8 +812,7 @@ pub fn repartition_ws(
                 pw_q: &mut hi[..ncon],
                 size_p: ws.kw_psize[pp] as i64,
                 size_q: ws.kw_psize[qq] as i64,
-                allow_p: &allow[pp * ncon..(pp + 1) * ncon],
-                allow_q: &allow[qq * ncon..(qq + 1) * ncon],
+                allow,
                 moved,
             };
             let (cells, vol) = transfer_pair(graph, part, cands.of(pi), &mut pair, &mut ws.buckets);
@@ -856,8 +833,8 @@ pub fn repartition_ws(
     // plan empty.
     stats.over_allowance = ws
         .kw_pw
-        .iter()
-        .zip(&plan.allow)
+        .chunks(plan.allow.len().max(1))
+        .flat_map(|loads| loads.iter().zip(&plan.allow))
         .filter(|&(&load, &allow)| load as f64 > allow)
         .map(|(&load, &allow)| (load - allow.floor() as i64) as u64)
         .max()

@@ -52,33 +52,17 @@ pub struct DomainDecomposition {
     part_components: usize,
 }
 
-/// A slot of [`DomainDecomposition::new`]'s per-cell pair of remote-domain
-/// slots: no remote domain in it yet. Any other value is a remote domain
-/// seen so far, or [`MULTI`]. Both sentinels lie above every domain id,
-/// since the bin count, at least `2 · n_domains`, fits a `u32`.
-const NONE: u32 = u32::MAX;
+/// An empty slot of a cell's pair of remote-domain slots ([`Remotes`]); a
+/// filled one holds a remote domain plus one, or [`MULTI`]. The domain fits:
+/// the bin count, at least `2 · n_domains`, fits a `u32`.
+const NONE: u32 = 0;
 /// Both slots of a cell with face neighbours in at least three different
 /// remote domains.
-const MULTI: u32 = u32::MAX - 1;
+const MULTI: u32 = u32::MAX;
 
 /// Capacity of the scratch list of one cell's remote domains: a cell of a
 /// 2:1-balanced octree mesh has at most four faces per side.
 const MAX_REMOTE_HINT: usize = 24;
-
-/// Records that a cell has a face neighbour in remote domain `d`: the first
-/// two distinct domains take a slot each, a third makes both [`MULTI`].
-fn note_remote(slots: &mut [u32; 2], d: PartId) {
-    if slots[0] == d || slots[1] == d {
-        return;
-    }
-    if slots[0] == NONE {
-        slots[0] = d;
-    } else if slots[1] == NONE {
-        slots[1] = d;
-    } else {
-        *slots = [MULTI, MULTI];
-    }
-}
 
 /// Bits of a `(domain, τ)` word below the domain: the fewest that hold
 /// `n_levels - 1`.
@@ -97,36 +81,34 @@ fn bin_index(n_levels: u8, domain: PartId, tau: u8, external: bool) -> usize {
     word * 2 + usize::from(external)
 }
 
-/// One `u32` per cell holding its `(domain, τ)` word ([`bin_index`]), so
-/// that a face reads one word per cell, not one from each of two arrays,
-/// and a word is its bin's index halved. The domain fits above the level
-/// because the bin count fits a `u32`.
-struct CellWords {
-    words: Vec<u32>,
+/// Every cell's `(domain, τ)` word ([`bin_index`]), read off the partition
+/// vector and the levels where they lie: a word is its bin's index halved,
+/// and the domain fits above the level because the bin count fits a `u32`.
+struct CellWords<'a> {
+    part: &'a [PartId],
+    tau: &'a [u8],
     shift: u32,
 }
 
-impl CellWords {
-    fn new(part: &[PartId], tau: &[u8], n_levels: u8) -> Self {
-        let shift = level_bits(n_levels);
-        let words = part
-            .iter()
-            .zip(tau)
-            .map(|(&d, &t)| d << shift | u32::from(t))
-            .collect();
-        Self { words, shift }
+impl<'a> CellWords<'a> {
+    fn new(part: &'a [PartId], tau: &'a [u8], n_levels: u8) -> Self {
+        Self {
+            part,
+            tau,
+            shift: level_bits(n_levels),
+        }
     }
 
-    /// The domain of a word.
+    /// The word of cell `c`.
     #[inline]
-    fn domain(&self, word: u32) -> PartId {
-        word >> self.shift
+    fn word(&self, c: u32) -> u32 {
+        self.part[c as usize] << self.shift | u32::from(self.tau[c as usize])
     }
 
-    /// The temporal level of a word.
-    #[inline]
-    fn level(&self, word: u32) -> u32 {
-        word & ((1 << self.shift) - 1)
+    /// The words of all cells, in id order.
+    fn words(&self) -> impl Iterator<Item = u32> + '_ {
+        let shift = self.shift;
+        (self.part.iter().zip(self.tau)).map(move |(&d, &t)| d << shift | u32::from(t))
     }
 }
 
@@ -137,37 +119,32 @@ fn word_bin(word: u32, external: bool) -> usize {
     word as usize * 2 + usize::from(external)
 }
 
-/// What lies across a face, seen from its owner's domain.
-enum Across {
-    /// The domain boundary.
-    Boundary,
-    /// A neighbour cell of the owner's domain.
-    Same(u32),
-    /// A neighbour cell of another domain, and that domain.
-    Remote(u32, PartId),
-}
-
 /// The face bin rule: a face's domain is its owner's, its level the min of
 /// its cells' levels, and it is external exactly when it crosses into
-/// another domain. Returns the face's `(domain, τ)` word and what lies
-/// across it.
-#[inline]
-fn classify_face(f: &Face, cells: &CellWords) -> (u32, Across) {
-    let w0 = cells.words[f.owner as usize];
-    match f.neighbor {
-        FaceNeighbor::Boundary => (w0, Across::Boundary),
+/// another domain. Returns the face's bin; calls `same(nb)` for a face
+/// between two cells of one domain and `remote(nb, d1)` for one into
+/// domain `d1`, inside the one branch that tells them apart.
+#[inline(always)]
+fn classify_face(
+    f: &Face,
+    cells: &CellWords,
+    same: impl FnOnce(u32),
+    remote: impl FnOnce(u32, PartId),
+) -> usize {
+    let (d0, t0) = (cells.part[f.owner as usize], cells.tau[f.owner as usize]);
+    let (level, external) = match f.neighbor {
+        FaceNeighbor::Boundary => (t0, false),
         FaceNeighbor::Interior(nb) => {
-            let w1 = cells.words[nb as usize];
-            let (d0, d1) = (cells.domain(w0), cells.domain(w1));
-            let word = d0 << cells.shift | cells.level(w0).min(cells.level(w1));
-            let across = if d0 == d1 {
-                Across::Same(nb)
+            let (d1, t1) = (cells.part[nb as usize], cells.tau[nb as usize]);
+            if d0 == d1 {
+                same(nb);
             } else {
-                Across::Remote(nb, d1)
-            };
-            (word, across)
+                remote(nb, d1);
+            }
+            (t0.min(t1), d0 != d1)
         }
-    }
+    };
+    word_bin(d0 << cells.shift | u32::from(level), external)
 }
 
 /// Turns per-bin counts stored at `offsets[b + 1]` into start offsets:
@@ -177,6 +154,72 @@ fn prefix_sum(offsets: &mut [u32]) {
     for slot in offsets.iter_mut() {
         start += *slot;
         *slot = start;
+    }
+}
+
+/// The remote domains the face pass has met around every cell, and the
+/// communication volume they add up to. A cell's first two distinct remote
+/// domains take a slot each and count one each; a third makes both slots
+/// [`MULTI`] and recounts the cell's remote domains through its faces, so
+/// that no cell is counted again after the pass.
+struct Remotes {
+    slots: Vec<[u32; 2]>,
+    comm_volume: i64,
+    /// Scratch list of one cell's remote domains for the recount.
+    seen: Vec<PartId>,
+}
+
+impl Remotes {
+    fn new(n_cells: usize) -> Self {
+        Self {
+            slots: vec![[NONE; 2]; n_cells],
+            comm_volume: 0,
+            seen: Vec::with_capacity(MAX_REMOTE_HINT),
+        }
+    }
+
+    /// Records that cell `c` has a face neighbour in remote domain `d`, and
+    /// returns whether `d` is the first remote domain seen around `c`.
+    #[inline]
+    fn note(&mut self, mesh: &Mesh, part: &[PartId], c: u32, d: PartId) -> bool {
+        let slots = &mut self.slots[c as usize];
+        let tag = d + 1;
+        if slots[0] == tag || slots[1] == tag || slots[0] == MULTI {
+            return false;
+        }
+        if slots[0] == NONE {
+            slots[0] = tag;
+            self.comm_volume += 1;
+            return true;
+        }
+        if slots[1] == NONE {
+            slots[1] = tag;
+            self.comm_volume += 1;
+            return false;
+        }
+        *slots = [MULTI; 2];
+        self.comm_volume += self.recount(mesh, part, c) as i64 - 2;
+        false
+    }
+
+    /// The number of distinct remote domains among the face neighbours of
+    /// cell `c`: the rare path, for a cell between three or more domains.
+    #[cold]
+    fn recount(&mut self, mesh: &Mesh, part: &[PartId], c: u32) -> usize {
+        let own = part[c as usize];
+        self.seen.clear();
+        for &fid in mesh.cell_faces(c) {
+            let f = &mesh.faces()[fid as usize];
+            let Some(nb) = f.interior_neighbor() else {
+                continue;
+            };
+            let other = if f.owner == c { nb } else { f.owner };
+            let d = part[other as usize];
+            if d != own && !self.seen.contains(&d) {
+                self.seen.push(d);
+            }
+        }
+        self.seen.len()
     }
 }
 
@@ -212,6 +255,34 @@ impl PairRow {
     }
 }
 
+/// The sorted neighbour lists and their interface-face counts from rows in
+/// which every interface face was counted once, by its owner's domain: each
+/// entry is mirrored into the other domain's row, then a row's entries for
+/// one neighbour are summed.
+fn mirrored(pairs: Vec<PairRow>) -> (Vec<Vec<PartId>>, Vec<Vec<u32>>) {
+    let mut rows: Vec<Vec<(PartId, u32)>> = pairs.into_iter().map(|p| p.row).collect();
+    let owned: Vec<usize> = rows.iter().map(Vec::len).collect();
+    for (d, &len) in owned.iter().enumerate() {
+        for i in 0..len {
+            let (n, count) = rows[d][i];
+            rows[n as usize].push((d as PartId, count));
+        }
+    }
+    rows.into_iter()
+        .map(|mut row| {
+            row.sort_unstable_by_key(|&(d, _)| d);
+            row.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
+            row.into_iter().unzip()
+        })
+        .unzip()
+}
+
 impl DomainDecomposition {
     /// Builds the decomposition from a mesh and a per-cell domain assignment.
     ///
@@ -232,86 +303,49 @@ impl DomainDecomposition {
             u32::try_from(largest_id_space).is_ok(),
             "cell, face and bin ids are u32"
         );
-        let words = CellWords::new(part, mesh.tau(), nl);
+        let cells = CellWords::new(part, mesh.tau(), nl);
+
+        // Every cell starts in its internal bin; the face pass moves it to
+        // its external bin when it meets the cell's first remote domain.
+        let mut cell_offsets = vec![0u32; n_bins + 1];
+        for word in cells.words() {
+            cell_offsets[word_bin(word, false) + 1] += 1;
+        }
 
         // One pass over the faces: each face's bin count, the remote domains
         // of the cells that touch another domain, the interface-face count
-        // per domain pair, and the union of the two cells of a same-domain
-        // face.
-        let mut remote = vec![[NONE; 2]; mesh.n_cells()];
+        // per domain pair (in the owner's row), and the union of the two
+        // cells of a same-domain face.
+        let mut remotes = Remotes::new(mesh.n_cells());
         let mut sets = UnionFind::new(mesh.n_cells());
         let mut pairs = vec![PairRow::default(); n_domains];
         let mut face_offsets = vec![0u32; n_bins + 1];
         for f in mesh.faces() {
-            let (word, across) = classify_face(f, &words);
-            let external = match across {
-                Across::Boundary => false,
-                Across::Same(nb) => {
-                    sets.union(f.owner, nb);
-                    false
-                }
-                Across::Remote(nb, d1) => {
-                    let d0 = words.domain(word);
-                    note_remote(&mut remote[f.owner as usize], d1);
-                    note_remote(&mut remote[nb as usize], d0);
-                    pairs[d0 as usize].bump(d1);
-                    pairs[d1 as usize].bump(d0);
-                    true
-                }
-            };
-            face_offsets[word_bin(word, external) + 1] += 1;
-        }
-        prefix_sum(&mut face_offsets);
-        let part_components = sets.components();
-        drop(sets);
-
-        // A cell with one or two remote domains sends to that many; only the
-        // few cells between three or more recount theirs through their faces.
-        let mut comm_volume = 0i64;
-        let mut seen: Vec<PartId> = Vec::with_capacity(MAX_REMOTE_HINT);
-        let mut cell_offsets = vec![0u32; n_bins + 1];
-        for (c, (slots, &word)) in remote.iter().zip(&words.words).enumerate() {
-            let own = words.domain(word);
-            let external = match *slots {
-                [NONE, _] => false,
-                [MULTI, _] => {
-                    seen.clear();
-                    for &fid in mesh.cell_faces(c as u32) {
-                        let f = &mesh.faces()[fid as usize];
-                        let Some(nb) = f.interior_neighbor() else {
-                            continue;
-                        };
-                        let other = if f.owner as usize == c { nb } else { f.owner };
-                        let d = part[other as usize];
-                        if d != own && !seen.contains(&d) {
-                            seen.push(d);
+            let bin = classify_face(
+                f,
+                &cells,
+                |nb| sets.union(f.owner, nb),
+                |nb, d1| {
+                    let d0 = part[f.owner as usize];
+                    for (c, d) in [(f.owner, d1), (nb, d0)] {
+                        if remotes.note(mesh, part, c, d) {
+                            let w = cells.word(c);
+                            cell_offsets[word_bin(w, false) + 1] -= 1;
+                            cell_offsets[word_bin(w, true) + 1] += 1;
                         }
                     }
-                    comm_volume += seen.len() as i64;
-                    true
-                }
-                [_, NONE] => {
-                    comm_volume += 1;
-                    true
-                }
-                _ => {
-                    comm_volume += 2;
-                    true
-                }
-            };
-            cell_offsets[word_bin(word, external) + 1] += 1;
+                    pairs[d0 as usize].bump(d1);
+                },
+            );
+            face_offsets[bin + 1] += 1;
         }
-        drop(remote);
-        drop(words);
+        prefix_sum(&mut face_offsets);
         prefix_sum(&mut cell_offsets);
-
-        let mut neighbors: Vec<Vec<PartId>> = Vec::with_capacity(n_domains);
-        let mut halo_faces: Vec<Vec<u32>> = Vec::with_capacity(n_domains);
-        for PairRow { mut row, .. } in pairs {
-            row.sort_unstable_by_key(|&(d, _)| d);
-            neighbors.push(row.iter().map(|&(d, _)| d).collect());
-            halo_faces.push(row.iter().map(|&(_, c)| c).collect());
-        }
+        let part_components = sets.components();
+        drop(sets);
+        let comm_volume = remotes.comm_volume;
+        drop(remotes);
+        let (neighbors, halo_faces) = mirrored(pairs);
 
         Self {
             n_domains,
@@ -361,10 +395,11 @@ impl DomainDecomposition {
 
     /// [`Self::new`]; `workers` is ignored. Sharding the classification over
     /// two threads lost to the sequential build on one (EXPERIMENTS.md,
-    /// 2026-10-03), and the sequential build now only counts: 0.017–0.028 s
-    /// at 474k cells on the 2-core benchmark host (`taskgraph.domains_s`,
-    /// EXPERIMENTS.md, "Domain classification counts"). The name stays
-    /// because the frozen `benchmark/` package calls it.
+    /// 2026-10-03), and the sequential build is now one counting pass over
+    /// the faces: 0.017–0.022 s at 474k cells on the 2-core benchmark host
+    /// (`taskgraph.domains_s`, EXPERIMENTS.md, "The curve keys and the
+    /// classification, pass by pass"). The name stays because the frozen
+    /// `benchmark/` package calls it.
     pub fn new_sharded(mesh: &Mesh, part: &[PartId], n_domains: usize, _workers: usize) -> Self {
         Self::new(mesh, part, n_domains)
     }
@@ -496,18 +531,16 @@ impl ObjectLists {
         let words = CellWords::new(part, mesh.tau(), dd.n_levels);
         let mut external = vec![false; mesh.n_cells()];
         let (mut faces, mut cursor) = Bins::empty(&dd.face_offsets);
-        for (fid, f) in mesh.faces().iter().enumerate() {
-            let (word, across) = classify_face(f, &words);
-            let is_external = matches!(across, Across::Remote(..));
-            if let Across::Remote(nb, _) = across {
+        for (fid, f) in (0u32..).zip(mesh.faces()) {
+            let mark = |nb: u32, _| {
                 external[f.owner as usize] = true;
                 external[nb as usize] = true;
-            }
-            faces.push(&mut cursor, word_bin(word, is_external), fid as u32);
+            };
+            faces.push(&mut cursor, classify_face(f, &words, |_| {}, mark), fid);
         }
         let (mut cells, mut cursor) = Bins::empty(&dd.cell_offsets);
-        for (c, (&word, &is_external)) in words.words.iter().zip(&external).enumerate() {
-            cells.push(&mut cursor, word_bin(word, is_external), c as u32);
+        for (c, &is_external) in (0u32..).zip(&external) {
+            cells.push(&mut cursor, word_bin(words.word(c), is_external), c);
         }
         Self {
             n_levels: dd.n_levels,
@@ -540,7 +573,9 @@ impl ObjectLists {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempart_mesh::{Cell, Face, Octree, OctreeConfig, TemporalScheme};
+    use tempart_mesh::{
+        pprime_nozzle_like, Cell, Face, GeneratorConfig, Octree, OctreeConfig, TemporalScheme,
+    };
     use tempart_testkit::prop::vec_of;
     use tempart_testkit::rng::Rng;
     use tempart_testkit::{prop_assert_eq, proptest};
@@ -548,6 +583,155 @@ mod tests {
     /// The quality oracle: the standalone metrics on the mesh's cell graph.
     fn measured(m: &Mesh, part: &[PartId], k: usize) -> PartitionQuality {
         PartitionQuality::measure(&m.to_graph(), part, k)
+    }
+
+    /// The classification [`DomainDecomposition::new`] replaced, kept as its
+    /// oracle: a `(domain, τ)` word array, two remote-domain slots a cell
+    /// that the face pass fills and a second pass over every cell reads
+    /// back, and interface faces counted in both domains' rows.
+    fn two_pass_oracle(mesh: &Mesh, part: &[PartId], n_domains: usize) -> DomainDecomposition {
+        const NONE: u32 = u32::MAX;
+        const MULTI: u32 = u32::MAX - 1;
+        let note = |slots: &mut [u32; 2], d: PartId| {
+            if slots[0] == d || slots[1] == d {
+                return;
+            }
+            if slots[0] == NONE {
+                slots[0] = d;
+            } else if slots[1] == NONE {
+                slots[1] = d;
+            } else {
+                *slots = [MULTI, MULTI];
+            }
+        };
+        let nl = mesh.n_tau_levels();
+        let shift = level_bits(nl);
+        let mask = (1 << shift) - 1;
+        let n_bins = (n_domains << shift) * 2;
+        let words: Vec<u32> = part
+            .iter()
+            .zip(mesh.tau())
+            .map(|(&d, &t)| d << shift | u32::from(t))
+            .collect();
+        let mut remote = vec![[NONE; 2]; mesh.n_cells()];
+        let mut sets = UnionFind::new(mesh.n_cells());
+        let mut pairs = vec![PairRow::default(); n_domains];
+        let mut face_offsets = vec![0u32; n_bins + 1];
+        for f in mesh.faces() {
+            let w0 = words[f.owner as usize];
+            let (word, external) = match f.neighbor {
+                FaceNeighbor::Boundary => (w0, false),
+                FaceNeighbor::Interior(nb) => {
+                    let w1 = words[nb as usize];
+                    let (d0, d1) = (w0 >> shift, w1 >> shift);
+                    let word = d0 << shift | (w0 & mask).min(w1 & mask);
+                    if d0 == d1 {
+                        sets.union(f.owner, nb);
+                    } else {
+                        note(&mut remote[f.owner as usize], d1);
+                        note(&mut remote[nb as usize], d0);
+                        pairs[d0 as usize].bump(d1);
+                        pairs[d1 as usize].bump(d0);
+                    }
+                    (word, d0 != d1)
+                }
+            };
+            face_offsets[word_bin(word, external) + 1] += 1;
+        }
+        prefix_sum(&mut face_offsets);
+
+        let mut comm_volume = 0i64;
+        let mut cell_offsets = vec![0u32; n_bins + 1];
+        for (c, (slots, &word)) in (0u32..).zip(remote.iter().zip(&words)) {
+            let own = word >> shift;
+            let external = match *slots {
+                [NONE, _] => false,
+                [MULTI, _] => {
+                    let mut seen: Vec<PartId> = Vec::new();
+                    for &fid in mesh.cell_faces(c) {
+                        let f = &mesh.faces()[fid as usize];
+                        let Some(nb) = f.interior_neighbor() else {
+                            continue;
+                        };
+                        let other = if f.owner == c { nb } else { f.owner };
+                        let d = part[other as usize];
+                        if d != own && !seen.contains(&d) {
+                            seen.push(d);
+                        }
+                    }
+                    comm_volume += seen.len() as i64;
+                    true
+                }
+                [_, NONE] => {
+                    comm_volume += 1;
+                    true
+                }
+                _ => {
+                    comm_volume += 2;
+                    true
+                }
+            };
+            cell_offsets[word_bin(word, external) + 1] += 1;
+        }
+        prefix_sum(&mut cell_offsets);
+
+        let (mut neighbors, mut halo_faces) = (Vec::new(), Vec::new());
+        for PairRow { mut row, .. } in pairs {
+            row.sort_unstable_by_key(|&(d, _)| d);
+            neighbors.push(row.iter().map(|&(d, _)| d).collect());
+            halo_faces.push(row.iter().map(|&(_, c)| c).collect());
+        }
+        DomainDecomposition {
+            n_domains,
+            n_levels: nl,
+            n_cells: mesh.n_cells(),
+            cell_offsets,
+            face_offsets,
+            neighbors,
+            halo_faces,
+            comm_volume,
+            part_components: sets.components(),
+        }
+    }
+
+    /// The cells cut into `k` chunks of equal count along a Morton curve
+    /// through their centroids: the shape of a curve partition.
+    fn curve_partition(m: &Mesh, k: usize) -> Vec<PartId> {
+        let key = |p: [f64; 3]| {
+            let mut key = 0u64;
+            for (a, &x) in p.iter().enumerate() {
+                let q = (x.clamp(0.0, 1.0) * 65535.0) as u64;
+                for b in 0..16 {
+                    key |= (q >> b & 1) << (3 * b + a);
+                }
+            }
+            key
+        };
+        let mut order: Vec<u32> = (0..m.n_cells() as u32).collect();
+        order.sort_by_key(|&c| (key(m.cells()[c as usize].centroid), c));
+        let mut part = vec![0; m.n_cells()];
+        for (i, &c) in order.iter().enumerate() {
+            part[c as usize] = (i * k / order.len()) as PartId;
+        }
+        part
+    }
+
+    #[test]
+    fn curve_partitions_of_the_nozzle_match_the_two_pass_oracle() {
+        let m = pprime_nozzle_like(&GeneratorConfig { base_depth: 4 });
+        assert!(m.n_tau_levels() > 1);
+        let mut multi = 0;
+        for k in [1usize, 2, 7, 64, 512] {
+            let part = curve_partition(&m, k);
+            let dd = DomainDecomposition::new(&m, &part, k);
+            assert_eq!(dd, two_pass_oracle(&m, &part, k), "k={k}");
+            // Cells between three or more domains take the recount.
+            let mut remotes = Remotes::new(m.n_cells());
+            multi += (0..m.n_cells() as u32)
+                .filter(|&c| remotes.recount(&m, &part, c) >= 3)
+                .count();
+        }
+        assert!(multi > 0, "no cell touches three remote domains");
     }
 
     fn grid_mesh(depth: u8) -> Mesh {
@@ -745,6 +929,7 @@ mod tests {
                 "case {case}"
             );
             assert_eq!(DomainDecomposition::new_sharded(&m, &part, k, 2), dd);
+            assert_eq!(two_pass_oracle(&m, &part, k), dd, "case {case}");
         }
     }
 
@@ -864,6 +1049,7 @@ mod tests {
                 .collect();
             let dd = DomainDecomposition::new(&m, &part, k);
             prop_assert_eq!(dd.quality(), measured(&m, &part, k));
+            prop_assert_eq!(dd, two_pass_oracle(&m, &part, k));
         }
     }
 }

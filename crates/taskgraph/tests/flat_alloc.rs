@@ -91,13 +91,14 @@ fn peak_bytes_per_cell(base_depth: u8) -> f64 {
 
 #[test]
 fn the_classification_holds_no_mesh_sized_id_lists() {
-    // Its scratch is a `(domain, τ)` word, two remote-domain slots and a
-    // union-find parent per cell (16 B, 16.0–16.1 measured). The build that
-    // also listed every object — a bin per face and per cell, both id
-    // arrays and a copy of the partition vector — held 33.9 B/cell at
-    // depth 4.
+    // Its scratch is two remote-domain slots and a union-find parent per
+    // cell (12 B, 12.02–12.16 measured); the cells' `(domain, τ)` words are
+    // read off the partition vector in place. The two-pass build that also
+    // held a word array held 16.0–16.1, and the build that also listed
+    // every object — a bin per face and per cell, both id arrays and a copy
+    // of the partition vector — 33.9 B/cell at depth 4.
     for depth in [4, 5] {
         let per_cell = peak_bytes_per_cell(depth);
-        assert!(per_cell <= 17.0, "depth {depth}: {per_cell:.2} B/cell");
+        assert!(per_cell <= 12.5, "depth {depth}: {per_cell:.2} B/cell");
     }
 }
