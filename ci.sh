@@ -91,8 +91,7 @@ stage_policy() {
     # (the plain allocating twins are gone) plus the one parallel entry
     # point; a new `_par` / `_ws` / `_traced` name means a second way to
     # run something that already runs.
-    local allowed='coarsen_ws|extract_subgraph_ws|fm_refine_ws|kway_rebalance_ws'
-    allowed+='|multilevel_bisection_ws|pairwise_kway_refine_ws'
+    local allowed='coarsen_ws|fm_refine_ws|kway_rebalance_ws|pairwise_kway_refine_ws'
     allowed+='|partition_graph_par_traced|rebalance_ws|repartition_ws'
     suffixed=$(grep -rnE 'pub fn [a-z0-9_]*(_par|_ws|_traced)[(<]' crates/partition/src |
         grep -vE "pub fn (${allowed})[(<]" ||
@@ -188,6 +187,20 @@ stage_policy() {
     if [[ -n "$id_lists" ]]; then
         echo "$id_lists"
         echo "ERROR: read DomainDecomposition::{cell,face}_count; object ids are the solver's" >&2
+        exit 1
+    fi
+    # Every strategy's partitioner scratch, the curve's included, is leased
+    # from the caller's `Exec` pool (`PartitionWorkspace::sfc`): the non-test
+    # parts of crates/core/src/ build no curve workspace of their own, so a
+    # warm pool is never bypassed by a fresh, zeroed one.
+    local sfc_scratch
+    sfc_scratch=$(for f in crates/core/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+            /SfcWorkspace::new\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done)
+    if [[ -n "$sfc_scratch" ]]; then
+        echo "$sfc_scratch"
+        echo "ERROR: lease the curve scratch from exec.pool (PartitionWorkspace::sfc)" >&2
         exit 1
     fi
     # A bisection level reads its adjacency once: the non-test part of

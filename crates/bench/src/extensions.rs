@@ -355,6 +355,8 @@ pub(crate) fn ext_hetero(opts: &ExpOptions) {
 pub(crate) fn ext_repair(opts: &ExpOptions) {
     let n_domains = 64;
     let cluster = ClusterConfig::new(16, 8);
+    let pool = WorkspacePool::new(1);
+    let exec = Exec::new(1, &pool, Recorder::off());
     rule("Extension — MC_TL contiguity repair (64 domains, 16 proc x 8 cores)");
 
     let mut rows = Vec::new();
@@ -366,13 +368,8 @@ pub(crate) fn ext_repair(opts: &ExpOptions) {
         let q_raw = PartitionQuality::measure(&g, &raw, n_domains);
         let sim_raw = simulate_eager(&mesh, &raw, n_domains, &cluster).2;
 
-        let (fixed, report) = decompose_with_repair(
-            &mesh,
-            PartitionStrategy::McTl,
-            n_domains,
-            opts.seed,
-            Recorder::off(),
-        );
+        let (fixed, report) =
+            decompose_with_repair(&mesh, PartitionStrategy::McTl, n_domains, opts.seed, &exec);
         let q_fixed = PartitionQuality::measure(&g, &fixed, n_domains);
         let sim_fixed = simulate_eager(&mesh, &fixed, n_domains, &cluster).2;
 

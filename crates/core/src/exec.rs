@@ -20,8 +20,11 @@ pub struct Exec<'a> {
     /// Fork-join workers for the partitioner, domain classification and
     /// portfolio/sweep fan-outs (≥ 1).
     pub workers: usize,
-    /// Partitioner workspaces; [`WorkspacePool::new`]`(workers)` stripes
-    /// is the natural size.
+    /// Partitioner workspaces, the scratch of every strategy (the curve
+    /// strategies' in [`PartitionWorkspace::sfc`]);
+    /// [`WorkspacePool::new`]`(workers)` stripes is the natural size.
+    ///
+    /// [`PartitionWorkspace::sfc`]: tempart_partition::PartitionWorkspace::sfc
     pub pool: &'a WorkspacePool,
     /// Event sink; [`Recorder::off`] costs one relaxed branch per emission.
     pub rec: &'a Recorder,

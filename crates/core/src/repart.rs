@@ -12,18 +12,19 @@
 //! [`PartitionQuality`] report per step — the raw data of the
 //! quality-vs-migration frontier the `tempart repart` subcommand prints.
 //!
-//! Warm-state policy: one [`WorkspacePool`] (and, for the SFC scratch
-//! strategy, one `SfcWorkspace`) serves every step — workspaces carry
-//! capacity, never state, so the sequence is bit-identical to running each
-//! step with fresh scratch, at a fraction of the allocation traffic.
+//! Warm-state policy: the caller's [`WorkspacePool`] serves every step,
+//! diffusion and from-scratch alike (the curve strategies' scratch is part
+//! of a pooled workspace) — workspaces carry capacity, never state, so the
+//! sequence is bit-identical to running each step with fresh scratch, at a
+//! fraction of the allocation traffic.
+//!
+//! [`WorkspacePool`]: tempart_partition::WorkspacePool
 
 use crate::exec::Exec;
 use crate::strategy::{decompose_with, strategy_weights, PartitionStrategy};
 use tempart_graph::{MigrationStats, PartId, PartitionQuality};
 use tempart_mesh::{DriftConfig, Mesh};
-use tempart_partition::{
-    repartition_ws, sfc_partition_by, RepartConfig, RepartStats, RepartStop, SfcWorkspace,
-};
+use tempart_partition::{repartition_ws, RepartConfig, RepartStats, RepartStop};
 
 /// How each drift step restores balance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,13 +185,6 @@ pub fn repartition_sequence(
     let (w0, ncon) = strategy_weights(&mesh, cfg.strategy);
     let initial_quality =
         PartitionQuality::measure(&graph.with_vertex_weights(w0, ncon), &part, cfg.n_domains);
-    // Warm SFC scratch state for the geometric strategy.
-    let mut sfc: Option<SfcWorkspace> = None;
-    if let (RepartMode::Scratch, PartitionStrategy::SfcOc { .. }) = (cfg.mode, cfg.strategy) {
-        let mut sfc_ws = SfcWorkspace::new();
-        sfc_ws.obs = rec.clone();
-        sfc = Some(sfc_ws);
-    }
 
     let mut steps = Vec::with_capacity(cfg.steps as usize);
     for step in 1..=cfg.steps {
@@ -209,20 +203,7 @@ pub fn repartition_sequence(
                 stats
             }
             RepartMode::Scratch => {
-                part = match (&mut sfc, cfg.strategy) {
-                    // The cells read in place, weighed by the step's SC_OC
-                    // weights (`ncon` is 1).
-                    (Some(sfc_ws), PartitionStrategy::SfcOc { curve }) => sfc_partition_by(
-                        mesh.cells(),
-                        |c| c.centroid,
-                        g.vwgt(),
-                        cfg.n_domains,
-                        curve,
-                        workers,
-                        sfc_ws,
-                    ),
-                    _ => decompose_with(&mesh, cfg.strategy, cfg.n_domains, cfg.seed, exec),
-                };
+                part = decompose_with(&mesh, cfg.strategy, cfg.n_domains, cfg.seed, exec);
                 RepartStats::default()
             }
         };

@@ -6,7 +6,7 @@ use tempart_mesh::{operating_cost, Mesh};
 use tempart_obs::Recorder;
 use tempart_partition::{
     bisect::extract_subgraph, partition_graph_par_traced, repair_contiguity, sfc_partition_by,
-    Curve, PartitionConfig, RepairReport, SfcWorkspace, WorkspacePool,
+    Curve, PartitionConfig, RepairReport, WorkspacePool,
 };
 
 /// How to weight and partition the cell graph.
@@ -99,11 +99,14 @@ fn partition_config(nparts: usize, ncon: usize, seed: u64) -> PartitionConfig {
 /// driver ([`tempart_partition::partition_graph_par_traced`]) on
 /// `exec.workers` fork-join workers with per-branch workspaces from
 /// `exec.pool`; at one worker that driver *is* the sequential partitioner on
-/// a pooled workspace. The result is **bit-identical** for every strategy at
-/// every worker count: the multilevel strategies inherit the parallel
-/// driver's fixed tree-order merge, the dual-phase inner splits use one seed
-/// per process slot, and the SFC strategies shard only the curve keys over
-/// the workers and cut the curve in one sequential bucket walk
+/// a pooled workspace. The SFC strategies lease their curve scratch
+/// ([`tempart_partition::PartitionWorkspace::sfc`]) from the same pool, so
+/// a warm pool serves every strategy without re-allocating its scratch.
+/// The result is **bit-identical** for every strategy at every worker
+/// count: the multilevel strategies inherit the parallel driver's fixed
+/// tree-order merge, the dual-phase inner splits use one seed per process
+/// slot, and the SFC strategies shard only the curve keys over the workers
+/// and cut the curve in one sequential bucket walk
 /// (`tempart_partition::geometric`).
 ///
 /// `exec.rec` receives a `"core.decompose"` wall span around the whole
@@ -138,18 +141,22 @@ pub fn decompose_with(
             dual_phase(mesh, n_outer, domains_per_process, seed, exec)
         }
         PartitionStrategy::SfcOc { curve } => {
-            let (w, _) = strategy_weights(mesh, strategy);
-            let mut sfc_ws = SfcWorkspace::new();
-            sfc_ws.obs = rec.clone();
-            sfc_partition_by(
+            // The SC_OC weights of `strategy_weights`, read off the levels
+            // in place.
+            let (tau, tau_max) = (mesh.tau(), mesh.n_tau_levels() - 1);
+            let mut ws = pool.checkout(0);
+            ws.sfc.obs = rec.clone();
+            let part = sfc_partition_by(
                 mesh.cells(),
                 |c| c.centroid,
-                &w,
+                |i| u64::from(operating_cost(tau[i], tau_max)),
                 n_domains,
                 curve,
                 workers,
-                &mut sfc_ws,
-            )
+                &mut ws.sfc,
+            );
+            pool.give_back(0, ws);
+            part
         }
         _ => {
             let (w, ncon) = strategy_weights(mesh, strategy);
@@ -206,22 +213,21 @@ fn dual_phase(mesh: &Mesh, n_outer: usize, inner: usize, seed: u64, exec: &Exec)
     part
 }
 
-/// Partitions like [`decompose`], then runs the contiguity-repair
+/// Partitions like [`decompose_with`], then runs the contiguity-repair
 /// post-processing pass (the paper's future-work item on partitioner
 /// artifacts): stray fragments of disconnected domains migrate to their
-/// best-connected neighbour domain when balance allows. `rec` receives the
-/// partition events of [`decompose_with`] plus the repair pass's
-/// `part.repair` span and counters.
+/// best-connected neighbour domain when balance allows. The repair is one
+/// sequential pass, so the result is bit-identical at every `exec.workers`.
+/// `exec.rec` receives the partition events of [`decompose_with`] plus the
+/// repair pass's `part.repair` span and counters.
 pub fn decompose_with_repair(
     mesh: &Mesh,
     strategy: PartitionStrategy,
     n_domains: usize,
     seed: u64,
-    rec: &Recorder,
+    exec: &Exec,
 ) -> (Vec<PartId>, RepairReport) {
-    let pool = WorkspacePool::new(1);
-    let exec = Exec::new(1, &pool, rec);
-    let mut part = decompose_with(mesh, strategy, n_domains, seed, &exec);
+    let mut part = decompose_with(mesh, strategy, n_domains, seed, exec);
     let (w, ncon) = strategy_weights(mesh, strategy);
     let g = mesh.to_graph().with_vertex_weights(w, ncon);
     // Repair uses a looser allowance than the partitioner so that
@@ -233,7 +239,7 @@ pub fn decompose_with_repair(
         ubvec: vec![if ncon > 1 { 1.25 } else { 1.08 }],
         ..PartitionConfig::new(n_domains)
     };
-    let report = repair_contiguity(&g, &mut part, &cfg, rec);
+    let report = repair_contiguity(&g, &mut part, &cfg, exec.rec);
     (part, report)
 }
 
@@ -403,13 +409,26 @@ mod tests {
     }
 
     #[test]
+    fn repair_is_worker_count_invariant() {
+        let m = small_mesh();
+        let repaired = |workers: usize| {
+            let pool = WorkspacePool::new(workers);
+            let exec = Exec::new(workers, &pool, Recorder::off());
+            decompose_with_repair(&m, PartitionStrategy::McTl, 8, 1, &exec)
+        };
+        let (part, report) = repaired(1);
+        assert_eq!(repaired(2), (part, report));
+    }
+
+    #[test]
     fn repair_reduces_mc_tl_fragmentation() {
         let m = small_mesh();
         let g = m.to_graph();
         let raw = decompose(&m, PartitionStrategy::McTl, 8, 1);
         let q_raw = PartitionQuality::measure(&g, &raw, 8);
-        let (fixed, report) =
-            decompose_with_repair(&m, PartitionStrategy::McTl, 8, 1, Recorder::off());
+        let pool = WorkspacePool::new(1);
+        let exec = Exec::new(1, &pool, Recorder::off());
+        let (fixed, report) = decompose_with_repair(&m, PartitionStrategy::McTl, 8, 1, &exec);
         let q_fixed = PartitionQuality::measure(&g, &fixed, 8);
         assert!(
             q_fixed.part_components <= q_raw.part_components,

@@ -22,7 +22,7 @@
 //! worker count and steal order; only the schedule changes.
 
 use crate::coarsen::{coarsen_ws, Hierarchy};
-use crate::initial::{initial_bisection_into, SideWeights};
+use crate::initial::initial_bisection_into;
 use crate::refine::{project_into, refine_level};
 use crate::{PartitionConfig, PartitionWorkspace, WorkspacePool};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -32,7 +32,7 @@ use tempart_runtime::{fork_join, ForkCtx};
 use tempart_testkit::rng::Rng;
 
 /// One multilevel bisection: coarsen, split, uncoarsen with refinement
-/// (allocating wrapper around [`multilevel_bisection_ws`]).
+/// (allocating wrapper around `multilevel_bisection_ws`).
 ///
 /// `frac0` is the share of every constraint's total weight that side 0
 /// should receive. Returns the 0/1 side per vertex.
@@ -56,7 +56,7 @@ pub fn multilevel_bisection(
 /// Workspace-backed [`multilevel_bisection`]. The returned side vector comes
 /// from the workspace's buffer pool; hand it back with `ws.give_u8` when
 /// done to keep the buffer in circulation.
-pub fn multilevel_bisection_ws(
+pub(crate) fn multilevel_bisection_ws(
     graph: &CsrGraph,
     frac0: f64,
     config: &PartitionConfig,
@@ -129,7 +129,7 @@ pub fn multilevel_bisection_ws(
 }
 
 /// Extracts the induced subgraph of the vertices with `side[v] == which`
-/// (allocating wrapper around [`extract_subgraph_ws`]).
+/// (allocating wrapper around `extract_subgraph_ws`).
 ///
 /// Returns the subgraph and the mapping from sub-vertex index to original
 /// vertex index.
@@ -143,7 +143,7 @@ pub fn extract_subgraph(graph: &CsrGraph, side: &[u8], which: u8) -> (CsrGraph, 
 /// `to_sub` arena. The side's vertex count and degree sum are counted
 /// first, so each array is taken at its length (the adjacency at a bound
 /// that only the cut edges exceed).
-pub fn extract_subgraph_ws(
+pub(crate) fn extract_subgraph_ws(
     graph: &CsrGraph,
     side: &[u8],
     which: u8,
@@ -429,14 +429,10 @@ fn split<'t>(
     }
 }
 
-/// Reports the worst normalised side load of a bisection (test helper).
-pub fn bisection_norm(graph: &CsrGraph, side: &[u8], frac0: f64) -> f64 {
-    SideWeights::measure(graph, side, frac0).max_norm()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::initial::SideWeights;
     use tempart_graph::builder::grid_graph;
     use tempart_graph::edge_cut;
 
@@ -445,7 +441,7 @@ mod tests {
         let g = grid_graph(40, 40);
         let cfg = PartitionConfig::new(2);
         let side = multilevel_bisection(&g, 0.5, &cfg, 1.05, 1);
-        let norm = bisection_norm(&g, &side, 0.5);
+        let norm = SideWeights::measure(&g, &side, 0.5).max_norm();
         assert!(norm <= 1.06, "norm {norm}");
         let part: Vec<u32> = side.iter().map(|&s| u32::from(s)).collect();
         // Ideal cut 40; multilevel should stay well under 2x.

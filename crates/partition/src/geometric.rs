@@ -20,8 +20,8 @@
 //! 1. **Keys.** Every 48-bit curve key is computed once into a pooled
 //!    arena, sharded over [`tempart_runtime::fork_join`] in contiguous id
 //!    ranges. The points are read where the caller keeps them
-//!    ([`sfc_partition_by`]: a mesh's cells, through a position accessor),
-//!    never gathered into a point cloud first.
+//!    ([`sfc_partition_by`]: a mesh's cells and levels, through a position
+//!    and a weight accessor), never gathered into a point cloud first.
 //! 2. **Buckets.** One pass counts the points and sums the weights of every
 //!    bucket of the keys' top bits; a prefix sum and one scatter put the
 //!    ids in bucket order (ascending id inside a bucket).
@@ -368,7 +368,7 @@ pub fn sfc_partition(
 
 /// [`sfc_partition`] with explicit worker count and leased scratch: the
 /// paper-scale entry point for a plain point cloud, [`sfc_partition_by`] on
-/// the points themselves.
+/// the points and weights themselves.
 pub fn sfc_partition_with(
     centroids: &[[f64; 3]],
     weights: &[u64],
@@ -377,13 +377,14 @@ pub fn sfc_partition_with(
     workers: usize,
     ws: &mut SfcWorkspace,
 ) -> Vec<PartId> {
-    sfc_partition_by(centroids, |&p| p, weights, k, curve, workers, ws)
+    assert_eq!(centroids.len(), weights.len(), "one weight per point");
+    sfc_partition_by(centroids, |&p| p, |i| weights[i], k, curve, workers, ws)
 }
 
 /// [`sfc_partition_with`] over the caller's own records: item `i` sits at
-/// `pos(&items[i])` and weighs `weights[i]`, so a mesh's cells and its
-/// `u32` weights are read in place instead of being copied into a point
-/// cloud and `u64`s first.
+/// `pos(&items[i])` and weighs `weight(i)`, so a mesh's cells and the
+/// operating cost of their levels are read in place instead of being
+/// copied into a point cloud and a weight vector first.
 ///
 /// The curve keys are computed in parallel shards; the chunks are cut by one
 /// bucket pass that sorts only the points of the buckets a chunk boundary
@@ -392,20 +393,15 @@ pub fn sfc_partition_with(
 ///
 /// Emits `part.sfc` / `part.sfc.{keys,sort,chunk}` spans and
 /// `part.sfc.{points,sorted,peak_bytes}` counters into `ws.obs`.
-pub fn sfc_partition_by<T, W>(
+pub fn sfc_partition_by<T: Sync>(
     items: &[T],
     pos: impl Fn(&T) -> [f64; 3] + Sync,
-    weights: &[W],
+    weight: impl Fn(usize) -> u64,
     k: usize,
     curve: Curve,
     workers: usize,
     ws: &mut SfcWorkspace,
-) -> Vec<PartId>
-where
-    T: Sync,
-    W: Copy + Into<u64>,
-{
-    assert_eq!(items.len(), weights.len(), "one weight per point");
+) -> Vec<PartId> {
     assert!(k >= 1, "need at least one part");
     assert!(workers >= 1, "need at least one worker");
     let n = items.len();
@@ -462,10 +458,10 @@ where
         let _s = tempart_obs::span!(&rec, "part.sfc.sort", track = 0, arg = n as u64);
         ends.fill(0);
         wsum.fill(0);
-        for (&key, &w) in keys.iter().zip(weights) {
+        for (id, &key) in keys.iter().enumerate() {
             let b = (key >> shift) as usize;
             ends[b] += 1;
-            wsum[b] += w.into();
+            wsum[b] += weight(id);
         }
         let mut start = 0u32;
         for e in ends.iter_mut() {
@@ -506,7 +502,7 @@ where
                     cut.close_if_due(pos);
                 }
                 part[id as usize] = cut.cur as PartId;
-                cut.part_w += weights[id as usize].into();
+                cut.part_w += weight(id as usize);
             }
         }
         begin = end;

@@ -45,9 +45,9 @@ use tempart_obs::Recorder;
 /// scanning the other stripes and finally to a fresh workspace.
 ///
 /// Pooled workspaces always carry the disabled recorder: [`Self::checkout`]
-/// and [`Self::give_back`] both reset `obs`, so an enabled recorder
-/// installed for a sequential traced call can never leak into (or out of) a
-/// parallel branch.
+/// and [`Self::give_back`] both reset `obs` and `sfc.obs`, so an enabled
+/// recorder installed for a sequential traced call can never leak into (or
+/// out of) a parallel branch.
 #[derive(Debug)]
 pub struct WorkspacePool {
     stripes: Vec<Mutex<Vec<PartitionWorkspace>>>,
@@ -80,19 +80,17 @@ impl WorkspacePool {
                 .lock()
                 .expect("workspace pool stripe poisoned");
             if let Some(mut ws) = stripe.pop() {
-                ws.obs = Recorder::default();
-                ws.obs_level = 0;
+                reset_obs(&mut ws);
                 return ws;
             }
         }
         PartitionWorkspace::new()
     }
 
-    /// Returns a workspace to the hinted stripe for reuse. The recorder is
-    /// reset to disabled so pooled workspaces never pin a live recorder.
+    /// Returns a workspace to the hinted stripe for reuse. The recorders
+    /// are reset to disabled so pooled workspaces never pin a live recorder.
     pub fn give_back(&self, stripe_hint: usize, mut ws: PartitionWorkspace) {
-        ws.obs = Recorder::default();
-        ws.obs_level = 0;
+        reset_obs(&mut ws);
         self.stripes[stripe_hint % self.stripes.len()]
             .lock()
             .expect("workspace pool stripe poisoned")
@@ -107,6 +105,13 @@ impl WorkspacePool {
             .map(|s| s.lock().expect("workspace pool stripe poisoned").len())
             .sum()
     }
+}
+
+/// Installs the disabled recorder in `ws` and in its curve scratch.
+fn reset_obs(ws: &mut PartitionWorkspace) {
+    ws.obs = Recorder::default();
+    ws.obs_level = 0;
+    ws.sfc.obs = Recorder::default();
 }
 
 /// Parallel, traced [`crate::partition_graph_with`].

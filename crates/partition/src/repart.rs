@@ -71,20 +71,23 @@ use crate::par_kway::{
     check_part_vector, colour_pairs, part_tables, schedule_order, Boundary, Candidates, Entry,
 };
 use crate::workspace::GainBuckets;
-use crate::{PartitionConfig, PartitionWorkspace};
+use crate::PartitionWorkspace;
 use tempart_graph::{CsrGraph, PartId};
+
+/// Jacobi sweeps of the diffusion solve per round. The solve runs on the
+/// *part* graph (k vertices), so a generous pass count is cheap; more passes
+/// spread flow further from the overload before the realization starts
+/// moving cells.
+const DIFFUSION_PASSES: usize = 48;
 
 /// Configuration of the incremental repartitioner.
 #[derive(Debug, Clone)]
 pub struct RepartConfig {
-    /// Shared partitioner knobs: part count, per-constraint allowance
-    /// (`ubvec`) and optional per-part target fractions.
-    pub base: PartitionConfig,
-    /// Jacobi sweeps of the diffusion solve per round. The solve runs on
-    /// the *part* graph (k vertices), so generous pass counts are cheap;
-    /// more passes spread flow further from the overload before the
-    /// realization starts moving cells.
-    pub diffusion_passes: usize,
+    /// Number of parts the part vector uses.
+    pub nparts: usize,
+    /// Allowed imbalance of every constraint: a receiving part stays under
+    /// `ub` times the constraint's average part load (at least 1.0).
+    pub ub: f64,
     /// Maximum solve + realization rounds. Each round can only move cells
     /// that currently sit on a part boundary, so deep load imbalances need
     /// several rounds for the flow to tunnel through intermediate parts.
@@ -101,12 +104,12 @@ pub struct RepartConfig {
 
 impl RepartConfig {
     /// Defaults for `nparts` parts: the multi-constraint tolerance the
-    /// from-scratch MC_TL pipeline uses (1.10), 48 diffusion sweeps, up to
-    /// 32 realization rounds, no budget.
+    /// from-scratch MC_TL pipeline uses (1.10), up to 32 realization
+    /// rounds, no budget.
     pub fn new(nparts: usize) -> Self {
         Self {
-            base: PartitionConfig::new(nparts).with_ub(1.10),
-            diffusion_passes: 48,
+            nparts,
+            ub: 1.10,
             realize_rounds: 32,
             migration_budget: None,
         }
@@ -114,7 +117,7 @@ impl RepartConfig {
 
     /// Overrides the imbalance tolerance for all constraints.
     pub fn with_ub(mut self, ub: f64) -> Self {
-        self.base = self.base.with_ub(ub);
+        self.ub = ub;
         self
     }
 
@@ -122,6 +125,12 @@ impl RepartConfig {
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.migration_budget = Some(budget);
         self
+    }
+
+    /// The entry checks of [`repartition_ws`] and [`diffusion_plan`].
+    fn validate(&self) {
+        assert!(self.nparts >= 1, "nparts must be at least 1");
+        assert!(self.ub >= 1.0, "imbalance tolerances must be >= 1.0");
     }
 }
 
@@ -164,7 +173,7 @@ pub struct RepartStats {
     pub over_allowance: u64,
 }
 
-/// The per-constraint allowance `total[c] · (1/k) · ub(c)` — the ceiling a
+/// The per-constraint allowance `total[c] · (1/k) · ub` — the ceiling a
 /// receiving part must stay under, the same for every part: one row of
 /// `ncon` entries.
 ///
@@ -174,10 +183,10 @@ pub struct RepartStats {
 /// larger than a one-unit floor is counterproductive — it legitimizes a
 /// `target + 1` park that a from-scratch partition of the same tiny
 /// constraint would beat.
-fn build_allowance(tot: &[i64], k: usize, base: &PartitionConfig, out: &mut Vec<f64>) {
+fn build_allowance(tot: &[i64], k: usize, ub: f64, out: &mut Vec<f64>) {
     let frac = 1.0 / k as f64;
     out.clear();
-    out.extend((0..tot.len()).map(|c| (tot[c] as f64 * frac * base.ub(c)).max(1.0)));
+    out.extend(tot.iter().map(|&t| (t as f64 * frac * ub).max(1.0)));
 }
 
 /// The two questions the sub-cell promotion of [`diffusion_flows`] asks
@@ -308,7 +317,7 @@ fn diffusion_flows(
     config: &RepartConfig,
     index: &mut impl PairIndex,
 ) -> bool {
-    let (k, ncon) = (config.base.nparts, tot.len());
+    let (k, ncon) = (config.nparts, tot.len());
     let Solve {
         flow,
         x,
@@ -345,7 +354,7 @@ fn diffusion_flows(
         }
         facc.clear();
         facc.resize(pairs.len(), 0.0);
-        for _ in 0..config.diffusion_passes.max(1) {
+        for _ in 0..DIFFUSION_PASSES {
             fstep.clear();
             fstep.extend(
                 pairs
@@ -649,10 +658,10 @@ impl RoundPlan {
         config: &RepartConfig,
         ws: &mut PartitionWorkspace,
     ) -> Self {
-        let k = config.base.nparts;
+        let k = config.nparts;
         part_tables(graph, part, k, ws);
         let mut plan = std::mem::take(&mut ws.plan);
-        build_allowance(&ws.kw_tot, k, &config.base, &mut plan.allow);
+        build_allowance(&ws.kw_tot, k, config.ub, &mut plan.allow);
         plan.boundary = std::mem::take(&mut ws.boundary);
         plan.boundary.build(graph, part, k);
         plan
@@ -672,7 +681,7 @@ impl RoundPlan {
         ws: &PartitionWorkspace,
         spent: u64,
     ) -> u64 {
-        let k = config.base.nparts;
+        let k = config.nparts;
         if !self.boundary.moved.is_empty() {
             self.boundary.patch(graph, part, k);
         }
@@ -725,14 +734,14 @@ impl RoundPlan {
 /// # Panics
 ///
 /// Panics on invalid configuration, or if `part` is not one id below
-/// `config.base.nparts` per vertex of `graph`.
+/// `config.nparts` per vertex of `graph`.
 pub fn diffusion_plan(
     graph: &CsrGraph,
     part: &[PartId],
     config: &RepartConfig,
 ) -> (Vec<(u32, u32)>, Vec<i64>) {
-    config.base.validate(graph);
-    check_part_vector(graph, part, config.base.nparts);
+    config.validate();
+    check_part_vector(graph, part, config.nparts);
     let mut ws = PartitionWorkspace::new();
     let mut plan = RoundPlan::begin(graph, part, config, &mut ws);
     plan.next(graph, part, config, &ws, 0);
@@ -752,15 +761,15 @@ pub fn diffusion_plan(
 /// # Panics
 ///
 /// Panics on invalid configuration, or if `part` is not one id below
-/// `config.base.nparts` per vertex of `graph`.
+/// `config.nparts` per vertex of `graph`.
 pub fn repartition_ws(
     graph: &CsrGraph,
     part: &mut [PartId],
     config: &RepartConfig,
     ws: &mut PartitionWorkspace,
 ) -> RepartStats {
-    config.base.validate(graph);
-    let k = config.base.nparts;
+    config.validate();
+    let k = config.nparts;
     check_part_vector(graph, part, k);
     let ncon = graph.ncon();
     let mut stats = RepartStats::default();
@@ -857,7 +866,7 @@ pub fn repartition_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition_graph;
+    use crate::{partition_graph, PartitionConfig};
     use tempart_graph::builder::{grid_graph, GraphBuilder};
     use tempart_graph::{constraint_imbalances, max_imbalance, migration_volume};
     use tempart_obs::Recorder;
@@ -1431,5 +1440,31 @@ mod tests {
         let mut part = vec![0 as PartId; 16];
         part[5] = 2;
         diffusion_plan(&grid_graph(4, 4), &part, &RepartConfig::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "nparts must be at least 1")]
+    fn repartition_rejects_zero_parts() {
+        repartition(&grid_graph(4, 4), &mut [0; 16], &RepartConfig::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "imbalance tolerances must be >= 1.0")]
+    fn repartition_rejects_a_tolerance_below_one() {
+        let cfg = RepartConfig::new(2).with_ub(0.99);
+        repartition(&grid_graph(4, 4), &mut [0; 16], &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "nparts must be at least 1")]
+    fn diffusion_plan_rejects_zero_parts() {
+        diffusion_plan(&grid_graph(4, 4), &[0; 16], &RepartConfig::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "imbalance tolerances must be >= 1.0")]
+    fn diffusion_plan_rejects_a_tolerance_below_one() {
+        let cfg = RepartConfig::new(2).with_ub(0.99);
+        diffusion_plan(&grid_graph(4, 4), &[0; 16], &cfg);
     }
 }

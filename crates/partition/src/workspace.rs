@@ -341,6 +341,13 @@ pub struct PartitionWorkspace {
     /// Per-constraint part allowance (average × ub).
     pub(crate) kw_allow: Vec<f64>,
 
+    // --- space-filling curve ---
+    /// Scratch of the curve partition ([`crate::sfc_partition_by`]), so a
+    /// workspace leased from a [`WorkspacePool`](crate::WorkspacePool)
+    /// serves the geometric strategies as it serves the multilevel ones.
+    /// Its recorder is reset with `obs` by the pool.
+    pub sfc: crate::SfcWorkspace,
+
     // --- buffer pools (best-fit free-lists) ---
     pool_u32: Pool<u32>,
     pool_u8: Pool<u8>,

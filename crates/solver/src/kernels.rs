@@ -71,11 +71,6 @@ impl<T: Copy> SharedArray<T> {
         *(*self.data.get()).as_mut_ptr().add(i) = value;
     }
 
-    /// Exclusive view (safe: requires `&mut self`).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.data.get_mut()
-    }
-
     /// Snapshot copy (safe only while no writers run; takes `&mut self` to
     /// enforce that).
     pub fn to_vec(&mut self) -> Vec<T> {

@@ -211,13 +211,6 @@ impl TaskGraph {
         }
         g
     }
-
-    /// Number of tasks with no predecessors.
-    pub fn n_roots(&self) -> usize {
-        (0..self.tasks.len())
-            .filter(|&t| self.preds(t as TaskId).is_empty())
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +243,6 @@ mod tests {
         assert_eq!(g.n_edges(), 4);
         assert_eq!(g.preds(3), &[1, 2]);
         assert_eq!(g.succs(0), &[1, 2]);
-        assert_eq!(g.n_roots(), 1);
         assert_eq!(g.total_cost(), 10);
         // Critical path: 0 -> 2 -> 3 = 1 + 3 + 4.
         assert_eq!(g.critical_path(), 8);

@@ -120,11 +120,6 @@ impl SubiterationLoads {
             })
             .collect()
     }
-
-    /// Sum over subiterations per process (the quantity SC_OC balances).
-    pub fn process_totals(&self) -> Vec<u64> {
-        self.load.iter().map(|l| l.iter().sum()).collect()
-    }
 }
 
 /// Maps `n_domains` onto `n_processes` contiguous blocks, the way the paper
@@ -200,7 +195,7 @@ mod tests {
         let (m, dd) = graded();
         let g = generate_taskgraph(&m, &dd, &TaskGraphConfig::default());
         let loads = SubiterationLoads::measure(&g, &[0, 1], 2);
-        let sum: u64 = loads.process_totals().iter().sum();
+        let sum: u64 = loads.load.iter().flatten().sum();
         assert_eq!(sum, g.total_cost());
         assert_eq!(loads.load[0].len(), 4);
     }

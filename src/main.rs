@@ -415,11 +415,7 @@ fn cmd_partition(o: &Options) -> Result<(), String> {
     let pool = WorkspacePool::new(workers);
     let exec = untraced(workers, &pool);
     let (part, repair_note) = if o.repair {
-        // Repair is a sequential global pass; the decomposition under it is
-        // identical to the parallel one, so nothing is lost running the
-        // combined entry point here.
-        let (part, report) =
-            decompose_with_repair(&mesh, o.strategy, o.domains, o.seed, Recorder::off());
+        let (part, report) = decompose_with_repair(&mesh, o.strategy, o.domains, o.seed, &exec);
         (
             part,
             format!(

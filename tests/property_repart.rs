@@ -26,13 +26,14 @@
 use std::hint::black_box;
 use std::time::Instant;
 use tempart::core_api::{
-    default_repart_config, repartition_sequence, strategy_weights, Exec, PartitionStrategy,
-    RepartMode, RepartSequenceConfig, RepartSequenceOutcome, WorkspacePool,
+    decompose, default_repart_config, repartition_sequence, strategy_weights, Exec,
+    PartitionStrategy, RepartMode, RepartSequenceConfig, RepartSequenceOutcome, WorkspacePool,
 };
+use tempart::graph::{MigrationStats, PartitionQuality};
 use tempart::mesh::{cylinder_like, DriftConfig, GeneratorConfig, Mesh};
 use tempart::obs::Recorder;
 use tempart::partition::{
-    partition_graph_with, repartition_ws, PartitionConfig, PartitionWorkspace, RepartConfig,
+    partition_graph_with, repartition_ws, Curve, PartitionConfig, PartitionWorkspace, RepartConfig,
     RepartStop,
 };
 use tempart_testkit::{prop_assert, prop_assert_eq, proptest};
@@ -89,7 +90,7 @@ fn check_steps(
             // The allowance in load units, `max(target·ub, 1)`, and in
             // imbalance units (divided by the per-part target).
             let target = tot as f64 / cfg.n_domains as f64;
-            let allow = (target * rcfg.base.ub(c)).max(1.0);
+            let allow = (target * rcfg.ub).max(1.0);
             let bound = s.migration.imbalance_before[c].max(allow / target);
             prop_assert!(
                 s.migration.imbalance_after[c] <= bound + 1e-9,
@@ -176,6 +177,51 @@ proptest! {
         let warm = sequence_on(&mesh, &cfg, 4, &pool);
         prop_assert_eq!(&fresh.part, &warm.part, "warm pool diverged from fresh");
         prop_assert_eq!(fresh.total_cells_moved(), warm.total_cells_moved());
+    }
+}
+
+/// A from-scratch step of a curve sequence is the curve partition of that
+/// step's drifted mesh: at widths 1 and 2 the sequence's per-step migration
+/// ledger and quality, and its final part vector, equal those of
+/// `decompose` on the mesh drifted the same way.
+#[test]
+fn sfc_scratch_sequence_is_decompose_of_every_drifted_mesh() {
+    let mesh = cylinder_like(&GeneratorConfig { base_depth: 3 });
+    let strategy = PartitionStrategy::SfcOc {
+        curve: Curve::Hilbert,
+    };
+    let cfg = RepartSequenceConfig {
+        strategy,
+        ..seq_config(0xC0FFEE, 4, RepartMode::Scratch)
+    };
+    let graph = mesh.to_graph();
+    let mut m = mesh.clone();
+    cfg.drift.apply(&mut m, 0);
+    let mut last = decompose(&m, strategy, N_DOMAINS, cfg.seed);
+    let mut expected = Vec::new();
+    for step in 1..=cfg.steps {
+        cfg.drift.apply(&mut m, step);
+        let part = decompose(&m, strategy, N_DOMAINS, cfg.seed);
+        let (w, ncon) = strategy_weights(&m, strategy);
+        let g = graph.with_vertex_weights(w, ncon);
+        expected.push((
+            MigrationStats::measure(&g, &last, &part, N_DOMAINS, cfg.payload_bytes),
+            PartitionQuality::measure(&g, &part, N_DOMAINS),
+        ));
+        last = part;
+    }
+    assert!(
+        expected.iter().any(|(mig, _)| mig.cells_moved > 0),
+        "the drift must move the curve's cuts"
+    );
+    for workers in [1, 2] {
+        let out = sequence(&mesh, &cfg, workers);
+        assert_eq!(out.part, last, "workers={workers}");
+        assert_eq!(out.steps.len(), expected.len());
+        for (s, (migration, quality)) in out.steps.iter().zip(&expected) {
+            assert_eq!(&s.migration, migration, "workers={workers} step {}", s.step);
+            assert_eq!(&s.quality, quality, "workers={workers} step {}", s.step);
+        }
     }
 }
 

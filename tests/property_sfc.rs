@@ -183,7 +183,8 @@ proptest! {
         for curve in [Curve::Morton, Curve::Hilbert] {
             for workers in 1usize..=4 {
                 let gathered = sfc_partition_with(&centroids, &weights, k, curve, workers, &mut ws);
-                let got = sfc_partition_by(m.cells(), |c| c.centroid, &w, k, curve, workers, &mut ws);
+                let weight = |i: usize| u64::from(w[i]);
+                let got = sfc_partition_by(m.cells(), |c| c.centroid, weight, k, curve, workers, &mut ws);
                 prop_assert!(got == gathered, "{curve:?} k={k} w{workers}");
             }
         }
